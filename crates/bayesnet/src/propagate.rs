@@ -22,9 +22,26 @@ use crate::{BayesError, BayesNet, Factor, KernelMode, SparseMode, VarId};
 ///
 /// Each propagation borrows the compiled tree immutably and mutates only
 /// its own [`PropagationState`] (created by
-/// [`new_state`](CompiledTree::new_state), reusable across requests). The
-/// single-threaded [`Propagator`] wraps one of each behind the classic
-/// API.
+/// [`new_state`](CompiledTree::new_state), reusable across requests).
+///
+/// One propagation's lifecycle:
+///
+/// 1. [`new`](CompiledTree::new) multiplies every CPT into its assigned
+///    clique (initialization) and [`new_state`](CompiledTree::new_state)
+///    opens a request;
+/// 2. [`set_evidence`](CompiledTree::set_evidence) /
+///    [`set_likelihood`](CompiledTree::set_likelihood) record observations;
+/// 3. [`calibrate`](CompiledTree::calibrate) runs *collect* (leaves → root)
+///    then *distribute* (root → leaves); afterwards every clique potential
+///    is proportional to the joint marginal over its variables;
+/// 4. [`marginal`](CompiledTree::marginal) and friends read results; the
+///    pre-normalization mass is the probability of the evidence.
+///
+/// Re-quantified networks (e.g. new input statistics in the paper's §6)
+/// reuse the compiled [`JunctionTree`]: only the initial potentials are
+/// rebuilt, with a new `CompiledTree::new(tree, &net)`.
+///
+/// See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug, Clone)]
 pub struct CompiledTree {
     tree: JunctionTree,
@@ -312,8 +329,8 @@ impl CompiledTree {
         }
     }
 
-    /// Records hard evidence `var = state` in `state`. See
-    /// [`Propagator::set_evidence`].
+    /// Records hard evidence `var = value` in `state`. Overwrites previous
+    /// evidence on the same variable and invalidates the calibration.
     ///
     /// # Errors
     ///
@@ -328,8 +345,8 @@ impl CompiledTree {
         set_evidence_impl(&self.tree, state, var, value)
     }
 
-    /// Records soft (likelihood) evidence in `state`. See
-    /// [`Propagator::set_likelihood`].
+    /// Records soft (likelihood) evidence in `state`: state `s` of `var`
+    /// is weighted by `weights[s]`. Invalidates the calibration.
     ///
     /// # Errors
     ///
@@ -344,8 +361,12 @@ impl CompiledTree {
         set_likelihood_impl(&self.tree, state, var, weights)
     }
 
-    /// Records multi-variable soft evidence in `state`. See
-    /// [`Propagator::insert_factor`].
+    /// Records multi-variable soft evidence in `state`: `factor` is
+    /// multiplied into a clique containing its whole scope at calibration
+    /// time. This is the general form of
+    /// [`set_likelihood`](CompiledTree::set_likelihood) and is how
+    /// correlated priors over variable *groups* are injected (e.g. the
+    /// boundary-correlation factors of the `swact` estimator).
     ///
     /// # Errors
     ///
@@ -470,8 +491,12 @@ impl CompiledTree {
         collect_savings > hash_cost
     }
 
-    /// Max-product calibration of `state`; see
-    /// [`Propagator::max_calibrate`].
+    /// Max-product calibration of `state`: afterwards every clique
+    /// potential holds *max*-marginals, and
+    /// [`most_probable_assignment`](CompiledTree::most_probable_assignment)
+    /// decodes the globally most probable joint state (MPE) consistent
+    /// with the evidence. Sum-based reads ([`marginal`](CompiledTree::marginal)
+    /// etc.) panic until [`calibrate`](CompiledTree::calibrate) runs again.
     pub fn max_calibrate(&self, state: &mut PropagationState) {
         calibrate_impl(
             &self.tree,
@@ -493,8 +518,8 @@ impl CompiledTree {
         marginal_impl(&self.tree, state, var)
     }
 
-    /// The joint posterior over a variable set contained in some clique;
-    /// see [`Propagator::joint_marginal`].
+    /// The joint posterior over a variable set, provided some clique
+    /// contains all of them (returns `None` otherwise). Normalized.
     ///
     /// # Panics
     ///
@@ -503,8 +528,14 @@ impl CompiledTree {
         joint_marginal_impl(&self.tree, state, vars)
     }
 
-    /// The exact pairwise posterior for any two variables in one
-    /// component; see [`Propagator::pairwise_marginal`].
+    /// The exact posterior joint `P(a, b | evidence)` for *any* two
+    /// variables in the same junction-tree component — even when no single
+    /// clique contains both — by marginalizing along the clique path
+    /// between their home cliques. Returns `None` across components.
+    /// Normalized, scope sorted.
+    ///
+    /// Runs in O(path length × clique size); this powers the
+    /// boundary-correlation forwarding of the `swact` estimator.
     ///
     /// # Panics
     ///
@@ -538,8 +569,14 @@ impl CompiledTree {
         pairwise_marginal_scratch_impl(&self.tree, state, a, b)
     }
 
-    /// Decodes the most probable explanation from a max-calibrated state;
-    /// see [`Propagator::most_probable_assignment`].
+    /// Decodes the most probable explanation (MPE) from a max-calibrated
+    /// state: the jointly most probable assignment of *all* variables given
+    /// the evidence, plus its (unnormalized) probability
+    /// `P(assignment, evidence)`.
+    ///
+    /// Decoding fixes the root clique's argmax and walks outward, pinning
+    /// each sepset before maximizing the next clique — max-calibration
+    /// guarantees this greedy trace is globally optimal.
     ///
     /// # Panics
     ///
@@ -664,263 +701,6 @@ impl PropagationState {
     /// The calibrated (unnormalized) potential of clique `i`.
     pub fn clique_potential(&self, i: usize) -> &Factor {
         &self.clique_pot[i]
-    }
-}
-
-/// HUGIN-style two-phase evidence propagation over a compiled
-/// [`JunctionTree`].
-///
-/// A `Propagator` owns the clique and sepset potentials. Its lifecycle:
-///
-/// 1. [`new`](Propagator::new) multiplies every CPT into its assigned
-///    clique (initialization);
-/// 2. [`set_evidence`](Propagator::set_evidence) /
-///    [`set_likelihood`](Propagator::set_likelihood) record observations;
-/// 3. [`calibrate`](Propagator::calibrate) runs *collect* (leaves → root)
-///    then *distribute* (root → leaves); afterwards every clique potential
-///    is proportional to the joint marginal over its variables;
-/// 4. [`marginal`](Propagator::marginal) and friends read results; the
-///    pre-normalization mass is the probability of the evidence.
-///
-/// Re-quantified networks (e.g. new input statistics in the paper's §6)
-/// are absorbed with [`reinitialize`](Propagator::reinitialize) — no
-/// recompilation needed.
-///
-/// Internally this is a thin single-threaded wrapper pairing the shared
-/// immutable compile artifact with one mutable [`PropagationState`]; for
-/// concurrent or pooled propagation over one compile, use
-/// [`CompiledTree`] directly.
-///
-/// See the [crate docs](crate) for an end-to-end example.
-#[derive(Debug, Clone)]
-pub struct Propagator<'t> {
-    tree: &'t JunctionTree,
-    /// Initial potentials (CPT products), kept for cheap resets.
-    init_clique_pot: Vec<Factor>,
-    /// Collect schedule shared with [`CompiledTree`]; see there.
-    schedule: Vec<(usize, usize, usize)>,
-    /// Precomputed absorb kernels (rebuilt on
-    /// [`reinitialize`](Propagator::reinitialize) — the zero pattern
-    /// belongs to the potentials, not the tree).
-    kernels: PropagationKernels,
-    state: PropagationState,
-}
-
-impl<'t> Propagator<'t> {
-    /// Creates a propagator and initializes clique potentials from the
-    /// network's CPTs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BayesError::Empty`] if the network is empty. The network
-    /// must be the one the tree was compiled from (same variables and
-    /// cardinalities); mismatches panic.
-    pub fn new(tree: &'t JunctionTree, net: &BayesNet) -> Result<Propagator<'t>, BayesError> {
-        if net.num_vars() == 0 {
-            return Err(BayesError::Empty);
-        }
-        Ok(Propagator::from_initial(
-            tree,
-            initial_potentials(tree, net),
-        ))
-    }
-
-    /// Creates a propagator from precomputed initial clique potentials
-    /// (as produced by [`initial_potentials`]) — skipping the CPT
-    /// multiplication entirely. This is the fast path for workloads that
-    /// compile once and re-propagate many times.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the potential count or any potential's scope disagrees
-    /// with the tree.
-    pub fn from_initial(tree: &'t JunctionTree, potentials: Vec<Factor>) -> Propagator<'t> {
-        validate_potentials(tree, &potentials);
-        let schedule = build_schedule(tree);
-        let kernels = PropagationKernels::build(tree, &potentials, SparseMode::default());
-        let state = PropagationState {
-            clique_pot: potentials.clone(),
-            sep_pot: ones_sepsets(tree),
-            evidence: vec![None; tree.num_vars()],
-            likelihood: vec![None; tree.num_vars()],
-            soft_factors: Vec::new(),
-            scratch: Vec::with_capacity(tree.max_sepset_states()),
-            path_msg: Factor::scalar(1.0),
-            path_next: Factor::scalar(1.0),
-            path_keep: Vec::new(),
-            calibrated: false,
-            max_mode: false,
-            evidence_probability: 1.0,
-            mode: PropagationMode::default(),
-        };
-        Propagator {
-            tree,
-            init_clique_pot: potentials,
-            schedule,
-            kernels,
-            state,
-        }
-    }
-
-    /// Rebuilds the initial potentials from (possibly re-quantified) CPTs,
-    /// keeping the compiled structure and any evidence. Invalidates the
-    /// calibration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `net` does not match the compiled tree (different variable
-    /// count or cardinalities).
-    pub fn reinitialize(&mut self, net: &BayesNet) {
-        let pots = initial_potentials(self.tree, net);
-        self.kernels = PropagationKernels::build(self.tree, &pots, SparseMode::default());
-        self.state.clique_pot = pots.clone();
-        self.init_clique_pot = pots;
-        self.state.sep_pot = ones_sepsets(self.tree);
-        self.state.calibrated = false;
-    }
-
-    /// Records hard evidence `var = state`. Overwrites previous evidence on
-    /// the same variable and invalidates the calibration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BayesError::EvidenceOutOfRange`] if `state` exceeds the
-    /// variable's cardinality.
-    pub fn set_evidence(&mut self, var: VarId, state: usize) -> Result<(), BayesError> {
-        set_evidence_impl(self.tree, &mut self.state, var, state)
-    }
-
-    /// Records soft (likelihood) evidence: state `s` of `var` is weighted
-    /// by `weights[s]`. Invalidates the calibration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BayesError::EvidenceOutOfRange`] if the weight vector
-    /// length differs from the variable's cardinality.
-    pub fn set_likelihood(&mut self, var: VarId, weights: Vec<f64>) -> Result<(), BayesError> {
-        set_likelihood_impl(self.tree, &mut self.state, var, weights)
-    }
-
-    /// Records multi-variable soft evidence: `factor` is multiplied into a
-    /// clique containing its whole scope at calibration time. This is the
-    /// general form of [`set_likelihood`](Propagator::set_likelihood) and
-    /// is how correlated priors over variable *groups* are injected (e.g.
-    /// the boundary-correlation factors of the `swact` estimator).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BayesError::FactorOutsideClique`] when no clique contains
-    /// the factor's scope.
-    pub fn insert_factor(&mut self, factor: Factor) -> Result<(), BayesError> {
-        insert_factor_impl(self.tree, &mut self.state, factor)
-    }
-
-    /// Removes all evidence (hard and soft) and invalidates the calibration.
-    pub fn clear_evidence(&mut self) {
-        self.state.clear_evidence();
-    }
-
-    /// Runs collect + distribute. Afterwards every clique potential is
-    /// proportional to `P(clique vars, evidence)`; reads are O(clique).
-    pub fn calibrate(&mut self) {
-        calibrate_impl(
-            self.tree,
-            &self.kernels,
-            &self.init_clique_pot,
-            &self.schedule,
-            &mut self.state,
-            false,
-            KernelDispatch::default(),
-        );
-    }
-
-    /// Max-product calibration: afterwards every clique potential holds
-    /// *max*-marginals, and
-    /// [`most_probable_assignment`](Propagator::most_probable_assignment)
-    /// decodes the globally most probable joint state (MPE) consistent
-    /// with the evidence. Sum-based reads ([`marginal`](Propagator::marginal)
-    /// etc.) panic until [`calibrate`](Propagator::calibrate) runs again.
-    pub fn max_calibrate(&mut self) {
-        calibrate_impl(
-            self.tree,
-            &self.kernels,
-            &self.init_clique_pot,
-            &self.schedule,
-            &mut self.state,
-            true,
-            KernelDispatch::default(),
-        );
-    }
-
-    /// Whether [`calibrate`](Propagator::calibrate) has run since the last
-    /// modification.
-    pub fn is_calibrated(&self) -> bool {
-        self.state.calibrated
-    }
-
-    /// The probability of the inserted evidence (1 when there is none).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the propagator is not calibrated.
-    pub fn evidence_probability(&self) -> f64 {
-        self.state.evidence_probability()
-    }
-
-    /// The posterior marginal `P(var | evidence)` as a probability vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the propagator is not calibrated.
-    pub fn marginal(&self, var: VarId) -> Vec<f64> {
-        marginal_impl(self.tree, &self.state, var)
-    }
-
-    /// The joint posterior over a variable set, provided some clique
-    /// contains all of them (returns `None` otherwise). Normalized.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the propagator is not calibrated.
-    pub fn joint_marginal(&self, vars: &[VarId]) -> Option<Factor> {
-        joint_marginal_impl(self.tree, &self.state, vars)
-    }
-
-    /// The exact posterior joint `P(a, b | evidence)` for *any* two
-    /// variables in the same junction-tree component — even when no single
-    /// clique contains both — by marginalizing along the clique path
-    /// between their home cliques. Returns `None` across components.
-    /// Normalized, scope sorted.
-    ///
-    /// Runs in O(path length × clique size); this powers the
-    /// boundary-correlation forwarding of the `swact` estimator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the propagator is not calibrated or `a == b`.
-    pub fn pairwise_marginal(&self, a: VarId, b: VarId) -> Option<Factor> {
-        pairwise_marginal_impl(self.tree, &self.state, a, b)
-    }
-
-    /// Decodes the most probable explanation (MPE): the jointly most
-    /// probable assignment of *all* variables given the evidence, plus its
-    /// (unnormalized) probability `P(assignment, evidence)`. Requires a
-    /// prior [`max_calibrate`](Propagator::max_calibrate).
-    ///
-    /// Decoding fixes the root clique's argmax and walks outward, pinning
-    /// each sepset before maximizing the next clique — max-calibration
-    /// guarantees this greedy trace is globally optimal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the propagator is not max-calibrated.
-    pub fn most_probable_assignment(&self) -> (Vec<usize>, f64) {
-        most_probable_assignment_impl(self.tree, &self.schedule, &self.state)
-    }
-
-    /// The calibrated (unnormalized) potential of clique `i`.
-    pub fn clique_potential(&self, i: usize) -> &Factor {
-        self.state.clique_potential(i)
     }
 }
 
@@ -1076,12 +856,6 @@ fn finish_calibration(tree: &JunctionTree, state: &mut PropagationState, max_mod
 enum KernelDispatch {
     Legacy,
     Blocked(KernelMode),
-}
-
-impl Default for KernelDispatch {
-    fn default() -> KernelDispatch {
-        KernelDispatch::Blocked(KernelMode::default())
-    }
 }
 
 /// Sender-side marginalize through the projection the dispatch selects.
@@ -1573,9 +1347,8 @@ fn most_probable_assignment_impl(
 
 /// Computes the initial clique potentials of a network over a compiled
 /// tree: every CPT multiplied into its assigned clique, all other entries
-/// one. [`Propagator::new`] calls this; callers that re-propagate many
-/// times can cache the result and feed it to
-/// [`Propagator::from_initial`].
+/// one. [`CompiledTree::new`] calls this; callers that assemble the tree
+/// themselves feed the result to [`CompiledTree::from_parts`].
 ///
 /// # Panics
 ///
@@ -1681,39 +1454,43 @@ mod tests {
         }
     }
 
+    fn compile(net: &BayesNet) -> CompiledTree {
+        CompiledTree::new(JunctionTree::compile(net).unwrap(), net).unwrap()
+    }
+
     #[test]
     fn prior_marginals_match_brute_force() {
         let (net, vars) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.calibrate();
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.calibrate(&mut state);
         for var in vars {
             assert_close(
-                &prop.marginal(var),
+                &compiled.marginal(&state, var),
                 &net.brute_force_marginal(var, &[]),
                 1e-12,
             );
         }
-        assert!((prop.evidence_probability() - 1.0).abs() < 1e-12);
+        assert!((state.evidence_probability() - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn posterior_marginals_match_brute_force() {
         let (net, [_, sprinkler_v, rain, wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.set_evidence(wet, 1).unwrap();
-        prop.calibrate();
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.set_evidence(&mut state, wet, 1).unwrap();
+        compiled.calibrate(&mut state);
         assert_close(
-            &prop.marginal(rain),
+            &compiled.marginal(&state, rain),
             &net.brute_force_marginal(rain, &[(wet, 1)]),
             1e-12,
         );
         // Explaining away: add sprinkler evidence.
-        prop.set_evidence(sprinkler_v, 1).unwrap();
-        prop.calibrate();
+        compiled.set_evidence(&mut state, sprinkler_v, 1).unwrap();
+        compiled.calibrate(&mut state);
         assert_close(
-            &prop.marginal(rain),
+            &compiled.marginal(&state, rain),
             &net.brute_force_marginal(rain, &[(wet, 1), (sprinkler_v, 1)]),
             1e-12,
         );
@@ -1722,41 +1499,42 @@ mod tests {
     #[test]
     fn evidence_probability_matches_joint() {
         let (net, [.., wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.set_evidence(wet, 1).unwrap();
-        prop.calibrate();
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.set_evidence(&mut state, wet, 1).unwrap();
+        compiled.calibrate(&mut state);
         let mut joint = net.joint();
         joint.reduce(wet, 1);
-        assert!((prop.evidence_probability() - joint.total()).abs() < 1e-12);
+        assert!((state.evidence_probability() - joint.total()).abs() < 1e-12);
     }
 
     #[test]
     fn clear_evidence_restores_prior() {
         let (net, [cloudy, .., wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.calibrate();
-        let prior = prop.marginal(cloudy);
-        prop.set_evidence(wet, 0).unwrap();
-        prop.calibrate();
-        assert!(prop.marginal(cloudy) != prior);
-        prop.clear_evidence();
-        prop.calibrate();
-        assert_close(&prop.marginal(cloudy), &prior, 1e-12);
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.calibrate(&mut state);
+        let prior = compiled.marginal(&state, cloudy);
+        compiled.set_evidence(&mut state, wet, 0).unwrap();
+        compiled.calibrate(&mut state);
+        assert!(compiled.marginal(&state, cloudy) != prior);
+        state.clear_evidence();
+        compiled.calibrate(&mut state);
+        assert_close(&compiled.marginal(&state, cloudy), &prior, 1e-12);
     }
 
     #[test]
     fn soft_evidence_scales_posterior() {
         let (net, [cloudy, _, rain, _]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
         // Likelihood [0, 1] on rain behaves like hard evidence rain=1.
-        prop.set_likelihood(rain, vec![0.0, 1.0]).unwrap();
-        prop.calibrate();
-        let soft = prop.marginal(cloudy);
+        compiled
+            .set_likelihood(&mut state, rain, vec![0.0, 1.0])
+            .unwrap();
+        compiled.calibrate(&mut state);
         assert_close(
-            &soft,
+            &compiled.marginal(&state, cloudy),
             &net.brute_force_marginal(cloudy, &[(rain, 1)]),
             1e-12,
         );
@@ -1767,24 +1545,24 @@ mod tests {
         // Multiplying a two-variable factor must match brute force over
         // the reweighted joint.
         let (net, [cloudy, sprinkler_v, rain, _]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
         let weights = Factor::new(
             vec![(sprinkler_v.min(rain), 2), (sprinkler_v.max(rain), 2)],
             vec![1.0, 0.2, 0.4, 2.0],
         );
-        prop.insert_factor(weights.clone()).unwrap();
-        prop.calibrate();
+        compiled.insert_factor(&mut state, weights.clone()).unwrap();
+        compiled.calibrate(&mut state);
         let mut joint = net.joint();
         joint = joint.product(&weights);
         let mut want = joint.marginalize_keep(&[cloudy]);
         want.normalize();
-        assert_close(&prop.marginal(cloudy), want.values(), 1e-12);
+        assert_close(&compiled.marginal(&state, cloudy), want.values(), 1e-12);
         // Clearing evidence removes the factor.
-        prop.clear_evidence();
-        prop.calibrate();
+        state.clear_evidence();
+        compiled.calibrate(&mut state);
         assert_close(
-            &prop.marginal(cloudy),
+            &compiled.marginal(&state, cloudy),
             &net.brute_force_marginal(cloudy, &[]),
             1e-12,
         );
@@ -1794,14 +1572,15 @@ mod tests {
     fn insert_factor_outside_clique_rejected() {
         // cloudy and wet never share a clique in this network.
         let (net, [cloudy, _, _, wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
+        let compiled = compile(&net);
+        let tree = compiled.tree();
+        let mut state = compiled.new_state();
         let f = Factor::ones(vec![(cloudy.min(wet), 2), (cloudy.max(wet), 2)]);
         let in_clique = (0..tree.num_cliques())
             .any(|c| tree.clique(c).contains(&cloudy) && tree.clique(c).contains(&wet));
         if !in_clique {
             assert!(matches!(
-                prop.insert_factor(f),
+                compiled.insert_factor(&mut state, f),
                 Err(BayesError::FactorOutsideClique { .. })
             ));
         }
@@ -1810,16 +1589,16 @@ mod tests {
     #[test]
     fn joint_marginal_within_clique() {
         let (net, [_, sprinkler_v, rain, wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.calibrate();
-        let joint = prop
-            .joint_marginal(&[sprinkler_v, rain, wet])
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.calibrate(&mut state);
+        let joint = compiled
+            .joint_marginal(&state, &[sprinkler_v, rain, wet])
             .expect("family of wet shares a clique");
         assert!((joint.total() - 1.0).abs() < 1e-12);
         // Consistency: its marginal equals the single-variable read.
         let wet_marg = joint.marginalize_keep(&[wet]);
-        assert_close(wet_marg.values(), &prop.marginal(wet), 1e-12);
+        assert_close(wet_marg.values(), &compiled.marginal(&state, wet), 1e-12);
     }
 
     #[test]
@@ -1841,10 +1620,12 @@ mod tests {
                 .unwrap();
         }
         let last = prev;
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.calibrate();
-        let joint = prop.pairwise_marginal(first, last).expect("same component");
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.calibrate(&mut state);
+        let joint = compiled
+            .pairwise_marginal(&state, first, last)
+            .expect("same component");
         // Brute force joint.
         let reference = net.joint().marginalize_keep(&[first, last]);
         for (a, b) in joint.values().iter().zip(reference.values()) {
@@ -1857,11 +1638,11 @@ mod tests {
         }
         // With evidence in the middle the endpoints decouple.
         let mid = net.find_var("x3").unwrap();
-        prop.set_evidence(mid, 1).unwrap();
-        prop.calibrate();
-        let joint = prop.pairwise_marginal(first, last).unwrap();
-        let pa = prop.marginal(first);
-        let pb = prop.marginal(last);
+        compiled.set_evidence(&mut state, mid, 1).unwrap();
+        compiled.calibrate(&mut state);
+        let joint = compiled.pairwise_marginal(&state, first, last).unwrap();
+        let pa = compiled.marginal(&state, first);
+        let pb = compiled.marginal(&state, last);
         for s in 0..4 {
             let want = pa[s / 2] * pb[s % 2];
             assert!((joint.values()[s] - want).abs() < 1e-12);
@@ -1877,23 +1658,28 @@ mod tests {
         let b = net
             .add_var("b", 2, &[], Cpt::prior(vec![0.5, 0.5]))
             .unwrap();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.calibrate();
-        assert!(prop.pairwise_marginal(a, b).is_none());
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.calibrate(&mut state);
+        assert!(compiled.pairwise_marginal(&state, a, b).is_none());
     }
 
     #[test]
-    fn reinitialize_absorbs_new_priors_without_recompilation() {
+    fn requantified_net_reuses_the_compiled_structure() {
+        // New priors need new initial potentials, not a new triangulation:
+        // rebuilding the CompiledTree over the same JunctionTree absorbs
+        // them exactly.
         let (mut net, [cloudy, .., wet]) = sprinkler();
         let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.calibrate();
-        let before = prop.marginal(wet);
+        let compiled = CompiledTree::new(tree.clone(), &net).unwrap();
+        let mut state = compiled.new_state();
+        compiled.calibrate(&mut state);
+        let before = compiled.marginal(&state, wet);
         net.set_cpt(cloudy, Cpt::prior(vec![0.95, 0.05])).unwrap();
-        prop.reinitialize(&net);
-        prop.calibrate();
-        let after = prop.marginal(wet);
+        let requantified = CompiledTree::new(tree, &net).unwrap();
+        let mut state = requantified.new_state();
+        requantified.calibrate(&mut state);
+        let after = requantified.marginal(&state, wet);
         assert!(after != before);
         assert_close(&after, &net.brute_force_marginal(wet, &[]), 1e-12);
     }
@@ -1901,31 +1687,33 @@ mod tests {
     #[test]
     fn evidence_errors() {
         let (net, [cloudy, ..]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
         assert!(matches!(
-            prop.set_evidence(cloudy, 5),
+            compiled.set_evidence(&mut state, cloudy, 5),
             Err(BayesError::EvidenceOutOfRange { state: 5, .. })
         ));
-        assert!(prop.set_likelihood(cloudy, vec![1.0; 3]).is_err());
+        assert!(compiled
+            .set_likelihood(&mut state, cloudy, vec![1.0; 3])
+            .is_err());
     }
 
     #[test]
     #[should_panic(expected = "calibrate")]
     fn reading_uncalibrated_panics() {
         let (net, [cloudy, ..]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let prop = Propagator::new(&tree, &net).unwrap();
-        let _ = prop.marginal(cloudy);
+        let compiled = compile(&net);
+        let state = compiled.new_state();
+        let _ = compiled.marginal(&state, cloudy);
     }
 
     #[test]
     fn mpe_matches_brute_force_on_sprinkler() {
         let (net, _vars) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.max_calibrate();
-        let (assignment, p) = prop.most_probable_assignment();
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.max_calibrate(&mut state);
+        let (assignment, p) = compiled.most_probable_assignment(&state);
         // Brute force over the joint.
         let joint = net.joint();
         let (best_idx, best_p) = joint.argmax();
@@ -1936,12 +1724,12 @@ mod tests {
 
     #[test]
     fn mpe_respects_evidence() {
-        let (net, [cloudy, sprinkler_v, rain, wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.set_evidence(wet, 1).unwrap();
-        prop.max_calibrate();
-        let (assignment, p) = prop.most_probable_assignment();
+        let (net, [.., wet]) = sprinkler();
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.set_evidence(&mut state, wet, 1).unwrap();
+        compiled.max_calibrate(&mut state);
+        let (assignment, p) = compiled.most_probable_assignment(&state);
         assert_eq!(assignment[wet.index()], 1, "evidence honoured");
         // Brute force restricted to wet = 1.
         let mut joint = net.joint();
@@ -1950,7 +1738,6 @@ mod tests {
         let best = joint.assignment_of(best_idx);
         assert_eq!(assignment, best);
         assert!((p - best_p).abs() < 1e-12);
-        let _ = (cloudy, sprinkler_v, rain);
     }
 
     #[test]
@@ -1962,10 +1749,10 @@ mod tests {
         let b = net
             .add_var("b", 3, &[], Cpt::prior(vec![0.2, 0.5, 0.3]))
             .unwrap();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.max_calibrate();
-        let (assignment, p) = prop.most_probable_assignment();
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.max_calibrate(&mut state);
+        let (assignment, p) = compiled.most_probable_assignment(&state);
         assert_eq!(assignment[a.index()], 1);
         assert_eq!(assignment[b.index()], 1);
         assert!((p - 0.7 * 0.5).abs() < 1e-12);
@@ -1975,33 +1762,33 @@ mod tests {
     #[should_panic(expected = "max_calibrate")]
     fn mpe_requires_max_calibration() {
         let (net, _) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.calibrate();
-        let _ = prop.most_probable_assignment();
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.calibrate(&mut state);
+        let _ = compiled.most_probable_assignment(&state);
     }
 
     #[test]
     #[should_panic(expected = "sum-calibration")]
     fn sum_reads_rejected_after_max_calibration() {
         let (net, [cloudy, ..]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.max_calibrate();
-        let _ = prop.marginal(cloudy);
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.max_calibrate(&mut state);
+        let _ = compiled.marginal(&state, cloudy);
     }
 
     #[test]
     fn recalibration_switches_modes_cleanly() {
         let (net, [cloudy, ..]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.calibrate();
-        let before = prop.marginal(cloudy);
-        prop.max_calibrate();
-        let _ = prop.most_probable_assignment();
-        prop.calibrate();
-        let after = prop.marginal(cloudy);
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.calibrate(&mut state);
+        let before = compiled.marginal(&state, cloudy);
+        compiled.max_calibrate(&mut state);
+        let _ = compiled.most_probable_assignment(&state);
+        compiled.calibrate(&mut state);
+        let after = compiled.marginal(&state, cloudy);
         assert_close(&before, &after, 1e-12);
     }
 
@@ -2014,12 +1801,12 @@ mod tests {
         let b = net
             .add_var("b", 2, &[], Cpt::prior(vec![0.9, 0.1]))
             .unwrap();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.set_evidence(a, 1).unwrap();
-        prop.calibrate();
-        assert_close(&prop.marginal(b), &[0.9, 0.1], 1e-12);
-        assert!((prop.evidence_probability() - 0.7).abs() < 1e-12);
+        let compiled = compile(&net);
+        let mut state = compiled.new_state();
+        compiled.set_evidence(&mut state, a, 1).unwrap();
+        compiled.calibrate(&mut state);
+        assert_close(&compiled.marginal(&state, b), &[0.9, 0.1], 1e-12);
+        assert!((state.evidence_probability() - 0.7).abs() < 1e-12);
     }
 
     #[test]
@@ -2036,29 +1823,11 @@ mod tests {
                 Cpt::rows(vec![vec![1.0, 0.0], vec![0.0, 1.0]]),
             )
             .unwrap();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.set_evidence(b, 1).unwrap();
-        prop.calibrate();
-        assert_eq!(prop.evidence_probability(), 0.0);
-    }
-
-    #[test]
-    fn compiled_tree_matches_propagator() {
-        let (net, [cloudy, _, rain, wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let compiled = CompiledTree::new(tree.clone(), &net).unwrap();
+        let compiled = compile(&net);
         let mut state = compiled.new_state();
-        compiled.set_evidence(&mut state, wet, 1).unwrap();
+        compiled.set_evidence(&mut state, b, 1).unwrap();
         compiled.calibrate(&mut state);
-
-        let mut prop = Propagator::new(&tree, &net).unwrap();
-        prop.set_evidence(wet, 1).unwrap();
-        prop.calibrate();
-
-        assert_eq!(compiled.marginal(&state, rain), prop.marginal(rain));
-        assert_eq!(compiled.marginal(&state, cloudy), prop.marginal(cloudy));
-        assert_eq!(state.evidence_probability(), prop.evidence_probability());
+        assert_eq!(state.evidence_probability(), 0.0);
     }
 
     #[test]

@@ -76,7 +76,7 @@ pub fn triangulate(
     let mut fill_edges = 0usize;
 
     for _ in 0..n {
-        let node = select_node(&work, weights, &eliminated, heuristic, None);
+        let node = select_node(&work, weights, &eliminated, heuristic);
         let neighbors: Vec<usize> = work.neighbors(node).iter().copied().collect();
         // Record the induced clique.
         let mut clique = neighbors.clone();
@@ -112,130 +112,6 @@ pub fn triangulate(
     }
 }
 
-/// Triangulates `graph` greedily like [`triangulate`], but breaks score
-/// ties by smaller `preference[node]` (before the final node-index
-/// tie-break) instead of going straight to the node index. Greedy scores
-/// tie constantly on circuit graphs, so a good preference — e.g. positions
-/// from the FORCE layout in [`crate::order`] — steers the elimination
-/// toward layout-local cliques while never overriding the heuristic
-/// itself.
-///
-/// # Panics
-///
-/// Panics if `weights.len()` or `preference.len()` differs from
-/// `graph.num_nodes()`, or any weight is zero.
-pub fn triangulate_with_preference(
-    graph: &UndirectedGraph,
-    weights: &[usize],
-    heuristic: Heuristic,
-    preference: &[usize],
-) -> Triangulation {
-    let n = graph.num_nodes();
-    assert_eq!(weights.len(), n, "one weight per node");
-    assert_eq!(preference.len(), n, "one preference per node");
-    assert!(weights.iter().all(|&w| w > 0), "weights must be positive");
-    let mut work = graph.clone();
-    let mut filled = graph.clone();
-    let mut eliminated = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut raw_cliques: Vec<Vec<usize>> = Vec::new();
-    let mut fill_edges = 0usize;
-
-    for _ in 0..n {
-        let node = select_node(&work, weights, &eliminated, heuristic, Some(preference));
-        let neighbors: Vec<usize> = work.neighbors(node).iter().copied().collect();
-        let mut clique = neighbors.clone();
-        clique.push(node);
-        clique.sort_unstable();
-        raw_cliques.push(clique);
-        for (i, &a) in neighbors.iter().enumerate() {
-            for &b in &neighbors[i + 1..] {
-                if !work.has_edge(a, b) {
-                    work.add_edge(a, b);
-                    filled.add_edge(a, b);
-                    fill_edges += 1;
-                }
-            }
-        }
-        work.isolate(node);
-        eliminated[node] = true;
-        order.push(node);
-    }
-
-    let cliques = maximal_cliques(raw_cliques);
-    let total_states = cliques
-        .iter()
-        .map(|c| c.iter().map(|&v| weights[v] as f64).product::<f64>())
-        .sum();
-    Triangulation {
-        order,
-        filled,
-        fill_edges,
-        cliques,
-        total_states,
-    }
-}
-
-/// Triangulates `graph` by eliminating nodes in the *given* order instead
-/// of choosing one greedily — the hook search-based orderings (e.g. the
-/// FORCE layout in [`crate::order`]) use to compete with the greedy
-/// heuristics on equal terms.
-///
-/// # Panics
-///
-/// Panics if `weights.len() != graph.num_nodes()`, any weight is zero, or
-/// `order` is not a permutation of `0..graph.num_nodes()`.
-pub fn triangulate_ordered(
-    graph: &UndirectedGraph,
-    weights: &[usize],
-    order: &[usize],
-) -> Triangulation {
-    let n = graph.num_nodes();
-    assert_eq!(weights.len(), n, "one weight per node");
-    assert!(weights.iter().all(|&w| w > 0), "weights must be positive");
-    assert_eq!(order.len(), n, "order must cover every node");
-    let mut seen = vec![false; n];
-    for &node in order {
-        assert!(node < n && !seen[node], "order must be a permutation");
-        seen[node] = true;
-    }
-    let mut work = graph.clone();
-    let mut filled = graph.clone();
-    let mut raw_cliques: Vec<Vec<usize>> = Vec::new();
-    let mut fill_edges = 0usize;
-
-    for &node in order {
-        let neighbors: Vec<usize> = work.neighbors(node).iter().copied().collect();
-        let mut clique = neighbors.clone();
-        clique.push(node);
-        clique.sort_unstable();
-        raw_cliques.push(clique);
-        for (i, &a) in neighbors.iter().enumerate() {
-            for &b in &neighbors[i + 1..] {
-                if !work.has_edge(a, b) {
-                    work.add_edge(a, b);
-                    filled.add_edge(a, b);
-                    fill_edges += 1;
-                }
-            }
-        }
-        work.isolate(node);
-    }
-
-    let cliques = maximal_cliques(raw_cliques);
-    let total_states = cliques
-        .iter()
-        .map(|c| c.iter().map(|&v| weights[v] as f64).product::<f64>())
-        .sum();
-    Triangulation {
-        order: order.to_vec(),
-        filled,
-        fill_edges,
-        cliques,
-        total_states,
-    }
-}
-
 /// Estimates the junction-tree state space a graph would induce under the
 /// given heuristic, without keeping the triangulation. Used by circuit
 /// segmentation to decide when a sub-network is getting too expensive.
@@ -248,12 +124,8 @@ fn select_node(
     weights: &[usize],
     eliminated: &[bool],
     heuristic: Heuristic,
-    preference: Option<&[usize]>,
 ) -> usize {
-    // (score, clique_states, preference rank, node); with no preference the
-    // rank is the node index, so the candidate tuple — and every selection —
-    // is exactly the classic greedy one.
-    let mut best: Option<(f64, f64, usize, usize)> = None;
+    let mut best: Option<(f64, f64, usize)> = None; // (score, clique_states, node)
     for node in 0..work.num_nodes() {
         if eliminated[node] {
             continue;
@@ -278,25 +150,20 @@ fn select_node(
             }
             Heuristic::MinDegree => clique_states,
         };
-        let rank = preference.map_or(node, |p| p[node]);
-        let candidate = (score, clique_states, rank, node);
+        let candidate = (score, clique_states, node);
         let better = match best {
             None => true,
             Some(b) => {
                 candidate.0 < b.0
                     || (candidate.0 == b.0 && candidate.1 < b.1)
                     || (candidate.0 == b.0 && candidate.1 == b.1 && candidate.2 < b.2)
-                    || (candidate.0 == b.0
-                        && candidate.1 == b.1
-                        && candidate.2 == b.2
-                        && candidate.3 < b.3)
             }
         };
         if better {
             best = Some(candidate);
         }
     }
-    best.expect("at least one uneliminated node").3
+    best.expect("at least one uneliminated node").2
 }
 
 /// Filters a list of sorted cliques down to the maximal ones.
@@ -451,36 +318,6 @@ mod tests {
         let t = triangulate(&g, &[2, 100, 2], Heuristic::MinDegree);
         assert_eq!(t.fill_edges, 0);
         assert_eq!(t.total_states, 200.0 + 200.0);
-    }
-
-    #[test]
-    fn ordered_elimination_matches_greedy_on_its_own_order() {
-        // Replaying the greedy order through triangulate_ordered must
-        // reproduce the greedy triangulation exactly.
-        let g = cycle(6);
-        let greedy = triangulate(&g, &[4; 6], Heuristic::MinFill);
-        let replay = triangulate_ordered(&g, &[4; 6], &greedy.order);
-        assert_eq!(replay.order, greedy.order);
-        assert_eq!(replay.fill_edges, greedy.fill_edges);
-        assert_eq!(replay.cliques, greedy.cliques);
-        assert_eq!(replay.total_states, greedy.total_states);
-    }
-
-    #[test]
-    fn ordered_elimination_is_perfect_on_its_fill() {
-        let g = cycle(7);
-        let order: Vec<usize> = (0..7).rev().collect();
-        let t = triangulate_ordered(&g, &[2; 7], &order);
-        assert!(is_perfect_elimination_order(&t.filled, &t.order));
-        // A bad order pays more fill than greedy, never less than n-3.
-        assert!(t.fill_edges >= 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "permutation")]
-    fn ordered_elimination_rejects_duplicates() {
-        let g = cycle(4);
-        triangulate_ordered(&g, &[2; 4], &[0, 1, 2, 2]);
     }
 
     #[test]

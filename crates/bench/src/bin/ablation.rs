@@ -11,8 +11,7 @@
 //! cargo run -p swact-bench --release --bin ablation -- <which> [pairs]
 //! ```
 
-use swact::twostate::estimate_two_state;
-use swact::{ErrorStats, InputModel, InputSpec, Options};
+use swact::{Backend, ErrorStats, InputModel, InputSpec, Options};
 use swact_baselines::{Independence, PairwiseCorrelation, SwitchingEstimator};
 use swact_bayesnet::Heuristic;
 use swact_bench::{ground_truth, GROUND_TRUTH_SEED};
@@ -131,8 +130,9 @@ fn temporal(pairs: usize) {
         let truth = measure_activity(&circuit, &model, pairs, GROUND_TRUTH_SEED).switching;
         let four = swact::estimate(&circuit, &spec, &Options::default()).expect("compiles");
         let four_stats = four.compare(&truth);
-        let two = estimate_two_state(&circuit, &spec, &Options::default()).expect("compiles");
-        let two_stats = ErrorStats::between(&two.switching, &truth);
+        let two = swact::estimate(&circuit, &spec, &Options::with_backend(Backend::TwoState))
+            .expect("compiles");
+        let two_stats = two.compare(&truth);
         println!(
             "{:<22} {:>9.4} {:>9.4} {:>9.2}",
             format!("P(sw)={activity}"),

@@ -1,6 +1,6 @@
-//! Structure-strategy comparison: compiles each benchmark under the
-//! greedy default, the FORCE ordering, and the balanced-cut segmentation
-//! search, and writes `BENCH_order.json` with the resulting model sizes.
+//! Segmentation-strategy comparison: compiles each benchmark under the
+//! default topological cover and the balanced-cut segmentation search,
+//! and writes `BENCH_order.json` with the resulting model sizes.
 //!
 //! ```text
 //! cargo run -p swact-bench --release --bin order_report [budget]
@@ -9,7 +9,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use swact::{CompiledEstimator, Options, StructureStrategy};
+use swact::{CompiledEstimator, Options, SegmentationStrategy};
 use swact_circuit::catalog;
 
 struct Row {
@@ -21,20 +21,19 @@ struct Row {
     nnz: usize,
     kernel_cost: usize,
     zero_fraction: f64,
-    force_ordered_segments: usize,
     compile_ms: f64,
 }
 
 fn measure(
     circuit: &'static str,
     strategy_name: &'static str,
-    strategy: StructureStrategy,
+    segmentation: SegmentationStrategy,
     budget: usize,
 ) -> Row {
     let c = catalog::benchmark(circuit).expect("known benchmark");
     let options = Options {
         segment_budget: budget,
-        strategy,
+        segmentation,
         ..Options::default()
     };
     let start = Instant::now();
@@ -49,7 +48,6 @@ fn measure(
         nnz: model.nnz(),
         kernel_cost: model.kernel_cost(),
         zero_fraction: model.zero_fraction(),
-        force_ordered_segments: model.force_ordered_segments(),
         compile_ms,
     }
 }
@@ -59,14 +57,13 @@ fn main() {
     let budget: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(1 << 16);
     let circuits = ["c17", "c432", "alu2", "c880"];
     let strategies = [
-        ("greedy", StructureStrategy::GREEDY),
-        ("force", StructureStrategy::force()),
-        ("seg-search", StructureStrategy::balanced_cut()),
+        ("greedy", SegmentationStrategy::TopoCover),
+        ("seg-search", SegmentationStrategy::BalancedCut),
     ];
 
-    println!("structure strategies — segment budget {budget}");
+    println!("segmentation strategies — segment budget {budget}");
     println!(
-        "{:<8} {:<10} {:>4} {:>14} {:>12} {:>10} {:>10} {:>7} {:>6} {:>9}",
+        "{:<8} {:<10} {:>4} {:>14} {:>12} {:>10} {:>10} {:>7} {:>9}",
         "circuit",
         "strategy",
         "seg",
@@ -75,15 +72,14 @@ fn main() {
         "nnz",
         "kernel",
         "zero%",
-        "forced",
         "compile"
     );
     let mut rows = Vec::new();
     for &circuit in &circuits {
-        for &(name, strategy) in &strategies {
-            let row = measure(circuit, name, strategy, budget);
+        for &(name, segmentation) in &strategies {
+            let row = measure(circuit, name, segmentation, budget);
             println!(
-                "{:<8} {:<10} {:>4} {:>14.0} {:>12.0} {:>10} {:>10} {:>6.1}% {:>6} {:>7.1}ms",
+                "{:<8} {:<10} {:>4} {:>14.0} {:>12.0} {:>10} {:>10} {:>6.1}% {:>7.1}ms",
                 row.circuit,
                 row.strategy,
                 row.segments,
@@ -92,7 +88,6 @@ fn main() {
                 row.nnz,
                 row.kernel_cost,
                 row.zero_fraction * 100.0,
-                row.force_ordered_segments,
                 row.compile_ms
             );
             rows.push(row);
@@ -109,8 +104,7 @@ fn main() {
             json,
             "    {{\"circuit\": \"{}\", \"strategy\": \"{}\", \"segments\": {}, \
              \"total_states\": {:.1}, \"max_clique_states\": {:.1}, \"nnz\": {}, \
-             \"kernel_cost\": {}, \"zero_fraction\": {:.6}, \
-             \"force_ordered_segments\": {}, \"compile_ms\": {:.3}}}{comma}",
+             \"kernel_cost\": {}, \"zero_fraction\": {:.6}, \"compile_ms\": {:.3}}}{comma}",
             row.circuit,
             row.strategy,
             row.segments,
@@ -119,7 +113,6 @@ fn main() {
             row.nnz,
             row.kernel_cost,
             row.zero_fraction,
-            row.force_ordered_segments,
             row.compile_ms
         );
     }

@@ -18,8 +18,8 @@ use std::fmt::Write as _;
 
 use swact::sequential::{estimate_sequential, SequentialOptions};
 use swact::{
-    estimate, Backend, Budget, InputModel, InputSpec, KernelMode, Options, OrderingStrategy,
-    PowerModel, SegmentationStrategy, SparseMode, StructureStrategy,
+    estimate, Backend, Budget, InputModel, InputSpec, KernelMode, Options, PowerModel,
+    SegmentationStrategy, SparseMode,
 };
 use swact_baselines::{Independence, PairwiseCorrelation, SwitchingEstimator, TransitionDensity};
 use swact_circuit::sequential::parse_bench_sequential;
@@ -106,9 +106,6 @@ ESTIMATE OPTIONS:
   --cache-dir <DIR>  reuse compiled models across processes: load the
                    compiled pipeline from DIR when a bit-identical artifact
                    exists, otherwise compile and persist one
-  --ordering <O>   structure-ordering strategy: greedy (default) or force
-                   (FORCE iterative layout; the compiled artifact keeps
-                   whichever order is cheaper, so results never regress)
   --seg-search     balanced-cut segmentation search: backtrack each budget
                    trip to the checkpoint with the smallest boundary cut
   --power          also print the dynamic-power report
@@ -116,10 +113,10 @@ ESTIMATE OPTIONS:
   --csv            emit per-line results as CSV instead of a table
 
 PLAN OPTIONS:
-  accepts the ESTIMATE options that shape the plan (--budget, --ordering,
-  --seg-search, --single-bn) and prints the segmentation the estimator
-  would compile: per-segment gates, roots, boundary roots, and the
-  planner's estimated junction-tree states — no model is compiled;
+  accepts the ESTIMATE options that shape the plan (--budget, --seg-search,
+  --single-bn) and prints the segmentation the estimator would compile:
+  per-segment gates, roots, boundary roots, and the planner's estimated
+  junction-tree states — no model is compiled;
   with --budget-states it also predicts the degradation-ladder rung
   each segment would land on (primary backend, sampling, twostate, or
   error under --no-fallback)
@@ -230,7 +227,6 @@ struct EstimateArgs {
     sequential: bool,
     csv: bool,
     cache_dir: Option<String>,
-    ordering: OrderingStrategy,
     seg_search: bool,
     seed: u64,
     ci_half_width: Option<f64>,
@@ -257,18 +253,11 @@ fn parse_backend(value: &str) -> Result<Backend, CliError> {
     value.parse().map_err(usage_error)
 }
 
-fn parse_ordering(value: &str) -> Result<OrderingStrategy, CliError> {
-    value.parse().map_err(usage_error)
-}
-
-fn strategy_for(ordering: OrderingStrategy, seg_search: bool) -> StructureStrategy {
-    StructureStrategy {
-        ordering,
-        segmentation: if seg_search {
-            SegmentationStrategy::BalancedCut
-        } else {
-            SegmentationStrategy::TopoCover
-        },
+fn segmentation_for(seg_search: bool) -> SegmentationStrategy {
+    if seg_search {
+        SegmentationStrategy::BalancedCut
+    } else {
+        SegmentationStrategy::TopoCover
     }
 }
 
@@ -289,7 +278,6 @@ fn parse_estimate_args(rest: &[&String]) -> Result<EstimateArgs, CliError> {
         sequential: false,
         csv: false,
         cache_dir: None,
-        ordering: OrderingStrategy::Greedy,
         seg_search: false,
         seed: 0,
         ci_half_width: None,
@@ -299,7 +287,7 @@ fn parse_estimate_args(rest: &[&String]) -> Result<EstimateArgs, CliError> {
     while i < rest.len() {
         match rest[i].as_str() {
             "--p1" | "--activity" | "--budget" | "--budget-states" | "--deadline-ms"
-            | "--sparse" | "--kernel" | "--backend" | "--cache-dir" | "--ordering" | "--seed"
+            | "--sparse" | "--kernel" | "--backend" | "--cache-dir" | "--seed"
             | "--ci-half-width" | "--ci-z" => {
                 let flag = rest[i].as_str();
                 let value = rest
@@ -331,7 +319,6 @@ fn parse_estimate_args(rest: &[&String]) -> Result<EstimateArgs, CliError> {
                     "--kernel" => parsed.kernel = parse_kernel(value)?,
                     "--backend" => parsed.backend = parse_backend(value)?,
                     "--cache-dir" => parsed.cache_dir = Some(value.to_string()),
-                    "--ordering" => parsed.ordering = parse_ordering(value)?,
                     "--seed" => {
                         parsed.seed = value
                             .parse()
@@ -448,7 +435,7 @@ fn estimator_options(args: &EstimateArgs) -> Options {
         backend: args.backend,
         budget: resource_budget(args.budget_states, args.deadline_ms),
         no_fallback: args.no_fallback,
-        strategy: strategy_for(args.ordering, args.seg_search),
+        segmentation: segmentation_for(args.seg_search),
         seed: args.seed,
         ci_half_width: args.ci_half_width.unwrap_or(defaults.ci_half_width),
         ci_z: args.ci_z.unwrap_or(defaults.ci_z),
@@ -630,19 +617,19 @@ fn cmd_plan(rest: &[&String]) -> Result<String, CliError> {
             options.segment_budget,
             options.check_interval,
             options.heuristic,
-            options.strategy.segmentation,
+            options.segmentation,
         )
     };
     let costs = plan.estimated_costs(&working, 4, options.heuristic);
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{}: {} inputs, {} gates ({} after fan-in decomposition); strategy {}; budget {}",
+        "{}: {} inputs, {} gates ({} after fan-in decomposition); segmentation {}; budget {}",
         circuit.name(),
         circuit.num_inputs(),
         circuit.num_gates(),
         working.num_gates(),
-        options.strategy,
+        options.segmentation,
         options.segment_budget,
     );
     let _ = writeln!(
@@ -728,7 +715,6 @@ struct BatchArgs {
     csv: bool,
     stats: bool,
     cache_dir: Option<String>,
-    ordering: OrderingStrategy,
     seg_search: bool,
     seed: u64,
     ci_half_width: Option<f64>,
@@ -753,7 +739,6 @@ fn parse_batch_args(rest: &[&String]) -> Result<BatchArgs, CliError> {
         csv: false,
         stats: false,
         cache_dir: None,
-        ordering: OrderingStrategy::Greedy,
         seg_search: false,
         seed: 0,
         ci_half_width: None,
@@ -764,7 +749,7 @@ fn parse_batch_args(rest: &[&String]) -> Result<BatchArgs, CliError> {
         match rest[i].as_str() {
             flag @ ("--jobs" | "--jobs-force" | "--sweep" | "--budget" | "--budget-states"
             | "--deadline-ms" | "--spec" | "--sparse" | "--kernel" | "--backend"
-            | "--cache-dir" | "--ordering" | "--seed" | "--ci-half-width" | "--ci-z") => {
+            | "--cache-dir" | "--seed" | "--ci-half-width" | "--ci-z") => {
                 let value = rest
                     .get(i + 1)
                     .ok_or_else(|| usage_error(format!("{flag} needs a value")))?;
@@ -805,7 +790,6 @@ fn parse_batch_args(rest: &[&String]) -> Result<BatchArgs, CliError> {
                     "--kernel" => parsed.kernel = parse_kernel(value)?,
                     "--backend" => parsed.backend = parse_backend(value)?,
                     "--cache-dir" => parsed.cache_dir = Some(value.to_string()),
-                    "--ordering" => parsed.ordering = parse_ordering(value)?,
                     "--seed" => {
                         parsed.seed = value
                             .parse()
@@ -948,7 +932,7 @@ fn cmd_batch(rest: &[&String]) -> Result<String, CliError> {
         budget: resource_budget(args.budget_states, args.deadline_ms),
         no_fallback: args.no_fallback,
         incremental: !args.no_incremental,
-        strategy: strategy_for(args.ordering, args.seg_search),
+        segmentation: segmentation_for(args.seg_search),
         seed: args.seed,
         ci_half_width: args.ci_half_width.unwrap_or(defaults.ci_half_width),
         ci_z: args.ci_z.unwrap_or(defaults.ci_z),
@@ -1621,33 +1605,26 @@ mod tests {
     }
 
     #[test]
-    fn structure_strategy_flags() {
-        // FORCE only changes structure, never probabilities: the estimate
-        // table must match the default bit-for-bit (timing line differs).
-        let table = |s: &str| s.lines().skip(1).collect::<Vec<_>>().join("\n");
-        let greedy = run_strs(&["estimate", "c17"]).unwrap();
-        let force = run_strs(&["estimate", "c17", "--ordering", "force"]).unwrap();
-        assert_eq!(table(&greedy), table(&force));
+    fn segmentation_flag_and_removed_ordering_flag() {
         let search = run_strs(&["estimate", "c17", "--seg-search"]).unwrap();
         assert!(search.contains("mean switching activity"));
 
-        for cmd in ["estimate", "batch"] {
-            let err = run_strs(&[cmd, "c17", "--ordering", "random"]).unwrap_err();
+        // FORCE orderings are gone: `--ordering` is an unknown option.
+        for cmd in ["estimate", "batch", "plan"] {
+            let err = run_strs(&[cmd, "c17", "--ordering", "force"]).unwrap_err();
             assert_eq!(err.exit_code, 2);
-            assert!(err.message.contains("unknown ordering strategy"));
-            let err = run_strs(&[cmd, "c17", "--ordering"]).unwrap_err();
-            assert_eq!(err.exit_code, 2);
+            assert!(err.message.contains("unknown option `--ordering`"));
         }
     }
 
     #[test]
     fn plan_subcommand_prints_segmentation() {
         let topo = run_strs(&["plan", "c432"]).unwrap();
-        assert!(topo.contains("greedy/topo-cover"));
+        assert!(topo.contains("segmentation topo-cover"));
         assert!(topo.contains("segment(s)"));
         assert!(topo.contains("boundary root(s)"));
         let cut = run_strs(&["plan", "c432", "--seg-search", "--budget", "1024"]).unwrap();
-        assert!(cut.contains("greedy/balanced-cut"));
+        assert!(cut.contains("segmentation balanced-cut"));
         assert!(run_strs(&["plan"]).is_err());
     }
 

@@ -14,7 +14,7 @@ use swact_circuit::{Circuit, LineId};
 use crate::budget::{Budget, DegradationReport};
 use crate::pipeline::{Backend, CompiledPipeline, SegmentTimings, StageTimings};
 use crate::report::Estimate;
-use crate::strategy::StructureStrategy;
+use crate::strategy::SegmentationStrategy;
 use crate::{EstimateError, InputSpec};
 
 /// Configuration of the estimator.
@@ -28,14 +28,12 @@ use crate::{EstimateError, InputSpec};
 pub struct Options {
     /// Triangulation heuristic for junction-tree compilation.
     pub heuristic: Heuristic,
-    /// Structure-optimization policy: how elimination/variable orders and
-    /// segment boundaries are found. The default
-    /// [`StructureStrategy::GREEDY`] reproduces the pre-strategy pipeline
-    /// bit-identically; FORCE orderings and balanced-cut segmentation
-    /// search are opt-in. The strategy is hashed into the
-    /// [`model_key`](crate::model_key), so artifacts and cache entries
+    /// How segment boundaries are placed. The default
+    /// [`SegmentationStrategy::TopoCover`] is the paper's budget-driven
+    /// cover; balanced-cut search is opt-in. The strategy is hashed into
+    /// the [`model_key`](crate::model_key), so artifacts and cache entries
     /// compiled under different strategies never mix.
-    pub strategy: StructureStrategy,
+    pub segmentation: SegmentationStrategy,
     /// Gates wider than this are decomposed into two-input trees first.
     pub max_fanin: usize,
     /// Per-segment junction-tree state budget; lower values mean more,
@@ -61,10 +59,10 @@ pub struct Options {
     /// tables carry large numbers of structural zeros; compressed cliques
     /// iterate only their nonzero support during propagation. The default
     /// [`SparseMode::Auto`] decides per clique on the measured nonzero
-    /// count: sparse iteration costs about three indexed loads per
-    /// surviving entry vs one sequential load per dense entry, so a clique
-    /// is compressed only when `3·nnz` beats its dense length (more than
-    /// two thirds zeros). Results are bit-identical across modes.
+    /// count, compressing a clique only when
+    /// [`SPARSE_COST_PER_ENTRY`](swact_bayesnet::SPARSE_COST_PER_ENTRY)
+    /// indexed loads per surviving entry beat one sequential load per
+    /// dense entry. Results are bit-identical across modes.
     pub sparse: SparseMode,
     /// Inner-loop kernel flavor for junction-tree propagation. The default
     /// [`KernelMode::Scalar`] keeps every floating-point reduction in
@@ -123,7 +121,7 @@ impl Default for Options {
     fn default() -> Options {
         Options {
             heuristic: Heuristic::MinFill,
-            strategy: StructureStrategy::GREEDY,
+            segmentation: SegmentationStrategy::TopoCover,
             max_fanin: 4,
             segment_budget: 1 << 17,
             check_interval: 4,
@@ -178,10 +176,10 @@ impl Options {
         }
     }
 
-    /// Options with an explicit [`StructureStrategy`].
-    pub fn with_strategy(strategy: StructureStrategy) -> Options {
+    /// Options with an explicit [`SegmentationStrategy`].
+    pub fn with_segmentation(segmentation: SegmentationStrategy) -> Options {
         Options {
-            strategy,
+            segmentation,
             ..Options::default()
         }
     }
@@ -395,13 +393,6 @@ impl CompiledEstimator {
     /// `SparseMode::Off`'s — the invariant the c880 regression test pins.
     pub fn kernel_cost(&self) -> usize {
         self.pipeline.kernel_cost()
-    }
-
-    /// Number of segments whose compiled artifact came from a
-    /// FORCE-searched order that beat the greedy one (always zero under
-    /// [`OrderingStrategy::Greedy`](crate::OrderingStrategy::Greedy)).
-    pub fn force_ordered_segments(&self) -> usize {
-        self.pipeline.force_ordered_segments()
     }
 
     /// The options the estimator was compiled with.

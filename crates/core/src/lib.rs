@@ -60,7 +60,6 @@ mod segment;
 pub mod sequential;
 mod strategy;
 mod transition;
-pub mod twostate;
 pub mod wire;
 
 pub use artifact::{model_key, ArtifactError, ArtifactHeader};
@@ -73,6 +72,6 @@ pub use pipeline::{Backend, SegmentTimings, StageTimings};
 pub use power::{PowerModel, PowerReport};
 pub use report::{AccuracyReport, ErrorStats, Estimate, ReuseStats};
 pub use segment::{RootSource, Segment, SegmentationPlan};
-pub use strategy::{OrderingStrategy, SegmentationStrategy, StructureStrategy};
+pub use strategy::SegmentationStrategy;
 pub use swact_bayesnet::{KernelMode, SparseMode};
 pub use transition::{Transition, TransitionDist};

@@ -239,9 +239,10 @@ impl Lidag {
     /// query, so segmentation does not apply).
     pub fn most_probable_transitions(&self) -> Result<(Vec<Transition>, f64), EstimateError> {
         let tree = swact_bayesnet::JunctionTree::compile(&self.net)?;
-        let mut prop = swact_bayesnet::Propagator::new(&tree, &self.net)?;
-        prop.max_calibrate();
-        let (assignment, probability) = prop.most_probable_assignment();
+        let compiled = swact_bayesnet::CompiledTree::new(tree, &self.net)?;
+        let mut state = compiled.new_state();
+        compiled.max_calibrate(&mut state);
+        let (assignment, probability) = compiled.most_probable_assignment(&state);
         let transitions = self
             .working
             .line_ids()

@@ -12,7 +12,6 @@
 
 use std::collections::HashMap;
 
-use swact_bayesnet::force_order;
 use swact_bdd::{apply_gate_nodes, Bdd, BddError, NodeId, PairDistribution};
 use swact_circuit::LineId;
 
@@ -21,7 +20,6 @@ use crate::pipeline::backend::{
     CompiledSegment, InferenceBackend, RootDists, SegmentPosterior, SegmentStats,
 };
 use crate::pipeline::model::SegmentModel;
-use crate::strategy::OrderingStrategy;
 use crate::{EstimateError, TransitionDist};
 
 /// Exact per-segment switching probabilities via shared ROBDDs.
@@ -62,33 +60,41 @@ impl InferenceBackend for BddBackend {
         model: &SegmentModel,
         options: &Options,
     ) -> Result<CompiledSegment, EstimateError> {
+        let _ = options;
         if model.needs_pairwise() {
             return Err(EstimateError::BackendUnsupported {
                 backend: "bdd",
                 feature: "in-segment pairwise conditioning",
             });
         }
-        let default_roots: Vec<LineId> = model.solo_roots.iter().map(|&(l, _, _)| l).collect();
-        let segment = build_bdd(model, default_roots)?;
-        // Under the FORCE strategy, also try the roots in FORCE-layout
-        // order (gate families as hyperedges over segment lines) and keep
-        // whichever BDD is smaller; a tie goes to the default order.
-        let (segment, force_ordered) = if options.strategy.ordering == OrderingStrategy::Force {
-            let candidate_roots = force_root_order(model);
-            if candidate_roots == segment.roots {
-                (segment, false)
-            } else {
-                let candidate = build_bdd(model, candidate_roots)?;
-                if candidate.bdd.num_nodes() < segment.bdd.num_nodes() {
-                    (candidate, true)
-                } else {
-                    (segment, false)
-                }
-            }
-        } else {
-            (segment, false)
-        };
-        let nodes = segment.bdd.num_nodes();
+        let n = model.solo_roots.len();
+        let mut bdd = Bdd::new(2 * n);
+        let mut prev: HashMap<LineId, NodeId> = HashMap::new();
+        let mut next: HashMap<LineId, NodeId> = HashMap::new();
+        let mut roots = Vec::with_capacity(n);
+        for (j, &(line, _, _)) in model.solo_roots.iter().enumerate() {
+            prev.insert(line, bdd.var(2 * j).map_err(bdd_error)?);
+            next.insert(line, bdd.var(2 * j + 1).map_err(bdd_error)?);
+            roots.push(line);
+        }
+        let mut gates = Vec::with_capacity(model.gate_defs.len());
+        for (line, kind, inputs) in &model.gate_defs {
+            let prev_inputs: Vec<NodeId> = inputs.iter().map(|l| prev[l]).collect();
+            let next_inputs: Vec<NodeId> = inputs.iter().map(|l| next[l]).collect();
+            let f_prev = apply_gate_nodes(&mut bdd, *kind, &prev_inputs).map_err(bdd_error)?;
+            let f_next = apply_gate_nodes(&mut bdd, *kind, &next_inputs).map_err(bdd_error)?;
+            prev.insert(*line, f_prev);
+            next.insert(*line, f_next);
+            let not_prev = bdd.not(f_prev).map_err(bdd_error)?;
+            let not_next = bdd.not(f_next).map_err(bdd_error)?;
+            gates.push(GateNodes {
+                line: *line,
+                p01: bdd.and(not_prev, f_next).map_err(bdd_error)?,
+                p10: bdd.and(f_prev, not_next).map_err(bdd_error)?,
+                p11: bdd.and(f_prev, f_next).map_err(bdd_error)?,
+            });
+        }
+        let nodes = bdd.num_nodes();
         let stats = SegmentStats {
             total_states: nodes as f64,
             max_clique_states: nodes as f64,
@@ -97,10 +103,9 @@ impl InferenceBackend for BddBackend {
             compressed_cliques: 0,
             // One pass over the unique table per propagation.
             kernel_cost: nodes,
-            force_ordered,
         };
         Ok(CompiledSegment::new(
-            Box::new(segment),
+            Box::new(BddSegment { bdd, roots, gates }),
             stats,
             model.line_vars.clone(),
         ))
@@ -138,72 +143,6 @@ impl InferenceBackend for BddBackend {
             .collect();
         Ok(SegmentPosterior::from_gate_dists(gate_dists))
     }
-}
-
-/// Builds the shared ROBDD for a segment with its roots in the given
-/// order; root `j` owns interleaved BDD variables `2j` and `2j+1`.
-fn build_bdd(model: &SegmentModel, roots: Vec<LineId>) -> Result<BddSegment, EstimateError> {
-    let n = roots.len();
-    let mut bdd = Bdd::new(2 * n);
-    let mut prev: HashMap<LineId, NodeId> = HashMap::new();
-    let mut next: HashMap<LineId, NodeId> = HashMap::new();
-    for (j, &line) in roots.iter().enumerate() {
-        prev.insert(line, bdd.var(2 * j).map_err(bdd_error)?);
-        next.insert(line, bdd.var(2 * j + 1).map_err(bdd_error)?);
-    }
-    let mut gates = Vec::with_capacity(model.gate_defs.len());
-    for (line, kind, inputs) in &model.gate_defs {
-        let prev_inputs: Vec<NodeId> = inputs.iter().map(|l| prev[l]).collect();
-        let next_inputs: Vec<NodeId> = inputs.iter().map(|l| next[l]).collect();
-        let f_prev = apply_gate_nodes(&mut bdd, *kind, &prev_inputs).map_err(bdd_error)?;
-        let f_next = apply_gate_nodes(&mut bdd, *kind, &next_inputs).map_err(bdd_error)?;
-        prev.insert(*line, f_prev);
-        next.insert(*line, f_next);
-        let not_prev = bdd.not(f_prev).map_err(bdd_error)?;
-        let not_next = bdd.not(f_next).map_err(bdd_error)?;
-        gates.push(GateNodes {
-            line: *line,
-            p01: bdd.and(not_prev, f_next).map_err(bdd_error)?,
-            p10: bdd.and(f_prev, not_next).map_err(bdd_error)?,
-            p11: bdd.and(f_prev, f_next).map_err(bdd_error)?,
-        });
-    }
-    Ok(BddSegment { bdd, roots, gates })
-}
-
-/// The segment's solo roots reordered by a FORCE layout of the segment's
-/// line hypergraph (one hyperedge per gate: its output plus its inputs).
-/// Ties in layout position keep the original root order, so the result is
-/// deterministic.
-fn force_root_order(model: &SegmentModel) -> Vec<LineId> {
-    let mut index_of: HashMap<LineId, usize> = HashMap::new();
-    let mut id_of: Vec<LineId> = Vec::new();
-    let mut intern = |line: LineId, index_of: &mut HashMap<LineId, usize>| {
-        *index_of.entry(line).or_insert_with(|| {
-            id_of.push(line);
-            id_of.len() - 1
-        })
-    };
-    for &(line, _, _) in &model.solo_roots {
-        intern(line, &mut index_of);
-    }
-    let mut hyperedges = Vec::with_capacity(model.gate_defs.len());
-    for (line, _, inputs) in &model.gate_defs {
-        let mut edge = Vec::with_capacity(inputs.len() + 1);
-        edge.push(intern(*line, &mut index_of));
-        for &input in inputs {
-            edge.push(intern(input, &mut index_of));
-        }
-        hyperedges.push(edge);
-    }
-    let order = force_order(id_of.len(), &hyperedges);
-    let mut position = vec![0usize; order.len()];
-    for (pos, &node) in order.iter().enumerate() {
-        position[node] = pos;
-    }
-    let mut roots: Vec<LineId> = model.solo_roots.iter().map(|&(l, _, _)| l).collect();
-    roots.sort_by_key(|line| position[index_of[line]]);
-    roots
 }
 
 #[cfg(test)]

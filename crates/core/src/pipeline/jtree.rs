@@ -4,8 +4,8 @@
 use std::sync::Mutex;
 
 use swact_bayesnet::{
-    force_order, initial_potentials, CompiledTree, Factor, Heuristic, JunctionTree, MessageCache,
-    PropagationMode, PropagationState, VarId,
+    initial_potentials, CompiledTree, Factor, JunctionTree, MessageCache, PropagationMode,
+    PropagationState, VarId,
 };
 use swact_circuit::LineId;
 
@@ -15,7 +15,6 @@ use crate::pipeline::backend::{
 };
 use crate::pipeline::model::{InputPair, PairRoot, SegmentModel};
 use crate::segment::RootSource;
-use crate::strategy::OrderingStrategy;
 use crate::{EstimateError, InputSpec, TransitionDist};
 
 /// Exact junction-tree propagation over the 4-state LIDAG. Supports input
@@ -86,32 +85,6 @@ fn input_pair_rows(spec: &InputSpec, pair: &InputPair) -> [[f64; 4]; 4] {
     }
 }
 
-/// Compiles a FORCE-guided junction tree: lay out the net's family
-/// hypergraph ({variable} ∪ parents per variable — exactly the edges
-/// moralization turns into cliques) with the deterministic FORCE
-/// iteration, then rerun the greedy heuristic with layout positions as
-/// its tie-break. Raw layout-order elimination loses badly to min-fill,
-/// but greedy scores tie constantly on circuit graphs, and steering those
-/// ties toward layout-local nodes is where FORCE can win. `None` when
-/// compilation fails, which simply withdraws the candidate.
-fn force_tree(model: &SegmentModel, heuristic: Heuristic) -> Option<JunctionTree> {
-    let net = &model.net;
-    let hyperedges: Vec<Vec<usize>> = net
-        .var_ids()
-        .map(|v| {
-            let mut family: Vec<usize> = net.parents(v).iter().map(|p| p.index()).collect();
-            family.push(v.index());
-            family
-        })
-        .collect();
-    let order = force_order(net.num_vars(), &hyperedges);
-    let mut position = vec![0usize; order.len()];
-    for (pos, &node) in order.iter().enumerate() {
-        position[node] = pos;
-    }
-    JunctionTree::compile_with_preference(net, heuristic, &position).ok()
-}
-
 impl InferenceBackend for JtreeBackend {
     fn name(&self) -> &'static str {
         "jtree"
@@ -123,86 +96,41 @@ impl InferenceBackend for JtreeBackend {
         options: &Options,
     ) -> Result<CompiledSegment, EstimateError> {
         let tree = JunctionTree::compile_with(&model.net, options.heuristic)?;
-        // Under the FORCE ordering strategy, also compile the FORCE-guided
-        // candidate (greedy heuristic with layout-position tie-breaks). The
-        // candidate only stays in the race when its clique state space is
-        // no larger than greedy's — the memory guard that lets us build
-        // both potential sets below and keep whichever is cheaper.
-        let force_candidate: Option<JunctionTree> = if options.strategy.ordering
-            == OrderingStrategy::Force
-        {
-            force_tree(model, options.heuristic).filter(|t| t.total_states() <= tree.total_states())
-        } else {
-            None
-        };
         // Boundary-correlation edges can widen the tree; report a severe
         // blowup so the driver can fall back to plain marginal forwarding
         // for this segment (keeping the planned budget meaningful) —
-        // crucially *before* materializing the oversized potentials. The
-        // admission checks run against the smallest tree available, so a
-        // FORCE order that fits can rescue a greedy order that does not.
-        let admit = |states: f64| -> Result<(), EstimateError> {
-            if !model.pair_roots.is_empty()
-                && !options.single_bn
-                && states > 4.0 * options.segment_budget as f64
-            {
-                return Err(EstimateError::CorrelationBlowup {
-                    states,
-                    budget: options.segment_budget as f64,
-                });
-            }
-            if options.single_bn && states > options.segment_budget as f64 {
-                return Err(EstimateError::TooLarge {
-                    states,
-                    budget: options.segment_budget as f64,
-                });
-            }
-            Ok(())
-        };
-        let best_states = force_candidate
-            .as_ref()
-            .map_or(tree.total_states(), |t| t.total_states());
-        admit(best_states)?;
-        let build = |tree: JunctionTree, force_ordered: bool| -> (SegmentStats, CompiledTree) {
-            let init_potentials = initial_potentials(&tree, &model.net);
-            let total_states = tree.total_states();
-            let max_clique_states = tree.max_clique_states();
-            let compiled = CompiledTree::from_parts_with_kernel(
-                tree,
-                init_potentials,
-                options.sparse,
-                options.kernel,
-            );
-            (
-                SegmentStats {
-                    total_states,
-                    max_clique_states,
-                    nnz: compiled.nnz(),
-                    state_space: compiled.state_space(),
-                    compressed_cliques: compiled.compressed_cliques(),
-                    kernel_cost: compiled.kernel_cost(),
-                    force_ordered,
-                },
-                compiled,
-            )
-        };
-        let (stats, compiled) = match force_candidate {
-            None => build(tree, false),
-            Some(forced) if admit(tree.total_states()).is_err() => {
-                // Only the FORCE tree fits — no comparison possible.
-                build(forced, true)
-            }
-            Some(forced) => {
-                // Both fit: keep the cheaper propagation artifact; a tie
-                // goes to greedy so the default stays deterministic.
-                let greedy = build(tree, false);
-                let candidate = build(forced, true);
-                if candidate.0.kernel_cost < greedy.0.kernel_cost {
-                    candidate
-                } else {
-                    greedy
-                }
-            }
+        // crucially *before* materializing the oversized potentials.
+        if !model.pair_roots.is_empty()
+            && !options.single_bn
+            && tree.total_states() > 4.0 * options.segment_budget as f64
+        {
+            return Err(EstimateError::CorrelationBlowup {
+                states: tree.total_states(),
+                budget: options.segment_budget as f64,
+            });
+        }
+        if options.single_bn && tree.total_states() > options.segment_budget as f64 {
+            return Err(EstimateError::TooLarge {
+                states: tree.total_states(),
+                budget: options.segment_budget as f64,
+            });
+        }
+        let init_potentials = initial_potentials(&tree, &model.net);
+        let total_states = tree.total_states();
+        let max_clique_states = tree.max_clique_states();
+        let compiled = CompiledTree::from_parts_with_kernel(
+            tree,
+            init_potentials,
+            options.sparse,
+            options.kernel,
+        );
+        let stats = SegmentStats {
+            total_states,
+            max_clique_states,
+            nnz: compiled.nnz(),
+            state_space: compiled.state_space(),
+            compressed_cliques: compiled.compressed_cliques(),
+            kernel_cost: compiled.kernel_cost(),
         };
         let msg_cache = compiled.new_message_cache();
         let cache_worthwhile = compiled.message_cache_worthwhile();

@@ -805,13 +805,6 @@ impl CompiledPipeline {
         self.segments.iter().map(|s| s.stats().kernel_cost).sum()
     }
 
-    pub(crate) fn force_ordered_segments(&self) -> usize {
-        self.segments
-            .iter()
-            .filter(|s| s.stats().force_ordered)
-            .count()
-    }
-
     pub(crate) fn options(&self) -> &Options {
         &self.options
     }

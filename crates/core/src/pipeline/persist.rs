@@ -41,7 +41,7 @@ use crate::pipeline::sampling::SamplingSegment;
 use crate::pipeline::twostate::TwoStateSegment;
 use crate::pipeline::{CompiledPipeline, StageTimings, WaveSchedule};
 use crate::segment::{RootSource, SegmentationPlan};
-use crate::strategy::{OrderingStrategy, SegmentationStrategy, StructureStrategy};
+use crate::strategy::SegmentationStrategy;
 use crate::SegmentTimings;
 
 fn malformed(message: impl Into<String>) -> CodecError {
@@ -257,11 +257,7 @@ pub(crate) fn write_options(w: &mut Writer, options: &Options) {
     }
     w.bool(options.no_fallback);
     w.bool(options.incremental);
-    w.u8(match options.strategy.ordering {
-        OrderingStrategy::Greedy => 0,
-        OrderingStrategy::Force => 1,
-    });
-    w.u8(match options.strategy.segmentation {
+    w.u8(match options.segmentation {
         SegmentationStrategy::TopoCover => 0,
         SegmentationStrategy::BalancedCut => 1,
     });
@@ -314,11 +310,6 @@ fn read_options(r: &mut Reader<'_>) -> Result<Options, CodecError> {
     };
     let no_fallback = r.bool()?;
     let incremental = r.bool()?;
-    let ordering = match r.u8()? {
-        0 => OrderingStrategy::Greedy,
-        1 => OrderingStrategy::Force,
-        other => return Err(malformed(format!("unknown ordering tag {other}"))),
-    };
     let segmentation = match r.u8()? {
         0 => SegmentationStrategy::TopoCover,
         1 => SegmentationStrategy::BalancedCut,
@@ -349,10 +340,7 @@ fn read_options(r: &mut Reader<'_>) -> Result<Options, CodecError> {
         },
         no_fallback,
         incremental,
-        strategy: StructureStrategy {
-            ordering,
-            segmentation,
-        },
+        segmentation,
         seed,
         ci_half_width,
         ci_z,
@@ -695,7 +683,6 @@ fn write_segment(w: &mut Writer, segment: &CompiledSegment) {
     w.usize(stats.state_space);
     w.usize(stats.compressed_cliques);
     w.usize(stats.kernel_cost);
-    w.bool(stats.force_ordered);
     // Stable order: HashMap iteration would make the bytes (and thus the
     // artifact checksum) nondeterministic across processes.
     let mut lines: Vec<(LineId, VarId)> = segment.lines().iter().map(|(&l, &v)| (l, v)).collect();
@@ -735,7 +722,6 @@ fn read_segment(
         state_space: r.usize()?,
         compressed_cliques: r.usize()?,
         kernel_cost: r.usize()?,
-        force_ordered: r.bool()?,
     };
     let n_lines = r.len(8)?;
     let mut lines = HashMap::with_capacity(n_lines);

@@ -1,21 +1,25 @@
 //! The two-state (signal-probability) inference backend — the classic
 //! pre-LIDAG formulation as a pluggable ablation.
 //!
-//! Each segment becomes a 2-state Bayesian network over signal
-//! probabilities (`P(line = 1)`); switching activity is then approximated
-//! by the temporal-independence proxy `2·p·(1−p)` encoded as the
-//! stationary product distribution `[q², q·p, p·q, p²]`. Exact for
-//! temporally independent inputs; blind to temporal correlation and to
-//! whatever spatial correlation segmentation drops (see
-//! [`crate::twostate`] for the standalone estimator and the error
-//! analysis).
+//! Before the paper's four-state formulation, probabilistic estimators
+//! modeled each line as a *two-state* variable (its value at a single
+//! clock) and recovered switching as `2·p·(1−p)` under a
+//! temporal-independence assumption. This backend does exactly that on the
+//! same Bayesian-network machinery, so the value of the four-state
+//! (spatio-*temporal*) formulation can be isolated — ablation A2 in
+//! DESIGN.md. Each segment becomes a 2-state Bayesian network over signal
+//! probabilities (`P(line = 1)`); switching activity is then the proxy
+//! `2·p·(1−p)`, encoded as the stationary product distribution
+//! `[q², q·p, p·q, p²]`. Spatial correlation inside a segment is still
+//! exact; temporal correlation and whatever spatial correlation
+//! segmentation drops are sacrificed.
 
 use std::sync::Mutex;
 
 use swact_bayesnet::{
     initial_potentials, BayesNet, CompiledTree, Cpt, JunctionTree, PropagationState, VarId,
 };
-use swact_circuit::LineId;
+use swact_circuit::{GateKind, LineId};
 
 use crate::estimator::Options;
 use crate::pipeline::backend::{
@@ -23,8 +27,42 @@ use crate::pipeline::backend::{
 };
 use crate::pipeline::model::SegmentModel;
 use crate::segment::RootSource;
-use crate::twostate::gate_family_two_state;
 use crate::{EstimateError, TransitionDist};
+
+/// The deterministic two-state CPT of a gate (plain truth table).
+fn gate_cpt_two_state(kind: GateKind, fanin: usize) -> Cpt {
+    let rows = 1usize << fanin;
+    Cpt::deterministic(rows, 2, |row| {
+        let bits = (0..fanin).map(|i| row >> (fanin - 1 - i) & 1 == 1);
+        kind.eval(bits) as usize
+    })
+}
+
+/// Two-state analogue of [`gate_family`](crate::gate_family): distinct
+/// input lines plus the CPT with repeated connections evaluated
+/// consistently.
+fn gate_family_two_state(kind: GateKind, inputs: &[LineId]) -> (Vec<LineId>, Cpt) {
+    let mut unique: Vec<LineId> = Vec::new();
+    let slot_of: Vec<usize> = inputs
+        .iter()
+        .map(|&line| match unique.iter().position(|&u| u == line) {
+            Some(pos) => pos,
+            None => {
+                unique.push(line);
+                unique.len() - 1
+            }
+        })
+        .collect();
+    if unique.len() == inputs.len() {
+        return (unique, gate_cpt_two_state(kind, inputs.len()));
+    }
+    let k = unique.len();
+    let cpt = Cpt::deterministic(1 << k, 2, |row| {
+        let bits = slot_of.iter().map(|&s| row >> (k - 1 - s) & 1 == 1);
+        kind.eval(bits) as usize
+    });
+    (unique, cpt)
+}
 
 /// Signal-probability propagation with the `2p(1−p)` switching proxy.
 #[derive(Debug, Clone, Copy, Default)]
@@ -94,7 +132,6 @@ impl InferenceBackend for TwoStateBackend {
             state_space: compiled.state_space(),
             compressed_cliques: compiled.compressed_cliques(),
             kernel_cost: compiled.kernel_cost(),
-            force_ordered: false,
         };
         Ok(CompiledSegment::new(
             Box::new(TwoStateSegment {
@@ -154,9 +191,77 @@ impl InferenceBackend for TwoStateBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{estimate, Backend, InputModel, InputSpec};
+    use swact_circuit::catalog;
+
+    fn two_state() -> Options {
+        Options::with_backend(Backend::TwoState)
+    }
 
     #[test]
     fn backend_name() {
         assert_eq!(TwoStateBackend.name(), "twostate");
+    }
+
+    #[test]
+    fn two_state_cpt_truth_table() {
+        let cpt = gate_cpt_two_state(GateKind::Nand, 2);
+        assert_eq!(cpt.as_rows()[0], vec![0.0, 1.0]); // 00 → 1
+        assert_eq!(cpt.as_rows()[3], vec![1.0, 0.0]); // 11 → 0
+    }
+
+    #[test]
+    fn signal_probabilities_match_four_state_model() {
+        // Both models compute the same exact signal probabilities.
+        let c17 = catalog::c17();
+        let spec = InputSpec::independent([0.3, 0.6, 0.5, 0.8, 0.2]);
+        let two = estimate(&c17, &spec, &two_state()).unwrap();
+        let four = estimate(&c17, &spec, &Options::single_bn()).unwrap();
+        for line in c17.line_ids() {
+            assert!(
+                (two.signal_probability(line) - four.signal_probability(line)).abs() < 1e-9,
+                "line {}",
+                c17.line_name(line)
+            );
+        }
+    }
+
+    #[test]
+    fn switching_proxy_matches_four_state_under_independence() {
+        // With temporally independent inputs, switching == 2p(1−p) holds
+        // exactly for the *inputs*, and for internal lines of c17 too
+        // (the two clock slices are independent).
+        let c17 = catalog::c17();
+        let spec = InputSpec::uniform(5);
+        let two = estimate(&c17, &spec, &two_state()).unwrap();
+        let four = estimate(&c17, &spec, &Options::single_bn()).unwrap();
+        for line in c17.line_ids() {
+            let p = two.signal_probability(line);
+            assert!((two.switching(line) - 2.0 * p * (1.0 - p)).abs() < 1e-12);
+            assert!(
+                (two.switching(line) - four.switching(line)).abs() < 1e-9,
+                "line {}",
+                c17.line_name(line)
+            );
+        }
+    }
+
+    #[test]
+    fn two_state_misses_temporal_correlation() {
+        // With *correlated* inputs the proxy must deviate from the exact
+        // four-state estimate — the ablation's point.
+        let c17 = catalog::c17();
+        let spec = InputSpec::from_models(vec![InputModel::new(0.5, 0.1).unwrap(); 5]);
+        let two = estimate(&c17, &spec, &two_state()).unwrap();
+        let four = estimate(&c17, &spec, &Options::single_bn()).unwrap();
+        let out = c17.outputs()[0];
+        let diff = (two.switching(out) - four.switching(out)).abs();
+        assert!(diff > 0.05, "expected visible temporal error, got {diff}");
+    }
+
+    #[test]
+    fn spec_size_checked() {
+        let c17 = catalog::c17();
+        assert!(estimate(&c17, &InputSpec::uniform(2), &two_state()).is_err());
     }
 }

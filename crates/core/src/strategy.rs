@@ -1,31 +1,22 @@
-//! The pluggable structure-optimization layer.
+//! Segment-boundary placement: the one structural choice of the pipeline
+//! that is pluggable.
 //!
-//! Every expensive property of the compiled pipeline — clique state space,
+//! Every expensive property of a segmented compile — clique state space,
 //! sparse nnz, compile time, and the sole approximation source
-//! (cross-boundary correlation loss) — is decided by two structural
-//! choices made long before any probability is propagated: the
-//! *elimination/variable order* inside each segment and the *segment
-//! boundaries* themselves. [`StructureStrategy`] makes both choices
-//! first-class and pluggable instead of hardwired greedy heuristics:
+//! (cross-boundary correlation loss) — depends on where the segment
+//! boundaries fall. [`SegmentationStrategy`] selects how they are placed:
 //!
-//! - [`OrderingStrategy`] selects how per-segment orders are found. The
-//!   default [`Greedy`](OrderingStrategy::Greedy) keeps today's behavior
-//!   (min-fill/min-degree triangulation for the junction-tree backend,
-//!   root-discovery order for BDD variables) bit-identically.
-//!   [`Force`](OrderingStrategy::Force) additionally runs the
-//!   deterministic FORCE center-of-gravity layout
-//!   ([`swact_bayesnet::force_order`]) over each segment's structure
-//!   hypergraph and keeps whichever compiled artifact is cheaper — so
-//!   opting in can never make a segment's kernel cost (jtree) or node
-//!   count (BDD) worse.
-//! - [`SegmentationStrategy`] selects how segment boundaries are placed.
-//!   The default [`TopoCover`](SegmentationStrategy::TopoCover) closes a
+//! - the default [`TopoCover`](SegmentationStrategy::TopoCover) closes a
 //!   segment wherever the cone-clustered walk first exceeds the state
-//!   budget. [`BalancedCut`](SegmentationStrategy::BalancedCut) instead
-//!   searches the recorded checkpoints of the walk for the boundary that
-//!   minimizes the *cut* (lines the segment exports to later consumers —
-//!   each one a correlation the multi-BN model drops) subject to a
-//!   treewidth-balance floor, backtracking to it when the budget trips.
+//!   budget;
+//! - [`BalancedCut`](SegmentationStrategy::BalancedCut) instead searches
+//!   the recorded checkpoints of the walk for the boundary that minimizes
+//!   the *cut* (lines the segment exports to later consumers — each one a
+//!   correlation the multi-BN model drops) subject to a treewidth-balance
+//!   floor, backtracking to it when the budget trips.
+//!
+//! Elimination orders inside a segment are always the greedy
+//! [`Heuristic`](swact_bayesnet::Heuristic) triangulation.
 //!
 //! The strategy participates in [`model_key`](crate::model_key) hashing
 //! (see `pipeline::persist::write_options`), so compiled artifacts,
@@ -34,51 +25,6 @@
 
 use std::fmt;
 use std::str::FromStr;
-
-/// How elimination orders (jtree) and variable orders (BDD) are chosen.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum OrderingStrategy {
-    /// The existing greedy behavior: min-fill/min-degree triangulation for
-    /// junction trees, root-discovery order for BDD variables. The
-    /// default; bit-identical to the pre-strategy pipeline.
-    #[default]
-    Greedy,
-    /// Also compute a deterministic FORCE center-of-gravity layout per
-    /// segment and keep whichever compiled structure is cheaper (ties go
-    /// to greedy, preserving determinism). Costs roughly one extra
-    /// compile per segment; never produces a worse artifact than greedy.
-    Force,
-}
-
-impl OrderingStrategy {
-    /// Stable lower-case name (`greedy`, `force`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            OrderingStrategy::Greedy => "greedy",
-            OrderingStrategy::Force => "force",
-        }
-    }
-}
-
-impl fmt::Display for OrderingStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl FromStr for OrderingStrategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<OrderingStrategy, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "greedy" => Ok(OrderingStrategy::Greedy),
-            "force" => Ok(OrderingStrategy::Force),
-            other => Err(format!(
-                "unknown ordering strategy '{other}' (expected greedy or force)"
-            )),
-        }
-    }
-}
 
 /// How segment boundaries are placed during planning.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -123,65 +69,12 @@ impl FromStr for SegmentationStrategy {
     }
 }
 
-/// The full structure-optimization policy one pipeline compiles under.
-///
-/// Part of [`Options`](crate::Options) and therefore hashed into every
-/// [`model_key`](crate::model_key): two strategies never share an engine
-/// cache entry or an on-disk artifact.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub struct StructureStrategy {
-    /// Elimination-/variable-order policy.
-    pub ordering: OrderingStrategy,
-    /// Segment-boundary policy.
-    pub segmentation: SegmentationStrategy,
-}
-
-impl StructureStrategy {
-    /// The default greedy strategy — bit-identical to the pre-strategy
-    /// pipeline by construction.
-    pub const GREEDY: StructureStrategy = StructureStrategy {
-        ordering: OrderingStrategy::Greedy,
-        segmentation: SegmentationStrategy::TopoCover,
-    };
-
-    /// FORCE orderings with the default topological-cover segmentation.
-    pub fn force() -> StructureStrategy {
-        StructureStrategy {
-            ordering: OrderingStrategy::Force,
-            segmentation: SegmentationStrategy::TopoCover,
-        }
-    }
-
-    /// Balanced-cut segmentation search with greedy orderings.
-    pub fn balanced_cut() -> StructureStrategy {
-        StructureStrategy {
-            ordering: OrderingStrategy::Greedy,
-            segmentation: SegmentationStrategy::BalancedCut,
-        }
-    }
-}
-
-impl fmt::Display for StructureStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.ordering, self.segmentation)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn parses_and_prints() {
-        assert_eq!(
-            "force".parse::<OrderingStrategy>().unwrap(),
-            OrderingStrategy::Force
-        );
-        assert_eq!(
-            "GREEDY".parse::<OrderingStrategy>().unwrap(),
-            OrderingStrategy::Greedy
-        );
-        assert!("random".parse::<OrderingStrategy>().is_err());
         assert_eq!(
             "balanced-cut".parse::<SegmentationStrategy>().unwrap(),
             SegmentationStrategy::BalancedCut
@@ -191,11 +84,13 @@ mod tests {
             SegmentationStrategy::TopoCover
         );
         assert!("optimal".parse::<SegmentationStrategy>().is_err());
-        assert_eq!(StructureStrategy::default(), StructureStrategy::GREEDY);
-        assert_eq!(StructureStrategy::force().to_string(), "force/topo-cover");
         assert_eq!(
-            StructureStrategy::balanced_cut().to_string(),
-            "greedy/balanced-cut"
+            SegmentationStrategy::default(),
+            SegmentationStrategy::TopoCover
+        );
+        assert_eq!(
+            SegmentationStrategy::BalancedCut.to_string(),
+            "balanced-cut"
         );
     }
 }

@@ -1,132 +1,46 @@
-//! Structure-strategy guarantees: FORCE never regresses the compiled
-//! model, and no two strategies can ever share a cache entry or an
-//! on-disk artifact.
+//! Segmentation-strategy guarantees: no two strategies can ever share a
+//! cache entry or an on-disk artifact.
 
-use swact::{
-    artifact, CompiledEstimator, InputSpec, Options, OrderingStrategy, SegmentationStrategy,
-    StructureStrategy,
-};
+use swact::{artifact, CompiledEstimator, InputSpec, Options, SegmentationStrategy};
 use swact_circuit::catalog;
 
-fn options_with(strategy: StructureStrategy, budget: usize) -> Options {
+fn options_with(segmentation: SegmentationStrategy, budget: usize) -> Options {
     Options {
         segment_budget: budget,
-        strategy,
+        segmentation,
         ..Options::default()
     }
 }
 
-/// FORCE is a best-of-two selection per segment (greedy vs. FORCE-guided
-/// tie-breaks, kept only when cheaper), so the compiled model can never
-/// be worse than greedy's — on any circuit, at any budget.
-#[test]
-fn force_never_worsens_kernel_cost_on_c432() {
-    let c432 = catalog::benchmark("c432").unwrap();
-    for budget in [1 << 12, 1 << 16] {
-        let greedy =
-            CompiledEstimator::compile(&c432, &options_with(StructureStrategy::GREEDY, budget))
-                .unwrap();
-        let force =
-            CompiledEstimator::compile(&c432, &options_with(StructureStrategy::force(), budget))
-                .unwrap();
-        assert!(
-            force.kernel_cost() <= greedy.kernel_cost(),
-            "budget {budget}: force kernel cost {} exceeds greedy {}",
-            force.kernel_cost(),
-            greedy.kernel_cost()
-        );
-        assert!(
-            force.total_states() <= greedy.total_states(),
-            "budget {budget}: force state space {} exceeds greedy {}",
-            force.total_states(),
-            greedy.total_states()
-        );
-    }
-}
-
-/// Where the FORCE tie-break finds smaller trees it must actually take
-/// them: at this budget alu2 has segments where the layout-guided order
-/// wins, and the stats must say so.
-#[test]
-fn force_wins_are_recorded_on_alu2() {
-    let alu2 = catalog::benchmark("alu2").unwrap();
-    let budget = 1 << 16;
-    let greedy =
-        CompiledEstimator::compile(&alu2, &options_with(StructureStrategy::GREEDY, budget))
-            .unwrap();
-    let force =
-        CompiledEstimator::compile(&alu2, &options_with(StructureStrategy::force(), budget))
-            .unwrap();
-    assert_eq!(greedy.force_ordered_segments(), 0);
-    assert!(force.force_ordered_segments() > 0);
-    assert!(force.total_states() < greedy.total_states());
-    assert!(force.nnz() < greedy.nnz());
-}
-
-/// FORCE changes only the elimination order, never the joint distribution:
-/// both models answer within floating-point noise of each other.
-#[test]
-fn force_estimates_match_greedy_numerically() {
-    let c432 = catalog::benchmark("c432").unwrap();
-    let spec = InputSpec::uniform(c432.num_inputs());
-    let budget = 1 << 16;
-    let greedy =
-        CompiledEstimator::compile(&c432, &options_with(StructureStrategy::GREEDY, budget))
-            .unwrap()
-            .estimate(&spec)
-            .unwrap();
-    let force =
-        CompiledEstimator::compile(&c432, &options_with(StructureStrategy::force(), budget))
-            .unwrap()
-            .estimate(&spec)
-            .unwrap();
-    for line in c432.line_ids() {
-        let diff = (greedy.switching(line) - force.switching(line)).abs();
-        assert!(
-            diff < 1e-9,
-            "{}: greedy {} vs force {}",
-            c432.line_name(line),
-            greedy.switching(line),
-            force.switching(line)
-        );
-    }
-}
-
-/// Every strategy combination keys a distinct model: artifacts and engine
+/// Every segmentation strategy keys a distinct model: artifacts and engine
 /// cache entries can never be served across strategies.
 #[test]
 fn strategies_never_share_a_model_key() {
     let c17 = catalog::c17();
     let spec = InputSpec::uniform(c17.num_inputs());
-    let combos = [
-        StructureStrategy::GREEDY,
-        StructureStrategy::force(),
-        StructureStrategy::balanced_cut(),
-        StructureStrategy {
-            ordering: OrderingStrategy::Force,
-            segmentation: SegmentationStrategy::BalancedCut,
-        },
+    let strategies = [
+        SegmentationStrategy::TopoCover,
+        SegmentationStrategy::BalancedCut,
     ];
-    let keys: Vec<u128> = combos
+    let keys: Vec<u128> = strategies
         .iter()
-        .map(|&s| artifact::model_key(&c17, Some(&spec), &Options::with_strategy(s)))
+        .map(|&s| artifact::model_key(&c17, Some(&spec), &Options::with_segmentation(s)))
         .collect();
-    for (i, &a) in keys.iter().enumerate() {
-        for (j, &b) in keys.iter().enumerate() {
-            if i != j {
-                assert_ne!(a, b, "{} aliases {}", combos[i], combos[j]);
-            }
-        }
-    }
+    assert_ne!(
+        keys[0], keys[1],
+        "{} aliases {}",
+        strategies[0], strategies[1]
+    );
 }
 
-/// A persisted greedy artifact warm-loads bit-identically, and a FORCE
-/// request can never pick it up — its key names a different file.
+/// A persisted topo-cover artifact warm-loads bit-identically, and a
+/// balanced-cut request can never pick it up — its key names a different
+/// file.
 #[test]
-fn persisted_greedy_artifact_is_strategy_isolated_and_bit_identical() {
+fn persisted_topo_cover_artifact_is_strategy_isolated_and_bit_identical() {
     let c432 = catalog::benchmark("c432").unwrap();
     let spec = InputSpec::uniform(c432.num_inputs());
-    let options = options_with(StructureStrategy::GREEDY, 1 << 12);
+    let options = options_with(SegmentationStrategy::TopoCover, 1 << 12);
     let compiled = CompiledEstimator::compile_for(&c432, &spec, &options).unwrap();
     let fresh = compiled.estimate(&spec).unwrap();
 
@@ -135,17 +49,17 @@ fn persisted_greedy_artifact_is_strategy_isolated_and_bit_identical() {
     let key = artifact::model_key(&c432, Some(&spec), &options);
     artifact::write_artifact(&dir, key, &compiled).unwrap();
 
-    // The FORCE-keyed file name differs, so a FORCE request misses cleanly.
-    let force_options = options_with(StructureStrategy::force(), 1 << 12);
-    let force_key = artifact::model_key(&c432, Some(&spec), &force_options);
-    assert_ne!(key, force_key);
-    let force_path = dir.join(artifact::artifact_file_name(force_key));
+    // The balanced-cut file name differs, so such a request misses cleanly.
+    let cut_options = options_with(SegmentationStrategy::BalancedCut, 1 << 12);
+    let cut_key = artifact::model_key(&c432, Some(&spec), &cut_options);
+    assert_ne!(key, cut_key);
+    let cut_path = dir.join(artifact::artifact_file_name(cut_key));
     assert!(
-        !force_path.exists(),
-        "force key must not address the greedy artifact"
+        !cut_path.exists(),
+        "balanced-cut key must not address the topo-cover artifact"
     );
 
-    // The greedy warm start reproduces the fresh estimate bit-for-bit.
+    // The topo-cover warm start reproduces the fresh estimate bit-for-bit.
     let path = dir.join(artifact::artifact_file_name(key));
     let (_, loaded) = artifact::read_artifact(&path, Some(key)).unwrap();
     let warm = loaded.estimate(&spec).unwrap();

@@ -225,27 +225,22 @@ mod tests {
             model_key(&c1, &spec, &deadlined)
         );
 
-        // Every structure-strategy combination is its own model: the cache
-        // may never serve a greedy-ordered artifact to a FORCE request (or
-        // vice versa) — their compiled potentials differ.
-        let combos = [
-            swact::StructureStrategy::GREEDY,
-            swact::StructureStrategy::force(),
-            swact::StructureStrategy::balanced_cut(),
-            swact::StructureStrategy {
-                ordering: swact::OrderingStrategy::Force,
-                segmentation: swact::SegmentationStrategy::BalancedCut,
-            },
-        ];
-        for (i, &a) in combos.iter().enumerate() {
-            for &b in &combos[i + 1..] {
-                assert_ne!(
-                    model_key(&c1, &spec, &Options::with_strategy(a)),
-                    model_key(&c1, &spec, &Options::with_strategy(b)),
-                    "strategies {a} and {b} must not share a cache entry"
-                );
-            }
-        }
+        // Each segmentation strategy is its own model: the cache may never
+        // serve a topo-cover artifact to a balanced-cut request (or vice
+        // versa) — their segments differ.
+        assert_ne!(
+            model_key(
+                &c1,
+                &spec,
+                &Options::with_segmentation(swact::SegmentationStrategy::TopoCover)
+            ),
+            model_key(
+                &c1,
+                &spec,
+                &Options::with_segmentation(swact::SegmentationStrategy::BalancedCut)
+            ),
+            "segmentation strategies must not share a cache entry"
+        );
     }
 
     #[test]

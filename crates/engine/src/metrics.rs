@@ -33,7 +33,6 @@ pub(crate) struct EngineMetrics {
     pub(crate) messages_reused: AtomicU64,
     pub(crate) messages_recomputed: AtomicU64,
     pub(crate) segments_skipped: AtomicU64,
-    pub(crate) force_ordered_segments: AtomicU64,
     pub(crate) compiled_max_clique_states: AtomicU64,
     pub(crate) sampled_segments: AtomicU64,
     pub(crate) samples_drawn: AtomicU64,
@@ -82,7 +81,6 @@ impl EngineMetrics {
             messages_reused: self.messages_reused.load(Ordering::Relaxed),
             messages_recomputed: self.messages_recomputed.load(Ordering::Relaxed),
             segments_skipped: self.segments_skipped.load(Ordering::Relaxed),
-            force_ordered_segments: self.force_ordered_segments.load(Ordering::Relaxed),
             compiled_max_clique_states: self.compiled_max_clique_states.load(Ordering::Relaxed),
             sampled_segments: self.sampled_segments.load(Ordering::Relaxed),
             samples_drawn: self.samples_drawn.load(Ordering::Relaxed),
@@ -169,13 +167,9 @@ pub struct MetricsSnapshot {
     /// Segments served whole from the boundary-marginal posterior memo,
     /// summed over requests.
     pub segments_skipped: u64,
-    /// Segments whose compiled artifact came from a FORCE-searched order
-    /// that beat the greedy one, summed over cache-miss compiles (always
-    /// zero unless a request opted into the `force` ordering strategy).
-    pub force_ordered_segments: u64,
     /// High-water mark of a compiled model's largest clique state count
     /// (cache misses only), rounded to the nearest integer — the memory
-    /// hot spot the ordering strategies exist to shrink.
+    /// hot spot segmentation exists to bound.
     pub compiled_max_clique_states: u64,
     /// Segments compiled for the anytime sampling backend (primary or via
     /// the degradation ladder), summed over cache-miss compiles.
@@ -241,7 +235,6 @@ impl MetricsSnapshot {
             ("messages_reused", self.messages_reused as f64),
             ("messages_recomputed", self.messages_recomputed as f64),
             ("segments_skipped", self.segments_skipped as f64),
-            ("force_ordered_segments", self.force_ordered_segments as f64),
             (
                 "compiled_max_clique_states",
                 self.compiled_max_clique_states as f64,

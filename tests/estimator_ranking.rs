@@ -1,7 +1,7 @@
 //! Cross-estimator consistency and ranking — the Table 2 story as
 //! executable assertions.
 
-use swact::{estimate, InputModel, InputSpec, Options};
+use swact::{estimate, Backend, InputModel, InputSpec, Options};
 use swact_baselines::{
     BddExact, Independence, PairwiseCorrelation, SwitchingEstimator, TransitionDensity,
 };
@@ -113,9 +113,9 @@ fn two_state_model_degrades_under_temporal_correlation() {
     };
     let truth = measure_activity(&circuit, &model, 1 << 19, 3).switching;
     let four = estimate(&circuit, &spec, &Options::default()).unwrap();
-    let two = swact::twostate::estimate_two_state(&circuit, &spec, &Options::default()).unwrap();
+    let two = estimate(&circuit, &spec, &Options::with_backend(Backend::TwoState)).unwrap();
     let four_err = mean_abs_error(&four.switching_all(), &truth);
-    let two_err = mean_abs_error(&two.switching, &truth);
+    let two_err = mean_abs_error(&two.switching_all(), &truth);
     assert!(
         four_err * 3.0 < two_err,
         "expected clear four-state win: {four_err} vs {two_err}"
