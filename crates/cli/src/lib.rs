@@ -5,21 +5,28 @@
 //! every command path unit-testable without spawning processes.
 //!
 //! ```text
-//! swact estimate <netlist.bench> [--p1 P] [--activity A] [--budget N]
-//!                [--single-bn] [--power] [--sequential]
-//! swact batch    <netlist.bench> [--jobs N] [--sweep N] [--spec FILE]
+//! swact estimate <netlist.bench> [model options] [--p1 P] [--activity A]
+//!                [--power] [--sequential] [--csv] [--cache-dir DIR]
+//! swact plan     <netlist.bench> [model options]
+//! swact batch    <netlist.bench> [model options] [--jobs N] [--sweep N] [--spec FILE]
 //! swact compare  <netlist.bench> [--pairs N]
 //! swact bench    <name>
 //! swact dot      <netlist.bench>
 //! swact list
 //! ```
+//!
+//! `estimate`, `plan` and `batch` share one parser for the model options
+//! (the flags that shape [`Options`]), and `estimate` and `batch` share one
+//! execution path: an [`Engine`] batch, of one scenario for `estimate`.
 
 use std::fmt::Write as _;
+use std::time::Duration;
 
+use swact::pipeline::PlannedCircuit;
 use swact::sequential::{estimate_sequential, SequentialOptions};
 use swact::{
-    estimate, Backend, Budget, InputModel, InputSpec, KernelMode, Options, PowerModel,
-    SegmentationStrategy, SparseMode,
+    estimate, Backend, EstimateError, InputModel, InputSpec, Options, PowerModel,
+    SegmentationStrategy,
 };
 use swact_baselines::{Independence, PairwiseCorrelation, SwitchingEstimator, TransitionDensity};
 use swact_circuit::sequential::parse_bench_sequential;
@@ -74,18 +81,19 @@ USAGE:
   swact cache    <ls|verify|rm> <DIR>        inspect or prune a compiled-artifact cache
   swact list                                 list built-in benchmarks
 
-ESTIMATE OPTIONS:
-  --p1 <P>         signal probability for every input (default 0.5)
-  --activity <A>   switching activity for every input (default 2·P·(1−P))
+MODEL OPTIONS (estimate, plan and batch; each parses identically on all three):
   --budget <N>     junction-tree state budget per segment (default 131072)
-  --budget-states <N>  hard cap on estimated junction-tree states per
+  --budget-states <N>  hard cap (> 0) on estimated junction-tree states per
                    segment; over-budget segments are replanned tighter or
-                   fall back to the twostate backend (reported as degraded)
+                   fall back down the degradation ladder (reported as degraded)
   --deadline-ms <MS>   per-stage wall-clock deadline (compile/propagate),
-                   checked cooperatively at segment/wave boundaries
+                   checked cooperatively at segment/wave boundaries; also
+                   sheds scenarios whose queue wait exceeds it
   --no-fallback    fail with a typed error instead of degrading when a
                    segment exceeds --budget-states
   --single-bn      force one exact Bayesian network (may be infeasible)
+  --seg-search     balanced-cut segmentation search: backtrack each budget
+                   trip to the checkpoint with the smallest boundary cut
   --sparse <MODE>  zero-compress clique potentials: auto, on, or off
                    (default auto; results are bit-identical across modes)
   --kernel <K>     propagation kernel: scalar (default; bit-identical to the
@@ -100,59 +108,44 @@ ESTIMATE OPTIONS:
                    seed gives bit-identical results across job counts and
                    warm/cold caches
   --ci-half-width <W>  sampling stops once the mean-switching confidence
-                   half-width is ≤ W (default 0.01)
-  --ci-z <Z>       z-score for the sampling confidence interval
+                   half-width is ≤ W (> 0; default 0.01)
+  --ci-z <Z>       z-score (> 0) for the sampling confidence interval
                    (default 1.96 ≈ 95%)
-  --cache-dir <DIR>  reuse compiled models across processes: load the
-                   compiled pipeline from DIR when a bit-identical artifact
-                   exists, otherwise compile and persist one
-  --seg-search     balanced-cut segmentation search: backtrack each budget
-                   trip to the checkpoint with the smallest boundary cut
+  --no-incremental disable cross-scenario reuse (per-edge message cache and
+                   segment posterior memo); results are bit-identical with
+                   or without it — this only measures the cold baseline
+
+ESTIMATE OPTIONS (besides the model options):
+  --p1 <P>         signal probability for every input (default 0.5)
+  --activity <A>   switching activity for every input (default 2·P·(1−P))
+  --cache-dir <DIR>  two-tier compiled-model cache: misses consult DIR
+                   before compiling, compiles persist back for the next
+                   process (warm start); results are bit-identical
   --power          also print the dynamic-power report
   --sequential     treat DFFs via fixed-point iteration (default: reject DFFs)
   --csv            emit per-line results as CSV instead of a table
 
 PLAN OPTIONS:
-  accepts the ESTIMATE options that shape the plan (--budget, --seg-search,
-  --single-bn) and prints the segmentation the estimator would compile:
-  per-segment gates, roots, boundary roots, and the planner's estimated
-  junction-tree states — no model is compiled;
+  only the model options; prints the segmentation the estimator would
+  compile: per-segment gates, roots, boundary roots, and the planner's
+  estimated junction-tree states — no model is compiled;
   with --budget-states it also predicts the degradation-ladder rung
   each segment would land on (primary backend, sampling, twostate, or
   error under --no-fallback)
 
-BATCH OPTIONS:
+BATCH OPTIONS (besides the model options):
   --jobs <N>       worker threads (default: all CPUs, never more than the
                    host offers); results are identical for every N — the
                    circuit compiles once and all scenarios propagate over
                    the shared junction trees
   --jobs-force <N> exact worker count, bypassing the available-CPU clamp
                    (benchmarking aid; oversubscription only slows batches)
-  --no-incremental disable cross-scenario reuse (per-edge message cache and
-                   segment posterior memo); results are bit-identical with
-                   or without it — this only measures the cold baseline
   --sweep <N>      estimate N scenarios with p1 swept over [0.05, 0.95]
                    (default 8; ignored when --spec is given)
   --spec <FILE>    read scenarios from FILE: one scenario per line, either a
                    single p1 for all inputs or one p1 per input
                    (whitespace/comma separated; `#` starts a comment)
-  --budget <N>     junction-tree state budget per segment (default 131072)
-  --budget-states <N>  hard per-segment state cap (degrade-or-report; see
-                   ESTIMATE OPTIONS)
-  --deadline-ms <MS>   per-stage deadline; also sheds scenarios whose queue
-                   wait exceeds it
-  --no-fallback    fail compilation instead of degrading over-budget segments
-  --sparse <MODE>  zero-compress clique potentials: auto, on, or off
-  --kernel <K>     propagation kernel: scalar (default) or simd (see
-                   ESTIMATE OPTIONS)
-  --backend <B>    inference backend: jtree (default), bdd, sampling, or
-                   twostate
-  --seed <N>       sampling RNG seed (default 0; see ESTIMATE OPTIONS)
-  --ci-half-width <W>  sampling confidence-interval target (default 0.01)
-  --ci-z <Z>       sampling confidence z-score (default 1.96)
-  --cache-dir <DIR>  two-tier compiled-model cache: misses consult DIR
-                   before compiling, compiles persist back for the next
-                   process (warm start)
+  --cache-dir <DIR>  as for estimate
   --csv            emit per-scenario, per-line switching as CSV
   --stats          also print timing/cache metrics and the per-stage
                    plan/model/compile/propagate/forward breakdown
@@ -211,179 +204,91 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-struct EstimateArgs {
-    path: String,
-    p1: f64,
-    activity: Option<f64>,
-    budget: usize,
-    budget_states: Option<f64>,
-    deadline_ms: Option<u64>,
-    no_fallback: bool,
-    single_bn: bool,
-    sparse: SparseMode,
-    kernel: KernelMode,
-    backend: Backend,
-    power: bool,
-    sequential: bool,
-    csv: bool,
-    cache_dir: Option<String>,
-    seg_search: bool,
-    seed: u64,
-    ci_half_width: Option<f64>,
-    ci_z: Option<f64>,
-}
+/// Where a flag's value comes from: the next argument, or a usage error
+/// when there is none.
+type FlagValue<'v, 'a> = &'v mut dyn FnMut() -> Result<&'a str, CliError>;
 
-fn parse_sparse(value: &str) -> Result<SparseMode, CliError> {
-    value.parse().map_err(|_| {
-        usage_error(format!(
-            "bad --sparse value `{value}` (expected auto, on, or off)"
-        ))
-    })
-}
-
-fn parse_kernel(value: &str) -> Result<KernelMode, CliError> {
-    value.parse().map_err(|_| {
-        usage_error(format!(
-            "bad --kernel value `{value}` (expected scalar or simd)"
-        ))
-    })
-}
-
-fn parse_backend(value: &str) -> Result<Backend, CliError> {
-    value.parse().map_err(usage_error)
-}
-
-fn segmentation_for(seg_search: bool) -> SegmentationStrategy {
-    if seg_search {
-        SegmentationStrategy::BalancedCut
-    } else {
-        SegmentationStrategy::TopoCover
-    }
-}
-
-fn parse_estimate_args(rest: &[&String]) -> Result<EstimateArgs, CliError> {
-    let mut parsed = EstimateArgs {
-        path: String::new(),
-        p1: 0.5,
-        activity: None,
-        budget: 1 << 17,
-        budget_states: None,
-        deadline_ms: None,
-        no_fallback: false,
-        single_bn: false,
-        sparse: SparseMode::Auto,
-        kernel: KernelMode::Scalar,
-        backend: Backend::Jtree,
-        power: false,
-        sequential: false,
-        csv: false,
-        cache_dir: None,
-        seg_search: false,
-        seed: 0,
-        ci_half_width: None,
-        ci_z: None,
-    };
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--p1" | "--activity" | "--budget" | "--budget-states" | "--deadline-ms"
-            | "--sparse" | "--kernel" | "--backend" | "--cache-dir" | "--seed"
-            | "--ci-half-width" | "--ci-z" => {
-                let flag = rest[i].as_str();
-                let value = rest
-                    .get(i + 1)
-                    .ok_or_else(|| usage_error(format!("{flag} needs a value")))?;
-                match flag {
-                    "--p1" => {
-                        parsed.p1 = value
-                            .parse()
-                            .map_err(|_| usage_error(format!("bad --p1 value `{value}`")))?
-                    }
-                    "--activity" => {
-                        parsed.activity =
-                            Some(value.parse().map_err(|_| {
-                                usage_error(format!("bad --activity value `{value}`"))
-                            })?)
-                    }
-                    "--budget-states" => {
-                        parsed.budget_states = Some(value.parse().map_err(|_| {
-                            usage_error(format!("bad --budget-states value `{value}`"))
-                        })?)
-                    }
-                    "--deadline-ms" => {
-                        parsed.deadline_ms = Some(value.parse().map_err(|_| {
-                            usage_error(format!("bad --deadline-ms value `{value}`"))
-                        })?)
-                    }
-                    "--sparse" => parsed.sparse = parse_sparse(value)?,
-                    "--kernel" => parsed.kernel = parse_kernel(value)?,
-                    "--backend" => parsed.backend = parse_backend(value)?,
-                    "--cache-dir" => parsed.cache_dir = Some(value.to_string()),
-                    "--seed" => {
-                        parsed.seed = value
-                            .parse()
-                            .map_err(|_| usage_error(format!("bad --seed value `{value}`")))?
-                    }
-                    "--ci-half-width" => {
-                        parsed.ci_half_width = Some(value.parse().map_err(|_| {
-                            usage_error(format!("bad --ci-half-width value `{value}`"))
-                        })?)
-                    }
-                    "--ci-z" => {
-                        parsed.ci_z = Some(
-                            value
-                                .parse()
-                                .map_err(|_| usage_error(format!("bad --ci-z value `{value}`")))?,
-                        )
-                    }
-                    _ => {
-                        parsed.budget = value
-                            .parse()
-                            .map_err(|_| usage_error(format!("bad --budget value `{value}`")))?
-                    }
-                }
-                i += 2;
-            }
-            "--seg-search" => {
-                parsed.seg_search = true;
-                i += 1;
-            }
-            "--no-fallback" => {
-                parsed.no_fallback = true;
-                i += 1;
-            }
-            "--single-bn" => {
-                parsed.single_bn = true;
-                i += 1;
-            }
-            "--power" => {
-                parsed.power = true;
-                i += 1;
-            }
-            "--sequential" => {
-                parsed.sequential = true;
-                i += 1;
-            }
-            "--csv" => {
-                parsed.csv = true;
-                i += 1;
-            }
-            flag if flag.starts_with("--") => {
-                return Err(usage_error(format!("unknown option `{flag}`")));
-            }
-            path => {
-                if !parsed.path.is_empty() {
-                    return Err(usage_error("more than one netlist given"));
-                }
-                parsed.path = path.to_string();
-                i += 1;
-            }
+/// Parses the command line of `estimate`, `plan` or `batch` into the
+/// netlist path and the [`Options`] its model flags build; the defaults are
+/// [`Options::default`]. Every other flag goes to `own_flag`, which applies
+/// the command's own flags and returns `false` for a flag the command does
+/// not take.
+fn parse_command_line<'a>(
+    rest: &[&'a String],
+    mut own_flag: impl FnMut(&str, FlagValue<'_, 'a>) -> Result<bool, CliError>,
+) -> Result<(String, Options), CliError> {
+    let mut options = Options::default();
+    let mut path = None;
+    let mut args = rest.iter().copied().map(String::as_str);
+    while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .ok_or_else(|| usage_error(format!("{arg} needs a value")))
+        };
+        if model_flag(&mut options, arg, &mut value)? || own_flag(arg, &mut value)? {
+            continue;
+        }
+        if arg.starts_with("--") {
+            return Err(usage_error(format!("unknown option `{arg}`")));
+        }
+        if path.replace(arg).is_some() {
+            return Err(usage_error("more than one netlist given"));
         }
     }
-    if parsed.path.is_empty() {
-        return Err(usage_error("missing netlist path"));
+    let path = path.ok_or_else(|| usage_error("missing netlist path"))?;
+    Ok((path.to_string(), options))
+}
+
+/// Applies `flag` to `options` when it is a model flag, taking its value
+/// from `value`; returns `false` for any other flag. One arm per flag: this
+/// is the only place a model flag is defined.
+fn model_flag(
+    options: &mut Options,
+    flag: &str,
+    value: FlagValue<'_, '_>,
+) -> Result<bool, CliError> {
+    match flag {
+        "--budget" => options.segment_budget = parse_value(flag, value()?)?,
+        "--budget-states" => options.budget.max_states = Some(positive(flag, value()?)?),
+        "--deadline-ms" => {
+            options.budget.deadline = Some(Duration::from_millis(parse_value(flag, value()?)?));
+        }
+        "--no-fallback" => options.no_fallback = true,
+        "--single-bn" => options.single_bn = true,
+        "--seg-search" => options.segmentation = SegmentationStrategy::BalancedCut,
+        "--sparse" => options.sparse = parse_value(flag, value()?)?,
+        "--kernel" => options.kernel = parse_value(flag, value()?)?,
+        "--backend" => options.backend = parse_value(flag, value()?)?,
+        "--seed" => options.seed = parse_value(flag, value()?)?,
+        "--ci-half-width" => options.ci_half_width = positive(flag, value()?)?,
+        "--ci-z" => options.ci_z = positive(flag, value()?)?,
+        "--no-incremental" => options.incremental = false,
+        _ => return Ok(false),
     }
-    Ok(parsed)
+    Ok(true)
+}
+
+/// Parses a flag's value; a value that does not parse is a usage error.
+fn parse_value<T>(flag: &str, value: &str) -> Result<T, CliError>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    value
+        .parse()
+        .map_err(|e| usage_error(format!("bad {flag} value `{value}`: {e}")))
+}
+
+/// Parses a flag's value that must be a finite number greater than zero.
+fn positive(flag: &str, value: &str) -> Result<f64, CliError> {
+    let x: f64 = parse_value(flag, value)?;
+    if x.is_finite() && x > 0.0 {
+        Ok(x)
+    } else {
+        Err(usage_error(format!(
+            "bad {flag} value `{value}`: expected a finite number > 0"
+        )))
+    }
 }
 
 fn load_circuit(path: &str) -> Result<Circuit, CliError> {
@@ -409,69 +314,48 @@ fn is_blif(path: &str, source: &str) -> bool {
             .is_some_and(|l| l.starts_with('.'))
 }
 
+/// One input's model; the activity defaults to the temporally independent
+/// `2·p1·(1−p1)`. Out-of-range values are an error, never a panic.
+fn input_model(p1: f64, activity: Option<f64>) -> Result<InputModel, EstimateError> {
+    InputModel::new(p1, activity.unwrap_or(2.0 * p1 * (1.0 - p1)))
+}
+
+/// `estimate`'s own flags; its model flags parse into [`Options`].
+struct EstimateArgs {
+    p1: f64,
+    activity: Option<f64>,
+    cache_dir: Option<String>,
+    power: bool,
+    sequential: bool,
+    csv: bool,
+}
+
 fn spec_for(args: &EstimateArgs, num_inputs: usize) -> Result<InputSpec, CliError> {
-    let model = match args.activity {
-        Some(a) => InputModel::new(args.p1, a).map_err(runtime_error)?,
-        None => InputModel::independent(args.p1),
-    };
+    let model = input_model(args.p1, args.activity).map_err(runtime_error)?;
     Ok(InputSpec::from_models(vec![model; num_inputs]))
 }
 
-fn resource_budget(budget_states: Option<f64>, deadline_ms: Option<u64>) -> Budget {
-    Budget {
-        max_states: budget_states,
-        max_factor_bytes: None,
-        deadline: deadline_ms.map(std::time::Duration::from_millis),
-    }
-}
-
-fn estimator_options(args: &EstimateArgs) -> Options {
-    let defaults = Options::default();
-    Options {
-        segment_budget: args.budget,
-        single_bn: args.single_bn,
-        sparse: args.sparse,
-        kernel: args.kernel,
-        backend: args.backend,
-        budget: resource_budget(args.budget_states, args.deadline_ms),
-        no_fallback: args.no_fallback,
-        segmentation: segmentation_for(args.seg_search),
-        seed: args.seed,
-        ci_half_width: args.ci_half_width.unwrap_or(defaults.ci_half_width),
-        ci_z: args.ci_z.unwrap_or(defaults.ci_z),
-        ..defaults
-    }
-}
-
-/// Runs one estimate through the on-disk artifact cache: load the compiled
-/// pipeline from `dir` when a valid artifact for this exact model exists,
-/// otherwise compile and persist one. Loaded and fresh pipelines produce
-/// bit-identical estimates, so the cache never changes results — only
-/// whether the compile happens.
-fn estimate_via_cache(
-    dir: &str,
-    circuit: &Circuit,
-    spec: &InputSpec,
-    options: &Options,
-) -> Result<swact::Estimate, CliError> {
-    use swact::artifact;
-    let key = artifact::model_key(circuit, Some(spec), options);
-    let path = std::path::Path::new(dir).join(artifact::artifact_file_name(key));
-    match artifact::read_artifact(&path, Some(key)) {
-        Ok((_, compiled)) => return compiled.estimate(spec).map_err(runtime_error),
-        Err(artifact::ArtifactError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => eprintln!("swact: ignoring unusable artifact {}: {e}", path.display()),
-    }
-    let compiled =
-        swact::CompiledEstimator::compile_for(circuit, spec, options).map_err(runtime_error)?;
-    if let Err(e) = artifact::write_artifact(std::path::Path::new(dir), key, &compiled) {
-        eprintln!("swact: cannot persist artifact to `{dir}`: {e}");
-    }
-    compiled.estimate(spec).map_err(runtime_error)
-}
-
 fn cmd_estimate(rest: &[&String]) -> Result<String, CliError> {
-    let args = parse_estimate_args(rest)?;
+    let mut args = EstimateArgs {
+        p1: 0.5,
+        activity: None,
+        cache_dir: None,
+        power: false,
+        sequential: false,
+        csv: false,
+    };
+    let (path, options) = parse_command_line(rest, |flag, value| {
+        match flag {
+            "--p1" => args.p1 = parse_value(flag, value()?)?,
+            "--activity" => args.activity = Some(parse_value(flag, value()?)?),
+            "--cache-dir" => args.cache_dir = Some(value()?.to_string()),
+            "--power" => args.power = true,
+            "--sequential" => args.sequential = true,
+            "--csv" => args.csv = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
     let mut out = String::new();
     if args.sequential {
         if args.cache_dir.is_some() {
@@ -480,19 +364,19 @@ fn cmd_estimate(rest: &[&String]) -> Result<String, CliError> {
                  loop recompiles the feedback model every iteration)",
             ));
         }
-        let source = std::fs::read_to_string(&args.path)
-            .map_err(|e| runtime_error(format!("cannot read `{}`: {e}", args.path)))?;
-        let seq = if is_blif(&args.path, &source) {
-            swact_circuit::blif::parse_blif(&args.path, &source).map_err(runtime_error)?
+        let source = std::fs::read_to_string(&path)
+            .map_err(|e| runtime_error(format!("cannot read `{path}`: {e}")))?;
+        let seq = if is_blif(&path, &source) {
+            swact_circuit::blif::parse_blif(&path, &source).map_err(runtime_error)?
         } else {
-            parse_bench_sequential(&args.path, &source).map_err(runtime_error)?
+            parse_bench_sequential(&path, &source).map_err(runtime_error)?
         };
         let spec = spec_for(&args, seq.num_primary_inputs())?;
         let result = estimate_sequential(
             &seq,
             &spec,
             &SequentialOptions {
-                options: estimator_options(&args),
+                options,
                 ..SequentialOptions::default()
             },
         )
@@ -527,13 +411,15 @@ fn cmd_estimate(rest: &[&String]) -> Result<String, CliError> {
         }
         return Ok(out);
     }
-    let circuit = load_circuit(&args.path)?;
+    let circuit = load_circuit(&path)?;
     let spec = spec_for(&args, circuit.num_inputs())?;
-    let options = estimator_options(&args);
-    let est = match &args.cache_dir {
-        Some(dir) => estimate_via_cache(dir, &circuit, &spec, &options)?,
-        None => estimate(&circuit, &spec, &options).map_err(runtime_error)?,
-    };
+    // One scenario through the batch engine: the same compile, cache and
+    // disk-tier path as `batch`, on one worker.
+    let engine = with_cache_dir(Engine::with_jobs(1), args.cache_dir.as_deref());
+    let mut report = engine
+        .estimate_batch(&circuit, std::slice::from_ref(&spec), &options)
+        .map_err(runtime_error)?;
+    let est = report.items.swap_remove(0).result.map_err(runtime_error)?;
     if args.csv {
         return Ok(est.to_csv(&circuit));
     }
@@ -599,28 +485,23 @@ fn cmd_estimate(rest: &[&String]) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// Adds the `--cache-dir` disk tier, when given, to an engine.
+fn with_cache_dir(engine: Engine, cache_dir: Option<&str>) -> Engine {
+    match cache_dir {
+        Some(dir) => engine.with_cache_dir(dir),
+        None => engine,
+    }
+}
+
 /// `swact plan`: run only the planning stage (fan-in decomposition +
 /// segmentation) and print what the estimator would compile — the cheap
 /// way to compare structure strategies before paying for a compile.
 fn cmd_plan(rest: &[&String]) -> Result<String, CliError> {
-    let args = parse_estimate_args(rest)?;
-    let circuit = load_circuit(&args.path)?;
-    let options = estimator_options(&args);
-    let working = swact_circuit::decompose::decompose_fanin(&circuit, options.max_fanin.max(2))
-        .map_err(runtime_error)?;
-    let plan = if options.single_bn {
-        swact::SegmentationPlan::plan(&working, 4, usize::MAX, usize::MAX - 1, options.heuristic)
-    } else {
-        swact::SegmentationPlan::plan_with(
-            &working,
-            4,
-            options.segment_budget,
-            options.check_interval,
-            options.heuristic,
-            options.segmentation,
-        )
-    };
-    let costs = plan.estimated_costs(&working, 4, options.heuristic);
+    let (path, options) = parse_command_line(rest, |_, _| Ok(false))?;
+    let circuit = load_circuit(&path)?;
+    let planned = PlannedCircuit::new(&circuit, &options).map_err(runtime_error)?;
+    let (working, plan) = (planned.working(), planned.plan());
+    let costs = plan.estimated_costs(working, 4, options.heuristic);
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -698,158 +579,15 @@ fn cmd_plan(rest: &[&String]) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// `batch`'s own flags; its model flags parse into [`Options`].
 struct BatchArgs {
-    path: String,
     jobs: Option<usize>,
     jobs_force: Option<usize>,
     sweep: usize,
     spec_file: Option<String>,
-    budget: usize,
-    budget_states: Option<f64>,
-    deadline_ms: Option<u64>,
-    no_fallback: bool,
-    no_incremental: bool,
-    sparse: SparseMode,
-    kernel: KernelMode,
-    backend: Backend,
+    cache_dir: Option<String>,
     csv: bool,
     stats: bool,
-    cache_dir: Option<String>,
-    seg_search: bool,
-    seed: u64,
-    ci_half_width: Option<f64>,
-    ci_z: Option<f64>,
-}
-
-fn parse_batch_args(rest: &[&String]) -> Result<BatchArgs, CliError> {
-    let mut parsed = BatchArgs {
-        path: String::new(),
-        jobs: None,
-        jobs_force: None,
-        sweep: 8,
-        spec_file: None,
-        budget: 1 << 17,
-        budget_states: None,
-        deadline_ms: None,
-        no_fallback: false,
-        no_incremental: false,
-        sparse: SparseMode::Auto,
-        kernel: KernelMode::Scalar,
-        backend: Backend::Jtree,
-        csv: false,
-        stats: false,
-        cache_dir: None,
-        seg_search: false,
-        seed: 0,
-        ci_half_width: None,
-        ci_z: None,
-    };
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            flag @ ("--jobs" | "--jobs-force" | "--sweep" | "--budget" | "--budget-states"
-            | "--deadline-ms" | "--spec" | "--sparse" | "--kernel" | "--backend"
-            | "--cache-dir" | "--seed" | "--ci-half-width" | "--ci-z") => {
-                let value = rest
-                    .get(i + 1)
-                    .ok_or_else(|| usage_error(format!("{flag} needs a value")))?;
-                match flag {
-                    "--jobs" => {
-                        parsed.jobs = Some(
-                            value
-                                .parse()
-                                .map_err(|_| usage_error(format!("bad --jobs value `{value}`")))?,
-                        )
-                    }
-                    "--jobs-force" => {
-                        parsed.jobs_force = Some(value.parse().map_err(|_| {
-                            usage_error(format!("bad --jobs-force value `{value}`"))
-                        })?)
-                    }
-                    "--sweep" => {
-                        parsed.sweep = value
-                            .parse()
-                            .map_err(|_| usage_error(format!("bad --sweep value `{value}`")))?
-                    }
-                    "--budget" => {
-                        parsed.budget = value
-                            .parse()
-                            .map_err(|_| usage_error(format!("bad --budget value `{value}`")))?
-                    }
-                    "--budget-states" => {
-                        parsed.budget_states = Some(value.parse().map_err(|_| {
-                            usage_error(format!("bad --budget-states value `{value}`"))
-                        })?)
-                    }
-                    "--deadline-ms" => {
-                        parsed.deadline_ms = Some(value.parse().map_err(|_| {
-                            usage_error(format!("bad --deadline-ms value `{value}`"))
-                        })?)
-                    }
-                    "--sparse" => parsed.sparse = parse_sparse(value)?,
-                    "--kernel" => parsed.kernel = parse_kernel(value)?,
-                    "--backend" => parsed.backend = parse_backend(value)?,
-                    "--cache-dir" => parsed.cache_dir = Some(value.to_string()),
-                    "--seed" => {
-                        parsed.seed = value
-                            .parse()
-                            .map_err(|_| usage_error(format!("bad --seed value `{value}`")))?
-                    }
-                    "--ci-half-width" => {
-                        parsed.ci_half_width = Some(value.parse().map_err(|_| {
-                            usage_error(format!("bad --ci-half-width value `{value}`"))
-                        })?)
-                    }
-                    "--ci-z" => {
-                        parsed.ci_z = Some(
-                            value
-                                .parse()
-                                .map_err(|_| usage_error(format!("bad --ci-z value `{value}`")))?,
-                        )
-                    }
-                    _ => parsed.spec_file = Some(value.to_string()),
-                }
-                i += 2;
-            }
-            "--seg-search" => {
-                parsed.seg_search = true;
-                i += 1;
-            }
-            "--no-fallback" => {
-                parsed.no_fallback = true;
-                i += 1;
-            }
-            "--no-incremental" => {
-                parsed.no_incremental = true;
-                i += 1;
-            }
-            "--csv" => {
-                parsed.csv = true;
-                i += 1;
-            }
-            "--stats" => {
-                parsed.stats = true;
-                i += 1;
-            }
-            flag if flag.starts_with("--") => {
-                return Err(usage_error(format!("unknown option `{flag}`")));
-            }
-            path => {
-                if !parsed.path.is_empty() {
-                    return Err(usage_error("more than one netlist given"));
-                }
-                parsed.path = path.to_string();
-                i += 1;
-            }
-        }
-    }
-    if parsed.path.is_empty() {
-        return Err(usage_error("missing netlist path"));
-    }
-    if parsed.sweep == 0 {
-        return Err(usage_error("--sweep must be at least 1"));
-    }
-    Ok(parsed)
 }
 
 /// Parses a scenario file: one scenario per line, blank lines and `#`
@@ -862,18 +600,20 @@ fn parse_spec_file(source: &str, num_inputs: usize) -> Result<Vec<InputSpec>, Cl
         if line.is_empty() {
             continue;
         }
-        let values: Vec<f64> = line
+        let models: Vec<InputModel> = line
             .split(|c: char| c.is_whitespace() || c == ',')
             .filter(|t| !t.is_empty())
             .map(|t| {
-                t.parse().map_err(|_| {
+                let p1 = t.parse().map_err(|_| {
                     runtime_error(format!("spec line {}: bad p1 value `{t}`", lineno + 1))
-                })
+                })?;
+                input_model(p1, None)
+                    .map_err(|e| runtime_error(format!("spec line {}: {e}", lineno + 1)))
             })
             .collect::<Result<_, _>>()?;
-        let p1s = match values.len() {
-            1 => vec![values[0]; num_inputs],
-            n if n == num_inputs => values,
+        let models = match models.len() {
+            1 => vec![models[0]; num_inputs],
+            n if n == num_inputs => models,
             n => {
                 return Err(runtime_error(format!(
                     "spec line {}: expected 1 or {num_inputs} values, got {n}",
@@ -881,7 +621,7 @@ fn parse_spec_file(source: &str, num_inputs: usize) -> Result<Vec<InputSpec>, Cl
                 )))
             }
         };
-        specs.push(InputSpec::independent(p1s));
+        specs.push(InputSpec::from_models(models));
     }
     if specs.is_empty() {
         return Err(runtime_error("spec file contains no scenarios"));
@@ -905,8 +645,32 @@ fn sweep_specs(n: usize, num_inputs: usize) -> Vec<InputSpec> {
 }
 
 fn cmd_batch(rest: &[&String]) -> Result<String, CliError> {
-    let args = parse_batch_args(rest)?;
-    let circuit = load_circuit(&args.path)?;
+    let mut args = BatchArgs {
+        jobs: None,
+        jobs_force: None,
+        sweep: 8,
+        spec_file: None,
+        cache_dir: None,
+        csv: false,
+        stats: false,
+    };
+    let (path, options) = parse_command_line(rest, |flag, value| {
+        match flag {
+            "--jobs" => args.jobs = Some(parse_value(flag, value()?)?),
+            "--jobs-force" => args.jobs_force = Some(parse_value(flag, value()?)?),
+            "--sweep" => args.sweep = parse_value(flag, value()?)?,
+            "--spec" => args.spec_file = Some(value()?.to_string()),
+            "--cache-dir" => args.cache_dir = Some(value()?.to_string()),
+            "--csv" => args.csv = true,
+            "--stats" => args.stats = true,
+            _ => return Ok(false),
+        }
+        Ok(true)
+    })?;
+    if args.sweep == 0 {
+        return Err(usage_error("--sweep must be at least 1"));
+    }
+    let circuit = load_circuit(&path)?;
     let specs = match &args.spec_file {
         Some(path) => {
             let source = std::fs::read_to_string(path)
@@ -915,29 +679,12 @@ fn cmd_batch(rest: &[&String]) -> Result<String, CliError> {
         }
         None => sweep_specs(args.sweep, circuit.num_inputs()),
     };
-    let mut engine = match (args.jobs_force, args.jobs) {
+    let engine = match (args.jobs_force, args.jobs) {
         (Some(jobs), _) => Engine::with_jobs_forced(jobs),
         (None, Some(jobs)) => Engine::with_jobs(jobs),
         (None, None) => Engine::new(),
     };
-    if let Some(dir) = &args.cache_dir {
-        engine = engine.with_cache_dir(dir);
-    }
-    let defaults = Options::default();
-    let options = Options {
-        segment_budget: args.budget,
-        sparse: args.sparse,
-        kernel: args.kernel,
-        backend: args.backend,
-        budget: resource_budget(args.budget_states, args.deadline_ms),
-        no_fallback: args.no_fallback,
-        incremental: !args.no_incremental,
-        segmentation: segmentation_for(args.seg_search),
-        seed: args.seed,
-        ci_half_width: args.ci_half_width.unwrap_or(defaults.ci_half_width),
-        ci_z: args.ci_z.unwrap_or(defaults.ci_z),
-        ..defaults
-    };
+    let engine = with_cache_dir(engine, args.cache_dir.as_deref());
     let report = engine
         .estimate_batch(&circuit, &specs, &options)
         .map_err(runtime_error)?;
@@ -1098,13 +845,8 @@ fn cmd_compare(rest: &[&String]) -> Result<String, CliError> {
     while i < rest.len() {
         match rest[i].as_str() {
             "--pairs" => {
-                let value = rest
-                    .get(i + 1)
-                    .ok_or_else(|| usage_error("--pairs needs a value"))?;
-                pairs = value
-                    .parse()
-                    .map_err(|_| usage_error(format!("bad --pairs value `{value}`")))?;
-                i += 2;
+                pairs = parse_value("--pairs", take_value(rest, &mut i, "--pairs")?)?;
+                i += 1;
             }
             flag if flag.starts_with("--") => {
                 return Err(usage_error(format!("unknown option `{flag}`")));
@@ -1117,6 +859,9 @@ fn cmd_compare(rest: &[&String]) -> Result<String, CliError> {
     }
     if path.is_empty() {
         return Err(usage_error("missing netlist path"));
+    }
+    if pairs == 0 {
+        return Err(usage_error("--pairs must be at least 1"));
     }
     let circuit = load_circuit(&path)?;
     let spec = InputSpec::uniform(circuit.num_inputs());
@@ -1207,11 +952,11 @@ fn cmd_serve(rest: &[&String]) -> Result<String, CliError> {
                 config.addr = take_value(rest, &mut i, "--addr")?.to_string();
             }
             "--jobs" => {
-                config.jobs = parse_count(take_value(rest, &mut i, "--jobs")?, "--jobs")?;
+                config.jobs = parse_value("--jobs", take_value(rest, &mut i, "--jobs")?)?;
             }
             "--handlers" => {
                 config.handlers =
-                    parse_count(take_value(rest, &mut i, "--handlers")?, "--handlers")?;
+                    parse_value("--handlers", take_value(rest, &mut i, "--handlers")?)?;
             }
             "--clients-config" => {
                 let path = take_value(rest, &mut i, "--clients-config")?;
@@ -1224,8 +969,8 @@ fn cmd_serve(rest: &[&String]) -> Result<String, CliError> {
                 addr_file = Some(take_value(rest, &mut i, "--addr-file")?.to_string());
             }
             "--drain-ms" => {
-                let ms = parse_count(take_value(rest, &mut i, "--drain-ms")?, "--drain-ms")?;
-                config.drain = std::time::Duration::from_millis(ms as u64);
+                let ms = parse_value("--drain-ms", take_value(rest, &mut i, "--drain-ms")?)?;
+                config.drain = Duration::from_millis(ms);
             }
             "--cache-dir" => {
                 config.cache_dir = Some(std::path::PathBuf::from(take_value(
@@ -1377,12 +1122,6 @@ fn take_value<'a>(rest: &[&'a String], i: &mut usize, flag: &str) -> Result<&'a 
     rest.get(*i)
         .map(|s| s.as_str())
         .ok_or_else(|| usage_error(format!("{flag} needs a value")))
-}
-
-fn parse_count(value: &str, flag: &str) -> Result<usize, CliError> {
-    value
-        .parse()
-        .map_err(|_| usage_error(format!("bad {flag} value `{value}`")))
 }
 
 fn cmd_list() -> String {
@@ -1676,6 +1415,143 @@ mod tests {
                 .exit_code,
             2
         );
+    }
+
+    /// Runs `args` and reduces the outcome to what must agree across
+    /// commands: success, or the exit code and first message line.
+    fn outcome(args: &[&str]) -> Result<(), (i32, String)> {
+        run_strs(args).map(|_| ()).map_err(|e| {
+            let first = e.message.lines().next().unwrap_or("").to_string();
+            (e.exit_code, first)
+        })
+    }
+
+    #[test]
+    fn model_flags_parse_identically_on_estimate_plan_and_batch() {
+        // Every model flag with values that must be accepted and values that
+        // must be rejected; switches take no value.
+        let table: &[(&str, &[&str], &[&str])] = &[
+            ("--budget", &["1024"], &["-1", "lots"]),
+            (
+                "--budget-states",
+                &["1e18", "4096"],
+                &["0", "-5", "NaN", "inf", "lots"],
+            ),
+            ("--deadline-ms", &["60000"], &["-1", "soon"]),
+            ("--no-fallback", &[], &[]),
+            ("--single-bn", &[], &[]),
+            ("--seg-search", &[], &[]),
+            ("--sparse", &["on", "OFF"], &["sometimes"]),
+            ("--kernel", &["simd"], &["avx512"]),
+            ("--backend", &["bdd", "sampling"], &["quantum"]),
+            ("--seed", &["7"], &["-1", "entropy"]),
+            (
+                "--ci-half-width",
+                &["0.05"],
+                &["0", "-1", "NaN", "inf", "narrow"],
+            ),
+            ("--ci-z", &["2.5"], &["0", "-1", "NaN", "-inf", "wide"]),
+            ("--no-incremental", &[], &[]),
+        ];
+        let per_command = |flag_args: &[&str]| -> Result<(), (i32, String)> {
+            let mut outcomes = ["estimate", "plan", "batch"].into_iter().map(|cmd| {
+                let mut args = vec![cmd, "c17"];
+                if cmd == "batch" {
+                    args.extend(["--sweep", "2"]);
+                }
+                args.extend(flag_args);
+                outcome(&args)
+            });
+            let first = outcomes.next().unwrap();
+            for other in outcomes {
+                assert_eq!(first, other, "commands disagree on {flag_args:?}");
+            }
+            first
+        };
+        for &(flag, valid, invalid) in table {
+            if valid.is_empty() {
+                assert_eq!(per_command(&[flag]), Ok(()), "{flag}");
+                continue;
+            }
+            for value in valid {
+                assert_eq!(per_command(&[flag, value]), Ok(()), "{flag} {value}");
+            }
+            for value in invalid {
+                let (code, message) = per_command(&[flag, value]).unwrap_err();
+                assert_eq!(code, 2, "{flag} {value}");
+                assert!(
+                    message.starts_with(&format!("bad {flag} value `{value}`")),
+                    "{flag} {value}: {message}"
+                );
+            }
+            let (code, message) = per_command(&[flag]).unwrap_err();
+            assert_eq!(code, 2);
+            assert_eq!(message, format!("{flag} needs a value"));
+        }
+
+        // `plan` takes only model flags: the per-run flags of `estimate`
+        // and `batch` are unknown options there, not silently ignored.
+        for own in [
+            &["--p1", "0.3"][..],
+            &["--activity", "0.1"],
+            &["--power"],
+            &["--sequential"],
+            &["--csv"],
+            &["--cache-dir", "somewhere"],
+            &["--jobs", "2"],
+            &["--jobs-force", "2"],
+            &["--sweep", "2"],
+            &["--spec", "file.spec"],
+            &["--stats"],
+        ] {
+            let mut args = vec!["plan", "c17"];
+            args.extend(own);
+            let (code, message) = outcome(&args).unwrap_err();
+            assert_eq!(code, 2);
+            assert_eq!(message, format!("unknown option `{}`", own[0]));
+        }
+    }
+
+    #[test]
+    fn out_of_range_p1_is_an_error_not_a_panic() {
+        for p1 in ["1.5", "-0.1", "NaN", "inf"] {
+            let err = run_strs(&["estimate", "c17", "--p1", p1]).unwrap_err();
+            assert_eq!(err.exit_code, 1, "--p1 {p1}");
+            assert!(err.message.contains("out of range"), "got: {}", err.message);
+        }
+
+        let dir = std::env::temp_dir().join("swact_cli_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let seq = dir.join("p1_shift.bench");
+        std::fs::write(&seq, "INPUT(a)\nOUTPUT(q)\nq = DFF(d)\nd = BUF(a)\n").unwrap();
+        let seq = seq.to_string_lossy().to_string();
+        let err = run_strs(&["estimate", &seq, "--sequential", "--p1", "1.5"]).unwrap_err();
+        assert_eq!(err.exit_code, 1);
+
+        for (name, line) in [
+            ("broadcast", "1.5"),
+            ("nan", "NaN"),
+            ("per_input", "0.1 0.2 2 0.4 0.5"),
+        ] {
+            let path = dir.join(format!("bad_p1_{name}.spec"));
+            std::fs::write(&path, format!("0.5\n{line}\n")).unwrap();
+            let path = path.to_string_lossy().to_string();
+            let err = run_strs(&["batch", "c17", "--spec", &path]).unwrap_err();
+            assert_eq!(err.exit_code, 1, "{line}");
+            assert!(
+                err.message.starts_with("spec line 2:"),
+                "got: {}",
+                err.message
+            );
+            assert!(err.message.contains("out of range"), "got: {}", err.message);
+        }
+    }
+
+    #[test]
+    fn compare_rejects_zero_pairs() {
+        let err = run_strs(&["compare", "c17", "--pairs", "0"]).unwrap_err();
+        assert_eq!(err.exit_code, 2);
+        assert!(err.message.starts_with("--pairs must be at least 1"));
     }
 
     #[test]

@@ -527,7 +527,9 @@ fn parse_inference_request(
 }
 
 /// One input spec: `{"p1": [...]}` with optional matching `"activity"`;
-/// no `p1` at all means uniform inputs.
+/// no `p1` at all means uniform inputs. Every input's model goes through
+/// the fallible [`InputModel::new`] (activity `2·p1·(1−p1)` when absent), so
+/// an out-of-range probability is a `400`, never a panic.
 fn parse_spec(v: &Value, circuit: &Circuit) -> Result<InputSpec, RequestError> {
     let Some(p1) = v.get("p1") else {
         return Ok(InputSpec::uniform(circuit.num_inputs()));
@@ -541,30 +543,28 @@ fn parse_spec(v: &Value, circuit: &Circuit) -> Result<InputSpec, RequestError> {
                 .ok_or_else(|| bad("bad_request", "`p1` entries must be numbers"))
         })
         .collect::<Result<_, _>>()?;
-    match v.get("activity") {
-        None => Ok(InputSpec::independent(p1)),
-        Some(activity) => {
-            let activity: Vec<f64> = activity
-                .as_array()
-                .ok_or_else(|| bad("bad_request", "`activity` must be an array"))?
-                .iter()
-                .map(|x| {
-                    x.as_f64()
-                        .ok_or_else(|| bad("bad_request", "`activity` entries must be numbers"))
-                })
-                .collect::<Result<_, _>>()?;
-            if activity.len() != p1.len() {
-                return Err(bad("bad_request", "`activity` must match `p1` in length"));
-            }
-            let models = p1
-                .iter()
-                .zip(&activity)
-                .map(|(&p, &a)| InputModel::new(p, a))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| bad("bad_request", e.to_string()))?;
-            Ok(InputSpec::from_models(models))
-        }
+    let activity: Vec<f64> = match v.get("activity") {
+        None => p1.iter().map(|p| 2.0 * p * (1.0 - p)).collect(),
+        Some(activity) => activity
+            .as_array()
+            .ok_or_else(|| bad("bad_request", "`activity` must be an array"))?
+            .iter()
+            .map(|x| {
+                x.as_f64()
+                    .ok_or_else(|| bad("bad_request", "`activity` entries must be numbers"))
+            })
+            .collect::<Result<_, _>>()?,
+    };
+    if activity.len() != p1.len() {
+        return Err(bad("bad_request", "`activity` must match `p1` in length"));
     }
+    let models = p1
+        .iter()
+        .zip(&activity)
+        .map(|(&p, &a)| InputModel::new(p, a))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| bad("bad_request", e.to_string()))?;
+    Ok(InputSpec::from_models(models))
 }
 
 /// Runs the engine and writes the endpoint-appropriate response.

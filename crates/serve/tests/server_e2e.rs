@@ -434,6 +434,60 @@ fn typed_errors_map_to_statuses_with_structured_bodies() {
 }
 
 #[test]
+fn out_of_range_probabilities_are_400s_and_the_server_keeps_serving() {
+    // More bad requests than the server has handler threads (3): each must
+    // be answered, so none may take its handler down.
+    let server = start_server(ClientTable::default());
+    let addr = server.local_addr();
+    let bad_bodies = [
+        (
+            "/v1/estimate",
+            r#"{"circuit":"c17","p1":[1.5,0.3,0.3,0.3,0.3]}"#,
+        ),
+        (
+            "/v1/estimate",
+            r#"{"circuit":"c17","p1":[-0.1,0.3,0.3,0.3,0.3]}"#,
+        ),
+        ("/v1/estimate", r#"{"circuit":"c17","p1":[2,2,2,2,2]}"#),
+        (
+            "/v1/estimate",
+            r#"{"circuit":"c17","p1":[0.5,0.5,0.5,0.5,0.5],"activity":[0.9,0.5,0.5,0.5,1.5]}"#,
+        ),
+        (
+            "/v1/batch",
+            r#"{"circuit":"c17","scenarios":[{},{"p1":[0.3,0.3,7,0.3,0.3]}]}"#,
+        ),
+        (
+            "/v1/sweep",
+            r#"{"circuit":"c17","scenarios":[{"p1":[1e9,0.3,0.3,0.3,0.3]}]}"#,
+        ),
+    ];
+    for (path, body) in bad_bodies {
+        let response = call(addr, &post(path, None, body));
+        assert_eq!(response.status, 400, "{path} {body}: {}", response.body);
+        assert!(
+            response.body.contains("\"code\":\"bad_request\""),
+            "{path} {body}: {}",
+            response.body
+        );
+    }
+
+    let ok = call(
+        addr,
+        &post(
+            "/v1/estimate",
+            None,
+            r#"{"circuit":"c17","p1":[0.3,0.3,0.3,0.3,0.3]}"#,
+        ),
+    );
+    assert_eq!(ok.status, 200, "body: {}", ok.body);
+    assert!(ok.body.contains("\"circuit\":\"c17\""));
+
+    server.handle().shutdown();
+    server.wait();
+}
+
+#[test]
 fn inline_bench_netlists_are_accepted() {
     let server = start_server(ClientTable::default());
     let addr = server.local_addr();
