@@ -45,6 +45,31 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// Offset basis of 128-bit FNV-1a: the hash of empty input.
+pub const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
+
+/// Folds `bytes` into the 128-bit FNV-1a state `h` (start from
+/// [`FNV128_OFFSET`]). The one hash behind artifact checksums, model keys,
+/// message-cache keys and root signatures; words are fed as their
+/// little-endian bytes. 128 bits keep accidental collisions — which would
+/// silently reuse a stale message or posterior — out of reach for any
+/// realistic sweep length.
+#[inline]
+pub fn fnv128(mut h: u128, bytes: &[u8]) -> u128 {
+    for &byte in bytes {
+        h ^= u128::from(byte);
+        h = h.wrapping_mul(FNV128_PRIME);
+    }
+    h
+}
+
+/// [`fnv128`] over one word's little-endian bytes.
+#[inline]
+pub fn fnv128_u64(h: u128, word: u64) -> u128 {
+    fnv128(h, &word.to_le_bytes())
+}
+
 fn malformed(message: impl Into<String>) -> CodecError {
     CodecError::Malformed(message.into())
 }

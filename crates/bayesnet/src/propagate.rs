@@ -1,5 +1,6 @@
 use std::sync::{Mutex, PoisonError};
 
+use crate::codec::{fnv128, fnv128_u64, FNV128_OFFSET};
 use crate::junction::JunctionTree;
 use crate::sparse::{self, PropagationKernels, SideProj};
 use crate::{BayesError, BayesNet, Factor, KernelMode, SparseMode, VarId};
@@ -912,24 +913,6 @@ fn calibrate_impl(
     finish_calibration(tree, state, max_mode);
 }
 
-/// 128-bit FNV-1a over little-endian bytes — the dependency-key hash.
-/// 128 bits keep accidental collisions (which would silently reuse a
-/// stale message) out of reach for any realistic sweep length.
-const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-
-fn fnv_u64(mut h: u128, word: u64) -> u128 {
-    for byte in word.to_le_bytes() {
-        h ^= u128::from(byte);
-        h = h.wrapping_mul(FNV128_PRIME);
-    }
-    h
-}
-
-fn fnv_u128(h: u128, word: u128) -> u128 {
-    fnv_u64(fnv_u64(h, word as u64), (word >> 64) as u64)
-}
-
 /// Per-clique hash of the evidence entered *at* each clique: hard
 /// evidence and likelihoods of the clique's home variables plus soft
 /// factors hosted there, all keyed by `f64::to_bits` so equality means
@@ -941,15 +924,15 @@ fn clique_evidence_hashes(home_vars: &[Vec<VarId>], state: &PropagationState) ->
             let mut h = FNV128_OFFSET;
             for &var in vars {
                 if let Some(value) = state.evidence[var.index()] {
-                    h = fnv_u64(h, 1);
-                    h = fnv_u64(h, var.index() as u64);
-                    h = fnv_u64(h, value as u64);
+                    h = fnv128_u64(h, 1);
+                    h = fnv128_u64(h, var.index() as u64);
+                    h = fnv128_u64(h, value as u64);
                 }
                 if let Some(weights) = &state.likelihood[var.index()] {
-                    h = fnv_u64(h, 2);
-                    h = fnv_u64(h, var.index() as u64);
+                    h = fnv128_u64(h, 2);
+                    h = fnv128_u64(h, var.index() as u64);
                     for &w in weights {
-                        h = fnv_u64(h, w.to_bits());
+                        h = fnv128_u64(h, w.to_bits());
                     }
                 }
             }
@@ -958,12 +941,12 @@ fn clique_evidence_hashes(home_vars: &[Vec<VarId>], state: &PropagationState) ->
         .collect();
     for (host, factor) in &state.soft_factors {
         let mut h = hashes[*host];
-        h = fnv_u64(h, 3);
+        h = fnv128_u64(h, 3);
         for v in factor.vars() {
-            h = fnv_u64(h, v.index() as u64);
+            h = fnv128_u64(h, v.index() as u64);
         }
         for &x in factor.values() {
-            h = fnv_u64(h, x.to_bits());
+            h = fnv128_u64(h, x.to_bits());
         }
         hashes[*host] = h;
     }
@@ -990,7 +973,7 @@ fn calibrate_cached_impl(
     let mut edge_key = vec![0u128; tree.num_edges()];
     for &(from, edge, to) in schedule {
         edge_key[edge] = acc[from];
-        acc[to] = fnv_u128(acc[to], edge_key[edge]);
+        acc[to] = fnv128(acc[to], &edge_key[edge].to_le_bytes());
     }
     // Collect, reusing cached messages where the key matches.
     let mut reused = 0u64;

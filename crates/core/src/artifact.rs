@@ -52,7 +52,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use swact_bayesnet::codec::{CodecError, Reader, Writer};
+use swact_bayesnet::codec::{fnv128, CodecError, Reader, Writer, FNV128_OFFSET};
 use swact_circuit::Circuit;
 
 use crate::estimator::Options;
@@ -177,19 +177,6 @@ pub struct ArtifactHeader {
     pub checksum: u128,
 }
 
-/// FNV-1a-128 over a byte slice — the same function the junction-tree
-/// message cache uses for evidence signatures, here over whole payloads.
-fn fnv128(bytes: &[u8]) -> u128 {
-    const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
-    const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
-    let mut h = OFFSET;
-    for &byte in bytes {
-        h ^= u128::from(byte);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
-
 /// Stable 128-bit identity of a compiled model: circuit structure, the
 /// full [`Options`], and the correlation *shape* of the spec (group
 /// membership and pairwise wiring) — exactly the inputs that determine
@@ -220,7 +207,7 @@ pub fn model_key(circuit: &Circuit, spec: Option<&InputSpec>, options: &Options)
             }
         }
     }
-    fnv128(&w.into_bytes())
+    fnv128(FNV128_OFFSET, &w.into_bytes())
 }
 
 /// Canonical file name of an artifact: the model key in hex plus
@@ -245,7 +232,7 @@ fn encode_with(key: u128, workspace_version: &str, payload: &[u8]) -> Vec<u8> {
     w.u128(key);
     w.str(workspace_version);
     w.u64(payload.len() as u64);
-    w.u128(fnv128(payload));
+    w.u128(fnv128(FNV128_OFFSET, payload));
     w.raw(payload);
     w.into_bytes()
 }
@@ -255,7 +242,7 @@ pub fn encode_artifact(key: u128, estimator: &CompiledEstimator) -> Vec<u8> {
     encode_with(
         key,
         env!("CARGO_PKG_VERSION"),
-        &persist::encode_pipeline(estimator.pipeline()),
+        &persist::encode_pipeline(estimator),
     )
 }
 
@@ -321,12 +308,11 @@ pub fn decode_artifact(
     let payload_len = usize::try_from(header.payload_len)
         .map_err(|_| ArtifactError::Corrupt(CodecError::Truncated))?;
     let payload = r.raw(payload_len)?;
-    if fnv128(payload) != header.checksum {
+    if fnv128(FNV128_OFFSET, payload) != header.checksum {
         return Err(ArtifactError::ChecksumMismatch);
     }
     r.finish()?;
-    let pipeline = persist::decode_pipeline(payload)?;
-    Ok((header, CompiledEstimator::from_pipeline(pipeline)))
+    Ok((header, persist::decode_pipeline(payload)?))
 }
 
 /// Reads and validates only the header of an artifact file.
@@ -514,7 +500,7 @@ mod tests {
             Err(ArtifactError::UnsupportedVersion { found }) if found == FORMAT_VERSION + 1
         ));
         // A different workspace version is stale.
-        let payload = persist::encode_pipeline(compiled.pipeline());
+        let payload = persist::encode_pipeline(&compiled);
         let foreign = encode_with(7, "0.0.0-elsewhere", &payload);
         assert!(matches!(
             decode_artifact(&foreign, Some(7)),

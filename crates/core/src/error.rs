@@ -55,9 +55,8 @@ pub enum EstimateError {
     /// Boundary-correlation parents widened a segment's junction tree
     /// past the tolerated blowup (4× the segment budget). This is an
     /// internal signal: the pipeline driver answers it by recompiling the
-    /// segment with plain marginal forwarding, so it only escapes through
-    /// direct [`InferenceBackend::compile`](crate::pipeline::InferenceBackend::compile)
-    /// calls.
+    /// segment with plain marginal forwarding, so no public API returns
+    /// it.
     CorrelationBlowup {
         /// Junction-tree state count with correlation parents.
         states: f64,

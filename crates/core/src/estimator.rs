@@ -1,18 +1,15 @@
-//! The estimator facade: configuration ([`Options`]) and the compiled,
-//! re-propagatable estimator ([`CompiledEstimator`]).
+//! Estimator configuration ([`Options`]) and one-shot [`estimate`].
 //!
-//! The actual staged machinery — planning, per-segment modeling, backend
+//! The compiled, re-propagatable estimator ([`CompiledEstimator`]) and
+//! its staged machinery — planning, per-segment modeling, backend
 //! compilation, wave-scheduled propagation with boundary forwarding —
-//! lives in [`crate::pipeline`]; this module only wraps it behind the
-//! original public API.
-
-use std::time::Duration;
+//! live in [`crate::pipeline`].
 
 use swact_bayesnet::{Heuristic, KernelMode, SparseMode};
-use swact_circuit::{Circuit, LineId};
+use swact_circuit::Circuit;
 
-use crate::budget::{Budget, DegradationReport};
-use crate::pipeline::{Backend, CompiledPipeline, SegmentTimings, StageTimings};
+use crate::budget::Budget;
+use crate::pipeline::{Backend, CompiledEstimator};
 use crate::report::Estimate;
 use crate::strategy::SegmentationStrategy;
 use crate::{EstimateError, InputSpec};
@@ -210,240 +207,4 @@ pub fn estimate(
 ) -> Result<Estimate, EstimateError> {
     let compiled = CompiledEstimator::compile_for(circuit, spec, options)?;
     compiled.estimate(spec)
-}
-
-/// A circuit whose segment Bayesian networks and junction trees have been
-/// compiled once and can be re-propagated cheaply for any input statistics.
-///
-/// # Example
-///
-/// ```
-/// use swact::{CompiledEstimator, InputSpec, Options};
-/// use swact_circuit::catalog;
-///
-/// # fn main() -> Result<(), swact::EstimateError> {
-/// let c17 = catalog::c17();
-/// let compiled = CompiledEstimator::compile(&c17, &Options::default())?;
-/// let uniform = compiled.estimate(&InputSpec::uniform(5))?;
-/// let biased = compiled.estimate(&InputSpec::independent(vec![0.9; 5]))?;
-/// assert_ne!(
-///     uniform.switching(c17.outputs()[0]),
-///     biased.switching(c17.outputs()[0]),
-/// );
-/// # Ok(())
-/// # }
-/// ```
-pub struct CompiledEstimator {
-    pipeline: CompiledPipeline,
-}
-
-impl std::fmt::Debug for CompiledEstimator {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompiledEstimator")
-            .field(
-                "working_lines",
-                &self.pipeline.working_circuit().num_lines(),
-            )
-            .field("segments", &self.pipeline.num_segments())
-            .field("total_states", &self.pipeline.total_states())
-            .field("compile_time", &self.pipeline.compile_time())
-            .finish()
-    }
-}
-
-impl CompiledEstimator {
-    /// Wraps a pipeline reconstructed from a persisted artifact.
-    pub(crate) fn from_pipeline(pipeline: CompiledPipeline) -> CompiledEstimator {
-        CompiledEstimator { pipeline }
-    }
-
-    /// The underlying pipeline, for the artifact encoder.
-    pub(crate) fn pipeline(&self) -> &CompiledPipeline {
-        &self.pipeline
-    }
-
-    /// Compiles the circuit: fan-in decomposition, segmentation planning,
-    /// per-segment LIDAG construction, and backend compilation (junction
-    /// trees for the default [`Backend::Jtree`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EstimateError::TooLarge`] when `options.single_bn` is set
-    /// and the whole-circuit tree exceeds the budget, or wrapped
-    /// circuit/BN errors.
-    pub fn compile(
-        circuit: &Circuit,
-        options: &Options,
-    ) -> Result<CompiledEstimator, EstimateError> {
-        Ok(CompiledEstimator {
-            pipeline: CompiledPipeline::compile(circuit, None, options)?,
-        })
-    }
-
-    /// Compiles the circuit *for a given input specification*: in addition
-    /// to everything [`compile`](CompiledEstimator::compile) does, members
-    /// of the spec's [`InputGroup`](crate::InputGroup)s are chained inside
-    /// every segment so their spatial correlation is modeled exactly
-    /// (pairwise). The group *membership* becomes part of the compiled
-    /// structure; later [`estimate`](CompiledEstimator::estimate) calls may
-    /// change all probabilities but must keep the same groups.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`compile`](CompiledEstimator::compile), plus
-    /// [`EstimateError::BackendUnsupported`] when the spec uses input
-    /// groups or pairwise joints with a non-junction-tree backend.
-    pub fn compile_for(
-        circuit: &Circuit,
-        spec: &InputSpec,
-        options: &Options,
-    ) -> Result<CompiledEstimator, EstimateError> {
-        Ok(CompiledEstimator {
-            pipeline: CompiledPipeline::compile(circuit, Some(spec), options)?,
-        })
-    }
-
-    /// Propagates `spec` through the compiled trees and collects per-line
-    /// transition distributions.
-    ///
-    /// Takes `&self`: the compiled trees are immutable and each
-    /// propagation works on its own pooled propagation state, so sessions
-    /// may run concurrently from multiple threads over one compiled
-    /// estimator (the `swact-engine` crate builds on exactly this).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EstimateError::InputCountMismatch`] for a wrong-size spec.
-    pub fn estimate(&self, spec: &InputSpec) -> Result<Estimate, EstimateError> {
-        Ok(self.estimate_with_line_joints(spec, &[])?.0)
-    }
-
-    /// Like [`estimate`](CompiledEstimator::estimate), but additionally
-    /// returns the estimated 4×4 joint transition distribution for each
-    /// requested (original-circuit) line pair — `None` when the two lines
-    /// never share a segment's Bayesian network (their joint is then
-    /// simply the product of marginals under this model) or when the
-    /// backend cannot compute pairwise joints (only [`Backend::Jtree`]
-    /// can). Joints come from exact pairwise marginalization over the
-    /// first segment containing both lines.
-    ///
-    /// The sequential estimator uses this to feed register-pair
-    /// correlation back between fixed-point iterations.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`estimate`](CompiledEstimator::estimate).
-    #[allow(clippy::type_complexity)]
-    pub fn estimate_with_line_joints(
-        &self,
-        spec: &InputSpec,
-        line_pairs: &[(LineId, LineId)],
-    ) -> Result<(Estimate, Vec<Option<[[f64; 4]; 4]>>), EstimateError> {
-        self.pipeline.estimate_with_line_joints(spec, line_pairs)
-    }
-
-    /// The working (fan-in-decomposed) circuit the estimator runs over.
-    pub fn working_circuit(&self) -> &Circuit {
-        self.pipeline.working_circuit()
-    }
-
-    /// Number of segments (Bayesian networks) the circuit was split into.
-    pub fn num_segments(&self) -> usize {
-        self.pipeline.num_segments()
-    }
-
-    /// Compilation wall-clock time.
-    pub fn compile_time(&self) -> Duration {
-        self.pipeline.compile_time()
-    }
-
-    /// Total junction-tree state count across segments.
-    pub fn total_states(&self) -> f64 {
-        self.pipeline.total_states()
-    }
-
-    /// Largest clique state count across segments.
-    pub fn max_clique_states(&self) -> f64 {
-        self.pipeline.max_clique_states()
-    }
-
-    /// Total number of nonzero initial clique-potential entries across
-    /// segments — the work the propagation hot path actually touches once
-    /// zero-compressed cliques skip their structural zeros.
-    pub fn nnz(&self) -> usize {
-        self.pipeline.nnz()
-    }
-
-    /// Fraction of compiled clique-potential entries that are structural
-    /// zeros (deterministic-CPT induced); `0.0` for an empty estimator.
-    pub fn zero_fraction(&self) -> f64 {
-        self.pipeline.zero_fraction()
-    }
-
-    /// Number of cliques stored in zero-compressed form.
-    pub fn compressed_cliques(&self) -> usize {
-        self.pipeline.compressed_cliques()
-    }
-
-    /// Cost-model estimate of one propagation sweep across all segments,
-    /// in weighted table loads: dense cliques pay one sequential load per
-    /// state, zero-compressed cliques pay `SPARSE_COST_PER_ENTRY` indexed
-    /// loads per surviving entry. [`SparseMode`](crate::SparseMode)`::Auto`
-    /// minimizes this per clique, so its total never exceeds
-    /// `SparseMode::Off`'s — the invariant the c880 regression test pins.
-    pub fn kernel_cost(&self) -> usize {
-        self.pipeline.kernel_cost()
-    }
-
-    /// The options the estimator was compiled with.
-    pub fn options(&self) -> &Options {
-        self.pipeline.options()
-    }
-
-    /// The inference backend the estimator was compiled with.
-    pub fn backend(&self) -> Backend {
-        self.pipeline.backend()
-    }
-
-    /// Compile-side stage breakdown (`plan`/`model`/`compile`; the
-    /// propagation-side stages are zero here and filled per
-    /// [`Estimate`](crate::Estimate)).
-    pub fn stage_timings(&self) -> StageTimings {
-        self.pipeline.stage_timings()
-    }
-
-    /// Per-segment model/compile times.
-    pub fn segment_timings(&self) -> &[SegmentTimings] {
-        self.pipeline.segment_timings()
-    }
-
-    /// Number of boundary roots entering later segments with a forwarded
-    /// pairwise joint (vs. an independent marginal).
-    pub fn num_correlated_boundaries(&self) -> usize {
-        self.pipeline.num_correlated_boundaries()
-    }
-
-    /// Number of dependency waves segments are scheduled into; segments
-    /// within a wave propagate on separate threads.
-    pub fn num_waves(&self) -> usize {
-        self.pipeline.num_waves()
-    }
-
-    /// Total number of boundary-root connections across segments.
-    pub fn num_boundary_roots(&self) -> usize {
-        self.pipeline.num_boundary_roots()
-    }
-
-    /// Per-segment degradation records from the compile-time budget
-    /// ladder; empty when every segment compiled within budget.
-    pub fn degradations(&self) -> &[DegradationReport] {
-        self.pipeline.degradations()
-    }
-
-    /// Number of segments evaluated by the anytime sampling backend,
-    /// whether selected as the primary backend or reached via the
-    /// degradation ladder.
-    pub fn sampled_segments(&self) -> usize {
-        self.pipeline.sampled_segments()
-    }
 }

@@ -65,10 +65,10 @@ pub mod wire;
 pub use artifact::{model_key, ArtifactError, ArtifactHeader};
 pub use budget::{Budget, DegradationCause, DegradationReport, Fallback};
 pub use error::EstimateError;
-pub use estimator::{estimate, CompiledEstimator, Options};
+pub use estimator::{estimate, Options};
 pub use input::{most_likely, InputGroup, InputModel, InputSpec, PairwiseJoint};
 pub use lidag::{gate_cpt, gate_family, Lidag};
-pub use pipeline::{Backend, SegmentTimings, StageTimings};
+pub use pipeline::{Backend, CompiledEstimator, SegmentTimings, StageTimings};
 pub use power::{PowerModel, PowerReport};
 pub use report::{AccuracyReport, ErrorStats, Estimate, ReuseStats};
 pub use segment::{RootSource, Segment, SegmentationPlan};

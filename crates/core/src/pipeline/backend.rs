@@ -1,13 +1,14 @@
-//! The pluggable inference-backend abstraction.
+//! The closed family of inference backends.
 //!
-//! A backend turns one [`SegmentModel`] into an opaque propagation artifact
-//! ([`CompiledSegment`]) and later evaluates that artifact against concrete
-//! root statistics ([`RootDists`]), producing the segment's posterior line
-//! distributions ([`SegmentPosterior`]). The pipeline driver owns
-//! everything else — planning, wave scheduling, boundary forwarding — so a
-//! backend only ever sees one segment at a time.
+//! A backend turns one [`SegmentModel`] into a propagation artifact — one
+//! [`SegmentArtifact`] variant per [`Backend`] — and later evaluates that
+//! artifact against concrete root statistics ([`RootDists`]), producing
+//! the segment's posterior line distributions ([`SegmentPosterior`]).
+//! Dispatch is one `match` per operation on [`CompiledSegment`]. The
+//! pipeline owns everything else — planning, wave scheduling,
+//! boundary forwarding — so a backend only ever sees one segment at a
+//! time.
 
-use std::any::Any;
 use std::collections::HashMap;
 use std::str::FromStr;
 
@@ -15,7 +16,11 @@ use swact_bayesnet::VarId;
 use swact_circuit::LineId;
 
 use crate::estimator::Options;
+use crate::pipeline::bddexact::{self, BddSegment};
+use crate::pipeline::jtree::{self, JtreeSegment};
 use crate::pipeline::model::{Export, SegmentModel};
+use crate::pipeline::sampling::{self, SamplingSegment};
+use crate::pipeline::twostate::{self, TwoStateSegment};
 use crate::report::AccuracyReport;
 use crate::{EstimateError, InputSpec, TransitionDist};
 
@@ -83,71 +88,129 @@ impl FromStr for Backend {
 /// (junction-tree states and nonzeros for `jtree`, BDD nodes for `bdd`,
 /// 2-state tree sizes for `twostate`).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SegmentStats {
+pub(crate) struct SegmentStats {
     /// Total state count of the propagation artifact.
-    pub total_states: f64,
+    pub(crate) total_states: f64,
     /// Largest single-clique (or equivalent) state count.
-    pub max_clique_states: f64,
+    pub(crate) max_clique_states: f64,
     /// Nonzero potential entries the hot path actually touches.
-    pub nnz: usize,
+    pub(crate) nnz: usize,
     /// Dense state-space size `nnz` is measured against.
-    pub state_space: usize,
+    pub(crate) state_space: usize,
     /// Number of cliques stored in zero-compressed form.
-    pub compressed_cliques: usize,
+    pub(crate) compressed_cliques: usize,
     /// Cost-model estimate of one propagation sweep, in weighted table
     /// loads (see `CompiledTree::kernel_cost`): the deterministic quantity
     /// `SparseMode::Auto` minimizes per clique, so auto's total never
     /// exceeds dense's.
-    pub kernel_cost: usize,
+    pub(crate) kernel_cost: usize,
 }
 
-/// One segment compiled by an [`InferenceBackend`]: the backend's opaque
-/// propagation artifact plus the driver-facing metadata every backend must
-/// provide (size stats and the line → variable map used for joint routing
-/// and boundary-correlation parent search).
-pub struct CompiledSegment {
-    artifact: Box<dyn Any + Send + Sync>,
-    stats: SegmentStats,
-    lines: HashMap<LineId, VarId>,
+/// One segment's propagation artifact, tagged by the backend that built
+/// it.
+pub(crate) enum SegmentArtifact {
+    Jtree(JtreeSegment),
+    Bdd(BddSegment),
+    Sampling(SamplingSegment),
+    TwoState(TwoStateSegment),
+}
+
+/// One compiled segment: its backend artifact plus the metadata the
+/// pipeline reads from every backend — size stats and the line → variable
+/// map (over every line with a variable here, roots and gates) used for
+/// joint routing and boundary-correlation parent search.
+pub(crate) struct CompiledSegment {
+    pub(crate) artifact: SegmentArtifact,
+    pub(crate) stats: SegmentStats,
+    pub(crate) lines: HashMap<LineId, VarId>,
 }
 
 impl CompiledSegment {
-    /// Wraps a backend artifact with its stats; `lines` maps every line
-    /// that has a variable in this segment (roots and gates).
-    pub fn new(
-        artifact: Box<dyn Any + Send + Sync>,
-        stats: SegmentStats,
-        lines: HashMap<LineId, VarId>,
-    ) -> CompiledSegment {
-        CompiledSegment {
+    /// Compiles a segment model with `backend`.
+    ///
+    /// # Errors
+    ///
+    /// [`EstimateError::BackendUnsupported`] when the model uses a feature
+    /// the backend cannot express (input groups, pairwise joints),
+    /// [`EstimateError::TooLarge`] / [`EstimateError::Backend`] when the
+    /// artifact exceeds its size budget, and
+    /// [`EstimateError::CorrelationBlowup`] — an internal signal the
+    /// pipeline answers by retrying the segment with plain marginal
+    /// forwarding.
+    pub(crate) fn compile(
+        backend: Backend,
+        model: &SegmentModel,
+        options: &Options,
+    ) -> Result<CompiledSegment, EstimateError> {
+        let (artifact, stats) = match backend {
+            Backend::Jtree => jtree::compile(model, options)?,
+            Backend::Bdd => bddexact::compile(model)?,
+            Backend::Sampling => sampling::compile(model, options)?,
+            Backend::TwoState => twostate::compile(model, options)?,
+        };
+        Ok(CompiledSegment {
             artifact,
             stats,
-            lines,
+            lines: model.line_vars.clone(),
+        })
+    }
+
+    /// The backend that compiled (and therefore propagates) this segment.
+    pub(crate) fn backend(&self) -> Backend {
+        match self.artifact {
+            SegmentArtifact::Jtree(_) => Backend::Jtree,
+            SegmentArtifact::Bdd(_) => Backend::Bdd,
+            SegmentArtifact::Sampling(_) => Backend::Sampling,
+            SegmentArtifact::TwoState(_) => Backend::TwoState,
         }
     }
 
-    /// The backend-specific artifact, for downcasting inside the backend.
-    pub fn artifact(&self) -> &(dyn Any + Send + Sync) {
-        &*self.artifact
+    /// Propagates root statistics through this segment.
+    ///
+    /// # Errors
+    ///
+    /// Backend-specific propagation failures, wrapped in
+    /// [`EstimateError`].
+    pub(crate) fn propagate(
+        &self,
+        roots: &RootDists<'_>,
+    ) -> Result<SegmentPosterior, EstimateError> {
+        match &self.artifact {
+            SegmentArtifact::Jtree(art) => jtree::propagate(art, roots),
+            SegmentArtifact::Bdd(art) => Ok(bddexact::propagate(art, roots)),
+            SegmentArtifact::Sampling(art) => Ok(sampling::propagate(art, roots)),
+            SegmentArtifact::TwoState(art) => twostate::propagate(art, roots),
+        }
     }
 
-    /// Size statistics of this segment.
-    pub fn stats(&self) -> &SegmentStats {
-        &self.stats
+    /// A bit-exact (`f64::to_bits`) fingerprint of everything `propagate`
+    /// would read from `roots` for this segment. Two calls with equal
+    /// signatures are guaranteed to produce bit-identical posteriors, so
+    /// the pipeline may serve a memoized [`SegmentPosterior`] instead of
+    /// re-propagating. `None` disables memoization (every backend but
+    /// jtree).
+    pub(crate) fn root_signature(&self, roots: &RootDists<'_>) -> Option<u128> {
+        match &self.artifact {
+            SegmentArtifact::Jtree(art) => jtree::root_signature(art, roots),
+            _ => None,
+        }
     }
 
-    /// Line → variable map over this segment's roots and gates.
-    pub fn lines(&self) -> &HashMap<LineId, VarId> {
-        &self.lines
-    }
-}
-
-impl std::fmt::Debug for CompiledSegment {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CompiledSegment")
-            .field("stats", &self.stats)
-            .field("lines", &self.lines.len())
-            .finish()
+    /// Structural (clique) distance between two lines of this segment,
+    /// used to pick boundary-correlation parents; `None` disables
+    /// correlation forwarding from this segment (every backend but jtree,
+    /// the only one that can export exact pairwise joints).
+    pub(crate) fn correlation_distance(&self, child: LineId, candidate: LineId) -> Option<usize> {
+        match &self.artifact {
+            SegmentArtifact::Jtree(art) => {
+                let tree = art.compiled.tree();
+                tree.clique_distance(
+                    tree.home_clique(*self.lines.get(&child)?),
+                    tree.home_clique(*self.lines.get(&candidate)?),
+                )
+            }
+            _ => None,
+        }
     }
 }
 
@@ -155,7 +218,7 @@ impl std::fmt::Debug for CompiledSegment {
 /// global per-line distributions produced by earlier waves, forwarded
 /// boundary conditionals, the pairwise joints this segment must export,
 /// and any requested in-segment line-pair joints.
-pub struct RootDists<'a> {
+pub(crate) struct RootDists<'a> {
     pub(crate) spec: &'a InputSpec,
     pub(crate) dists: &'a [TransitionDist],
     pub(crate) conditionals: &'a [Option<[f64; 16]>],
@@ -168,31 +231,13 @@ pub struct RootDists<'a> {
     pub(crate) deadline: Option<std::time::Instant>,
 }
 
-impl<'a> RootDists<'a> {
-    /// The input specification being propagated.
-    pub fn spec(&self) -> &'a InputSpec {
-        self.spec
-    }
-
-    /// The transition distribution of a boundary line produced by an
-    /// earlier wave (placeholder for lines not yet computed).
-    pub fn boundary(&self, line: LineId) -> &TransitionDist {
-        &self.dists[line.index()]
-    }
-
-    /// Absolute instant the propagate stage's deadline elapses, if any.
-    pub fn deadline(&self) -> Option<std::time::Instant> {
-        self.deadline
-    }
-}
-
 /// Everything one segment's propagation produces, merged into the global
 /// state after the segment (or its whole wave) finishes.
 ///
 /// `Clone` so the pipeline's boundary-marginal memoization can serve a
 /// stored posterior verbatim when a segment's inputs are unchanged.
 #[derive(Debug, Default, Clone)]
-pub struct SegmentPosterior {
+pub(crate) struct SegmentPosterior {
     /// Posterior transition distribution per gate line of the segment.
     pub(crate) gate_dists: Vec<(LineId, TransitionDist)>,
     /// `(slot, P(child|parent))` conditionals exported for later segments.
@@ -212,90 +257,11 @@ pub struct SegmentPosterior {
 impl SegmentPosterior {
     /// A posterior carrying only per-line distributions (no exports or
     /// joints) — what backends without pairwise-joint support return.
-    pub fn from_gate_dists(gate_dists: Vec<(LineId, TransitionDist)>) -> SegmentPosterior {
+    pub(crate) fn from_gate_dists(gate_dists: Vec<(LineId, TransitionDist)>) -> SegmentPosterior {
         SegmentPosterior {
             gate_dists,
             ..SegmentPosterior::default()
         }
-    }
-
-    /// The per-gate-line posterior distributions.
-    pub fn gate_dists(&self) -> &[(LineId, TransitionDist)] {
-        &self.gate_dists
-    }
-}
-
-/// A pluggable inference engine: compiles one [`SegmentModel`] into a
-/// [`CompiledSegment`] and later propagates concrete root statistics
-/// through it. Implementations must be thread-safe — segments of one wave
-/// propagate concurrently, each against `&self`.
-pub trait InferenceBackend: Send + Sync {
-    /// Stable backend name (matches [`Backend::name`] for built-ins).
-    fn name(&self) -> &'static str;
-
-    /// Compiles a segment model into this backend's propagation artifact.
-    ///
-    /// # Errors
-    ///
-    /// [`EstimateError::BackendUnsupported`] when the model uses a feature
-    /// the backend cannot express (input groups, pairwise joints),
-    /// [`EstimateError::TooLarge`] / [`EstimateError::Backend`] when the
-    /// artifact exceeds its size budget, and
-    /// [`EstimateError::CorrelationBlowup`] — an internal signal the
-    /// pipeline driver answers by retrying the segment with plain marginal
-    /// forwarding.
-    fn compile(
-        &self,
-        model: &SegmentModel,
-        options: &Options,
-    ) -> Result<CompiledSegment, EstimateError>;
-
-    /// Propagates root statistics through a compiled segment.
-    ///
-    /// # Errors
-    ///
-    /// Backend-specific propagation failures, wrapped in
-    /// [`EstimateError`].
-    fn propagate(
-        &self,
-        segment: &CompiledSegment,
-        roots: &RootDists<'_>,
-    ) -> Result<SegmentPosterior, EstimateError>;
-
-    /// A bit-exact (`f64::to_bits`) fingerprint of everything `propagate`
-    /// would read from `roots` for this segment: solo-root priors,
-    /// input-pair conditionals, forwarded boundary conditionals, and the
-    /// joint requests routed here. Two calls with equal signatures are
-    /// guaranteed to produce bit-identical posteriors, so the pipeline may
-    /// serve a memoized [`SegmentPosterior`] instead of re-propagating.
-    /// `None` (the default) disables memoization for this backend.
-    fn root_signature(&self, segment: &CompiledSegment, roots: &RootDists<'_>) -> Option<u128> {
-        let _ = (segment, roots);
-        None
-    }
-
-    /// Structural distance between two lines inside a compiled segment,
-    /// used to pick boundary-correlation parents; `None` disables
-    /// correlation forwarding from this segment (the default — only
-    /// backends that can export exact pairwise joints override it).
-    fn correlation_distance(
-        &self,
-        segment: &CompiledSegment,
-        child: LineId,
-        candidate: LineId,
-    ) -> Option<usize> {
-        let _ = (segment, child, candidate);
-        None
-    }
-}
-
-/// The built-in backend implementation for a [`Backend`] selector.
-pub(crate) fn backend_impl(backend: Backend) -> Box<dyn InferenceBackend> {
-    match backend {
-        Backend::Jtree => Box::new(crate::pipeline::jtree::JtreeBackend),
-        Backend::Bdd => Box::new(crate::pipeline::bddexact::BddBackend),
-        Backend::Sampling => Box::new(crate::pipeline::sampling::SamplingBackend),
-        Backend::TwoState => Box::new(crate::pipeline::twostate::TwoStateBackend),
     }
 }
 

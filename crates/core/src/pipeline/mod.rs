@@ -1,45 +1,41 @@
 //! The staged estimation pipeline.
 //!
 //! The paper's workflow is an explicit pipeline; this module makes each
-//! stage a typed artifact with a pluggable inference engine between the
+//! stage a typed artifact, with one of four inference backends between the
 //! last two:
 //!
 //! 1. **Plan** ([`PlannedCircuit`]) — fan-in decomposition and
 //!    segmentation planning over the working circuit.
 //! 2. **Model** ([`SegmentModel`]) — per-segment LIDAG/CPT construction,
 //!    including boundary-correlation parent selection.
-//! 3. **Compile** ([`CompiledSegment`]) — an [`InferenceBackend`] turns
-//!    each model into its propagation artifact (junction tree, OBDDs, or
-//!    a two-state network).
+//! 3. **Compile** — the selected [`Backend`] turns each model into its
+//!    propagation artifact (junction tree, OBDDs, sampling plan, or a
+//!    two-state network).
 //! 4. **Schedule** ([`WaveSchedule`]) — segments are grouped into
 //!    dependency waves for topologically ordered propagation.
 //! 5. **Propagate + forward** — per estimate, the backend propagates each
 //!    wave and the driver forwards boundary marginals (and, for the
 //!    junction-tree backend, pairwise joints) to later segments.
 //!
-//! [`StageTimings`] instruments every stage; the facade in
-//! [`crate::CompiledEstimator`] wraps the whole pipeline behind the
-//! original API.
+//! [`StageTimings`] instruments every stage; [`CompiledEstimator`] holds
+//! the compiled result and runs the last stage per estimate.
 
-pub mod backend;
+mod backend;
 mod bddexact;
 mod jtree;
 mod model;
 pub(crate) mod persist;
 mod plan;
+mod sampling;
 mod schedule;
 mod timing;
+mod twostate;
 
-pub use backend::{
-    Backend, CompiledSegment, InferenceBackend, RootDists, SegmentPosterior, SegmentStats,
-};
+pub use backend::Backend;
 pub use model::SegmentModel;
 pub use plan::PlannedCircuit;
 pub use schedule::WaveSchedule;
 pub use timing::{SegmentTimings, StageTimings};
-
-mod sampling;
-mod twostate;
 
 use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
@@ -51,30 +47,37 @@ use swact_circuit::{Circuit, LineId};
 use crate::budget::{DegradationCause, DegradationReport, Fallback};
 use crate::estimator::Options;
 use crate::faults;
-use crate::pipeline::backend::backend_impl;
+use crate::pipeline::backend::{CompiledSegment, RootDists, SegmentPosterior};
 use crate::pipeline::model::Export;
 use crate::report::{AccuracyReport, Estimate};
 use crate::segment::{estimate_segment_cost, replan_segment, RootSource, Segment};
 use crate::{EstimateError, InputSpec, TransitionDist};
 
-/// The compiled pipeline: planned circuit, per-segment backend artifacts,
-/// export routing, and the wave schedule. The public face of this type is
-/// [`crate::CompiledEstimator`].
-pub(crate) struct CompiledPipeline {
+/// A circuit whose segment Bayesian networks and junction trees have been
+/// compiled once and can be re-propagated cheaply for any input statistics:
+/// the planned circuit, per-segment backend artifacts, export routing, and
+/// the wave schedule.
+///
+/// # Example
+///
+/// ```
+/// use swact::{CompiledEstimator, InputSpec, Options};
+/// use swact_circuit::catalog;
+///
+/// # fn main() -> Result<(), swact::EstimateError> {
+/// let c17 = catalog::c17();
+/// let compiled = CompiledEstimator::compile(&c17, &Options::default())?;
+/// let uniform = compiled.estimate(&InputSpec::uniform(5))?;
+/// let biased = compiled.estimate(&InputSpec::independent(vec![0.9; 5]))?;
+/// assert_ne!(
+///     uniform.switching(c17.outputs()[0]),
+///     biased.switching(c17.outputs()[0]),
+/// );
+/// # Ok(())
+/// # }
+/// ```
+pub struct CompiledEstimator {
     planned: PlannedCircuit,
-    backend_kind: Backend,
-    backend: Box<dyn InferenceBackend>,
-    /// Rung-2 fallback engine for segments degraded to
-    /// [`Backend::Sampling`] — anytime forward sampling with reported
-    /// confidence intervals.
-    sampling_fallback: Box<dyn InferenceBackend>,
-    /// Last-rung fallback engine for segments degraded to
-    /// [`Backend::TwoState`] (reached only when the sampler cannot model
-    /// the segment).
-    fallback: Box<dyn InferenceBackend>,
-    /// Which engine compiled each segment (the primary `backend_kind`, or
-    /// [`Backend::Sampling`] / [`Backend::TwoState`] after degradation).
-    seg_kinds: Vec<Backend>,
     /// Compile-time budget-ladder provenance, per degraded segment.
     degradations: Vec<DegradationReport>,
     segments: Vec<CompiledSegment>,
@@ -102,15 +105,62 @@ pub(crate) struct CompiledPipeline {
     memo: Vec<Mutex<Option<(u128, SegmentPosterior)>>>,
 }
 
-impl CompiledPipeline {
-    pub(crate) fn compile(
+impl std::fmt::Debug for CompiledEstimator {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CompiledEstimator")
+            .field("working_lines", &self.planned.working.num_lines())
+            .field("segments", &self.segments.len())
+            .field("total_states", &self.total_states)
+            .field("compile_time", &self.compile_time)
+            .finish()
+    }
+}
+
+impl CompiledEstimator {
+    /// Compiles the circuit: fan-in decomposition, segmentation planning,
+    /// per-segment LIDAG construction, and backend compilation (junction
+    /// trees for the default [`Backend::Jtree`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EstimateError::TooLarge`] when `options.single_bn` is set
+    /// and the whole-circuit tree exceeds the budget, or wrapped
+    /// circuit/BN errors.
+    pub fn compile(
+        circuit: &Circuit,
+        options: &Options,
+    ) -> Result<CompiledEstimator, EstimateError> {
+        CompiledEstimator::build(circuit, None, options)
+    }
+
+    /// Compiles the circuit *for a given input specification*: in addition
+    /// to everything [`compile`](CompiledEstimator::compile) does, members
+    /// of the spec's [`InputGroup`](crate::InputGroup)s are chained inside
+    /// every segment so their spatial correlation is modeled exactly
+    /// (pairwise). The group *membership* becomes part of the compiled
+    /// structure; later [`estimate`](CompiledEstimator::estimate) calls may
+    /// change all probabilities but must keep the same groups.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`compile`](CompiledEstimator::compile), plus
+    /// [`EstimateError::BackendUnsupported`] when the spec uses input
+    /// groups or pairwise joints with a non-junction-tree backend.
+    pub fn compile_for(
+        circuit: &Circuit,
+        spec: &InputSpec,
+        options: &Options,
+    ) -> Result<CompiledEstimator, EstimateError> {
+        CompiledEstimator::build(circuit, Some(spec), options)
+    }
+
+    fn build(
         circuit: &Circuit,
         spec: Option<&InputSpec>,
         options: &Options,
-    ) -> Result<CompiledPipeline, EstimateError> {
+    ) -> Result<CompiledEstimator, EstimateError> {
         let start = Instant::now();
         let backend_kind = options.backend;
-        let backend = backend_impl(backend_kind);
         let planned = match spec {
             Some(spec) => PlannedCircuit::for_spec(circuit, spec, options)?,
             None => PlannedCircuit::new(circuit, options)?,
@@ -127,8 +177,6 @@ impl CompiledPipeline {
         faults::hit("pipeline:plan", None);
 
         let budget = options.budget;
-        let sampling_fallback = backend_impl(Backend::Sampling);
-        let fallback = backend_impl(Backend::TwoState);
         // Space budgets are hard admission checks on the planner's *soft*
         // target: the estimate is re-derived per segment and violations
         // walk the degradation ladder below instead of allocating an
@@ -156,7 +204,6 @@ impl CompiledPipeline {
         };
 
         let mut final_segments: Vec<Segment> = Vec::with_capacity(planned.num_segments());
-        let mut seg_kinds: Vec<Backend> = Vec::with_capacity(planned.num_segments());
         let mut degradations: Vec<DegradationReport> = Vec::new();
         let mut segments: Vec<CompiledSegment> = Vec::with_capacity(planned.num_segments());
         let mut exports: Vec<Vec<Export>> = Vec::with_capacity(planned.num_segments());
@@ -303,7 +350,7 @@ impl CompiledPipeline {
                 admitted.push((planned_seg.clone(), backend_kind));
             }
 
-            for (seg, mut kind) in admitted {
+            for (seg, kind) in admitted {
                 let seg_idx = final_segments.len();
                 exports.push(Vec::new());
                 let model_start = Instant::now();
@@ -340,8 +387,7 @@ impl CompiledPipeline {
                                 {
                                     continue;
                                 }
-                                if let Some(d) =
-                                    backend.correlation_distance(producer_seg, line, candidate)
+                                if let Some(d) = producer_seg.correlation_distance(line, candidate)
                                 {
                                     if best.is_none_or(|(bd, _)| d < bd) {
                                         best = Some((d, candidate));
@@ -353,7 +399,7 @@ impl CompiledPipeline {
                                 *children_of.entry(parent).or_default() += 1;
                                 pair_info.insert(
                                     line,
-                                    (producer, producer_seg.lines()[&parent], child_var),
+                                    (producer, producer_seg.lines[&parent], child_var),
                                 );
                             }
                         }
@@ -367,14 +413,7 @@ impl CompiledPipeline {
                 let seg_model_time = model_start.elapsed();
                 faults::hit("pipeline:compile", Some(seg_idx));
                 let compile_start = Instant::now();
-                let engine: &dyn InferenceBackend = if kind == backend_kind {
-                    &*backend
-                } else if kind == Backend::Sampling {
-                    &*sampling_fallback
-                } else {
-                    &*fallback
-                };
-                let compiled = match engine.compile(&model, options) {
+                let compiled = match CompiledSegment::compile(kind, &model, options) {
                     // Boundary-correlation edges widened this segment's tree
                     // past the tolerated blowup: retry with plain marginal
                     // forwarding for this segment.
@@ -387,7 +426,7 @@ impl CompiledPipeline {
                             &HashMap::new(),
                             num_slots,
                         )?;
-                        engine.compile(&model, options)?
+                        CompiledSegment::compile(kind, &model, options)?
                     }
                     // Rung 3: the sampler cannot model this degraded piece
                     // (in-segment pairwise conditioning) — drop to the
@@ -411,13 +450,12 @@ impl CompiledPipeline {
                                 rung: "twostate",
                             });
                         }
-                        kind = Backend::TwoState;
                         for report in degradations.iter_mut() {
                             if report.segment == seg_idx && report.fallback == Fallback::Sampling {
                                 report.fallback = Fallback::TwoState;
                             }
                         }
-                        fallback.compile(&model, options)?
+                        CompiledSegment::compile(Backend::TwoState, &model, options)?
                     }
                     other => other?,
                 };
@@ -439,26 +477,20 @@ impl CompiledPipeline {
                 for &(line, var) in &model.gates {
                     produced_in.insert(line, (seg_idx, var));
                 }
-                total_states += compiled.stats().total_states;
-                max_clique_states = max_clique_states.max(compiled.stats().max_clique_states);
-                resident_bytes = resident_bytes.saturating_add(compiled.stats().nnz * 8);
+                total_states += compiled.stats.total_states;
+                max_clique_states = max_clique_states.max(compiled.stats.max_clique_states);
+                resident_bytes = resident_bytes.saturating_add(compiled.stats.nnz * 8);
                 for (producer, export) in model.exports_by_producer {
                     exports[producer].push(export);
                 }
                 segments.push(compiled);
                 final_segments.push(seg);
-                seg_kinds.push(kind);
             }
         }
         let schedule = WaveSchedule::from_segments(&final_segments);
         let memo = (0..segments.len()).map(|_| Mutex::new(None)).collect();
-        Ok(CompiledPipeline {
+        Ok(CompiledEstimator {
             planned,
-            backend_kind,
-            backend,
-            sampling_fallback,
-            fallback,
-            seg_kinds,
             degradations,
             segments,
             exports,
@@ -484,9 +516,9 @@ impl CompiledPipeline {
     /// incremental mode is on and the backend reports a root signature
     /// equal to the stored one, the memoized posterior is cloned instead
     /// of re-propagated (bit-identical by the
-    /// [`InferenceBackend::root_signature`] contract). Returns the
+    /// [`CompiledSegment::root_signature`] contract). Returns the
     /// posterior and whether it was served from the memo. Degraded
-    /// segments run on the fallback engine and never participate, so a
+    /// segments run on a fallback backend and never participate, so a
     /// budget-governed run can never serve a posterior cached under
     /// different governance.
     fn propagate_segment(
@@ -494,10 +526,9 @@ impl CompiledPipeline {
         seg_idx: usize,
         roots: &RootDists<'_>,
     ) -> Result<(SegmentPosterior, bool), EstimateError> {
-        let engine = self.backend_for(seg_idx);
-        let signature = if self.options.incremental && self.seg_kinds[seg_idx] == self.backend_kind
-        {
-            engine.root_signature(&self.segments[seg_idx], roots)
+        let segment = &self.segments[seg_idx];
+        let signature = if self.options.incremental && segment.backend() == self.options.backend {
+            segment.root_signature(roots)
         } else {
             None
         };
@@ -511,7 +542,7 @@ impl CompiledPipeline {
                 }
             }
         }
-        let output = engine.propagate(&self.segments[seg_idx], roots)?;
+        let output = segment.propagate(roots)?;
         if let Some(sig) = signature {
             // The stored copy zeroes the message counters: a memo hit did
             // no message work, so a served posterior must not re-report
@@ -526,8 +557,38 @@ impl CompiledPipeline {
         Ok((output, false))
     }
 
+    /// Propagates `spec` through the compiled trees and collects per-line
+    /// transition distributions.
+    ///
+    /// Takes `&self`: the compiled trees are immutable and each
+    /// propagation works on its own pooled propagation state, so estimates
+    /// may run concurrently from multiple threads over one compiled
+    /// estimator (the `swact-engine` crate builds on exactly this).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EstimateError::InputCountMismatch`] for a wrong-size spec.
+    pub fn estimate(&self, spec: &InputSpec) -> Result<Estimate, EstimateError> {
+        Ok(self.estimate_with_line_joints(spec, &[])?.0)
+    }
+
+    /// Like [`estimate`](CompiledEstimator::estimate), but additionally
+    /// returns the estimated 4×4 joint transition distribution for each
+    /// requested (original-circuit) line pair — `None` when the two lines
+    /// never share a segment's Bayesian network (their joint is then
+    /// simply the product of marginals under this model) or when the
+    /// backend cannot compute pairwise joints (only [`Backend::Jtree`]
+    /// can). Joints come from exact pairwise marginalization over the
+    /// first segment containing both lines.
+    ///
+    /// The sequential estimator uses this to feed register-pair
+    /// correlation back between fixed-point iterations.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`estimate`](CompiledEstimator::estimate).
     #[allow(clippy::type_complexity)]
-    pub(crate) fn estimate_with_line_joints(
+    pub fn estimate_with_line_joints(
         &self,
         spec: &InputSpec,
         line_pairs: &[(LineId, LineId)],
@@ -572,10 +633,10 @@ impl CompiledPipeline {
             if let Some(seg_idx) = self
                 .segments
                 .iter()
-                .position(|seg| seg.lines().contains_key(&wa) && seg.lines().contains_key(&wb))
+                .position(|seg| seg.lines.contains_key(&wa) && seg.lines.contains_key(&wb))
             {
                 let seg = &self.segments[seg_idx];
-                joint_requests[seg_idx].push((seg.lines()[&wa], seg.lines()[&wb], idx));
+                joint_requests[seg_idx].push((seg.lines[&wa], seg.lines[&wb], idx));
             }
         }
         let mut propagate_wall = Duration::ZERO;
@@ -610,9 +671,9 @@ impl CompiledPipeline {
                 }
             }
             let wave_start = Instant::now();
-            if wave.len() == 1 {
-                let seg_idx = wave[0];
-                let (output, skipped) = self.propagate_segment(
+            let run = |seg_idx: usize| {
+                let seg_start = Instant::now();
+                let result = self.propagate_segment(
                     seg_idx,
                     &RootDists {
                         spec,
@@ -622,72 +683,38 @@ impl CompiledPipeline {
                         joint_requests: &joint_requests[seg_idx],
                         deadline: sample_deadline,
                     },
-                )?;
-                let elapsed = wave_start.elapsed();
-                seg_propagate[seg_idx] = elapsed;
-                propagate_wall += elapsed;
-                messages_reused += output.messages_reused;
-                messages_recomputed += output.messages_recomputed;
-                segments_skipped += u64::from(skipped);
-                merge_accuracy(&mut accuracy, output.accuracy.as_ref());
-                apply_segment_output(
-                    output,
-                    &mut dists,
-                    &mut known,
-                    &mut conditionals,
-                    &mut joints,
                 );
-                continue;
-            }
-            // Independent segments (no boundary lines between them)
-            // propagate concurrently — the paper's §5 observation that
-            // junction-tree messages on disjoint branches are independent,
-            // lifted to segment granularity.
-            let exports = &self.exports;
-            let dists_ref = &dists;
-            let conditionals_ref = &conditionals;
-            let joint_requests_ref = &joint_requests;
-            #[allow(clippy::type_complexity)]
-            let outputs: Vec<(
-                usize,
-                Duration,
-                Result<(SegmentPosterior, bool), EstimateError>,
-            )> = std::thread::scope(|scope| {
-                let handles: Vec<_> = wave
-                    .iter()
-                    .map(|&seg_idx| {
-                        scope.spawn(move || {
-                            let seg_start = Instant::now();
-                            let result = self.propagate_segment(
-                                seg_idx,
-                                &RootDists {
-                                    spec,
-                                    dists: dists_ref,
-                                    conditionals: conditionals_ref,
-                                    exports: &exports[seg_idx],
-                                    joint_requests: &joint_requests_ref[seg_idx],
-                                    deadline: sample_deadline,
-                                },
-                            );
-                            (seg_idx, seg_start.elapsed(), result)
+                (seg_idx, seg_start.elapsed(), result)
+            };
+            // A single-segment wave runs inline. Independent segments (no
+            // boundary lines between them) propagate concurrently — the
+            // paper's §5 observation that junction-tree messages on
+            // disjoint branches are independent, lifted to segment
+            // granularity.
+            let outputs = match wave.as_slice() {
+                &[seg_idx] => vec![run(seg_idx)],
+                _ => std::thread::scope(|scope| {
+                    let handles: Vec<_> = wave
+                        .iter()
+                        .map(|&seg_idx| scope.spawn(move || run(seg_idx)))
+                        .collect();
+                    // A panicked segment worker becomes this segment's
+                    // error instead of poisoning the whole estimate.
+                    handles
+                        .into_iter()
+                        .zip(wave)
+                        .map(|(h, &seg_idx)| {
+                            h.join().unwrap_or_else(|payload| {
+                                (
+                                    seg_idx,
+                                    Duration::ZERO,
+                                    Err(EstimateError::from_panic(payload.as_ref())),
+                                )
+                            })
                         })
-                    })
-                    .collect();
-                // A panicked segment worker becomes this segment's
-                // error instead of poisoning the whole estimate.
-                handles
-                    .into_iter()
-                    .zip(wave.iter())
-                    .map(|(h, &seg_idx)| match h.join() {
-                        Ok(out) => out,
-                        Err(payload) => (
-                            seg_idx,
-                            Duration::ZERO,
-                            Err(EstimateError::from_panic(payload.as_ref())),
-                        ),
-                    })
-                    .collect()
-            });
+                        .collect()
+                }),
+            };
             propagate_wall += wave_start.elapsed();
             for (seg_idx, elapsed, output) in outputs {
                 seg_propagate[seg_idx] = elapsed;
@@ -735,102 +762,119 @@ impl CompiledPipeline {
         Ok((estimate, joints))
     }
 
-    /// The engine that compiled (and therefore propagates) segment
-    /// `seg_idx` — the primary backend, or the sampling/twostate fallback
-    /// after degradation.
-    fn backend_for(&self, seg_idx: usize) -> &dyn InferenceBackend {
-        let kind = self.seg_kinds[seg_idx];
-        if kind == self.backend_kind {
-            &*self.backend
-        } else if kind == Backend::Sampling {
-            &*self.sampling_fallback
-        } else {
-            &*self.fallback
-        }
-    }
-
-    /// Number of segments evaluated by the sampling engine (primary or
-    /// via the degradation ladder).
-    pub(crate) fn sampled_segments(&self) -> usize {
-        self.seg_kinds
-            .iter()
-            .filter(|&&k| k == Backend::Sampling)
-            .count()
-    }
-
-    pub(crate) fn degradations(&self) -> &[DegradationReport] {
-        &self.degradations
-    }
-
-    pub(crate) fn working_circuit(&self) -> &Circuit {
+    /// The working (fan-in-decomposed) circuit the estimator runs over.
+    pub fn working_circuit(&self) -> &Circuit {
         &self.planned.working
     }
 
-    pub(crate) fn num_segments(&self) -> usize {
+    /// Number of segments (Bayesian networks) the circuit was split into.
+    pub fn num_segments(&self) -> usize {
         self.segments.len()
     }
 
-    pub(crate) fn compile_time(&self) -> Duration {
+    /// Compilation wall-clock time.
+    pub fn compile_time(&self) -> Duration {
         self.compile_time
     }
 
-    pub(crate) fn total_states(&self) -> f64 {
+    /// Total junction-tree state count across segments.
+    pub fn total_states(&self) -> f64 {
         self.total_states
     }
 
-    pub(crate) fn max_clique_states(&self) -> f64 {
+    /// Largest clique state count across segments.
+    pub fn max_clique_states(&self) -> f64 {
         self.max_clique_states
     }
 
-    pub(crate) fn nnz(&self) -> usize {
-        self.segments.iter().map(|s| s.stats().nnz).sum()
+    /// Total number of nonzero initial clique-potential entries across
+    /// segments — the work the propagation hot path actually touches once
+    /// zero-compressed cliques skip their structural zeros.
+    pub fn nnz(&self) -> usize {
+        self.segments.iter().map(|s| s.stats.nnz).sum()
     }
 
-    pub(crate) fn zero_fraction(&self) -> f64 {
-        let states: usize = self.segments.iter().map(|s| s.stats().state_space).sum();
+    /// Fraction of compiled clique-potential entries that are structural
+    /// zeros (deterministic-CPT induced); `0.0` for an empty estimator.
+    pub fn zero_fraction(&self) -> f64 {
+        let states: usize = self.segments.iter().map(|s| s.stats.state_space).sum();
         if states == 0 {
             return 0.0;
         }
         1.0 - self.nnz() as f64 / states as f64
     }
 
-    pub(crate) fn compressed_cliques(&self) -> usize {
+    /// Number of cliques stored in zero-compressed form.
+    pub fn compressed_cliques(&self) -> usize {
         self.segments
             .iter()
-            .map(|s| s.stats().compressed_cliques)
+            .map(|s| s.stats.compressed_cliques)
             .sum()
     }
 
-    pub(crate) fn kernel_cost(&self) -> usize {
-        self.segments.iter().map(|s| s.stats().kernel_cost).sum()
+    /// Cost-model estimate of one propagation sweep across all segments,
+    /// in weighted table loads: dense cliques pay one sequential load per
+    /// state, zero-compressed cliques pay `SPARSE_COST_PER_ENTRY` indexed
+    /// loads per surviving entry. [`SparseMode`](crate::SparseMode)`::Auto`
+    /// minimizes this per clique, so its total never exceeds
+    /// `SparseMode::Off`'s — the invariant the c880 regression test pins.
+    pub fn kernel_cost(&self) -> usize {
+        self.segments.iter().map(|s| s.stats.kernel_cost).sum()
     }
 
-    pub(crate) fn options(&self) -> &Options {
+    /// The options the estimator was compiled with.
+    pub fn options(&self) -> &Options {
         &self.options
     }
 
-    pub(crate) fn backend(&self) -> Backend {
-        self.backend_kind
+    /// The inference backend the estimator was compiled with.
+    pub fn backend(&self) -> Backend {
+        self.options.backend
     }
 
-    pub(crate) fn stage_timings(&self) -> StageTimings {
+    /// Compile-side stage breakdown (`plan`/`model`/`compile`; the
+    /// propagation-side stages are zero here and filled per
+    /// [`Estimate`]).
+    pub fn stage_timings(&self) -> StageTimings {
         self.stages
     }
 
-    pub(crate) fn segment_timings(&self) -> &[SegmentTimings] {
+    /// Per-segment model/compile times.
+    pub fn segment_timings(&self) -> &[SegmentTimings] {
         &self.seg_timings
     }
 
-    pub(crate) fn num_correlated_boundaries(&self) -> usize {
+    /// Number of boundary roots entering later segments with a forwarded
+    /// pairwise joint (vs. an independent marginal).
+    pub fn num_correlated_boundaries(&self) -> usize {
         self.num_slots
     }
 
-    pub(crate) fn num_waves(&self) -> usize {
+    /// Number of dependency waves segments are scheduled into; segments
+    /// within a wave propagate on separate threads.
+    pub fn num_waves(&self) -> usize {
         self.schedule.num_waves()
     }
 
-    pub(crate) fn num_boundary_roots(&self) -> usize {
+    /// Total number of boundary-root connections across segments.
+    pub fn num_boundary_roots(&self) -> usize {
         self.num_boundary_roots
+    }
+
+    /// Per-segment degradation records from the compile-time budget
+    /// ladder; empty when every segment compiled within budget.
+    pub fn degradations(&self) -> &[DegradationReport] {
+        &self.degradations
+    }
+
+    /// Number of segments evaluated by the anytime sampling backend,
+    /// whether selected as the primary backend or reached via the
+    /// degradation ladder.
+    pub fn sampled_segments(&self) -> usize {
+        self.segments
+            .iter()
+            .filter(|s| s.backend() == Backend::Sampling)
+            .count()
     }
 }
 

@@ -1,4 +1,4 @@
-//! Serialization of a whole [`CompiledPipeline`] — the payload of the
+//! Serialization of a whole [`CompiledEstimator`] — the payload of the
 //! on-disk artifact format in [`crate::artifact`].
 //!
 //! The encoding is *self-contained*: it carries the working circuit
@@ -6,10 +6,10 @@
 //! ids in declaration order so indices round-trip exactly), the full
 //! [`Options`], the final post-degradation segment artifacts, export
 //! routing, and the wave schedule. Loading therefore needs nothing but the
-//! bytes — no original netlist, no recompilation — and produces a pipeline
-//! whose estimates are bit-identical (`f64::to_bits`) to the one that was
-//! persisted, because every potential, projection table, and BDD node
-//! travels as its exact bit pattern via the [`swact_bayesnet::codec`]
+//! bytes — no original netlist, no recompilation — and produces an
+//! estimator whose estimates are bit-identical (`f64::to_bits`) to the one
+//! that was persisted, because every potential, projection table, and BDD
+//! node travels as its exact bit pattern via the [`swact_bayesnet::codec`]
 //! primitives.
 //!
 //! Per-process mutable state (propagation-state pools, message caches, the
@@ -32,14 +32,14 @@ use swact_circuit::{Circuit, CircuitBuilder, Driver, GateKind, LineId};
 
 use crate::budget::{Budget, DegradationCause, DegradationReport, Fallback};
 use crate::estimator::Options;
-use crate::pipeline::backend::{backend_impl, Backend, CompiledSegment, SegmentStats};
+use crate::pipeline::backend::{Backend, CompiledSegment, SegmentArtifact, SegmentStats};
 use crate::pipeline::bddexact::{BddSegment, GateNodes};
 use crate::pipeline::jtree::JtreeSegment;
 use crate::pipeline::model::{Export, InputPair, PairRoot};
 use crate::pipeline::plan::PlannedCircuit;
 use crate::pipeline::sampling::SamplingSegment;
 use crate::pipeline::twostate::TwoStateSegment;
-use crate::pipeline::{CompiledPipeline, StageTimings, WaveSchedule};
+use crate::pipeline::{CompiledEstimator, StageTimings, WaveSchedule};
 use crate::segment::{RootSource, SegmentationPlan};
 use crate::strategy::SegmentationStrategy;
 use crate::SegmentTimings;
@@ -676,7 +676,7 @@ fn read_sampling_segment(
 }
 
 fn write_segment(w: &mut Writer, segment: &CompiledSegment) {
-    let stats = segment.stats();
+    let stats = &segment.stats;
     w.f64_bits(stats.total_states);
     w.f64_bits(stats.max_clique_states);
     w.usize(stats.nnz);
@@ -685,28 +685,19 @@ fn write_segment(w: &mut Writer, segment: &CompiledSegment) {
     w.usize(stats.kernel_cost);
     // Stable order: HashMap iteration would make the bytes (and thus the
     // artifact checksum) nondeterministic across processes.
-    let mut lines: Vec<(LineId, VarId)> = segment.lines().iter().map(|(&l, &v)| (l, v)).collect();
+    let mut lines: Vec<(LineId, VarId)> = segment.lines.iter().map(|(&l, &v)| (l, v)).collect();
     lines.sort_by_key(|&(l, _)| l);
     w.usize(lines.len());
     for (line, var) in lines {
         write_line(w, line);
         write_var(w, var);
     }
-    let artifact = segment.artifact();
-    if let Some(seg) = artifact.downcast_ref::<JtreeSegment>() {
-        w.u8(0);
-        write_jtree_segment(w, seg);
-    } else if let Some(seg) = artifact.downcast_ref::<TwoStateSegment>() {
-        w.u8(2);
-        write_twostate_segment(w, seg);
-    } else if let Some(seg) = artifact.downcast_ref::<BddSegment>() {
-        w.u8(1);
-        write_bdd_segment(w, seg);
-    } else if let Some(seg) = artifact.downcast_ref::<SamplingSegment>() {
-        w.u8(3);
-        write_sampling_segment(w, seg);
-    } else {
-        unreachable!("every built-in backend artifact is serializable");
+    w.u8(backend_tag(segment.backend()));
+    match &segment.artifact {
+        SegmentArtifact::Jtree(seg) => write_jtree_segment(w, seg),
+        SegmentArtifact::Bdd(seg) => write_bdd_segment(w, seg),
+        SegmentArtifact::Sampling(seg) => write_sampling_segment(w, seg),
+        SegmentArtifact::TwoState(seg) => write_twostate_segment(w, seg),
     }
 }
 
@@ -730,46 +721,57 @@ fn read_segment(
         let var = read_var(r)?;
         lines.insert(line, var);
     }
-    let artifact: Box<dyn std::any::Any + Send + Sync> = match r.u8()? {
-        0 => Box::new(read_jtree_segment(r, num_lines, options)?),
-        1 => Box::new(read_bdd_segment(r, num_lines)?),
-        2 => Box::new(read_twostate_segment(r, num_lines)?),
-        3 => Box::new(read_sampling_segment(r, num_lines)?),
-        other => return Err(malformed(format!("unknown segment kind {other}"))),
+    let artifact = match backend_from_tag(r.u8()?)? {
+        Backend::Jtree => SegmentArtifact::Jtree(read_jtree_segment(r, num_lines, options)?),
+        Backend::Bdd => SegmentArtifact::Bdd(read_bdd_segment(r, num_lines)?),
+        Backend::Sampling => SegmentArtifact::Sampling(read_sampling_segment(r, num_lines)?),
+        Backend::TwoState => SegmentArtifact::TwoState(read_twostate_segment(r, num_lines)?),
     };
-    Ok(CompiledSegment::new(artifact, stats, lines))
+    Ok(CompiledSegment {
+        artifact,
+        stats,
+        lines,
+    })
 }
 
 // ---------------------------------------------------------------------------
-// The whole pipeline
+// The whole estimator
 // ---------------------------------------------------------------------------
 
-/// Serializes a compiled pipeline into the artifact payload bytes. The
-/// encoding is deterministic: the same pipeline produces the same bytes
-/// in every process.
-pub(crate) fn encode_pipeline(pipeline: &CompiledPipeline) -> Vec<u8> {
-    let mut w = Writer::new();
-    write_circuit(&mut w, &pipeline.planned.working);
-    w.usize(pipeline.planned.line_map.len());
-    for &idx in &pipeline.planned.line_map {
+/// The working circuit, line map and input-structure signatures — every
+/// part of the [`PlannedCircuit`] a loaded estimator reads.
+fn write_planned(w: &mut Writer, planned: &PlannedCircuit) {
+    write_circuit(w, &planned.working);
+    w.usize(planned.line_map.len());
+    for &idx in &planned.line_map {
         w.usize(idx);
     }
-    w.usize(pipeline.planned.group_signature.len());
-    for group in &pipeline.planned.group_signature {
+    w.usize(planned.group_signature.len());
+    for group in &planned.group_signature {
         w.usize(group.len());
         for &member in group {
             w.usize(member);
         }
     }
-    w.usize(pipeline.planned.pair_signature.len());
-    for &(a, b) in &pipeline.planned.pair_signature {
+    w.usize(planned.pair_signature.len());
+    for &(a, b) in &planned.pair_signature {
         w.usize(a);
         w.usize(b);
     }
+}
+
+/// Serializes a compiled estimator into the artifact payload bytes. The
+/// encoding is deterministic: the same estimator produces the same bytes
+/// in every process.
+pub(crate) fn encode_pipeline(pipeline: &CompiledEstimator) -> Vec<u8> {
+    let mut w = Writer::new();
+    write_planned(&mut w, &pipeline.planned);
     write_options(&mut w, &pipeline.options);
-    w.usize(pipeline.seg_kinds.len());
-    for &kind in &pipeline.seg_kinds {
-        w.u8(backend_tag(kind));
+    // The kind list repeats each segment's own tag: format version 5
+    // carries it, and the decoder cross-checks it against the tags.
+    w.usize(pipeline.segments.len());
+    for segment in &pipeline.segments {
+        w.u8(backend_tag(segment.backend()));
     }
     w.usize(pipeline.degradations.len());
     for report in &pipeline.degradations {
@@ -796,7 +798,7 @@ pub(crate) fn encode_pipeline(pipeline: &CompiledPipeline) -> Vec<u8> {
     // Wall-clock instrumentation (compile_time, stage/segment timings) is
     // deliberately not persisted: it varies run to run and would make the
     // bytes — and thus the artifact checksum — nondeterministic. A loaded
-    // pipeline reports zero compile time, which is what actually happened.
+    // estimator reports zero compile time, which is what actually happened.
     w.f64_bits(pipeline.total_states);
     w.f64_bits(pipeline.max_clique_states);
     w.usize(pipeline.segments.len());
@@ -806,10 +808,10 @@ pub(crate) fn encode_pipeline(pipeline: &CompiledPipeline) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// Reconstructs a compiled pipeline from [`encode_pipeline`] bytes.
+/// Reconstructs a compiled estimator from [`encode_pipeline`] bytes.
 /// Per-process state (state pools, message caches, the posterior memo) is
 /// created fresh; everything the numerics read is restored bit-for-bit.
-pub(crate) fn decode_pipeline(bytes: &[u8]) -> Result<CompiledPipeline, CodecError> {
+pub(crate) fn decode_pipeline(bytes: &[u8]) -> Result<CompiledEstimator, CodecError> {
     let mut r = Reader::new(bytes);
     let working = read_circuit(&mut r)?;
     let num_lines = working.num_lines();
@@ -892,10 +894,46 @@ pub(crate) fn decode_pipeline(bytes: &[u8]) -> Result<CompiledPipeline, CodecErr
         }
     }
     let mut segments = Vec::with_capacity(n_segments);
-    for _ in 0..n_segments {
-        segments.push(read_segment(&mut r, num_lines, &options)?);
+    for &kind in &seg_kinds {
+        let segment = read_segment(&mut r, num_lines, &options)?;
+        if segment.backend() != kind {
+            return Err(malformed("segment kind list disagrees with segment tags"));
+        }
+        // A segment runs the primary backend or a degradation rung.
+        if ![options.backend, Backend::Sampling, Backend::TwoState].contains(&kind) {
+            return Err(malformed(format!(
+                "{kind} segment under the {} backend",
+                options.backend
+            )));
+        }
+        segments.push(segment);
     }
     r.finish()?;
+    // Conditional slots are allocated per estimate, so `num_slots` must be
+    // exactly the pair-root slots the segments consume, and every slot a
+    // pair root reads or an export writes must lie below it.
+    let pair_slots: Vec<usize> = segments
+        .iter()
+        .flat_map(|s| match &s.artifact {
+            SegmentArtifact::Jtree(seg) => seg.pair_roots.as_slice(),
+            _ => &[],
+        })
+        .map(|p| p.slot)
+        .collect();
+    if pair_slots.len() != num_slots {
+        return Err(malformed(format!(
+            "{num_slots} conditional slots for {} pair roots",
+            pair_slots.len()
+        )));
+    }
+    let export_slots = exports.iter().flatten().map(|e| e.slot);
+    if pair_slots
+        .into_iter()
+        .chain(export_slots)
+        .any(|s| s >= num_slots)
+    {
+        return Err(malformed("conditional slot out of range"));
+    }
 
     // group_of / pair_parent_of are pure functions of the signatures.
     let mut group_of = vec![None; num_inputs];
@@ -914,25 +952,19 @@ pub(crate) fn decode_pipeline(bytes: &[u8]) -> Result<CompiledPipeline, CodecErr
         }
         pair_parent_of[b] = Some(a);
     }
-    let backend_kind = options.backend;
     let memo = (0..segments.len()).map(|_| Mutex::new(None)).collect();
-    Ok(CompiledPipeline {
+    Ok(CompiledEstimator {
         planned: PlannedCircuit {
             working,
             line_map,
             // The original plan is only consulted during compilation; a
-            // loaded pipeline carries the final segment artifacts directly.
+            // loaded estimator carries the final segment artifacts directly.
             plan: SegmentationPlan::empty(options.segment_budget as f64),
             group_of,
             pair_parent_of,
             group_signature,
             pair_signature,
         },
-        backend_kind,
-        backend: backend_impl(backend_kind),
-        fallback: backend_impl(Backend::TwoState),
-        sampling_fallback: backend_impl(Backend::Sampling),
-        seg_kinds,
         degradations,
         segments,
         exports,
@@ -952,15 +984,16 @@ pub(crate) fn decode_pipeline(bytes: &[u8]) -> Result<CompiledPipeline, CodecErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CompiledEstimator, InputSpec};
+    use crate::artifact::{self, ArtifactError};
+    use crate::InputSpec;
+    use swact_bayesnet::codec::{fnv128, FNV128_OFFSET};
     use swact_circuit::catalog;
 
     fn round_trip(options: &Options) {
         let c17 = catalog::c17();
         let compiled = CompiledEstimator::compile(&c17, options).expect("compiles");
-        let bytes = encode_pipeline(compiled.pipeline());
-        let decoded = decode_pipeline(&bytes).expect("decodes");
-        let restored = CompiledEstimator::from_pipeline(decoded);
+        let bytes = encode_pipeline(&compiled);
+        let restored = decode_pipeline(&bytes).expect("decodes");
         let spec = InputSpec::independent(vec![0.2, 0.4, 0.6, 0.8, 0.35]);
         let fresh = compiled.estimate(&spec).expect("fresh estimate");
         let warm = restored.estimate(&spec).expect("restored estimate");
@@ -992,22 +1025,157 @@ mod tests {
     fn encoding_is_deterministic() {
         let c17 = catalog::c17();
         let compiled = CompiledEstimator::compile(&c17, &Options::default()).expect("compiles");
-        let a = encode_pipeline(compiled.pipeline());
-        let b = encode_pipeline(compiled.pipeline());
+        let a = encode_pipeline(&compiled);
+        let b = encode_pipeline(&compiled);
         assert_eq!(a, b, "same pipeline must encode to the same bytes");
         let again = CompiledEstimator::compile(&c17, &Options::default()).expect("compiles");
         assert_eq!(
             a,
-            encode_pipeline(again.pipeline()),
+            encode_pipeline(&again),
             "recompiling the same circuit must produce identical bytes"
         );
+    }
+
+    /// `(length, FNV-1a-128)` of a compiled estimator's payload. The
+    /// artifact header is left out: it carries the crate version.
+    fn payload_pin(compiled: &CompiledEstimator) -> (usize, u128) {
+        let bytes = encode_pipeline(compiled);
+        (bytes.len(), fnv128(FNV128_OFFSET, &bytes))
+    }
+
+    #[test]
+    fn payload_encoding_is_pinned() {
+        assert_eq!(
+            crate::artifact::FORMAT_VERSION,
+            5,
+            "a new format version needs new payload pins"
+        );
+        let pins = [
+            (
+                Backend::Jtree,
+                12163,
+                0x858b_b8a7_75b9_1acc_64f8_76cf_63af_6509,
+            ),
+            (
+                Backend::Bdd,
+                2959,
+                0x7abd_c123_1e02_b73b_5253_7490_607f_e678,
+            ),
+            (
+                Backend::Sampling,
+                906,
+                0xb575_76fa_f392_11c8_2f66_bfaa_0d90_e7e1,
+            ),
+            (
+                Backend::TwoState,
+                4259,
+                0xa044_71fd_7e24_5e04_4731_eeec_a0c4_23bf,
+            ),
+        ];
+        for (backend, len, hash) in pins {
+            let compiled = compiled_c17(&Options::with_backend(backend));
+            assert_eq!(payload_pin(&compiled), (len, hash), "c17 {backend}");
+        }
+        // A 100-state budget keeps 16 c432 segments on jtree and degrades
+        // the other 64 to sampling, so both artifact kinds are pinned.
+        let budgeted = Options::with_resource_budget(Budget::states(100.0));
+        let c432 = catalog::benchmark("c432").expect("known benchmark");
+        let compiled = CompiledEstimator::compile(&c432, &budgeted).expect("compiles");
+        assert_eq!(
+            (compiled.num_segments(), compiled.sampled_segments()),
+            (80, 64)
+        );
+        assert_eq!(
+            payload_pin(&compiled),
+            (47844, 0x5e42_0fcd_2fe2_cca9_64ed_2796_502e_5743)
+        );
+    }
+
+    /// Loads `compiled` back through the artifact layer after `edit` has
+    /// changed its payload, with the checksum recomputed so only the
+    /// structural checks stand between the edit and an estimate.
+    fn load_edited(
+        compiled: &CompiledEstimator,
+        edit: impl FnOnce(&mut [u8]),
+    ) -> Result<CompiledEstimator, ArtifactError> {
+        let mut bytes = artifact::encode_artifact(0, compiled);
+        let start = bytes.len() - encode_pipeline(compiled).len();
+        edit(&mut bytes[start..]);
+        let checksum = fnv128(FNV128_OFFSET, &bytes[start..]);
+        bytes[start - 16..start].copy_from_slice(&checksum.to_le_bytes());
+        artifact::decode_artifact(&bytes, None).map(|(_, loaded)| loaded)
+    }
+
+    fn is_corrupt(loaded: Result<CompiledEstimator, ArtifactError>) -> bool {
+        matches!(loaded, Err(ArtifactError::Corrupt(_)))
+    }
+
+    fn compiled_c17(options: &Options) -> CompiledEstimator {
+        CompiledEstimator::compile(&catalog::c17(), options).expect("compiles")
+    }
+
+    #[test]
+    fn kind_list_must_match_the_segment_tags() {
+        let compiled = compiled_c17(&Options::default());
+        assert!(load_edited(&compiled, |_| {}).is_ok());
+        // The first kind tag follows the planned circuit, the options and
+        // the list length.
+        let mut w = Writer::new();
+        write_planned(&mut w, &compiled.planned);
+        write_options(&mut w, &compiled.options);
+        let at = w.len() + 8;
+        for tag in 1..=3 {
+            assert!(
+                is_corrupt(load_edited(&compiled, |p| p[at] = tag)),
+                "kind tag {tag}"
+            );
+        }
+    }
+
+    #[test]
+    fn segments_must_run_the_primary_backend_or_a_rung() {
+        for backend in [Backend::Bdd, Backend::Sampling, Backend::TwoState] {
+            let mut compiled = compiled_c17(&Options::default());
+            compiled.options.backend = backend;
+            assert!(is_corrupt(load_edited(&compiled, |_| {})), "{backend}");
+        }
+        // Sampling and twostate are the degradation rungs under any
+        // primary backend.
+        let mut compiled = compiled_c17(&Options::with_backend(Backend::TwoState));
+        compiled.options.backend = Backend::Bdd;
+        let loaded = load_edited(&compiled, |_| {}).expect("a rung segment loads");
+        loaded
+            .estimate(&InputSpec::uniform(5))
+            .expect("and estimates");
+    }
+
+    fn copy(compiled: &CompiledEstimator) -> CompiledEstimator {
+        decode_pipeline(&encode_pipeline(compiled)).expect("round trips")
+    }
+
+    #[test]
+    fn conditional_slots_must_match_the_pair_roots() {
+        // Two segments under a 128-state budget, one correlated boundary.
+        let compiled = compiled_c17(&Options::with_budget(128));
+        let slots = compiled.num_slots;
+        assert_eq!(slots, 1, "c17 forwards one correlated boundary");
+        assert!(load_edited(&compiled, |_| {}).is_ok());
+        for bogus in [0, slots + 1, 1 << 40, usize::MAX] {
+            let mut edited = copy(&compiled);
+            edited.num_slots = bogus;
+            assert!(is_corrupt(load_edited(&edited, |_| {})), "{bogus} slots");
+        }
+        let mut edited = copy(&compiled);
+        let export = edited.exports.iter_mut().find(|e| !e.is_empty()).unwrap();
+        export[0].slot = slots;
+        assert!(is_corrupt(load_edited(&edited, |_| {})), "export slot");
     }
 
     #[test]
     fn truncated_payloads_error_cleanly() {
         let c17 = catalog::c17();
         let compiled = CompiledEstimator::compile(&c17, &Options::default()).expect("compiles");
-        let bytes = encode_pipeline(compiled.pipeline());
+        let bytes = encode_pipeline(&compiled);
         for cut in [0, 1, bytes.len() / 3, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_pipeline(&bytes[..cut]).is_err(), "cut at {cut}");
         }

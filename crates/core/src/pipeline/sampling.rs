@@ -34,9 +34,7 @@ use swact_sim::StoppingRule;
 
 use crate::estimator::Options;
 use crate::faults;
-use crate::pipeline::backend::{
-    CompiledSegment, InferenceBackend, RootDists, SegmentPosterior, SegmentStats,
-};
+use crate::pipeline::backend::{RootDists, SegmentArtifact, SegmentPosterior, SegmentStats};
 use crate::pipeline::model::SegmentModel;
 use crate::report::AccuracyReport;
 use crate::segment::RootSource;
@@ -47,11 +45,9 @@ pub(crate) const SAMPLES_PER_BATCH: usize = 512;
 /// Hard cap on batches per segment, so unconverged segments terminate.
 pub(crate) const MAX_BATCHES: usize = 256;
 
-/// Anytime forward sampling over the 4-state LIDAG with a deterministic
-/// seeded stream and per-segment confidence intervals.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SamplingBackend;
-
+/// The sampling artifact of one segment: anytime forward sampling over
+/// the 4-state LIDAG with a deterministic seeded stream and per-segment
+/// confidence intervals.
 pub(crate) struct SamplingSegment {
     /// Roots in model order: line and where its prior comes from.
     pub(crate) roots: Vec<(LineId, RootSource)>,
@@ -160,183 +156,164 @@ fn draw(dist: &[f64; 4], u: f64) -> usize {
     3
 }
 
-impl InferenceBackend for SamplingBackend {
-    fn name(&self) -> &'static str {
-        "sampling"
-    }
-
-    fn compile(
-        &self,
-        model: &SegmentModel,
-        options: &Options,
-    ) -> Result<CompiledSegment, EstimateError> {
-        if model.needs_pairwise() {
-            return Err(EstimateError::BackendUnsupported {
-                backend: "sampling",
-                feature: "in-segment pairwise conditioning",
-            });
-        }
-        let roots: Vec<(LineId, RootSource)> = model
-            .solo_roots
-            .iter()
-            .map(|&(line, _, source)| (line, source))
-            .collect();
-        let gates = model.gate_defs.clone();
-        let num_lines = roots
-            .iter()
-            .map(|(l, _)| l.index())
-            .chain(gates.iter().map(|(l, _, _)| l.index()))
-            .chain(
-                gates
-                    .iter()
-                    .flat_map(|(_, _, inputs)| inputs.iter().map(|l| l.index())),
-            )
-            .max()
-            .map_or(0, |m| m + 1);
-        let n_vars = (roots.len() + gates.len()) as f64;
-        let stats = SegmentStats {
-            // Backend-native units: 4-state variables sampled per pass.
-            total_states: 4.0 * n_vars,
-            max_clique_states: 4.0,
-            nnz: 0,
-            state_space: 0,
-            compressed_cliques: 0,
-            // One sweep evaluates every gate once per sample.
-            kernel_cost: gates.len() * SAMPLES_PER_BATCH,
-        };
-        Ok(CompiledSegment::new(
-            Box::new(SamplingSegment {
-                stream_seed: stream_seed(options.seed, model),
-                roots,
-                gates,
-                num_lines,
-                ci_half_width: options.ci_half_width,
-                ci_z: options.ci_z,
-            }),
-            stats,
-            model.line_vars.clone(),
-        ))
-    }
-
-    fn propagate(
-        &self,
-        segment: &CompiledSegment,
-        roots: &RootDists<'_>,
-    ) -> Result<SegmentPosterior, EstimateError> {
-        let art = segment
-            .artifact()
-            .downcast_ref::<SamplingSegment>()
-            .expect("sampling backend propagates sampling artifacts");
-        let n_gates = art.gates.len();
-        if n_gates == 0 {
-            return Ok(SegmentPosterior {
-                accuracy: Some(AccuracyReport {
-                    half_width: 0.0,
-                    z: art.ci_z,
-                    samples: 0,
-                    converged: true,
-                }),
-                ..SegmentPosterior::default()
-            });
-        }
-        // Resolve each root's 4-state prior once per propagation.
-        let root_dists: Vec<(LineId, [f64; 4])> = art
-            .roots
-            .iter()
-            .map(|&(line, source)| {
-                let dist = match source {
-                    RootSource::PrimaryInput(pos) => {
-                        let row = roots.spec.prior_row(pos);
-                        [row[0], row[1], row[2], row[3]]
-                    }
-                    RootSource::Boundary => roots.dists[line.index()].as_array(),
-                };
-                (line, dist)
-            })
-            .collect();
-
-        let mut prev = vec![false; art.num_lines];
-        let mut next = vec![false; art.num_lines];
-        let mut counts: Vec<[u64; 4]> = vec![[0; 4]; n_gates];
-        let mut rule = StoppingRule::new(art.ci_z);
-        let deadline = roots.deadline();
-        let mut converged = false;
-        for batch in 0..MAX_BATCHES {
-            // Anytime stop: once the remaining propagate-stage deadline
-            // is spent, return the best estimate so far. Checked before
-            // each batch, so the loop overshoots by at most one batch —
-            // and always runs the first, so there is always an estimate.
-            if batch > 0 {
-                if let Some(deadline) = deadline {
-                    if Instant::now() >= deadline {
-                        break;
-                    }
-                }
-            }
-            faults::hit("pipeline:sample:batch", Some(batch));
-            let mut rng = SplitMix64::new(
-                art.stream_seed
-                    .wrapping_add((batch as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
-            );
-            let mut batch_switches = 0u64;
-            for _ in 0..SAMPLES_PER_BATCH {
-                for (line, dist) in &root_dists {
-                    let k = draw(dist, rng.next_f64());
-                    prev[line.index()] = k >> 1 == 1;
-                    next[line.index()] = k & 1 == 1;
-                }
-                for (g, (line, kind, inputs)) in art.gates.iter().enumerate() {
-                    let p = kind.eval(inputs.iter().map(|l| prev[l.index()]));
-                    let n = kind.eval(inputs.iter().map(|l| next[l.index()]));
-                    prev[line.index()] = p;
-                    next[line.index()] = n;
-                    let k = (p as usize) << 1 | n as usize;
-                    counts[g][k] += 1;
-                    batch_switches += u64::from(p != n);
-                }
-            }
-            rule.push(batch_switches as f64 / (SAMPLES_PER_BATCH * n_gates) as f64);
-            if rule.within_absolute(art.ci_half_width) {
-                converged = true;
-                break;
-            }
-        }
-        let total = (rule.len() * SAMPLES_PER_BATCH) as f64;
-        let gate_dists: Vec<(LineId, TransitionDist)> = art
-            .gates
-            .iter()
-            .zip(&counts)
-            .map(|(&(line, _, _), c)| {
-                (
-                    line,
-                    TransitionDist::new([
-                        c[0] as f64 / total,
-                        c[1] as f64 / total,
-                        c[2] as f64 / total,
-                        c[3] as f64 / total,
-                    ]),
-                )
-            })
-            .collect();
-        let mut posterior = SegmentPosterior::from_gate_dists(gate_dists);
-        posterior.accuracy = Some(AccuracyReport {
-            half_width: rule.half_width(),
-            z: art.ci_z,
-            samples: rule.len() as u64 * SAMPLES_PER_BATCH as u64,
-            converged,
+/// Compiles a segment model into its sampling plan.
+pub(crate) fn compile(
+    model: &SegmentModel,
+    options: &Options,
+) -> Result<(SegmentArtifact, SegmentStats), EstimateError> {
+    if model.needs_pairwise() {
+        return Err(EstimateError::BackendUnsupported {
+            backend: "sampling",
+            feature: "in-segment pairwise conditioning",
         });
-        Ok(posterior)
     }
+    let roots: Vec<(LineId, RootSource)> = model
+        .solo_roots
+        .iter()
+        .map(|&(line, _, source)| (line, source))
+        .collect();
+    let gates = model.gate_defs.clone();
+    let num_lines = roots
+        .iter()
+        .map(|(l, _)| l.index())
+        .chain(gates.iter().map(|(l, _, _)| l.index()))
+        .chain(
+            gates
+                .iter()
+                .flat_map(|(_, _, inputs)| inputs.iter().map(|l| l.index())),
+        )
+        .max()
+        .map_or(0, |m| m + 1);
+    let n_vars = (roots.len() + gates.len()) as f64;
+    let stats = SegmentStats {
+        // Backend-native units: 4-state variables sampled per pass.
+        total_states: 4.0 * n_vars,
+        max_clique_states: 4.0,
+        nnz: 0,
+        state_space: 0,
+        compressed_cliques: 0,
+        // One sweep evaluates every gate once per sample.
+        kernel_cost: gates.len() * SAMPLES_PER_BATCH,
+    };
+    let artifact = SamplingSegment {
+        stream_seed: stream_seed(options.seed, model),
+        roots,
+        gates,
+        num_lines,
+        ci_half_width: options.ci_half_width,
+        ci_z: options.ci_z,
+    };
+    Ok((SegmentArtifact::Sampling(artifact), stats))
+}
+
+/// Samples batches until the stopping rule, the deadline, or the batch
+/// cap ends the run, and returns the per-gate histograms with their
+/// accuracy report.
+pub(crate) fn propagate(art: &SamplingSegment, roots: &RootDists<'_>) -> SegmentPosterior {
+    let n_gates = art.gates.len();
+    if n_gates == 0 {
+        return SegmentPosterior {
+            accuracy: Some(AccuracyReport {
+                half_width: 0.0,
+                z: art.ci_z,
+                samples: 0,
+                converged: true,
+            }),
+            ..SegmentPosterior::default()
+        };
+    }
+    // Resolve each root's 4-state prior once per propagation.
+    let root_dists: Vec<(LineId, [f64; 4])> = art
+        .roots
+        .iter()
+        .map(|&(line, source)| {
+            let dist = match source {
+                RootSource::PrimaryInput(pos) => {
+                    let row = roots.spec.prior_row(pos);
+                    [row[0], row[1], row[2], row[3]]
+                }
+                RootSource::Boundary => roots.dists[line.index()].as_array(),
+            };
+            (line, dist)
+        })
+        .collect();
+
+    let mut prev = vec![false; art.num_lines];
+    let mut next = vec![false; art.num_lines];
+    let mut counts: Vec<[u64; 4]> = vec![[0; 4]; n_gates];
+    let mut rule = StoppingRule::new(art.ci_z);
+    let deadline = roots.deadline;
+    let mut converged = false;
+    for batch in 0..MAX_BATCHES {
+        // Anytime stop: once the remaining propagate-stage deadline
+        // is spent, return the best estimate so far. Checked before
+        // each batch, so the loop overshoots by at most one batch —
+        // and always runs the first, so there is always an estimate.
+        if batch > 0 {
+            if let Some(deadline) = deadline {
+                if Instant::now() >= deadline {
+                    break;
+                }
+            }
+        }
+        faults::hit("pipeline:sample:batch", Some(batch));
+        let mut rng = SplitMix64::new(
+            art.stream_seed
+                .wrapping_add((batch as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)),
+        );
+        let mut batch_switches = 0u64;
+        for _ in 0..SAMPLES_PER_BATCH {
+            for (line, dist) in &root_dists {
+                let k = draw(dist, rng.next_f64());
+                prev[line.index()] = k >> 1 == 1;
+                next[line.index()] = k & 1 == 1;
+            }
+            for (g, (line, kind, inputs)) in art.gates.iter().enumerate() {
+                let p = kind.eval(inputs.iter().map(|l| prev[l.index()]));
+                let n = kind.eval(inputs.iter().map(|l| next[l.index()]));
+                prev[line.index()] = p;
+                next[line.index()] = n;
+                let k = (p as usize) << 1 | n as usize;
+                counts[g][k] += 1;
+                batch_switches += u64::from(p != n);
+            }
+        }
+        rule.push(batch_switches as f64 / (SAMPLES_PER_BATCH * n_gates) as f64);
+        if rule.within_absolute(art.ci_half_width) {
+            converged = true;
+            break;
+        }
+    }
+    let total = (rule.len() * SAMPLES_PER_BATCH) as f64;
+    let gate_dists: Vec<(LineId, TransitionDist)> = art
+        .gates
+        .iter()
+        .zip(&counts)
+        .map(|(&(line, _, _), c)| {
+            (
+                line,
+                TransitionDist::new([
+                    c[0] as f64 / total,
+                    c[1] as f64 / total,
+                    c[2] as f64 / total,
+                    c[3] as f64 / total,
+                ]),
+            )
+        })
+        .collect();
+    let mut posterior = SegmentPosterior::from_gate_dists(gate_dists);
+    posterior.accuracy = Some(AccuracyReport {
+        half_width: rule.half_width(),
+        z: art.ci_z,
+        samples: rule.len() as u64 * SAMPLES_PER_BATCH as u64,
+        converged,
+    });
+    posterior
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backend_name() {
-        assert_eq!(SamplingBackend.name(), "sampling");
-    }
 
     #[test]
     fn splitmix_is_deterministic_and_uniformish() {

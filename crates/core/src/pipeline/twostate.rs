@@ -22,9 +22,7 @@ use swact_bayesnet::{
 use swact_circuit::{GateKind, LineId};
 
 use crate::estimator::Options;
-use crate::pipeline::backend::{
-    CompiledSegment, InferenceBackend, RootDists, SegmentPosterior, SegmentStats,
-};
+use crate::pipeline::backend::{RootDists, SegmentArtifact, SegmentPosterior, SegmentStats};
 use crate::pipeline::model::SegmentModel;
 use crate::segment::RootSource;
 use crate::{EstimateError, TransitionDist};
@@ -64,10 +62,8 @@ fn gate_family_two_state(kind: GateKind, inputs: &[LineId]) -> (Vec<LineId>, Cpt
     (unique, cpt)
 }
 
-/// Signal-probability propagation with the `2p(1−p)` switching proxy.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TwoStateBackend;
-
+/// The two-state artifact of one segment: signal-probability propagation
+/// with the `2p(1−p)` switching proxy.
 pub(crate) struct TwoStateSegment {
     pub(crate) compiled: CompiledTree,
     pub(crate) states: Mutex<Vec<PropagationState>>,
@@ -75,117 +71,105 @@ pub(crate) struct TwoStateSegment {
     pub(crate) gates: Vec<(LineId, VarId)>,
 }
 
-impl InferenceBackend for TwoStateBackend {
-    fn name(&self) -> &'static str {
-        "twostate"
+/// Compiles a segment model into its 2-state junction tree.
+pub(crate) fn compile(
+    model: &SegmentModel,
+    options: &Options,
+) -> Result<(SegmentArtifact, SegmentStats), EstimateError> {
+    if model.needs_pairwise() {
+        return Err(EstimateError::BackendUnsupported {
+            backend: "twostate",
+            feature: "in-segment pairwise conditioning",
+        });
     }
+    let mut net = BayesNet::new();
+    let mut var_of: std::collections::HashMap<LineId, VarId> = std::collections::HashMap::new();
+    let mut roots = Vec::with_capacity(model.solo_roots.len());
+    for &(line, _, source) in &model.solo_roots {
+        // Placeholder uniform prior; the real P(line = 1) is injected
+        // per estimate as a likelihood weight.
+        let var = net.add_var(
+            format!("l{}", line.index()),
+            2,
+            &[],
+            Cpt::prior(vec![0.5, 0.5]),
+        )?;
+        var_of.insert(line, var);
+        roots.push((line, var, source));
+    }
+    let mut gates = Vec::with_capacity(model.gate_defs.len());
+    for (line, kind, inputs) in &model.gate_defs {
+        let (unique_inputs, cpt) = gate_family_two_state(*kind, inputs);
+        let parents: Vec<VarId> = unique_inputs.iter().map(|l| var_of[l]).collect();
+        let var = net.add_var(format!("l{}", line.index()), 2, &parents, cpt)?;
+        var_of.insert(*line, var);
+        gates.push((*line, var));
+    }
+    let tree = JunctionTree::compile_with(&net, options.heuristic)?;
+    if options.single_bn && tree.total_states() > options.segment_budget as f64 {
+        return Err(EstimateError::TooLarge {
+            states: tree.total_states(),
+            budget: options.segment_budget as f64,
+        });
+    }
+    let potentials = initial_potentials(&tree, &net);
+    let total_states = tree.total_states();
+    let max_clique_states = tree.max_clique_states();
+    let compiled = CompiledTree::from_parts_with(tree, potentials, options.sparse);
+    let stats = SegmentStats {
+        total_states,
+        max_clique_states,
+        nnz: compiled.nnz(),
+        state_space: compiled.state_space(),
+        compressed_cliques: compiled.compressed_cliques(),
+        kernel_cost: compiled.kernel_cost(),
+    };
+    let artifact = TwoStateSegment {
+        compiled,
+        states: Mutex::new(Vec::new()),
+        roots,
+        gates,
+    };
+    Ok((SegmentArtifact::TwoState(artifact), stats))
+}
 
-    fn compile(
-        &self,
-        model: &SegmentModel,
-        options: &Options,
-    ) -> Result<CompiledSegment, EstimateError> {
-        if model.needs_pairwise() {
-            return Err(EstimateError::BackendUnsupported {
-                backend: "twostate",
-                feature: "in-segment pairwise conditioning",
-            });
-        }
-        let mut net = BayesNet::new();
-        let mut var_of: std::collections::HashMap<LineId, VarId> = std::collections::HashMap::new();
-        let mut roots = Vec::with_capacity(model.solo_roots.len());
-        for &(line, _, source) in &model.solo_roots {
-            // Placeholder uniform prior; the real P(line = 1) is injected
-            // per estimate as a likelihood weight.
-            let var = net.add_var(
-                format!("l{}", line.index()),
-                2,
-                &[],
-                Cpt::prior(vec![0.5, 0.5]),
-            )?;
-            var_of.insert(line, var);
-            roots.push((line, var, source));
-        }
-        let mut gates = Vec::with_capacity(model.gate_defs.len());
-        for (line, kind, inputs) in &model.gate_defs {
-            let (unique_inputs, cpt) = gate_family_two_state(*kind, inputs);
-            let parents: Vec<VarId> = unique_inputs.iter().map(|l| var_of[l]).collect();
-            let var = net.add_var(format!("l{}", line.index()), 2, &parents, cpt)?;
-            var_of.insert(*line, var);
-            gates.push((*line, var));
-        }
-        let tree = JunctionTree::compile_with(&net, options.heuristic)?;
-        if options.single_bn && tree.total_states() > options.segment_budget as f64 {
-            return Err(EstimateError::TooLarge {
-                states: tree.total_states(),
-                budget: options.segment_budget as f64,
-            });
-        }
-        let potentials = initial_potentials(&tree, &net);
-        let total_states = tree.total_states();
-        let max_clique_states = tree.max_clique_states();
-        let compiled = CompiledTree::from_parts_with(tree, potentials, options.sparse);
-        let stats = SegmentStats {
-            total_states,
-            max_clique_states,
-            nnz: compiled.nnz(),
-            state_space: compiled.state_space(),
-            compressed_cliques: compiled.compressed_cliques(),
-            kernel_cost: compiled.kernel_cost(),
+/// Calibrates the 2-state tree under the roots' signal probabilities and
+/// reads out every gate's `2p(1−p)` transition proxy.
+pub(crate) fn propagate(
+    art: &TwoStateSegment,
+    roots: &RootDists<'_>,
+) -> Result<SegmentPosterior, EstimateError> {
+    let compiled = &art.compiled;
+    let mut state = {
+        let mut pool = art.states.lock().expect("state pool lock");
+        pool.pop()
+    }
+    .unwrap_or_else(|| compiled.new_state());
+    state.clear_evidence();
+    for &(line, var, source) in &art.roots {
+        // Primary inputs keep their exact marginal; boundary lines use
+        // the forwarded distribution's next-state marginal (for
+        // two-state posteriors that IS the signal probability).
+        let p = match source {
+            RootSource::PrimaryInput(pos) => roots.spec.model(pos).p1(),
+            RootSource::Boundary => roots.dists[line.index()].p_one_next(),
         };
-        Ok(CompiledSegment::new(
-            Box::new(TwoStateSegment {
-                compiled,
-                states: Mutex::new(Vec::new()),
-                roots,
-                gates,
-            }),
-            stats,
-            model.line_vars.clone(),
-        ))
+        compiled.set_likelihood(&mut state, var, vec![2.0 * (1.0 - p), 2.0 * p])?;
     }
-
-    fn propagate(
-        &self,
-        segment: &CompiledSegment,
-        roots: &RootDists<'_>,
-    ) -> Result<SegmentPosterior, EstimateError> {
-        let art = segment
-            .artifact()
-            .downcast_ref::<TwoStateSegment>()
-            .expect("twostate backend propagates twostate artifacts");
-        let compiled = &art.compiled;
-        let mut state = {
-            let mut pool = art.states.lock().expect("state pool lock");
-            pool.pop()
-        }
-        .unwrap_or_else(|| compiled.new_state());
-        state.clear_evidence();
-        for &(line, var, source) in &art.roots {
-            // Primary inputs keep their exact marginal; boundary lines use
-            // the forwarded distribution's next-state marginal (for
-            // two-state posteriors that IS the signal probability).
-            let p = match source {
-                RootSource::PrimaryInput(pos) => roots.spec.model(pos).p1(),
-                RootSource::Boundary => roots.dists[line.index()].p_one_next(),
-            };
-            compiled.set_likelihood(&mut state, var, vec![2.0 * (1.0 - p), 2.0 * p])?;
-        }
-        compiled.calibrate(&mut state);
-        let gate_dists = art
-            .gates
-            .iter()
-            .map(|&(line, var)| {
-                let p = compiled.marginal(&state, var)[1];
-                let q = 1.0 - p;
-                // Temporal-independence proxy: stationary product joint,
-                // whose switching mass is 2·p·(1−p).
-                (line, TransitionDist::new([q * q, q * p, p * q, p * p]))
-            })
-            .collect();
-        art.states.lock().expect("state pool lock").push(state);
-        Ok(SegmentPosterior::from_gate_dists(gate_dists))
-    }
+    compiled.calibrate(&mut state);
+    let gate_dists = art
+        .gates
+        .iter()
+        .map(|&(line, var)| {
+            let p = compiled.marginal(&state, var)[1];
+            let q = 1.0 - p;
+            // Temporal-independence proxy: stationary product joint,
+            // whose switching mass is 2·p·(1−p).
+            (line, TransitionDist::new([q * q, q * p, p * q, p * p]))
+        })
+        .collect();
+    art.states.lock().expect("state pool lock").push(state);
+    Ok(SegmentPosterior::from_gate_dists(gate_dists))
 }
 
 #[cfg(test)]
@@ -196,11 +180,6 @@ mod tests {
 
     fn two_state() -> Options {
         Options::with_backend(Backend::TwoState)
-    }
-
-    #[test]
-    fn backend_name() {
-        assert_eq!(TwoStateBackend.name(), "twostate");
     }
 
     #[test]
