@@ -317,8 +317,9 @@ pub fn write_factor(w: &mut Writer, factor: &Factor) {
 
 /// Decodes one factor, validating the invariants [`Factor::new`] asserts
 /// (strictly ascending scope, positive cardinalities, value count equal to
-/// the state-space product) so corrupt bytes become a [`CodecError`]
-/// instead of a panic.
+/// the state-space product) and that every value is a finite,
+/// non-negative potential, so corrupt bytes become a [`CodecError`]
+/// instead of a panic or a NaN estimate.
 pub fn read_factor(r: &mut Reader<'_>) -> Result<Factor, CodecError> {
     let scope_len = r.len(12)?;
     let mut scope = Vec::with_capacity(scope_len);
@@ -347,7 +348,13 @@ pub fn read_factor(r: &mut Reader<'_>) -> Result<Factor, CodecError> {
     }
     let mut values = Vec::with_capacity(value_len);
     for _ in 0..value_len {
-        values.push(r.f64_bits()?);
+        let value = r.f64_bits()?;
+        if !(value.is_finite() && value >= 0.0) {
+            return Err(malformed(format!(
+                "factor value {value} is not a potential"
+            )));
+        }
+        values.push(value);
     }
     Ok(Factor::new(scope, values))
 }
@@ -807,5 +814,23 @@ mod tests {
             read_factor(&mut Reader::new(&bytes)),
             Err(CodecError::Malformed(_))
         ));
+        // Values must be finite and non-negative.
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.5] {
+            let mut w = Writer::new();
+            w.usize(1);
+            w.u32(0);
+            w.usize(2);
+            w.usize(2);
+            w.f64_bits(0.5);
+            w.f64_bits(bad);
+            let bytes = w.into_bytes();
+            assert!(
+                matches!(
+                    read_factor(&mut Reader::new(&bytes)),
+                    Err(CodecError::Malformed(_))
+                ),
+                "{bad}"
+            );
+        }
     }
 }

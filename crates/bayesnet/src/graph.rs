@@ -33,6 +33,12 @@ impl UndirectedGraph {
         }
     }
 
+    /// Appends an isolated node and returns its index.
+    pub fn add_node(&mut self) -> usize {
+        self.adjacency.push(BTreeSet::new());
+        self.adjacency.len() - 1
+    }
+
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.adjacency.len()

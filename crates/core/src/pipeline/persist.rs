@@ -1171,6 +1171,34 @@ mod tests {
         assert!(is_corrupt(load_edited(&edited, |_| {})), "export slot");
     }
 
+    /// A NaN (or infinite, or negative) clique potential in an otherwise
+    /// valid, re-checksummed c17 artifact is a typed corruption error
+    /// instead of a later panic or a NaN estimate.
+    #[test]
+    fn non_finite_potentials_are_rejected() {
+        let compiled = compiled_c17(&Options::default());
+        let SegmentArtifact::Jtree(seg) = &compiled.segments[0].artifact else {
+            panic!("c17 compiles to one jtree segment");
+        };
+        let potential = &seg.compiled.initial_potentials()[0];
+        let mut w = Writer::new();
+        swact_bayesnet::codec::write_factor(&mut w, potential);
+        let encoded = w.into_bytes();
+        let payload = encode_pipeline(&compiled);
+        let at = payload
+            .windows(encoded.len())
+            .position(|window| window == encoded)
+            .expect("the potential is encoded in the payload");
+        // The value table closes the encoded factor.
+        let last_value = at + encoded.len() - 8;
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let loaded = load_edited(&compiled, |p| {
+                p[last_value..last_value + 8].copy_from_slice(&bad.to_bits().to_le_bytes())
+            });
+            assert!(is_corrupt(loaded), "{bad}");
+        }
+    }
+
     #[test]
     fn truncated_payloads_error_cleanly() {
         let c17 = catalog::c17();

@@ -13,7 +13,8 @@
 //!
 //! The planner walks gates in topological order and closes a segment when
 //! the junction-tree state count of its LIDAG (estimated by a quick
-//! min-degree triangulation) exceeds the configured budget.
+//! triangulation under the configured heuristic) exceeds the configured
+//! budget.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -398,8 +399,9 @@ struct SegmentBuilder<'c> {
     local: HashMap<LineId, usize>,
     roots: Vec<(LineId, RootSource)>,
     gates: Vec<LineId>,
-    /// Gate families as local index lists (for the moral graph).
-    families: Vec<Vec<usize>>,
+    /// Moral graph of the segment's LIDAG over local indices, grown as
+    /// gates are pushed: each gate family is a clique.
+    moral: UndirectedGraph,
     /// Lines driven by a gate *inside* this segment.
     driven_here: std::collections::HashSet<LineId>,
 }
@@ -412,7 +414,7 @@ impl<'c> SegmentBuilder<'c> {
             local: HashMap::new(),
             roots: Vec::new(),
             gates: Vec::new(),
-            families: Vec::new(),
+            moral: UndirectedGraph::new(0),
             driven_here: std::collections::HashSet::new(),
         }
     }
@@ -421,7 +423,7 @@ impl<'c> SegmentBuilder<'c> {
         if let Some(&i) = self.local.get(&line) {
             return i;
         }
-        let i = self.local.len();
+        let i = self.moral.add_node();
         self.local.insert(line, i);
         i
     }
@@ -447,24 +449,18 @@ impl<'c> SegmentBuilder<'c> {
         }
         let mut family: Vec<usize> = gate.inputs.iter().map(|&l| self.local_index(l)).collect();
         family.push(self.local_index(gate_line));
-        family.sort_unstable();
-        family.dedup();
-        self.families.push(family);
+        for (i, &a) in family.iter().enumerate() {
+            for &b in &family[i + 1..] {
+                self.moral.add_edge(a, b);
+            }
+        }
         self.driven_here.insert(gate_line);
         self.gates.push(gate_line);
     }
 
     fn estimated_cost(&self, heuristic: Heuristic) -> f64 {
-        let n = self.local.len();
-        let mut graph = UndirectedGraph::new(n);
-        for family in &self.families {
-            for (i, &a) in family.iter().enumerate() {
-                for &b in &family[i + 1..] {
-                    graph.add_edge(a, b);
-                }
-            }
-        }
-        estimate_cost(&graph, &vec![self.card; n], heuristic)
+        let n = self.moral.num_nodes();
+        estimate_cost(&self.moral, &vec![self.card; n], heuristic)
     }
 
     fn finish(self) -> Segment {

@@ -688,6 +688,36 @@ mod tests {
     use super::*;
     use swact_circuit::catalog;
 
+    /// Serializes a job-running test with the fault-injection tests. An
+    /// armed `engine:job` fault is process-wide and fires once, so a batch
+    /// running in a parallel test could consume it; holding the fault
+    /// harness's lock (an empty plan) rules that out. A no-op without the
+    /// `fault-inject` feature.
+    fn serial() -> impl Sized {
+        #[cfg(feature = "fault-inject")]
+        {
+            swact::faults::arm(swact::faults::FaultPlan::new())
+        }
+    }
+
+    /// Spins until `engine` reports `depth` queued scenarios, failing with
+    /// a message instead of hanging if that never happens.
+    #[cfg(feature = "fault-inject")]
+    fn wait_for_queue_depth(engine: &Engine, depth: usize) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let seen = engine.metrics().queue_depth;
+            if seen == depth {
+                return;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "queue depth stuck at {seen}, expected {depth}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     fn specs_for(circuit: &Circuit, n: usize) -> Vec<InputSpec> {
         (0..n)
             .map(|i| {
@@ -699,6 +729,7 @@ mod tests {
 
     #[test]
     fn batch_results_keep_submission_order_and_match_direct_estimation() {
+        let _serial = serial();
         let circuit = catalog::c17();
         let options = Options::default();
         let specs = specs_for(&circuit, 6);
@@ -722,6 +753,7 @@ mod tests {
 
     #[test]
     fn single_and_multi_worker_batches_are_bit_identical() {
+        let _serial = serial();
         let circuit = catalog::c17();
         let options = Options::default();
         let specs = specs_for(&circuit, 8);
@@ -750,6 +782,7 @@ mod tests {
     /// influences the sample count.)
     #[test]
     fn sampling_batches_are_bit_identical_across_job_counts() {
+        let _serial = serial();
         let circuit = catalog::c17();
         let options = Options {
             backend: swact::Backend::Sampling,
@@ -778,6 +811,7 @@ mod tests {
 
     #[test]
     fn sampling_metrics_count_segments_samples_and_outcomes() {
+        let _serial = serial();
         let circuit = catalog::c17();
         let options = Options {
             backend: swact::Backend::Sampling,
@@ -804,6 +838,7 @@ mod tests {
 
     #[test]
     fn disk_tier_warm_starts_a_fresh_engine_bit_identically() {
+        let _serial = serial();
         let dir = temp_cache_dir("warm");
         let circuit = catalog::c17();
         let options = Options::default();
@@ -844,6 +879,7 @@ mod tests {
     /// the exact same samples a cold compile would.
     #[test]
     fn sampling_warm_start_is_bit_identical_to_cold_compile() {
+        let _serial = serial();
         let dir = temp_cache_dir("warm-sampling");
         let circuit = catalog::c17();
         let options = Options {
@@ -874,6 +910,7 @@ mod tests {
 
     #[test]
     fn corrupt_artifacts_are_rejected_and_recompiled() {
+        let _serial = serial();
         let dir = temp_cache_dir("corrupt");
         let circuit = catalog::c17();
         let options = Options::default();
@@ -909,6 +946,7 @@ mod tests {
 
     #[test]
     fn prewarm_fills_the_memory_tier() {
+        let _serial = serial();
         let dir = temp_cache_dir("prewarm");
         let circuit = catalog::c17();
         let options = Options::default();
@@ -943,6 +981,7 @@ mod tests {
 
     #[test]
     fn cache_hits_skip_recompilation() {
+        let _serial = serial();
         let circuit = catalog::c17();
         let options = Options::default();
         let specs = specs_for(&circuit, 3);
@@ -970,6 +1009,7 @@ mod tests {
 
     #[test]
     fn distinct_options_get_distinct_cache_entries() {
+        let _serial = serial();
         let circuit = catalog::c17();
         let specs = specs_for(&circuit, 2);
         let engine = Engine::with_jobs(2);
@@ -987,6 +1027,7 @@ mod tests {
 
     #[test]
     fn segmentation_strategies_never_share_a_cache_entry() {
+        let _serial = serial();
         let circuit = catalog::c17();
         let specs = specs_for(&circuit, 2);
         let engine = Engine::with_jobs(2);
@@ -1011,6 +1052,7 @@ mod tests {
 
     #[test]
     fn tiny_cache_budget_evicts_older_models() {
+        let _serial = serial();
         let circuit = catalog::c17();
         let other = catalog::paper_example();
         let specs = specs_for(&circuit, 1);
@@ -1038,6 +1080,7 @@ mod tests {
 
     #[test]
     fn per_scenario_errors_do_not_poison_the_batch() {
+        let _serial = serial();
         let circuit = catalog::c17();
         let options = Options::default();
         let mut specs = specs_for(&circuit, 3);
@@ -1055,6 +1098,7 @@ mod tests {
 
     #[test]
     fn stage_breakdown_reported_per_batch_and_in_metrics() {
+        let _serial = serial();
         let circuit = catalog::c17();
         let options = Options::default();
         let specs = specs_for(&circuit, 4);
@@ -1082,6 +1126,7 @@ mod tests {
 
     #[test]
     fn backends_get_distinct_cache_entries_and_both_run() {
+        let _serial = serial();
         let circuit = catalog::c17();
         let specs = specs_for(&circuit, 2);
         let engine = Engine::with_jobs(2);
@@ -1121,6 +1166,7 @@ mod tests {
 
     #[test]
     fn repeated_scenarios_hit_the_posterior_memo() {
+        let _serial = serial();
         let circuit = catalog::c17();
         let options = Options::default();
         // One distinct spec followed by identical repeats: the repeats'
@@ -1149,6 +1195,7 @@ mod tests {
 
     #[test]
     fn incremental_off_never_reuses_work() {
+        let _serial = serial();
         let circuit = catalog::c17();
         let options = Options {
             incremental: false,
@@ -1175,6 +1222,7 @@ mod tests {
     /// an absolute grace for timer noise on tiny batches).
     #[test]
     fn oversubscribed_jobs_are_no_slower_than_serial() {
+        let _serial = serial();
         let circuit = catalog::c17();
         let options = Options::default();
         let specs = specs_for(&circuit, 64);
@@ -1203,6 +1251,7 @@ mod tests {
 
     #[test]
     fn empty_batch_returns_immediately() {
+        let _serial = serial();
         let circuit = catalog::c17();
         let engine = Engine::with_jobs(1);
         let report = engine
@@ -1214,6 +1263,7 @@ mod tests {
 
     #[test]
     fn estimate_batch_after_shutdown_fails_fast() {
+        let _serial = serial();
         let circuit = catalog::c17();
         let engine = Engine::with_jobs(1);
         engine.shutdown(ShutdownMode::Drain);
@@ -1255,9 +1305,7 @@ mod tests {
             let specs = specs.clone();
             std::thread::spawn(move || engine.estimate_batch(&circuit, &specs, &options))
         };
-        while engine.metrics().queue_depth != specs.len() - 1 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        wait_for_queue_depth(&engine, specs.len() - 1);
         engine.shutdown(ShutdownMode::Drain);
         let report = batch.join().unwrap().unwrap();
         assert!(report.all_ok());
@@ -1295,9 +1343,7 @@ mod tests {
         };
         // Scenario 0 dequeues on pickup, so depth 7 means: worker stalled
         // in scenario 0, scenarios 1..8 all queued.
-        while engine.metrics().queue_depth != specs.len() - 1 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        wait_for_queue_depth(&engine, specs.len() - 1);
         engine.shutdown(ShutdownMode::CancelQueued);
 
         let report = batch.join().unwrap().unwrap();
