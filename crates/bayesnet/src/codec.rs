@@ -426,6 +426,36 @@ fn read_tree(r: &mut Reader<'_>) -> Result<JunctionTree, CodecError> {
     if home_clique.len() != cards.len() || cpt_clique.len() != cards.len() {
         return Err(malformed("per-variable tables disagree on variable count"));
     }
+    // The kernels index by these tables without further checks: every
+    // clique and sepset must be an ascending list of known variables,
+    // every sepset must lie in both its cliques, every incidence must
+    // touch its clique, and every variable's home clique must hold it.
+    let num_vars = cards.len();
+    let is_var_set = |vars: &[VarId]| {
+        vars.windows(2).all(|w| w[0] < w[1]) && vars.last().is_none_or(|v| v.index() < num_vars)
+    };
+    let is_subset = |sub: &[VarId], of: &[VarId]| sub.iter().all(|v| of.binary_search(v).is_ok());
+    if !cliques.iter().all(|clique| is_var_set(clique)) {
+        return Err(malformed("clique variables out of range or not ascending"));
+    }
+    for edge in &edges {
+        if !is_var_set(&edge.sepset)
+            || !is_subset(&edge.sepset, &cliques[edge.a])
+            || !is_subset(&edge.sepset, &cliques[edge.b])
+        {
+            return Err(malformed("sepset is not a subset of both its cliques"));
+        }
+    }
+    for (c, list) in incident.iter().enumerate() {
+        if list.iter().any(|&e| edges[e].a != c && edges[e].b != c) {
+            return Err(malformed("incidence list names an edge of another clique"));
+        }
+    }
+    for (v, &home) in home_clique.iter().enumerate() {
+        if cliques[home].binary_search(&VarId::from_index(v)).is_err() {
+            return Err(malformed(format!("home clique {home} lacks variable {v}")));
+        }
+    }
     let fill_edges = r.usize()?;
     let total_states = r.f64_bits()?;
     Ok(JunctionTree::from_codec_parts(
@@ -512,6 +542,33 @@ fn read_side_proj(r: &mut Reader<'_>) -> Result<SideProj, CodecError> {
     Ok(SideProj { entries, blocked })
 }
 
+/// Checks one decoded clique→sepset projection against the entries its
+/// clique iterates (support length, or table length when dense) and the
+/// sepset's state count, so the kernels' unchecked-by-design indexing
+/// stays in bounds.
+fn check_side_proj(proj: &SideProj, iterated: usize, sep_states: usize) -> Result<(), CodecError> {
+    if proj.entries.len() != iterated {
+        return Err(malformed(format!(
+            "projection has {} entries for {iterated} iterated clique entries",
+            proj.entries.len()
+        )));
+    }
+    if proj.entries.iter().any(|&t| t as usize >= sep_states) {
+        return Err(malformed(format!(
+            "projection entry outside the {sep_states}-state sepset"
+        )));
+    }
+    if let Some(blocked) = &proj.blocked {
+        let copy = blocked.copy_len as usize;
+        if blocked.base.iter().any(|&b| b as usize + copy > sep_states) {
+            return Err(malformed(format!(
+                "blocked run overruns the {sep_states}-state sepset"
+            )));
+        }
+    }
+    Ok(())
+}
+
 /// Encodes a [`CompiledTree`] — structure, potentials, schedule, kernels,
 /// and dependency masks — into `w`.
 pub fn write_compiled_tree(w: &mut Writer, compiled: &CompiledTree) {
@@ -555,6 +612,12 @@ pub fn write_compiled_tree(w: &mut Writer, compiled: &CompiledTree) {
 /// result is field-for-field identical to the encoded artifact; nothing is
 /// re-derived, so propagation over the decoded tree is bit-identical to
 /// propagation over the original.
+///
+/// Every table is range-checked against the tree it belongs to — clique
+/// and sepset variables, potential scopes, schedule edges, support lists
+/// and projection entries — so a corrupt payload is
+/// [`CodecError::Malformed`] rather than an out-of-bounds panic in a
+/// later propagation.
 pub fn read_compiled_tree(r: &mut Reader<'_>) -> Result<CompiledTree, CodecError> {
     let tree = read_tree(r)?;
     let num_potentials = r.len(8)?;
@@ -562,8 +625,20 @@ pub fn read_compiled_tree(r: &mut Reader<'_>) -> Result<CompiledTree, CodecError
         return Err(malformed("potential count mismatches the cliques"));
     }
     let mut potentials = Vec::with_capacity(num_potentials);
-    for _ in 0..num_potentials {
-        potentials.push(read_factor(r)?);
+    for clique in 0..num_potentials {
+        let pot = read_factor(r)?;
+        if pot.vars() != tree.clique(clique)
+            || pot
+                .vars()
+                .iter()
+                .zip(pot.cards())
+                .any(|(&v, &c)| c != tree.card(v))
+        {
+            return Err(malformed(format!(
+                "potential {clique} disagrees with its clique's scope"
+            )));
+        }
+        potentials.push(pot);
     }
     let schedule_len = r.len(24)?;
     let mut schedule = Vec::with_capacity(schedule_len);
@@ -574,6 +649,10 @@ pub fn read_compiled_tree(r: &mut Reader<'_>) -> Result<CompiledTree, CodecError
         if from >= tree.num_cliques() || to >= tree.num_cliques() || edge >= tree.num_edges() {
             return Err(malformed("schedule step references a missing element"));
         }
+        let e = tree.edge(edge);
+        if !((e.a == from && e.b == to) || (e.a == to && e.b == from)) {
+            return Err(malformed("schedule step does not follow its edge"));
+        }
         schedule.push((from, edge, to));
     }
     let support_len = r.len(1)?;
@@ -581,10 +660,21 @@ pub fn read_compiled_tree(r: &mut Reader<'_>) -> Result<CompiledTree, CodecError
         return Err(malformed("support table mismatches the cliques"));
     }
     let mut support = Vec::with_capacity(support_len);
-    for _ in 0..support_len {
+    for (clique, pot) in potentials.iter().enumerate() {
         support.push(match r.u8()? {
             0 => None,
-            1 => Some(read_u32_list(r)?),
+            1 => {
+                let list = read_u32_list(r)?;
+                let len = pot.len();
+                if !list.windows(2).all(|w| w[0] < w[1])
+                    || list.last().is_some_and(|&i| i as usize >= len)
+                {
+                    return Err(malformed(format!(
+                        "support of clique {clique} is not ascending within its {len} entries"
+                    )));
+                }
+                Some(list)
+            }
             other => return Err(malformed(format!("bad support tag {other}"))),
         });
     }
@@ -593,9 +683,19 @@ pub fn read_compiled_tree(r: &mut Reader<'_>) -> Result<CompiledTree, CodecError
         return Err(malformed("projection table mismatches the edges"));
     }
     let mut edge_proj = Vec::with_capacity(proj_len);
-    for _ in 0..proj_len {
-        let a = read_side_proj(r)?;
-        let b = read_side_proj(r)?;
+    for e in 0..proj_len {
+        let edge = tree.edge(e);
+        let sep_states: usize = edge.sepset.iter().map(|&v| tree.card(v)).product();
+        let mut side = |clique: usize| {
+            let proj = read_side_proj(r)?;
+            let iterated = support[clique]
+                .as_ref()
+                .map_or(potentials[clique].len(), Vec::len);
+            check_side_proj(&proj, iterated, sep_states)?;
+            Ok::<_, CodecError>(proj)
+        };
+        let a = side(edge.a)?;
+        let b = side(edge.b)?;
         edge_proj.push(EdgeProj { a, b });
     }
     let nnz = r.usize()?;
@@ -612,7 +712,11 @@ pub fn read_compiled_tree(r: &mut Reader<'_>) -> Result<CompiledTree, CodecError
     }
     let mut home_vars = Vec::with_capacity(home_len);
     for _ in 0..home_len {
-        home_vars.push(read_var_list(r)?);
+        let vars = read_var_list(r)?;
+        if vars.iter().any(|v| v.index() >= tree.num_vars()) {
+            return Err(malformed("home-variable mask names a missing variable"));
+        }
+        home_vars.push(vars);
     }
     Ok(CompiledTree::from_codec_parts(
         tree, potentials, schedule, kernels, mode, kernel, home_vars,
@@ -781,6 +885,139 @@ mod tests {
         mangled[0..8].copy_from_slice(&u64::MAX.to_le_bytes());
         let mut r = Reader::new(&mangled);
         assert!(read_compiled_tree(&mut r).is_err());
+    }
+
+    /// An edit of a compiled tree's cliques, edges, home cliques,
+    /// potentials and kernels.
+    type Edit = fn(
+        &mut Vec<Vec<VarId>>,
+        &mut Vec<TreeEdge>,
+        &mut Vec<usize>,
+        &mut Vec<Factor>,
+        &mut PropagationKernels,
+    );
+
+    /// Re-encodes `compiled` after `edit` changed its decoded parts, and
+    /// decodes the bytes again.
+    fn decode_edited(compiled: &CompiledTree, edit: Edit) -> Result<CompiledTree, CodecError> {
+        let (tree, pots, schedule, kernels, mode, kernel, home_vars) = compiled.codec_parts();
+        let (cliques, edges, incident, roots, home, cpt, cards, fill, total) = tree.codec_parts();
+        let (mut cliques, mut edges, mut home) = (cliques.to_vec(), edges.to_vec(), home.to_vec());
+        let (mut pots, mut kernels) = (pots.to_vec(), kernels.clone());
+        edit(&mut cliques, &mut edges, &mut home, &mut pots, &mut kernels);
+        let tree = JunctionTree::from_codec_parts(
+            cliques,
+            edges,
+            incident.to_vec(),
+            roots.to_vec(),
+            home,
+            cpt.to_vec(),
+            cards.to_vec(),
+            fill,
+            total,
+        );
+        let edited = CompiledTree::from_codec_parts(
+            tree,
+            pots,
+            schedule.to_vec(),
+            kernels,
+            mode,
+            kernel,
+            home_vars.to_vec(),
+        );
+        let mut w = Writer::new();
+        write_compiled_tree(&mut w, &edited);
+        read_compiled_tree(&mut Reader::new(&w.into_bytes()))
+    }
+
+    fn malformed_with(result: Result<CompiledTree, CodecError>, needle: &str) -> bool {
+        matches!(result, Err(CodecError::Malformed(m)) if m.contains(needle))
+    }
+
+    /// Each table the kernels index without checks is range-checked
+    /// against its own tree at decode. The chain `a → b → c` compiles to
+    /// cliques `{a, b}` and `{b, c}` joined by the sepset `{b}`.
+    #[test]
+    fn decoded_tables_are_range_checked() {
+        let dense = compile(SparseMode::Off);
+        assert!(decode_edited(&dense, |_, _, _, _, _| {}).is_ok());
+        let cases: [(&str, &str, Edit); 7] = [
+            (
+                "clique var out of range",
+                "clique variables",
+                |cl, _, _, _, _| cl[0].push(VarId::from_index(3)),
+            ),
+            (
+                "sepset outside a clique",
+                "sepset is not a subset",
+                |cl, ed, _, _, _| {
+                    let outside = if cl[ed[0].a].contains(&VarId::from_index(0)) {
+                        2
+                    } else {
+                        0
+                    };
+                    ed[0].sepset = vec![VarId::from_index(outside)];
+                },
+            ),
+            (
+                "home clique lacks its var",
+                "lacks variable",
+                |cl, _, home, _, _| {
+                    home[2] = cl
+                        .iter()
+                        .position(|c| !c.contains(&VarId::from_index(2)))
+                        .unwrap();
+                },
+            ),
+            (
+                "potential scope",
+                "disagrees with its clique",
+                |_, _, _, pots, _| pots.swap(0, 1),
+            ),
+            (
+                "projection entry",
+                "projection entry outside",
+                |_, _, _, _, k| k.edge_proj[0].a.entries[0] = 2,
+            ),
+            ("projection length", "projection has", |_, _, _, _, k| {
+                let side = &mut k.edge_proj[0].b;
+                side.entries.push(0);
+                side.blocked = None;
+            }),
+            (
+                "blocked overrun",
+                "blocked run overruns",
+                |_, _, _, _, k| k.edge_proj[0].a.blocked.as_mut().unwrap().base[0] = 2,
+            ),
+        ];
+        for (what, needle, edit) in cases {
+            assert!(
+                malformed_with(decode_edited(&dense, edit), needle),
+                "{what}"
+            );
+        }
+        let sparse = compile(SparseMode::On);
+        assert!(sparse.compressed_cliques() > 0);
+        let unsorted = decode_edited(&sparse, |_, _, _, _, k| {
+            let list = k
+                .support
+                .iter_mut()
+                .flatten()
+                .find(|s| s.len() > 1)
+                .unwrap();
+            list.reverse();
+        });
+        assert!(malformed_with(unsorted, "not ascending"), "support order");
+        let beyond = decode_edited(&sparse, |_, _, _, pots, k| {
+            let (clique, list) = k
+                .support
+                .iter_mut()
+                .enumerate()
+                .find_map(|(c, s)| s.as_mut().map(|s| (c, s)))
+                .unwrap();
+            *list.last_mut().unwrap() = pots[clique].len() as u32;
+        });
+        assert!(malformed_with(beyond, "not ascending"), "support range");
     }
 
     #[test]

@@ -158,6 +158,11 @@ impl Factor {
         strides
     }
 
+    /// Row-major stride of scope position `pos`.
+    fn stride_at(&self, pos: usize) -> usize {
+        self.cards[pos + 1..].iter().product()
+    }
+
     /// Linear index of an assignment (aligned with the scope).
     ///
     /// # Panics
@@ -332,64 +337,6 @@ impl Factor {
         }
     }
 
-    /// [`product_marginalize`](Factor::product_marginalize) writing into a
-    /// caller-owned factor, so repeated calls (the per-edge steps of a
-    /// cross-clique pairwise walk) reuse one buffer instead of allocating a
-    /// fresh table each step. Produces bit-identical values: the summation
-    /// walks the merged scope in the same odometer order.
-    pub fn product_marginalize_into(&self, other: &Factor, keep: &[VarId], out: &mut Factor) {
-        let scope = self.merged_scope(other).unwrap_or_else(|e| panic!("{e}"));
-        let full_cards: Vec<usize> = scope.iter().map(|&(_, c)| c).collect();
-        let size: usize = full_cards.iter().product();
-        let scope_vars: Vec<VarId> = scope.iter().map(|&(v, _)| v).collect();
-        let kept = kept_positions(&scope_vars, keep);
-        out.vars.clear();
-        out.cards.clear();
-        out.vars.extend(kept.iter().map(|&k| scope[k].0));
-        out.cards.extend(kept.iter().map(|&k| scope[k].1));
-        let target_size: usize = out.cards.iter().product();
-        out.values.clear();
-        out.values.resize(target_size.max(1), 0.0);
-        let self_strides = self.strides();
-        let other_strides = other.strides();
-        let mut sa = vec![0usize; scope.len()];
-        let mut sb = vec![0usize; scope.len()];
-        let mut st = vec![0usize; scope.len()];
-        for (pos, &(v, _)) in scope.iter().enumerate() {
-            if let Some(p) = self.position(v) {
-                sa[pos] = self_strides[p];
-            }
-            if let Some(p) = other.position(v) {
-                sb[pos] = other_strides[p];
-            }
-        }
-        {
-            let mut stride = 1usize;
-            for (rank, &k) in kept.iter().enumerate().rev() {
-                st[k] = stride;
-                stride *= out.cards[rank];
-            }
-        }
-        let mut digits = vec![0usize; scope.len()];
-        let (mut ia, mut ib, mut it) = (0usize, 0usize, 0usize);
-        for _ in 0..size {
-            out.values[it] += self.values[ia] * other.values[ib];
-            for pos in (0..scope.len()).rev() {
-                digits[pos] += 1;
-                ia += sa[pos];
-                ib += sb[pos];
-                it += st[pos];
-                if digits[pos] < full_cards[pos] {
-                    break;
-                }
-                digits[pos] = 0;
-                ia -= sa[pos] * full_cards[pos];
-                ib -= sb[pos] * full_cards[pos];
-                it -= st[pos] * full_cards[pos];
-            }
-        }
-    }
-
     /// In-place pointwise multiplication by a factor whose scope is a
     /// **subset** of this factor's scope. Avoids the allocation and scope
     /// merge of [`product`](Factor::product) — the hot path of junction-tree
@@ -528,6 +475,26 @@ impl Factor {
         let result_cards: Vec<usize> = result_scope.iter().map(|&(_, c)| c).collect();
         let size: usize = result_cards.iter().product();
         let mut values = vec![0.0; size.max(1)];
+        if let [pos] = kept[..] {
+            // One kept variable (the per-gate readout): outer block × card
+            // × stride. Each state's sum takes its entries in ascending
+            // source order, exactly as the odometer below adds them.
+            let stride = self.stride_at(pos);
+            for block in self.values.chunks_exact(self.cards[pos] * stride) {
+                for (slot, run) in values.iter_mut().zip(block.chunks_exact(stride)) {
+                    let mut acc = *slot;
+                    for &v in run {
+                        acc += v;
+                    }
+                    *slot = acc;
+                }
+            }
+            return Factor {
+                vars: result_scope.iter().map(|&(v, _)| v).collect(),
+                cards: result_cards,
+                values,
+            };
+        }
         // Walk the source with an odometer, maintaining the target index.
         let mut target_strides = vec![0usize; self.vars.len()];
         {
@@ -555,45 +522,6 @@ impl Factor {
             vars: result_scope.iter().map(|&(v, _)| v).collect(),
             cards: result_cards,
             values,
-        }
-    }
-
-    /// [`marginalize_keep`](Factor::marginalize_keep) writing into a
-    /// caller-owned factor (bit-identical values, reused storage).
-    pub fn marginalize_keep_into(&self, keep: &[VarId], out: &mut Factor) {
-        let kept = kept_positions(&self.vars, keep);
-        out.vars.clear();
-        out.cards.clear();
-        out.vars.extend(kept.iter().map(|&i| self.vars[i]));
-        out.cards.extend(kept.iter().map(|&i| self.cards[i]));
-        out.values.clear();
-        if kept.len() == self.vars.len() {
-            out.values.extend_from_slice(&self.values);
-            return;
-        }
-        let size: usize = out.cards.iter().product();
-        out.values.resize(size.max(1), 0.0);
-        let mut target_strides = vec![0usize; self.vars.len()];
-        {
-            let mut stride = 1usize;
-            for (rank, &i) in kept.iter().enumerate().rev() {
-                target_strides[i] = stride;
-                stride *= out.cards[rank];
-            }
-        }
-        let mut digits = vec![0usize; self.vars.len()];
-        let mut target = 0usize;
-        for &v in &self.values {
-            out.values[target] += v;
-            for pos in (0..self.vars.len()).rev() {
-                digits[pos] += 1;
-                target += target_strides[pos];
-                if digits[pos] < self.cards[pos] {
-                    break;
-                }
-                digits[pos] = 0;
-                target -= target_strides[pos] * self.cards[pos];
-            }
         }
     }
 
@@ -678,12 +606,14 @@ impl Factor {
             return;
         };
         assert!(state < self.cards[pos], "evidence state out of range");
-        let strides = self.strides();
-        let stride = strides[pos];
-        let card = self.cards[pos];
-        for (idx, v) in self.values.iter_mut().enumerate() {
-            if (idx / stride) % card != state {
-                *v = 0.0;
+        let (card, stride) = (self.cards[pos], self.stride_at(pos));
+        // Outer block × card × stride: each block holds one run of
+        // `stride` entries per state of `var`.
+        for block in self.values.chunks_exact_mut(card * stride) {
+            for (s, run) in block.chunks_exact_mut(stride).enumerate() {
+                if s != state {
+                    run.fill(0.0);
+                }
             }
         }
     }
@@ -696,11 +626,9 @@ impl Factor {
             return;
         };
         assert!(state < self.cards[pos], "state out of range");
-        let strides = self.strides();
-        let stride = strides[pos];
-        let card = self.cards[pos];
-        for (idx, v) in self.values.iter_mut().enumerate() {
-            if (idx / stride) % card == state {
+        let (card, stride) = (self.cards[pos], self.stride_at(pos));
+        for block in self.values.chunks_exact_mut(card * stride) {
+            for v in &mut block[state * stride..(state + 1) * stride] {
                 *v *= weight;
             }
         }
@@ -991,43 +919,6 @@ mod tests {
         let num = Factor::new(vec![(v(0), 2)], vec![0.0, 0.6]);
         let ok = num.try_divide_same_domain(&zero).unwrap();
         assert_eq!(ok.values(), &[0.0, 2.0]);
-    }
-
-    #[test]
-    fn into_variants_match_allocating_ones_bitwise() {
-        let f = Factor::new(
-            vec![(v(0), 2), (v(1), 3), (v(2), 2)],
-            (0..12).map(|i| (i as f64).sin() + 2.0).collect(),
-        );
-        let g = Factor::new(
-            vec![(v(1), 3), (v(3), 2)],
-            (0..6).map(|i| (i as f64).cos() + 2.0).collect(),
-        );
-        // Seed the out-buffer with junk scope + stale capacity to prove it
-        // is fully reset.
-        let mut out = Factor::new(vec![(v(5), 4)], vec![9.0; 4]);
-        for keep in [
-            vec![v(1)],
-            vec![v(0), v(3)],
-            vec![v(2), v(1)],
-            vec![],
-            vec![v(0), v(1), v(2), v(3)],
-        ] {
-            f.product_marginalize_into(&g, &keep, &mut out);
-            let want = f.product_marginalize(&g, &keep);
-            assert_eq!(out.vars(), want.vars());
-            assert_eq!(out.cards(), want.cards());
-            let bits_out: Vec<u64> = out.values().iter().map(|x| x.to_bits()).collect();
-            let bits_want: Vec<u64> = want.values().iter().map(|x| x.to_bits()).collect();
-            assert_eq!(bits_out, bits_want);
-
-            f.marginalize_keep_into(&keep, &mut out);
-            let want = f.marginalize_keep(&keep);
-            assert_eq!(out.vars(), want.vars());
-            let bits_out: Vec<u64> = out.values().iter().map(|x| x.to_bits()).collect();
-            let bits_want: Vec<u64> = want.values().iter().map(|x| x.to_bits()).collect();
-            assert_eq!(bits_out, bits_want);
-        }
     }
 
     #[test]

@@ -314,9 +314,8 @@ impl JunctionTree {
     }
 
     /// Rebuilds a tree from decoded fields without re-running compilation.
-    /// The [`crate::codec`] decoder is the only caller; it verifies a
-    /// payload checksum before trusting the fields, so no structural
-    /// re-validation happens here.
+    /// The [`crate::codec`] decoder is the only caller; it range-checks
+    /// the fields before calling, so no validation happens here.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_codec_parts(
         cliques: Vec<Vec<VarId>>,

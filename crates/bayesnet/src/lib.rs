@@ -61,6 +61,7 @@ mod factor;
 pub mod graph;
 mod junction;
 mod network;
+mod pairwise;
 mod propagate;
 mod sparse;
 pub mod triangulate;
@@ -69,6 +70,7 @@ pub use error::BayesError;
 pub use factor::{Factor, VarId};
 pub use junction::JunctionTree;
 pub use network::{BayesNet, Cpt};
+pub use pairwise::PairwisePlan;
 pub use propagate::{
     initial_potentials, CompiledTree, MessageCache, PropagationMode, PropagationState,
 };

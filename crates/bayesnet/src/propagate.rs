@@ -2,6 +2,7 @@ use std::sync::{Mutex, PoisonError};
 
 use crate::codec::{fnv128, fnv128_u64, FNV128_OFFSET};
 use crate::junction::JunctionTree;
+use crate::pairwise::{self, PairwisePlan};
 use crate::sparse::{self, PropagationKernels, SideProj};
 use crate::{BayesError, BayesNet, Factor, KernelMode, SparseMode, VarId};
 
@@ -320,9 +321,8 @@ impl CompiledTree {
             likelihood: vec![None; self.tree.num_vars()],
             soft_factors: Vec::new(),
             scratch: Vec::with_capacity(self.tree.max_sepset_states()),
-            path_msg: Factor::scalar(1.0),
-            path_next: Factor::scalar(1.0),
-            path_keep: Vec::new(),
+            path_msg: Vec::new(),
+            path_next: Vec::new(),
             calibrated: false,
             max_mode: false,
             evidence_probability: 1.0,
@@ -529,13 +529,50 @@ impl CompiledTree {
         joint_marginal_impl(&self.tree, state, vars)
     }
 
+    /// Plans the clique-path walk for the pair `(a, b)` once, so repeated
+    /// reads over this tree skip the path search and index setup (see
+    /// [`PairwisePlan`]). Returns `None` when `a == b`, either variable is
+    /// out of range, or the two lie in different components.
+    pub fn plan_pairwise(&self, a: VarId, b: VarId) -> Option<PairwisePlan> {
+        pairwise::plan(&self.tree, a, b)
+    }
+
+    /// Runs a plan from [`plan_pairwise`](CompiledTree::plan_pairwise) on
+    /// this tree over a calibrated state: the normalized joint over
+    /// [`PairwisePlan::vars`] (first variable slowest), in the state's
+    /// path buffers. Bit-identical to
+    /// [`pairwise_marginal`](CompiledTree::pairwise_marginal).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is not sum-calibrated. A plan built on another
+    /// tree gives a meaningless joint or panics.
+    pub fn pairwise_marginal_planned<'s>(
+        &self,
+        state: &'s mut PropagationState,
+        plan: &PairwisePlan,
+    ) -> &'s [f64] {
+        assert_sum_calibrated(state);
+        pairwise::run(
+            plan,
+            &self.kernels,
+            &state.clique_pot,
+            &state.sep_pot,
+            &mut state.path_msg,
+            &mut state.path_next,
+        )
+    }
+
     /// The exact posterior joint `P(a, b | evidence)` for *any* two
     /// variables in the same junction-tree component — even when no single
     /// clique contains both — by marginalizing along the clique path
     /// between their home cliques. Returns `None` across components.
     /// Normalized, scope sorted.
     ///
-    /// Runs in O(path length × clique size); this powers the
+    /// Plans the walk per call, then costs one pass over each clique on
+    /// the path, through the tree's clique→sepset projection tables;
+    /// repeated reads of one pair should keep the
+    /// [`plan`](CompiledTree::plan_pairwise). This powers the
     /// boundary-correlation forwarding of the `swact` estimator.
     ///
     /// # Panics
@@ -547,27 +584,38 @@ impl CompiledTree {
         a: VarId,
         b: VarId,
     ) -> Option<Factor> {
-        pairwise_marginal_impl(&self.tree, state, a, b)
+        assert_sum_calibrated(state);
+        assert_ne!(a, b, "pairwise marginal needs two distinct variables");
+        let plan = self.plan_pairwise(a, b)?;
+        let (mut msg, mut next) = (Vec::new(), Vec::new());
+        let values = pairwise::run(
+            &plan,
+            &self.kernels,
+            &state.clique_pot,
+            &state.sep_pot,
+            &mut msg,
+            &mut next,
+        );
+        let [lo, hi] = plan.vars();
+        Some(Factor::new(
+            vec![(lo, self.tree.card(lo)), (hi, self.tree.card(hi))],
+            values.to_vec(),
+        ))
     }
 
-    /// [`pairwise_marginal`](CompiledTree::pairwise_marginal) routed
-    /// through the state's path scratch factors: the per-step messages of
-    /// the clique-path walk are fused (product + marginalize in one pass)
-    /// into two ping-ponged buffers owned by `state`, so repeated pairwise
-    /// reads allocate no intermediate factor tables once the buffers have
-    /// grown to the path's largest message. Results are bit-identical to
-    /// the borrowing form — same kernels, same order, reused storage.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is not sum-calibrated or `a == b`.
-    pub fn pairwise_marginal_scratch(
+    /// The factor-algebra walk [`pairwise_marginal`](CompiledTree::pairwise_marginal)
+    /// must reproduce bit for bit: path search, scope merges and
+    /// `Factor::product_marginalize` per step. Kept only as the
+    /// differential-test reference, like
+    /// [`calibrate_two_pass`](CompiledTree::calibrate_two_pass).
+    #[doc(hidden)]
+    pub fn pairwise_marginal_reference(
         &self,
-        state: &mut PropagationState,
+        state: &PropagationState,
         a: VarId,
         b: VarId,
     ) -> Option<Factor> {
-        pairwise_marginal_scratch_impl(&self.tree, state, a, b)
+        pairwise_marginal_impl(&self.tree, state, a, b)
     }
 
     /// Decodes the most probable explanation (MPE) from a max-calibrated
@@ -610,13 +658,11 @@ pub struct PropagationState {
     /// Sepset-sized message buffer reused by every absorb, so calibration
     /// allocates nothing in steady state.
     scratch: Vec<f64>,
-    /// Ping-pong factor buffers for the pairwise clique-path walk
-    /// ([`CompiledTree::pairwise_marginal_scratch`]), so repeated boundary
-    /// reads allocate no intermediate tables in steady state.
-    path_msg: Factor,
-    path_next: Factor,
-    /// Reused scope buffer for the same walk (sepset plus one variable).
-    path_keep: Vec<VarId>,
+    /// Ping-pong message buffers for planned pairwise walks
+    /// ([`CompiledTree::pairwise_marginal_planned`]), so repeated boundary
+    /// reads allocate nothing in steady state.
+    path_msg: Vec<f64>,
+    path_next: Vec<f64>,
     calibrated: bool,
     /// Whether the last calibration was sum-product or max-product.
     max_mode: bool,
@@ -1147,12 +1193,16 @@ fn commit_message(
     );
 }
 
-fn marginal_impl(tree: &JunctionTree, state: &PropagationState, var: VarId) -> Vec<f64> {
+fn assert_sum_calibrated(state: &PropagationState) {
     assert!(state.calibrated, "call calibrate() first");
     assert!(
         !state.max_mode,
         "sum-calibration required; call calibrate()"
     );
+}
+
+fn marginal_impl(tree: &JunctionTree, state: &PropagationState, var: VarId) -> Vec<f64> {
+    assert_sum_calibrated(state);
     let clique = tree.home_clique(var);
     let mut m = state.clique_pot[clique].marginalize_keep(&[var]);
     m.normalize();
@@ -1164,11 +1214,7 @@ fn joint_marginal_impl(
     state: &PropagationState,
     vars: &[VarId],
 ) -> Option<Factor> {
-    assert!(state.calibrated, "call calibrate() first");
-    assert!(
-        !state.max_mode,
-        "sum-calibration required; call calibrate()"
-    );
+    assert_sum_calibrated(state);
     let clique = (0..tree.num_cliques())
         .find(|&c| vars.iter().all(|v| tree.clique(c).binary_search(v).is_ok()))?;
     let mut m = state.clique_pot[clique].marginalize_keep(vars);
@@ -1182,11 +1228,7 @@ fn pairwise_marginal_impl(
     a: VarId,
     b: VarId,
 ) -> Option<Factor> {
-    assert!(state.calibrated, "call calibrate() first");
-    assert!(
-        !state.max_mode,
-        "sum-calibration required; call calibrate()"
-    );
+    assert_sum_calibrated(state);
     assert_ne!(a, b, "pairwise marginal needs two distinct variables");
     if let Some(joint) = joint_marginal_impl(tree, state, &[a.min(b), a.max(b)]) {
         return Some(joint);
@@ -1217,60 +1259,6 @@ fn pairwise_marginal_impl(
     let (_, last_clique) = *path.last()?;
     let mut joint =
         state.clique_pot[last_clique].product_marginalize(&message, &[a.min(b), a.max(b)]);
-    joint.normalize();
-    Some(joint)
-}
-
-/// [`pairwise_marginal_impl`] with the per-step messages fused into the
-/// state's ping-pong path buffers: the same walk, the same kernels in the
-/// same order (so bit-identical results), but each intermediate lands in
-/// reused storage instead of a fresh factor. Only the returned joint —
-/// which the caller keeps — is allocated.
-fn pairwise_marginal_scratch_impl(
-    tree: &JunctionTree,
-    state: &mut PropagationState,
-    a: VarId,
-    b: VarId,
-) -> Option<Factor> {
-    assert!(state.calibrated, "call calibrate() first");
-    assert!(
-        !state.max_mode,
-        "sum-calibration required; call calibrate()"
-    );
-    assert_ne!(a, b, "pairwise marginal needs two distinct variables");
-    if let Some(joint) = joint_marginal_impl(tree, state, &[a.min(b), a.max(b)]) {
-        return Some(joint);
-    }
-    let ca = tree.home_clique(a);
-    let cb = tree.home_clique(b);
-    let path = tree.clique_path(ca, cb)?;
-    let (first_edge, _) = *path.first()?;
-    state.path_keep.clear();
-    state
-        .path_keep
-        .extend_from_slice(&tree.edge(first_edge).sepset);
-    state.path_keep.push(a);
-    state.clique_pot[ca].marginalize_keep_into(&state.path_keep, &mut state.path_msg);
-    state.path_msg.div_assign_sub(&state.sep_pot[first_edge]);
-    for window in path.windows(2) {
-        let (_, clique) = window[0];
-        let (next_edge, _) = window[1];
-        state.path_keep.clear();
-        state
-            .path_keep
-            .extend_from_slice(&tree.edge(next_edge).sepset);
-        state.path_keep.push(a);
-        state.clique_pot[clique].product_marginalize_into(
-            &state.path_msg,
-            &state.path_keep,
-            &mut state.path_next,
-        );
-        state.path_next.div_assign_sub(&state.sep_pot[next_edge]);
-        std::mem::swap(&mut state.path_msg, &mut state.path_next);
-    }
-    let (_, last_clique) = *path.last()?;
-    let mut joint =
-        state.clique_pot[last_clique].product_marginalize(&state.path_msg, &[a.min(b), a.max(b)]);
     joint.normalize();
     Some(joint)
 }

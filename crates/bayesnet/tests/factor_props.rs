@@ -177,4 +177,48 @@ proptest! {
             prop_assert!((sliced.values()[idx] - expect).abs() < 1e-12);
         }
     }
+
+    /// The stride loops of `reduce`, `scale_state` and the one-variable
+    /// `marginalize_keep` touch exactly the entries the per-entry
+    /// `(idx / stride) % card` formula selects, in ascending order, with
+    /// bit-identical results.
+    #[test]
+    fn stride_loops_match_the_per_entry_formula(
+        a in arb_factor(POOL),
+        pick in 0usize..4,
+        state_raw in 0usize..4,
+        weight in 0.0f64..3.0,
+    ) {
+        let pos = pick % a.vars().len();
+        let var = a.vars()[pos];
+        let card = a.cards()[pos];
+        let state = state_raw % card;
+        let stride: usize = a.cards()[pos + 1..].iter().product();
+        let selected = |idx: usize| (idx / stride) % card == state;
+
+        let mut reduced = a.clone();
+        reduced.reduce(var, state);
+        let mut scaled = a.clone();
+        scaled.scale_state(var, state, weight);
+        for (idx, &x) in a.values().iter().enumerate() {
+            let want_reduced = if selected(idx) { x } else { 0.0 };
+            let want_scaled = if selected(idx) { x * weight } else { x };
+            prop_assert_eq!(reduced.values()[idx].to_bits(), want_reduced.to_bits());
+            prop_assert_eq!(scaled.values()[idx].to_bits(), want_scaled.to_bits());
+        }
+        let mut sums = vec![0.0f64; card];
+        for (idx, &x) in a.values().iter().enumerate() {
+            sums[(idx / stride) % card] += x;
+        }
+        let marginal = a.marginalize_keep(&[var]);
+        prop_assert_eq!(marginal.vars(), &[var][..]);
+        let got: Vec<u64> = marginal.values().iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u64> = sums.iter().map(|v| v.to_bits()).collect();
+        prop_assert_eq!(got, want);
+        // A variable outside the scope leaves the factor untouched.
+        let mut untouched = a.clone();
+        untouched.reduce(VarId::from_index(9), 0);
+        untouched.scale_state(VarId::from_index(9), 0, weight);
+        prop_assert_eq!(untouched, a);
+    }
 }

@@ -10,42 +10,8 @@
 
 use proptest::prelude::*;
 use swact_bayesnet::{
-    initial_potentials, BayesNet, CompiledTree, Cpt, Factor, JunctionTree, KernelMode, SparseMode,
-    VarId,
+    initial_potentials, BayesNet, CompiledTree, Cpt, JunctionTree, KernelMode, SparseMode, VarId,
 };
-
-/// A random factor over a subset of `vars` (cardinalities in `cards`),
-/// with `zero_pct` percent of entries zeroed — blocked kernels must hold
-/// on the mostly-zero potentials deterministic CPTs produce.
-fn random_factor(vars: &[(VarId, usize)], seed: &mut u64, zero_pct: u64) -> Factor {
-    let next = move |state: &mut u64| {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        *state
-    };
-    let scope: Vec<(VarId, usize)> = vars
-        .iter()
-        .filter(|_| next(seed) % 2 == 0)
-        .copied()
-        .collect();
-    let scope = if scope.is_empty() {
-        vec![vars[0]]
-    } else {
-        scope
-    };
-    let size: usize = scope.iter().map(|&(_, c)| c).product();
-    let values: Vec<f64> = (0..size)
-        .map(|_| {
-            if next(seed) % 100 < zero_pct {
-                0.0
-            } else {
-                (1 + next(seed) % 997) as f64 / 997.0
-            }
-        })
-        .collect();
-    Factor::new(scope, values)
-}
 
 /// A random discrete Bayesian network mixing deterministic (one-hot) and
 /// strictly-positive CPTs over cardinalities 2–4, shaped like the LIDAG
@@ -190,52 +156,6 @@ fn assert_simd_close_to_scalar(net: &BayesNet) {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// `product_marginalize_into` and `marginalize_keep_into` must write
-    /// bit-identical values to their allocating counterparts into an
-    /// arbitrarily dirty output buffer — the scratch-reuse path of
-    /// collect/distribute depends on it.
-    #[test]
-    fn into_kernels_match_allocating_kernels(seed in any::<u64>(), zero_pct in 0u64..80) {
-        let mut state = seed | 1;
-        let vars: Vec<(VarId, usize)> = (0..5)
-            .map(|i| (VarId::from_index(i), 2 + (i % 3)))
-            .collect();
-        let a = random_factor(&vars, &mut state, zero_pct);
-        let b = random_factor(&vars, &mut state, zero_pct);
-        // Keep an arbitrary subset of the merged scope (possibly empty).
-        let keep: Vec<VarId> = vars
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| (seed >> i) & 1 == 1)
-            .map(|(_, &(v, _))| v)
-            .collect();
-        // Seed the out-buffers with junk scope and values.
-        let junk = || Factor::new(vec![(VarId::from_index(9), 3)], vec![7.0, 8.0, 9.0]);
-
-        let expect = a.product_marginalize(&b, &keep);
-        let mut got = junk();
-        a.product_marginalize_into(&b, &keep, &mut got);
-        prop_assert_eq!(expect.vars(), got.vars());
-        prop_assert_eq!(expect.cards(), got.cards());
-        for (x, y) in expect.values().iter().zip(got.values()) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
-
-        let keep_in_a: Vec<VarId> = keep
-            .iter()
-            .copied()
-            .filter(|v| a.vars().contains(v))
-            .collect();
-        let expect = a.marginalize_keep(&keep_in_a);
-        let mut got = junk();
-        a.marginalize_keep_into(&keep_in_a, &mut got);
-        prop_assert_eq!(expect.vars(), got.vars());
-        prop_assert_eq!(expect.cards(), got.cards());
-        for (x, y) in expect.values().iter().zip(got.values()) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
-        }
-    }
 
     /// Random strictly-positive CPTs: the blocked scalar kernels are
     /// bit-identical to the two-pass reference.

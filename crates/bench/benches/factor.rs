@@ -28,6 +28,16 @@ fn bench_factor(c: &mut Criterion) {
     group.bench_function("marginalize_6_to_3", |b| {
         b.iter(|| clique.marginalize_keep(sepset.vars()))
     });
+    // The per-gate readout: one variable kept, at every scope position.
+    group.bench_function("marginalize_6_to_1", |b| {
+        b.iter(|| {
+            clique
+                .vars()
+                .iter()
+                .map(|&v| clique.marginalize_keep(&[v]).values()[0])
+                .sum::<f64>()
+        })
+    });
     group.bench_function("normalize_6", |b| {
         b.iter_batched(
             || clique.clone(),

@@ -32,5 +32,45 @@ fn bench_propagate(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_propagate);
+/// The boundary-correlation export walks of one segment: the c7552
+/// default-plan segment with the most exports, calibrated at its baked-in
+/// uniform priors, read through the planned walks the estimator stores
+/// against the factor-algebra reference walk they must reproduce.
+fn bench_export_walks(c: &mut Criterion) {
+    let circuit = catalog::benchmark("c7552").expect("known benchmark");
+    let compiled = CompiledEstimator::compile(&circuit, &Options::default()).expect("compiles");
+    let walks = compiled.export_walks();
+    let (tree, exports) = walks
+        .iter()
+        .max_by_key(|(_, exports)| exports.len())
+        .expect("c7552 forwards boundary correlation");
+    let mut state = tree.new_state();
+    tree.calibrate(&mut state);
+    let mut group = c.benchmark_group(format!("export_walks/c7552_{}_exports", exports.len()));
+    group.sample_size(20);
+    group.bench_function("planned", |b| {
+        b.iter(|| {
+            let mut total = 0.0;
+            for &(_, _, plan) in exports {
+                total += tree.pairwise_marginal_planned(&mut state, plan)[0];
+            }
+            total
+        })
+    });
+    group.bench_function("reference", |b| {
+        b.iter(|| {
+            let mut total = 0.0;
+            for &(parent, child, _) in exports {
+                let joint = tree
+                    .pairwise_marginal_reference(&state, parent, child)
+                    .expect("exports share a component");
+                total += joint.values()[0];
+            }
+            total
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_propagate, bench_export_walks);
 criterion_main!(benches);

@@ -196,6 +196,21 @@ impl CompiledSegment {
         }
     }
 
+    /// Plans the `(parent, child)` joints this segment exports to later
+    /// segments, once per compile or load. Only junction trees can export
+    /// pairwise joints; a pair outside the tree, or any export from
+    /// another backend, is an error.
+    pub(crate) fn plan_exports(&mut self, exports: &[Export]) -> Result<(), String> {
+        match &mut self.artifact {
+            SegmentArtifact::Jtree(art) => jtree::plan_exports(art, exports),
+            _ if exports.is_empty() => Ok(()),
+            _ => Err(format!(
+                "a {} segment cannot export pairwise joints",
+                self.backend()
+            )),
+        }
+    }
+
     /// Structural (clique) distance between two lines of this segment,
     /// used to pick boundary-correlation parents; `None` disables
     /// correlation forwarding from this segment (every backend but jtree,
@@ -216,13 +231,13 @@ impl CompiledSegment {
 
 /// Everything one propagation of a segment reads: the input spec, the
 /// global per-line distributions produced by earlier waves, forwarded
-/// boundary conditionals, the pairwise joints this segment must export,
-/// and any requested in-segment line-pair joints.
+/// boundary conditionals, and any requested in-segment line-pair joints.
+/// (The pairwise joints a segment exports are part of its compiled
+/// artifact — see [`CompiledSegment::plan_exports`].)
 pub(crate) struct RootDists<'a> {
     pub(crate) spec: &'a InputSpec,
     pub(crate) dists: &'a [TransitionDist],
     pub(crate) conditionals: &'a [Option<[f64; 16]>],
-    pub(crate) exports: &'a [Export],
     pub(crate) joint_requests: &'a [(VarId, VarId, usize)],
     /// Absolute instant the propagate stage's deadline elapses, when a
     /// [`Budget::deadline`](crate::Budget) is set. Anytime backends stop

@@ -5,14 +5,14 @@ use std::sync::Mutex;
 
 use swact_bayesnet::codec::{fnv128_u64, FNV128_OFFSET};
 use swact_bayesnet::{
-    initial_potentials, CompiledTree, Factor, JunctionTree, MessageCache, PropagationMode,
-    PropagationState, VarId,
+    initial_potentials, CompiledTree, Factor, JunctionTree, MessageCache, PairwisePlan,
+    PropagationMode, PropagationState, VarId,
 };
 use swact_circuit::LineId;
 
 use crate::estimator::Options;
 use crate::pipeline::backend::{RootDists, SegmentArtifact, SegmentPosterior, SegmentStats};
-use crate::pipeline::model::{InputPair, PairRoot, SegmentModel};
+use crate::pipeline::model::{Export, InputPair, PairRoot, SegmentModel};
 use crate::segment::RootSource;
 use crate::{EstimateError, InputSpec, TransitionDist};
 
@@ -52,6 +52,55 @@ pub(crate) struct JtreeSegment {
     pub(crate) pair_roots: Vec<PairRoot>,
     pub(crate) input_pairs: Vec<InputPair>,
     pub(crate) gates: Vec<(LineId, VarId)>,
+    /// The pairwise joints later segments read from this one, each with
+    /// its clique-path walk planned once ([`plan_exports`]). Derived from
+    /// the estimator's export routing at compile and at artifact load;
+    /// never serialized.
+    pub(crate) exports: Vec<ExportWalk>,
+}
+
+/// One boundary-correlation export: the conditional slot it fills and
+/// the planned walk that computes its `(parent, child)` joint.
+pub(crate) struct ExportWalk {
+    pub(crate) slot: usize,
+    pub(crate) parent: VarId,
+    pub(crate) child: VarId,
+    pub(crate) plan: PairwisePlan,
+}
+
+/// Plans every export `art` computes after calibration. Each pair must
+/// name two distinct variables of the segment's tree in one component;
+/// anything else (only a corrupt artifact can carry it) is an error
+/// instead of a panic at estimate time.
+pub(crate) fn plan_exports(art: &mut JtreeSegment, exports: &[Export]) -> Result<(), String> {
+    let num_vars = art.compiled.tree().num_vars();
+    art.exports = exports
+        .iter()
+        .map(|export| {
+            let (parent, child) = (export.parent_var, export.child_var);
+            if parent.index() >= num_vars || child.index() >= num_vars {
+                return Err(format!(
+                    "export ({parent}, {child}) outside the producer's {num_vars} variables"
+                ));
+            }
+            if parent == child {
+                return Err(format!(
+                    "export ({parent}, {child}) names one variable twice"
+                ));
+            }
+            let plan = art
+                .compiled
+                .plan_pairwise(parent, child)
+                .ok_or_else(|| format!("export ({parent}, {child}) spans two tree components"))?;
+            Ok(ExportWalk {
+                slot: export.slot,
+                parent,
+                child,
+                plan,
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    Ok(())
 }
 
 /// The 4×4 conditional rows `P(child | parent)` a grouped or explicitly
@@ -130,6 +179,7 @@ pub(crate) fn compile(
         pair_roots: model.pair_roots.clone(),
         input_pairs: model.input_pairs.clone(),
         gates: model.gates.clone(),
+        exports: Vec::new(),
     };
     Ok((SegmentArtifact::Jtree(artifact), stats))
 }
@@ -221,38 +271,35 @@ pub(crate) fn propagate(
     // Serve requested line-pair joints from this segment.
     let mut joints = Vec::new();
     for &(var_a, var_b, idx) in roots.joint_requests {
-        if var_a == var_b {
+        let Some(plan) = compiled.plan_pairwise(var_a, var_b) else {
             continue;
-        }
-        if let Some(joint) = compiled.pairwise_marginal_scratch(&mut state, var_a, var_b) {
-            let a_first = joint.vars()[0] == var_a;
-            let mut out = [[0.0f64; 4]; 4];
-            for (a_state, row) in out.iter_mut().enumerate() {
-                for (b_state, slot) in row.iter_mut().enumerate() {
-                    let k = if a_first {
-                        a_state * 4 + b_state
-                    } else {
-                        b_state * 4 + a_state
-                    };
-                    *slot = joint.values()[k];
-                }
+        };
+        let a_first = plan.vars()[0] == var_a;
+        let joint = compiled.pairwise_marginal_planned(&mut state, &plan);
+        let mut out = [[0.0f64; 4]; 4];
+        for (a_state, row) in out.iter_mut().enumerate() {
+            for (b_state, slot) in row.iter_mut().enumerate() {
+                let k = if a_first {
+                    a_state * 4 + b_state
+                } else {
+                    b_state * 4 + a_state
+                };
+                *slot = joint[k];
             }
-            joints.push((idx, out));
         }
+        joints.push((idx, out));
     }
     // Export pairwise joints for later segments.
-    let mut exports = Vec::new();
-    for export in roots.exports {
-        let joint = compiled
-            .pairwise_marginal_scratch(&mut state, export.parent_var, export.child_var)
-            .expect("export pairs share a component by construction");
-        let parent_first = joint.vars()[0] == export.parent_var;
+    let mut exports = Vec::with_capacity(art.exports.len());
+    for export in &art.exports {
+        let parent_first = export.plan.vars()[0] == export.parent;
+        let joint = compiled.pairwise_marginal_planned(&mut state, &export.plan);
         let mut cond = [0.0f64; 16];
         for p in 0..4 {
             let mut row = [0.0f64; 4];
             for (c, slot) in row.iter_mut().enumerate() {
                 let idx = if parent_first { p * 4 + c } else { c * 4 + p };
-                *slot = joint.values()[idx];
+                *slot = joint[idx];
             }
             let mass: f64 = row.iter().sum();
             for (c, &v) in row.iter().enumerate() {
@@ -321,4 +368,90 @@ pub(crate) fn root_signature(art: &JtreeSegment, roots: &RootDists<'_>) -> Optio
         h = fnv128_u64(h, idx as u64);
     }
     Some(h)
+}
+
+#[cfg(test)]
+mod tests {
+    use swact_circuit::catalog;
+
+    use crate::pipeline::backend::SegmentArtifact;
+    use crate::{CompiledEstimator, InputSpec, Options};
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// After a real estimate, every segment's pooled state is calibrated
+    /// with that estimate's priors. Each export the estimator planned (c880
+    /// has none at default options), and a spread of in-segment joint
+    /// reads (planned per call, as `estimate_with_line_joints` does), must
+    /// equal the reference walk bit for bit.
+    fn assert_export_walks_match_the_reference(name: &str) {
+        let circuit = catalog::benchmark(name).expect("known benchmark");
+        let compiled = CompiledEstimator::compile(&circuit, &Options::default()).expect("compiles");
+        let spec = InputSpec::independent(
+            (0..circuit.num_inputs()).map(|i| 0.1 + 0.8 * ((i * 37) % 11) as f64 / 10.0),
+        );
+        compiled.estimate(&spec).expect("estimates");
+        let mut walks = 0;
+        for segment in &compiled.segments {
+            let SegmentArtifact::Jtree(art) = &segment.artifact else {
+                continue;
+            };
+            let tree = &art.compiled;
+            let mut state = art
+                .states
+                .lock()
+                .expect("state pool lock")
+                .pop()
+                .expect("the estimate pooled a calibrated state");
+            for export in &art.exports {
+                let planned = bits(tree.pairwise_marginal_planned(&mut state, &export.plan));
+                let reference = tree
+                    .pairwise_marginal_reference(&state, export.parent, export.child)
+                    .expect("exports share a component");
+                assert_eq!(planned, bits(reference.values()), "{name} export");
+                walks += 1;
+            }
+            let gates: Vec<_> = art.gates.iter().map(|&(_, var)| var).collect();
+            let step = (gates.len() / 4).max(1);
+            for &a in gates.iter().step_by(step) {
+                for &b in gates.iter().rev().step_by(step) {
+                    if a == b {
+                        continue;
+                    }
+                    let planned = tree
+                        .pairwise_marginal(&state, a, b)
+                        .map(|j| bits(j.values()));
+                    let reference = tree
+                        .pairwise_marginal_reference(&state, a, b)
+                        .map(|j| bits(j.values()));
+                    assert_eq!(planned, reference, "{name} joint {a} {b}");
+                    walks += 1;
+                }
+            }
+            art.states.lock().expect("state pool lock").push(state);
+        }
+        assert!(walks > 0, "{name} walked no pair");
+    }
+
+    #[test]
+    fn export_walks_match_the_reference_on_c432() {
+        assert_export_walks_match_the_reference("c432");
+    }
+
+    #[test]
+    fn export_walks_match_the_reference_on_c880() {
+        assert_export_walks_match_the_reference("c880");
+    }
+
+    #[test]
+    fn export_walks_match_the_reference_on_alu2() {
+        assert_export_walks_match_the_reference("alu2");
+    }
+
+    #[test]
+    fn export_walks_match_the_reference_on_c7552() {
+        assert_export_walks_match_the_reference("c7552");
+    }
 }

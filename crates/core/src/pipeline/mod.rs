@@ -41,13 +41,13 @@ use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use swact_bayesnet::VarId;
+use swact_bayesnet::{CompiledTree, PairwisePlan, VarId};
 use swact_circuit::{Circuit, LineId};
 
 use crate::budget::{DegradationCause, DegradationReport, Fallback};
 use crate::estimator::Options;
 use crate::faults;
-use crate::pipeline::backend::{CompiledSegment, RootDists, SegmentPosterior};
+use crate::pipeline::backend::{CompiledSegment, RootDists, SegmentArtifact, SegmentPosterior};
 use crate::pipeline::model::Export;
 use crate::report::{AccuracyReport, Estimate};
 use crate::segment::{estimate_segment_cost, replan_segment, RootSource, Segment};
@@ -487,6 +487,16 @@ impl CompiledEstimator {
                 final_segments.push(seg);
             }
         }
+        // Consumers append to their producers' export lists, so a
+        // producer's walks are planned once every consumer is compiled.
+        for (segment, exports) in segments.iter_mut().zip(&exports) {
+            segment
+                .plan_exports(exports)
+                .map_err(|message| EstimateError::Backend {
+                    backend: Backend::Jtree.name(),
+                    message,
+                })?;
+        }
         let schedule = WaveSchedule::from_segments(&final_segments);
         let memo = (0..segments.len()).map(|_| Mutex::new(None)).collect();
         Ok(CompiledEstimator {
@@ -679,7 +689,6 @@ impl CompiledEstimator {
                         spec,
                         dists: &dists,
                         conditionals: &conditionals,
-                        exports: &self.exports[seg_idx],
                         joint_requests: &joint_requests[seg_idx],
                         deadline: sample_deadline,
                     },
@@ -875,6 +884,27 @@ impl CompiledEstimator {
             .iter()
             .filter(|s| s.backend() == Backend::Sampling)
             .count()
+    }
+
+    /// Per exporting junction-tree segment: its compiled tree and each
+    /// boundary-correlation export as `(parent, child, planned walk)`.
+    /// For the export-walk benchmark and differential tests only.
+    #[doc(hidden)]
+    #[allow(clippy::type_complexity)]
+    pub fn export_walks(&self) -> Vec<(&CompiledTree, Vec<(VarId, VarId, &PairwisePlan)>)> {
+        self.segments
+            .iter()
+            .filter_map(|segment| match &segment.artifact {
+                SegmentArtifact::Jtree(art) if !art.exports.is_empty() => Some((
+                    &art.compiled,
+                    art.exports
+                        .iter()
+                        .map(|export| (export.parent, export.child, &export.plan))
+                        .collect(),
+                )),
+                _ => None,
+            })
+            .collect()
     }
 }
 

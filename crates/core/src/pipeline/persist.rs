@@ -448,29 +448,53 @@ fn read_jtree_segment(
     options: &Options,
 ) -> Result<JtreeSegment, CodecError> {
     let compiled = read_compiled_tree(r)?;
+    // Every variable the segment names must belong to its own tree, and a
+    // conditioned root must follow its parent (the pair factor's scope is
+    // built in that order).
+    let num_vars = compiled.tree().num_vars();
+    let tree_var = |r: &mut Reader<'_>| {
+        let var = read_var(r)?;
+        if var.index() >= num_vars {
+            return Err(malformed(format!(
+                "variable {var} outside the segment's {num_vars} variables"
+            )));
+        }
+        Ok(var)
+    };
+    let pair_vars = |r: &mut Reader<'_>| {
+        let (var, parent_var) = (tree_var(r)?, tree_var(r)?);
+        if parent_var >= var {
+            return Err(malformed(format!(
+                "conditioned root {var} does not follow its parent {parent_var}"
+            )));
+        }
+        Ok((var, parent_var))
+    };
     let n_solo = r.len(9)?;
     let mut solo_roots = Vec::with_capacity(n_solo);
     for _ in 0..n_solo {
         let line = read_line(r, num_lines)?;
-        let var = read_var(r)?;
+        let var = tree_var(r)?;
         let source = read_root_source(r)?;
         solo_roots.push((line, var, source));
     }
     let n_pairs = r.len(16)?;
     let mut pair_roots = Vec::with_capacity(n_pairs);
     for _ in 0..n_pairs {
+        let (var, parent_var) = pair_vars(r)?;
         pair_roots.push(PairRoot {
-            var: read_var(r)?,
-            parent_var: read_var(r)?,
+            var,
+            parent_var,
             slot: r.usize()?,
         });
     }
     let n_input_pairs = r.len(25)?;
     let mut input_pairs = Vec::with_capacity(n_input_pairs);
     for _ in 0..n_input_pairs {
+        let (var, parent_var) = pair_vars(r)?;
         input_pairs.push(InputPair {
-            var: read_var(r)?,
-            parent_var: read_var(r)?,
+            var,
+            parent_var,
             child_pos: r.usize()?,
             parent_pos: r.usize()?,
             group: match r.u8()? {
@@ -484,7 +508,7 @@ fn read_jtree_segment(
     let mut gates = Vec::with_capacity(n_gates);
     for _ in 0..n_gates {
         let line = read_line(r, num_lines)?;
-        let var = read_var(r)?;
+        let var = tree_var(r)?;
         gates.push((line, var));
     }
     let msg_cache = compiled.new_message_cache();
@@ -502,6 +526,7 @@ fn read_jtree_segment(
         pair_roots,
         input_pairs,
         gates,
+        exports: Vec::new(),
     })
 }
 
@@ -934,6 +959,9 @@ pub(crate) fn decode_pipeline(bytes: &[u8]) -> Result<CompiledEstimator, CodecEr
     {
         return Err(malformed("conditional slot out of range"));
     }
+    for (segment, exports) in segments.iter_mut().zip(&exports) {
+        segment.plan_exports(exports).map_err(malformed)?;
+    }
 
     // group_of / pair_parent_of are pure functions of the signatures.
     let mut group_of = vec![None; num_inputs];
@@ -1210,5 +1238,112 @@ mod tests {
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert!(decode_pipeline(&trailing).is_err(), "trailing byte");
+    }
+
+    /// Every export must name two distinct variables of its producer's
+    /// tree, and only a junction-tree segment can produce one: an edited,
+    /// re-checksummed segmented c432 artifact that breaks either is a
+    /// typed corruption error, not a panic in the first estimate.
+    #[test]
+    fn exports_must_be_pairs_of_their_producers_tree() {
+        let c432 = catalog::benchmark("c432").expect("known benchmark");
+        let compiled =
+            CompiledEstimator::compile(&c432, &Options::with_budget(128)).expect("compiles");
+        assert!(load_edited(&compiled, |_| {}).is_ok());
+        let producer = compiled
+            .exports
+            .iter()
+            .position(|e| !e.is_empty())
+            .expect("segmented c432 forwards boundary correlation");
+        let SegmentArtifact::Jtree(seg) = &compiled.segments[producer].artifact else {
+            panic!("exports come from junction trees");
+        };
+        let num_vars = seg.compiled.tree().num_vars();
+        let out_of_range = VarId::from_index(num_vars);
+        let exported = compiled.exports[producer][0].clone();
+        let edits = [
+            ("parent out of range", out_of_range, exported.child_var),
+            ("child out of range", exported.parent_var, out_of_range),
+            (
+                "one variable twice",
+                exported.parent_var,
+                exported.parent_var,
+            ),
+        ];
+        for (what, parent_var, child_var) in edits {
+            let mut edited = copy(&compiled);
+            edited.exports[producer][0] = Export {
+                parent_var,
+                child_var,
+                slot: exported.slot,
+            };
+            assert!(is_corrupt(load_edited(&edited, |_| {})), "{what}");
+        }
+        // Only a junction tree can export: a 100-state budget degrades
+        // most c432 segments to sampling, and one refuses the list.
+        let budgeted = Options::with_resource_budget(Budget::states(100.0));
+        let mut degraded = CompiledEstimator::compile(&c432, &budgeted).expect("compiles");
+        let sampled = degraded
+            .segments
+            .iter_mut()
+            .find(|s| s.backend() == Backend::Sampling)
+            .expect("a sampled segment");
+        assert!(sampled.plan_exports(&[]).is_ok());
+        assert!(sampled.plan_exports(&compiled.exports[producer]).is_err());
+    }
+
+    /// Flips every byte of `compiled`'s payload in turn (all eight bits)
+    /// and decodes it, as a re-checksummed artifact would be: each must
+    /// decode to `Ok` or a typed error, never panic. `threads` workers
+    /// split the offsets.
+    fn assert_byte_flips_decode_cleanly(compiled: &CompiledEstimator, threads: usize) {
+        let payload = encode_pipeline(compiled);
+        let panicked: Vec<usize> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|first| {
+                    let mut bytes = payload.clone();
+                    scope.spawn(move || {
+                        let mut panicked = Vec::new();
+                        for at in (first..bytes.len()).step_by(threads) {
+                            bytes[at] ^= 0xff;
+                            let decoded =
+                                std::panic::catch_unwind(|| decode_pipeline(&bytes).map(|_| ()));
+                            if decoded.is_err() {
+                                panicked.push(at);
+                            }
+                            bytes[at] ^= 0xff;
+                        }
+                        panicked
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("sweep worker"))
+                .collect()
+        });
+        assert!(
+            panicked.is_empty(),
+            "{} of {} flipped bytes panicked the decoder, first at {:?}",
+            panicked.len(),
+            payload.len(),
+            &panicked[..panicked.len().min(8)]
+        );
+    }
+
+    #[test]
+    fn byte_flips_of_a_segmented_c17_payload_decode_cleanly() {
+        assert_byte_flips_decode_cleanly(&compiled_c17(&Options::with_budget(128)), 2);
+    }
+
+    /// The full c432 sweep (about 200k decodes). Ignored by default; CI
+    /// runs it in release mode.
+    #[test]
+    #[ignore]
+    fn byte_flips_of_a_segmented_c432_payload_decode_cleanly() {
+        let c432 = catalog::benchmark("c432").expect("known benchmark");
+        let compiled =
+            CompiledEstimator::compile(&c432, &Options::with_budget(128)).expect("compiles");
+        assert_byte_flips_decode_cleanly(&compiled, 2);
     }
 }
