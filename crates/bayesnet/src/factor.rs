@@ -525,65 +525,6 @@ impl Factor {
         }
     }
 
-    /// Max-marginalization: like
-    /// [`marginalize_keep`](Factor::marginalize_keep) but taking the
-    /// maximum instead of the sum over eliminated variables — the kernel of
-    /// max-product (MPE) propagation.
-    pub fn max_marginalize_keep(&self, keep: &[VarId]) -> Factor {
-        let kept = kept_positions(&self.vars, keep);
-        if kept.len() == self.vars.len() {
-            return self.clone();
-        }
-        let result_scope: Vec<(VarId, usize)> = kept
-            .iter()
-            .map(|&i| (self.vars[i], self.cards[i]))
-            .collect();
-        let result_cards: Vec<usize> = result_scope.iter().map(|&(_, c)| c).collect();
-        let size: usize = result_cards.iter().product();
-        let mut values = vec![f64::NEG_INFINITY; size.max(1)];
-        let mut target_strides = vec![0usize; self.vars.len()];
-        {
-            let mut stride = 1usize;
-            for (rank, &i) in kept.iter().enumerate().rev() {
-                target_strides[i] = stride;
-                stride *= result_cards[rank];
-            }
-        }
-        let mut digits = vec![0usize; self.vars.len()];
-        let mut target = 0usize;
-        for &v in &self.values {
-            if v > values[target] {
-                values[target] = v;
-            }
-            for pos in (0..self.vars.len()).rev() {
-                digits[pos] += 1;
-                target += target_strides[pos];
-                if digits[pos] < self.cards[pos] {
-                    break;
-                }
-                digits[pos] = 0;
-                target -= target_strides[pos] * self.cards[pos];
-            }
-        }
-        Factor {
-            vars: result_scope.iter().map(|&(v, _)| v).collect(),
-            cards: result_cards,
-            values,
-        }
-    }
-
-    /// The linear index and value of the largest entry (ties favour the
-    /// lowest index).
-    pub fn argmax(&self) -> (usize, f64) {
-        let mut best = (0usize, f64::NEG_INFINITY);
-        for (idx, &v) in self.values.iter().enumerate() {
-            if v > best.1 {
-                best = (idx, v);
-            }
-        }
-        best
-    }
-
     /// Sums out a single variable. Equivalent to
     /// [`marginalize_keep`](Factor::marginalize_keep) with the rest of the
     /// scope; a no-op if `var` is absent.
@@ -932,8 +873,5 @@ mod tests {
         let sorted = f.marginalize_keep(&[v(0), v(2)]);
         let unsorted = f.marginalize_keep(&[v(2), v(0)]);
         assert_eq!(sorted, unsorted);
-        let max_sorted = f.max_marginalize_keep(&[v(0), v(2)]);
-        let max_unsorted = f.max_marginalize_keep(&[v(2), v(0)]);
-        assert_eq!(max_sorted, max_unsorted);
     }
 }

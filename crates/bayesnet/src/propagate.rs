@@ -324,7 +324,6 @@ impl CompiledTree {
             path_msg: Vec::new(),
             path_next: Vec::new(),
             calibrated: false,
-            max_mode: false,
             evidence_probability: 1.0,
             mode: PropagationMode::default(),
         }
@@ -390,7 +389,6 @@ impl CompiledTree {
             &self.init_clique_pot,
             &self.schedule,
             state,
-            false,
             KernelDispatch::Blocked(self.kernel),
         );
     }
@@ -408,7 +406,6 @@ impl CompiledTree {
             &self.init_clique_pot,
             &self.schedule,
             state,
-            false,
             KernelDispatch::Legacy,
         );
     }
@@ -425,8 +422,6 @@ impl CompiledTree {
     ///
     /// [`PropagationMode::Cold`] states never *read* the cache but still
     /// refresh it, so a cold run warms the cache for subsequent sweeps.
-    /// Sum-product only; [`max_calibrate`](CompiledTree::max_calibrate)
-    /// never consults a cache (max-product messages differ).
     ///
     /// Returns `(reused, recomputed)` collect-message counts.
     pub fn calibrate_with_cache(
@@ -492,29 +487,11 @@ impl CompiledTree {
         collect_savings > hash_cost
     }
 
-    /// Max-product calibration of `state`: afterwards every clique
-    /// potential holds *max*-marginals, and
-    /// [`most_probable_assignment`](CompiledTree::most_probable_assignment)
-    /// decodes the globally most probable joint state (MPE) consistent
-    /// with the evidence. Sum-based reads ([`marginal`](CompiledTree::marginal)
-    /// etc.) panic until [`calibrate`](CompiledTree::calibrate) runs again.
-    pub fn max_calibrate(&self, state: &mut PropagationState) {
-        calibrate_impl(
-            &self.tree,
-            &self.kernels,
-            &self.init_clique_pot,
-            &self.schedule,
-            state,
-            true,
-            KernelDispatch::Blocked(self.kernel),
-        );
-    }
-
     /// The posterior marginal `P(var | evidence)` from a calibrated state.
     ///
     /// # Panics
     ///
-    /// Panics if `state` is not sum-calibrated.
+    /// Panics if `state` is not calibrated.
     pub fn marginal(&self, state: &PropagationState, var: VarId) -> Vec<f64> {
         marginal_impl(&self.tree, state, var)
     }
@@ -524,7 +501,7 @@ impl CompiledTree {
     ///
     /// # Panics
     ///
-    /// Panics if `state` is not sum-calibrated.
+    /// Panics if `state` is not calibrated.
     pub fn joint_marginal(&self, state: &PropagationState, vars: &[VarId]) -> Option<Factor> {
         joint_marginal_impl(&self.tree, state, vars)
     }
@@ -545,14 +522,14 @@ impl CompiledTree {
     ///
     /// # Panics
     ///
-    /// Panics if `state` is not sum-calibrated. A plan built on another
+    /// Panics if `state` is not calibrated. A plan built on another
     /// tree gives a meaningless joint or panics.
     pub fn pairwise_marginal_planned<'s>(
         &self,
         state: &'s mut PropagationState,
         plan: &PairwisePlan,
     ) -> &'s [f64] {
-        assert_sum_calibrated(state);
+        assert_calibrated(state);
         pairwise::run(
             plan,
             &self.kernels,
@@ -577,14 +554,14 @@ impl CompiledTree {
     ///
     /// # Panics
     ///
-    /// Panics if `state` is not sum-calibrated or `a == b`.
+    /// Panics if `state` is not calibrated or `a == b`.
     pub fn pairwise_marginal(
         &self,
         state: &PropagationState,
         a: VarId,
         b: VarId,
     ) -> Option<Factor> {
-        assert_sum_calibrated(state);
+        assert_calibrated(state);
         assert_ne!(a, b, "pairwise marginal needs two distinct variables");
         let plan = self.plan_pairwise(a, b)?;
         let (mut msg, mut next) = (Vec::new(), Vec::new());
@@ -617,22 +594,6 @@ impl CompiledTree {
     ) -> Option<Factor> {
         pairwise_marginal_impl(&self.tree, state, a, b)
     }
-
-    /// Decodes the most probable explanation (MPE) from a max-calibrated
-    /// state: the jointly most probable assignment of *all* variables given
-    /// the evidence, plus its (unnormalized) probability
-    /// `P(assignment, evidence)`.
-    ///
-    /// Decoding fixes the root clique's argmax and walks outward, pinning
-    /// each sepset before maximizing the next clique — max-calibration
-    /// guarantees this greedy trace is globally optimal.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is not max-calibrated.
-    pub fn most_probable_assignment(&self, state: &PropagationState) -> (Vec<usize>, f64) {
-        most_probable_assignment_impl(&self.tree, &self.schedule, state)
-    }
 }
 
 /// The mutable half of HUGIN propagation: working potentials, evidence,
@@ -664,8 +625,6 @@ pub struct PropagationState {
     path_msg: Vec<f64>,
     path_next: Vec<f64>,
     calibrated: bool,
-    /// Whether the last calibration was sum-product or max-product.
-    max_mode: bool,
     /// Probability of the inserted evidence, valid after calibration.
     evidence_probability: f64,
     /// Whether [`CompiledTree::calibrate_with_cache`] may *read* cached
@@ -741,7 +700,7 @@ impl PropagationState {
     ///
     /// Panics if the state is not calibrated.
     pub fn evidence_probability(&self) -> f64 {
-        assert!(self.calibrated, "call calibrate() first");
+        assert_calibrated(self);
         self.evidence_probability
     }
 
@@ -879,8 +838,9 @@ fn enter_evidence(tree: &JunctionTree, init_clique_pot: &[Factor], state: &mut P
     }
 }
 
-/// Shared calibration epilogue: evidence probability and flags.
-fn finish_calibration(tree: &JunctionTree, state: &mut PropagationState, max_mode: bool) {
+/// Shared calibration epilogue: evidence probability and the calibrated
+/// flag.
+fn finish_calibration(tree: &JunctionTree, state: &mut PropagationState) {
     // Probability of evidence: product over components of clique mass.
     let mut p = 1.0;
     for &root in tree.roots() {
@@ -888,7 +848,6 @@ fn finish_calibration(tree: &JunctionTree, state: &mut PropagationState, max_mod
     }
     state.evidence_probability = p;
     state.calibrated = true;
-    state.max_mode = max_mode;
 }
 
 /// Which kernel generation an absorption runs through.
@@ -911,14 +870,13 @@ fn marginalize_side(
     support: Option<&[u32]>,
     side: &SideProj,
     target: &mut [f64],
-    max_mode: bool,
     dispatch: KernelDispatch,
 ) {
     match (support, dispatch, &side.blocked) {
         (None, KernelDispatch::Blocked(mode), Some(blocked)) => {
-            sparse::marginalize_blocked(values, blocked, target, max_mode, mode);
+            sparse::marginalize_blocked(values, blocked, target, mode);
         }
-        _ => sparse::marginalize_into(values, support, &side.entries, target, max_mode),
+        _ => sparse::marginalize_into(values, support, &side.entries, target),
     }
 }
 
@@ -944,19 +902,18 @@ fn calibrate_impl(
     init_clique_pot: &[Factor],
     schedule: &[(usize, usize, usize)],
     state: &mut PropagationState,
-    max_mode: bool,
     dispatch: KernelDispatch,
 ) {
     enter_evidence(tree, init_clique_pot, state);
     // Collect: leaves towards roots.
     for &(from, edge, to) in schedule {
-        absorb(tree, kernels, state, from, edge, to, max_mode, dispatch);
+        absorb(tree, kernels, state, from, edge, to, dispatch);
     }
     // Distribute: roots towards leaves.
     for &(from, edge, to) in schedule.iter().rev() {
-        absorb(tree, kernels, state, to, edge, from, max_mode, dispatch);
+        absorb(tree, kernels, state, to, edge, from, dispatch);
     }
-    finish_calibration(tree, state, max_mode);
+    finish_calibration(tree, state);
 }
 
 /// Per-clique hash of the evidence entered *at* each clique: hard
@@ -1044,16 +1001,15 @@ fn calibrate_cached_impl(
     // includes the perturbed prior, so caching it could never hit.
     // Whole-tree reuse is the segment memoization layer's job.
     for &(from, edge, to) in schedule.iter().rev() {
-        absorb(tree, kernels, state, to, edge, from, false, dispatch);
+        absorb(tree, kernels, state, to, edge, from, dispatch);
     }
-    finish_calibration(tree, state, false);
+    finish_calibration(tree, state);
     (reused, recomputed)
 }
 
 /// One HUGIN absorption: `to` absorbs from `from` across `edge`, entirely
 /// through the compile-time projection tables — no scope merges, no
 /// odometer walks, no allocation (the message lives in `state.scratch`).
-#[allow(clippy::too_many_arguments)]
 fn absorb(
     tree: &JunctionTree,
     kernels: &PropagationKernels,
@@ -1061,7 +1017,6 @@ fn absorb(
     from: usize,
     edge: usize,
     to: usize,
-    max_mode: bool,
     dispatch: KernelDispatch,
 ) {
     let e = tree.edge(edge);
@@ -1079,19 +1034,17 @@ fn absorb(
         kernels.support[from].as_deref(),
         proj_from,
         &mut state.scratch[..sep_len],
-        max_mode,
         dispatch,
     );
     commit_message(kernels, state, edge, to, proj_to, dispatch);
 }
 
-/// [`absorb`] with a per-edge message cache (sum-product only): on a
-/// dependency-key match ([`PropagationMode::Warm`] states) the cached
-/// message is copied into scratch instead of re-marginalizing the sender;
-/// otherwise the message is computed and the slot refreshed. The sepset
-/// store and receiver multiply run either way, keeping the state's
-/// evolution bit-identical to [`absorb`]. Returns whether the message was
-/// reused.
+/// [`absorb`] with a per-edge message cache: on a dependency-key match
+/// ([`PropagationMode::Warm`] states) the cached message is copied into
+/// scratch instead of re-marginalizing the sender; otherwise the message
+/// is computed and the slot refreshed. The sepset store and receiver
+/// multiply run either way, keeping the state's evolution bit-identical
+/// to [`absorb`]. Returns whether the message was reused.
 fn absorb_cached(
     tree: &JunctionTree,
     kernels: &PropagationKernels,
@@ -1129,7 +1082,6 @@ fn absorb_cached(
             kernels.support[from].as_deref(),
             proj_from,
             &mut state.scratch[..sep_len],
-            false,
             dispatch,
         );
         let mut slot = cache.slots[edge]
@@ -1193,16 +1145,12 @@ fn commit_message(
     );
 }
 
-fn assert_sum_calibrated(state: &PropagationState) {
+fn assert_calibrated(state: &PropagationState) {
     assert!(state.calibrated, "call calibrate() first");
-    assert!(
-        !state.max_mode,
-        "sum-calibration required; call calibrate()"
-    );
 }
 
 fn marginal_impl(tree: &JunctionTree, state: &PropagationState, var: VarId) -> Vec<f64> {
-    assert_sum_calibrated(state);
+    assert_calibrated(state);
     let clique = tree.home_clique(var);
     let mut m = state.clique_pot[clique].marginalize_keep(&[var]);
     m.normalize();
@@ -1214,7 +1162,7 @@ fn joint_marginal_impl(
     state: &PropagationState,
     vars: &[VarId],
 ) -> Option<Factor> {
-    assert_sum_calibrated(state);
+    assert_calibrated(state);
     let clique = (0..tree.num_cliques())
         .find(|&c| vars.iter().all(|v| tree.clique(c).binary_search(v).is_ok()))?;
     let mut m = state.clique_pot[clique].marginalize_keep(vars);
@@ -1228,7 +1176,7 @@ fn pairwise_marginal_impl(
     a: VarId,
     b: VarId,
 ) -> Option<Factor> {
-    assert_sum_calibrated(state);
+    assert_calibrated(state);
     assert_ne!(a, b, "pairwise marginal needs two distinct variables");
     if let Some(joint) = joint_marginal_impl(tree, state, &[a.min(b), a.max(b)]) {
         return Some(joint);
@@ -1261,59 +1209,6 @@ fn pairwise_marginal_impl(
         state.clique_pot[last_clique].product_marginalize(&message, &[a.min(b), a.max(b)]);
     joint.normalize();
     Some(joint)
-}
-
-fn most_probable_assignment_impl(
-    tree: &JunctionTree,
-    schedule: &[(usize, usize, usize)],
-    state: &PropagationState,
-) -> (Vec<usize>, f64) {
-    assert!(
-        state.calibrated && state.max_mode,
-        "call max_calibrate() first"
-    );
-    let num_vars = tree.num_vars();
-    let mut assignment = vec![usize::MAX; num_vars];
-    let mut probability = 1.0f64;
-    // Visit cliques root-first per component: component roots, then
-    // children in root-to-leaf order (the reversed collect schedule).
-    let mut visited = vec![false; tree.num_cliques()];
-    let mut order: Vec<usize> = Vec::with_capacity(tree.num_cliques());
-    for &root in tree.roots() {
-        order.push(root);
-        visited[root] = true;
-    }
-    for &(child, _, _) in schedule.iter().rev() {
-        if !visited[child] {
-            visited[child] = true;
-            order.push(child);
-        }
-    }
-    let roots: std::collections::HashSet<usize> = tree.roots().iter().copied().collect();
-    for &clique_idx in &order {
-        let clique = tree.clique(clique_idx);
-        let mut pot = state.clique_pot[clique_idx].clone();
-        // Pin already-decided variables.
-        for &v in clique {
-            if assignment[v.index()] != usize::MAX {
-                pot.reduce(v, assignment[v.index()]);
-            }
-        }
-        let (idx, value) = pot.argmax();
-        let states = pot.assignment_of(idx);
-        for (pos, &v) in clique.iter().enumerate() {
-            if assignment[v.index()] == usize::MAX {
-                assignment[v.index()] = states[pos];
-            }
-        }
-        // Component roots contribute the component's max probability;
-        // later cliques only refine the assignment.
-        if roots.contains(&clique_idx) {
-            probability *= value;
-        }
-    }
-    debug_assert!(assignment.iter().all(|&s| s != usize::MAX));
-    (assignment, probability)
 }
 
 /// Computes the initial clique potentials of a network over a compiled
@@ -1679,91 +1574,6 @@ mod tests {
     }
 
     #[test]
-    fn mpe_matches_brute_force_on_sprinkler() {
-        let (net, _vars) = sprinkler();
-        let compiled = compile(&net);
-        let mut state = compiled.new_state();
-        compiled.max_calibrate(&mut state);
-        let (assignment, p) = compiled.most_probable_assignment(&state);
-        // Brute force over the joint.
-        let joint = net.joint();
-        let (best_idx, best_p) = joint.argmax();
-        let best = joint.assignment_of(best_idx);
-        assert_eq!(assignment, best);
-        assert!((p - best_p).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mpe_respects_evidence() {
-        let (net, [.., wet]) = sprinkler();
-        let compiled = compile(&net);
-        let mut state = compiled.new_state();
-        compiled.set_evidence(&mut state, wet, 1).unwrap();
-        compiled.max_calibrate(&mut state);
-        let (assignment, p) = compiled.most_probable_assignment(&state);
-        assert_eq!(assignment[wet.index()], 1, "evidence honoured");
-        // Brute force restricted to wet = 1.
-        let mut joint = net.joint();
-        joint.reduce(wet, 1);
-        let (best_idx, best_p) = joint.argmax();
-        let best = joint.assignment_of(best_idx);
-        assert_eq!(assignment, best);
-        assert!((p - best_p).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mpe_over_disconnected_components() {
-        let mut net = BayesNet::new();
-        let a = net
-            .add_var("a", 2, &[], Cpt::prior(vec![0.3, 0.7]))
-            .unwrap();
-        let b = net
-            .add_var("b", 3, &[], Cpt::prior(vec![0.2, 0.5, 0.3]))
-            .unwrap();
-        let compiled = compile(&net);
-        let mut state = compiled.new_state();
-        compiled.max_calibrate(&mut state);
-        let (assignment, p) = compiled.most_probable_assignment(&state);
-        assert_eq!(assignment[a.index()], 1);
-        assert_eq!(assignment[b.index()], 1);
-        assert!((p - 0.7 * 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "max_calibrate")]
-    fn mpe_requires_max_calibration() {
-        let (net, _) = sprinkler();
-        let compiled = compile(&net);
-        let mut state = compiled.new_state();
-        compiled.calibrate(&mut state);
-        let _ = compiled.most_probable_assignment(&state);
-    }
-
-    #[test]
-    #[should_panic(expected = "sum-calibration")]
-    fn sum_reads_rejected_after_max_calibration() {
-        let (net, [cloudy, ..]) = sprinkler();
-        let compiled = compile(&net);
-        let mut state = compiled.new_state();
-        compiled.max_calibrate(&mut state);
-        let _ = compiled.marginal(&state, cloudy);
-    }
-
-    #[test]
-    fn recalibration_switches_modes_cleanly() {
-        let (net, [cloudy, ..]) = sprinkler();
-        let compiled = compile(&net);
-        let mut state = compiled.new_state();
-        compiled.calibrate(&mut state);
-        let before = compiled.marginal(&state, cloudy);
-        compiled.max_calibrate(&mut state);
-        let _ = compiled.most_probable_assignment(&state);
-        compiled.calibrate(&mut state);
-        let after = compiled.marginal(&state, cloudy);
-        assert_close(&before, &after, 1e-12);
-    }
-
-    #[test]
     fn disconnected_components_calibrate_independently() {
         let mut net = BayesNet::new();
         let a = net
@@ -1913,7 +1723,7 @@ mod tests {
             for mode in [SparseMode::Auto, SparseMode::On] {
                 let on = compile(mode);
                 assert_eq!(on.nnz(), off.nnz(), "nnz is a property of the potentials");
-                // Sum propagation with soft evidence.
+                // Propagation with hard and soft evidence.
                 let mut s_off = off.new_state();
                 let mut s_on = on.new_state();
                 for s in [&mut s_off, &mut s_on] {
@@ -1931,15 +1741,6 @@ mod tests {
                     assert_eq!(off.marginal(&s_off, var), on.marginal(&s_on, var));
                 }
                 assert_eq!(s_off.evidence_probability(), s_on.evidence_probability());
-                // Max propagation.
-                s_off.clear_evidence();
-                s_on.clear_evidence();
-                off.max_calibrate(&mut s_off);
-                on.max_calibrate(&mut s_on);
-                assert_eq!(
-                    off.most_probable_assignment(&s_off),
-                    on.most_probable_assignment(&s_on)
-                );
             }
         }
     }

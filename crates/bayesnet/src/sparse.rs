@@ -27,8 +27,7 @@
 //! all*: potentials are non-negative, `x + 0.0 == x` exactly in IEEE 754,
 //! and the iteration order over the surviving entries (ascending linear
 //! index) is unchanged — so the sparse path is bit-identical to the dense
-//! path, not merely close. Max-propagation relies on non-negativity the
-//! same way (an all-zero group maxes to `0.0` on both paths).
+//! path, not merely close.
 
 use crate::junction::JunctionTree;
 use crate::{Factor, VarId};
@@ -180,9 +179,8 @@ pub const SPARSE_COST_PER_ENTRY: usize = 5;
 /// contiguous slice arithmetic the autovectorizer can chunk into f64
 /// lanes. Because blocks and reps are visited in ascending source order,
 /// every target slot receives its contributions in exactly the order of
-/// the per-entry reference loop — the blocked sum (and max, and the
-/// elementwise multiply) is bit-identical by construction, not merely
-/// close.
+/// the per-entry reference loop — the blocked sum (and the elementwise
+/// multiply) is bit-identical by construction, not merely close.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct BlockedProj {
     /// Contiguous run length copied/added per step (≥ 1).
@@ -424,55 +422,28 @@ fn clique_to_sepset(clique: &Factor, sepset: &[VarId], support: Option<&[u32]>) 
 }
 
 /// Marginalizes a clique table into `target` (a sepset-sized buffer)
-/// through a precomputed projection: scatter-add for sum propagation,
-/// scatter-max for max propagation. `target` is (re)initialized here.
+/// through a precomputed projection by scatter-add. `target` is
+/// (re)initialized here.
 ///
 /// With a support list only the listed entries are visited; the skipped
-/// entries are exact zeros, which contribute nothing to a sum and nothing
-/// above `0.0` to a max of non-negative values, so both variants match the
-/// dense loops bit for bit.
+/// entries are exact zeros, which contribute nothing to a sum, so the
+/// support walk matches the dense loop bit for bit.
 pub(crate) fn marginalize_into(
     values: &[f64],
     support: Option<&[u32]>,
     proj: &[u32],
     target: &mut [f64],
-    max_mode: bool,
 ) {
-    match (support, max_mode) {
-        (None, false) => {
-            target.fill(0.0);
+    target.fill(0.0);
+    match support {
+        None => {
             for (i, &p) in proj.iter().enumerate() {
                 target[p as usize] += values[i];
             }
         }
-        (None, true) => {
-            // Every sepset entry has at least one clique extension, so
-            // every slot is written and the initial value never survives.
-            target.fill(f64::NEG_INFINITY);
-            for (i, &p) in proj.iter().enumerate() {
-                let v = values[i];
-                let t = &mut target[p as usize];
-                if v > *t {
-                    *t = v;
-                }
-            }
-        }
-        (Some(support), false) => {
-            target.fill(0.0);
+        Some(support) => {
             for (k, &idx) in support.iter().enumerate() {
                 target[proj[k] as usize] += values[idx as usize];
-            }
-        }
-        (Some(support), true) => {
-            // Skipped entries are zeros: groups with no surviving entry
-            // max to 0.0, exactly what the dense loop produces.
-            target.fill(0.0);
-            for (k, &idx) in support.iter().enumerate() {
-                let v = values[idx as usize];
-                let t = &mut target[proj[k] as usize];
-                if v > *t {
-                    *t = v;
-                }
             }
         }
     }
@@ -503,9 +474,9 @@ pub(crate) fn multiply_from(
 }
 
 /// Blocked (stride-aware) marginalize of a dense clique table into
-/// `target`: one sequential sweep of `values`, adding (or maxing)
-/// contiguous `copy_len` runs into contiguous target runs. Bit-identical
-/// to the per-entry [`marginalize_into`] in every mode except the
+/// `target`: one sequential sweep of `values`, adding contiguous
+/// `copy_len` runs into contiguous target runs. Bit-identical to the
+/// per-entry [`marginalize_into`] in every mode except the
 /// reassociating `simd` sum reduction (see [`KernelMode`]): blocks and
 /// fold repetitions are visited in ascending source order, so each target
 /// slot combines its contributions in exactly the reference order.
@@ -513,30 +484,11 @@ pub(crate) fn marginalize_blocked(
     values: &[f64],
     blocked: &BlockedProj,
     target: &mut [f64],
-    max_mode: bool,
     kernel: KernelMode,
 ) {
     let l = blocked.copy_len as usize;
     let s = blocked.sum_reps as usize;
     let mut off = 0usize;
-    if max_mode {
-        // Every sepset entry has at least one clique extension, so every
-        // slot is written and the initial value never survives.
-        target.fill(f64::NEG_INFINITY);
-        for &b in &blocked.base {
-            let b = b as usize;
-            for _ in 0..s {
-                let dst = &mut target[b..b + l];
-                for (t, &v) in dst.iter_mut().zip(&values[off..off + l]) {
-                    if v > *t {
-                        *t = v;
-                    }
-                }
-                off += l;
-            }
-        }
-        return;
-    }
     target.fill(0.0);
     if l == 1 {
         // Whole blocks fold into single target slots: keep the reduction
@@ -691,8 +643,8 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Blocked kernels against the per-entry reference on every sepset
-        /// subset of a random mixed-cardinality clique: sum and max must
-        /// be bit-identical in scalar mode; simd must stay within 1e-12.
+        /// subset of a random mixed-cardinality clique: the sum must be
+        /// bit-identical in scalar mode; simd must stay within 1e-12.
         #[test]
         fn blocked_kernels_match_per_entry_reference(
             cards in proptest::collection::vec(2usize..=4, 2..=4),
@@ -718,25 +670,17 @@ mod tests {
                 .iter()
                 .map(|s| clique.cards()[clique.position(*s).unwrap()])
                 .product();
-            for max_mode in [false, true] {
-                let mut reference = vec![f64::NAN; sep_len];
-                marginalize_into(clique.values(), None, &proj, &mut reference, max_mode);
-                let mut blocked = vec![f64::NAN; sep_len];
-                marginalize_blocked(
-                    clique.values(),
-                    &bp,
-                    &mut blocked,
-                    max_mode,
-                    KernelMode::Scalar,
-                );
-                let ref_bits: Vec<u64> = reference.iter().map(|x| x.to_bits()).collect();
-                let got_bits: Vec<u64> = blocked.iter().map(|x| x.to_bits()).collect();
-                prop_assert_eq!(got_bits, ref_bits, "scalar blocked must be bit-identical");
-                let mut simd = vec![f64::NAN; sep_len];
-                marginalize_blocked(clique.values(), &bp, &mut simd, max_mode, KernelMode::Simd);
-                for (a, b) in simd.iter().zip(&reference) {
-                    prop_assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0));
-                }
+            let mut reference = vec![f64::NAN; sep_len];
+            marginalize_into(clique.values(), None, &proj, &mut reference);
+            let mut blocked = vec![f64::NAN; sep_len];
+            marginalize_blocked(clique.values(), &bp, &mut blocked, KernelMode::Scalar);
+            let ref_bits: Vec<u64> = reference.iter().map(|x| x.to_bits()).collect();
+            let got_bits: Vec<u64> = blocked.iter().map(|x| x.to_bits()).collect();
+            prop_assert_eq!(got_bits, ref_bits, "scalar blocked must be bit-identical");
+            let mut simd = vec![f64::NAN; sep_len];
+            marginalize_blocked(clique.values(), &bp, &mut simd, KernelMode::Simd);
+            for (a, b) in simd.iter().zip(&reference) {
+                prop_assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0));
             }
             // Multiply direction: bit-identical in every mode.
             let update: Vec<f64> = (0..sep_len).map(|i| 0.5 + i as f64).collect();
@@ -773,17 +717,8 @@ mod tests {
         Factor::new((0..n).map(|i| (v(i), 4)).collect(), values)
     }
 
-    /// Reference path: dense `Factor` kernels.
-    fn dense_absorb_halves(clique: &Factor, sepset: &[VarId], max_mode: bool) -> Factor {
-        if max_mode {
-            clique.max_marginalize_keep(sepset)
-        } else {
-            clique.marginalize_keep(sepset)
-        }
-    }
-
     /// Kernel path: projection + optional support, as used by `CompiledTree`.
-    fn kernel_marginalize(clique: &Factor, sepset: &[VarId], max_mode: bool) -> Vec<f64> {
+    fn kernel_marginalize(clique: &Factor, sepset: &[VarId]) -> Vec<f64> {
         let support = support_of(clique.values());
         let proj = clique_to_sepset(clique, sepset, Some(&support));
         let proj_dense = clique_to_sepset(clique, sepset, None);
@@ -793,14 +728,8 @@ mod tests {
             .product();
         let mut sparse = vec![f64::NAN; sep_len];
         let mut dense = vec![f64::NAN; sep_len];
-        marginalize_into(
-            clique.values(),
-            Some(&support),
-            &proj,
-            &mut sparse,
-            max_mode,
-        );
-        marginalize_into(clique.values(), None, &proj_dense, &mut dense, max_mode);
+        marginalize_into(clique.values(), Some(&support), &proj, &mut sparse);
+        marginalize_into(clique.values(), None, &proj_dense, &mut dense);
         assert_eq!(sparse, dense, "sparse and dense kernels must agree");
         sparse
     }
@@ -828,11 +757,9 @@ mod tests {
         fn sparse_marginalize_matches_dense(clique in arb_clique(75)) {
             // Keep a strict prefix of the scope as the "sepset".
             let sepset: Vec<VarId> = clique.vars()[..clique.vars().len() - 1].to_vec();
-            for max_mode in [false, true] {
-                let reference = dense_absorb_halves(&clique, &sepset, max_mode);
-                let got = kernel_marginalize(&clique, &sepset, max_mode);
-                prop_assert_eq!(got.as_slice(), reference.values());
-            }
+            let reference = clique.marginalize_keep(&sepset);
+            let got = kernel_marginalize(&clique, &sepset);
+            prop_assert_eq!(got.as_slice(), reference.values());
         }
 
         #[test]
@@ -866,7 +793,7 @@ mod tests {
         let sepset = vec![v(1)];
         let proj = clique_to_sepset(&clique, &sepset, None);
         let mut target = vec![0.0f64; 4];
-        marginalize_into(clique.values(), None, &proj, &mut target, false);
+        marginalize_into(clique.values(), None, &proj, &mut target);
         assert_eq!(target.as_slice(), clique.marginalize_keep(&sepset).values());
     }
 }

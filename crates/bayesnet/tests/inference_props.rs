@@ -111,34 +111,6 @@ proptest! {
         }
     }
 
-    /// Max-product MPE decoding matches brute-force argmax of the joint.
-    #[test]
-    fn mpe_matches_brute_force(net in arb_net(), pick in any::<u64>()) {
-        let tree = JunctionTree::compile(&net).expect("compiles");
-        let compiled = CompiledTree::new(tree, &net).expect("nonempty");
-        let mut pstate = compiled.new_state();
-        // Optionally add evidence on one variable.
-        let observed = VarId::from_index((pick % net.num_vars() as u64) as usize);
-        let state = (pick / 11) as usize % net.card(observed);
-        let with_evidence = pick % 2 == 0;
-        let mut joint = net.joint();
-        if with_evidence {
-            let prior = net.brute_force_marginal(observed, &[]);
-            prop_assume!(prior[state] > 1e-9);
-            compiled.set_evidence(&mut pstate, observed, state).expect("in range");
-            joint.reduce(observed, state);
-        }
-        compiled.max_calibrate(&mut pstate);
-        let (assignment, p) = compiled.most_probable_assignment(&pstate);
-        let (best_idx, best_p) = joint.argmax();
-        // Probabilities must match exactly; the assignment may differ only
-        // on exact ties.
-        prop_assert!((p - best_p).abs() < 1e-9, "p {} vs brute {}", p, best_p);
-        let decoded_p = joint.values()[joint.index_of(&assignment)];
-        prop_assert!((decoded_p - best_p).abs() < 1e-9);
-        let _ = best_idx;
-    }
-
     /// The joint of the whole network sums to one (CPT validation holds
     /// together with the chain rule).
     #[test]

@@ -57,8 +57,8 @@ fn arb_net(det_pct: u64) -> impl Strategy<Value = BayesNet> {
     })
 }
 
-/// Compiles `net` under every sparse mode and checks sum- and
-/// max-propagation agree bit-for-bit, with and without evidence.
+/// Compiles `net` under every sparse mode and checks propagation agrees
+/// bit-for-bit, with and without evidence.
 fn assert_modes_identical(net: &BayesNet, pick: u64) {
     let tree = JunctionTree::compile(net).expect("compiles");
     let pots = initial_potentials(&tree, net);
@@ -107,16 +107,6 @@ fn assert_modes_identical(net: &BayesNet, pick: u64) {
                 }
             }
         }
-
-        // Max-propagation (MPE).
-        sd.clear_evidence();
-        ss.clear_evidence();
-        dense.max_calibrate(&mut sd);
-        sparse.max_calibrate(&mut ss);
-        let (ad, pd) = dense.most_probable_assignment(&sd);
-        let (asp, ps) = sparse.most_probable_assignment(&ss);
-        prop_assert_eq!(ad, asp);
-        prop_assert_eq!(pd.to_bits(), ps.to_bits());
     }
 }
 

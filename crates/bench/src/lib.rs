@@ -12,8 +12,8 @@
 //! * `ablation` — the design-choice studies indexed in DESIGN.md
 //!   (segmentation budget, boundary correlation, triangulation heuristic,
 //!   two- vs four-state variables, input-correlation sensitivity);
-//! * `batch_report` — `swact-engine` batch throughput at 1/2/4/8 workers,
-//!   written to `BENCH_batch.json`.
+//! * `anytime_report` — sampling-backend error and wall clock against the
+//!   sample budget, written to `BENCH_anytime.json`.
 //!
 //! The Criterion benches in `benches/` measure the compile/propagate split
 //! (paper §6's "circuits can be precompiled; only propagation has to be
@@ -230,31 +230,6 @@ pub fn ground_truth(circuit: &Circuit, pairs: usize) -> Vec<f64> {
     measure_activity(circuit, &model, pairs, GROUND_TRUTH_SEED).switching
 }
 
-/// One batch-throughput measurement: `scenarios` input specs pushed through
-/// a [`swact_engine::Engine`] with `jobs` workers.
-#[derive(Debug, Clone)]
-pub struct BatchThroughputRow {
-    /// Worker threads.
-    pub jobs: usize,
-    /// Scenarios in the batch.
-    pub scenarios: usize,
-    /// Wall-clock seconds for the propagation-only batch (model precompiled).
-    pub wall_s: f64,
-    /// Scenarios per wall-clock second.
-    pub scenarios_per_sec: f64,
-    /// Throughput relative to the 1-worker row (1.0 for the first row).
-    pub speedup: f64,
-    /// Whether the engine served the batch from its compiled-model cache.
-    pub cache_hit: bool,
-    /// Propagation seconds summed over scenarios (exceeds `wall_s` when
-    /// multiple workers overlap).
-    pub propagate_s: f64,
-    /// Boundary-forwarding seconds summed over scenarios.
-    pub forward_s: f64,
-}
-
-/// Sweep scenario specs: per-input p1 varies with both input position and
-/// scenario index so every scenario re-propagates distinct evidence.
 /// Resolves a benchmark name against the built-in catalog; unknown names
 /// get an error message listing every valid name, ready to print as-is.
 pub fn lookup_benchmark(name: &str) -> Result<Circuit, String> {
@@ -267,6 +242,8 @@ pub fn lookup_benchmark(name: &str) -> Result<Circuit, String> {
     })
 }
 
+/// Batch scenario specs: per-input p1 varies with both input position and
+/// scenario index so every scenario re-propagates distinct evidence.
 pub fn batch_specs(circuit: &Circuit, scenarios: usize) -> Vec<InputSpec> {
     (0..scenarios)
         .map(|k| {
@@ -275,60 +252,6 @@ pub fn batch_specs(circuit: &Circuit, scenarios: usize) -> Vec<InputSpec> {
             )
         })
         .collect()
-}
-
-/// Measures batch throughput over `jobs_list` worker counts.
-///
-/// A warm-up batch populates the engine's compiled-model cache first, so
-/// the timed rows measure the paper's "Update" path (propagation only) and
-/// every row after the warm-up is a cache hit.
-///
-/// # Panics
-///
-/// Panics if the circuit fails to compile or any scenario fails.
-pub fn batch_throughput(
-    circuit: &Circuit,
-    scenarios: usize,
-    jobs_list: &[usize],
-) -> Vec<BatchThroughputRow> {
-    let specs = batch_specs(circuit, scenarios);
-    let options = Options::default();
-    let mut rows: Vec<BatchThroughputRow> = Vec::new();
-    for &jobs in jobs_list {
-        // Forced: this bench measures scheduler behavior at *exactly* the
-        // requested worker count, including deliberate oversubscription
-        // (the default engine clamps to available CPUs precisely because
-        // of what this bench recorded).
-        let engine = swact_engine::Engine::with_jobs_forced(jobs);
-        // Warm-up: compile into this engine's cache (untimed).
-        let warm = engine
-            .estimate_batch(circuit, &specs[..1], &options)
-            .expect("benchmark circuit compiles");
-        assert!(warm.all_ok(), "warm-up batch failed");
-        let report = engine
-            .estimate_batch(circuit, &specs, &options)
-            .expect("compiled model present");
-        assert!(report.all_ok(), "batch scenario failed");
-        let wall_s = report.wall_time.as_secs_f64();
-        let scenarios_per_sec = report.scenarios_per_sec();
-        let speedup = match rows.first() {
-            Some(base) if base.scenarios_per_sec > 0.0 => {
-                scenarios_per_sec / base.scenarios_per_sec
-            }
-            _ => 1.0,
-        };
-        rows.push(BatchThroughputRow {
-            jobs,
-            scenarios,
-            wall_s,
-            scenarios_per_sec,
-            speedup,
-            cache_hit: report.cache_hit,
-            propagate_s: report.stages.propagate.as_secs_f64(),
-            forward_s: report.stages.forward.as_secs_f64(),
-        });
-    }
-    rows
 }
 
 /// One circuit's sparse-vs-dense propagation measurement.
@@ -638,284 +561,6 @@ pub fn kernel_throughput_json(rows: &[KernelThroughputRow], reps: usize) -> Stri
     out
 }
 
-/// One circuit's cold-vs-incremental sweep measurement: a single-input
-/// sweep re-propagated over one compiled estimator, once with incremental
-/// reuse disabled and once enabled.
-#[derive(Debug, Clone)]
-pub struct SweepThroughputRow {
-    /// Benchmark name.
-    pub circuit: String,
-    /// Segments (Bayesian networks) the circuit compiled into.
-    pub segments: usize,
-    /// The primary input the sweep perturbs (chosen by
-    /// [`best_sweep_input`]: the input whose dirty cone touches the
-    /// fewest segments).
-    pub swept_input: usize,
-    /// Scenarios in the sweep.
-    pub scenarios: usize,
-    /// Propagate-only wall clock with `incremental: false`, seconds.
-    pub cold_s: f64,
-    /// Propagate-only wall clock with `incremental: true` (caches warmed
-    /// by one untimed pass), seconds.
-    pub incremental_s: f64,
-    /// `cold_s / incremental_s`.
-    pub speedup: f64,
-    /// Collect messages served from the per-edge cache across the sweep.
-    pub messages_reused: u64,
-    /// Collect messages recomputed across the sweep.
-    pub messages_recomputed: u64,
-    /// Whole segments served from the posterior memo across the sweep.
-    pub segments_skipped: u64,
-    /// `messages_reused / (messages_reused + messages_recomputed)`.
-    pub reuse_ratio: f64,
-}
-
-/// Sweep specs that perturb only input `input`: every other input stays at
-/// p1 = 0.5 while the swept input's p1 moves linearly over [0.05, 0.95] —
-/// the paper's sensitivity-sweep workload, and the best case for
-/// incremental re-propagation (everything outside the swept input's fanout
-/// cone is provably unchanged).
-pub fn single_input_sweep_specs(
-    circuit: &Circuit,
-    input: usize,
-    scenarios: usize,
-) -> Vec<InputSpec> {
-    (0..scenarios)
-        .map(|k| {
-            let t = if scenarios > 1 {
-                k as f64 / (scenarios - 1) as f64
-            } else {
-                0.5
-            };
-            let mut p1s = vec![0.5; circuit.num_inputs()];
-            p1s[input] = 0.05 + 0.9 * t;
-            InputSpec::independent(p1s)
-        })
-        .collect()
-}
-
-/// Picks the sweep input whose perturbation dirties the fewest segments:
-/// each input is probed with a two-scenario perturbation against a
-/// compiled estimator and the one with the most memo-skipped segments
-/// wins (lowest index on ties — including the all-zero single-segment
-/// case). Incremental reuse is topology-dependent: an input feeding the
-/// root segment dirties every downstream boundary, while one entering a
-/// late segment leaves the rest of the circuit provably unchanged, so a
-/// sweep benchmark must say which case it measures.
-pub fn best_sweep_input(circuit: &Circuit) -> usize {
-    let compiled =
-        CompiledEstimator::compile(circuit, &Options::default()).expect("benchmark compiles");
-    let n = circuit.num_inputs();
-    let mut best = (0usize, 0u64);
-    for input in 0..n {
-        let mut p1s = vec![0.5; n];
-        p1s[input] = 0.3;
-        compiled
-            .estimate(&InputSpec::independent(p1s.clone()))
-            .expect("estimates");
-        p1s[input] = 0.7;
-        let est = compiled
-            .estimate(&InputSpec::independent(p1s))
-            .expect("estimates");
-        let skips = est.reuse_stats().segments_skipped;
-        if skips > best.1 {
-            best = (input, skips);
-        }
-    }
-    best.0
-}
-
-/// Times a single-input sweep over one precompiled estimator, cold
-/// (`incremental: false`) vs incremental, and asserts the two modes'
-/// posteriors bit-identical per scenario. The swept input is chosen per
-/// circuit by [`best_sweep_input`] (smallest dirty cone — the use case
-/// incremental re-propagation targets; the chosen index is reported in
-/// the row). Compilation is untimed; one untimed warm-up pass precedes
-/// each timed loop so the incremental run starts with populated caches
-/// (the steady-state sweep regime) and the cold run has a warmed
-/// allocator.
-///
-/// # Panics
-///
-/// Panics if any name is unknown, a circuit fails to compile, or the two
-/// modes disagree on any bit of any posterior.
-pub fn sweep_throughput(names: &[&str], scenarios: usize) -> Vec<SweepThroughputRow> {
-    names
-        .iter()
-        .map(|&name| {
-            let circuit = catalog::benchmark(name).expect("known benchmark");
-            let swept_input = best_sweep_input(&circuit);
-            let specs = single_input_sweep_specs(&circuit, swept_input, scenarios);
-            let run_mode = |incremental: bool| {
-                let options = Options {
-                    incremental,
-                    ..Options::default()
-                };
-                let compiled =
-                    CompiledEstimator::compile(&circuit, &options).expect("benchmark compiles");
-                for spec in &specs {
-                    // Untimed pass: warms allocator (both modes) and the
-                    // message caches / posterior memos (incremental mode).
-                    compiled.estimate(spec).expect("estimates");
-                }
-                // Small circuits finish a whole sweep in microseconds —
-                // far below one-shot timer noise — so the sweep repeats
-                // until it accumulates a measurable wall clock and reports
-                // the per-sweep mean. The reuse counters come from the
-                // first pass only (every pass reuses identically: the
-                // caches are steady-state after the warm-up).
-                let mut estimates = Vec::new();
-                let mut passes = 0u32;
-                let start = Instant::now();
-                loop {
-                    passes += 1;
-                    let pass: Vec<_> = specs
-                        .iter()
-                        .map(|spec| compiled.estimate(spec).expect("estimates"))
-                        .collect();
-                    if estimates.is_empty() {
-                        estimates = pass;
-                    }
-                    if start.elapsed().as_secs_f64() >= 0.05 || passes >= 50 {
-                        break;
-                    }
-                }
-                let elapsed = start.elapsed().as_secs_f64() / f64::from(passes);
-                (elapsed, estimates, compiled)
-            };
-            let (cold_s, cold_estimates, _) = run_mode(false);
-            let (incremental_s, warm_estimates, compiled) = run_mode(true);
-            let mut messages_reused = 0u64;
-            let mut messages_recomputed = 0u64;
-            let mut segments_skipped = 0u64;
-            for (cold, warm) in cold_estimates.iter().zip(&warm_estimates) {
-                for (x, y) in cold.switching_all().iter().zip(warm.switching_all().iter()) {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "incremental sweep diverged from cold on {name}"
-                    );
-                }
-                let reuse = warm.reuse_stats();
-                messages_reused += reuse.messages_reused;
-                messages_recomputed += reuse.messages_recomputed;
-                segments_skipped += reuse.segments_skipped;
-            }
-            let message_total = messages_reused + messages_recomputed;
-            SweepThroughputRow {
-                circuit: name.to_string(),
-                segments: compiled.num_segments(),
-                swept_input,
-                scenarios,
-                cold_s,
-                incremental_s,
-                speedup: if incremental_s > 0.0 {
-                    cold_s / incremental_s
-                } else {
-                    1.0
-                },
-                messages_reused,
-                messages_recomputed,
-                segments_skipped,
-                reuse_ratio: if message_total > 0 {
-                    messages_reused as f64 / message_total as f64
-                } else {
-                    0.0
-                },
-            }
-        })
-        .collect()
-}
-
-/// Renders sweep rows as a JSON document with host metadata (hand-rolled:
-/// the workspace deliberately has no serde dependency).
-pub fn sweep_throughput_json(rows: &[SweepThroughputRow]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"schema\": 1,");
-    let _ = writeln!(
-        out,
-        "  \"scenarios\": {},",
-        rows.first().map_or(0, |r| r.scenarios)
-    );
-    let _ = writeln!(
-        out,
-        "  \"host_cpus\": {},",
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    );
-    let _ = writeln!(out, "  \"host_os\": \"{}\",", std::env::consts::OS);
-    let _ = writeln!(out, "  \"host_arch\": \"{}\",", std::env::consts::ARCH);
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let per_cold = row.cold_s / row.scenarios.max(1) as f64;
-        let per_warm = row.incremental_s / row.scenarios.max(1) as f64;
-        let _ = write!(
-            out,
-            "    {{\"circuit\": \"{}\", \"segments\": {}, \"swept_input\": {}, \
-             \"cold_s\": {:.6}, \
-             \"incremental_s\": {:.6}, \"cold_per_scenario_s\": {:.8}, \
-             \"incremental_per_scenario_s\": {:.8}, \"speedup\": {:.3}, \
-             \"messages_reused\": {}, \"messages_recomputed\": {}, \
-             \"segments_skipped\": {}, \"reuse_ratio\": {:.4}}}",
-            row.circuit,
-            row.segments,
-            row.swept_input,
-            row.cold_s,
-            row.incremental_s,
-            per_cold,
-            per_warm,
-            row.speedup,
-            row.messages_reused,
-            row.messages_recomputed,
-            row.segments_skipped,
-            row.reuse_ratio
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Renders throughput rows as a JSON document (hand-rolled: the workspace
-/// deliberately has no serde dependency).
-pub fn batch_throughput_json(circuit_name: &str, rows: &[BatchThroughputRow]) -> String {
-    let mut out = String::from("{\n");
-    // Schema 2: rows gained per-stage `propagate_s`/`forward_s` seconds
-    // (summed over scenarios) alongside the wall clock.
-    let _ = writeln!(out, "  \"schema\": 2,");
-    let _ = writeln!(out, "  \"circuit\": \"{circuit_name}\",");
-    let _ = writeln!(
-        out,
-        "  \"scenarios\": {},",
-        rows.first().map_or(0, |r| r.scenarios)
-    );
-    // Speedup is bounded by the host's cores; record them so a 1.0x row on
-    // a 1-CPU machine is not misread as an engine defect.
-    let _ = writeln!(
-        out,
-        "  \"host_cpus\": {},",
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    );
-    out.push_str("  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"jobs\": {}, \"wall_s\": {:.6}, \"scenarios_per_sec\": {:.3}, \
-             \"speedup\": {:.3}, \"cache_hit\": {}, \"propagate_s\": {:.6}, \
-             \"forward_s\": {:.6}}}",
-            row.jobs,
-            row.wall_s,
-            row.scenarios_per_sec,
-            row.speedup,
-            row.cache_hit,
-            row.propagate_s,
-            row.forward_s
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -984,66 +629,6 @@ mod tests {
         assert!(json.contains("\"baseline_s\""));
         assert!(json.contains("\"dense_simd_s\""));
         assert!(json.contains("\"best_speedup\""));
-    }
-
-    #[test]
-    fn batch_throughput_rows_and_json() {
-        let circuit = catalog::benchmark("c17").expect("known benchmark");
-        let rows = batch_throughput(&circuit, 4, &[1, 2]);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].jobs, 1);
-        assert!((rows[0].speedup - 1.0).abs() < 1e-12);
-        assert!(rows.iter().all(|r| r.cache_hit && r.scenarios == 4));
-        assert!(rows.iter().all(|r| r.propagate_s > 0.0));
-        let json = batch_throughput_json("c17", &rows);
-        assert!(json.contains("\"schema\": 2"));
-        assert!(json.contains("\"circuit\": \"c17\""));
-        assert!(json.contains("\"jobs\": 2"));
-        assert_eq!(json.matches("cache_hit").count(), 2);
-        assert_eq!(json.matches("propagate_s").count(), 2);
-        assert_eq!(json.matches("forward_s").count(), 2);
-    }
-
-    #[test]
-    fn sweep_throughput_rows_and_json() {
-        let rows = sweep_throughput(&["c17"], 4);
-        assert_eq!(rows.len(), 1);
-        let row = &rows[0];
-        assert_eq!(row.scenarios, 4);
-        assert!(row.segments >= 1);
-        assert!(row.cold_s > 0.0 && row.incremental_s > 0.0);
-        // c17 sits below the message cache's break-even point (hashing the
-        // evidence signature costs more than recomputing its one tiny
-        // tree), so the compiled segment must bypass the cache entirely:
-        // both counters stay at zero. The sweep's bit-identity assertion
-        // inside `sweep_throughput` still guarantees warm ≡ cold.
-        assert_eq!(
-            row.messages_reused + row.messages_recomputed,
-            0,
-            "c17 should bypass the message cache: {row:?}"
-        );
-        let json = sweep_throughput_json(&rows);
-        assert!(json.contains("\"schema\": 1"));
-        assert!(json.contains("\"circuit\": \"c17\""));
-        assert!(json.contains("\"cold_per_scenario_s\""));
-        assert!(json.contains("\"reuse_ratio\""));
-        assert!(json.contains("\"segments_skipped\""));
-    }
-
-    #[test]
-    fn single_input_sweep_perturbs_one_input() {
-        let circuit = catalog::benchmark("c17").expect("known benchmark");
-        let specs = single_input_sweep_specs(&circuit, 2, 5);
-        assert_eq!(specs.len(), 5);
-        for spec in &specs {
-            for (i, model) in spec.models().iter().enumerate() {
-                if i != 2 {
-                    assert_eq!(model.p1(), 0.5);
-                }
-            }
-        }
-        assert!((specs[0].models()[2].p1() - 0.05).abs() < 1e-12);
-        assert!((specs[4].models()[2].p1() - 0.95).abs() < 1e-12);
     }
 
     #[test]

@@ -224,33 +224,6 @@ impl Lidag {
         Ok(())
     }
 
-    /// The jointly most probable transition pattern of the whole circuit
-    /// under the current input priors (max-product MPE over the LIDAG),
-    /// with its probability. Indexed by working-circuit line.
-    ///
-    /// Useful for worst-case-vector reasoning: the returned pattern is the
-    /// single most likely (prev, next) behaviour of every line in one
-    /// clock cycle.
-    ///
-    /// # Errors
-    ///
-    /// Returns wrapped BN errors if compilation fails (e.g. the circuit is
-    /// too large for a single junction tree — this is a whole-circuit
-    /// query, so segmentation does not apply).
-    pub fn most_probable_transitions(&self) -> Result<(Vec<Transition>, f64), EstimateError> {
-        let tree = swact_bayesnet::JunctionTree::compile(&self.net)?;
-        let compiled = swact_bayesnet::CompiledTree::new(tree, &self.net)?;
-        let mut state = compiled.new_state();
-        compiled.max_calibrate(&mut state);
-        let (assignment, probability) = compiled.most_probable_assignment(&state);
-        let transitions = self
-            .working
-            .line_ids()
-            .map(|line| Transition::from_index(assignment[self.var(line).index()]))
-            .collect();
-        Ok((transitions, probability))
-    }
-
     /// Renders the LIDAG as a Graphviz `digraph` (Figure 2 of the paper for
     /// the example circuit).
     pub fn to_dot(&self) -> String {
@@ -436,56 +409,6 @@ mod tests {
         let prior = lidag.net().cpt_factor(pi0);
         assert!((prior.values()[3] - 0.81).abs() < 1e-12);
         assert!(lidag.set_input_spec(&InputSpec::uniform(2)).is_err());
-    }
-
-    #[test]
-    fn most_probable_transitions_match_brute_force() {
-        // With biased inputs the MPE is the argmax over all weighted
-        // (prev, next) input vectors; internal lines follow
-        // deterministically.
-        let circuit = catalog::c17();
-        let spec = InputSpec::independent([0.9, 0.1, 0.8, 0.2, 0.7]);
-        let lidag = Lidag::build(&circuit, &spec, 4).unwrap();
-        let (pattern, p) = lidag.most_probable_transitions().unwrap();
-        // Brute force over 4^5 input transition assignments.
-        let mut best = (0usize, f64::NEG_INFINITY);
-        for assignment in 0..4usize.pow(5) {
-            let mut weight = 1.0;
-            let mut rem = assignment;
-            for i in 0..5 {
-                let t = Transition::from_index(rem % 4);
-                rem /= 4;
-                weight *= spec.model(i).to_distribution().p(t);
-            }
-            if weight > best.1 {
-                best = (assignment, weight);
-            }
-        }
-        assert!(
-            (p - best.1).abs() < 1e-12,
-            "probability {} vs {}",
-            p,
-            best.1
-        );
-        // Decode the winning input pattern and check the inputs match
-        // (the internal lines are implied).
-        let mut rem = best.0;
-        for (i, &pi) in lidag.working_circuit().inputs().iter().enumerate() {
-            let want = Transition::from_index(rem % 4);
-            rem /= 4;
-            assert_eq!(pattern[pi.index()], want, "input {i}");
-        }
-        // And the pattern is logically consistent on every gate.
-        for line in lidag.working_circuit().gate_lines() {
-            let g = lidag.working_circuit().gate(line).unwrap();
-            let prev = g
-                .kind
-                .eval(g.inputs.iter().map(|&l| pattern[l.index()].prev()));
-            let next = g
-                .kind
-                .eval(g.inputs.iter().map(|&l| pattern[l.index()].next()));
-            assert_eq!(pattern[line.index()], Transition::from_values(prev, next));
-        }
     }
 
     #[test]

@@ -90,12 +90,33 @@ fn write_root_source(w: &mut Writer, source: RootSource) {
     }
 }
 
-fn read_root_source(r: &mut Reader<'_>) -> Result<RootSource, CodecError> {
+/// Reads a primary-input position: the estimate-time spec has one model
+/// per input, indexed by it.
+fn read_input_pos(r: &mut Reader<'_>, num_inputs: usize) -> Result<usize, CodecError> {
+    let pos = r.usize()?;
+    if pos >= num_inputs {
+        return Err(malformed(format!(
+            "primary input {pos} out of {num_inputs}"
+        )));
+    }
+    Ok(pos)
+}
+
+fn read_root_source(r: &mut Reader<'_>, num_inputs: usize) -> Result<RootSource, CodecError> {
     match r.u8()? {
-        0 => Ok(RootSource::PrimaryInput(r.usize()?)),
+        0 => Ok(RootSource::PrimaryInput(read_input_pos(r, num_inputs)?)),
         1 => Ok(RootSource::Boundary),
         other => Err(malformed(format!("unknown root-source tag {other}"))),
     }
+}
+
+/// The primary-input structure of the decoded circuit that segment roots
+/// index into: the input count, the group count, and the explicit pairs
+/// sorted for lookup.
+struct InputStructure {
+    num_inputs: usize,
+    num_groups: usize,
+    sorted_pairs: Vec<(usize, usize)>,
 }
 
 fn backend_tag(backend: Backend) -> u8 {
@@ -445,6 +466,7 @@ fn write_jtree_segment(w: &mut Writer, seg: &JtreeSegment) {
 fn read_jtree_segment(
     r: &mut Reader<'_>,
     num_lines: usize,
+    inputs: &InputStructure,
     options: &Options,
 ) -> Result<JtreeSegment, CodecError> {
     let compiled = read_compiled_tree(r)?;
@@ -475,7 +497,7 @@ fn read_jtree_segment(
     for _ in 0..n_solo {
         let line = read_line(r, num_lines)?;
         let var = tree_var(r)?;
-        let source = read_root_source(r)?;
+        let source = read_root_source(r, inputs.num_inputs)?;
         solo_roots.push((line, var, source));
     }
     let n_pairs = r.len(16)?;
@@ -492,16 +514,41 @@ fn read_jtree_segment(
     let mut input_pairs = Vec::with_capacity(n_input_pairs);
     for _ in 0..n_input_pairs {
         let (var, parent_var) = pair_vars(r)?;
+        let child_pos = read_input_pos(r, inputs.num_inputs)?;
+        let parent_pos = read_input_pos(r, inputs.num_inputs)?;
+        // The conditional comes from the named group's model or from the
+        // spec's explicit joint for this pair, so either must exist.
+        let group = match r.u8()? {
+            0 => {
+                if inputs
+                    .sorted_pairs
+                    .binary_search(&(parent_pos, child_pos))
+                    .is_err()
+                {
+                    return Err(malformed(format!(
+                        "input pair ({parent_pos}, {child_pos}) outside the pair signature"
+                    )));
+                }
+                None
+            }
+            1 => {
+                let group = r.usize()?;
+                if group >= inputs.num_groups {
+                    return Err(malformed(format!(
+                        "input group {group} out of {}",
+                        inputs.num_groups
+                    )));
+                }
+                Some(group)
+            }
+            other => return Err(malformed(format!("bad group byte {other}"))),
+        };
         input_pairs.push(InputPair {
             var,
             parent_var,
-            child_pos: r.usize()?,
-            parent_pos: r.usize()?,
-            group: match r.u8()? {
-                0 => None,
-                1 => Some(r.usize()?),
-                other => return Err(malformed(format!("bad group byte {other}"))),
-            },
+            child_pos,
+            parent_pos,
+            group,
         });
     }
     let n_gates = r.len(8)?;
@@ -548,6 +595,7 @@ fn write_twostate_segment(w: &mut Writer, seg: &TwoStateSegment) {
 fn read_twostate_segment(
     r: &mut Reader<'_>,
     num_lines: usize,
+    num_inputs: usize,
 ) -> Result<TwoStateSegment, CodecError> {
     let compiled = read_compiled_tree(r)?;
     let n_roots = r.len(9)?;
@@ -555,7 +603,7 @@ fn read_twostate_segment(
     for _ in 0..n_roots {
         let line = read_line(r, num_lines)?;
         let var = read_var(r)?;
-        let source = read_root_source(r)?;
+        let source = read_root_source(r, num_inputs)?;
         roots.push((line, var, source));
     }
     let n_gates = r.len(8)?;
@@ -660,12 +708,13 @@ fn write_sampling_segment(w: &mut Writer, seg: &SamplingSegment) {
 fn read_sampling_segment(
     r: &mut Reader<'_>,
     num_lines: usize,
+    num_inputs: usize,
 ) -> Result<SamplingSegment, CodecError> {
     let n_roots = r.len(5)?;
     let mut roots = Vec::with_capacity(n_roots);
     for _ in 0..n_roots {
         let line = read_line(r, num_lines)?;
-        let source = read_root_source(r)?;
+        let source = read_root_source(r, num_inputs)?;
         roots.push((line, source));
     }
     let n_gates = r.len(6)?;
@@ -729,6 +778,7 @@ fn write_segment(w: &mut Writer, segment: &CompiledSegment) {
 fn read_segment(
     r: &mut Reader<'_>,
     num_lines: usize,
+    inputs: &InputStructure,
     options: &Options,
 ) -> Result<CompiledSegment, CodecError> {
     let stats = SegmentStats {
@@ -746,11 +796,18 @@ fn read_segment(
         let var = read_var(r)?;
         lines.insert(line, var);
     }
+    let num_inputs = inputs.num_inputs;
     let artifact = match backend_from_tag(r.u8()?)? {
-        Backend::Jtree => SegmentArtifact::Jtree(read_jtree_segment(r, num_lines, options)?),
+        Backend::Jtree => {
+            SegmentArtifact::Jtree(read_jtree_segment(r, num_lines, inputs, options)?)
+        }
         Backend::Bdd => SegmentArtifact::Bdd(read_bdd_segment(r, num_lines)?),
-        Backend::Sampling => SegmentArtifact::Sampling(read_sampling_segment(r, num_lines)?),
-        Backend::TwoState => SegmentArtifact::TwoState(read_twostate_segment(r, num_lines)?),
+        Backend::Sampling => {
+            SegmentArtifact::Sampling(read_sampling_segment(r, num_lines, num_inputs)?)
+        }
+        Backend::TwoState => {
+            SegmentArtifact::TwoState(read_twostate_segment(r, num_lines, num_inputs)?)
+        }
     };
     Ok(CompiledSegment {
         artifact,
@@ -918,9 +975,16 @@ pub(crate) fn decode_pipeline(bytes: &[u8]) -> Result<CompiledEstimator, CodecEr
             return Err(malformed("degradation references a missing segment"));
         }
     }
+    let mut sorted_pairs = pair_signature.clone();
+    sorted_pairs.sort_unstable();
+    let inputs = InputStructure {
+        num_inputs,
+        num_groups: group_signature.len(),
+        sorted_pairs,
+    };
     let mut segments = Vec::with_capacity(n_segments);
     for &kind in &seg_kinds {
-        let segment = read_segment(&mut r, num_lines, &options)?;
+        let segment = read_segment(&mut r, num_lines, &inputs, &options)?;
         if segment.backend() != kind {
             return Err(malformed("segment kind list disagrees with segment tags"));
         }
@@ -1290,6 +1354,115 @@ mod tests {
             .expect("a sampled segment");
         assert!(sampled.plan_exports(&[]).is_ok());
         assert!(sampled.plan_exports(&compiled.exports[producer]).is_err());
+    }
+
+    /// c17 with inputs 0 and 1 in one spatial group.
+    fn grouped_c17() -> (CompiledEstimator, InputSpec) {
+        let spec = InputSpec::uniform(5).with_groups(vec![crate::InputGroup {
+            members: vec![0, 1],
+            latent: crate::InputModel::independent(0.5),
+            copy_prob: 0.8,
+        }]);
+        let compiled = CompiledEstimator::compile_for(&catalog::c17(), &spec, &Options::default())
+            .expect("compiles");
+        (compiled, spec)
+    }
+
+    /// c17 with input 1 conditioned on input 0 by an explicit joint.
+    fn paired_c17() -> (CompiledEstimator, InputSpec) {
+        let spec = InputSpec::uniform(5).with_pairwise_joints(vec![crate::PairwiseJoint {
+            a: 0,
+            b: 1,
+            joint: [[1.0 / 16.0; 4]; 4],
+        }]);
+        let compiled = CompiledEstimator::compile_for(&catalog::c17(), &spec, &Options::default())
+            .expect("compiles");
+        (compiled, spec)
+    }
+
+    /// The input pair of a copy of single-segment `compiled`, edited.
+    fn with_input_pair(
+        compiled: &CompiledEstimator,
+        edit: impl FnOnce(&mut InputPair),
+    ) -> CompiledEstimator {
+        let mut edited = copy(compiled);
+        let SegmentArtifact::Jtree(seg) = &mut edited.segments[0].artifact else {
+            panic!("c17 compiles to one jtree segment");
+        };
+        edit(&mut seg.input_pairs[0]);
+        edited
+    }
+
+    /// Every primary-input root position must name an input of the
+    /// decoded circuit, in each segment kind that reads one: a
+    /// re-checksummed c17 artifact naming input 5 is a typed corruption
+    /// error, not a panic in the first estimate's prior lookup.
+    #[test]
+    fn root_positions_must_name_a_primary_input() {
+        let (grouped, _) = grouped_c17();
+        let compiled = [
+            grouped,
+            compiled_c17(&Options::with_backend(Backend::TwoState)),
+            compiled_c17(&Options::with_backend(Backend::Sampling)),
+        ];
+        for compiled in &compiled {
+            assert!(load_edited(compiled, |_| {}).is_ok());
+            let mut edited = copy(compiled);
+            let source = match &mut edited.segments[0].artifact {
+                SegmentArtifact::Jtree(seg) => &mut seg.solo_roots[0].2,
+                SegmentArtifact::TwoState(seg) => &mut seg.roots[0].2,
+                SegmentArtifact::Sampling(seg) => &mut seg.roots[0].1,
+                SegmentArtifact::Bdd(_) => unreachable!("no bdd segment compiled"),
+            };
+            assert!(matches!(source, RootSource::PrimaryInput(_)));
+            *source = RootSource::PrimaryInput(5);
+            let backend = edited.segments[0].backend();
+            assert!(is_corrupt(load_edited(&edited, |_| {})), "{backend}");
+        }
+    }
+
+    /// Both positions of a grouped input pair must name inputs of the
+    /// decoded circuit.
+    #[test]
+    fn input_pair_positions_must_name_primary_inputs() {
+        let (compiled, spec) = grouped_c17();
+        let loaded = load_edited(&compiled, |_| {}).expect("loads");
+        loaded.estimate(&spec).expect("and estimates");
+        let child = with_input_pair(&compiled, |pair| pair.child_pos = 5);
+        assert!(is_corrupt(load_edited(&child, |_| {})), "child position");
+        let parent = with_input_pair(&compiled, |pair| pair.parent_pos = 5);
+        assert!(is_corrupt(load_edited(&parent, |_| {})), "parent position");
+    }
+
+    /// A grouped input pair must name a group of the group signature.
+    #[test]
+    fn input_pair_groups_must_exist() {
+        let (compiled, _) = grouped_c17();
+        assert_eq!(compiled.planned.group_signature.len(), 1);
+        for group in [1, usize::MAX] {
+            let edited = with_input_pair(&compiled, |pair| pair.group = Some(group));
+            assert!(is_corrupt(load_edited(&edited, |_| {})), "group {group}");
+        }
+    }
+
+    /// An ungrouped input pair takes its conditional from the spec's
+    /// explicit joint, so `(parent, child)` must be in the pair signature.
+    #[test]
+    fn explicit_input_pairs_must_be_in_the_pair_signature() {
+        let (paired, spec) = paired_c17();
+        let loaded = load_edited(&paired, |_| {}).expect("loads");
+        loaded.estimate(&spec).expect("and estimates");
+        // (0, 2) and the reversed (1, 0) are not the signature's (0, 1).
+        let other_child = with_input_pair(&paired, |pair| pair.child_pos = 2);
+        assert!(is_corrupt(load_edited(&other_child, |_| {})), "other child");
+        let reversed = with_input_pair(&paired, |pair| {
+            std::mem::swap(&mut pair.child_pos, &mut pair.parent_pos)
+        });
+        assert!(is_corrupt(load_edited(&reversed, |_| {})), "reversed");
+        // A grouped pair stripped of its group has no explicit joint.
+        let (grouped, _) = grouped_c17();
+        let ungrouped = with_input_pair(&grouped, |pair| pair.group = None);
+        assert!(is_corrupt(load_edited(&ungrouped, |_| {})), "ungrouped");
     }
 
     /// Flips every byte of `compiled`'s payload in turn (all eight bits)

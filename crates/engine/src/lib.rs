@@ -1216,7 +1216,7 @@ mod tests {
         assert_eq!(metrics.message_reuse_ratio(), 0.0);
     }
 
-    /// Regression for the BENCH_batch.json finding that oversubscribing
+    /// Regression for the batch-throughput finding that oversubscribing
     /// workers (jobs=8 on 1 CPU) *lost* 0.43× throughput: with the clamp,
     /// `with_jobs(8)` must be no slower than serial (1.1× tolerance plus
     /// an absolute grace for timer noise on tiny batches).

@@ -3,14 +3,12 @@
 //! Two bus lines share a latent stream (think: adjacent bits of a counter
 //! value or one-hot control lines). The estimator models the group
 //! exactly; ignoring the correlation misestimates every downstream line.
-//! Also demos the most-probable-transition query (max-product MPE over
-//! the LIDAG).
 //!
 //! ```text
 //! cargo run --release --example correlated_inputs
 //! ```
 
-use swact::{estimate, InputGroup, InputModel, InputSpec, Lidag, Options};
+use swact::{estimate, InputGroup, InputModel, InputSpec, Options};
 use swact_circuit::catalog;
 use swact_sim::{measure_activity, SignalModel, SpatialGroup, StreamModel};
 
@@ -59,13 +57,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let blind_stats = blind.compare(&truth.switching);
     println!("\ngroup-aware error: {aware_stats}");
     println!("group-blind error: {blind_stats}");
-
-    // The most probable single-cycle behaviour of the whole circuit.
-    let lidag = Lidag::build(&circuit, &spec, 4)?;
-    let (pattern, p) = lidag.most_probable_transitions()?;
-    println!("\nmost probable transition pattern (P = {p:.4}):");
-    for line in circuit.line_ids() {
-        println!("  {:<6} {}", circuit.line_name(line), pattern[line.index()]);
-    }
     Ok(())
 }

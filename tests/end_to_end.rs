@@ -53,6 +53,46 @@ fn segmented_circuits_stay_in_the_papers_error_band() {
     }
 }
 
+/// Accuracy gate: Table 1 µErr and %Err at default options against the
+/// seeded simulation of `uniform_truth`, pinned per circuit. Estimates
+/// and simulation are both deterministic, so a value moves only when the
+/// estimator does. A change may lower a value; raising one past
+/// `TOLERANCE` times its pin fails, so a 2× accuracy regression on any
+/// circuit cannot pass unnoticed. The bounds of the two tests above are
+/// the paper's error band; this gate is the code's own.
+#[test]
+fn accuracy_gate() {
+    const TOLERANCE: f64 = 1.25;
+    // (circuit, µErr, %Err) measured at default options.
+    const PINS: [(&str, f64, f64); 5] = [
+        ("c17", 0.000_573_6, 0.075_29),
+        ("pcler8", 0.000_471_9, 0.015_25),
+        ("c432", 0.001_230, 0.052_02),
+        ("c880", 0.000_677_5, 0.047_63),
+        ("alu2", 0.004_590, 0.159_4),
+    ];
+    let mut failures = Vec::new();
+    for (name, mean_pin, percent_pin) in PINS {
+        let circuit = catalog::benchmark(name).unwrap();
+        let spec = InputSpec::uniform(circuit.num_inputs());
+        let est = estimate(&circuit, &spec, &Options::default()).unwrap();
+        let stats = est.compare(&uniform_truth(&circuit, 1 << 19));
+        if stats.mean_abs_error > TOLERANCE * mean_pin
+            || stats.percent_error > TOLERANCE * percent_pin
+        {
+            failures.push(format!(
+                "{name}: µErr {:.7} (pin {mean_pin}), %Err {:.5} (pin {percent_pin})",
+                stats.mean_abs_error, stats.percent_error
+            ));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "accuracy above {TOLERANCE}x the pins:\n{}",
+        failures.join("\n")
+    );
+}
+
 #[test]
 fn temporally_correlated_inputs_are_tracked() {
     // The four-state formulation models input temporal correlation; verify
