@@ -130,12 +130,14 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     }
     // Likewise, two `Content-Length` headers (even agreeing ones) mean the
     // peer and any intermediary may disagree on where the body ends.
+    // RFC 9110 allows only `1*DIGIT`; `usize::from_str` would also take a
+    // leading `+`, which another parser on the path may read differently.
     let mut content_lengths = headers.iter().filter(|(n, _)| n == "content-length");
     let content_length = content_lengths
         .next()
-        .map(|(_, v)| {
-            v.parse::<usize>()
-                .map_err(|_| HttpError::bad("bad Content-Length"))
+        .map(|(_, v)| match v.parse::<usize>() {
+            Ok(n) if v.bytes().all(|b| b.is_ascii_digit()) => Ok(n),
+            _ => Err(HttpError::bad("bad Content-Length")),
         })
         .transpose()?
         .unwrap_or(0);
@@ -313,10 +315,13 @@ mod tests {
             exchange(b"GET / HTTP/1.1\r\nbroken header\r\n\r\n"),
             Err(HttpError::BadRequest(_))
         ));
-        assert!(matches!(
-            exchange(b"POST / HTTP/1.1\r\nContent-Length: ten\r\n\r\n"),
-            Err(HttpError::BadRequest(_))
-        ));
+        for length in ["ten", "+4"] {
+            let raw = format!("POST / HTTP/1.1\r\nContent-Length: {length}\r\n\r\nbody");
+            assert!(
+                matches!(exchange(raw.as_bytes()), Err(HttpError::BadRequest(_))),
+                "Content-Length: {length}"
+            );
+        }
     }
 
     #[test]

@@ -137,6 +137,7 @@ impl std::error::Error for ParseError {}
 /// Parses a complete JSON document (one value plus trailing whitespace).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -154,6 +155,7 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -226,8 +228,8 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ASCII subset of valid UTF-8 input");
+        // Only ASCII was consumed, so both ends are char boundaries.
+        let text = &self.text[start..self.pos];
         let x: f64 = text
             .parse()
             .map_err(|_| self.err(format!("bad number `{text}`")))?;
@@ -279,13 +281,18 @@ impl<'a> Parser<'a> {
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control byte in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .expect("input was a valid &str");
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of plain bytes at once, so a
+                    // string decodes in linear time. The run ends at `"`,
+                    // `\` or a control byte: all ASCII, hence always a
+                    // char boundary of the `&str` input.
+                    let start = self.pos;
+                    while self
+                        .peek()
+                        .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -432,5 +439,95 @@ mod tests {
         assert!(err.message.contains("nesting"));
         let ok = "[".repeat(30) + &"]".repeat(30);
         assert!(parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn a_body_sized_string_decodes_in_linear_time() {
+        // Plain runs, multi-byte scalars and escapes, filling a whole
+        // `MAX_BODY_BYTES` document.
+        let unit = "plain text, é 中 🦀 \\n \\u0041 ";
+        let decoded_unit = "plain text, é 中 🦀 \n A ";
+        let copies = (crate::http::MAX_BODY_BYTES - 2) / unit.len();
+        let doc = format!("\"{}\"", unit.repeat(copies));
+        assert!(doc.len() <= crate::http::MAX_BODY_BYTES);
+        assert!(doc.len() + unit.len() > crate::http::MAX_BODY_BYTES);
+
+        let started = std::time::Instant::now();
+        let value = parse(&doc).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(value.as_str().unwrap().len(), decoded_unit.len() * copies);
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "{} byte string took {elapsed:?}",
+            doc.len()
+        );
+    }
+
+    use proptest::prelude::*;
+
+    /// Characters that stress the string and structure paths: JSON
+    /// syntax, escape letters, control bytes, and multi-byte scalars.
+    fn text_char() -> impl Strategy<Value = char> {
+        let pool: Vec<char> =
+            "{}[]:,\"\\/ -+.0123456789eEtrufalsn bfu\u{0}\u{8}\t\n\r\u{1f}\u{7f}é中\u{2028}🦀"
+                .chars()
+                .collect();
+        prop_oneof![
+            proptest::sample::select(pool),
+            (0u32..0x11_0000).prop_map(|c| char::from_u32(c).unwrap_or('\u{fffd}')),
+        ]
+    }
+
+    fn text() -> impl Strategy<Value = String> {
+        proptest::collection::vec(text_char(), 0..24).prop_map(|cs| cs.into_iter().collect())
+    }
+
+    /// Value trees of depth ≤ 8 over every scalar kind; numbers are any
+    /// finite `f64` bit pattern.
+    fn value() -> impl Strategy<Value = Value> {
+        let leaf = prop_oneof![
+            Just(Value::Null),
+            any::<bool>().prop_map(Value::Bool),
+            any::<u64>().prop_map(|bits| {
+                let x = f64::from_bits(bits);
+                Value::Number(if x.is_finite() { x } else { f64::MAX })
+            }),
+            text().prop_map(Value::String),
+        ];
+        leaf.prop_recursive(8, 64, 4, |inner| {
+            prop_oneof![
+                proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
+                proptest::collection::vec((text(), inner), 0..4).prop_map(Value::Object),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn arbitrary_text_parses_or_errors_without_panicking(s in text()) {
+            let _ = parse(&s);
+        }
+
+        #[test]
+        fn truncated_and_spliced_documents_never_panic(
+            v in value(),
+            cut in any::<usize>(),
+            noise in text(),
+        ) {
+            let doc = v.to_string();
+            let mut end = cut % (doc.len() + 1);
+            while !doc.is_char_boundary(end) {
+                end -= 1;
+            }
+            let _ = parse(&doc[..end]);
+            let _ = parse(&format!("{}{noise}", &doc[..end]));
+        }
+
+        #[test]
+        fn generated_values_round_trip(v in value()) {
+            prop_assert_eq!(parse(&v.to_string()), Ok(v));
+        }
     }
 }

@@ -45,9 +45,9 @@ mod signal;
 
 use std::collections::VecDeque;
 use std::io;
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use swact::{wire, EstimateError, InputModel, InputSpec, Options};
@@ -103,9 +103,13 @@ struct Inner {
     engine: Engine,
     clients: ClientTable,
     metrics: ServerMetrics,
-    /// Set once by any shutdown trigger; the acceptor stops accepting and
+    /// Set once by any shutdown trigger (always through
+    /// [`Inner::request_stop`]); the acceptor stops accepting and
     /// `/healthz` flips to 503.
     stop: AtomicBool,
+    /// A connectable address of the listener: the loopback connect that
+    /// wakes the acceptor out of its blocking `accept` goes here.
+    wake_addr: SocketAddr,
     /// Cleared until the boot-time artifact pre-warm finishes; `/healthz`
     /// answers `503 warming` while it is unset so orchestrators do not
     /// route traffic at a cold cache. Starts `true` without a cache dir.
@@ -117,17 +121,68 @@ struct Inner {
     queue: Mutex<VecDeque<TcpStream>>,
     /// Signals handlers when a connection (or shutdown) is ready.
     available: Condvar,
+    /// Signals [`Server::wait`] that shutdown has been requested (paired
+    /// with the `queue` mutex).
+    stopped: Condvar,
 }
+
+/// How long one wake connect may take. On loopback it completes or is
+/// refused at once; only a full accept backlog makes it wait.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(200);
 
 impl Inner {
     fn stopping(&self) -> bool {
         self.stop.load(Ordering::SeqCst)
     }
 
-    fn request_stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-        self.available.notify_all();
+    fn lock_queue(&self) -> MutexGuard<'_, VecDeque<TcpStream>> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
     }
+
+    /// The one shutdown path: sets `stop`, wakes the acceptor, and
+    /// notifies the handlers and [`Server::wait`]. Idempotent; must not be
+    /// called with the queue lock held.
+    fn request_stop(&self) {
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        self.wake_acceptor();
+        // Taking the lock orders this notify after any waiter's check of
+        // `stop`, so no waiter can miss it.
+        drop(self.lock_queue());
+        self.available.notify_all();
+        self.stopped.notify_all();
+    }
+
+    /// Unblocks the acceptor's `accept` with one loopback connect, which
+    /// the acceptor drops once it sees `stop`. Returns whether the connect
+    /// succeeded; a failure (refused, full backlog, no free descriptor)
+    /// leaves the retry to [`Server::wait`].
+    fn wake_acceptor(&self) -> bool {
+        TcpStream::connect_timeout(&self.wake_addr, WAKE_TIMEOUT).is_ok()
+    }
+
+    /// Blocks until some trigger has called [`Inner::request_stop`].
+    fn wait_for_stop(&self) {
+        let mut queue = self.lock_queue();
+        while !self.stopping() {
+            queue = self
+                .stopped
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// The address a local connect reaches `local` at: an unspecified bind
+/// address (`0.0.0.0`, `[::]`) maps to the loopback of the same family.
+fn wake_addr(local: SocketAddr) -> SocketAddr {
+    let ip = match local.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, local.port())
 }
 
 /// A running service instance.
@@ -138,7 +193,7 @@ impl Inner {
 /// installed signal handler). Dropping the server also shuts it down.
 pub struct Server {
     inner: Arc<Inner>,
-    local_addr: std::net::SocketAddr,
+    local_addr: SocketAddr,
     drain: Duration,
     acceptor: Option<std::thread::JoinHandle<()>>,
     handlers: Vec<std::thread::JoinHandle<()>>,
@@ -151,7 +206,8 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// Triggers a graceful shutdown (idempotent, non-blocking).
+    /// Triggers a graceful shutdown (idempotent; returns after one
+    /// loopback connect that wakes the acceptor).
     pub fn shutdown(&self) {
         self.inner.request_stop();
     }
@@ -172,11 +228,11 @@ impl Server {
     /// Binds the listener, spins up the engine and thread pools, and
     /// starts serving.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
+        // A blocking listener: the acceptor sleeps in `accept` and
+        // `request_stop` wakes it with a loopback connect, so no request
+        // waits on a poll interval.
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        // Nonblocking accept + short sleeps: lets the acceptor poll the
-        // stop flag (set by handlers or a signal) without a self-pipe.
-        listener.set_nonblocking(true)?;
 
         let mut engine = match config.jobs {
             0 => Engine::new(),
@@ -191,10 +247,12 @@ impl Server {
             clients: config.clients,
             metrics: ServerMetrics::default(),
             stop: AtomicBool::new(false),
+            wake_addr: wake_addr(local_addr),
             ready: AtomicBool::new(!warm_start),
             handlers: config.handlers.max(1),
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
+            stopped: Condvar::new(),
         });
 
         if warm_start {
@@ -229,7 +287,7 @@ impl Server {
     }
 
     /// The bound address (resolves `:0` ephemeral ports).
-    pub fn local_addr(&self) -> std::net::SocketAddr {
+    pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
     }
 
@@ -257,22 +315,20 @@ impl Server {
         let Some(acceptor) = self.acceptor.take() else {
             return; // already joined
         };
-        // Acceptor exits on its own once `stop` is set (or a signal
-        // arrives); it notifies the handlers on the way out.
+        self.inner.wait_for_stop();
+        // `request_stop` has woken the acceptor once; should that connect
+        // have failed, keep waking it until it has gone.
+        while !acceptor.is_finished() && !self.inner.wake_acceptor() {
+            std::thread::sleep(Duration::from_millis(10));
+        }
         let _ = acceptor.join();
 
         // Drain phase: give in-flight connections until the deadline,
         // then cancel queued engine jobs so handlers come home fast.
         let deadline = Instant::now() + self.drain;
         loop {
-            let idle = {
-                let queue = self
-                    .inner
-                    .queue
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                queue.is_empty() && self.inner.clients.total_in_flight() == 0
-            };
+            let idle =
+                self.inner.lock_queue().is_empty() && self.inner.clients.total_in_flight() == 0;
             if idle {
                 break;
             }
@@ -299,25 +355,25 @@ impl Drop for Server {
 }
 
 /// Accepts connections until shutdown, pushing them to the handler queue.
+/// Blocks in `accept`; [`Inner::request_stop`] wakes it with a connect.
 fn accept_loop(listener: &TcpListener, inner: &Inner) {
     loop {
-        if inner.stopping() || signal::signalled() {
-            inner.request_stop();
-            return;
-        }
         match listener.accept() {
             Ok((stream, _peer)) => {
+                let mut queue = inner.lock_queue();
+                // Checked under the queue lock: a handler that saw `stop`
+                // with an empty queue has exited, so nothing may be queued
+                // after it. The stream (the wake connect, or a late
+                // client) is dropped.
+                if inner.stopping() {
+                    return;
+                }
                 inner.metrics.connection_accepted();
-                inner
-                    .queue
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push_back(stream);
+                queue.push_back(stream);
+                drop(queue);
                 inner.available.notify_one();
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
+            Err(_) if inner.stopping() => return,
             // Transient accept errors (EMFILE, aborted handshake): keep
             // serving; the alternative is taking the whole service down.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
@@ -326,11 +382,17 @@ fn accept_loop(listener: &TcpListener, inner: &Inner) {
 }
 
 /// Pops connections and serves them until shutdown *and* queue empty.
+/// The 50 ms wait tick is also where a SIGINT/SIGTERM (which only sets a
+/// flag) turns into [`Inner::request_stop`].
 fn handler_loop(inner: &Inner) {
     loop {
         let stream = {
-            let mut queue = inner.queue.lock().unwrap_or_else(PoisonError::into_inner);
+            let mut queue = inner.lock_queue();
             loop {
+                // Ahead of the pop, so a signal is noticed under load too.
+                if signal::signalled() && !inner.stopping() {
+                    break None;
+                }
                 if let Some(stream) = queue.pop_front() {
                     break Some(stream);
                 }
@@ -344,8 +406,11 @@ fn handler_loop(inner: &Inner) {
                     .0;
             }
         };
-        let Some(mut stream) = stream else { return };
-        handle_connection(inner, &mut stream);
+        match stream {
+            Some(mut stream) => handle_connection(inner, &mut stream),
+            None if inner.stopping() => return,
+            None => inner.request_stop(), // a signal arrived: drain
+        }
     }
 }
 
@@ -413,11 +478,7 @@ fn route(
                 Ok(guard) => guard,
                 Err(_policy) => {
                     inner.metrics.throttled();
-                    let queued = inner
-                        .queue
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .len();
+                    let queued = inner.lock_queue().len();
                     let backoff = retry_after_seconds(
                         queued,
                         inner.clients.total_in_flight(),
@@ -806,5 +867,40 @@ mod tests {
         assert_eq!(retry_after_seconds(10_000, 0, 4), 30);
         // A zero handler count must not divide by zero.
         assert_eq!(retry_after_seconds(5, 0, 0), 6);
+    }
+
+    #[test]
+    fn unspecified_bind_addresses_wake_through_loopback() {
+        let wake = |addr: &str| wake_addr(addr.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7878"), "127.0.0.1:7878");
+        assert_eq!(wake("[::]:7878"), "[::1]:7878");
+        assert_eq!(wake("10.1.2.3:80"), "10.1.2.3:80");
+    }
+
+    #[test]
+    fn a_signal_stops_an_idle_server() {
+        let _lock = signal::FLAG_LOCK
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let server = Server::start(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            jobs: 1,
+            handlers: 2,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        let (done, stopped) = std::sync::mpsc::channel();
+        let started = Instant::now();
+        signal::raise_for_test();
+        let waiter = std::thread::spawn(move || {
+            server.wait();
+            let _ = done.send(());
+        });
+        let outcome = stopped.recv_timeout(Duration::from_secs(5));
+        let took = started.elapsed();
+        signal::clear_for_test();
+        assert!(outcome.is_ok(), "server ignored the signal");
+        waiter.join().unwrap();
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
     }
 }

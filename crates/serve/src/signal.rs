@@ -1,12 +1,19 @@
 //! Minimal SIGINT/SIGTERM hookup without external crates.
 //!
 //! The handler only sets a process-global flag — the single
-//! async-signal-safe thing a handler may do — which the server's acceptor
-//! loop polls every ~10 ms ([`signalled`]). On non-Unix targets
+//! async-signal-safe thing a handler may do. The server's connection
+//! handlers read it ([`signalled`]) on their 50 ms idle tick and before
+//! each dequeue, and the first to see it starts the ordinary graceful
+//! shutdown, which wakes the blocking acceptor. On non-Unix targets
 //! installation is a no-op and shutdown relies on `/admin/shutdown` or
 //! [`ServerHandle::shutdown`](crate::ServerHandle::shutdown).
 
 use std::sync::atomic::{AtomicBool, Ordering};
+
+/// Serializes the tests that raise the process-global flag: any server
+/// running in the same test binary would see it and shut down.
+#[cfg(test)]
+pub(crate) static FLAG_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Flipped by the signal handler; never cleared.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
@@ -60,6 +67,7 @@ mod tests {
 
     #[test]
     fn flag_starts_clear_and_latches() {
+        let _lock = FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         clear_for_test();
         assert!(!signalled());
         raise_for_test();

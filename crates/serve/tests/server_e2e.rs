@@ -535,6 +535,38 @@ fn graceful_shutdown_drains_and_flips_healthz() {
     server.wait();
 }
 
+/// Starts an idle server on `addr`, requests shutdown, and returns how
+/// long `wait` took to return.
+fn idle_shutdown_time(addr: &str) -> Duration {
+    let server = Server::start(ServerConfig {
+        addr: addr.to_string(),
+        jobs: 1,
+        handlers: 2,
+        clients: ClientTable::default(),
+        drain: Duration::from_secs(5),
+        cache_dir: None,
+    })
+    .expect("bind ephemeral port");
+    let started = std::time::Instant::now();
+    server.handle().shutdown();
+    server.wait();
+    started.elapsed()
+}
+
+#[test]
+fn idle_loopback_server_stops_promptly() {
+    let took = idle_shutdown_time("127.0.0.1:0");
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+}
+
+#[test]
+fn idle_wildcard_server_stops_promptly() {
+    // The acceptor's wake connect must reach a `0.0.0.0` listener through
+    // loopback.
+    let took = idle_shutdown_time("0.0.0.0:0");
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+}
+
 #[test]
 fn warm_start_serves_bit_identical_estimates_without_compiling() {
     let dir = std::env::temp_dir().join(format!("swact-serve-warm-{}", std::process::id()));
