@@ -57,11 +57,6 @@ pub struct CompiledTree {
     kernels: PropagationKernels,
     /// The zero-compression policy the kernels were built with.
     mode: SparseMode,
-    /// The summation policy of the blocked kernels ([`KernelMode`]):
-    /// `Scalar` is bit-identical to every reference path, `Simd`
-    /// reassociates sum reductions and therefore never shares a model key
-    /// or persisted artifact with a scalar compile.
-    kernel: KernelMode,
     /// Dependency mask: for each clique, the evidence variables whose
     /// observations are entered *at* that clique (its home variables).
     /// Evidence anywhere else reaches the clique only through messages, so
@@ -128,25 +123,6 @@ impl CompiledTree {
         potentials: Vec<Factor>,
         mode: SparseMode,
     ) -> CompiledTree {
-        CompiledTree::from_parts_with_kernel(tree, potentials, mode, KernelMode::default())
-    }
-
-    /// [`from_parts_with`](CompiledTree::from_parts_with) with an explicit
-    /// blocked-kernel summation policy. [`KernelMode::Scalar`] (the
-    /// default) is bit-identical to every reference path;
-    /// [`KernelMode::Simd`] reassociates sum reductions (see
-    /// [`KernelMode`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the potential count or any potential's scope disagrees
-    /// with the tree.
-    pub fn from_parts_with_kernel(
-        tree: JunctionTree,
-        potentials: Vec<Factor>,
-        mode: SparseMode,
-        kernel: KernelMode,
-    ) -> CompiledTree {
         validate_potentials(&tree, &potentials);
         let schedule = build_schedule(&tree);
         let kernels = PropagationKernels::build(&tree, &potentials, mode);
@@ -161,9 +137,20 @@ impl CompiledTree {
             schedule,
             kernels,
             mode,
-            kernel,
             home_vars,
         }
+    }
+
+    /// [`from_parts_with`](CompiledTree::from_parts_with); kept only
+    /// because the profile harness's kernel probe calls it.
+    #[doc(hidden)]
+    pub fn from_parts_with_kernel(
+        tree: JunctionTree,
+        potentials: Vec<Factor>,
+        mode: SparseMode,
+        _kernel: KernelMode,
+    ) -> CompiledTree {
+        CompiledTree::from_parts_with(tree, potentials, mode)
     }
 
     /// The compiled junction tree structure.
@@ -212,11 +199,6 @@ impl CompiledTree {
         self.mode
     }
 
-    /// The blocked-kernel summation policy this tree was compiled with.
-    pub fn kernel_mode(&self) -> KernelMode {
-        self.kernel
-    }
-
     /// How many cliques actually got a zero-compressed support list.
     pub fn compressed_cliques(&self) -> usize {
         self.kernels.compressed_cliques()
@@ -251,7 +233,6 @@ impl CompiledTree {
         &[(usize, usize, usize)],
         &PropagationKernels,
         SparseMode,
-        KernelMode,
         &[Vec<VarId>],
     ) {
         (
@@ -260,7 +241,6 @@ impl CompiledTree {
             &self.schedule,
             &self.kernels,
             self.mode,
-            self.kernel,
             &self.home_vars,
         )
     }
@@ -277,7 +257,6 @@ impl CompiledTree {
         schedule: Vec<(usize, usize, usize)>,
         kernels: PropagationKernels,
         mode: SparseMode,
-        kernel: KernelMode,
         home_vars: Vec<Vec<VarId>>,
     ) -> CompiledTree {
         CompiledTree {
@@ -286,7 +265,6 @@ impl CompiledTree {
             schedule,
             kernels,
             mode,
-            kernel,
             home_vars,
         }
     }
@@ -389,7 +367,7 @@ impl CompiledTree {
             &self.init_clique_pot,
             &self.schedule,
             state,
-            KernelDispatch::Blocked(self.kernel),
+            KernelDispatch::Blocked,
         );
     }
 
@@ -442,7 +420,7 @@ impl CompiledTree {
             &self.home_vars,
             state,
             cache,
-            KernelDispatch::Blocked(self.kernel),
+            KernelDispatch::Blocked,
         )
     }
 
@@ -853,15 +831,14 @@ fn finish_calibration(tree: &JunctionTree, state: &mut PropagationState) {
 /// Which kernel generation an absorption runs through.
 ///
 /// `Blocked` is the production path: stride-aware blocked kernels for
-/// dense cliques (with the given [`KernelMode`] summation policy), the
-/// support-list kernels for zero-compressed ones. `Legacy` forces the
-/// per-entry projection tables everywhere — the previous generation, kept
-/// as the measured microbenchmark baseline and the equivalence-test
-/// reference.
+/// dense cliques, the support-list kernels for zero-compressed ones.
+/// `Legacy` forces the per-entry projection tables everywhere — the
+/// previous generation, kept as the measured microbenchmark baseline and
+/// the equivalence-test reference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum KernelDispatch {
     Legacy,
-    Blocked(KernelMode),
+    Blocked,
 }
 
 /// Sender-side marginalize through the projection the dispatch selects.
@@ -873,8 +850,8 @@ fn marginalize_side(
     dispatch: KernelDispatch,
 ) {
     match (support, dispatch, &side.blocked) {
-        (None, KernelDispatch::Blocked(mode), Some(blocked)) => {
-            sparse::marginalize_blocked(values, blocked, target, mode);
+        (None, KernelDispatch::Blocked, Some(blocked)) => {
+            sparse::marginalize_blocked(values, blocked, target);
         }
         _ => sparse::marginalize_into(values, support, &side.entries, target),
     }
@@ -889,7 +866,7 @@ fn multiply_side(
     dispatch: KernelDispatch,
 ) {
     match (support, dispatch, &side.blocked) {
-        (None, KernelDispatch::Blocked(_), Some(blocked)) => {
+        (None, KernelDispatch::Blocked, Some(blocked)) => {
             sparse::multiply_blocked(values, blocked, update);
         }
         _ => sparse::multiply_from(values, support, &side.entries, update),

@@ -1,7 +1,6 @@
 //! Property tests for the blocked (stride-aware) fused kernels: the
-//! default scalar kernels must be *bit-identical* (`f64::to_bits`) to the
-//! per-entry two-pass reference path on arbitrary factors and networks,
-//! and the opt-in reassociating simd kernels must agree to `1e-12`.
+//! blocked kernels must be *bit-identical* (`f64::to_bits`) to the
+//! per-entry two-pass reference path on arbitrary factors and networks.
 //!
 //! The two-pass reference is `CompiledTree::calibrate_two_pass` — the
 //! previous kernel generation, kept reachable exactly so these tests (and
@@ -10,7 +9,7 @@
 
 use proptest::prelude::*;
 use swact_bayesnet::{
-    initial_potentials, BayesNet, CompiledTree, Cpt, JunctionTree, KernelMode, SparseMode, VarId,
+    initial_potentials, BayesNet, CompiledTree, Cpt, JunctionTree, SparseMode, VarId,
 };
 
 /// A random discrete Bayesian network mixing deterministic (one-hot) and
@@ -61,19 +60,14 @@ fn arb_net(det_pct: u64) -> impl Strategy<Value = BayesNet> {
     })
 }
 
-/// Compiles `net` dense and sparse and checks the blocked scalar kernels
+/// Compiles `net` dense and sparse and checks the blocked kernels
 /// calibrate bit-identically to the two-pass reference, prior and
 /// posterior.
 fn assert_scalar_matches_two_pass(net: &BayesNet, pick: u64) {
     let tree = JunctionTree::compile(net).expect("compiles");
     let pots = initial_potentials(&tree, net);
     for sparse in [SparseMode::Off, SparseMode::Auto] {
-        let compiled = CompiledTree::from_parts_with_kernel(
-            tree.clone(),
-            pots.clone(),
-            sparse,
-            KernelMode::Scalar,
-        );
+        let compiled = CompiledTree::from_parts_with(tree.clone(), pots.clone(), sparse);
         let mut blocked = compiled.new_state();
         let mut reference = compiled.new_state();
         compiled.calibrate(&mut blocked);
@@ -115,49 +109,10 @@ fn assert_scalar_matches_two_pass(net: &BayesNet, pick: u64) {
     }
 }
 
-/// The simd kernels reassociate sum reductions (4-lane accumulators), so
-/// they are *not* bit-identical — but on probability-scaled values they
-/// must agree with scalar to 1e-12 absolutely.
-fn assert_simd_close_to_scalar(net: &BayesNet) {
-    let tree = JunctionTree::compile(net).expect("compiles");
-    let pots = initial_potentials(&tree, net);
-    for sparse in [SparseMode::Off, SparseMode::Auto] {
-        let scalar = CompiledTree::from_parts_with_kernel(
-            tree.clone(),
-            pots.clone(),
-            sparse,
-            KernelMode::Scalar,
-        );
-        let simd = CompiledTree::from_parts_with_kernel(
-            tree.clone(),
-            pots.clone(),
-            sparse,
-            KernelMode::Simd,
-        );
-        let mut ss = scalar.new_state();
-        let mut sv = simd.new_state();
-        scalar.calibrate(&mut ss);
-        simd.calibrate(&mut sv);
-        for var in net.var_ids() {
-            let a = scalar.marginal(&ss, var);
-            let b = simd.marginal(&sv, var);
-            for (x, y) in a.iter().zip(&b) {
-                prop_assert!(
-                    (x - y).abs() <= 1e-12,
-                    "simd marginal of {:?} drifted: {} vs {}",
-                    var,
-                    x,
-                    y
-                );
-            }
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Random strictly-positive CPTs: the blocked scalar kernels are
+    /// Random strictly-positive CPTs: the blocked kernels are
     /// bit-identical to the two-pass reference.
     #[test]
     fn scalar_matches_two_pass_on_random_nets(net in arb_net(0), pick in any::<u64>()) {
@@ -170,11 +125,5 @@ proptest! {
     #[test]
     fn scalar_matches_two_pass_on_deterministic_nets(net in arb_net(90), pick in any::<u64>()) {
         assert_scalar_matches_two_pass(&net, pick);
-    }
-
-    /// The reassociated simd reductions stay within 1e-12 of scalar.
-    #[test]
-    fn simd_stays_within_tolerance(net in arb_net(50)) {
-        assert_simd_close_to_scalar(&net);
     }
 }

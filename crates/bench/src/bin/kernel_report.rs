@@ -1,6 +1,6 @@
 //! Kernel-grid propagation summary: times calibration of each circuit's
 //! segment junction trees under the blocked fused kernels
-//! ({dense, sparse} × {scalar, simd}) against the per-entry two-pass
+//! (dense and sparse) against the per-entry two-pass
 //! baseline, and writes `BENCH_kernels.json`.
 //!
 //! ```text
@@ -16,20 +16,18 @@ fn main() {
 
     println!("fused kernel grid vs two-pass baseline — {reps} calibrations per cell");
     println!(
-        "{:<8} {:>4} {:>12} {:>12} {:>12} {:>12} {:>12} {:>8}",
-        "circuit", "seg", "base (ms)", "dense (ms)", "d+simd", "sparse", "s+simd", "best"
+        "{:<8} {:>4} {:>12} {:>12} {:>12} {:>8}",
+        "circuit", "seg", "base (ms)", "dense (ms)", "sparse (ms)", "best"
     );
     let rows = kernel_throughput(&names, reps);
     for row in &rows {
         println!(
-            "{:<8} {:>4} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>12.3} {:>7.2}x",
+            "{:<8} {:>4} {:>12.3} {:>12.3} {:>12.3} {:>7.2}x",
             row.circuit,
             row.segments,
             row.baseline_s * 1e3,
             row.dense_scalar_s * 1e3,
-            row.dense_simd_s * 1e3,
             row.sparse_scalar_s * 1e3,
-            row.sparse_simd_s * 1e3,
             row.best_speedup
         );
     }

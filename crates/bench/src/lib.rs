@@ -358,7 +358,7 @@ pub fn sparse_throughput_json(rows: &[SparseThroughputRow], reps: usize) -> Stri
 }
 
 /// One circuit's kernel-grid measurement: propagate-only wall clock of the
-/// blocked fused kernels ({dense, sparse} × {scalar, simd}) against the
+/// blocked fused kernels (dense and sparse) against the
 /// per-entry two-pass projection tables — the previous kernel generation,
 /// kept reachable as `CompiledTree::calibrate_two_pass`.
 #[derive(Debug, Clone)]
@@ -371,14 +371,10 @@ pub struct KernelThroughputRow {
     pub cliques: usize,
     /// Per-entry two-pass baseline (dense, scalar), seconds.
     pub baseline_s: f64,
-    /// Blocked kernels, `SparseMode::Off` × `KernelMode::Scalar`, seconds.
+    /// Blocked kernels, `SparseMode::Off`, seconds.
     pub dense_scalar_s: f64,
-    /// Blocked kernels, `SparseMode::Off` × `KernelMode::Simd`, seconds.
-    pub dense_simd_s: f64,
-    /// Blocked kernels, `SparseMode::Auto` × `KernelMode::Scalar`, seconds.
+    /// Blocked kernels, `SparseMode::Auto`, seconds.
     pub sparse_scalar_s: f64,
-    /// Blocked kernels, `SparseMode::Auto` × `KernelMode::Simd`, seconds.
-    pub sparse_simd_s: f64,
     /// `baseline_s` over the fastest grid cell.
     pub best_speedup: f64,
 }
@@ -386,10 +382,7 @@ pub struct KernelThroughputRow {
 impl KernelThroughputRow {
     /// The fastest grid cell, seconds.
     pub fn best_s(&self) -> f64 {
-        self.dense_scalar_s
-            .min(self.dense_simd_s)
-            .min(self.sparse_scalar_s)
-            .min(self.sparse_simd_s)
+        self.dense_scalar_s.min(self.sparse_scalar_s)
     }
 }
 
@@ -400,9 +393,9 @@ impl KernelThroughputRow {
 /// extraction, boundary forwarding) is inside the timed region, so the
 /// wall-clock difference isolates the message-pass kernels.
 ///
-/// Also asserts, per circuit, that the blocked scalar kernels calibrate
-/// bit-identically to the two-pass baseline and that simd agrees to
-/// `1e-12` — a wrong kernel can never report a speedup.
+/// Also asserts, per circuit, that the blocked kernels calibrate
+/// bit-identically to the two-pass baseline — a wrong kernel can never
+/// report a speedup.
 ///
 /// # Panics
 ///
@@ -410,9 +403,7 @@ impl KernelThroughputRow {
 /// the kernel-equivalence checks fail.
 pub fn kernel_throughput(names: &[&str], reps: usize) -> Vec<KernelThroughputRow> {
     use swact::pipeline::{PlannedCircuit, SegmentModel};
-    use swact_bayesnet::{
-        initial_potentials, CompiledTree, Factor, JunctionTree, KernelMode, SparseMode,
-    };
+    use swact_bayesnet::{initial_potentials, CompiledTree, Factor, JunctionTree, SparseMode};
 
     names
         .iter()
@@ -432,16 +423,11 @@ pub fn kernel_throughput(names: &[&str], reps: usize) -> Vec<KernelThroughputRow
                     (tree, potentials)
                 })
                 .collect();
-            let build = |sparse: SparseMode, kernel: KernelMode| -> Vec<CompiledTree> {
+            let build = |sparse: SparseMode| -> Vec<CompiledTree> {
                 parts
                     .iter()
                     .map(|(tree, pots)| {
-                        CompiledTree::from_parts_with_kernel(
-                            tree.clone(),
-                            pots.clone(),
-                            sparse,
-                            kernel,
-                        )
+                        CompiledTree::from_parts_with(tree.clone(), pots.clone(), sparse)
                     })
                     .collect()
             };
@@ -467,10 +453,8 @@ pub fn kernel_throughput(names: &[&str], reps: usize) -> Vec<KernelThroughputRow
                 start.elapsed().as_secs_f64()
             };
 
-            let dense_scalar = build(SparseMode::Off, KernelMode::Scalar);
-            let dense_simd = build(SparseMode::Off, KernelMode::Simd);
-            let sparse_scalar = build(SparseMode::Auto, KernelMode::Scalar);
-            let sparse_simd = build(SparseMode::Auto, KernelMode::Simd);
+            let dense_scalar = build(SparseMode::Off);
+            let sparse_scalar = build(SparseMode::Auto);
 
             // Equivalence gate before any timing is reported.
             for (k, (tree, _)) in parts.iter().enumerate() {
@@ -478,8 +462,6 @@ pub fn kernel_throughput(names: &[&str], reps: usize) -> Vec<KernelThroughputRow
                 dense_scalar[k].calibrate_two_pass(&mut reference);
                 let mut scalar = dense_scalar[k].new_state();
                 dense_scalar[k].calibrate(&mut scalar);
-                let mut simd = dense_simd[k].new_state();
-                dense_simd[k].calibrate(&mut simd);
                 for clique in 0..tree.num_cliques() {
                     let expect = reference.clique_potential(clique).values();
                     let got = scalar.clique_potential(clique).values();
@@ -492,29 +474,19 @@ pub fn kernel_throughput(names: &[&str], reps: usize) -> Vec<KernelThroughputRow
                              to the two-pass baseline"
                         );
                     }
-                    for (e, g) in expect.iter().zip(simd.clique_potential(clique).values()) {
-                        assert!(
-                            (e - g).abs() <= 1e-12,
-                            "{name}: simd kernels drifted past 1e-12 ({e} vs {g})"
-                        );
-                    }
                 }
             }
 
             let baseline_s = time(&dense_scalar, true);
             let dense_scalar_s = time(&dense_scalar, false);
-            let dense_simd_s = time(&dense_simd, false);
             let sparse_scalar_s = time(&sparse_scalar, false);
-            let sparse_simd_s = time(&sparse_simd, false);
             let row = KernelThroughputRow {
                 circuit: name.to_string(),
                 segments: parts.len(),
                 cliques: parts.iter().map(|(tree, _)| tree.num_cliques()).sum(),
                 baseline_s,
                 dense_scalar_s,
-                dense_simd_s,
                 sparse_scalar_s,
-                sparse_simd_s,
                 best_speedup: 0.0,
             };
             let best = row.best_s();
@@ -543,16 +515,14 @@ pub fn kernel_throughput_json(rows: &[KernelThroughputRow], reps: usize) -> Stri
         let _ = write!(
             out,
             "    {{\"circuit\": \"{}\", \"segments\": {}, \"cliques\": {}, \
-             \"baseline_s\": {:.6}, \"dense_scalar_s\": {:.6}, \"dense_simd_s\": {:.6}, \
-             \"sparse_scalar_s\": {:.6}, \"sparse_simd_s\": {:.6}, \"best_speedup\": {:.3}}}",
+             \"baseline_s\": {:.6}, \"dense_scalar_s\": {:.6}, \"sparse_scalar_s\": {:.6}, \
+             \"best_speedup\": {:.3}}}",
             row.circuit,
             row.segments,
             row.cliques,
             row.baseline_s,
             row.dense_scalar_s,
-            row.dense_simd_s,
             row.sparse_scalar_s,
-            row.sparse_simd_s,
             row.best_speedup
         );
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
@@ -614,8 +584,8 @@ mod tests {
 
     #[test]
     fn kernel_throughput_rows_and_json() {
-        // kernel_throughput itself asserts blocked-scalar ≡ two-pass
-        // bit-identity and simd agreement to 1e-12 before timing.
+        // kernel_throughput itself asserts blocked ≡ two-pass bit-identity
+        // before timing.
         let rows = kernel_throughput(&["c17"], 2);
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
@@ -627,7 +597,7 @@ mod tests {
         let json = kernel_throughput_json(&rows, 2);
         assert!(json.contains("\"circuit\": \"c17\""));
         assert!(json.contains("\"baseline_s\""));
-        assert!(json.contains("\"dense_simd_s\""));
+        assert!(json.contains("\"sparse_scalar_s\""));
         assert!(json.contains("\"best_speedup\""));
     }
 

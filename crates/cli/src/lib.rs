@@ -96,10 +96,6 @@ MODEL OPTIONS (estimate, plan and batch; each parses identically on all three):
                    trip to the checkpoint with the smallest boundary cut
   --sparse <MODE>  zero-compress clique potentials: auto, on, or off
                    (default auto; results are bit-identical across modes)
-  --kernel <K>     propagation kernel: scalar (default; bit-identical to the
-                   reference factor algebra) or simd (reassociated 4-lane
-                   reductions — faster, ~1e-15 relative difference, cached
-                   and persisted under its own model key)
   --backend <B>    inference backend: jtree (exact junction trees, default),
                    bdd (exact per-segment OBDDs), sampling (anytime
                    likelihood weighting with a confidence interval), or
@@ -257,7 +253,6 @@ fn model_flag(
         "--single-bn" => options.single_bn = true,
         "--seg-search" => options.segmentation = SegmentationStrategy::BalancedCut,
         "--sparse" => options.sparse = parse_value(flag, value()?)?,
-        "--kernel" => options.kernel = parse_value(flag, value()?)?,
         "--backend" => options.backend = parse_value(flag, value()?)?,
         "--seed" => options.seed = parse_value(flag, value()?)?,
         "--ci-half-width" => options.ci_half_width = positive(flag, value()?)?,
@@ -1225,41 +1220,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_modes_agree_closely_and_scalar_is_default() {
-        let default = run_strs(&["estimate", "c17", "--csv"]).unwrap();
-        let scalar = run_strs(&["estimate", "c17", "--kernel", "scalar", "--csv"]).unwrap();
-        // The explicit scalar kernel IS the default path — byte-identical.
-        assert_eq!(default, scalar);
-        // The simd kernel reassociates reductions: values agree to ~1e-12
-        // but need not be byte-identical.
-        let simd = run_strs(&["estimate", "c17", "--kernel", "SIMD", "--csv"]).unwrap();
-        let parse = |out: &str| -> Vec<f64> {
-            out.lines()
-                .skip(1)
-                .flat_map(|l| l.split(',').skip(1).map(|v| v.parse().unwrap()))
-                .collect::<Vec<f64>>()
-        };
-        let a = parse(&scalar);
-        let b = parse(&simd);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() <= 1e-12, "kernel divergence: {x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn kernel_rejects_bad_mode() {
-        for cmd in ["estimate", "batch"] {
-            let err = run_strs(&[cmd, "c17", "--kernel", "avx512"]).unwrap_err();
-            assert_eq!(err.exit_code, 2);
-            assert!(err.message.contains("bad --kernel value"));
-            let err = run_strs(&[cmd, "c17", "--kernel"]).unwrap_err();
-            assert_eq!(err.exit_code, 2);
-            assert!(err.message.contains("--kernel needs a value"));
-        }
-    }
-
-    #[test]
     fn backend_flag_selects_inference_engine() {
         // Both exact backends print the same estimate table (timing line
         // differs), and the OBDD one runs end-to-end from the CLI.
@@ -1344,15 +1304,18 @@ mod tests {
     }
 
     #[test]
-    fn segmentation_flag_and_removed_ordering_flag() {
+    fn segmentation_flag_and_removed_mode_flags() {
         let search = run_strs(&["estimate", "c17", "--seg-search"]).unwrap();
         assert!(search.contains("mean switching activity"));
 
-        // FORCE orderings are gone: `--ordering` is an unknown option.
-        for cmd in ["estimate", "batch", "plan"] {
-            let err = run_strs(&[cmd, "c17", "--ordering", "force"]).unwrap_err();
-            assert_eq!(err.exit_code, 2);
-            assert!(err.message.contains("unknown option `--ordering`"));
+        // FORCE orderings and the kernel-mode choice are gone: their
+        // flags are unknown options.
+        for (flag, value) in [("--ordering", "force"), ("--kernel", "scalar")] {
+            for cmd in ["estimate", "batch", "plan"] {
+                let err = run_strs(&[cmd, "c17", flag, value]).unwrap_err();
+                assert_eq!(err.exit_code, 2);
+                assert!(err.message.contains(&format!("unknown option `{flag}`")));
+            }
         }
     }
 
@@ -1442,7 +1405,6 @@ mod tests {
             ("--single-bn", &[], &[]),
             ("--seg-search", &[], &[]),
             ("--sparse", &["on", "OFF"], &["sometimes"]),
-            ("--kernel", &["simd"], &["avx512"]),
             ("--backend", &["bdd", "sampling"], &["quantum"]),
             ("--seed", &["7"], &["-1", "entropy"]),
             (

@@ -71,8 +71,10 @@ pub const MAGIC: [u8; 8] = *b"SWACTBN1";
 /// version 4 added the propagation-kernel tag to the options codec and
 /// blocked stride tables to the compiled-tree kernels; version 5 removed
 /// the ordering-strategy tag from the options codec and the
-/// per-segment ordering flag from segment stats.
-pub const FORMAT_VERSION: u32 = 5;
+/// per-segment ordering flag from segment stats; version 6 removed the
+/// propagation-kernel tag from the options codec and from every compiled
+/// tree.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Extension used by [`artifact_file_name`].
 pub const ARTIFACT_EXTENSION: &str = "swact";

@@ -5,7 +5,7 @@
 //! compilation, wave-scheduled propagation with boundary forwarding —
 //! live in [`crate::pipeline`].
 
-use swact_bayesnet::{Heuristic, KernelMode, SparseMode};
+use swact_bayesnet::{Heuristic, SparseMode};
 use swact_circuit::Circuit;
 
 use crate::budget::Budget;
@@ -61,17 +61,6 @@ pub struct Options {
     /// indexed loads per surviving entry beat one sequential load per
     /// dense entry. Results are bit-identical across modes.
     pub sparse: SparseMode,
-    /// Inner-loop kernel flavor for junction-tree propagation. The default
-    /// [`KernelMode::Scalar`] keeps every floating-point reduction in
-    /// ascending source order, so estimates are bit-identical
-    /// (`f64::to_bits`) to the reference two-pass factor algebra.
-    /// [`KernelMode::Simd`] reassociates long sum reductions into four
-    /// independent accumulator lanes — faster on wide cliques, identical
-    /// to ~1e-15 relative but *not* bit-identical — and is therefore
-    /// hashed into the [`model_key`](crate::model_key) and the persisted
-    /// artifact options, so simd results never share a cache entry or
-    /// artifact with scalar ones.
-    pub kernel: KernelMode,
     /// Which inference engine evaluates each segment's Bayesian network.
     /// The default [`Backend::Jtree`] is the paper's exact junction-tree
     /// propagation; [`Backend::Bdd`] computes per-segment switching
@@ -125,7 +114,6 @@ impl Default for Options {
             single_bn: false,
             boundary_correlation: true,
             sparse: SparseMode::Auto,
-            kernel: KernelMode::Scalar,
             backend: Backend::Jtree,
             seed: 0,
             ci_half_width: 0.01,

@@ -73,5 +73,5 @@ pub use power::{PowerModel, PowerReport};
 pub use report::{AccuracyReport, ErrorStats, Estimate, ReuseStats};
 pub use segment::{RootSource, Segment, SegmentationPlan};
 pub use strategy::SegmentationStrategy;
-pub use swact_bayesnet::{KernelMode, SparseMode};
+pub use swact_bayesnet::SparseMode;
 pub use transition::{Transition, TransitionDist};

@@ -157,8 +157,7 @@ pub(crate) fn compile(
     let init_potentials = initial_potentials(&tree, &model.net);
     let total_states = tree.total_states();
     let max_clique_states = tree.max_clique_states();
-    let compiled =
-        CompiledTree::from_parts_with_kernel(tree, init_potentials, options.sparse, options.kernel);
+    let compiled = CompiledTree::from_parts_with(tree, init_potentials, options.sparse);
     let stats = SegmentStats {
         total_states,
         max_clique_states,

@@ -26,7 +26,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use swact_bayesnet::codec::{read_compiled_tree, write_compiled_tree, CodecError, Reader, Writer};
-use swact_bayesnet::{Heuristic, KernelMode, SparseMode, VarId};
+use swact_bayesnet::{Heuristic, SparseMode, VarId};
 use swact_bdd::{Bdd, NodeId};
 use swact_circuit::{Circuit, CircuitBuilder, Driver, GateKind, LineId};
 
@@ -282,18 +282,9 @@ pub(crate) fn write_options(w: &mut Writer, options: &Options) {
         SegmentationStrategy::TopoCover => 0,
         SegmentationStrategy::BalancedCut => 1,
     });
-    // Format version 3: sampling-backend fields. Appended after the
-    // segmentation tag so earlier fields keep their version-2 offsets.
     w.u64(options.seed);
     w.f64_bits(options.ci_half_width);
     w.f64_bits(options.ci_z);
-    // Format version 4: propagation kernel flavor. Feeding the tag into
-    // the payload (and thus the checksum and model key) is what keeps
-    // scalar and simd artifacts from ever sharing a cache slot.
-    w.u8(match options.kernel {
-        KernelMode::Scalar => 0,
-        KernelMode::Simd => 1,
-    });
 }
 
 fn read_options(r: &mut Reader<'_>) -> Result<Options, CodecError> {
@@ -339,11 +330,6 @@ fn read_options(r: &mut Reader<'_>) -> Result<Options, CodecError> {
     let seed = r.u64()?;
     let ci_half_width = r.f64_bits()?;
     let ci_z = r.f64_bits()?;
-    let kernel = match r.u8()? {
-        0 => KernelMode::Scalar,
-        1 => KernelMode::Simd,
-        other => return Err(malformed(format!("unknown kernel tag {other}"))),
-    };
     Ok(Options {
         heuristic,
         max_fanin,
@@ -352,7 +338,6 @@ fn read_options(r: &mut Reader<'_>) -> Result<Options, CodecError> {
         single_bn,
         boundary_correlation,
         sparse,
-        kernel,
         backend,
         budget: Budget {
             max_states,
@@ -1128,6 +1113,89 @@ mod tests {
         );
     }
 
+    /// Every `Options` field, budget sub-fields included, moved away from
+    /// its default: each variant must survive the options codec and give
+    /// a model key of its own.
+    #[test]
+    fn every_option_field_round_trips_and_keys() {
+        // Exhaustive destructure: adding a field fails to compile here
+        // until it gets a row below (and a place in the codec).
+        let Options {
+            heuristic: _,
+            segmentation: _,
+            max_fanin: _,
+            segment_budget: _,
+            check_interval: _,
+            single_bn: _,
+            boundary_correlation: _,
+            sparse: _,
+            backend: _,
+            seed: _,
+            ci_half_width: _,
+            ci_z: _,
+            budget:
+                Budget {
+                    max_states: _,
+                    max_factor_bytes: _,
+                    deadline: _,
+                },
+            no_fallback: _,
+            incremental: _,
+        } = Options::default();
+        let base = Options::default();
+        let vary = |field: &'static str, set: fn(&mut Options)| {
+            let mut options = base;
+            set(&mut options);
+            (field, options)
+        };
+        let variants = [
+            vary("heuristic", |o| o.heuristic = Heuristic::MinDegree),
+            vary("segmentation", |o| {
+                o.segmentation = SegmentationStrategy::BalancedCut
+            }),
+            vary("max_fanin", |o| o.max_fanin = 2),
+            vary("segment_budget", |o| o.segment_budget = 1 << 10),
+            vary("check_interval", |o| o.check_interval = 1),
+            vary("single_bn", |o| o.single_bn = true),
+            vary("boundary_correlation", |o| o.boundary_correlation = false),
+            vary("sparse on", |o| o.sparse = SparseMode::On),
+            vary("sparse off", |o| o.sparse = SparseMode::Off),
+            vary("backend bdd", |o| o.backend = Backend::Bdd),
+            vary("backend sampling", |o| o.backend = Backend::Sampling),
+            vary("backend twostate", |o| o.backend = Backend::TwoState),
+            vary("seed", |o| o.seed = u64::MAX - 1),
+            vary("ci_half_width", |o| o.ci_half_width = 0.001),
+            vary("ci_z", |o| o.ci_z = 2.576),
+            vary("max_states", |o| o.budget.max_states = Some(4096.5)),
+            vary("max_factor_bytes", |o| {
+                o.budget.max_factor_bytes = Some(1 << 20)
+            }),
+            vary("deadline", |o| {
+                o.budget.deadline = Some(Duration::new(3, 7))
+            }),
+            vary("no_fallback", |o| o.no_fallback = true),
+            vary("incremental", |o| o.incremental = false),
+        ];
+        let c17 = catalog::c17();
+        let spec = InputSpec::uniform(c17.num_inputs());
+        let default_key = artifact::model_key(&c17, Some(&spec), &base);
+        for (field, options) in variants {
+            assert_ne!(options, base, "{field}: the row must move a field");
+            let mut w = Writer::new();
+            write_options(&mut w, &options);
+            let bytes = w.into_bytes();
+            let mut r = Reader::new(&bytes);
+            assert_eq!(read_options(&mut r), Ok(options), "{field}");
+            r.finish()
+                .expect("options codec reads every byte it writes");
+            assert_ne!(
+                artifact::model_key(&c17, Some(&spec), &options),
+                default_key,
+                "{field}: the model key ignores it"
+            );
+        }
+    }
+
     /// `(length, FNV-1a-128)` of a compiled estimator's payload. The
     /// artifact header is left out: it carries the crate version.
     fn payload_pin(compiled: &CompiledEstimator) -> (usize, u128) {
@@ -1139,29 +1207,29 @@ mod tests {
     fn payload_encoding_is_pinned() {
         assert_eq!(
             crate::artifact::FORMAT_VERSION,
-            5,
+            6,
             "a new format version needs new payload pins"
         );
         let pins = [
             (
                 Backend::Jtree,
-                12163,
-                0x858b_b8a7_75b9_1acc_64f8_76cf_63af_6509,
+                12161,
+                0xadaa_0844_de42_5480_e0fe_6572_bdde_b4bd,
             ),
             (
                 Backend::Bdd,
-                2959,
-                0x7abd_c123_1e02_b73b_5253_7490_607f_e678,
+                2958,
+                0x2c35_f553_f0b0_ecf6_2173_8ff7_eae2_9d0c,
             ),
             (
                 Backend::Sampling,
-                906,
-                0xb575_76fa_f392_11c8_2f66_bfaa_0d90_e7e1,
+                905,
+                0x6d2b_56fa_975d_b4e6_8182_9c7d_3555_3f61,
             ),
             (
                 Backend::TwoState,
-                4259,
-                0xa044_71fd_7e24_5e04_4731_eeec_a0c4_23bf,
+                4257,
+                0xb492_efbe_002e_4e99_3397_2f58_e43f_cb8b,
             ),
         ];
         for (backend, len, hash) in pins {
@@ -1179,7 +1247,7 @@ mod tests {
         );
         assert_eq!(
             payload_pin(&compiled),
-            (47844, 0x5e42_0fcd_2fe2_cca9_64ed_2796_502e_5743)
+            (47827, 0xb19f_4b9e_dce5_6355_7a8f_1d47_497c_6ce5)
         );
     }
 

@@ -161,17 +161,17 @@ proptest! {
     }
 }
 
-/// Format 5 dropped the ordering-strategy option byte and the per-segment
-/// ordering flag, so a format-4 file must never reach the payload
+/// Format 6 dropped the kernel option byte and the kernel byte of every
+/// compiled tree, so a format-5 file must never reach the payload
 /// decoder.
 #[test]
-fn format_4_artifacts_are_rejected() {
-    assert_eq!(artifact::FORMAT_VERSION, 5);
+fn format_5_artifacts_are_rejected() {
+    assert_eq!(artifact::FORMAT_VERSION, 6);
     let (key, bytes) = c17_artifact();
     let mut old = bytes.clone();
-    old[8..12].copy_from_slice(&4u32.to_le_bytes());
+    old[8..12].copy_from_slice(&5u32.to_le_bytes());
     assert!(matches!(
         artifact::decode_artifact(&old, Some(*key)),
-        Err(ArtifactError::UnsupportedVersion { found: 4 })
+        Err(ArtifactError::UnsupportedVersion { found: 5 })
     ));
 }

@@ -81,8 +81,10 @@ impl From<io::Error> for HttpError {
     }
 }
 
-/// Reads one request from the stream.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
+/// Reads one request from the stream. Any byte sequence yields a
+/// [`Request`] or a typed [`HttpError`]; no body larger than
+/// [`MAX_BODY_BYTES`] is ever allocated.
+pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
     read_line_bounded(&mut reader, &mut line)?;
@@ -158,17 +160,28 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, HttpError> {
     })
 }
 
-/// `read_line` with the head-size bound applied per line, so a client
-/// feeding an endless unterminated line cannot grow memory unboundedly.
-fn read_line_bounded(
-    reader: &mut BufReader<&mut TcpStream>,
+/// Reads one head line with the head-size bound applied per line, so a
+/// client feeding an endless unterminated line cannot grow memory
+/// unboundedly. The line is read as bytes: a head that is not UTF-8 is a
+/// client error, not a socket failure. A head cut off by end of stream is
+/// [`HttpError::Io`], like a short body: it is never parsed as complete.
+fn read_line_bounded<R: Read>(
+    reader: &mut BufReader<&mut R>,
     line: &mut String,
 ) -> Result<(), HttpError> {
-    let mut taken = reader.take(MAX_HEAD_BYTES as u64 + 1);
-    let n = taken.read_line(line)?;
+    let mut bytes = Vec::new();
+    let n = reader
+        .take(MAX_HEAD_BYTES as u64 + 1)
+        .read_until(b'\n', &mut bytes)?;
     if n > MAX_HEAD_BYTES {
         return Err(HttpError::bad("header line too large"));
     }
+    if bytes.last() != Some(&b'\n') {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
+    let text = std::str::from_utf8(&bytes)
+        .map_err(|_| HttpError::bad("request head is not valid UTF-8"))?;
+    line.push_str(text);
     Ok(())
 }
 
@@ -320,6 +333,17 @@ mod tests {
             assert!(
                 matches!(exchange(raw.as_bytes()), Err(HttpError::BadRequest(_))),
                 "Content-Length: {length}"
+            );
+        }
+        // A byte that is not UTF-8 in the request line or a header gets a
+        // 400, not a silent close.
+        for raw in [
+            &b"GET /\xff HTTP/1.1\r\n\r\n"[..],
+            b"GET / HTTP/1.1\r\nX-Name: \xfe\xff\r\n\r\n",
+        ] {
+            assert!(
+                matches!(exchange(raw), Err(HttpError::BadRequest(_))),
+                "{raw:?}"
             );
         }
     }
