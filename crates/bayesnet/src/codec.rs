@@ -1,8 +1,10 @@
 //! Little-endian binary codec for compiled propagation artifacts.
 //!
 //! Serializes a [`CompiledTree`] — junction-tree structure, initial clique
-//! potentials, message schedule, sparse kernels (supports + projection
-//! tables), and home-variable dependency masks — field for field, so the
+//! potentials, message schedule, kernels (supports, and per edge side a
+//! blocked stride form or, for a zero-compressed clique, a support-aligned
+//! projection table), and home-variable dependency masks — field for
+//! field, so the
 //! decoder reconstructs the exact struct the compiler produced without
 //! re-running triangulation, kernel construction, or any other derivation.
 //! Every `f64` travels as its IEEE 754 bit pattern ([`f64::to_bits`],
@@ -489,10 +491,12 @@ fn mode_from_tag(tag: u8) -> Result<SparseMode, CodecError> {
 }
 
 fn write_side_proj(w: &mut Writer, side: &SideProj) {
-    write_u32_list(w, &side.entries);
-    match &side.blocked {
-        None => w.u8(0),
-        Some(blocked) => {
+    match side {
+        SideProj::Support(table) => {
+            w.u8(0);
+            write_u32_list(w, table);
+        }
+        SideProj::Blocked(blocked) => {
             w.u8(1);
             w.u32(blocked.copy_len);
             w.u32(blocked.sum_reps);
@@ -501,57 +505,62 @@ fn write_side_proj(w: &mut Writer, side: &SideProj) {
     }
 }
 
-fn read_side_proj(r: &mut Reader<'_>) -> Result<SideProj, CodecError> {
-    let entries = read_u32_list(r)?;
-    let blocked = match r.u8()? {
-        0 => None,
-        1 => {
+/// Reads one clique→sepset projection and checks it against its clique
+/// and the sepset's state count, so the kernels' unchecked-by-design
+/// indexing stays in bounds. A zero-compressed clique (`support` given)
+/// needs a support-aligned table of in-range indices; a dense clique of
+/// `clique_len` entries needs a blocked form covering exactly those
+/// entries with no run overrunning the sepset.
+fn read_side_proj(
+    r: &mut Reader<'_>,
+    support: Option<&[u32]>,
+    clique_len: usize,
+    sep_states: usize,
+) -> Result<SideProj, CodecError> {
+    match (r.u8()?, support) {
+        (0, Some(support)) => {
+            let table = read_u32_list(r)?;
+            if table.len() != support.len() {
+                return Err(malformed(format!(
+                    "projection has {} entries for {} support entries",
+                    table.len(),
+                    support.len()
+                )));
+            }
+            if table.iter().any(|&t| t as usize >= sep_states) {
+                return Err(malformed(format!(
+                    "projection entry outside the {sep_states}-state sepset"
+                )));
+            }
+            Ok(SideProj::Support(table))
+        }
+        (1, None) => {
             let copy_len = r.u32()?;
             let sum_reps = r.u32()?;
             let base = read_u32_list(r)?;
-            let total = (base.len() as u64) * u64::from(sum_reps) * u64::from(copy_len);
-            if total != entries.len() as u64 {
+            let total = base.len() as u128 * u128::from(sum_reps) * u128::from(copy_len);
+            if total != clique_len as u128 {
                 return Err(malformed(format!(
-                    "blocked projection covers {total} entries for a {}-entry clique",
-                    entries.len()
+                    "blocked projection covers {total} entries for a {clique_len}-entry clique"
                 )));
             }
-            Some(BlockedProj {
+            let copy = copy_len as usize;
+            if base.iter().any(|&b| b as usize + copy > sep_states) {
+                return Err(malformed(format!(
+                    "blocked run overruns the {sep_states}-state sepset"
+                )));
+            }
+            Ok(SideProj::Blocked(BlockedProj {
                 copy_len,
                 sum_reps,
                 base,
-            })
+            }))
         }
-        other => return Err(malformed(format!("bad blocked-projection tag {other}"))),
-    };
-    Ok(SideProj { entries, blocked })
-}
-
-/// Checks one decoded clique→sepset projection against the entries its
-/// clique iterates (support length, or table length when dense) and the
-/// sepset's state count, so the kernels' unchecked-by-design indexing
-/// stays in bounds.
-fn check_side_proj(proj: &SideProj, iterated: usize, sep_states: usize) -> Result<(), CodecError> {
-    if proj.entries.len() != iterated {
-        return Err(malformed(format!(
-            "projection has {} entries for {iterated} iterated clique entries",
-            proj.entries.len()
-        )));
+        (tag @ (0 | 1), _) => Err(malformed(format!(
+            "projection form {tag} disagrees with the clique's compression"
+        ))),
+        (other, _) => Err(malformed(format!("bad projection tag {other}"))),
     }
-    if proj.entries.iter().any(|&t| t as usize >= sep_states) {
-        return Err(malformed(format!(
-            "projection entry outside the {sep_states}-state sepset"
-        )));
-    }
-    if let Some(blocked) = &proj.blocked {
-        let copy = blocked.copy_len as usize;
-        if blocked.base.iter().any(|&b| b as usize + copy > sep_states) {
-            return Err(malformed(format!(
-                "blocked run overruns the {sep_states}-state sepset"
-            )));
-        }
-    }
-    Ok(())
 }
 
 /// Encodes a [`CompiledTree`] — structure, potentials, schedule, kernels,
@@ -598,8 +607,9 @@ pub fn write_compiled_tree(w: &mut Writer, compiled: &CompiledTree) {
 /// propagation over the original.
 ///
 /// Every table is range-checked against the tree it belongs to — clique
-/// and sepset variables, potential scopes, schedule edges, support lists
-/// and projection entries — so a corrupt payload is
+/// and sepset variables, potential scopes, schedule edges, support lists,
+/// support-aligned projection entries and blocked runs — so a corrupt
+/// payload is
 /// [`CodecError::Malformed`] rather than an out-of-bounds panic in a
 /// later propagation.
 pub fn read_compiled_tree(r: &mut Reader<'_>) -> Result<CompiledTree, CodecError> {
@@ -671,12 +681,12 @@ pub fn read_compiled_tree(r: &mut Reader<'_>) -> Result<CompiledTree, CodecError
         let edge = tree.edge(e);
         let sep_states: usize = edge.sepset.iter().map(|&v| tree.card(v)).product();
         let mut side = |clique: usize| {
-            let proj = read_side_proj(r)?;
-            let iterated = support[clique]
-                .as_ref()
-                .map_or(potentials[clique].len(), Vec::len);
-            check_side_proj(&proj, iterated, sep_states)?;
-            Ok::<_, CodecError>(proj)
+            read_side_proj(
+                r,
+                support[clique].as_deref(),
+                potentials[clique].len(),
+                sep_states,
+            )
         };
         let a = side(edge.a)?;
         let b = side(edge.b)?;
@@ -908,6 +918,18 @@ mod tests {
     /// cliques `{a, b}` and `{b, c}` joined by the sepset `{b}`.
     #[test]
     fn decoded_tables_are_range_checked() {
+        fn blocked(side: &mut SideProj) -> &mut BlockedProj {
+            match side {
+                SideProj::Blocked(blocked) => blocked,
+                SideProj::Support(_) => panic!("dense cliques keep the blocked form"),
+            }
+        }
+        fn table(side: &mut SideProj) -> &mut Vec<u32> {
+            match side {
+                SideProj::Support(table) => table,
+                SideProj::Blocked(_) => panic!("compressed cliques keep a support table"),
+            }
+        }
         let dense = compile(SparseMode::Off);
         assert!(decode_edited(&dense, |_, _, _, _, _| {}).is_ok());
         let cases: [(&str, &str, Edit); 7] = [
@@ -944,19 +966,24 @@ mod tests {
                 |_, _, _, pots, _| pots.swap(0, 1),
             ),
             (
-                "projection entry",
-                "projection entry outside",
-                |_, _, _, _, k| k.edge_proj[0].a.entries[0] = 2,
-            ),
-            ("projection length", "projection has", |_, _, _, _, k| {
-                let side = &mut k.edge_proj[0].b;
-                side.entries.push(0);
-                side.blocked = None;
-            }),
-            (
                 "blocked overrun",
                 "blocked run overruns",
-                |_, _, _, _, k| k.edge_proj[0].a.blocked.as_mut().unwrap().base[0] = 2,
+                |_, _, _, _, k| blocked(&mut k.edge_proj[0].a).base[0] = 2,
+            ),
+            (
+                "blocked coverage",
+                "blocked projection covers",
+                |_, _, _, _, k| {
+                    blocked(&mut k.edge_proj[0].b).sum_reps += 1;
+                },
+            ),
+            (
+                "dense side with a table",
+                "disagrees with the clique's compression",
+                |_, _, _, pots, k| {
+                    let len = pots[0].len();
+                    k.edge_proj[0].a = SideProj::Support(vec![0; len]);
+                },
             ),
         ];
         for (what, needle, edit) in cases {
@@ -966,27 +993,55 @@ mod tests {
             );
         }
         let sparse = compile(SparseMode::On);
-        assert!(sparse.compressed_cliques() > 0);
-        let unsorted = decode_edited(&sparse, |_, _, _, _, k| {
-            let list = k
-                .support
-                .iter_mut()
-                .flatten()
-                .find(|s| s.len() > 1)
-                .unwrap();
-            list.reverse();
-        });
-        assert!(malformed_with(unsorted, "not ascending"), "support order");
-        let beyond = decode_edited(&sparse, |_, _, _, pots, k| {
-            let (clique, list) = k
-                .support
-                .iter_mut()
-                .enumerate()
-                .find_map(|(c, s)| s.as_mut().map(|s| (c, s)))
-                .unwrap();
-            *list.last_mut().unwrap() = pots[clique].len() as u32;
-        });
-        assert!(malformed_with(beyond, "not ascending"), "support range");
+        assert_eq!(sparse.compressed_cliques(), 2);
+        assert!(decode_edited(&sparse, |_, _, _, _, _| {}).is_ok());
+        let cases: [(&str, &str, Edit); 5] = [
+            (
+                "projection entry",
+                "projection entry outside",
+                |_, _, _, _, k| {
+                    table(&mut k.edge_proj[0].a)[0] = 2;
+                },
+            ),
+            ("projection length", "projection has", |_, _, _, _, k| {
+                table(&mut k.edge_proj[0].b).push(0);
+            }),
+            (
+                "compressed side with a blocked form",
+                "disagrees with the clique's compression",
+                |_, _, _, _, k| {
+                    k.edge_proj[0].a = SideProj::Blocked(BlockedProj {
+                        copy_len: 1,
+                        sum_reps: 1,
+                        base: vec![0],
+                    });
+                },
+            ),
+            ("support order", "not ascending", |_, _, _, _, k| {
+                let list = k
+                    .support
+                    .iter_mut()
+                    .flatten()
+                    .find(|s| s.len() > 1)
+                    .unwrap();
+                list.reverse();
+            }),
+            ("support range", "not ascending", |_, _, _, pots, k| {
+                let (clique, list) = k
+                    .support
+                    .iter_mut()
+                    .enumerate()
+                    .find_map(|(c, s)| s.as_mut().map(|s| (c, s)))
+                    .unwrap();
+                *list.last_mut().unwrap() = pots[clique].len() as u32;
+            }),
+        ];
+        for (what, needle, edit) in cases {
+            assert!(
+                malformed_with(decode_edited(&sparse, edit), needle),
+                "{what}"
+            );
+        }
     }
 
     #[test]

@@ -74,5 +74,7 @@ pub use pairwise::PairwisePlan;
 pub use propagate::{
     initial_potentials, CompiledTree, MessageCache, PropagationMode, PropagationState,
 };
+#[doc(hidden)]
+pub use sparse::projection_index_sequences;
 pub use sparse::{KernelMode, SparseMode, SPARSE_COST_PER_ENTRY};
 pub use triangulate::Heuristic;

@@ -9,11 +9,21 @@
 //!
 //! A [`PairwisePlan`] fixes everything about that walk that does not
 //! depend on evidence — the path, which side of each edge projection a
-//! step reads, where `a`'s and `b`'s digits land in the target index, the
-//! dense run length and the scratch size — so running it is one pass over
-//! each path clique through the tree's own clique→sepset projection
-//! tables. There is no scope merge, no odometer and no allocation once the
-//! state's two path buffers have grown.
+//! step reads, where `a`'s and `b`'s digits land in the target index, each
+//! clique's stride odometer and the scratch size — so running it is one
+//! pass over each path clique. There is no scope merge, no per-entry table
+//! and no allocation once the state's two path buffers have grown.
+//!
+//! A step's source and target indices are affine in the clique digits:
+//! entry `c` reads `msg[src(c)·lanes + k]` and adds into
+//! `out[dst(c)·out_lanes + Σ digit·weight + k]`, where `src`/`dst` are the
+//! clique→sepset maps of the incoming and outgoing sepsets. The plan
+//! folds both into one source and one target stride per clique dimension
+//! and merges adjacent dimensions whose strides continue each other, so a
+//! dense clique is walked by an odometer over a few merged dimensions with
+//! a tight innermost loop — two additions per entry, no division and no
+//! index load. Innermost dimensions with target stride 0 fold into one
+//! target group kept in registers.
 //!
 //! # Bit identity with the factor-algebra walk
 //!
@@ -37,11 +47,12 @@
 //! is `a`'s home, where the walk starts), so the message is over `S_prev`
 //! alone; `a`'s clique digit enters the target index only on the step
 //! whose outgoing sepset drops it. Zero-compressed cliques iterate their
-//! support list exactly as calibration does: skipped entries are exact
-//! zeros, and adding `0.0 · m` to a non-negative sum changes nothing.
+//! support list through the support-aligned projection tables, exactly as
+//! calibration does: skipped entries are exact zeros, and adding
+//! `0.0 · m` to a non-negative sum changes nothing.
 
 use crate::junction::JunctionTree;
-use crate::sparse::{BlockedProj, PropagationKernels};
+use crate::sparse::{PropagationKernels, SideProj};
 use crate::{Factor, VarId};
 
 /// A clique variable whose digit lands in a step's target index.
@@ -52,9 +63,20 @@ struct Digit {
     card: usize,
     /// Target-index weight of one unit of the digit.
     weight: usize,
-    /// Dense runs per unit of the digit (`stride / run`).
-    period: usize,
 }
+
+/// One merged clique dimension of a dense step's odometer: how far the
+/// source and target indices move per unit of the dimension.
+#[derive(Debug, Clone, Copy)]
+struct Dim {
+    card: usize,
+    src: usize,
+    dst: usize,
+}
+
+/// Merged dimensions are non-trivial (`card ≥ 2`) and their product is a
+/// clique's state count, which fits in `u32`, so there are at most 32.
+const MAX_DIMS: usize = 32;
 
 /// One edge projection a step reads: the edge and whether the step's
 /// clique is that edge's `a` endpoint.
@@ -76,17 +98,18 @@ struct WalkStep {
     /// Message entries per outgoing sepset state.
     out_lanes: usize,
     /// At most two digits: `a` on the step whose outgoing sepset drops
-    /// it, `b` on the last step, both on a one-clique read.
+    /// it, `b` on the last step, both on a one-clique read. Read per
+    /// support entry on a zero-compressed clique.
     digits: Vec<Digit>,
-    /// Innermost clique entries that share every index (dense cliques).
-    run: usize,
+    /// The dense odometer, outermost dimension first; never empty.
+    dims: Vec<Dim>,
     out_len: usize,
 }
 
 /// A precomputed clique-path walk for one variable pair of one compiled
 /// tree, from [`CompiledTree::plan_pairwise`](crate::CompiledTree::plan_pairwise):
-/// the path, the projection tables each step reads, where the pair's
-/// digits land and the scratch size. Running it
+/// the path, the projections each step reads, where the pair's digits
+/// land, each clique's stride odometer and the scratch size. Running it
 /// ([`CompiledTree::pairwise_marginal_planned`](crate::CompiledTree::pairwise_marginal_planned))
 /// is one pass over each path clique, bit-identical to the factor-algebra
 /// walk.
@@ -140,7 +163,47 @@ fn sepset(tree: &JunctionTree, side: Option<Side>) -> &[VarId] {
     side.map_or(&[], |(edge, _)| tree.edge(edge).sepset.as_slice())
 }
 
-/// Builds a step over `clique`: digits are `(var, weight)` pairs.
+/// Row-major stride of `v` in the table over `vars`, 0 when `v` is not
+/// in it.
+fn stride_in(tree: &JunctionTree, vars: &[VarId], v: VarId) -> usize {
+    vars.binary_search(&v)
+        .map_or(0, |pos| states_of(tree, &vars[pos + 1..]))
+}
+
+/// Merges a clique's dimensions, given innermost first, into a dense
+/// odometer, outermost first: one-state dimensions drop out, and a
+/// dimension whose strides continue the one inside it (stride = inner
+/// stride × inner card, on both sides) merges into it. `None` past
+/// [`MAX_DIMS`] (no table that large can be compiled).
+fn odometer(inner_first: impl IntoIterator<Item = Dim>) -> Option<Vec<Dim>> {
+    let mut dims: Vec<Dim> = Vec::new();
+    for dim in inner_first {
+        match dims.last_mut() {
+            _ if dim.card == 1 => {}
+            Some(inner)
+                if dim.src == inner.src * inner.card && dim.dst == inner.dst * inner.card =>
+            {
+                inner.card *= dim.card;
+            }
+            _ => dims.push(dim),
+        }
+    }
+    if dims.len() > MAX_DIMS {
+        return None;
+    }
+    if dims.is_empty() {
+        dims.push(Dim {
+            card: 1,
+            src: 0,
+            dst: 0,
+        });
+    }
+    dims.reverse();
+    Some(dims)
+}
+
+/// Builds a step over `clique`: digits are `(var, weight)` pairs. `None`
+/// when the clique has more dimensions than the odometer holds.
 #[allow(clippy::too_many_arguments)]
 fn step(
     tree: &JunctionTree,
@@ -151,44 +214,38 @@ fn step(
     out_lanes: usize,
     digit_vars: &[(VarId, usize)],
     out_len: usize,
-) -> WalkStep {
+) -> Option<WalkStep> {
     let vars = tree.clique(clique);
     let (src_vars, dst_vars) = (sepset(tree, src), sepset(tree, dst));
-    // Innermost dimensions that feed neither projection nor a digit keep
-    // every index fixed, so a dense pass folds them as one run.
-    let mut run = 1usize;
-    for &v in vars.iter().rev() {
-        if contains(src_vars, v) || contains(dst_vars, v) || digit_vars.iter().any(|&(d, _)| d == v)
-        {
-            break;
-        }
-        run *= tree.card(v);
-    }
+    let weight = |v: VarId| {
+        digit_vars
+            .iter()
+            .find(|&&(d, _)| d == v)
+            .map_or(0, |&(_, w)| w)
+    };
+    let dims = odometer(vars.iter().rev().map(|&v| Dim {
+        card: tree.card(v),
+        src: stride_in(tree, src_vars, v) * lanes,
+        dst: stride_in(tree, dst_vars, v) * out_lanes + weight(v),
+    }))?;
     let digits = digit_vars
         .iter()
-        .map(|&(v, weight)| {
-            let pos = vars
-                .binary_search(&v)
-                .expect("digit variables are in the clique");
-            let stride = states_of(tree, &vars[pos + 1..]);
-            Digit {
-                stride,
-                card: tree.card(v),
-                weight,
-                period: stride / run,
-            }
+        .map(|&(v, weight)| Digit {
+            stride: stride_in(tree, vars, v),
+            card: tree.card(v),
+            weight,
         })
         .collect();
-    WalkStep {
+    Some(WalkStep {
         clique,
         src,
         dst,
         lanes,
         out_lanes,
         digits,
-        run,
+        dims,
         out_len,
-    }
+    })
 }
 
 /// Plans the walk for `(a, b)`: `None` when `a == b`, either variable is
@@ -212,7 +269,7 @@ pub(crate) fn plan(tree: &JunctionTree, a: VarId, b: VarId) -> Option<PairwisePl
         let digits = [(lo, tree.card(hi)), (hi, 1)];
         return Some(PairwisePlan {
             scope,
-            steps: vec![step(tree, host, None, None, 1, 1, &digits, out_len)],
+            steps: vec![step(tree, host, None, None, 1, 1, &digits, out_len)?],
             transpose: false,
             scratch: out_len,
         });
@@ -252,14 +309,14 @@ pub(crate) fn plan(tree: &JunctionTree, a: VarId, b: VarId) -> Option<PairwisePl
             let out_lanes = if a_out { 1 } else { card_a };
             let digits: &[(VarId, usize)] = if a_here && !a_out { &[(a, 1)] } else { &[] };
             let len = states_of(tree, dst_vars) * out_lanes;
-            step(tree, clique, src, dst, lanes, out_lanes, digits, len)
+            step(tree, clique, src, dst, lanes, out_lanes, digits, len)?
         } else {
             // home(b): `a` is not here (else a clique would hold both), so
             // the message carries it in lanes beside `b`'s digit.
             if a_here {
                 return None;
             }
-            step(tree, clique, src, None, lanes, 1, &[(b, card_a)], out_len)
+            step(tree, clique, src, None, lanes, 1, &[(b, card_a)], out_len)?
         };
         scratch = scratch.max(next.out_len);
         steps.push(next);
@@ -297,13 +354,15 @@ pub(crate) fn run<'s>(
     msg.clear();
     msg.reserve(plan.scratch);
     next.reserve(plan.scratch);
-    let side = |side: Option<Side>| {
+    // A zero-compressed clique's sides are support-aligned tables.
+    let table = |side: Option<Side>| {
         side.map(|(edge, is_a)| {
             let proj = &kernels.edge_proj[edge];
-            if is_a {
-                &proj.a
-            } else {
-                &proj.b
+            match if is_a { &proj.a } else { &proj.b } {
+                SideProj::Support(table) => table.as_slice(),
+                SideProj::Blocked(_) => {
+                    unreachable!("a zero-compressed clique has support-aligned projections")
+                }
             }
         })
     };
@@ -311,27 +370,21 @@ pub(crate) fn run<'s>(
         next.clear();
         next.resize(step.out_len, 0.0);
         let pot = clique_pot[step.clique].values();
-        let support = kernels.support[step.clique].as_deref();
-        let src = side(step.src).map(|p| p.entries.as_slice());
-        let dst = side(step.dst);
         let incoming: &[f64] = if step.src.is_some() { msg } else { &UNIT };
-        // A step with no digit and as many lanes out as in writes
-        // `dst(c)·lanes + k`, so a dense clique can follow the outgoing
-        // projection's blocked form.
-        let blocked = dst.and_then(|p| p.blocked.as_ref()).filter(|_| {
-            step.digits.is_empty() && step.lanes == step.out_lanes && support.is_none()
-        });
-        match (blocked, step.lanes) {
-            (Some(blocked), 1) => fold_blocked::<1>(blocked, pot, src, incoming, next),
-            (Some(blocked), 2) => fold_blocked::<2>(blocked, pot, src, incoming, next),
-            (Some(blocked), 3) => fold_blocked::<3>(blocked, pot, src, incoming, next),
-            (Some(blocked), 4) => fold_blocked::<4>(blocked, pot, src, incoming, next),
-            _ => walk_entries(
+        match kernels.support[step.clique].as_deref() {
+            None => match step.lanes {
+                1 => walk_dense::<1>(&step.dims, pot, incoming, next),
+                2 => walk_dense::<2>(&step.dims, pot, incoming, next),
+                3 => walk_dense::<3>(&step.dims, pot, incoming, next),
+                4 => walk_dense::<4>(&step.dims, pot, incoming, next),
+                lanes => walk_dense_wide(&step.dims, pot, incoming, next, lanes),
+            },
+            Some(support) => walk_support(
                 step,
                 pot,
                 support,
-                src,
-                dst.map(|p| p.entries.as_slice()),
+                table(step.src),
+                table(step.dst),
                 incoming,
                 next,
             ),
@@ -359,127 +412,121 @@ pub(crate) fn run<'s>(
     msg
 }
 
-/// A digit-free step over a dense clique, walked in the outgoing
-/// projection's blocked form (see `BlockedProj`): each block's
-/// `sum_reps × copy_len` entries fold into `copy_len` contiguous target
-/// groups of `L` lanes. The clique is still visited in ascending order,
-/// so every target sums its terms in reference order; a single-slot fold
-/// (`copy_len == 1`) just keeps its `L` sums in registers.
-fn fold_blocked<const L: usize>(
-    blocked: &BlockedProj,
-    pot: &[f64],
-    src: Option<&[u32]>,
-    msg: &[f64],
-    out: &mut [f64],
-) {
-    let (copy, reps) = (blocked.copy_len as usize, blocked.sum_reps as usize);
-    let src_at = |c: usize| src.map_or(0, |e| e[c] as usize * L);
-    let mut c = 0usize;
-    for &base in &blocked.base {
-        let t = base as usize * L;
-        if copy == 1 {
+/// Calls `run(c, t, s)` at the start of every innermost run of a dense
+/// step, in ascending clique order: `c` is the clique entry, `t` and `s`
+/// its target and source offsets. The odometer advances by additions
+/// only; the innermost dimension is left to `run`.
+#[inline(always)]
+fn for_each_run(dims: &[Dim], mut run: impl FnMut(usize, usize, usize)) {
+    let Some((inner, outer)) = dims.split_last() else {
+        return;
+    };
+    let mut count = [0usize; MAX_DIMS];
+    let (mut c, mut t, mut s) = (0usize, 0usize, 0usize);
+    loop {
+        run(c, t, s);
+        c += inner.card;
+        let mut pos = outer.len();
+        loop {
+            if pos == 0 {
+                return;
+            }
+            pos -= 1;
+            let d = &outer[pos];
+            count[pos] += 1;
+            if count[pos] < d.card {
+                t += d.dst;
+                s += d.src;
+                break;
+            }
+            count[pos] = 0;
+            t -= d.dst * (d.card - 1);
+            s -= d.src * (d.card - 1);
+        }
+    }
+}
+
+/// A dense step with `L` lanes:
+/// `out[t(c) + k] += pot[c] · msg[s(c) + k]` for every clique entry `c` in
+/// ascending order. An innermost run with target stride 0 folds into one
+/// lane group kept in registers; the sums are the same either way.
+fn walk_dense<const L: usize>(dims: &[Dim], pot: &[f64], msg: &[f64], out: &mut [f64]) {
+    let Some(&Dim {
+        card: n,
+        src: ds,
+        dst: dt,
+    }) = dims.last()
+    else {
+        return;
+    };
+    for_each_run(dims, |c, t, mut s| {
+        if dt == 0 {
             let mut acc = [0.0f64; L];
             acc.copy_from_slice(&out[t..t + L]);
-            for &v in &pot[c..c + reps] {
-                let s = src_at(c);
+            for &v in &pot[c..c + n] {
                 for (a, &m) in acc.iter_mut().zip(&msg[s..s + L]) {
                     *a += v * m;
                 }
-                c += 1;
+                s += ds;
             }
             out[t..t + L].copy_from_slice(&acc);
         } else {
-            let dst = &mut out[t..t + copy * L];
-            for _ in 0..reps {
-                for group in dst.chunks_exact_mut(L) {
-                    let (v, s) = (pot[c], src_at(c));
-                    for (o, &m) in group.iter_mut().zip(&msg[s..s + L]) {
-                        *o += v * m;
-                    }
-                    c += 1;
+            let mut t = t;
+            for &v in &pot[c..c + n] {
+                for (o, &m) in out[t..t + L].iter_mut().zip(&msg[s..s + L]) {
+                    *o += v * m;
                 }
+                t += dt;
+                s += ds;
             }
         }
-    }
+    });
 }
 
-/// The general step, through the per-entry projection tables:
-/// `out[dst(c)·out_lanes + Σ digit·weight + k] += pot[c] · msg[src(c)·lanes + k]`
-/// for every clique entry `c` in ascending order (the support list on a
-/// zero-compressed clique) and every lane `k`.
-fn walk_entries(
+/// [`walk_dense`] for lane counts above four (variables with more than
+/// four states).
+fn walk_dense_wide(dims: &[Dim], pot: &[f64], msg: &[f64], out: &mut [f64], lanes: usize) {
+    let Some(&Dim {
+        card: n,
+        src: ds,
+        dst: dt,
+    }) = dims.last()
+    else {
+        return;
+    };
+    for_each_run(dims, |c, mut t, mut s| {
+        for &v in &pot[c..c + n] {
+            accumulate(&mut out[t..t + lanes], &msg[s..s + lanes], &[v]);
+            t += dt;
+            s += ds;
+        }
+    });
+}
+
+/// A step over a zero-compressed clique, through the support-aligned
+/// tables: `out[dst(i)·out_lanes + Σ digit·weight + k] += pot[c] ·
+/// msg[src(i)·lanes + k]` for each support position `i` (clique entry `c`)
+/// in ascending order and every lane `k`.
+fn walk_support(
     step: &WalkStep,
     pot: &[f64],
-    support: Option<&[u32]>,
+    support: &[u32],
     src: Option<&[u32]>,
     dst: Option<&[u32]>,
     msg: &[f64],
     out: &mut [f64],
 ) {
-    // Fixed lane counts let the inner loop unroll; the body is shared.
-    match step.lanes {
-        1 => walk_lanes(step, pot, support, src, dst, msg, out, 1),
-        4 => walk_lanes(step, pot, support, src, dst, msg, out, 4),
-        lanes => walk_lanes(step, pot, support, src, dst, msg, out, lanes),
-    }
-}
-
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn walk_lanes(
-    step: &WalkStep,
-    pot: &[f64],
-    support: Option<&[u32]>,
-    src: Option<&[u32]>,
-    dst: Option<&[u32]>,
-    msg: &[f64],
-    out: &mut [f64],
-    lanes: usize,
-) {
-    let src_at = |i: usize| src.map_or(0, |e| e[i] as usize * lanes);
-    let dst_at = |i: usize| dst.map_or(0, |e| e[i] as usize * step.out_lanes);
-    match support {
-        Some(support) => {
-            for (i, &c) in support.iter().enumerate() {
-                let c = c as usize;
-                let digits: usize = step
-                    .digits
-                    .iter()
-                    .map(|d| (c / d.stride) % d.card * d.weight)
-                    .sum();
-                let (t, s) = (dst_at(i) + digits, src_at(i));
-                accumulate(&mut out[t..t + lanes], &msg[s..s + lanes], &pot[c..=c]);
-            }
-        }
-        None => {
-            // Per digit: runs left before it increments, and its value.
-            let mut left = [0usize; 2];
-            let mut value = [0usize; 2];
-            for (l, d) in left.iter_mut().zip(&step.digits) {
-                *l = d.period;
-            }
-            let mut offset = 0usize;
-            for start in (0..pot.len()).step_by(step.run) {
-                let (t, s) = (dst_at(start) + offset, src_at(start));
-                accumulate(
-                    &mut out[t..t + lanes],
-                    &msg[s..s + lanes],
-                    &pot[start..start + step.run],
-                );
-                for (j, d) in step.digits.iter().enumerate() {
-                    left[j] -= 1;
-                    if left[j] == 0 {
-                        left[j] = d.period;
-                        value[j] += 1;
-                        offset += d.weight;
-                        if value[j] == d.card {
-                            value[j] = 0;
-                            offset -= d.weight * d.card;
-                        }
-                    }
-                }
-            }
-        }
+    let lanes = step.lanes;
+    for (i, &c) in support.iter().enumerate() {
+        let c = c as usize;
+        let digits: usize = step
+            .digits
+            .iter()
+            .map(|d| (c / d.stride) % d.card * d.weight)
+            .sum();
+        let t = dst.map_or(0, |e| e[i] as usize * step.out_lanes) + digits;
+        let s = src.map_or(0, |e| e[i] as usize * lanes);
+        accumulate(&mut out[t..t + lanes], &msg[s..s + lanes], &pot[c..=c]);
     }
 }
 
@@ -504,6 +551,83 @@ fn divide_by_sepset(values: &mut [f64], sep: &[f64], lanes: usize) {
             } else {
                 *v /= d;
             }
+        }
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+    use crate::sparse::clique_to_sepset;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The merged odometer visits every clique entry in ascending
+        /// order with the source and target offsets the per-entry
+        /// projections give: `src(c)·lanes` and
+        /// `dst(c)·out_lanes + Σ digit·weight`.
+        #[test]
+        fn odometer_matches_the_per_entry_projections(
+            cards in proptest::collection::vec(1usize..=4, 1..=8),
+            src_mask in any::<u8>(),
+            dst_mask in any::<u8>(),
+            digit_mask in any::<u8>(),
+            lanes in 1usize..=4,
+            out_lanes in 1usize..=4,
+        ) {
+            let n = cards.len();
+            let vars: Vec<VarId> = (0..n).map(VarId::from_index).collect();
+            let clique = Factor::new(
+                vars.iter().copied().zip(cards.iter().copied()).collect(),
+                vec![1.0; cards.iter().product()],
+            );
+            let pick = |mask: u8| -> Vec<VarId> {
+                vars.iter().copied().filter(|v| mask & (1 << v.index()) != 0).collect()
+            };
+            let (src_vars, dst_vars) = (pick(src_mask), pick(dst_mask));
+            let stride = |sep: &[VarId], i: usize| {
+                sep.binary_search(&vars[i]).map_or(0, |pos| {
+                    sep[pos + 1..].iter().map(|v| cards[v.index()]).product()
+                })
+            };
+            // Digit weights on variables the target sepset lacks.
+            let weight = |i: usize| {
+                if digit_mask & (1 << i) != 0 && !dst_vars.contains(&vars[i]) {
+                    3 * i + 1
+                } else {
+                    0
+                }
+            };
+            let dims = odometer((0..n).rev().map(|i| Dim {
+                card: cards[i],
+                src: stride(&src_vars, i) * lanes,
+                dst: stride(&dst_vars, i) * out_lanes + weight(i),
+            }))
+            .unwrap();
+            let inner = *dims.last().unwrap();
+            let mut got = Vec::new();
+            for_each_run(&dims, |c, t, s| {
+                for j in 0..inner.card {
+                    got.push((c + j, t + j * inner.dst, s + j * inner.src));
+                }
+            });
+            let src = clique_to_sepset(&clique, &src_vars);
+            let dst = clique_to_sepset(&clique, &dst_vars);
+            let expect: Vec<(usize, usize, usize)> = (0..clique.len())
+                .map(|c| {
+                    let mut t = dst[c] as usize * out_lanes;
+                    let mut row = 1;
+                    for i in (0..n).rev() {
+                        t += (c / row) % cards[i] * weight(i);
+                        row *= cards[i];
+                    }
+                    (c, t, src[c] as usize * lanes)
+                })
+                .collect();
+            prop_assert_eq!(got, expect);
         }
     }
 }

@@ -52,8 +52,9 @@ pub struct CompiledTree {
     /// Collect schedule: edges as (from_clique, edge_idx, to_clique), leaves
     /// towards roots. Distribution replays it reversed and flipped.
     schedule: Vec<(usize, usize, usize)>,
-    /// Precomputed absorb kernels: per-edge projection tables plus
-    /// per-clique zero-compression supports (see the `sparse` module).
+    /// Precomputed absorb kernels: one clique→sepset projection per edge
+    /// side plus per-clique zero-compression supports (see the `sparse`
+    /// module).
     kernels: PropagationKernels,
     /// The zero-compression policy the kernels were built with.
     mode: SparseMode,
@@ -367,24 +368,54 @@ impl CompiledTree {
             &self.init_clique_pot,
             &self.schedule,
             state,
-            KernelDispatch::Blocked,
         );
     }
 
-    /// [`calibrate`](CompiledTree::calibrate) through the per-entry
-    /// projection tables instead of the blocked kernels — the previous
-    /// kernel generation, kept as the measured baseline of the kernel
-    /// microbenchmarks and the bit-identity reference of the equivalence
-    /// tests. Not part of the supported API.
+    /// [`calibrate`](CompiledTree::calibrate) through per-entry projection
+    /// tables instead of the blocked kernels: the bit-identity reference of
+    /// the equivalence tests. A dense clique's table is derived from its
+    /// sepset strides on every absorption, so this is slow by design and
+    /// independent of the blocked forms it checks. Not part of the
+    /// supported API.
     #[doc(hidden)]
     pub fn calibrate_two_pass(&self, state: &mut PropagationState) {
-        calibrate_impl(
-            &self.tree,
-            &self.kernels,
-            &self.init_clique_pot,
-            &self.schedule,
-            state,
-            KernelDispatch::Legacy,
+        enter_evidence(&self.tree, &self.init_clique_pot, state);
+        for &(from, edge, to) in &self.schedule {
+            self.absorb_two_pass(state, from, edge, to);
+        }
+        for &(from, edge, to) in self.schedule.iter().rev() {
+            self.absorb_two_pass(state, to, edge, from);
+        }
+        finish_calibration(&self.tree, state);
+    }
+
+    /// One absorption of [`calibrate_two_pass`](CompiledTree::calibrate_two_pass):
+    /// scatter-add marginalize and gather multiply, one table index per
+    /// iterated entry.
+    fn absorb_two_pass(&self, state: &mut PropagationState, from: usize, edge: usize, to: usize) {
+        let e = self.tree.edge(edge);
+        let proj = &self.kernels.edge_proj[edge];
+        let table = |clique: usize| match if clique == e.a { &proj.a } else { &proj.b } {
+            SideProj::Support(table) => table.clone(),
+            SideProj::Blocked(_) => {
+                sparse::clique_to_sepset(&self.init_clique_pot[clique], &e.sepset)
+            }
+        };
+        let (table_from, table_to) = (table(from), table(to));
+        let sep_len = state.sep_pot[edge].len();
+        state.scratch.resize(sep_len, 0.0);
+        sparse::marginalize_into(
+            state.clique_pot[from].values(),
+            self.kernels.support[from].as_deref(),
+            &table_from,
+            &mut state.scratch[..sep_len],
+        );
+        store_message(state, edge);
+        sparse::multiply_from(
+            state.clique_pot[to].values_mut(),
+            self.kernels.support[to].as_deref(),
+            &table_to,
+            &state.scratch[..sep_len],
         );
     }
 
@@ -420,7 +451,6 @@ impl CompiledTree {
             &self.home_vars,
             state,
             cache,
-            KernelDispatch::Blocked,
         )
     }
 
@@ -525,9 +555,8 @@ impl CompiledTree {
     /// Normalized, scope sorted.
     ///
     /// Plans the walk per call, then costs one pass over each clique on
-    /// the path, through the tree's clique→sepset projection tables;
-    /// repeated reads of one pair should keep the
-    /// [`plan`](CompiledTree::plan_pairwise). This powers the
+    /// the path (see [`PairwisePlan`]); repeated reads of one pair should
+    /// keep the [`plan`](CompiledTree::plan_pairwise). This powers the
     /// boundary-correlation forwarding of the `swact` estimator.
     ///
     /// # Panics
@@ -828,48 +857,19 @@ fn finish_calibration(tree: &JunctionTree, state: &mut PropagationState) {
     state.calibrated = true;
 }
 
-/// Which kernel generation an absorption runs through.
-///
-/// `Blocked` is the production path: stride-aware blocked kernels for
-/// dense cliques, the support-list kernels for zero-compressed ones.
-/// `Legacy` forces the per-entry projection tables everywhere — the
-/// previous generation, kept as the measured microbenchmark baseline and
-/// the equivalence-test reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KernelDispatch {
-    Legacy,
-    Blocked,
-}
-
-/// Sender-side marginalize through the projection the dispatch selects.
-fn marginalize_side(
-    values: &[f64],
-    support: Option<&[u32]>,
-    side: &SideProj,
-    target: &mut [f64],
-    dispatch: KernelDispatch,
-) {
-    match (support, dispatch, &side.blocked) {
-        (None, KernelDispatch::Blocked, Some(blocked)) => {
-            sparse::marginalize_blocked(values, blocked, target);
-        }
-        _ => sparse::marginalize_into(values, support, &side.entries, target),
+/// Sender-side marginalize through the sender's projection form.
+fn marginalize_side(values: &[f64], support: Option<&[u32]>, side: &SideProj, target: &mut [f64]) {
+    match side {
+        SideProj::Blocked(blocked) => sparse::marginalize_blocked(values, blocked, target),
+        SideProj::Support(table) => sparse::marginalize_into(values, support, table, target),
     }
 }
 
-/// Receiver-side multiply through the projection the dispatch selects.
-fn multiply_side(
-    values: &mut [f64],
-    support: Option<&[u32]>,
-    side: &SideProj,
-    update: &[f64],
-    dispatch: KernelDispatch,
-) {
-    match (support, dispatch, &side.blocked) {
-        (None, KernelDispatch::Blocked, Some(blocked)) => {
-            sparse::multiply_blocked(values, blocked, update);
-        }
-        _ => sparse::multiply_from(values, support, &side.entries, update),
+/// Receiver-side multiply through the receiver's projection form.
+fn multiply_side(values: &mut [f64], support: Option<&[u32]>, side: &SideProj, update: &[f64]) {
+    match side {
+        SideProj::Blocked(blocked) => sparse::multiply_blocked(values, blocked, update),
+        SideProj::Support(table) => sparse::multiply_from(values, support, table, update),
     }
 }
 
@@ -879,16 +879,15 @@ fn calibrate_impl(
     init_clique_pot: &[Factor],
     schedule: &[(usize, usize, usize)],
     state: &mut PropagationState,
-    dispatch: KernelDispatch,
 ) {
     enter_evidence(tree, init_clique_pot, state);
     // Collect: leaves towards roots.
     for &(from, edge, to) in schedule {
-        absorb(tree, kernels, state, from, edge, to, dispatch);
+        absorb(tree, kernels, state, from, edge, to);
     }
     // Distribute: roots towards leaves.
     for &(from, edge, to) in schedule.iter().rev() {
-        absorb(tree, kernels, state, to, edge, from, dispatch);
+        absorb(tree, kernels, state, to, edge, from);
     }
     finish_calibration(tree, state);
 }
@@ -933,7 +932,6 @@ fn clique_evidence_hashes(home_vars: &[Vec<VarId>], state: &PropagationState) ->
     hashes
 }
 
-#[allow(clippy::too_many_arguments)]
 fn calibrate_cached_impl(
     tree: &JunctionTree,
     kernels: &PropagationKernels,
@@ -942,7 +940,6 @@ fn calibrate_cached_impl(
     home_vars: &[Vec<VarId>],
     state: &mut PropagationState,
     cache: &MessageCache,
-    dispatch: KernelDispatch,
 ) -> (u64, u64) {
     enter_evidence(tree, init_clique_pot, state);
     // Dependency keys, folded along the collect schedule: when edge
@@ -966,7 +963,6 @@ fn calibrate_cached_impl(
             (from, edge, to),
             edge_key[edge],
             cache,
-            dispatch,
         ) {
             reused += 1;
         } else {
@@ -978,15 +974,15 @@ fn calibrate_cached_impl(
     // includes the perturbed prior, so caching it could never hit.
     // Whole-tree reuse is the segment memoization layer's job.
     for &(from, edge, to) in schedule.iter().rev() {
-        absorb(tree, kernels, state, to, edge, from, dispatch);
+        absorb(tree, kernels, state, to, edge, from);
     }
     finish_calibration(tree, state);
     (reused, recomputed)
 }
 
 /// One HUGIN absorption: `to` absorbs from `from` across `edge`, entirely
-/// through the compile-time projection tables — no scope merges, no
-/// odometer walks, no allocation (the message lives in `state.scratch`).
+/// through the compile-time projections — no scope merges, no odometer
+/// walks, no allocation (the message lives in `state.scratch`).
 fn absorb(
     tree: &JunctionTree,
     kernels: &PropagationKernels,
@@ -994,7 +990,6 @@ fn absorb(
     from: usize,
     edge: usize,
     to: usize,
-    dispatch: KernelDispatch,
 ) {
     let e = tree.edge(edge);
     let proj = &kernels.edge_proj[edge];
@@ -1011,9 +1006,8 @@ fn absorb(
         kernels.support[from].as_deref(),
         proj_from,
         &mut state.scratch[..sep_len],
-        dispatch,
     );
-    commit_message(kernels, state, edge, to, proj_to, dispatch);
+    commit_message(kernels, state, edge, to, proj_to);
 }
 
 /// [`absorb`] with a per-edge message cache: on a dependency-key match
@@ -1029,7 +1023,6 @@ fn absorb_cached(
     (from, edge, to): (usize, usize, usize),
     key: u128,
     cache: &MessageCache,
-    dispatch: KernelDispatch,
 ) -> bool {
     let e = tree.edge(edge);
     let proj = &kernels.edge_proj[edge];
@@ -1059,7 +1052,6 @@ fn absorb_cached(
             kernels.support[from].as_deref(),
             proj_from,
             &mut state.scratch[..sep_len],
-            dispatch,
         );
         let mut slot = cache.slots[edge]
             .lock()
@@ -1078,7 +1070,7 @@ fn absorb_cached(
             }
         }
     }
-    commit_message(kernels, state, edge, to, proj_to, dispatch);
+    commit_message(kernels, state, edge, to, proj_to);
     reused
 }
 
@@ -1091,12 +1083,24 @@ fn commit_message(
     edge: usize,
     to: usize,
     proj_to: &SideProj,
-    dispatch: KernelDispatch,
 ) {
+    store_message(state, edge);
     let sep_len = state.sep_pot[edge].len();
-    // (2) Store the message, turning scratch into the update ratio new/old
-    // with the HUGIN convention 0/0 = 0 (nonzero/0 would mean the sender
-    // gained mass the old sepset never saw — a propagation-order bug).
+    // (3) Multiply the update into the receiver.
+    multiply_side(
+        state.clique_pot[to].values_mut(),
+        kernels.support[to].as_deref(),
+        proj_to,
+        &state.scratch[..sep_len],
+    );
+}
+
+/// Step (2) of an absorption: store the message in scratch as the new
+/// sepset potential, turning scratch into the update ratio new/old with
+/// the HUGIN convention 0/0 = 0 (nonzero/0 would mean the sender gained
+/// mass the old sepset never saw — a propagation-order bug).
+fn store_message(state: &mut PropagationState, edge: usize) {
+    let sep_len = state.sep_pot[edge].len();
     for (slot, msg) in state.sep_pot[edge]
         .values_mut()
         .iter_mut()
@@ -1112,14 +1116,6 @@ fn commit_message(
             new / old
         };
     }
-    // (3) Multiply the update into the receiver.
-    multiply_side(
-        state.clique_pot[to].values_mut(),
-        kernels.support[to].as_deref(),
-        proj_to,
-        &state.scratch[..sep_len],
-        dispatch,
-    );
 }
 
 fn assert_calibrated(state: &PropagationState) {

@@ -1,4 +1,4 @@
-//! Determinism-aware sparse kernels for HUGIN propagation.
+//! Propagation kernels for HUGIN absorption over compiled junction trees.
 //!
 //! Gate CPTs in the paper's LIDAG construction are *deterministic* (truth
 //! tables, Def. 8), so the clique potentials they multiply into are
@@ -9,19 +9,24 @@
 //! the nonzero *support* of a working potential is always a subset of the
 //! initial potential's support.
 //!
-//! This module exploits that in two ways, both precomputed once per
-//! [`CompiledTree`](crate::CompiledTree) and reused across every
-//! propagation:
+//! Every junction-tree edge keeps, for each of its two cliques, exactly
+//! one clique→sepset projection ([`SideProj`]), built once per
+//! [`CompiledTree`](crate::CompiledTree) and reused by every propagation:
 //!
-//! 1. **Projection tables**: for each (clique, sepset) edge pair, a flat
-//!    `Vec<u32>` mapping clique table entries to sepset entries, replacing
-//!    the per-call scope-merge and odometer walks of the generic
-//!    [`Factor`](crate::Factor) kernels with branch-free gather/scatter
-//!    loops.
-//! 2. **Zero compression** (HUGIN's classic optimization, Jensen &
-//!    Andersen 1990): cliques whose zero fraction crosses a threshold
-//!    iterate only their support index list, skipping structural zeros in
-//!    both the marginalize (scatter-add) and multiply (gather) directions.
+//! 1. **Blocked stride form** for a dense clique: the row-major table
+//!    factors into `base.len() × sum_reps × copy_len` entries (see
+//!    [`BlockedProj`]), so marginalize and multiply stream contiguous runs
+//!    and store one offset per block, not one index per entry.
+//! 2. **Support-aligned table** for a zero-compressed clique (HUGIN's
+//!    classic optimization, Jensen & Andersen 1990): one `u32` sepset index
+//!    per nonzero entry, walked beside the clique's support list so
+//!    structural zeros are skipped in both directions.
+//!
+//! A dense clique has no per-entry table. Its per-entry map is affine in
+//! the clique digits (the sepset strides), so the two-pass reference
+//! (`CompiledTree::calibrate_two_pass`) derives it at call time with
+//! [`clique_to_sepset`], and the pairwise walk (`pairwise`) reads it
+//! through a plan-time stride odometer.
 //!
 //! Skipping a structural zero never changes a sum-propagation result *at
 //! all*: potentials are non-negative, `x + 0.0 == x` exactly in IEEE 754,
@@ -151,22 +156,18 @@ pub(crate) struct BlockedProj {
     pub(crate) base: Vec<u32>,
 }
 
-/// One clique's side of an edge projection: the per-entry table (aligned
-/// with the support list when the clique is zero-compressed, with the full
-/// table otherwise) plus, for dense cliques, the blocked decomposition the
-/// vectorized kernels walk. The per-entry table is retained even when a
-/// blocked form exists — it drives the sparse kernels, the legacy
-/// reference path (`CompiledTree::calibrate_two_pass`), and the kernel
-/// microbenchmark baseline.
+/// One clique's side of an edge projection, in the single form that
+/// clique's kernels read.
 #[derive(Debug, Clone)]
-pub(crate) struct SideProj {
-    pub(crate) entries: Vec<u32>,
-    pub(crate) blocked: Option<BlockedProj>,
+pub(crate) enum SideProj {
+    /// Dense clique: the blocked stride decomposition.
+    Blocked(BlockedProj),
+    /// Zero-compressed clique: the sepset index of each support entry,
+    /// aligned with the clique's support list.
+    Support(Vec<u32>),
 }
 
-/// Projection tables of one junction-tree edge: entry-to-sepset index maps
-/// for both endpoint cliques, aligned with the owning clique's support
-/// list when that clique is compressed and with its full table otherwise.
+/// Projections of one junction-tree edge, one per endpoint clique.
 #[derive(Debug, Clone)]
 pub(crate) struct EdgeProj {
     pub(crate) a: SideProj,
@@ -179,14 +180,14 @@ pub(crate) struct PropagationKernels {
     /// Per clique: ascending nonzero indices of the initial potential when
     /// zero-compressed, `None` for dense iteration.
     pub(crate) support: Vec<Option<Vec<u32>>>,
-    /// Per edge: projection tables for both endpoint cliques.
+    /// Per edge: the projection of each endpoint clique.
     pub(crate) edge_proj: Vec<EdgeProj>,
     /// Total nonzero entries across all initial clique potentials.
     pub(crate) nnz: usize,
 }
 
 impl PropagationKernels {
-    /// Builds supports and projection tables for `potentials` over `tree`.
+    /// Builds supports and projections for `potentials` over `tree`.
     ///
     /// # Panics
     ///
@@ -205,13 +206,9 @@ impl PropagationKernels {
                     u32::try_from(pot.len()).is_ok(),
                     "clique potential exceeds u32 index range"
                 );
-                let nonzero = support_of(pot.values());
-                nnz += nonzero.len();
-                if compress(mode, nonzero.len(), pot.len()) {
-                    Some(nonzero)
-                } else {
-                    None
-                }
+                let nonzero = pot.values().iter().filter(|&&v| v != 0.0).count();
+                nnz += nonzero;
+                compress(mode, nonzero, pot.len()).then(|| support_of(pot.values()))
             })
             .collect();
         let edge_proj = (0..tree.num_edges())
@@ -265,15 +262,15 @@ fn compress(mode: SparseMode, nnz: usize, len: usize) -> bool {
     }
 }
 
-/// Both projection forms for one clique side of an edge: the per-entry
-/// table always, the blocked decomposition when the clique is dense.
+/// The one projection form of a clique side: blocked when the clique is
+/// dense, support-aligned when it is zero-compressed.
 fn side_proj(clique: &Factor, sepset: &[VarId], support: Option<&[u32]>) -> SideProj {
-    SideProj {
-        entries: clique_to_sepset(clique, sepset, support),
-        blocked: match support {
-            None => Some(blocked_projection(clique, sepset)),
-            Some(_) => None,
-        },
+    match support {
+        None => SideProj::Blocked(blocked_projection(clique, sepset)),
+        Some(support) => {
+            let full = clique_to_sepset(clique, sepset);
+            SideProj::Support(support.iter().map(|&i| full[i as usize]).collect())
+        }
     }
 }
 
@@ -350,21 +347,19 @@ fn blocked_projection(clique: &Factor, sepset: &[VarId]) -> BlockedProj {
     }
 }
 
-/// The sepset linear index of every iterated clique entry: one slot per
-/// support position when `support` is given, else per clique linear index.
-///
-/// The walk mirrors `Factor::marginalize_keep`'s odometer but runs once at
-/// compile time instead of once per message.
-fn clique_to_sepset(clique: &Factor, sepset: &[VarId], support: Option<&[u32]>) -> Vec<u32> {
-    let vars = clique.vars();
+/// The sepset linear index of every clique entry, by the per-entry
+/// odometer over the sepset strides. Builds the support-aligned tables and
+/// serves the two-pass reference, which derives a dense clique's map here
+/// at call time; the blocked form is checked against it.
+pub(crate) fn clique_to_sepset(clique: &Factor, sepset: &[VarId]) -> Vec<u32> {
     let cards = clique.cards();
     let target_strides = sepset_strides(clique, sepset);
     let mut full = Vec::with_capacity(clique.len());
-    let mut digits = vec![0usize; vars.len()];
+    let mut digits = vec![0usize; cards.len()];
     let mut target = 0usize;
     for _ in 0..clique.len() {
         full.push(target as u32);
-        for pos in (0..vars.len()).rev() {
+        for pos in (0..cards.len()).rev() {
             digits[pos] += 1;
             target += target_strides[pos];
             if digits[pos] < cards[pos] {
@@ -374,14 +369,31 @@ fn clique_to_sepset(clique: &Factor, sepset: &[VarId], support: Option<&[u32]>) 
             target -= target_strides[pos] * cards[pos];
         }
     }
-    match support {
-        Some(support) => support.iter().map(|&i| full[i as usize]).collect(),
-        None => full,
+    full
+}
+
+/// A dense clique's clique→sepset index of every entry, read two
+/// independent ways: expanded from the blocked form the kernels walk, and
+/// from the per-entry odometer of the two-pass reference. For the
+/// index-sequence property tests; not part of the supported API.
+///
+/// # Panics
+///
+/// Panics if `sepset` is not an ascending subset of the clique's scope.
+#[doc(hidden)]
+pub fn projection_index_sequences(clique: &Factor, sepset: &[VarId]) -> (Vec<u32>, Vec<u32>) {
+    let blocked = blocked_projection(clique, sepset);
+    let mut expanded = Vec::with_capacity(clique.len());
+    for &base in &blocked.base {
+        for _ in 0..blocked.sum_reps {
+            expanded.extend(base..base + blocked.copy_len);
+        }
     }
+    (expanded, clique_to_sepset(clique, sepset))
 }
 
 /// Marginalizes a clique table into `target` (a sepset-sized buffer)
-/// through a precomputed projection by scatter-add. `target` is
+/// through a per-entry projection by scatter-add. `target` is
 /// (re)initialized here.
 ///
 /// With a support list only the listed entries are visited; the skipped
@@ -409,7 +421,7 @@ pub(crate) fn marginalize_into(
 }
 
 /// Multiplies a sepset-sized `update` into a clique table through a
-/// precomputed projection (the second half of HUGIN absorption). With a
+/// per-entry projection (the second half of HUGIN absorption). With a
 /// support list only nonzero entries are touched; the skipped entries are
 /// zeros and stay zeros.
 pub(crate) fn multiply_from(
@@ -584,7 +596,7 @@ mod tests {
                 .filter(|i| mask & (1 << i) != 0)
                 .map(v)
                 .collect();
-            let proj = clique_to_sepset(&clique, &sepset, None);
+            let proj = clique_to_sepset(&clique, &sepset);
             let bp = blocked_projection(&clique, &sepset);
             let sep_len: usize = sepset
                 .iter()
@@ -635,8 +647,10 @@ mod tests {
     /// Kernel path: projection + optional support, as used by `CompiledTree`.
     fn kernel_marginalize(clique: &Factor, sepset: &[VarId]) -> Vec<f64> {
         let support = support_of(clique.values());
-        let proj = clique_to_sepset(clique, sepset, Some(&support));
-        let proj_dense = clique_to_sepset(clique, sepset, None);
+        let SideProj::Support(proj) = side_proj(clique, sepset, Some(&support)) else {
+            unreachable!("a support list gives a support-aligned table")
+        };
+        let proj_dense = clique_to_sepset(clique, sepset);
         let sep_len: usize = sepset
             .iter()
             .map(|s| clique.cards()[clique.position(*s).unwrap()])
@@ -686,7 +700,9 @@ mod tests {
             reference.mul_assign_sub(&update);
 
             let support = support_of(clique.values());
-            let proj = clique_to_sepset(&clique, &sepset, Some(&support));
+            let SideProj::Support(proj) = side_proj(&clique, &sepset, Some(&support)) else {
+                unreachable!("a support list gives a support-aligned table")
+            };
             let mut got = clique.clone();
             multiply_from(got.values_mut(), Some(&support), &proj, update.values());
             // Entries outside the support are zeros on both sides (0 * x
@@ -706,7 +722,7 @@ mod tests {
         // Sepset that is not a scope prefix: keep the middle variable.
         let clique = pattern_factor(3, (0..64).map(|i| (i % 4) as f64).collect());
         let sepset = vec![v(1)];
-        let proj = clique_to_sepset(&clique, &sepset, None);
+        let proj = clique_to_sepset(&clique, &sepset);
         let mut target = vec![0.0f64; 4];
         marginalize_into(clique.values(), None, &proj, &mut target);
         assert_eq!(target.as_slice(), clique.marginalize_keep(&sepset).values());

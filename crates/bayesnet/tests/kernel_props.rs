@@ -1,15 +1,17 @@
 //! Property tests for the blocked (stride-aware) fused kernels: the
 //! blocked kernels must be *bit-identical* (`f64::to_bits`) to the
-//! per-entry two-pass reference path on arbitrary factors and networks.
+//! per-entry two-pass reference path on arbitrary factors and networks,
+//! and the blocked form must name exactly the per-entry index sequence.
 //!
-//! The two-pass reference is `CompiledTree::calibrate_two_pass` — the
-//! previous kernel generation, kept reachable exactly so these tests (and
-//! the kernel microbenchmarks) always compare against real code rather
-//! than a frozen snapshot.
+//! The two-pass reference is `CompiledTree::calibrate_two_pass`, which
+//! derives each dense clique's per-entry projection from its sepset
+//! strides at call time — real code rather than a frozen snapshot, and
+//! independent of the blocked forms it checks.
 
 use proptest::prelude::*;
 use swact_bayesnet::{
-    initial_potentials, BayesNet, CompiledTree, Cpt, JunctionTree, SparseMode, VarId,
+    initial_potentials, projection_index_sequences, BayesNet, CompiledTree, Cpt, Factor,
+    JunctionTree, SparseMode, VarId,
 };
 
 /// A random discrete Bayesian network mixing deterministic (one-hot) and
@@ -125,5 +127,55 @@ proptest! {
     #[test]
     fn scalar_matches_two_pass_on_deterministic_nets(net in arb_net(90), pick in any::<u64>()) {
         assert_scalar_matches_two_pass(&net, pick);
+    }
+}
+
+/// A clique scope of up to eight variables with cardinalities 1–4 (ids
+/// ascending with gaps), and a sepset drawn from it: empty, the whole
+/// scope, or a random subset.
+fn arb_scope_and_sepset() -> impl Strategy<Value = (Factor, Vec<VarId>)> {
+    (
+        proptest::collection::vec((1usize..=4, 1usize..=3), 1..=8),
+        0u8..4,
+        any::<u8>(),
+    )
+        .prop_map(|(dims, kind, mask)| {
+            let mut id = 0;
+            let scope: Vec<(VarId, usize)> = dims
+                .iter()
+                .map(|&(card, gap)| {
+                    id += gap;
+                    (VarId::from_index(id), card)
+                })
+                .collect();
+            let len = scope.iter().map(|&(_, card)| card).product();
+            let sepset = scope
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| match kind {
+                    0 => false,
+                    1 => true,
+                    _ => mask & (1 << i) != 0,
+                })
+                .map(|(_, &(v, _))| v)
+                .collect();
+            (Factor::new(scope, vec![1.0; len]), sepset)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Expanding a dense clique's blocked form (`base × sum_reps ×
+    /// copy_len`, in source order) gives exactly the per-entry odometer's
+    /// clique→sepset indices, so the blocked kernels visit every entry the
+    /// two-pass reference does, in its order.
+    #[test]
+    fn blocked_index_sequence_matches_the_per_entry_odometer(
+        (clique, sepset) in arb_scope_and_sepset(),
+    ) {
+        let (blocked, per_entry) = projection_index_sequences(&clique, &sepset);
+        prop_assert_eq!(per_entry.len(), clique.len());
+        prop_assert_eq!(blocked, per_entry);
     }
 }

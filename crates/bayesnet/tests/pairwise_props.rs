@@ -17,15 +17,20 @@ fn stream(seed: u64) -> impl FnMut() -> u64 {
     }
 }
 
-/// A random network with `n` variables of cardinality 2–4. Parents are up
-/// to three earlier variables, so some draws split into several
-/// components; about a third of the CPT rows are deterministic, so the
-/// clique potentials carry the structural zeros zero compression skips.
-fn random_net(n: usize, seed: u64) -> BayesNet {
+/// A random network with `n` variables of cardinality 2–4 (1–4 when
+/// `one_state` is set). Parents are up to three earlier variables, so
+/// some draws split into several components; about a third of the CPT
+/// rows are deterministic (none when `positive` is set), so the clique
+/// potentials carry the structural zeros zero compression skips.
+fn random_net_with(n: usize, seed: u64, one_state: bool, positive: bool) -> BayesNet {
     let mut next = stream(seed);
     let mut net = BayesNet::new();
     for i in 0..n {
-        let card = 2 + (next() % 3) as usize;
+        let card = if one_state {
+            1 + (next() % 4) as usize
+        } else {
+            2 + (next() % 3) as usize
+        };
         let mut parents: Vec<VarId> = Vec::new();
         if i > 0 {
             for _ in 0..(next() % 4) {
@@ -38,7 +43,7 @@ fn random_net(n: usize, seed: u64) -> BayesNet {
         let rows: usize = parents.iter().map(|&p| net.card(p)).product();
         let cpt: Vec<Vec<f64>> = (0..rows)
             .map(|_| {
-                if next().is_multiple_of(3) {
+                if !positive && next().is_multiple_of(3) {
                     let hot = (next() % card as u64) as usize;
                     (0..card)
                         .map(|s| if s == hot { 1.0 } else { 0.0 })
@@ -54,6 +59,10 @@ fn random_net(n: usize, seed: u64) -> BayesNet {
             .expect("generated net is valid");
     }
     net
+}
+
+fn random_net(n: usize, seed: u64) -> BayesNet {
+    random_net_with(n, seed, false, false)
 }
 
 fn bits(values: &[f64]) -> Vec<u64> {
@@ -115,6 +124,53 @@ proptest! {
                     let planned = bits(compiled.pairwise_marginal_planned(&mut state, &plan));
                     prop_assert_eq!(&expect, &planned, "{} {} {:?}", a, b, mode);
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Every planned walk has digit steps: a one-clique read places both
+    /// digits, and a cross-clique walk places `a`'s digit where the path
+    /// drops it and `b`'s on the last step. With every clique dense
+    /// (strictly positive CPTs, zero compression off) those steps all run
+    /// through the stride odometer; one-state variables add dimensions it
+    /// must skip.
+    #[test]
+    fn dense_digit_steps_match_the_reference_walk(
+        n in 2usize..=14,
+        seed in any::<u64>(),
+        evidence_seed in any::<u64>(),
+    ) {
+        let net = random_net_with(n, seed, true, true);
+        let tree = JunctionTree::compile(&net).expect("compiles");
+        let compiled = CompiledTree::from_parts_with(
+            tree.clone(),
+            swact_bayesnet::initial_potentials(&tree, &net),
+            SparseMode::Off,
+        );
+        prop_assert_eq!(compiled.compressed_cliques(), 0);
+        let mut next = stream(evidence_seed);
+        let mut state = compiled.new_state();
+        for var in net.var_ids() {
+            if next().is_multiple_of(3) {
+                let weights = (0..net.card(var)).map(|_| 0.25 + (next() % 4) as f64).collect();
+                compiled.set_likelihood(&mut state, var, weights).expect("in range");
+            }
+        }
+        compiled.calibrate(&mut state);
+        for a in net.var_ids() {
+            for b in net.var_ids().filter(|&b| b != a) {
+                let reference = compiled.pairwise_marginal_reference(&state, a, b);
+                let plan = compiled.plan_pairwise(a, b);
+                prop_assert_eq!(reference.is_some(), plan.is_some(), "{} {}", a, b);
+                let (Some(reference), Some(plan)) = (reference, plan) else {
+                    continue;
+                };
+                let planned = bits(compiled.pairwise_marginal_planned(&mut state, &plan));
+                prop_assert_eq!(bits(reference.values()), planned, "{} {}", a, b);
             }
         }
     }

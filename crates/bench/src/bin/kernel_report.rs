@@ -1,7 +1,7 @@
 //! Kernel-grid propagation summary: times calibration of each circuit's
-//! segment junction trees under the blocked fused kernels
-//! (dense and sparse) against the per-entry two-pass
-//! baseline, and writes `BENCH_kernels.json`.
+//! segment junction trees under the blocked fused kernels (dense and
+//! sparse), after checking both bit-identical to the two-pass reference,
+//! and writes `BENCH_kernels.json`.
 //!
 //! ```text
 //! cargo run -p swact-bench --release --bin kernel_report [reps]
@@ -14,21 +14,19 @@ fn main() {
     let reps: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(50);
     let names = ["c17", "c432", "c880", "alu2"];
 
-    println!("fused kernel grid vs two-pass baseline — {reps} calibrations per cell");
+    println!("fused kernel grid — {reps} calibrations per cell");
     println!(
-        "{:<8} {:>4} {:>12} {:>12} {:>12} {:>8}",
-        "circuit", "seg", "base (ms)", "dense (ms)", "sparse (ms)", "best"
+        "{:<8} {:>4} {:>12} {:>12}",
+        "circuit", "seg", "dense (ms)", "sparse (ms)"
     );
     let rows = kernel_throughput(&names, reps);
     for row in &rows {
         println!(
-            "{:<8} {:>4} {:>12.3} {:>12.3} {:>12.3} {:>7.2}x",
+            "{:<8} {:>4} {:>12.3} {:>12.3}",
             row.circuit,
             row.segments,
-            row.baseline_s * 1e3,
             row.dense_scalar_s * 1e3,
-            row.sparse_scalar_s * 1e3,
-            row.best_speedup
+            row.sparse_scalar_s * 1e3
         );
     }
 

@@ -358,9 +358,7 @@ pub fn sparse_throughput_json(rows: &[SparseThroughputRow], reps: usize) -> Stri
 }
 
 /// One circuit's kernel-grid measurement: propagate-only wall clock of the
-/// blocked fused kernels (dense and sparse) against the
-/// per-entry two-pass projection tables — the previous kernel generation,
-/// kept reachable as `CompiledTree::calibrate_two_pass`.
+/// blocked fused kernels, dense and sparse.
 #[derive(Debug, Clone)]
 pub struct KernelThroughputRow {
     /// Benchmark name.
@@ -369,21 +367,10 @@ pub struct KernelThroughputRow {
     pub segments: usize,
     /// Total junction-tree cliques across all segments.
     pub cliques: usize,
-    /// Per-entry two-pass baseline (dense, scalar), seconds.
-    pub baseline_s: f64,
     /// Blocked kernels, `SparseMode::Off`, seconds.
     pub dense_scalar_s: f64,
     /// Blocked kernels, `SparseMode::Auto`, seconds.
     pub sparse_scalar_s: f64,
-    /// `baseline_s` over the fastest grid cell.
-    pub best_speedup: f64,
-}
-
-impl KernelThroughputRow {
-    /// The fastest grid cell, seconds.
-    pub fn best_s(&self) -> f64 {
-        self.dense_scalar_s.min(self.sparse_scalar_s)
-    }
 }
 
 /// Times calibration of each circuit's own segment junction trees —
@@ -393,9 +380,12 @@ impl KernelThroughputRow {
 /// extraction, boundary forwarding) is inside the timed region, so the
 /// wall-clock difference isolates the message-pass kernels.
 ///
-/// Also asserts, per circuit, that the blocked kernels calibrate
-/// bit-identically to the two-pass baseline — a wrong kernel can never
-/// report a speedup.
+/// Before timing, asserts per circuit that every grid cell calibrates
+/// bit-identically to the two-pass reference
+/// (`CompiledTree::calibrate_two_pass`), so a wrong kernel can never
+/// report a time. The reference itself is not timed: it derives a dense
+/// clique's per-entry table on every absorption, so it is a correctness
+/// arm, not a kernel baseline.
 ///
 /// # Panics
 ///
@@ -434,15 +424,11 @@ pub fn kernel_throughput(names: &[&str], reps: usize) -> Vec<KernelThroughputRow
             // States are created outside the timed region and recalibrated
             // in place: calibrate re-seeds from the initial potentials, so
             // warm reps do the full message pass with zero allocation.
-            let time = |trees: &[CompiledTree], two_pass: bool| -> f64 {
+            let time = |trees: &[CompiledTree]| -> f64 {
                 let mut states: Vec<_> = trees.iter().map(CompiledTree::new_state).collect();
                 let pass = |states: &mut Vec<swact_bayesnet::PropagationState>| {
                     for (tree, state) in trees.iter().zip(states.iter_mut()) {
-                        if two_pass {
-                            tree.calibrate_two_pass(state);
-                        } else {
-                            tree.calibrate(state);
-                        }
+                        tree.calibrate(state);
                     }
                 };
                 pass(&mut states); // untimed warm-up
@@ -457,42 +443,34 @@ pub fn kernel_throughput(names: &[&str], reps: usize) -> Vec<KernelThroughputRow
             let sparse_scalar = build(SparseMode::Auto);
 
             // Equivalence gate before any timing is reported.
-            for (k, (tree, _)) in parts.iter().enumerate() {
-                let mut reference = dense_scalar[k].new_state();
-                dense_scalar[k].calibrate_two_pass(&mut reference);
-                let mut scalar = dense_scalar[k].new_state();
-                dense_scalar[k].calibrate(&mut scalar);
-                for clique in 0..tree.num_cliques() {
-                    let expect = reference.clique_potential(clique).values();
-                    let got = scalar.clique_potential(clique).values();
-                    assert_eq!(expect.len(), got.len());
-                    for (e, g) in expect.iter().zip(got) {
-                        assert_eq!(
-                            e.to_bits(),
-                            g.to_bits(),
-                            "{name}: blocked scalar kernels must be bit-identical \
-                             to the two-pass baseline"
-                        );
+            for trees in [&dense_scalar, &sparse_scalar] {
+                for compiled in trees {
+                    let mut reference = compiled.new_state();
+                    compiled.calibrate_two_pass(&mut reference);
+                    let mut blocked = compiled.new_state();
+                    compiled.calibrate(&mut blocked);
+                    for clique in 0..compiled.tree().num_cliques() {
+                        let expect = reference.clique_potential(clique).values();
+                        let got = blocked.clique_potential(clique).values();
+                        assert_eq!(expect.len(), got.len());
+                        for (e, g) in expect.iter().zip(got) {
+                            assert_eq!(
+                                e.to_bits(),
+                                g.to_bits(),
+                                "{name}: blocked kernels must be bit-identical \
+                                 to the two-pass reference"
+                            );
+                        }
                     }
                 }
             }
 
-            let baseline_s = time(&dense_scalar, true);
-            let dense_scalar_s = time(&dense_scalar, false);
-            let sparse_scalar_s = time(&sparse_scalar, false);
-            let row = KernelThroughputRow {
+            KernelThroughputRow {
                 circuit: name.to_string(),
                 segments: parts.len(),
                 cliques: parts.iter().map(|(tree, _)| tree.num_cliques()).sum(),
-                baseline_s,
-                dense_scalar_s,
-                sparse_scalar_s,
-                best_speedup: 0.0,
-            };
-            let best = row.best_s();
-            KernelThroughputRow {
-                best_speedup: if best > 0.0 { baseline_s / best } else { 1.0 },
-                ..row
+                dense_scalar_s: time(&dense_scalar),
+                sparse_scalar_s: time(&sparse_scalar),
             }
         })
         .collect()
@@ -515,15 +493,8 @@ pub fn kernel_throughput_json(rows: &[KernelThroughputRow], reps: usize) -> Stri
         let _ = write!(
             out,
             "    {{\"circuit\": \"{}\", \"segments\": {}, \"cliques\": {}, \
-             \"baseline_s\": {:.6}, \"dense_scalar_s\": {:.6}, \"sparse_scalar_s\": {:.6}, \
-             \"best_speedup\": {:.3}}}",
-            row.circuit,
-            row.segments,
-            row.cliques,
-            row.baseline_s,
-            row.dense_scalar_s,
-            row.sparse_scalar_s,
-            row.best_speedup
+             \"dense_scalar_s\": {:.6}, \"sparse_scalar_s\": {:.6}}}",
+            row.circuit, row.segments, row.cliques, row.dense_scalar_s, row.sparse_scalar_s
         );
         out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
     }
@@ -591,14 +562,12 @@ mod tests {
         let row = &rows[0];
         assert_eq!(row.segments, 1);
         assert!(row.cliques > 0);
-        assert!(row.baseline_s > 0.0);
-        assert!(row.best_s() > 0.0);
-        assert!(row.best_speedup > 0.0);
+        assert!(row.dense_scalar_s > 0.0 && row.sparse_scalar_s > 0.0);
         let json = kernel_throughput_json(&rows, 2);
         assert!(json.contains("\"circuit\": \"c17\""));
-        assert!(json.contains("\"baseline_s\""));
+        assert!(json.contains("\"dense_scalar_s\""));
         assert!(json.contains("\"sparse_scalar_s\""));
-        assert!(json.contains("\"best_speedup\""));
+        assert!(!json.contains("baseline"));
     }
 
     #[test]

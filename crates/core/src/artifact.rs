@@ -73,8 +73,10 @@ pub const MAGIC: [u8; 8] = *b"SWACTBN1";
 /// the ordering-strategy tag from the options codec and the
 /// per-segment ordering flag from segment stats; version 6 removed the
 /// propagation-kernel tag from the options codec and from every compiled
-/// tree.
-pub const FORMAT_VERSION: u32 = 6;
+/// tree; version 7 keeps one projection form per edge side: dense
+/// cliques lost their per-entry projection tables and keep only the
+/// blocked stride form.
+pub const FORMAT_VERSION: u32 = 7;
 
 /// Extension used by [`artifact_file_name`].
 pub const ARTIFACT_EXTENSION: &str = "swact";

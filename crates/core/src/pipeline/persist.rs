@@ -8,8 +8,8 @@
 //! routing, and the wave schedule. Loading therefore needs nothing but the
 //! bytes — no original netlist, no recompilation — and produces an
 //! estimator whose estimates are bit-identical (`f64::to_bits`) to the one
-//! that was persisted, because every potential, projection table, and BDD
-//! node travels as its exact bit pattern via the [`swact_bayesnet::codec`]
+//! that was persisted, because every potential, projection, and BDD node
+//! travels as its exact bit pattern via the [`swact_bayesnet::codec`]
 //! primitives.
 //!
 //! Per-process mutable state (propagation-state pools, message caches, the
@@ -1207,14 +1207,14 @@ mod tests {
     fn payload_encoding_is_pinned() {
         assert_eq!(
             crate::artifact::FORMAT_VERSION,
-            6,
+            7,
             "a new format version needs new payload pins"
         );
         let pins = [
             (
                 Backend::Jtree,
-                12161,
-                0xadaa_0844_de42_5480_e0fe_6572_bdde_b4bd,
+                7937,
+                0xec6e_1a09_0f89_3f0c_475a_d96d_509d_247d,
             ),
             (
                 Backend::Bdd,
@@ -1228,8 +1228,8 @@ mod tests {
             ),
             (
                 Backend::TwoState,
-                4257,
-                0xb492_efbe_002e_4e99_3397_2f58_e43f_cb8b,
+                3617,
+                0xcd0e_24a0_26f7_33fe_3160_b3b5_6d15_e55b,
             ),
         ];
         for (backend, len, hash) in pins {
@@ -1247,7 +1247,7 @@ mod tests {
         );
         assert_eq!(
             payload_pin(&compiled),
-            (47827, 0xb19f_4b9e_dce5_6355_7a8f_1d47_497c_6ce5)
+            (45139, 0x4e3d_1820_b243_cbdb_a137_43af_9e16_2165)
         );
     }
 

@@ -162,16 +162,19 @@ proptest! {
 }
 
 /// Format 6 dropped the kernel option byte and the kernel byte of every
-/// compiled tree, so a format-5 file must never reach the payload
-/// decoder.
+/// compiled tree, and format 7 dropped the per-entry projection tables of
+/// dense cliques, so format-5 and format-6 files must never reach the
+/// payload decoder.
 #[test]
-fn format_5_artifacts_are_rejected() {
-    assert_eq!(artifact::FORMAT_VERSION, 6);
+fn older_format_artifacts_are_rejected() {
+    assert_eq!(artifact::FORMAT_VERSION, 7);
     let (key, bytes) = c17_artifact();
-    let mut old = bytes.clone();
-    old[8..12].copy_from_slice(&5u32.to_le_bytes());
-    assert!(matches!(
-        artifact::decode_artifact(&old, Some(*key)),
-        Err(ArtifactError::UnsupportedVersion { found: 5 })
-    ));
+    for version in [5u32, 6] {
+        let mut old = bytes.clone();
+        old[8..12].copy_from_slice(&version.to_le_bytes());
+        assert!(matches!(
+            artifact::decode_artifact(&old, Some(*key)),
+            Err(ArtifactError::UnsupportedVersion { found }) if found == version
+        ));
+    }
 }

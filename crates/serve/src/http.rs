@@ -83,7 +83,9 @@ impl From<io::Error> for HttpError {
 
 /// Reads one request from the stream. Any byte sequence yields a
 /// [`Request`] or a typed [`HttpError`]; no body larger than
-/// [`MAX_BODY_BYTES`] is ever allocated.
+/// [`MAX_BODY_BYTES`] is ever allocated, and a body grows only with the
+/// bytes that actually arrive, so a request that announces a large body
+/// and then stalls holds no more memory than it sent.
 pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, HttpError> {
     let mut reader = BufReader::new(stream);
     let mut line = String::new();
@@ -149,8 +151,10 @@ pub fn read_request<R: Read>(stream: &mut R) -> Result<Request, HttpError> {
     if content_length > MAX_BODY_BYTES {
         return Err(HttpError::bad("body too large"));
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    let mut body = Vec::new();
+    if reader.take(content_length as u64).read_to_end(&mut body)? < content_length {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
 
     Ok(Request {
         method,

@@ -44,7 +44,7 @@ pub mod metrics;
 mod signal;
 
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Read};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -414,17 +414,50 @@ fn handler_loop(inner: &Inner) {
     }
 }
 
+/// A reader that counts the bytes it passes on, so a connection closed
+/// before sending anything is not taken for a truncated request.
+struct Counting<'a> {
+    stream: &'a mut TcpStream,
+    bytes: usize,
+}
+
+impl Read for Counting<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.stream.read(buf)?;
+        self.bytes += n;
+        Ok(n)
+    }
+}
+
 /// One request-response exchange (connections are `Connection: close`).
 fn handle_connection(inner: &Inner, stream: &mut TcpStream) {
     // A peer that connects and goes silent must not pin a handler.
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let request = match http::read_request(stream) {
+    let mut counting = Counting { stream, bytes: 0 };
+    let read = http::read_request(&mut counting);
+    let received = counting.bytes > 0;
+    let request = match read {
         Ok(request) => request,
-        Err(HttpError::BadRequest(message)) => {
-            let _ = respond_error(stream, 400, "bad_request", &message);
+        Err(e) => {
+            // A malformed head, or a request the stream ended inside of,
+            // is a client error: answer 400 and count it on the unrouted
+            // endpoint. A connection that sent nothing, timed out or was
+            // reset leaves no request to count and no one to answer.
+            let message = match e {
+                HttpError::BadRequest(message) => message,
+                HttpError::Io(e) if received && e.kind() == io::ErrorKind::UnexpectedEof => {
+                    "request ended before its head or body was complete".to_string()
+                }
+                HttpError::Io(_) => return,
+            };
+            inner.metrics.request_started(Endpoint::Other);
+            let started = Instant::now();
+            let status = respond_error(stream, 400, "bad_request", &message).unwrap_or(0);
+            inner
+                .metrics
+                .request_finished(Endpoint::Other, status, started.elapsed());
             return;
         }
-        Err(HttpError::Io(_)) => return, // peer went away; nothing to say
     };
 
     let endpoint = classify(&request.method, &request.path);

@@ -3,7 +3,8 @@
 //! case must return a request or a typed [`HttpError`], never panic, and
 //! never allocate more than [`MAX_BODY_BYTES`] at once — checked by a
 //! global allocator that records the largest request made while a parse
-//! runs on the current thread.
+//! runs on the current thread. A body must grow with the bytes received,
+//! not with the length its head announces.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -52,14 +53,20 @@ unsafe impl GlobalAlloc for Tracking {
 #[global_allocator]
 static ALLOCATOR: Tracking = Tracking;
 
-/// Parses `raw` and checks the properties every input must keep: no
-/// allocation above the body cap, and an accepted body within it.
-fn parse(raw: &[u8]) -> Result<Request, HttpError> {
+/// Parses `raw` and returns the result with the largest single
+/// allocation the parse made.
+fn parse_tracked(raw: &[u8]) -> (Result<Request, HttpError>, usize) {
     TRACKING.with(|on| on.set(true));
     LARGEST.with(|largest| largest.set(0));
     let result = read_request(&mut &raw[..]);
     TRACKING.with(|on| on.set(false));
-    let largest = LARGEST.with(Cell::get);
+    (result, LARGEST.with(Cell::get))
+}
+
+/// Parses `raw` and checks the properties every input must keep: no
+/// allocation above the body cap, and an accepted body within it.
+fn parse(raw: &[u8]) -> Result<Request, HttpError> {
+    let (result, largest) = parse_tracked(raw);
     assert!(
         largest <= MAX_BODY_BYTES,
         "allocated {largest} bytes for a {}-byte request",
@@ -214,5 +221,26 @@ proptest! {
                 "Content-Length `{value}`"
             ),
         }
+    }
+}
+
+/// A head that announces the largest allowed body, then a few body bytes,
+/// then nothing: a client that stalls. The parse fails as a short body,
+/// and its largest allocation tracks what arrived — the reader's fixed
+/// 8 KiB buffer for a 60-byte request, twice the received body beyond
+/// that — never the announced 4 MiB.
+#[test]
+fn a_stalled_body_allocates_what_arrived() {
+    let head = format!("POST /v1/estimate HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES}\r\n\r\n");
+    for received in [60 - head.len(), 100_000] {
+        let mut raw = head.clone().into_bytes();
+        raw.resize(head.len() + received, b'x');
+        let (result, largest) = parse_tracked(&raw);
+        assert!(matches!(result, Err(HttpError::Io(_))), "short body");
+        assert!(
+            largest <= (2 * received).max(8 << 10),
+            "allocated {largest} bytes for a {}-byte request",
+            raw.len()
+        );
     }
 }

@@ -378,6 +378,61 @@ fn metrics_and_healthz_report_server_and_engine_state() {
     server.wait();
 }
 
+/// Sends `raw`, closes the sending half, and returns whatever the server
+/// wrote back before closing.
+fn send_and_half_close(addr: std::net::SocketAddr, raw: &[u8]) -> String {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    stream.write_all(raw).expect("send");
+    stream
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut reply = Vec::new();
+    stream.read_to_end(&mut reply).expect("read");
+    String::from_utf8(reply).expect("utf8 response")
+}
+
+#[test]
+fn malformed_and_truncated_requests_are_counted_as_400s() {
+    let server = start_server(ClientTable::default());
+    let addr = server.local_addr();
+
+    // A connection that sends nothing is no request and gets no answer.
+    assert_eq!(send_and_half_close(addr, b""), "");
+    let malformed = send_and_half_close(addr, b"GARBAGE\r\n\r\n");
+    assert!(malformed.starts_with("HTTP/1.1 400 "), "{malformed}");
+    let not_utf8 = send_and_half_close(addr, b"GET /\xff HTTP/1.1\r\n\r\n");
+    assert!(not_utf8.starts_with("HTTP/1.1 400 "), "{not_utf8}");
+    let cut_head = send_and_half_close(addr, b"GET /healthz HTTP/1.1\r\nHost: t\r\n");
+    assert!(cut_head.starts_with("HTTP/1.1 400 "), "{cut_head}");
+    let cut_body = send_and_half_close(
+        addr,
+        b"POST /v1/estimate HTTP/1.1\r\nContent-Length: 50\r\n\r\n{\"circ",
+    );
+    assert!(cut_body.starts_with("HTTP/1.1 400 "), "{cut_body}");
+    assert!(cut_body.contains("request ended before"), "{cut_body}");
+
+    let metrics = call(addr, &get("/metrics"));
+    assert!(
+        metrics
+            .body
+            .contains("swact_server_requests_total{endpoint=\"other\"} 4\n"),
+        "{}",
+        metrics.body
+    );
+    assert!(metrics
+        .body
+        .contains("swact_server_responses_total{endpoint=\"other\",class=\"4xx\"} 4\n"));
+    assert!(metrics
+        .body
+        .contains("swact_server_latency_seconds_count{endpoint=\"other\"} 4\n"));
+
+    server.handle().shutdown();
+    server.wait();
+}
+
 #[test]
 fn typed_errors_map_to_statuses_with_structured_bodies() {
     let mut clients = ClientTable::default();
