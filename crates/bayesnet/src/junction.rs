@@ -1,3 +1,5 @@
+use std::cmp::Reverse;
+
 use crate::graph::moral_graph;
 use crate::triangulate::{triangulate, Heuristic, Triangulation};
 use crate::{BayesError, BayesNet, VarId};
@@ -85,93 +87,23 @@ impl JunctionTree {
             .iter()
             .map(|c| c.iter().map(|&i| VarId::from_index(i)).collect())
             .collect();
-
-        // Candidate edges between cliques with nonempty intersection; pick a
-        // maximal-weight spanning forest (weight = |sepset|, tiebreak towards
-        // smaller sepset state space — both standard for junction trees).
-        let mut candidates: Vec<(usize, f64, usize, usize, Vec<VarId>)> = Vec::new();
-        for i in 0..cliques.len() {
-            for j in i + 1..cliques.len() {
-                let sepset = sorted_intersection(&cliques[i], &cliques[j]);
-                if !sepset.is_empty() {
-                    let states: f64 = sepset.iter().map(|v| cards[v.index()] as f64).product();
-                    candidates.push((sepset.len(), states, i, j, sepset));
-                }
-            }
-        }
-        candidates.sort_by(|x, y| {
-            // total_cmp: state counts are products of positive cardinalities
-            // and so never NaN, but a total order costs nothing and removes
-            // the panic path entirely.
-            y.0.cmp(&x.0)
-                .then(x.1.total_cmp(&y.1))
-                .then(x.2.cmp(&y.2))
-                .then(x.3.cmp(&y.3))
-        });
-        let mut parent_of: Vec<usize> = (0..cliques.len()).collect();
-        fn find(parent_of: &mut [usize], mut x: usize) -> usize {
-            while parent_of[x] != x {
-                parent_of[x] = parent_of[parent_of[x]];
-                x = parent_of[x];
-            }
-            x
-        }
-        let mut edges = Vec::new();
-        let mut incident = vec![Vec::new(); cliques.len()];
-        for (_, _, i, j, sepset) in candidates {
-            let (ri, rj) = (find(&mut parent_of, i), find(&mut parent_of, j));
-            if ri != rj {
-                parent_of[ri] = rj;
-                let edge_idx = edges.len();
-                incident[i].push(edge_idx);
-                incident[j].push(edge_idx);
-                edges.push(TreeEdge { a: i, b: j, sepset });
-            }
-        }
-        // Component roots.
-        let mut roots = Vec::new();
-        let mut seen_root = std::collections::HashSet::new();
-        for i in 0..cliques.len() {
-            let r = find(&mut parent_of, i);
-            if seen_root.insert(r) {
-                roots.push(i);
-            }
-        }
-
-        // Home clique per variable: smallest containing clique.
-        let mut home_clique = vec![usize::MAX; net.num_vars()];
-        for (ci, clique) in cliques.iter().enumerate() {
-            let size: f64 = clique.iter().map(|v| cards[v.index()] as f64).product();
-            for &v in clique {
-                let cur = home_clique[v.index()];
-                if cur == usize::MAX {
-                    home_clique[v.index()] = ci;
-                } else {
-                    let cur_size: f64 = cliques[cur]
-                        .iter()
-                        .map(|v| cards[v.index()] as f64)
-                        .product();
-                    if size < cur_size {
-                        home_clique[v.index()] = ci;
-                    }
-                }
-            }
-        }
+        let holders = clique_index(&cliques, cards.len());
+        let (edges, incident, roots) = spanning_forest(&cliques, &holders, &cards);
+        let home_clique = home_cliques(&cliques, &holders, &cards);
 
         // CPT assignment: each variable's family {v} ∪ parents is a clique
-        // in the moral graph, hence contained in some maximal clique.
-        let mut cpt_clique = vec![usize::MAX; net.num_vars()];
-        for var in net.var_ids() {
-            let mut family: Vec<VarId> = net.parents(var).to_vec();
-            family.push(var);
-            family.sort_unstable();
-            family.dedup();
-            let ci = cliques
-                .iter()
-                .position(|c| family.iter().all(|v| c.binary_search(v).is_ok()))
-                .expect("every family is contained in a maximal clique");
-            cpt_clique[var.index()] = ci;
-        }
+        // in the moral graph, hence contained in some maximal clique. The
+        // host is the lowest-numbered one; every candidate holds `var`.
+        let cpt_clique: Vec<usize> = net
+            .var_ids()
+            .map(|var| {
+                let parents = net.parents(var);
+                *holders[var.index()]
+                    .iter()
+                    .find(|&&c| parents.iter().all(|p| cliques[c].binary_search(p).is_ok()))
+                    .expect("every family is contained in a maximal clique")
+            })
+            .collect();
 
         Ok(JunctionTree {
             cliques,
@@ -181,7 +113,7 @@ impl JunctionTree {
             home_clique,
             cpt_clique,
             cards,
-            fill_edges: tri.fill_edges,
+            fill_edges: tri.fill.len(),
             total_states: tri.total_states,
         })
     }
@@ -450,6 +382,118 @@ impl JunctionTree {
     }
 }
 
+/// Per variable: the cliques containing it, ascending.
+fn clique_index(cliques: &[Vec<VarId>], num_vars: usize) -> Vec<Vec<usize>> {
+    let mut holders = vec![Vec::new(); num_vars];
+    for (ci, clique) in cliques.iter().enumerate() {
+        for v in clique {
+            holders[v.index()].push(ci);
+        }
+    }
+    holders
+}
+
+/// The maximal-weight spanning forest over the clique pairs with a
+/// nonempty intersection (weight = |sepset|, tiebreak towards the smaller
+/// sepset state space, then the lower pair — both standard for junction
+/// trees), by Kruskal: tree edges with their sepsets, per-clique incident
+/// edges, and one root clique (the lowest-numbered) per component.
+///
+/// The pairs come from `holders` rather than from testing every pair:
+/// clique `i` meets exactly the later cliques sharing one of its
+/// variables. Walking its variables in ascending order gives each pair's
+/// sepset size and state product in the same order a sorted intersection
+/// would, so the figures — and the forest — are bit-identical to the
+/// all-pairs build. A sepset is materialized only for accepted edges.
+#[allow(clippy::type_complexity)]
+fn spanning_forest(
+    cliques: &[Vec<VarId>],
+    holders: &[Vec<usize>],
+    cards: &[usize],
+) -> (Vec<TreeEdge>, Vec<Vec<usize>>, Vec<usize>) {
+    let n = cliques.len();
+    // (|sepset|, sepset states, i, j)
+    let mut candidates: Vec<(usize, f64, usize, usize)> = Vec::new();
+    let mut shared: Vec<(usize, f64)> = vec![(0, 1.0); n];
+    let mut met: Vec<usize> = Vec::new();
+    for (i, clique) in cliques.iter().enumerate() {
+        for v in clique {
+            let card = cards[v.index()] as f64;
+            let list = &holders[v.index()];
+            let later = list.partition_point(|&c| c <= i);
+            for &j in &list[later..] {
+                if shared[j].0 == 0 {
+                    met.push(j);
+                }
+                shared[j].0 += 1;
+                shared[j].1 *= card;
+            }
+        }
+        met.sort_unstable();
+        for &j in &met {
+            let (size, states) = std::mem::replace(&mut shared[j], (0, 1.0));
+            candidates.push((size, states, i, j));
+        }
+        met.clear();
+    }
+    // The pairs were generated in ascending (i, j) order, so a stable sort
+    // on (size descending, states ascending) yields the full order. State
+    // counts are products of positive cardinalities, never NaN or
+    // negative, so their bit patterns order as the values do.
+    candidates.sort_by_key(|&(size, states, _, _)| (Reverse(size), states.to_bits()));
+    let mut parent_of: Vec<usize> = (0..n).collect();
+    fn find(parent_of: &mut [usize], mut x: usize) -> usize {
+        while parent_of[x] != x {
+            parent_of[x] = parent_of[parent_of[x]];
+            x = parent_of[x];
+        }
+        x
+    }
+    let mut edges = Vec::new();
+    let mut incident = vec![Vec::new(); n];
+    for (_, _, i, j) in candidates {
+        let (ri, rj) = (find(&mut parent_of, i), find(&mut parent_of, j));
+        if ri != rj {
+            parent_of[ri] = rj;
+            let edge_idx = edges.len();
+            incident[i].push(edge_idx);
+            incident[j].push(edge_idx);
+            let sepset = sorted_intersection(&cliques[i], &cliques[j]);
+            edges.push(TreeEdge { a: i, b: j, sepset });
+        }
+    }
+    let mut seen_root = vec![false; n];
+    let mut roots = Vec::new();
+    for i in 0..n {
+        let r = find(&mut parent_of, i);
+        if !std::mem::replace(&mut seen_root[r], true) {
+            roots.push(i);
+        }
+    }
+    (edges, incident, roots)
+}
+
+/// Per variable: the smallest clique (in states) containing it, the
+/// lowest-numbered among equals.
+fn home_cliques(cliques: &[Vec<VarId>], holders: &[Vec<usize>], cards: &[usize]) -> Vec<usize> {
+    let states: Vec<f64> = cliques
+        .iter()
+        .map(|c| c.iter().map(|v| cards[v.index()] as f64).product())
+        .collect();
+    holders
+        .iter()
+        .map(|list| {
+            let mut home = usize::MAX;
+            for &c in list {
+                if home == usize::MAX || states[c] < states[home] {
+                    home = c;
+                }
+            }
+            home
+        })
+        .collect()
+}
+
 fn sorted_intersection(a: &[VarId], b: &[VarId]) -> Vec<VarId> {
     let mut out = Vec::new();
     let (mut i, mut j) = (0, 0);
@@ -594,5 +638,174 @@ mod tests {
         assert!(dot.starts_with("graph"));
         assert_eq!(dot.matches("label=\"C").count(), tree.num_cliques());
         assert_eq!(dot.matches(" -- ").count(), tree.num_edges());
+    }
+
+    /// The all-pairs assembly the indexed build replaced: a sepset for
+    /// every clique pair, the incumbent's state product recomputed on
+    /// every home-clique comparison, and each CPT's host found by scanning
+    /// all cliques. Kept as the oracle [`JunctionTree::compile_with`] must
+    /// match exactly.
+    fn compile_all_pairs(net: &BayesNet, heuristic: Heuristic) -> JunctionTree {
+        let cards = net.cards();
+        let moral = moral_graph(net);
+        let tri = triangulate(&moral, &cards, heuristic);
+        let cliques: Vec<Vec<VarId>> = tri
+            .cliques
+            .iter()
+            .map(|c| c.iter().map(|&i| VarId::from_index(i)).collect())
+            .collect();
+        let mut candidates: Vec<(usize, f64, usize, usize, Vec<VarId>)> = Vec::new();
+        for i in 0..cliques.len() {
+            for j in i + 1..cliques.len() {
+                let sepset = sorted_intersection(&cliques[i], &cliques[j]);
+                if !sepset.is_empty() {
+                    let states: f64 = sepset.iter().map(|v| cards[v.index()] as f64).product();
+                    candidates.push((sepset.len(), states, i, j, sepset));
+                }
+            }
+        }
+        candidates.sort_by(|x, y| {
+            y.0.cmp(&x.0)
+                .then(x.1.total_cmp(&y.1))
+                .then(x.2.cmp(&y.2))
+                .then(x.3.cmp(&y.3))
+        });
+        let mut parent_of: Vec<usize> = (0..cliques.len()).collect();
+        fn find(parent_of: &mut [usize], mut x: usize) -> usize {
+            while parent_of[x] != x {
+                parent_of[x] = parent_of[parent_of[x]];
+                x = parent_of[x];
+            }
+            x
+        }
+        let mut edges = Vec::new();
+        let mut incident = vec![Vec::new(); cliques.len()];
+        for (_, _, i, j, sepset) in candidates {
+            let (ri, rj) = (find(&mut parent_of, i), find(&mut parent_of, j));
+            if ri != rj {
+                parent_of[ri] = rj;
+                let edge_idx = edges.len();
+                incident[i].push(edge_idx);
+                incident[j].push(edge_idx);
+                edges.push(TreeEdge { a: i, b: j, sepset });
+            }
+        }
+        let mut roots = Vec::new();
+        let mut seen_root = std::collections::HashSet::new();
+        for i in 0..cliques.len() {
+            let r = find(&mut parent_of, i);
+            if seen_root.insert(r) {
+                roots.push(i);
+            }
+        }
+        let mut home_clique = vec![usize::MAX; net.num_vars()];
+        for (ci, clique) in cliques.iter().enumerate() {
+            let size: f64 = clique.iter().map(|v| cards[v.index()] as f64).product();
+            for &v in clique {
+                let cur = home_clique[v.index()];
+                if cur == usize::MAX {
+                    home_clique[v.index()] = ci;
+                } else {
+                    let cur_size: f64 = cliques[cur]
+                        .iter()
+                        .map(|v| cards[v.index()] as f64)
+                        .product();
+                    if size < cur_size {
+                        home_clique[v.index()] = ci;
+                    }
+                }
+            }
+        }
+        let mut cpt_clique = vec![usize::MAX; net.num_vars()];
+        for var in net.var_ids() {
+            let mut family: Vec<VarId> = net.parents(var).to_vec();
+            family.push(var);
+            family.sort_unstable();
+            family.dedup();
+            cpt_clique[var.index()] = cliques
+                .iter()
+                .position(|c| family.iter().all(|v| c.binary_search(v).is_ok()))
+                .unwrap();
+        }
+        JunctionTree::from_codec_parts(
+            cliques,
+            edges,
+            incident,
+            roots,
+            home_clique,
+            cpt_clique,
+            cards,
+            tri.fill.len(),
+            tri.total_states,
+        )
+    }
+
+    /// SplitMix64: the test nets' deterministic randomness.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// A random net of `n` variables with 1–4 states, split into
+    /// `components` groups (variable `v` joins group `v % components`):
+    /// each variable draws up to `max_parents` distinct earlier parents
+    /// from its own group, so a net with several groups is disconnected,
+    /// and parentless, childless variables are isolated cliques.
+    fn random_net(n: usize, components: usize, max_parents: usize, seed: u64) -> BayesNet {
+        let mut state = seed;
+        let mut net = BayesNet::new();
+        let mut vars: Vec<VarId> = Vec::new();
+        for v in 0..n {
+            let card = 1 + (splitmix(&mut state) % 4) as usize;
+            let pool: Vec<VarId> = (0..v)
+                .filter(|u| u % components == v % components)
+                .map(|u| vars[u])
+                .collect();
+            let want = (splitmix(&mut state) % (max_parents as u64 + 1)) as usize;
+            let mut parents: Vec<VarId> = Vec::new();
+            for _ in 0..want.min(pool.len()) * 2 {
+                let p = pool[pool.len() - 1 - (splitmix(&mut state) % pool.len() as u64) as usize];
+                if parents.len() < want && !parents.contains(&p) {
+                    parents.push(p);
+                }
+            }
+            let rows: usize = parents.iter().map(|&p| net.card(p)).product();
+            let cpt = Cpt::deterministic(rows, card, |r| r % card);
+            vars.push(net.add_var(format!("v{v}"), card, &parents, cpt).unwrap());
+        }
+        net
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// The indexed assembly builds the all-pairs tree exactly: the
+        /// same edges (endpoints, sepsets, order), incident lists, roots,
+        /// home cliques and CPT cliques, on connected and disconnected nets.
+        #[test]
+        fn indexed_assembly_matches_all_pairs(
+            n in 1usize..60,
+            components in 1usize..4,
+            max_parents in 0usize..5,
+            seed in 0u64..u64::MAX,
+        ) {
+            let net = random_net(n, components, max_parents, seed);
+            for h in [Heuristic::MinFill, Heuristic::MinDegree] {
+                let fast = JunctionTree::compile_with(&net, h).unwrap();
+                let slow = compile_all_pairs(&net, h);
+                assert_eq!(fast.cliques(), slow.cliques());
+                assert_eq!(fast.sepsets(), slow.sepsets());
+                assert_eq!(fast.incident, slow.incident);
+                assert_eq!(fast.roots(), slow.roots());
+                assert_eq!(fast.home_clique, slow.home_clique);
+                assert_eq!(fast.cpt_clique, slow.cpt_clique);
+                assert_eq!(fast.fill_edges(), slow.fill_edges());
+                assert_eq!(fast.total_states().to_bits(), slow.total_states().to_bits());
+                assert!(fast.satisfies_running_intersection());
+            }
+        }
     }
 }

@@ -303,6 +303,7 @@ impl CompiledTree {
             path_msg: Vec::new(),
             path_next: Vec::new(),
             calibrated: false,
+            pristine: true,
             evidence_probability: 1.0,
             mode: PropagationMode::default(),
         }
@@ -632,6 +633,10 @@ pub struct PropagationState {
     path_msg: Vec<f64>,
     path_next: Vec<f64>,
     calibrated: bool,
+    /// The potentials still hold the initials (clique) and ones (sepset)
+    /// that [`CompiledTree::new_state`] gave them: set there, cleared by
+    /// the first calibration, which then need not copy them again.
+    pristine: bool,
     /// Probability of the inserted evidence, valid after calibration.
     evidence_probability: f64,
     /// Whether [`CompiledTree::calibrate_with_cache`] may *read* cached
@@ -808,21 +813,27 @@ fn enter_evidence(tree: &JunctionTree, init_clique_pot: &[Factor], state: &mut P
     // Reset working potentials to the initials, reusing the state's
     // buffers when it has propagated on this tree before (the common case
     // for pooled states): scopes are fixed per clique/sepset, so a value
-    // copy suffices and no factor is reallocated.
-    if state.clique_pot.len() == init_clique_pot.len() {
-        for (dst, src) in state.clique_pot.iter_mut().zip(init_clique_pot) {
-            debug_assert_eq!(dst.vars(), src.vars());
-            dst.values_mut().copy_from_slice(src.values());
-        }
+    // copy suffices and no factor is reallocated. A state that has never
+    // propagated already holds them.
+    if std::mem::take(&mut state.pristine) {
+        debug_assert_eq!(state.clique_pot.len(), init_clique_pot.len());
+        debug_assert_eq!(state.sep_pot.len(), tree.num_edges());
     } else {
-        state.clique_pot = init_clique_pot.to_vec();
-    }
-    if state.sep_pot.len() == tree.num_edges() {
-        for sep in &mut state.sep_pot {
-            sep.values_mut().fill(1.0);
+        if state.clique_pot.len() == init_clique_pot.len() {
+            for (dst, src) in state.clique_pot.iter_mut().zip(init_clique_pot) {
+                debug_assert_eq!(dst.vars(), src.vars());
+                dst.values_mut().copy_from_slice(src.values());
+            }
+        } else {
+            state.clique_pot = init_clique_pot.to_vec();
         }
-    } else {
-        state.sep_pot = ones_sepsets(tree);
+        if state.sep_pot.len() == tree.num_edges() {
+            for sep in &mut state.sep_pot {
+                sep.values_mut().fill(1.0);
+            }
+        } else {
+            state.sep_pot = ones_sepsets(tree);
+        }
     }
     for (raw, obs) in state.evidence.iter().enumerate() {
         if let Some(value) = obs {
@@ -1614,6 +1625,50 @@ mod tests {
             compiled.marginal(&fresh, wet)
         );
         assert_eq!(reused.evidence_probability(), fresh.evidence_probability());
+    }
+
+    #[test]
+    fn fresh_state_first_calibration_matches_a_reused_state_bit_for_bit() {
+        let (net, [cloudy, sprinkler, rain, wet]) = sprinkler();
+        let compiled = compile(&net);
+        let bits = |state: &PropagationState| -> Vec<u64> {
+            state
+                .clique_pot
+                .iter()
+                .chain(&state.sep_pot)
+                .flat_map(|f| f.values().iter().map(|x| x.to_bits()))
+                .chain([state.evidence_probability().to_bits()])
+                .collect()
+        };
+        let cache = compiled.new_message_cache();
+        type Calibrate<'a> = &'a dyn Fn(&mut PropagationState);
+        let entry_points: [Calibrate; 3] = [
+            &|s| compiled.calibrate(s),
+            &|s| compiled.calibrate_two_pass(s),
+            &|s| {
+                compiled.calibrate_with_cache(s, &cache);
+            },
+        ];
+        for calibrate in entry_points {
+            // The reused state first propagates other evidence, which
+            // leaves every potential away from its initial value.
+            let mut reused = compiled.new_state();
+            compiled.set_evidence(&mut reused, wet, 0).unwrap();
+            compiled
+                .set_likelihood(&mut reused, cloudy, vec![0.2, 0.8])
+                .unwrap();
+            calibrate(&mut reused);
+            reused.clear_evidence();
+            let mut fresh = compiled.new_state();
+            for state in [&mut reused, &mut fresh] {
+                compiled.set_evidence(state, sprinkler, 1).unwrap();
+                compiled
+                    .set_likelihood(state, rain, vec![0.3, 0.7])
+                    .unwrap();
+                calibrate(state);
+            }
+            assert_eq!(bits(&fresh), bits(&reused));
+        }
     }
 
     #[test]

@@ -46,8 +46,9 @@ fn main() {
     for v in net.var_ids() {
         fig3.push_str(&format!("  v{} [label=\"X{}\"];\n", v.index(), net.name(v)));
     }
+    let filled = tri.filled(&moral);
     for a in 0..moral.num_nodes() {
-        for &b in tri.filled.neighbors(a) {
+        for &b in filled.neighbors(a) {
             if b > a {
                 let style = if moral.has_edge(a, b) {
                     "solid"
@@ -76,7 +77,7 @@ fn main() {
     println!(
         "  fig3_triangulated.dot     ({} moral edges + {} fill edges)",
         moral.num_edges(),
-        tri.fill_edges
+        tri.fill.len()
     );
     println!(
         "  fig4_junction_tree.dot    ({} cliques, {} sepsets)",

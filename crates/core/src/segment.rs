@@ -19,7 +19,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use swact_bayesnet::graph::UndirectedGraph;
-use swact_bayesnet::triangulate::{estimate_cost, Heuristic};
+use swact_bayesnet::triangulate::{Eliminator, Heuristic};
 use swact_circuit::{Circuit, LineId};
 
 use crate::strategy::SegmentationStrategy;
@@ -139,13 +139,15 @@ impl SegmentationPlan {
             SegmentationStrategy::TopoCover => {
                 let mut segments: Vec<Segment> = Vec::new();
                 let mut builder = SegmentBuilder::new(circuit, card);
+                let mut eliminator = Eliminator::default();
                 let mut since_check = 0usize;
                 for &gate in &order {
                     builder.push_gate(gate);
                     since_check += 1;
                     if since_check >= check_interval {
                         since_check = 0;
-                        if builder.estimated_cost(heuristic) > budget && builder.gates.len() > 1 {
+                        let cost = builder.estimated_cost(heuristic, &mut eliminator);
+                        if cost > budget && builder.gates.len() > 1 {
                             segments.push(builder.finish());
                             builder = SegmentBuilder::new(circuit, card);
                         }
@@ -217,7 +219,7 @@ pub(crate) fn estimate_segment_cost(
     for &gate in &seg.gates {
         builder.push_gate(gate);
     }
-    builder.estimated_cost(heuristic)
+    builder.estimated_cost(heuristic, &mut Eliminator::default())
 }
 
 /// Replans a single over-budget segment under a tighter state budget,
@@ -236,13 +238,15 @@ pub(crate) fn replan_segment(
     assert!(check_interval > 0, "check interval must be positive");
     let mut segments: Vec<Segment> = Vec::new();
     let mut builder = SegmentBuilder::new(circuit, card);
+    let mut eliminator = Eliminator::default();
     let mut since_check = 0usize;
     for &gate in &seg.gates {
         builder.push_gate(gate);
         since_check += 1;
         if since_check >= check_interval {
             since_check = 0;
-            if builder.estimated_cost(heuristic) > budget && builder.gates.len() > 1 {
+            let cost = builder.estimated_cost(heuristic, &mut eliminator);
+            if cost > budget && builder.gates.len() > 1 {
                 segments.push(builder.finish());
                 builder = SegmentBuilder::new(circuit, card);
             }
@@ -300,6 +304,7 @@ fn balanced_cut_segments(
     let mut segments: Vec<Segment> = Vec::new();
     let mut queue: VecDeque<LineId> = order.iter().copied().collect();
     let mut builder = SegmentBuilder::new(circuit, card);
+    let mut eliminator = Eliminator::default();
     let mut checkpoints: Vec<Checkpoint> = Vec::new();
     let mut since_check = 0usize;
     while let Some(gate) = queue.pop_front() {
@@ -309,7 +314,7 @@ fn balanced_cut_segments(
             continue;
         }
         since_check = 0;
-        let cost = builder.estimated_cost(heuristic);
+        let cost = builder.estimated_cost(heuristic, &mut eliminator);
         let here = pos_of[&gate];
         if cost > budget && builder.gates.len() > 1 {
             // Backtrack: among checkpoints heavy enough to be worth a
@@ -458,9 +463,12 @@ impl<'c> SegmentBuilder<'c> {
         self.gates.push(gate_line);
     }
 
-    fn estimated_cost(&self, heuristic: Heuristic) -> f64 {
+    /// The quick-triangulation state estimate of the segment so far, on
+    /// `eliminator`'s buffers (one per planning walk, reused by every
+    /// check).
+    fn estimated_cost(&self, heuristic: Heuristic, eliminator: &mut Eliminator) -> f64 {
         let n = self.moral.num_nodes();
-        estimate_cost(&self.moral, &vec![self.card; n], heuristic)
+        eliminator.estimate_cost(&self.moral, &vec![self.card; n], heuristic)
     }
 
     fn finish(self) -> Segment {
