@@ -1,16 +1,17 @@
 //! Little-endian binary codec for compiled propagation artifacts.
 //!
-//! Serializes a [`CompiledTree`] — junction-tree structure, initial clique
-//! potentials, message schedule, kernels (supports, and per edge side a
-//! blocked stride form or, for a zero-compressed clique, a support-aligned
-//! projection table), and home-variable dependency masks — field for
-//! field, so the
-//! decoder reconstructs the exact struct the compiler produced without
-//! re-running triangulation, kernel construction, or any other derivation.
-//! Every `f64` travels as its IEEE 754 bit pattern ([`f64::to_bits`],
-//! little-endian), which makes a loaded artifact *bit-identical* to the
-//! fresh compile: identical potentials, identical iteration orders,
-//! identical propagation results.
+//! Serializes a [`CompiledTree`] — junction-tree structure, the factors
+//! each clique hosts (its CPTs) with their gather projections, message
+//! schedule, kernels (supports, and per edge side a blocked stride form
+//! or, for a zero-compressed clique, a support-aligned projection table),
+//! and home-variable dependency masks — field for field, so the decoder
+//! reconstructs the exact struct the compiler produced without re-running
+//! triangulation, kernel construction, or any other derivation. No clique
+//! potential is stored: a propagation writes each one from its hosted
+//! factors. Every `f64` travels as its IEEE 754 bit pattern
+//! ([`f64::to_bits`], little-endian), which makes a loaded artifact
+//! *bit-identical* to the fresh compile: identical factors, identical
+//! iteration orders, identical propagation results.
 //!
 //! The primitives ([`Writer`], [`Reader`]) are public so higher layers
 //! (the `swact` artifact format) can frame this payload with their own
@@ -23,7 +24,7 @@
 use std::fmt;
 
 use crate::junction::{JunctionTree, TreeEdge};
-use crate::sparse::{BlockedProj, EdgeProj, PropagationKernels, SideProj};
+use crate::sparse::{BlockedProj, EdgeProj, HostedFactor, PropagationKernels, SideProj};
 use crate::{CompiledTree, Factor, SparseMode, VarId};
 
 /// Why a byte stream could not be decoded.
@@ -490,6 +491,44 @@ fn mode_from_tag(tag: u8) -> Result<SparseMode, CodecError> {
     }
 }
 
+fn write_blocked(w: &mut Writer, blocked: &BlockedProj) {
+    w.u32(blocked.copy_len);
+    w.u32(blocked.sum_reps);
+    write_u32_list(w, &blocked.base);
+}
+
+/// Reads one blocked clique→`target` projection and checks that it covers
+/// exactly the clique's `clique_len` entries and that no run overruns the
+/// `target_len`-entry target, so the blocked kernels' unchecked-by-design
+/// indexing stays in bounds.
+fn read_blocked(
+    r: &mut Reader<'_>,
+    clique_len: usize,
+    target_len: usize,
+    target: &str,
+) -> Result<BlockedProj, CodecError> {
+    let copy_len = r.u32()?;
+    let sum_reps = r.u32()?;
+    let base = read_u32_list(r)?;
+    let total = base.len() as u128 * u128::from(sum_reps) * u128::from(copy_len);
+    if total != clique_len as u128 {
+        return Err(malformed(format!(
+            "blocked projection covers {total} entries for a {clique_len}-entry clique"
+        )));
+    }
+    let copy = copy_len as usize;
+    if base.iter().any(|&b| b as usize + copy > target_len) {
+        return Err(malformed(format!(
+            "blocked run overruns the {target_len}-entry {target}"
+        )));
+    }
+    Ok(BlockedProj {
+        copy_len,
+        sum_reps,
+        base,
+    })
+}
+
 fn write_side_proj(w: &mut Writer, side: &SideProj) {
     match side {
         SideProj::Support(table) => {
@@ -498,9 +537,7 @@ fn write_side_proj(w: &mut Writer, side: &SideProj) {
         }
         SideProj::Blocked(blocked) => {
             w.u8(1);
-            w.u32(blocked.copy_len);
-            w.u32(blocked.sum_reps);
-            write_u32_list(w, &blocked.base);
+            write_blocked(w, blocked);
         }
     }
 }
@@ -534,28 +571,9 @@ fn read_side_proj(
             }
             Ok(SideProj::Support(table))
         }
-        (1, None) => {
-            let copy_len = r.u32()?;
-            let sum_reps = r.u32()?;
-            let base = read_u32_list(r)?;
-            let total = base.len() as u128 * u128::from(sum_reps) * u128::from(copy_len);
-            if total != clique_len as u128 {
-                return Err(malformed(format!(
-                    "blocked projection covers {total} entries for a {clique_len}-entry clique"
-                )));
-            }
-            let copy = copy_len as usize;
-            if base.iter().any(|&b| b as usize + copy > sep_states) {
-                return Err(malformed(format!(
-                    "blocked run overruns the {sep_states}-state sepset"
-                )));
-            }
-            Ok(SideProj::Blocked(BlockedProj {
-                copy_len,
-                sum_reps,
-                base,
-            }))
-        }
+        (1, None) => Ok(SideProj::Blocked(read_blocked(
+            r, clique_len, sep_states, "sepset",
+        )?)),
         (tag @ (0 | 1), _) => Err(malformed(format!(
             "projection form {tag} disagrees with the clique's compression"
         ))),
@@ -563,14 +581,18 @@ fn read_side_proj(
     }
 }
 
-/// Encodes a [`CompiledTree`] — structure, potentials, schedule, kernels,
-/// and dependency masks — into `w`.
+/// Encodes a [`CompiledTree`] — structure, hosted factors, schedule,
+/// kernels, and dependency masks — into `w`.
 pub fn write_compiled_tree(w: &mut Writer, compiled: &CompiledTree) {
-    let (tree, potentials, schedule, kernels, mode, home_vars) = compiled.codec_parts();
+    let (tree, hosted, schedule, kernels, mode, home_vars) = compiled.codec_parts();
     write_tree(w, tree);
-    w.usize(potentials.len());
-    for pot in potentials {
-        write_factor(w, pot);
+    w.usize(hosted.len());
+    for factors in hosted {
+        w.usize(factors.len());
+        for h in factors {
+            write_factor(w, &h.factor);
+            write_blocked(w, &h.proj);
+        }
     }
     w.usize(schedule.len());
     for &(from, edge, to) in schedule {
@@ -607,32 +629,48 @@ pub fn write_compiled_tree(w: &mut Writer, compiled: &CompiledTree) {
 /// propagation over the original.
 ///
 /// Every table is range-checked against the tree it belongs to — clique
-/// and sepset variables, potential scopes, schedule edges, support lists,
-/// support-aligned projection entries and blocked runs — so a corrupt
-/// payload is
-/// [`CodecError::Malformed`] rather than an out-of-bounds panic in a
-/// later propagation.
+/// and sepset variables, clique sizes, hosted-factor scopes and values,
+/// schedule edges, support lists, support-aligned projection entries and
+/// blocked runs — so a corrupt payload is [`CodecError::Malformed`] rather
+/// than an out-of-bounds panic in a later propagation.
 pub fn read_compiled_tree(r: &mut Reader<'_>) -> Result<CompiledTree, CodecError> {
     let tree = read_tree(r)?;
-    let num_potentials = r.len(8)?;
-    if num_potentials != tree.num_cliques() {
-        return Err(malformed("potential count mismatches the cliques"));
+    // No potential is stored, so clique sizes come from the cardinalities;
+    // the kernels index cliques with u32, as the compiler asserts.
+    let clique_lens = (0..tree.num_cliques())
+        .map(|c| {
+            tree.clique(c)
+                .iter()
+                .try_fold(1usize, |n, &v| n.checked_mul(tree.card(v)))
+                .filter(|&n| n > 0 && u32::try_from(n).is_ok())
+                .ok_or_else(|| malformed(format!("clique {c} has no entries or too many")))
+        })
+        .collect::<Result<Vec<usize>, CodecError>>()?;
+    let num_hosts = r.len(8)?;
+    if num_hosts != tree.num_cliques() {
+        return Err(malformed("hosted-factor table mismatches the cliques"));
     }
-    let mut potentials = Vec::with_capacity(num_potentials);
-    for clique in 0..num_potentials {
-        let pot = read_factor(r)?;
-        if pot.vars() != tree.clique(clique)
-            || pot
+    let mut hosted = Vec::with_capacity(num_hosts);
+    for (clique, &clique_len) in clique_lens.iter().enumerate() {
+        let count = r.len(16)?;
+        let mut factors = Vec::with_capacity(count);
+        for _ in 0..count {
+            let factor = read_factor(r)?;
+            let vars = tree.clique(clique);
+            if factor
                 .vars()
                 .iter()
-                .zip(pot.cards())
-                .any(|(&v, &c)| c != tree.card(v))
-        {
-            return Err(malformed(format!(
-                "potential {clique} disagrees with its clique's scope"
-            )));
+                .zip(factor.cards())
+                .any(|(v, &c)| vars.binary_search(v).is_err() || c != tree.card(*v))
+            {
+                return Err(malformed(format!(
+                    "hosted factor scope is not an ascending subset of clique {clique}"
+                )));
+            }
+            let proj = read_blocked(r, clique_len, factor.len(), "hosted factor")?;
+            factors.push(HostedFactor { factor, proj });
         }
-        potentials.push(pot);
+        hosted.push(factors);
     }
     let schedule_len = r.len(24)?;
     let mut schedule = Vec::with_capacity(schedule_len);
@@ -654,12 +692,11 @@ pub fn read_compiled_tree(r: &mut Reader<'_>) -> Result<CompiledTree, CodecError
         return Err(malformed("support table mismatches the cliques"));
     }
     let mut support = Vec::with_capacity(support_len);
-    for (clique, pot) in potentials.iter().enumerate() {
+    for (clique, &len) in clique_lens.iter().enumerate() {
         support.push(match r.u8()? {
             0 => None,
             1 => {
                 let list = read_u32_list(r)?;
-                let len = pot.len();
                 if !list.windows(2).all(|w| w[0] < w[1])
                     || list.last().is_some_and(|&i| i as usize >= len)
                 {
@@ -684,7 +721,7 @@ pub fn read_compiled_tree(r: &mut Reader<'_>) -> Result<CompiledTree, CodecError
             read_side_proj(
                 r,
                 support[clique].as_deref(),
-                potentials[clique].len(),
+                clique_lens[clique],
                 sep_states,
             )
         };
@@ -712,7 +749,7 @@ pub fn read_compiled_tree(r: &mut Reader<'_>) -> Result<CompiledTree, CodecError
         home_vars.push(vars);
     }
     Ok(CompiledTree::from_codec_parts(
-        tree, potentials, schedule, kernels, mode, home_vars,
+        tree, hosted, schedule, kernels, mode, home_vars,
     ))
 }
 
@@ -745,11 +782,23 @@ mod tests {
         net
     }
 
+    /// The chain compiled from explicit potentials: each clique hosts one
+    /// full-scope factor.
     fn compile(mode: SparseMode) -> CompiledTree {
         let net = chain_net();
         let tree = JunctionTree::compile(&net).unwrap();
         let potentials = crate::initial_potentials(&tree, &net);
         CompiledTree::from_parts_with(tree, potentials, mode)
+    }
+
+    /// The chain compiled from its net: each clique hosts its CPTs.
+    fn compile_hosting_cpts(mode: SparseMode) -> CompiledTree {
+        let net = chain_net();
+        CompiledTree::new_with(JunctionTree::compile(&net).unwrap(), &net, mode).unwrap()
+    }
+
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     fn round_trip(compiled: &CompiledTree) -> CompiledTree {
@@ -804,8 +853,11 @@ mod tests {
 
     #[test]
     fn compiled_tree_round_trips_bit_identically() {
-        for mode in SparseMode::ALL {
-            let compiled = compile(mode);
+        let trees = SparseMode::ALL
+            .into_iter()
+            .flat_map(|mode| [compile(mode), compile_hosting_cpts(mode)]);
+        for compiled in trees {
+            let mode = compiled.sparse_mode();
             let decoded = round_trip(&compiled);
             assert_eq!(decoded.sparse_mode(), compiled.sparse_mode());
             assert_eq!(decoded.nnz(), compiled.nnz());
@@ -817,15 +869,21 @@ mod tests {
                 "mode {mode:?}"
             );
             assert_eq!(decoded.tree().num_cliques(), compiled.tree().num_cliques());
-            for (a, b) in decoded
-                .initial_potentials()
-                .iter()
-                .zip(compiled.initial_potentials())
-            {
-                assert_eq!(a.vars(), b.vars());
-                let a_bits: Vec<u64> = a.values().iter().map(|v| v.to_bits()).collect();
-                let b_bits: Vec<u64> = b.values().iter().map(|v| v.to_bits()).collect();
-                assert_eq!(a_bits, b_bits, "potentials must be bit-identical");
+            for clique in 0..compiled.tree().num_cliques() {
+                let (a, b) = (
+                    decoded.hosted_factors(clique),
+                    compiled.hosted_factors(clique),
+                );
+                assert_eq!(a.len(), b.len());
+                for (a, b) in a.zip(b) {
+                    assert_eq!(a.vars(), b.vars());
+                    assert_eq!(bits(a.values()), bits(b.values()), "hosted factors");
+                }
+                assert_eq!(
+                    bits(decoded.first_touch_potential(clique).values()),
+                    bits(compiled.first_touch_potential(clique).values()),
+                    "first touches must be bit-identical"
+                );
             }
             // Propagation over the decoded artifact matches the original
             // bit for bit.
@@ -842,9 +900,7 @@ mod tests {
             for var in 0..3 {
                 let a = compiled.marginal(&orig_state, VarId::from_index(var));
                 let b = decoded.marginal(&dec_state, VarId::from_index(var));
-                let a_bits: Vec<u64> = a.iter().map(|v| v.to_bits()).collect();
-                let b_bits: Vec<u64> = b.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(a_bits, b_bits);
+                assert_eq!(bits(&a), bits(&b));
             }
         }
     }
@@ -867,24 +923,30 @@ mod tests {
         assert!(read_compiled_tree(&mut r).is_err());
     }
 
-    /// An edit of a compiled tree's cliques, edges, home cliques,
-    /// potentials and kernels.
+    /// An edit of a compiled tree's cliques, edges, home cliques, hosted
+    /// factors and kernels.
     type Edit = fn(
         &mut Vec<Vec<VarId>>,
         &mut Vec<TreeEdge>,
         &mut Vec<usize>,
-        &mut Vec<Factor>,
+        &mut Vec<Vec<HostedFactor>>,
         &mut PropagationKernels,
     );
 
     /// Re-encodes `compiled` after `edit` changed its decoded parts, and
     /// decodes the bytes again.
     fn decode_edited(compiled: &CompiledTree, edit: Edit) -> Result<CompiledTree, CodecError> {
-        let (tree, pots, schedule, kernels, mode, home_vars) = compiled.codec_parts();
+        let (tree, hosted, schedule, kernels, mode, home_vars) = compiled.codec_parts();
         let (cliques, edges, incident, roots, home, cpt, cards, fill, total) = tree.codec_parts();
         let (mut cliques, mut edges, mut home) = (cliques.to_vec(), edges.to_vec(), home.to_vec());
-        let (mut pots, mut kernels) = (pots.to_vec(), kernels.clone());
-        edit(&mut cliques, &mut edges, &mut home, &mut pots, &mut kernels);
+        let (mut hosted, mut kernels) = (hosted.to_vec(), kernels.clone());
+        edit(
+            &mut cliques,
+            &mut edges,
+            &mut home,
+            &mut hosted,
+            &mut kernels,
+        );
         let tree = JunctionTree::from_codec_parts(
             cliques,
             edges,
@@ -898,7 +960,7 @@ mod tests {
         );
         let edited = CompiledTree::from_codec_parts(
             tree,
-            pots,
+            hosted,
             schedule.to_vec(),
             kernels,
             mode,
@@ -915,7 +977,8 @@ mod tests {
 
     /// Each table the kernels index without checks is range-checked
     /// against its own tree at decode. The chain `a → b → c` compiles to
-    /// cliques `{a, b}` and `{b, c}` joined by the sepset `{b}`.
+    /// cliques `{a, b}` and `{b, c}` joined by the sepset `{b}`; built from
+    /// explicit potentials, each clique hosts one full-scope factor.
     #[test]
     fn decoded_tables_are_range_checked() {
         fn blocked(side: &mut SideProj) -> &mut BlockedProj {
@@ -932,7 +995,7 @@ mod tests {
         }
         let dense = compile(SparseMode::Off);
         assert!(decode_edited(&dense, |_, _, _, _, _| {}).is_ok());
-        let cases: [(&str, &str, Edit); 7] = [
+        let cases: [(&str, &str, Edit); 9] = [
             (
                 "clique var out of range",
                 "clique variables",
@@ -961,9 +1024,22 @@ mod tests {
                 },
             ),
             (
-                "potential scope",
-                "disagrees with its clique",
-                |_, _, _, pots, _| pots.swap(0, 1),
+                "hosted scope",
+                "not an ascending subset",
+                |_, _, _, hosted, _| hosted.swap(0, 1),
+            ),
+            (
+                "hosted coverage",
+                "blocked projection covers",
+                |_, _, _, hosted, _| hosted[0][0].proj.sum_reps += 1,
+            ),
+            (
+                "hosted overrun",
+                "overruns the 4-entry hosted factor",
+                |_, _, _, hosted, _| {
+                    let h = hosted.iter_mut().flatten().find(|h| h.factor.len() == 4);
+                    h.unwrap().proj.base[0] = 1;
+                },
             ),
             (
                 "blocked overrun",
@@ -980,8 +1056,8 @@ mod tests {
             (
                 "dense side with a table",
                 "disagrees with the clique's compression",
-                |_, _, _, pots, k| {
-                    let len = pots[0].len();
+                |_, _, _, hosted, k| {
+                    let len = hosted[0][0].factor.len();
                     k.edge_proj[0].a = SideProj::Support(vec![0; len]);
                 },
             ),
@@ -1026,20 +1102,59 @@ mod tests {
                     .unwrap();
                 list.reverse();
             }),
-            ("support range", "not ascending", |_, _, _, pots, k| {
+            ("support range", "not ascending", |_, _, _, hosted, k| {
                 let (clique, list) = k
                     .support
                     .iter_mut()
                     .enumerate()
                     .find_map(|(c, s)| s.as_mut().map(|s| (c, s)))
                     .unwrap();
-                *list.last_mut().unwrap() = pots[clique].len() as u32;
+                *list.last_mut().unwrap() = hosted[clique][0].factor.len() as u32;
             }),
         ];
         for (what, needle, edit) in cases {
             assert!(
                 malformed_with(decode_edited(&sparse, edit), needle),
                 "{what}"
+            );
+        }
+    }
+
+    /// A clique's size comes from the tree's cardinalities, which must
+    /// give it between one and `u32::MAX` entries.
+    #[test]
+    fn clique_sizes_are_range_checked() {
+        let compiled = compile(SparseMode::Off);
+        let (tree, hosted, schedule, kernels, mode, home_vars) = compiled.codec_parts();
+        let (cliques, edges, incident, roots, home, cpt, cards, fill, total) = tree.codec_parts();
+        for card in [0, 1 << 33] {
+            let mut cards = cards.to_vec();
+            cards[0] = card;
+            let tree = JunctionTree::from_codec_parts(
+                cliques.to_vec(),
+                edges.to_vec(),
+                incident.to_vec(),
+                roots.to_vec(),
+                home.to_vec(),
+                cpt.to_vec(),
+                cards,
+                fill,
+                total,
+            );
+            let edited = CompiledTree::from_codec_parts(
+                tree,
+                hosted.to_vec(),
+                schedule.to_vec(),
+                kernels.clone(),
+                mode,
+                home_vars.to_vec(),
+            );
+            let mut w = Writer::new();
+            write_compiled_tree(&mut w, &edited);
+            let decoded = read_compiled_tree(&mut Reader::new(&w.into_bytes()));
+            assert!(
+                malformed_with(decoded, "no entries or too many"),
+                "card {card}"
             );
         }
     }

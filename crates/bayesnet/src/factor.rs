@@ -476,19 +476,7 @@ impl Factor {
         let size: usize = result_cards.iter().product();
         let mut values = vec![0.0; size.max(1)];
         if let [pos] = kept[..] {
-            // One kept variable (the per-gate readout): outer block × card
-            // × stride. Each state's sum takes its entries in ascending
-            // source order, exactly as the odometer below adds them.
-            let stride = self.stride_at(pos);
-            for block in self.values.chunks_exact(self.cards[pos] * stride) {
-                for (slot, run) in values.iter_mut().zip(block.chunks_exact(stride)) {
-                    let mut acc = *slot;
-                    for &v in run {
-                        acc += v;
-                    }
-                    *slot = acc;
-                }
-            }
+            self.fold_onto(pos, &mut values);
             return Factor {
                 vars: result_scope.iter().map(|&(v, _)| v).collect(),
                 cards: result_cards,
@@ -522,6 +510,50 @@ impl Factor {
             vars: result_scope.iter().map(|&(v, _)| v).collect(),
             cards: result_cards,
             values,
+        }
+    }
+
+    /// Adds the marginal over scope position `pos` into `out` (one slot
+    /// per state): outer block × card × stride. Each state's sum takes its
+    /// entries in ascending source order, exactly as the odometer of
+    /// [`marginalize_keep`](Factor::marginalize_keep) adds them.
+    fn fold_onto(&self, pos: usize, out: &mut [f64]) {
+        let stride = self.stride_at(pos);
+        for block in self.values.chunks_exact(self.cards[pos] * stride) {
+            for (slot, run) in out.iter_mut().zip(block.chunks_exact(stride)) {
+                let mut acc = *slot;
+                for &v in run {
+                    acc += v;
+                }
+                *slot = acc;
+            }
+        }
+    }
+
+    /// `marginalize_keep(&[var])` followed by
+    /// [`normalize`](Factor::normalize), written into `out` without
+    /// allocating: the same fold (a one-variable scope is copied, as
+    /// `marginalize_keep` clones it) and the same sum-then-divide, so the
+    /// bits are the same.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var` is outside the scope or `out` is not one slot per
+    /// state of `var`.
+    pub(crate) fn normalized_marginal_into(&self, var: VarId, out: &mut [f64]) {
+        let pos = self.position(var).expect("marginal of a variable in scope");
+        assert_eq!(out.len(), self.cards[pos], "one slot per state of {var}");
+        if self.vars.len() == 1 {
+            out.copy_from_slice(&self.values);
+        } else {
+            out.fill(0.0);
+            self.fold_onto(pos, out);
+        }
+        let total: f64 = out.iter().sum();
+        if total > 0.0 {
+            for v in out {
+                *v /= total;
+            }
         }
     }
 

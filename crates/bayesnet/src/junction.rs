@@ -209,6 +209,23 @@ impl JunctionTree {
             .unwrap_or(0)
     }
 
+    /// Cardinalities of clique `i`'s variables, aligned with
+    /// [`clique`](JunctionTree::clique).
+    pub(crate) fn clique_cards(&self, i: usize) -> Vec<usize> {
+        self.cliques[i]
+            .iter()
+            .map(|v| self.cards[v.index()])
+            .collect()
+    }
+
+    /// Entries of clique `i`'s potential table.
+    pub(crate) fn clique_len(&self, i: usize) -> usize {
+        self.cliques[i]
+            .iter()
+            .map(|v| self.cards[v.index()])
+            .product()
+    }
+
     pub(crate) fn edge(&self, idx: usize) -> &TreeEdge {
         &self.edges[idx]
     }

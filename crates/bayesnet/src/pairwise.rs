@@ -614,8 +614,8 @@ mod tests {
                     got.push((c + j, t + j * inner.dst, s + j * inner.src));
                 }
             });
-            let src = clique_to_sepset(&clique, &src_vars);
-            let dst = clique_to_sepset(&clique, &dst_vars);
+            let src = clique_to_sepset(clique.vars(), clique.cards(), &src_vars);
+            let dst = clique_to_sepset(clique.vars(), clique.cards(), &dst_vars);
             let expect: Vec<(usize, usize, usize)> = (0..clique.len())
                 .map(|c| {
                     let mut t = dst[c] as usize * out_lanes;

@@ -3,24 +3,29 @@ use std::sync::{Mutex, PoisonError};
 use crate::codec::{fnv128, fnv128_u64, FNV128_OFFSET};
 use crate::junction::JunctionTree;
 use crate::pairwise::{self, PairwisePlan};
-use crate::sparse::{self, PropagationKernels, SideProj};
+use crate::sparse::{self, HostedFactor, PropagationKernels, SideProj};
 use crate::{BayesError, BayesNet, Factor, KernelMode, SparseMode, VarId};
 
-/// The immutable half of HUGIN propagation: clique structure, initial
-/// potentials, and the collect/distribute message schedule.
+/// The immutable half of HUGIN propagation: clique structure, the factors
+/// each clique's initial potential is the product of, and the
+/// collect/distribute message schedule.
 ///
-/// Compiling a network is expensive (triangulation, CPT multiplication,
-/// schedule construction); propagating evidence through the compiled
-/// result is cheap. `CompiledTree` captures everything the expensive phase
-/// produces in one immutable, `Send + Sync` artifact so that *many*
-/// propagations — sequential or concurrent — can share it:
+/// Compiling a network is expensive (triangulation, kernel and schedule
+/// construction); propagating evidence through the compiled result is
+/// cheap. `CompiledTree` captures everything the expensive phase produces
+/// in one immutable, `Send + Sync` artifact so that *many* propagations —
+/// sequential or concurrent — can share it:
 ///
 /// ```text
 /// CompiledTree (shared, read-only)     PropagationState (one per request)
 /// ├─ junction tree structure           ├─ working clique potentials
-/// ├─ initial clique potentials         ├─ sepset potentials
+/// ├─ hosted CPTs + gather projections  ├─ sepset potentials
 /// └─ message schedule                  └─ evidence + calibration flags
 /// ```
+///
+/// The initial clique potentials are never stored: each clique *hosts*
+/// its CPTs, and a calibration writes a clique's initial values from them
+/// the first time it touches that clique (see [`PropagationState`]).
 ///
 /// Each propagation borrows the compiled tree immutably and mutates only
 /// its own [`PropagationState`] (created by
@@ -28,9 +33,8 @@ use crate::{BayesError, BayesNet, Factor, KernelMode, SparseMode, VarId};
 ///
 /// One propagation's lifecycle:
 ///
-/// 1. [`new`](CompiledTree::new) multiplies every CPT into its assigned
-///    clique (initialization) and [`new_state`](CompiledTree::new_state)
-///    opens a request;
+/// 1. [`new`](CompiledTree::new) assigns every CPT to its clique and
+///    [`new_state`](CompiledTree::new_state) opens a request;
 /// 2. [`set_evidence`](CompiledTree::set_evidence) /
 ///    [`set_likelihood`](CompiledTree::set_likelihood) record observations;
 /// 3. [`calibrate`](CompiledTree::calibrate) runs *collect* (leaves → root)
@@ -40,15 +44,16 @@ use crate::{BayesError, BayesNet, Factor, KernelMode, SparseMode, VarId};
 ///    pre-normalization mass is the probability of the evidence.
 ///
 /// Re-quantified networks (e.g. new input statistics in the paper's §6)
-/// reuse the compiled [`JunctionTree`]: only the initial potentials are
-/// rebuilt, with a new `CompiledTree::new(tree, &net)`.
+/// reuse the compiled [`JunctionTree`]: only the hosted CPTs change, with
+/// a new `CompiledTree::new(tree, &net)`.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
 #[derive(Debug, Clone)]
 pub struct CompiledTree {
     tree: JunctionTree,
-    /// Initial potentials (CPT products), the reset point of every request.
-    init_clique_pot: Vec<Factor>,
+    /// Per clique, the factors whose product is its initial potential, in
+    /// the order they multiply in.
+    hosted: Vec<Vec<HostedFactor>>,
     /// Collect schedule: edges as (from_clique, edge_idx, to_clique), leaves
     /// towards roots. Distribution replays it reversed and flipped.
     schedule: Vec<(usize, usize, usize)>,
@@ -80,8 +85,9 @@ const _: fn() = || {
 
 impl CompiledTree {
     /// Compiles the propagation artifact for `net` over its junction tree:
-    /// multiplies every CPT into its assigned clique and builds the
-    /// message schedule.
+    /// hosts every CPT in its assigned clique and builds the message
+    /// schedule. Zero compression follows [`SparseMode::Auto`]; use
+    /// [`new_with`](CompiledTree::new_with) to choose.
     ///
     /// # Errors
     ///
@@ -89,17 +95,52 @@ impl CompiledTree {
     /// must be the one the tree was compiled from (same variables and
     /// cardinalities); mismatches panic.
     pub fn new(tree: JunctionTree, net: &BayesNet) -> Result<CompiledTree, BayesError> {
+        CompiledTree::new_with(tree, net, SparseMode::default())
+    }
+
+    /// [`new`](CompiledTree::new) with an explicit zero-compression
+    /// policy. Each clique hosts its CPTs in the `net.var_ids()` order
+    /// [`initial_potentials`] multiplies them in, so the first touch of a
+    /// clique reproduces that reference bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BayesError::Empty`] if the network is empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network does not match the tree (variable count or
+    /// cardinalities).
+    pub fn new_with(
+        tree: JunctionTree,
+        net: &BayesNet,
+        mode: SparseMode,
+    ) -> Result<CompiledTree, BayesError> {
         if net.num_vars() == 0 {
             return Err(BayesError::Empty);
         }
-        let potentials = initial_potentials(&tree, net);
-        Ok(CompiledTree::from_parts(tree, potentials))
+        assert_eq!(net.num_vars(), tree.num_vars(), "network/tree mismatch");
+        let mut hosted: Vec<Vec<HostedFactor>> = vec![Vec::new(); tree.num_cliques()];
+        for var in net.var_ids() {
+            assert_eq!(
+                net.card(var),
+                tree.card(var),
+                "network/tree cardinality mismatch for {var}"
+            );
+            let clique = tree.cpt_clique(var);
+            hosted[clique].push(HostedFactor::new(
+                tree.clique(clique),
+                &tree.clique_cards(clique),
+                net.cpt_factor(var).clone(),
+            ));
+        }
+        Ok(CompiledTree::assemble(tree, hosted, mode))
     }
 
     /// Builds the artifact from precomputed initial clique potentials (as
-    /// produced by [`initial_potentials`]) — the fast path when the caller
-    /// has already assembled potentials itself. Zero compression follows
-    /// [`SparseMode::Auto`]; use
+    /// produced by [`initial_potentials`]): each clique hosts its given
+    /// potential as a single full-scope factor, so its first touch is a
+    /// plain copy. Zero compression follows [`SparseMode::Auto`]; use
     /// [`from_parts_with`](CompiledTree::from_parts_with) to choose.
     ///
     /// # Panics
@@ -125,21 +166,18 @@ impl CompiledTree {
         mode: SparseMode,
     ) -> CompiledTree {
         validate_potentials(&tree, &potentials);
-        let schedule = build_schedule(&tree);
-        let kernels = PropagationKernels::build(&tree, &potentials, mode);
-        let mut home_vars: Vec<Vec<VarId>> = vec![Vec::new(); tree.num_cliques()];
-        for raw in 0..tree.num_vars() {
-            let var = VarId::from_index(raw);
-            home_vars[tree.home_clique(var)].push(var);
-        }
-        CompiledTree {
-            tree,
-            init_clique_pot: potentials,
-            schedule,
-            kernels,
-            mode,
-            home_vars,
-        }
+        let hosted = potentials
+            .into_iter()
+            .enumerate()
+            .map(|(clique, pot)| {
+                vec![HostedFactor::new(
+                    tree.clique(clique),
+                    &tree.clique_cards(clique),
+                    pot,
+                )]
+            })
+            .collect();
+        CompiledTree::assemble(tree, hosted, mode)
     }
 
     /// [`from_parts_with`](CompiledTree::from_parts_with); kept only
@@ -154,14 +192,66 @@ impl CompiledTree {
         CompiledTree::from_parts_with(tree, potentials, mode)
     }
 
+    /// The one path behind every constructor: schedule, kernels and
+    /// dependency masks for `tree` with `hosted` factors.
+    fn assemble(
+        tree: JunctionTree,
+        hosted: Vec<Vec<HostedFactor>>,
+        mode: SparseMode,
+    ) -> CompiledTree {
+        let schedule = build_schedule(&tree);
+        let kernels = PropagationKernels::build(&tree, &hosted, mode);
+        let mut home_vars: Vec<Vec<VarId>> = vec![Vec::new(); tree.num_cliques()];
+        for raw in 0..tree.num_vars() {
+            let var = VarId::from_index(raw);
+            home_vars[tree.home_clique(var)].push(var);
+        }
+        CompiledTree {
+            tree,
+            hosted,
+            schedule,
+            kernels,
+            mode,
+            home_vars,
+        }
+    }
+
     /// The compiled junction tree structure.
     pub fn tree(&self) -> &JunctionTree {
         &self.tree
     }
 
-    /// The initial clique potentials every propagation starts from.
-    pub fn initial_potentials(&self) -> &[Factor] {
-        &self.init_clique_pot
+    /// The factors clique `i` hosts: its initial potential is their
+    /// product, taken in this order (all ones when there are none).
+    pub fn hosted_factors(&self, i: usize) -> impl ExactSizeIterator<Item = &Factor> {
+        self.hosted[i].iter().map(|h| &h.factor)
+    }
+
+    /// Clique `i`'s initial potential, written the way a calibration's
+    /// first touch writes it: through the hosted factors' gather
+    /// projections. For the first-touch differential tests; not part of
+    /// the supported API.
+    #[doc(hidden)]
+    pub fn first_touch_potential(&self, i: usize) -> Factor {
+        let mut pot = Factor::ones(scope_of(&self.tree, self.tree.clique(i)));
+        sparse::materialize(pot.values_mut(), &self.hosted[i]);
+        pot
+    }
+
+    /// Every clique's initial potential by the factor algebra: ones times
+    /// each hosted factor through [`Factor::mul_assign_sub`], exactly as
+    /// [`initial_potentials`] multiplies CPTs. The two-pass reference
+    /// starts from these, independent of the gather projections.
+    fn reference_potentials(&self) -> Vec<Factor> {
+        (0..self.tree.num_cliques())
+            .map(|i| {
+                let mut pot = Factor::ones(scope_of(&self.tree, self.tree.clique(i)));
+                for factor in self.hosted_factors(i) {
+                    pot.mul_assign_sub(factor);
+                }
+                pot
+            })
+            .collect()
     }
 
     /// The collect schedule: `(from_clique, edge, to_clique)` triples,
@@ -170,11 +260,14 @@ impl CompiledTree {
         &self.schedule
     }
 
-    /// Total entries across all clique potentials — the per-request memory
-    /// and per-propagation work, used by caches to cost-rank compiled
-    /// models.
+    /// Total entries across all clique potentials, read from the tree's
+    /// clique sizes: the potential entries each [`PropagationState`] of
+    /// this tree allocates (8 bytes apiece), and the dense per-propagation
+    /// work. The compiled tree itself stores no potential.
     pub fn state_space(&self) -> usize {
-        self.init_clique_pot.iter().map(Factor::len).sum()
+        (0..self.tree.num_cliques())
+            .map(|i| self.tree.clique_len(i))
+            .sum()
     }
 
     /// Nonzero entries across all initial clique potentials — the actual
@@ -213,15 +306,17 @@ impl CompiledTree {
     /// per clique, so `Auto`'s cost is never above `Off`'s — pinned by the
     /// c880 regression test that caught `Auto` losing to dense.
     pub fn kernel_cost(&self) -> usize {
-        self.kernels
-            .support
-            .iter()
-            .zip(&self.init_clique_pot)
-            .map(|(support, pot)| match support {
-                Some(s) => sparse::SPARSE_COST_PER_ENTRY * s.len(),
-                None => pot.len(),
-            })
+        (0..self.tree.num_cliques())
+            .map(|i| self.clique_cost(i))
             .sum()
+    }
+
+    /// [`kernel_cost`](CompiledTree::kernel_cost) of one clique.
+    fn clique_cost(&self, i: usize) -> usize {
+        match &self.kernels.support[i] {
+            Some(s) => sparse::SPARSE_COST_PER_ENTRY * s.len(),
+            None => self.tree.clique_len(i),
+        }
     }
 
     /// Every field of the artifact, for the [`crate::codec`] encoder.
@@ -230,7 +325,7 @@ impl CompiledTree {
         &self,
     ) -> (
         &JunctionTree,
-        &[Factor],
+        &[Vec<HostedFactor>],
         &[(usize, usize, usize)],
         &PropagationKernels,
         SparseMode,
@@ -238,7 +333,7 @@ impl CompiledTree {
     ) {
         (
             &self.tree,
-            &self.init_clique_pot,
+            &self.hosted,
             &self.schedule,
             &self.kernels,
             self.mode,
@@ -254,7 +349,7 @@ impl CompiledTree {
     /// calls this, after checksum verification.
     pub(crate) fn from_codec_parts(
         tree: JunctionTree,
-        init_clique_pot: Vec<Factor>,
+        hosted: Vec<Vec<HostedFactor>>,
         schedule: Vec<(usize, usize, usize)>,
         kernels: PropagationKernels,
         mode: SparseMode,
@@ -262,7 +357,7 @@ impl CompiledTree {
     ) -> CompiledTree {
         CompiledTree {
             tree,
-            init_clique_pot,
+            hosted,
             schedule,
             kernels,
             mode,
@@ -289,12 +384,20 @@ impl CompiledTree {
         }
     }
 
-    /// A fresh mutable state for this tree. States are reusable: a second
-    /// `calibrate` on the same state reuses its buffers instead of
+    /// A fresh mutable state for this tree, with zeroed clique
+    /// potentials: every calibration writes a clique's initial values on
+    /// first touch, so nothing is copied here. States are reusable: a
+    /// second `calibrate` on the same state reuses its buffers instead of
     /// reallocating, which is what per-request pooling exploits.
     pub fn new_state(&self) -> PropagationState {
         PropagationState {
-            clique_pot: self.init_clique_pot.clone(),
+            clique_pot: (0..self.tree.num_cliques())
+                .map(|i| {
+                    let scope = scope_of(&self.tree, self.tree.clique(i));
+                    Factor::new(scope, vec![0.0; self.tree.clique_len(i)])
+                })
+                .collect(),
+            stale: vec![true; self.tree.num_cliques()],
             sep_pot: ones_sepsets(&self.tree),
             evidence: vec![None; self.tree.num_vars()],
             likelihood: vec![None; self.tree.num_vars()],
@@ -303,7 +406,6 @@ impl CompiledTree {
             path_msg: Vec::new(),
             path_next: Vec::new(),
             calibrated: false,
-            pristine: true,
             evidence_probability: 1.0,
             mode: PropagationMode::default(),
         }
@@ -363,31 +465,41 @@ impl CompiledTree {
     /// Runs collect + distribute on `state`. Afterwards every clique
     /// potential in `state` is proportional to `P(clique vars, evidence)`.
     pub fn calibrate(&self, state: &mut PropagationState) {
-        calibrate_impl(
-            &self.tree,
-            &self.kernels,
-            &self.init_clique_pot,
-            &self.schedule,
-            state,
-        );
+        self.begin_calibration(state);
+        self.enter_evidence(state);
+        // Collect: leaves towards roots.
+        for &(from, edge, to) in &self.schedule {
+            self.absorb(state, from, edge, to);
+        }
+        // Distribute: roots towards leaves.
+        for &(from, edge, to) in self.schedule.iter().rev() {
+            self.absorb(state, to, edge, from);
+        }
+        self.finish_calibration(state);
     }
 
     /// [`calibrate`](CompiledTree::calibrate) through per-entry projection
     /// tables instead of the blocked kernels: the bit-identity reference of
-    /// the equivalence tests. A dense clique's table is derived from its
-    /// sepset strides on every absorption, so this is slow by design and
-    /// independent of the blocked forms it checks. Not part of the
-    /// supported API.
+    /// the equivalence tests. It starts from every clique's initial
+    /// potential by the factor algebra, not from the first-touch gathers,
+    /// and derives a dense clique's table from its sepset strides on every
+    /// absorption, so it is slow by design and independent of the blocked
+    /// forms it checks. Not part of the supported API.
     #[doc(hidden)]
     pub fn calibrate_two_pass(&self, state: &mut PropagationState) {
-        enter_evidence(&self.tree, &self.init_clique_pot, state);
+        self.begin_calibration(state);
+        for (pot, init) in state.clique_pot.iter_mut().zip(self.reference_potentials()) {
+            pot.values_mut().copy_from_slice(init.values());
+        }
+        state.stale.fill(false);
+        self.enter_evidence(state);
         for &(from, edge, to) in &self.schedule {
             self.absorb_two_pass(state, from, edge, to);
         }
         for &(from, edge, to) in self.schedule.iter().rev() {
             self.absorb_two_pass(state, to, edge, from);
         }
-        finish_calibration(&self.tree, state);
+        self.finish_calibration(state);
     }
 
     /// One absorption of [`calibrate_two_pass`](CompiledTree::calibrate_two_pass):
@@ -398,9 +510,11 @@ impl CompiledTree {
         let proj = &self.kernels.edge_proj[edge];
         let table = |clique: usize| match if clique == e.a { &proj.a } else { &proj.b } {
             SideProj::Support(table) => table.clone(),
-            SideProj::Blocked(_) => {
-                sparse::clique_to_sepset(&self.init_clique_pot[clique], &e.sepset)
-            }
+            SideProj::Blocked(_) => sparse::clique_to_sepset(
+                self.tree.clique(clique),
+                &self.tree.clique_cards(clique),
+                &e.sepset,
+            ),
         };
         let (table_from, table_to) = (table(from), table(to));
         let sep_len = state.sep_pot[edge].len();
@@ -444,15 +558,39 @@ impl CompiledTree {
             self.tree.num_edges(),
             "message cache belongs to a different compiled tree"
         );
-        calibrate_cached_impl(
-            &self.tree,
-            &self.kernels,
-            &self.init_clique_pot,
-            &self.schedule,
-            &self.home_vars,
-            state,
-            cache,
-        )
+        self.begin_calibration(state);
+        self.enter_evidence(state);
+        // Dependency keys, folded along the collect schedule: when edge
+        // (from → to) is processed, every child of `from` has already folded
+        // its subtree key into `acc[from]` (children precede parents), so
+        // `acc[from]` covers exactly the evidence the message depends on.
+        let mut acc = clique_evidence_hashes(&self.home_vars, state);
+        let mut edge_key = vec![0u128; self.tree.num_edges()];
+        for &(from, edge, to) in &self.schedule {
+            edge_key[edge] = acc[from];
+            acc[to] = fnv128(acc[to], &edge_key[edge].to_le_bytes());
+        }
+        // Collect, reusing cached messages where the key matches. A sender
+        // whose message is reused is not touched: a leaf without evidence
+        // stays stale until distribute reaches it.
+        let mut reused = 0u64;
+        let mut recomputed = 0u64;
+        for &(from, edge, to) in &self.schedule {
+            if self.absorb_cached(state, (from, edge, to), edge_key[edge], cache) {
+                reused += 1;
+            } else {
+                recomputed += 1;
+            }
+        }
+        // Distribute: a parent-to-child message depends on evidence in the
+        // *whole* tree minus the child's subtree — in a sweep that always
+        // includes the perturbed prior, so caching it could never hit.
+        // Whole-tree reuse is the segment memoization layer's job.
+        for &(from, edge, to) in self.schedule.iter().rev() {
+            self.absorb(state, to, edge, from);
+        }
+        self.finish_calibration(state);
+        (reused, recomputed)
     }
 
     /// Whether keying the message cache pays for itself on this tree.
@@ -488,10 +626,7 @@ impl CompiledTree {
         let collect_savings: usize = self
             .schedule
             .iter()
-            .map(|&(from, _, _)| match &self.kernels.support[from] {
-                Some(s) => sparse::SPARSE_COST_PER_ENTRY * s.len(),
-                None => self.init_clique_pot[from].len(),
-            })
+            .map(|&(from, _, _)| self.clique_cost(from))
             .sum();
         collect_savings > hash_cost
     }
@@ -502,7 +637,21 @@ impl CompiledTree {
     ///
     /// Panics if `state` is not calibrated.
     pub fn marginal(&self, state: &PropagationState, var: VarId) -> Vec<f64> {
-        marginal_impl(&self.tree, state, var)
+        let mut m = vec![0.0; self.tree.card(var)];
+        self.marginal_into(state, var, &mut m);
+        m
+    }
+
+    /// [`marginal`](CompiledTree::marginal) written into `out`, one slot
+    /// per state of `var`, without allocating: the per-gate readout of a
+    /// propagation.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is not calibrated or `out` has the wrong length.
+    pub fn marginal_into(&self, state: &PropagationState, var: VarId, out: &mut [f64]) {
+        assert_calibrated(state);
+        state.clique_pot[self.tree.home_clique(var)].normalized_marginal_into(var, out);
     }
 
     /// The joint posterior over a variable set, provided some clique
@@ -609,11 +758,19 @@ impl CompiledTree {
 ///
 /// Created by [`CompiledTree::new_state`] and only meaningful together
 /// with the tree that created it (using it with a different tree panics).
-/// States are designed for reuse — `calibrate` resets buffers in place —
-/// so pools can hand them out across requests without reallocating.
+/// States are designed for reuse, so pools can hand them out across
+/// requests without reallocating. Nothing is copied to reset one: each
+/// calibration marks every clique stale and resets the sepsets to ones,
+/// and a stale clique gets its initial values written from the tree's
+/// hosted CPTs the first time that calibration touches it — when it
+/// receives a message, sends one, takes evidence, or, failing all of
+/// those, just before the calibration finishes.
 #[derive(Debug, Clone)]
 pub struct PropagationState {
     clique_pot: Vec<Factor>,
+    /// Per clique: whether the current calibration has yet to write its
+    /// initial values (see [`CompiledTree::calibrate`]).
+    stale: Vec<bool>,
     sep_pot: Vec<Factor>,
     /// Hard evidence per variable.
     evidence: Vec<Option<usize>>,
@@ -633,10 +790,6 @@ pub struct PropagationState {
     path_msg: Vec<f64>,
     path_next: Vec<f64>,
     calibrated: bool,
-    /// The potentials still hold the initials (clique) and ones (sepset)
-    /// that [`CompiledTree::new_state`] gave them: set there, cleared by
-    /// the first calibration, which then need not copy them again.
-    pristine: bool,
     /// Probability of the inserted evidence, valid after calibration.
     evidence_probability: f64,
     /// Whether [`CompiledTree::calibrate_with_cache`] may *read* cached
@@ -720,6 +873,12 @@ impl PropagationState {
     pub fn clique_potential(&self, i: usize) -> &Factor {
         &self.clique_pot[i]
     }
+
+    /// The calibrated potential of sepset `edge`, numbered as in
+    /// [`JunctionTree::sepsets`].
+    pub fn sepset_potential(&self, edge: usize) -> &Factor {
+        &self.sep_pot[edge]
+    }
 }
 
 fn validate_potentials(tree: &JunctionTree, potentials: &[Factor]) {
@@ -802,70 +961,188 @@ fn insert_factor_impl(
     Ok(())
 }
 
-/// Shared calibration prologue: reset working potentials to the initials
-/// and enter all recorded evidence, in a deterministic order.
-fn enter_evidence(tree: &JunctionTree, init_clique_pot: &[Factor], state: &mut PropagationState) {
-    assert_eq!(
-        state.evidence.len(),
-        tree.num_vars(),
-        "state belongs to a different compiled tree"
-    );
-    // Reset working potentials to the initials, reusing the state's
-    // buffers when it has propagated on this tree before (the common case
-    // for pooled states): scopes are fixed per clique/sepset, so a value
-    // copy suffices and no factor is reallocated. A state that has never
-    // propagated already holds them.
-    if std::mem::take(&mut state.pristine) {
-        debug_assert_eq!(state.clique_pot.len(), init_clique_pot.len());
-        debug_assert_eq!(state.sep_pot.len(), tree.num_edges());
-    } else {
-        if state.clique_pot.len() == init_clique_pot.len() {
-            for (dst, src) in state.clique_pot.iter_mut().zip(init_clique_pot) {
-                debug_assert_eq!(dst.vars(), src.vars());
-                dst.values_mut().copy_from_slice(src.values());
-            }
-        } else {
-            state.clique_pot = init_clique_pot.to_vec();
-        }
-        if state.sep_pot.len() == tree.num_edges() {
-            for sep in &mut state.sep_pot {
-                sep.values_mut().fill(1.0);
-            }
-        } else {
-            state.sep_pot = ones_sepsets(tree);
+/// The calibration steps shared by [`CompiledTree::calibrate`], its
+/// cached form and the two-pass reference.
+impl CompiledTree {
+    /// Calibration prologue: marks every clique stale, so this calibration
+    /// writes each clique's initial values on first touch, and resets the
+    /// sepsets to ones.
+    fn begin_calibration(&self, state: &mut PropagationState) {
+        assert!(
+            state.evidence.len() == self.tree.num_vars()
+                && state.clique_pot.len() == self.tree.num_cliques(),
+            "state belongs to a different compiled tree"
+        );
+        state.stale.fill(true);
+        for sep in &mut state.sep_pot {
+            sep.values_mut().fill(1.0);
         }
     }
-    for (raw, obs) in state.evidence.iter().enumerate() {
-        if let Some(value) = obs {
-            let var = VarId::from_index(raw);
-            let clique = tree.home_clique(var);
-            state.clique_pot[clique].reduce(var, *value);
+
+    /// Writes clique `clique`'s initial potential into `state` from its
+    /// hosted factors, unless this calibration already has.
+    fn touch(&self, state: &mut PropagationState, clique: usize) {
+        if std::mem::replace(&mut state.stale[clique], false) {
+            sparse::materialize(state.clique_pot[clique].values_mut(), &self.hosted[clique]);
         }
     }
-    for (raw, weights) in state.likelihood.iter().enumerate() {
-        if let Some(weights) = weights {
+
+    /// Enters all recorded evidence, in a deterministic order, touching
+    /// each clique it lands in first.
+    fn enter_evidence(&self, state: &mut PropagationState) {
+        for raw in 0..state.evidence.len() {
+            if let Some(value) = state.evidence[raw] {
+                let var = VarId::from_index(raw);
+                let clique = self.tree.home_clique(var);
+                self.touch(state, clique);
+                state.clique_pot[clique].reduce(var, value);
+            }
+        }
+        for raw in 0..state.likelihood.len() {
+            if state.likelihood[raw].is_none() {
+                continue;
+            }
             let var = VarId::from_index(raw);
-            let clique = tree.home_clique(var);
-            for (value, &w) in weights.iter().enumerate() {
+            let clique = self.tree.home_clique(var);
+            self.touch(state, clique);
+            for (value, &w) in state.likelihood[raw].iter().flatten().enumerate() {
                 state.clique_pot[clique].scale_state(var, value, w);
             }
         }
+        for k in 0..state.soft_factors.len() {
+            let host = state.soft_factors[k].0;
+            self.touch(state, host);
+            state.clique_pot[host].mul_assign_sub(&state.soft_factors[k].1);
+        }
     }
-    for (host, factor) in &state.soft_factors {
-        state.clique_pot[*host].mul_assign_sub(factor);
-    }
-}
 
-/// Shared calibration epilogue: evidence probability and the calibrated
-/// flag.
-fn finish_calibration(tree: &JunctionTree, state: &mut PropagationState) {
-    // Probability of evidence: product over components of clique mass.
-    let mut p = 1.0;
-    for &root in tree.roots() {
-        p *= state.clique_pot[root].total();
+    /// Calibration epilogue: touches the cliques no message or evidence
+    /// reached (a single-clique component, say), then sets the evidence
+    /// probability and the calibrated flag.
+    fn finish_calibration(&self, state: &mut PropagationState) {
+        for clique in 0..self.tree.num_cliques() {
+            self.touch(state, clique);
+        }
+        // Probability of evidence: product over components of clique mass.
+        let mut p = 1.0;
+        for &root in self.tree.roots() {
+            p *= state.clique_pot[root].total();
+        }
+        state.evidence_probability = p;
+        state.calibrated = true;
     }
-    state.evidence_probability = p;
-    state.calibrated = true;
+
+    /// The sender's and the receiver's projection of `edge` when `from`
+    /// sends across it.
+    fn sides(&self, edge: usize, from: usize) -> (&SideProj, &SideProj) {
+        let proj = &self.kernels.edge_proj[edge];
+        if from == self.tree.edge(edge).a {
+            (&proj.a, &proj.b)
+        } else {
+            (&proj.b, &proj.a)
+        }
+    }
+
+    /// One HUGIN absorption: `to` absorbs from `from` across `edge`,
+    /// entirely through the compile-time projections — no scope merges, no
+    /// odometer walks, no allocation (the message lives in
+    /// `state.scratch`).
+    fn absorb(&self, state: &mut PropagationState, from: usize, edge: usize, to: usize) {
+        let (proj_from, proj_to) = self.sides(edge, from);
+        self.touch(state, from);
+        let sep_len = state.sep_pot[edge].len();
+        state.scratch.resize(sep_len, 0.0);
+        // (1) New sepset potential: marginalize the sender into scratch.
+        marginalize_side(
+            state.clique_pot[from].values(),
+            self.kernels.support[from].as_deref(),
+            proj_from,
+            &mut state.scratch[..sep_len],
+        );
+        self.commit_message(state, edge, to, proj_to);
+    }
+
+    /// [`absorb`](CompiledTree::absorb) with a per-edge message cache: on
+    /// a dependency-key match ([`PropagationMode::Warm`] states) the cached
+    /// message is copied into scratch instead of re-marginalizing the
+    /// sender; otherwise the message is computed and the slot refreshed.
+    /// The sepset store and receiver multiply run either way, keeping the
+    /// state's evolution bit-identical to `absorb`. Returns whether the
+    /// message was reused.
+    fn absorb_cached(
+        &self,
+        state: &mut PropagationState,
+        (from, edge, to): (usize, usize, usize),
+        key: u128,
+        cache: &MessageCache,
+    ) -> bool {
+        let (proj_from, proj_to) = self.sides(edge, from);
+        let sep_len = state.sep_pot[edge].len();
+        state.scratch.resize(sep_len, 0.0);
+        // Cached-message lock poison recovery: slots hold plain owned data
+        // that is consistent after any panic (key and values are written
+        // together under the lock), so the entry stays usable.
+        let mut reused = false;
+        if state.mode == PropagationMode::Warm {
+            let slot = cache.slots[edge]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            if let Some(cached) = slot.as_ref().filter(|c| c.key == key) {
+                state.scratch[..sep_len].copy_from_slice(&cached.values);
+                reused = true;
+            }
+        }
+        if !reused {
+            self.touch(state, from);
+            marginalize_side(
+                state.clique_pot[from].values(),
+                self.kernels.support[from].as_deref(),
+                proj_from,
+                &mut state.scratch[..sep_len],
+            );
+            let mut slot = cache.slots[edge]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            match &mut *slot {
+                Some(cached) => {
+                    cached.key = key;
+                    cached.values.clear();
+                    cached.values.extend_from_slice(&state.scratch[..sep_len]);
+                }
+                None => {
+                    *slot = Some(CachedMessage {
+                        key,
+                        values: state.scratch[..sep_len].to_vec(),
+                    });
+                }
+            }
+        }
+        self.commit_message(state, edge, to, proj_to);
+        reused
+    }
+
+    /// Steps (2) and (3) of an absorption, shared by the cold and cached
+    /// paths: store the new sepset potential (turning scratch into the
+    /// update ratio) and multiply the update into the receiver, touching it
+    /// first.
+    fn commit_message(
+        &self,
+        state: &mut PropagationState,
+        edge: usize,
+        to: usize,
+        proj_to: &SideProj,
+    ) {
+        store_message(state, edge);
+        self.touch(state, to);
+        let sep_len = state.sep_pot[edge].len();
+        // (3) Multiply the update into the receiver.
+        multiply_side(
+            state.clique_pot[to].values_mut(),
+            self.kernels.support[to].as_deref(),
+            proj_to,
+            &state.scratch[..sep_len],
+        );
+    }
 }
 
 /// Sender-side marginalize through the sender's projection form.
@@ -882,25 +1159,6 @@ fn multiply_side(values: &mut [f64], support: Option<&[u32]>, side: &SideProj, u
         SideProj::Blocked(blocked) => sparse::multiply_blocked(values, blocked, update),
         SideProj::Support(table) => sparse::multiply_from(values, support, table, update),
     }
-}
-
-fn calibrate_impl(
-    tree: &JunctionTree,
-    kernels: &PropagationKernels,
-    init_clique_pot: &[Factor],
-    schedule: &[(usize, usize, usize)],
-    state: &mut PropagationState,
-) {
-    enter_evidence(tree, init_clique_pot, state);
-    // Collect: leaves towards roots.
-    for &(from, edge, to) in schedule {
-        absorb(tree, kernels, state, from, edge, to);
-    }
-    // Distribute: roots towards leaves.
-    for &(from, edge, to) in schedule.iter().rev() {
-        absorb(tree, kernels, state, to, edge, from);
-    }
-    finish_calibration(tree, state);
 }
 
 /// Per-clique hash of the evidence entered *at* each clique: hard
@@ -943,169 +1201,6 @@ fn clique_evidence_hashes(home_vars: &[Vec<VarId>], state: &PropagationState) ->
     hashes
 }
 
-fn calibrate_cached_impl(
-    tree: &JunctionTree,
-    kernels: &PropagationKernels,
-    init_clique_pot: &[Factor],
-    schedule: &[(usize, usize, usize)],
-    home_vars: &[Vec<VarId>],
-    state: &mut PropagationState,
-    cache: &MessageCache,
-) -> (u64, u64) {
-    enter_evidence(tree, init_clique_pot, state);
-    // Dependency keys, folded along the collect schedule: when edge
-    // (from → to) is processed, every child of `from` has already folded
-    // its subtree key into `acc[from]` (children precede parents), so
-    // `acc[from]` covers exactly the evidence the message depends on.
-    let mut acc = clique_evidence_hashes(home_vars, state);
-    let mut edge_key = vec![0u128; tree.num_edges()];
-    for &(from, edge, to) in schedule {
-        edge_key[edge] = acc[from];
-        acc[to] = fnv128(acc[to], &edge_key[edge].to_le_bytes());
-    }
-    // Collect, reusing cached messages where the key matches.
-    let mut reused = 0u64;
-    let mut recomputed = 0u64;
-    for &(from, edge, to) in schedule {
-        if absorb_cached(
-            tree,
-            kernels,
-            state,
-            (from, edge, to),
-            edge_key[edge],
-            cache,
-        ) {
-            reused += 1;
-        } else {
-            recomputed += 1;
-        }
-    }
-    // Distribute: a parent-to-child message depends on evidence in the
-    // *whole* tree minus the child's subtree — in a sweep that always
-    // includes the perturbed prior, so caching it could never hit.
-    // Whole-tree reuse is the segment memoization layer's job.
-    for &(from, edge, to) in schedule.iter().rev() {
-        absorb(tree, kernels, state, to, edge, from);
-    }
-    finish_calibration(tree, state);
-    (reused, recomputed)
-}
-
-/// One HUGIN absorption: `to` absorbs from `from` across `edge`, entirely
-/// through the compile-time projections — no scope merges, no odometer
-/// walks, no allocation (the message lives in `state.scratch`).
-fn absorb(
-    tree: &JunctionTree,
-    kernels: &PropagationKernels,
-    state: &mut PropagationState,
-    from: usize,
-    edge: usize,
-    to: usize,
-) {
-    let e = tree.edge(edge);
-    let proj = &kernels.edge_proj[edge];
-    let (proj_from, proj_to) = if from == e.a {
-        (&proj.a, &proj.b)
-    } else {
-        (&proj.b, &proj.a)
-    };
-    let sep_len = state.sep_pot[edge].len();
-    state.scratch.resize(sep_len, 0.0);
-    // (1) New sepset potential: marginalize the sender into scratch.
-    marginalize_side(
-        state.clique_pot[from].values(),
-        kernels.support[from].as_deref(),
-        proj_from,
-        &mut state.scratch[..sep_len],
-    );
-    commit_message(kernels, state, edge, to, proj_to);
-}
-
-/// [`absorb`] with a per-edge message cache: on a dependency-key match
-/// ([`PropagationMode::Warm`] states) the cached message is copied into
-/// scratch instead of re-marginalizing the sender; otherwise the message
-/// is computed and the slot refreshed. The sepset store and receiver
-/// multiply run either way, keeping the state's evolution bit-identical
-/// to [`absorb`]. Returns whether the message was reused.
-fn absorb_cached(
-    tree: &JunctionTree,
-    kernels: &PropagationKernels,
-    state: &mut PropagationState,
-    (from, edge, to): (usize, usize, usize),
-    key: u128,
-    cache: &MessageCache,
-) -> bool {
-    let e = tree.edge(edge);
-    let proj = &kernels.edge_proj[edge];
-    let (proj_from, proj_to) = if from == e.a {
-        (&proj.a, &proj.b)
-    } else {
-        (&proj.b, &proj.a)
-    };
-    let sep_len = state.sep_pot[edge].len();
-    state.scratch.resize(sep_len, 0.0);
-    // Cached-message lock poison recovery: slots hold plain owned data
-    // that is consistent after any panic (key and values are written
-    // together under the lock), so the entry stays usable.
-    let mut reused = false;
-    if state.mode == PropagationMode::Warm {
-        let slot = cache.slots[edge]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        if let Some(cached) = slot.as_ref().filter(|c| c.key == key) {
-            state.scratch[..sep_len].copy_from_slice(&cached.values);
-            reused = true;
-        }
-    }
-    if !reused {
-        marginalize_side(
-            state.clique_pot[from].values(),
-            kernels.support[from].as_deref(),
-            proj_from,
-            &mut state.scratch[..sep_len],
-        );
-        let mut slot = cache.slots[edge]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        match &mut *slot {
-            Some(cached) => {
-                cached.key = key;
-                cached.values.clear();
-                cached.values.extend_from_slice(&state.scratch[..sep_len]);
-            }
-            None => {
-                *slot = Some(CachedMessage {
-                    key,
-                    values: state.scratch[..sep_len].to_vec(),
-                });
-            }
-        }
-    }
-    commit_message(kernels, state, edge, to, proj_to);
-    reused
-}
-
-/// Steps (2) and (3) of an absorption, shared by the cold and cached
-/// paths: store the new sepset potential (turning scratch into the
-/// update ratio) and multiply the update into the receiver.
-fn commit_message(
-    kernels: &PropagationKernels,
-    state: &mut PropagationState,
-    edge: usize,
-    to: usize,
-    proj_to: &SideProj,
-) {
-    store_message(state, edge);
-    let sep_len = state.sep_pot[edge].len();
-    // (3) Multiply the update into the receiver.
-    multiply_side(
-        state.clique_pot[to].values_mut(),
-        kernels.support[to].as_deref(),
-        proj_to,
-        &state.scratch[..sep_len],
-    );
-}
-
 /// Step (2) of an absorption: store the message in scratch as the new
 /// sepset potential, turning scratch into the update ratio new/old with
 /// the HUGIN convention 0/0 = 0 (nonzero/0 would mean the sender gained
@@ -1131,14 +1226,6 @@ fn store_message(state: &mut PropagationState, edge: usize) {
 
 fn assert_calibrated(state: &PropagationState) {
     assert!(state.calibrated, "call calibrate() first");
-}
-
-fn marginal_impl(tree: &JunctionTree, state: &PropagationState, var: VarId) -> Vec<f64> {
-    assert_calibrated(state);
-    let clique = tree.home_clique(var);
-    let mut m = state.clique_pot[clique].marginalize_keep(&[var]);
-    m.normalize();
-    m.values().to_vec()
 }
 
 fn joint_marginal_impl(
@@ -1707,8 +1794,11 @@ mod tests {
     fn state_space_counts_clique_entries() {
         let (net, _) = sprinkler();
         let tree = JunctionTree::compile(&net).unwrap();
+        let expected: usize = initial_potentials(&tree, &net)
+            .iter()
+            .map(Factor::len)
+            .sum();
         let compiled = CompiledTree::new(tree, &net).unwrap();
-        let expected: usize = compiled.initial_potentials().iter().map(Factor::len).sum();
         assert_eq!(compiled.state_space(), expected);
         assert!(compiled.state_space() > 0);
     }

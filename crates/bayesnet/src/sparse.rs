@@ -28,6 +28,15 @@
 //! [`clique_to_sepset`], and the pairwise walk (`pairwise`) reads it
 //! through a plan-time stride odometer.
 //!
+//! No initial potential is stored either. Each clique *hosts* the factors
+//! whose product is its initial potential ([`HostedFactor`]: its CPTs, or
+//! one full-scope factor for trees built from explicit potentials). A
+//! hosted scope is a sorted subset of the clique scope, exactly like a
+//! sepset, so its gather is one more [`BlockedProj`]: [`materialize`]
+//! gather-copies the first factor and [`multiply_blocked`]s the rest in,
+//! which multiplies every entry by the same values in the same order as
+//! `Factor::ones` followed by `Factor::mul_assign_sub` (`1.0 · x == x`).
+//!
 //! Skipping a structural zero never changes a sum-propagation result *at
 //! all*: potentials are non-negative, `x + 0.0 == x` exactly in IEEE 754,
 //! and the iteration order over the surviving entries (ascending linear
@@ -174,6 +183,49 @@ pub(crate) struct EdgeProj {
     pub(crate) b: SideProj,
 }
 
+/// One factor of a clique's initial potential and its gather projection:
+/// the clique→factor map in the blocked form the sepset kernels use.
+#[derive(Debug, Clone)]
+pub(crate) struct HostedFactor {
+    pub(crate) factor: Factor,
+    pub(crate) proj: BlockedProj,
+}
+
+impl HostedFactor {
+    /// Hosts `factor` in a clique over `vars` with cardinalities `cards`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the factor's scope is not a subset of the clique's or a
+    /// cardinality disagrees.
+    pub(crate) fn new(vars: &[VarId], cards: &[usize], factor: Factor) -> HostedFactor {
+        for (v, c) in factor.vars().iter().zip(factor.cards()) {
+            let pos = vars
+                .binary_search(v)
+                .expect("a hosted factor's scope lies in its clique");
+            assert_eq!(cards[pos], *c, "cardinality mismatch for {v}");
+        }
+        let proj = blocked_projection(vars, cards, factor.vars());
+        HostedFactor { factor, proj }
+    }
+}
+
+/// Writes a clique's initial potential into `values`: the product of its
+/// hosted factors, or all ones when it hosts none. Bit-identical to
+/// `Factor::ones` followed by `Factor::mul_assign_sub` per factor, in
+/// order: the first gather-copy stands in for `1.0 · x`, which is `x`.
+pub(crate) fn materialize(values: &mut [f64], hosted: &[HostedFactor]) {
+    match hosted.split_first() {
+        None => values.fill(1.0),
+        Some((first, rest)) => {
+            gather_blocked(values, &first.proj, first.factor.values());
+            for h in rest {
+                multiply_blocked(values, &h.proj, h.factor.values());
+            }
+        }
+    }
+}
+
 /// Everything the absorb kernels need, computed once at compile time.
 #[derive(Debug, Clone)]
 pub(crate) struct PropagationKernels {
@@ -187,7 +239,10 @@ pub(crate) struct PropagationKernels {
 }
 
 impl PropagationKernels {
-    /// Builds supports and projections for `potentials` over `tree`.
+    /// Builds supports and projections for the cliques of `tree`, whose
+    /// initial potentials are the products of `hosted`. Each potential is
+    /// materialized in turn into one reused scratch buffer, so nothing
+    /// potential-sized outlives the call.
     ///
     /// # Panics
     ///
@@ -195,36 +250,41 @@ impl PropagationKernels {
     /// table could not be allocated anyway).
     pub(crate) fn build(
         tree: &JunctionTree,
-        potentials: &[Factor],
+        hosted: &[Vec<HostedFactor>],
         mode: SparseMode,
     ) -> PropagationKernels {
         let mut nnz = 0usize;
-        let support: Vec<Option<Vec<u32>>> = potentials
+        let mut scratch: Vec<f64> = Vec::new();
+        let support: Vec<Option<Vec<u32>>> = hosted
             .iter()
-            .map(|pot| {
+            .enumerate()
+            .map(|(clique, hosted)| {
+                let len = tree.clique_len(clique);
                 assert!(
-                    u32::try_from(pot.len()).is_ok(),
+                    u32::try_from(len).is_ok(),
                     "clique potential exceeds u32 index range"
                 );
-                let nonzero = pot.values().iter().filter(|&&v| v != 0.0).count();
+                scratch.resize(len, 0.0);
+                materialize(&mut scratch, hosted);
+                let nonzero = scratch.iter().filter(|&&v| v != 0.0).count();
                 nnz += nonzero;
-                compress(mode, nonzero, pot.len()).then(|| support_of(pot.values()))
+                compress(mode, nonzero, len).then(|| support_of(&scratch))
             })
             .collect();
         let edge_proj = (0..tree.num_edges())
             .map(|e| {
                 let edge = tree.edge(e);
+                let side = |clique: usize| {
+                    side_proj(
+                        tree.clique(clique),
+                        &tree.clique_cards(clique),
+                        &edge.sepset,
+                        support[clique].as_deref(),
+                    )
+                };
                 EdgeProj {
-                    a: side_proj(
-                        &potentials[edge.a],
-                        &edge.sepset,
-                        support[edge.a].as_deref(),
-                    ),
-                    b: side_proj(
-                        &potentials[edge.b],
-                        &edge.sepset,
-                        support[edge.b].as_deref(),
-                    ),
+                    a: side(edge.a),
+                    b: side(edge.b),
                 }
             })
             .collect();
@@ -264,21 +324,25 @@ fn compress(mode: SparseMode, nnz: usize, len: usize) -> bool {
 
 /// The one projection form of a clique side: blocked when the clique is
 /// dense, support-aligned when it is zero-compressed.
-fn side_proj(clique: &Factor, sepset: &[VarId], support: Option<&[u32]>) -> SideProj {
+fn side_proj(
+    vars: &[VarId],
+    cards: &[usize],
+    sepset: &[VarId],
+    support: Option<&[u32]>,
+) -> SideProj {
     match support {
-        None => SideProj::Blocked(blocked_projection(clique, sepset)),
+        None => SideProj::Blocked(blocked_projection(vars, cards, sepset)),
         Some(support) => {
-            let full = clique_to_sepset(clique, sepset);
+            let full = clique_to_sepset(vars, cards, sepset);
             SideProj::Support(support.iter().map(|&i| full[i as usize]).collect())
         }
     }
 }
 
-/// Per clique dimension, the row-major stride of that dimension in the
-/// sepset table — `0` for summed-out dimensions.
-fn sepset_strides(clique: &Factor, sepset: &[VarId]) -> Vec<usize> {
-    let vars = clique.vars();
-    let cards = clique.cards();
+/// Per dimension of a clique over `vars` (cardinalities `cards`), the
+/// row-major stride of that dimension in the sepset table — `0` for
+/// summed-out dimensions.
+fn sepset_strides(vars: &[VarId], cards: &[usize], sepset: &[VarId]) -> Vec<usize> {
     let mut target_strides = vec![0usize; vars.len()];
     // Sepsets are sorted subsets of the clique scope; walk both in
     // lockstep assigning row-major strides (last sepset var fastest).
@@ -305,9 +369,8 @@ fn sepset_strides(clique: &Factor, sepset: &[VarId]) -> Vec<usize> {
 /// here into per-block target offsets. The degenerate decomposition
 /// (`copy_len == 1`, `sum_reps == 1`, one base per entry) is exactly the
 /// per-entry table, so correctness never depends on a favourable layout.
-fn blocked_projection(clique: &Factor, sepset: &[VarId]) -> BlockedProj {
-    let cards = clique.cards();
-    let strides = sepset_strides(clique, sepset);
+fn blocked_projection(vars: &[VarId], cards: &[usize], sepset: &[VarId]) -> BlockedProj {
+    let strides = sepset_strides(vars, cards, sepset);
     let mut j = cards.len();
     // Copy run: innermost kept dimensions laid out contiguously in the
     // target, i.e. each dimension's target stride equals the run length
@@ -339,7 +402,10 @@ fn blocked_projection(clique: &Factor, sepset: &[VarId]) -> BlockedProj {
             target -= strides[pos] * cards[pos];
         }
     }
-    debug_assert_eq!(base.len() * sum_reps * copy_len, clique.len());
+    debug_assert_eq!(
+        base.len() * sum_reps * copy_len,
+        cards.iter().product::<usize>()
+    );
     BlockedProj {
         copy_len: copy_len as u32,
         sum_reps: sum_reps as u32,
@@ -351,13 +417,13 @@ fn blocked_projection(clique: &Factor, sepset: &[VarId]) -> BlockedProj {
 /// odometer over the sepset strides. Builds the support-aligned tables and
 /// serves the two-pass reference, which derives a dense clique's map here
 /// at call time; the blocked form is checked against it.
-pub(crate) fn clique_to_sepset(clique: &Factor, sepset: &[VarId]) -> Vec<u32> {
-    let cards = clique.cards();
-    let target_strides = sepset_strides(clique, sepset);
-    let mut full = Vec::with_capacity(clique.len());
+pub(crate) fn clique_to_sepset(vars: &[VarId], cards: &[usize], sepset: &[VarId]) -> Vec<u32> {
+    let target_strides = sepset_strides(vars, cards, sepset);
+    let len: usize = cards.iter().product();
+    let mut full = Vec::with_capacity(len);
     let mut digits = vec![0usize; cards.len()];
     let mut target = 0usize;
-    for _ in 0..clique.len() {
+    for _ in 0..len {
         full.push(target as u32);
         for pos in (0..cards.len()).rev() {
             digits[pos] += 1;
@@ -382,14 +448,15 @@ pub(crate) fn clique_to_sepset(clique: &Factor, sepset: &[VarId]) -> Vec<u32> {
 /// Panics if `sepset` is not an ascending subset of the clique's scope.
 #[doc(hidden)]
 pub fn projection_index_sequences(clique: &Factor, sepset: &[VarId]) -> (Vec<u32>, Vec<u32>) {
-    let blocked = blocked_projection(clique, sepset);
+    let (vars, cards) = (clique.vars(), clique.cards());
+    let blocked = blocked_projection(vars, cards, sepset);
     let mut expanded = Vec::with_capacity(clique.len());
     for &base in &blocked.base {
         for _ in 0..blocked.sum_reps {
             expanded.extend(base..base + blocked.copy_len);
         }
     }
-    (expanded, clique_to_sepset(clique, sepset))
+    (expanded, clique_to_sepset(vars, cards, sepset))
 }
 
 /// Marginalizes a clique table into `target` (a sepset-sized buffer)
@@ -482,6 +549,29 @@ pub(crate) fn marginalize_blocked(values: &[f64], blocked: &BlockedProj, target:
     }
 }
 
+/// Blocked gather-copy of a factor into a clique table: entry `i` becomes
+/// `src[proj(i)]`. The first hosted factor of [`materialize`], where it
+/// replaces a fill with ones followed by [`multiply_blocked`].
+fn gather_blocked(values: &mut [f64], blocked: &BlockedProj, src: &[f64]) {
+    let l = blocked.copy_len as usize;
+    let s = blocked.sum_reps as usize;
+    let mut off = 0usize;
+    if l == 1 {
+        for &b in &blocked.base {
+            values[off..off + s].fill(src[b as usize]);
+            off += s;
+        }
+    } else {
+        for &b in &blocked.base {
+            let run = &src[b as usize..b as usize + l];
+            for _ in 0..s {
+                values[off..off + l].copy_from_slice(run);
+                off += l;
+            }
+        }
+    }
+}
+
 /// Blocked multiply of a sepset-sized `update` into a dense clique table:
 /// the gather direction of [`marginalize_blocked`]. Elementwise products
 /// in any order are the same products, so this is bit-identical to the
@@ -544,29 +634,29 @@ mod tests {
         // dims (a:2, b:3, c:4); keep the {b, c} suffix → one 12-entry copy
         // run, and the summed-out `a` right above it folds into reps.
         let f = mixed_factor(&[2, 3, 4], (0..24).map(|x| x as f64).collect());
-        let bp = blocked_projection(&f, &[v(1), v(2)]);
+        let bp = blocked_projection(f.vars(), f.cards(), &[v(1), v(2)]);
         assert_eq!((bp.copy_len, bp.sum_reps), (12, 2));
         assert_eq!(bp.base, vec![0]);
         // Keep only the innermost var → copy run c, fold run absorbs both
         // summed-out dims b and a.
-        let bp = blocked_projection(&f, &[v(2)]);
+        let bp = blocked_projection(f.vars(), f.cards(), &[v(2)]);
         assert_eq!((bp.copy_len, bp.sum_reps), (4, 6));
         assert_eq!(bp.base, vec![0]);
         // Keep {a, c} → copy run c, fold run b, blocks over kept a (target
         // stride 4).
-        let bp = blocked_projection(&f, &[v(0), v(2)]);
+        let bp = blocked_projection(f.vars(), f.cards(), &[v(0), v(2)]);
         assert_eq!((bp.copy_len, bp.sum_reps), (4, 3));
         assert_eq!(bp.base, vec![0, 4]);
         // Keep only the middle var → copy run degenerates to 1 entry.
-        let bp = blocked_projection(&f, &[v(1)]);
+        let bp = blocked_projection(f.vars(), f.cards(), &[v(1)]);
         assert_eq!((bp.copy_len, bp.sum_reps), (1, 4));
         assert_eq!(bp.base, vec![0, 1, 2, 0, 1, 2]);
         // Empty sepset → everything folds into one slot.
-        let bp = blocked_projection(&f, &[]);
+        let bp = blocked_projection(f.vars(), f.cards(), &[]);
         assert_eq!((bp.copy_len, bp.sum_reps), (1, 24));
         assert_eq!(bp.base, vec![0]);
         // Full sepset → one pure copy run.
-        let bp = blocked_projection(&f, &[v(0), v(1), v(2)]);
+        let bp = blocked_projection(f.vars(), f.cards(), &[v(0), v(1), v(2)]);
         assert_eq!((bp.copy_len, bp.sum_reps), (24, 1));
         assert_eq!(bp.base, vec![0]);
     }
@@ -596,8 +686,8 @@ mod tests {
                 .filter(|i| mask & (1 << i) != 0)
                 .map(v)
                 .collect();
-            let proj = clique_to_sepset(&clique, &sepset);
-            let bp = blocked_projection(&clique, &sepset);
+            let proj = clique_to_sepset(clique.vars(), clique.cards(), &sepset);
+            let bp = blocked_projection(clique.vars(), clique.cards(), &sepset);
             let sep_len: usize = sepset
                 .iter()
                 .map(|s| clique.cards()[clique.position(*s).unwrap()])
@@ -647,10 +737,12 @@ mod tests {
     /// Kernel path: projection + optional support, as used by `CompiledTree`.
     fn kernel_marginalize(clique: &Factor, sepset: &[VarId]) -> Vec<f64> {
         let support = support_of(clique.values());
-        let SideProj::Support(proj) = side_proj(clique, sepset, Some(&support)) else {
+        let SideProj::Support(proj) =
+            side_proj(clique.vars(), clique.cards(), sepset, Some(&support))
+        else {
             unreachable!("a support list gives a support-aligned table")
         };
-        let proj_dense = clique_to_sepset(clique, sepset);
+        let proj_dense = clique_to_sepset(clique.vars(), clique.cards(), sepset);
         let sep_len: usize = sepset
             .iter()
             .map(|s| clique.cards()[clique.position(*s).unwrap()])
@@ -700,7 +792,7 @@ mod tests {
             reference.mul_assign_sub(&update);
 
             let support = support_of(clique.values());
-            let SideProj::Support(proj) = side_proj(&clique, &sepset, Some(&support)) else {
+            let SideProj::Support(proj) = side_proj(clique.vars(), clique.cards(), &sepset, Some(&support)) else {
                 unreachable!("a support list gives a support-aligned table")
             };
             let mut got = clique.clone();
@@ -722,7 +814,7 @@ mod tests {
         // Sepset that is not a scope prefix: keep the middle variable.
         let clique = pattern_factor(3, (0..64).map(|i| (i % 4) as f64).collect());
         let sepset = vec![v(1)];
-        let proj = clique_to_sepset(&clique, &sepset);
+        let proj = clique_to_sepset(clique.vars(), clique.cards(), &sepset);
         let mut target = vec![0.0f64; 4];
         marginalize_into(clique.values(), None, &proj, &mut target);
         assert_eq!(target.as_slice(), clique.marginalize_keep(&sepset).values());

@@ -422,8 +422,9 @@ pub fn kernel_throughput(names: &[&str], reps: usize) -> Vec<KernelThroughputRow
                     .collect()
             };
             // States are created outside the timed region and recalibrated
-            // in place: calibrate re-seeds from the initial potentials, so
-            // warm reps do the full message pass with zero allocation.
+            // in place: calibrate rewrites each clique from the potentials
+            // it hosts on first touch, so warm reps do the full message
+            // pass with zero allocation.
             let time = |trees: &[CompiledTree]| -> f64 {
                 let mut states: Vec<_> = trees.iter().map(CompiledTree::new_state).collect();
                 let pass = |states: &mut Vec<swact_bayesnet::PropagationState>| {

@@ -75,8 +75,10 @@ pub const MAGIC: [u8; 8] = *b"SWACTBN1";
 /// propagation-kernel tag from the options codec and from every compiled
 /// tree; version 7 keeps one projection form per edge side: dense
 /// cliques lost their per-entry projection tables and keep only the
-/// blocked stride form.
-pub const FORMAT_VERSION: u32 = 7;
+/// blocked stride form; version 8 stores no initial clique potential:
+/// each clique carries the factors it hosts (its CPTs) with their blocked
+/// gather projections instead.
+pub const FORMAT_VERSION: u32 = 8;
 
 /// Extension used by [`artifact_file_name`].
 pub const ARTIFACT_EXTENSION: &str = "swact";

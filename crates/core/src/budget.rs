@@ -44,10 +44,11 @@ pub struct Budget {
     /// require. Checked with `triangulate::estimate_cost` *before* the
     /// exponential potential is allocated.
     pub max_states: Option<f64>,
-    /// Maximum resident bytes of compiled clique potentials across all
-    /// segments (8 bytes per stored entry). Checked cumulatively as
-    /// segments compile: the segment whose admission estimate would cross
-    /// the cap is degraded.
+    /// Maximum bytes of clique potentials the segments' per-request
+    /// propagation states allocate (8 bytes per entry; compiled segments
+    /// store no potential, only the CPTs each clique is built from).
+    /// Checked cumulatively as segments compile: the segment whose
+    /// admission estimate would cross the cap is degraded.
     pub max_factor_bytes: Option<usize>,
     /// Per-stage wall-clock deadline, checked cooperatively at segment
     /// boundaries (compile) and wave boundaries (propagate). Exceeding it

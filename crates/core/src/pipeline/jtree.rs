@@ -5,8 +5,8 @@ use std::sync::Mutex;
 
 use swact_bayesnet::codec::{fnv128_u64, FNV128_OFFSET};
 use swact_bayesnet::{
-    initial_potentials, CompiledTree, Factor, JunctionTree, MessageCache, PairwisePlan,
-    PropagationMode, PropagationState, VarId,
+    CompiledTree, Factor, JunctionTree, MessageCache, PairwisePlan, PropagationMode,
+    PropagationState, VarId,
 };
 use swact_circuit::LineId;
 
@@ -22,14 +22,16 @@ use crate::{EstimateError, InputSpec, TransitionDist};
 /// backend that can export pairwise joints across segment boundaries.
 pub(crate) struct JtreeSegment {
     /// The immutable propagation artifact: junction tree, message
-    /// schedule, and initial clique potentials with *uniform* root priors
+    /// schedule, and the CPTs each clique hosts, with *uniform* root priors
     /// baked in; the actual priors are injected per estimate as likelihood
-    /// weights (mathematically identical, but reuses this cached product).
+    /// weights (mathematically identical, and the artifact stays
+    /// independent of the input statistics).
     pub(crate) compiled: CompiledTree,
     /// Reusable per-request propagation states. Each propagate call pops
     /// one (or creates one on first use), propagates, and returns it, so
     /// steady-state estimation allocates no fresh potentials — the piece
-    /// that makes concurrent batch estimation over one compile cheap.
+    /// that makes concurrent batch estimation over one compile cheap. Each
+    /// holds the segment's full clique state space, 8 bytes per entry.
     pub(crate) states: Mutex<Vec<PropagationState>>,
     /// Shared per-edge collect-message cache: concurrent and consecutive
     /// propagations over this compile reuse messages whose evidence
@@ -138,7 +140,7 @@ pub(crate) fn compile(
     // Boundary-correlation edges can widen the tree; report a severe
     // blowup so the pipeline can fall back to plain marginal forwarding
     // for this segment (keeping the planned budget meaningful) —
-    // crucially *before* materializing the oversized potentials.
+    // crucially *before* building kernels over the oversized cliques.
     if !model.pair_roots.is_empty()
         && !options.single_bn
         && tree.total_states() > 4.0 * options.segment_budget as f64
@@ -154,10 +156,9 @@ pub(crate) fn compile(
             budget: options.segment_budget as f64,
         });
     }
-    let init_potentials = initial_potentials(&tree, &model.net);
     let total_states = tree.total_states();
     let max_clique_states = tree.max_clique_states();
-    let compiled = CompiledTree::from_parts_with(tree, init_potentials, options.sparse);
+    let compiled = CompiledTree::new_with(tree, &model.net, options.sparse)?;
     let stats = SegmentStats {
         total_states,
         max_clique_states,
@@ -263,8 +264,9 @@ pub(crate) fn propagate(
         .gates
         .iter()
         .map(|&(line, var)| {
-            let m = compiled.marginal(&state, var);
-            (line, TransitionDist::new([m[0], m[1], m[2], m[3]]))
+            let mut m = [0.0f64; 4];
+            compiled.marginal_into(&state, var, &mut m);
+            (line, TransitionDist::new(m))
         })
         .collect();
     // Serve requested line-pair joints from this segment.

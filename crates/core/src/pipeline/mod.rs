@@ -179,8 +179,10 @@ impl CompiledEstimator {
         let budget = options.budget;
         // Space budgets are hard admission checks on the planner's *soft*
         // target: the estimate is re-derived per segment and violations
-        // walk the degradation ladder below instead of allocating an
-        // exponential potential.
+        // walk the degradation ladder below instead of admitting a segment
+        // whose propagation states would be exponential. The byte cap
+        // counts that per-request state, not stored potentials (a
+        // compiled tree keeps only its CPTs).
         let checks_space = budget.max_states.is_some() || budget.max_factor_bytes.is_some();
         let space_violation = |est: f64, resident: usize| -> Option<DegradationCause> {
             if let Some(max_states) = budget.max_states {
@@ -214,7 +216,9 @@ impl CompiledEstimator {
         let mut num_boundary_roots = 0usize;
         let mut model_time = Duration::ZERO;
         let mut compile_stage_time = Duration::ZERO;
-        // Resident compiled-potential bytes so far (8 per stored entry).
+        // Bytes of per-request propagation state the segments compiled so
+        // far allocate (8 per nonzero clique entry). Compiled trees store
+        // no potential: each segment's pooled states hold its cliques.
         let mut resident_bytes = 0usize;
         // Where each gate line was produced: (segment index, var there).
         let mut produced_in: HashMap<LineId, (usize, VarId)> = HashMap::new();

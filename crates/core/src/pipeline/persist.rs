@@ -1207,14 +1207,14 @@ mod tests {
     fn payload_encoding_is_pinned() {
         assert_eq!(
             crate::artifact::FORMAT_VERSION,
-            7,
+            8,
             "a new format version needs new payload pins"
         );
         let pins = [
             (
                 Backend::Jtree,
-                7937,
-                0xec6e_1a09_0f89_3f0c_475a_d96d_509d_247d,
+                6993,
+                0xe305_5f41_392b_9cca_0ab8_0b60_a5fa_6475,
             ),
             (
                 Backend::Bdd,
@@ -1228,8 +1228,8 @@ mod tests {
             ),
             (
                 Backend::TwoState,
-                3617,
-                0xcd0e_24a0_26f7_33fe_3160_b3b5_6d15_e55b,
+                3817,
+                0x9b29_89be_aa09_ded4_a577_550a_1dbb_4b9c,
             ),
         ];
         for (backend, len, hash) in pins {
@@ -1247,7 +1247,7 @@ mod tests {
         );
         assert_eq!(
             payload_pin(&compiled),
-            (45139, 0x4e3d_1820_b243_cbdb_a137_43af_9e16_2165)
+            (50243, 0xd926_d175_442b_432d_75e4_dc68_f00a_bb35)
         );
     }
 
@@ -1331,24 +1331,27 @@ mod tests {
         assert!(is_corrupt(load_edited(&edited, |_| {})), "export slot");
     }
 
-    /// A NaN (or infinite, or negative) clique potential in an otherwise
-    /// valid, re-checksummed c17 artifact is a typed corruption error
-    /// instead of a later panic or a NaN estimate.
+    /// A NaN (or infinite, or negative) value in a hosted CPT of an
+    /// otherwise valid, re-checksummed c17 artifact is a typed corruption
+    /// error instead of a later panic or a NaN estimate.
     #[test]
     fn non_finite_potentials_are_rejected() {
         let compiled = compiled_c17(&Options::default());
         let SegmentArtifact::Jtree(seg) = &compiled.segments[0].artifact else {
             panic!("c17 compiles to one jtree segment");
         };
-        let potential = &seg.compiled.initial_potentials()[0];
+        let cpt = (0..seg.compiled.tree().num_cliques())
+            .flat_map(|clique| seg.compiled.hosted_factors(clique))
+            .max_by_key(|factor| factor.len())
+            .expect("c17 hosts CPTs");
         let mut w = Writer::new();
-        swact_bayesnet::codec::write_factor(&mut w, potential);
+        swact_bayesnet::codec::write_factor(&mut w, cpt);
         let encoded = w.into_bytes();
         let payload = encode_pipeline(&compiled);
         let at = payload
             .windows(encoded.len())
             .position(|window| window == encoded)
-            .expect("the potential is encoded in the payload");
+            .expect("the CPT is encoded in the payload");
         // The value table closes the encoded factor.
         let last_value = at + encoded.len() - 8;
         for bad in [f64::NAN, f64::INFINITY, -1.0] {

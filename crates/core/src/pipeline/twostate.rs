@@ -16,9 +16,7 @@
 
 use std::sync::Mutex;
 
-use swact_bayesnet::{
-    initial_potentials, BayesNet, CompiledTree, Cpt, JunctionTree, PropagationState, VarId,
-};
+use swact_bayesnet::{BayesNet, CompiledTree, Cpt, JunctionTree, PropagationState, VarId};
 use swact_circuit::{GateKind, LineId};
 
 use crate::estimator::Options;
@@ -112,10 +110,9 @@ pub(crate) fn compile(
             budget: options.segment_budget as f64,
         });
     }
-    let potentials = initial_potentials(&tree, &net);
     let total_states = tree.total_states();
     let max_clique_states = tree.max_clique_states();
-    let compiled = CompiledTree::from_parts_with(tree, potentials, options.sparse);
+    let compiled = CompiledTree::new_with(tree, &net, options.sparse)?;
     let stats = SegmentStats {
         total_states,
         max_clique_states,
@@ -161,7 +158,9 @@ pub(crate) fn propagate(
         .gates
         .iter()
         .map(|&(line, var)| {
-            let p = compiled.marginal(&state, var)[1];
+            let mut m = [0.0f64; 2];
+            compiled.marginal_into(&state, var, &mut m);
+            let p = m[1];
             let q = 1.0 - p;
             // Temporal-independence proxy: stationary product joint,
             // whose switching mass is 2·p·(1−p).

@@ -162,14 +162,15 @@ proptest! {
 }
 
 /// Format 6 dropped the kernel option byte and the kernel byte of every
-/// compiled tree, and format 7 dropped the per-entry projection tables of
-/// dense cliques, so format-5 and format-6 files must never reach the
-/// payload decoder.
+/// compiled tree, format 7 dropped the per-entry projection tables of
+/// dense cliques, and format 8 replaced the stored clique potentials with
+/// hosted CPTs, so format-5, -6 and -7 files must never reach the payload
+/// decoder.
 #[test]
 fn older_format_artifacts_are_rejected() {
-    assert_eq!(artifact::FORMAT_VERSION, 7);
+    assert_eq!(artifact::FORMAT_VERSION, 8);
     let (key, bytes) = c17_artifact();
-    for version in [5u32, 6] {
+    for version in [5u32, 6, 7] {
         let mut old = bytes.clone();
         old[8..12].copy_from_slice(&version.to_le_bytes());
         assert!(matches!(

@@ -25,8 +25,10 @@ pub(crate) fn model_key(circuit: &Circuit, spec: &InputSpec, options: &Options) 
 
 struct Entry {
     model: Arc<CompiledEstimator>,
-    /// Nonzero junction-tree potential entries — the model's memory cost
-    /// proxy (equals the full state-space size for uncompressed models).
+    /// Nonzero junction-tree clique entries — the model's cost proxy:
+    /// what each propagation works through, and a lower bound on the
+    /// per-segment propagation states the model pools once estimated
+    /// (the compiled model itself stores no clique potential, only CPTs).
     cost: f64,
     last_used: u64,
 }
