@@ -24,6 +24,7 @@
 use std::fmt;
 
 use crate::junction::{JunctionTree, TreeEdge};
+use crate::propagate::CodecParts;
 use crate::sparse::{BlockedProj, EdgeProj, HostedFactor, PropagationKernels, SideProj};
 use crate::{CompiledTree, Factor, SparseMode, VarId};
 
@@ -584,7 +585,14 @@ fn read_side_proj(
 /// Encodes a [`CompiledTree`] — structure, hosted factors, schedule,
 /// kernels, and dependency masks — into `w`.
 pub fn write_compiled_tree(w: &mut Writer, compiled: &CompiledTree) {
-    let (tree, hosted, schedule, kernels, mode, home_vars) = compiled.codec_parts();
+    write_compiled_parts(w, compiled.codec_parts());
+}
+
+/// [`write_compiled_tree`] from the artifact's serialized fields.
+fn write_compiled_parts(
+    w: &mut Writer,
+    (tree, hosted, schedule, kernels, mode, home_vars): CodecParts<'_>,
+) {
     write_tree(w, tree);
     w.usize(hosted.len());
     for factors in hosted {
@@ -958,16 +966,11 @@ mod tests {
             fill,
             total,
         );
-        let edited = CompiledTree::from_codec_parts(
-            tree,
-            hosted,
-            schedule.to_vec(),
-            kernels,
-            mode,
-            home_vars.to_vec(),
-        );
         let mut w = Writer::new();
-        write_compiled_tree(&mut w, &edited);
+        write_compiled_parts(
+            &mut w,
+            (&tree, &hosted, schedule, &kernels, mode, home_vars),
+        );
         read_compiled_tree(&mut Reader::new(&w.into_bytes()))
     }
 
@@ -1141,16 +1144,8 @@ mod tests {
                 fill,
                 total,
             );
-            let edited = CompiledTree::from_codec_parts(
-                tree,
-                hosted.to_vec(),
-                schedule.to_vec(),
-                kernels.clone(),
-                mode,
-                home_vars.to_vec(),
-            );
             let mut w = Writer::new();
-            write_compiled_tree(&mut w, &edited);
+            write_compiled_parts(&mut w, (&tree, hosted, schedule, kernels, mode, home_vars));
             let decoded = read_compiled_tree(&mut Reader::new(&w.into_bytes()));
             assert!(
                 malformed_with(decoded, "no entries or too many"),

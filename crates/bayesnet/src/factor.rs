@@ -158,11 +158,6 @@ impl Factor {
         strides
     }
 
-    /// Row-major stride of scope position `pos`.
-    fn stride_at(&self, pos: usize) -> usize {
-        self.cards[pos + 1..].iter().product()
-    }
-
     /// Linear index of an assignment (aligned with the scope).
     ///
     /// # Panics
@@ -347,33 +342,7 @@ impl Factor {
     /// Panics if `other` mentions a variable absent from `self` or with a
     /// mismatched cardinality.
     pub fn mul_assign_sub(&mut self, other: &Factor) {
-        let other_strides = other.strides();
-        // Stride of each of self's positions within `other` (0 if absent).
-        let mut sub_strides = vec![0usize; self.vars.len()];
-        for (pos, &v) in other.vars.iter().enumerate() {
-            let self_pos = self
-                .position(v)
-                .expect("subset multiplication requires scope containment");
-            assert_eq!(
-                self.cards[self_pos], other.cards[pos],
-                "cardinality mismatch for {v}"
-            );
-            sub_strides[self_pos] = other_strides[pos];
-        }
-        let mut digits = vec![0usize; self.vars.len()];
-        let mut oi = 0usize;
-        for v in &mut self.values {
-            *v *= other.values[oi];
-            for pos in (0..digits.len()).rev() {
-                digits[pos] += 1;
-                oi += sub_strides[pos];
-                if digits[pos] < self.cards[pos] {
-                    break;
-                }
-                digits[pos] = 0;
-                oi -= sub_strides[pos] * self.cards[pos];
-            }
-        }
+        Scope::new(&self.vars, &self.cards).mul_assign_sub(&mut self.values, other);
     }
 
     /// In-place pointwise division by a factor whose scope is a **subset**
@@ -476,7 +445,7 @@ impl Factor {
         let size: usize = result_cards.iter().product();
         let mut values = vec![0.0; size.max(1)];
         if let [pos] = kept[..] {
-            self.fold_onto(pos, &mut values);
+            Scope::new(&self.vars, &self.cards).fold_onto(&self.values, pos, &mut values);
             return Factor {
                 vars: result_scope.iter().map(|&(v, _)| v).collect(),
                 cards: result_cards,
@@ -513,50 +482,6 @@ impl Factor {
         }
     }
 
-    /// Adds the marginal over scope position `pos` into `out` (one slot
-    /// per state): outer block × card × stride. Each state's sum takes its
-    /// entries in ascending source order, exactly as the odometer of
-    /// [`marginalize_keep`](Factor::marginalize_keep) adds them.
-    fn fold_onto(&self, pos: usize, out: &mut [f64]) {
-        let stride = self.stride_at(pos);
-        for block in self.values.chunks_exact(self.cards[pos] * stride) {
-            for (slot, run) in out.iter_mut().zip(block.chunks_exact(stride)) {
-                let mut acc = *slot;
-                for &v in run {
-                    acc += v;
-                }
-                *slot = acc;
-            }
-        }
-    }
-
-    /// `marginalize_keep(&[var])` followed by
-    /// [`normalize`](Factor::normalize), written into `out` without
-    /// allocating: the same fold (a one-variable scope is copied, as
-    /// `marginalize_keep` clones it) and the same sum-then-divide, so the
-    /// bits are the same.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var` is outside the scope or `out` is not one slot per
-    /// state of `var`.
-    pub(crate) fn normalized_marginal_into(&self, var: VarId, out: &mut [f64]) {
-        let pos = self.position(var).expect("marginal of a variable in scope");
-        assert_eq!(out.len(), self.cards[pos], "one slot per state of {var}");
-        if self.vars.len() == 1 {
-            out.copy_from_slice(&self.values);
-        } else {
-            out.fill(0.0);
-            self.fold_onto(pos, out);
-        }
-        let total: f64 = out.iter().sum();
-        if total > 0.0 {
-            for v in out {
-                *v /= total;
-            }
-        }
-    }
-
     /// Sums out a single variable. Equivalent to
     /// [`marginalize_keep`](Factor::marginalize_keep) with the rest of the
     /// scope; a no-op if `var` is absent.
@@ -575,36 +500,14 @@ impl Factor {
     ///
     /// Panics if `state` is out of range for `var`.
     pub fn reduce(&mut self, var: VarId, state: usize) {
-        let Some(pos) = self.position(var) else {
-            return;
-        };
-        assert!(state < self.cards[pos], "evidence state out of range");
-        let (card, stride) = (self.cards[pos], self.stride_at(pos));
-        // Outer block × card × stride: each block holds one run of
-        // `stride` entries per state of `var`.
-        for block in self.values.chunks_exact_mut(card * stride) {
-            for (s, run) in block.chunks_exact_mut(stride).enumerate() {
-                if s != state {
-                    run.fill(0.0);
-                }
-            }
-        }
+        Scope::new(&self.vars, &self.cards).reduce(&mut self.values, var, state);
     }
 
     /// Multiplies every entry where `var == state` by `weight`, keeping the
     /// scope intact (soft / likelihood evidence). A no-op if `var` is
     /// absent.
     pub fn scale_state(&mut self, var: VarId, state: usize, weight: f64) {
-        let Some(pos) = self.position(var) else {
-            return;
-        };
-        assert!(state < self.cards[pos], "state out of range");
-        let (card, stride) = (self.cards[pos], self.stride_at(pos));
-        for block in self.values.chunks_exact_mut(card * stride) {
-            for v in &mut block[state * stride..(state + 1) * stride] {
-                *v *= weight;
-            }
-        }
+        Scope::new(&self.vars, &self.cards).scale_state(&mut self.values, var, state, weight);
     }
 
     /// Sum of all entries.
@@ -638,6 +541,141 @@ impl Factor {
             .zip(&other.values)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
+    }
+}
+
+/// A factor scope borrowed apart from its values: the in-place operations
+/// of [`Factor`], run over any table in its canonical layout. A
+/// propagation state keeps every clique's values in one flat buffer and
+/// reads each clique's scope from its tree, so its evidence entry and
+/// readout go through here, and the `Factor` methods delegate here too:
+/// one body per operation, so both give the same bits.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Scope<'a> {
+    vars: &'a [VarId],
+    cards: &'a [usize],
+}
+
+impl<'a> Scope<'a> {
+    /// The scope over `vars` (strictly ascending) with cardinalities `cards`.
+    pub(crate) fn new(vars: &'a [VarId], cards: &'a [usize]) -> Scope<'a> {
+        debug_assert_eq!(vars.len(), cards.len());
+        Scope { vars, cards }
+    }
+
+    fn position(&self, var: VarId) -> Option<usize> {
+        self.vars.binary_search(&var).ok()
+    }
+
+    /// Row-major stride of scope position `pos`.
+    fn stride_at(&self, pos: usize) -> usize {
+        self.cards[pos + 1..].iter().product()
+    }
+
+    /// [`Factor::mul_assign_sub`] on `values`.
+    pub(crate) fn mul_assign_sub(&self, values: &mut [f64], other: &Factor) {
+        let other_strides = other.strides();
+        // Stride of each of self's positions within `other` (0 if absent).
+        let mut sub_strides = vec![0usize; self.vars.len()];
+        for (pos, &v) in other.vars.iter().enumerate() {
+            let self_pos = self
+                .position(v)
+                .expect("subset multiplication requires scope containment");
+            assert_eq!(
+                self.cards[self_pos], other.cards[pos],
+                "cardinality mismatch for {v}"
+            );
+            sub_strides[self_pos] = other_strides[pos];
+        }
+        let mut digits = vec![0usize; self.vars.len()];
+        let mut oi = 0usize;
+        for v in values {
+            *v *= other.values[oi];
+            for pos in (0..digits.len()).rev() {
+                digits[pos] += 1;
+                oi += sub_strides[pos];
+                if digits[pos] < self.cards[pos] {
+                    break;
+                }
+                digits[pos] = 0;
+                oi -= sub_strides[pos] * self.cards[pos];
+            }
+        }
+    }
+
+    /// Adds the marginal over scope position `pos` of `values` into `out`
+    /// (one slot per state): outer block × card × stride. Each state's sum
+    /// takes its entries in ascending source order, exactly as the odometer
+    /// of [`Factor::marginalize_keep`] adds them.
+    fn fold_onto(&self, values: &[f64], pos: usize, out: &mut [f64]) {
+        let stride = self.stride_at(pos);
+        for block in values.chunks_exact(self.cards[pos] * stride) {
+            for (slot, run) in out.iter_mut().zip(block.chunks_exact(stride)) {
+                let mut acc = *slot;
+                for &v in run {
+                    acc += v;
+                }
+                *slot = acc;
+            }
+        }
+    }
+
+    /// `marginalize_keep(&[var])` followed by `normalize` over `values`,
+    /// written into `out` without allocating: the same fold (a
+    /// one-variable scope is copied, as `marginalize_keep` clones it) and
+    /// the same sum-then-divide, so the bits are the same.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var` is outside the scope or `out` is not one slot per
+    /// state of `var`.
+    pub(crate) fn normalized_marginal_into(&self, values: &[f64], var: VarId, out: &mut [f64]) {
+        let pos = self.position(var).expect("marginal of a variable in scope");
+        assert_eq!(out.len(), self.cards[pos], "one slot per state of {var}");
+        if self.vars.len() == 1 {
+            out.copy_from_slice(values);
+        } else {
+            out.fill(0.0);
+            self.fold_onto(values, pos, out);
+        }
+        let total: f64 = out.iter().sum();
+        if total > 0.0 {
+            for v in out {
+                *v /= total;
+            }
+        }
+    }
+
+    /// [`Factor::reduce`] on `values`.
+    pub(crate) fn reduce(&self, values: &mut [f64], var: VarId, state: usize) {
+        let Some(pos) = self.position(var) else {
+            return;
+        };
+        assert!(state < self.cards[pos], "evidence state out of range");
+        let (card, stride) = (self.cards[pos], self.stride_at(pos));
+        // Outer block × card × stride: each block holds one run of
+        // `stride` entries per state of `var`.
+        for block in values.chunks_exact_mut(card * stride) {
+            for (s, run) in block.chunks_exact_mut(stride).enumerate() {
+                if s != state {
+                    run.fill(0.0);
+                }
+            }
+        }
+    }
+
+    /// [`Factor::scale_state`] on `values`.
+    pub(crate) fn scale_state(&self, values: &mut [f64], var: VarId, state: usize, weight: f64) {
+        let Some(pos) = self.position(var) else {
+            return;
+        };
+        assert!(state < self.cards[pos], "state out of range");
+        let (card, stride) = (self.cards[pos], self.stride_at(pos));
+        for block in values.chunks_exact_mut(card * stride) {
+            for v in &mut block[state * stride..(state + 1) * stride] {
+                *v *= weight;
+            }
+        }
     }
 }
 

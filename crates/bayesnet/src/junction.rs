@@ -194,21 +194,6 @@ impl JunctionTree {
             .fold(0.0, f64::max)
     }
 
-    /// Size (in states) of the largest sepset — the scratch-buffer bound
-    /// of one propagation message.
-    pub fn max_sepset_states(&self) -> usize {
-        self.edges
-            .iter()
-            .map(|e| {
-                e.sepset
-                    .iter()
-                    .map(|v| self.cards[v.index()])
-                    .product::<usize>()
-            })
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Cardinalities of clique `i`'s variables, aligned with
     /// [`clique`](JunctionTree::clique).
     pub(crate) fn clique_cards(&self, i: usize) -> Vec<usize> {

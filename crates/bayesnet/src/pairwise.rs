@@ -52,8 +52,9 @@
 //! `0.0 · m` to a non-negative sum changes nothing.
 
 use crate::junction::JunctionTree;
+use crate::propagate::StateLayout;
 use crate::sparse::{PropagationKernels, SideProj};
-use crate::{Factor, VarId};
+use crate::VarId;
 
 /// A clique variable whose digit lands in a step's target index.
 #[derive(Debug, Clone, Copy)]
@@ -341,12 +342,11 @@ pub(crate) fn plan(tree: &JunctionTree, a: VarId, b: VarId) -> Option<PairwisePl
 /// # Panics
 ///
 /// Panics on `x / 0` with `x ≠ 0` in a sepset division (a propagation
-/// bug, as in [`Factor::div_assign_sub`]).
+/// bug, as in [`crate::Factor::div_assign_sub`]).
 pub(crate) fn run<'s>(
     plan: &PairwisePlan,
     kernels: &PropagationKernels,
-    clique_pot: &[Factor],
-    sep_pot: &[Factor],
+    (layout, cliques, sepsets): (&StateLayout, &[f64], &[f64]),
     msg: &'s mut Vec<f64>,
     next: &'s mut Vec<f64>,
 ) -> &'s [f64] {
@@ -369,7 +369,7 @@ pub(crate) fn run<'s>(
     for step in &plan.steps {
         next.clear();
         next.resize(step.out_len, 0.0);
-        let pot = clique_pot[step.clique].values();
+        let pot = &cliques[layout.clique(step.clique)];
         let incoming: &[f64] = if step.src.is_some() { msg } else { &UNIT };
         match kernels.support[step.clique].as_deref() {
             None => match step.lanes {
@@ -390,7 +390,7 @@ pub(crate) fn run<'s>(
             ),
         }
         if let Some((edge, _)) = step.dst {
-            divide_by_sepset(next, sep_pot[edge].values(), step.out_lanes);
+            divide_by_sepset(next, &sepsets[layout.sepset(edge)], step.out_lanes);
         }
         std::mem::swap(msg, next);
     }
@@ -560,6 +560,7 @@ fn divide_by_sepset(values: &mut [f64], sep: &[f64], lanes: usize) {
 mod tests {
     use super::*;
     use crate::sparse::clique_to_sepset;
+    use crate::Factor;
     use proptest::prelude::*;
 
     proptest! {

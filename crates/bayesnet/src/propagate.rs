@@ -1,6 +1,8 @@
-use std::sync::{Mutex, PoisonError};
+use std::ops::Range;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::codec::{fnv128, fnv128_u64, FNV128_OFFSET};
+use crate::factor::Scope;
 use crate::junction::JunctionTree;
 use crate::pairwise::{self, PairwisePlan};
 use crate::sparse::{self, HostedFactor, PropagationKernels, SideProj};
@@ -18,9 +20,10 @@ use crate::{BayesError, BayesNet, Factor, KernelMode, SparseMode, VarId};
 ///
 /// ```text
 /// CompiledTree (shared, read-only)     PropagationState (one per request)
-/// ├─ junction tree structure           ├─ working clique potentials
-/// ├─ hosted CPTs + gather projections  ├─ sepset potentials
-/// └─ message schedule                  └─ evidence + calibration flags
+/// ├─ junction tree structure           ├─ clique potentials (one flat buffer)
+/// ├─ hosted CPTs + gather projections  ├─ sepset potentials (one flat buffer)
+/// ├─ message schedule                  └─ evidence + calibration flags
+/// └─ state layout (buffer offsets)
 /// ```
 ///
 /// The initial clique potentials are never stored: each clique *hosts*
@@ -29,7 +32,9 @@ use crate::{BayesError, BayesNet, Factor, KernelMode, SparseMode, VarId};
 ///
 /// Each propagation borrows the compiled tree immutably and mutates only
 /// its own [`PropagationState`] (created by
-/// [`new_state`](CompiledTree::new_state), reusable across requests).
+/// [`new_state`](CompiledTree::new_state), reusable across requests, and
+/// rebindable to another tree with
+/// [`bind_state`](CompiledTree::bind_state)).
 ///
 /// One propagation's lifecycle:
 ///
@@ -70,7 +75,22 @@ pub struct CompiledTree {
     /// schedule yields, per edge, a bit-exact key over every prior the
     /// message can depend on.
     home_vars: Vec<Vec<VarId>>,
+    /// Where each clique and sepset sits in a bound state's flat buffers.
+    /// Derived from the tree; never serialized. States bound to this tree
+    /// share it.
+    layout: Arc<StateLayout>,
 }
+
+/// The serialized fields of a [`CompiledTree`], borrowed: tree, hosted
+/// factors, schedule, kernels, sparse mode and home-variable masks.
+pub(crate) type CodecParts<'a> = (
+    &'a JunctionTree,
+    &'a [Vec<HostedFactor>],
+    &'a [(usize, usize, usize)],
+    &'a PropagationKernels,
+    SparseMode,
+    &'a [Vec<VarId>],
+);
 
 // The whole point of the split: compiled trees are shareable across
 // threads. Factors and the tree are plain owned data, so this holds by
@@ -206,14 +226,7 @@ impl CompiledTree {
             let var = VarId::from_index(raw);
             home_vars[tree.home_clique(var)].push(var);
         }
-        CompiledTree {
-            tree,
-            hosted,
-            schedule,
-            kernels,
-            mode,
-            home_vars,
-        }
+        CompiledTree::from_codec_parts(tree, hosted, schedule, kernels, mode, home_vars)
     }
 
     /// The compiled junction tree structure.
@@ -261,13 +274,18 @@ impl CompiledTree {
     }
 
     /// Total entries across all clique potentials, read from the tree's
-    /// clique sizes: the potential entries each [`PropagationState`] of
-    /// this tree allocates (8 bytes apiece), and the dense per-propagation
+    /// clique sizes: the clique entries a [`PropagationState`] bound to
+    /// this tree holds (8 bytes apiece), and the dense per-propagation
     /// work. The compiled tree itself stores no potential.
     pub fn state_space(&self) -> usize {
-        (0..self.tree.num_cliques())
-            .map(|i| self.tree.clique_len(i))
-            .sum()
+        self.layout.clique_entries()
+    }
+
+    /// Total entries across all sepset potentials: what a bound
+    /// [`PropagationState`] holds beside its
+    /// [`state_space`](CompiledTree::state_space) clique entries.
+    pub fn sepset_space(&self) -> usize {
+        self.layout.sepset_entries()
     }
 
     /// Nonzero entries across all initial clique potentials — the actual
@@ -319,18 +337,9 @@ impl CompiledTree {
         }
     }
 
-    /// Every field of the artifact, for the [`crate::codec`] encoder.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn codec_parts(
-        &self,
-    ) -> (
-        &JunctionTree,
-        &[Vec<HostedFactor>],
-        &[(usize, usize, usize)],
-        &PropagationKernels,
-        SparseMode,
-        &[Vec<VarId>],
-    ) {
+    /// Every serialized field of the artifact, for the [`crate::codec`]
+    /// encoder (the state layout is derived from the tree).
+    pub(crate) fn codec_parts(&self) -> CodecParts<'_> {
         (
             &self.tree,
             &self.hosted,
@@ -355,6 +364,7 @@ impl CompiledTree {
         mode: SparseMode,
         home_vars: Vec<Vec<VarId>>,
     ) -> CompiledTree {
+        let layout = Arc::new(StateLayout::new(&tree));
         CompiledTree {
             tree,
             hosted,
@@ -362,6 +372,7 @@ impl CompiledTree {
             kernels,
             mode,
             home_vars,
+            layout,
         }
     }
 
@@ -388,27 +399,43 @@ impl CompiledTree {
     /// potentials: every calibration writes a clique's initial values on
     /// first touch, so nothing is copied here. States are reusable: a
     /// second `calibrate` on the same state reuses its buffers instead of
-    /// reallocating, which is what per-request pooling exploits.
+    /// reallocating. The one-tree form of
+    /// [`bind_state`](CompiledTree::bind_state).
     pub fn new_state(&self) -> PropagationState {
-        PropagationState {
-            clique_pot: (0..self.tree.num_cliques())
-                .map(|i| {
-                    let scope = scope_of(&self.tree, self.tree.clique(i));
-                    Factor::new(scope, vec![0.0; self.tree.clique_len(i)])
-                })
-                .collect(),
-            stale: vec![true; self.tree.num_cliques()],
-            sep_pot: ones_sepsets(&self.tree),
-            evidence: vec![None; self.tree.num_vars()],
-            likelihood: vec![None; self.tree.num_vars()],
-            soft_factors: Vec::new(),
-            scratch: Vec::with_capacity(self.tree.max_sepset_states()),
-            path_msg: Vec::new(),
-            path_next: Vec::new(),
-            calibrated: false,
-            evidence_probability: 1.0,
-            mode: PropagationMode::default(),
+        let mut state = PropagationState::default();
+        self.bind_state(&mut state);
+        state
+    }
+
+    /// Binds `state` to this tree, whatever tree (if any) it served
+    /// before: clears its evidence, resets its cache policy to
+    /// [`PropagationMode::Cold`], invalidates its calibration, and sizes
+    /// its flat clique and sepset buffers for this tree. The buffers only
+    /// grow, so a state rebound across many trees reallocates only when a
+    /// larger tree than any before comes along; nothing in them carries
+    /// over, since every calibration rewrites each clique from the hosted
+    /// CPTs and resets the sepsets.
+    pub fn bind_state(&self, state: &mut PropagationState) {
+        fn grow(buf: &mut Vec<f64>, len: usize) {
+            if buf.len() < len {
+                // The contents never carry over: free the old buffer
+                // before allocating the larger one.
+                *buf = Vec::new();
+                *buf = vec![0.0; len];
+            }
         }
+        grow(&mut state.cliques, self.layout.clique_entries());
+        grow(&mut state.sepsets, self.layout.sepset_entries());
+        state.layout = Arc::clone(&self.layout);
+        state.stale.clear();
+        state.stale.resize(self.tree.num_cliques(), true);
+        state.evidence.clear();
+        state.evidence.resize(self.tree.num_vars(), None);
+        state.likelihood.clear();
+        state.likelihood.resize(self.tree.num_vars(), None);
+        state.soft_factors.clear();
+        state.calibrated = false;
+        state.mode = PropagationMode::default();
     }
 
     /// Records hard evidence `var = value` in `state`. Overwrites previous
@@ -488,8 +515,8 @@ impl CompiledTree {
     #[doc(hidden)]
     pub fn calibrate_two_pass(&self, state: &mut PropagationState) {
         self.begin_calibration(state);
-        for (pot, init) in state.clique_pot.iter_mut().zip(self.reference_potentials()) {
-            pot.values_mut().copy_from_slice(init.values());
+        for (i, init) in self.reference_potentials().iter().enumerate() {
+            state.cliques[self.layout.clique(i)].copy_from_slice(init.values());
         }
         state.stale.fill(false);
         self.enter_evidence(state);
@@ -517,17 +544,20 @@ impl CompiledTree {
             ),
         };
         let (table_from, table_to) = (table(from), table(to));
-        let sep_len = state.sep_pot[edge].len();
+        let sep_len = self.layout.sepset(edge).len();
         state.scratch.resize(sep_len, 0.0);
         sparse::marginalize_into(
-            state.clique_pot[from].values(),
+            &state.cliques[self.layout.clique(from)],
             self.kernels.support[from].as_deref(),
             &table_from,
             &mut state.scratch[..sep_len],
         );
-        store_message(state, edge);
+        store_message(
+            &mut state.sepsets[self.layout.sepset(edge)],
+            &mut state.scratch[..sep_len],
+        );
         sparse::multiply_from(
-            state.clique_pot[to].values_mut(),
+            &mut state.cliques[self.layout.clique(to)],
             self.kernels.support[to].as_deref(),
             &table_to,
             &state.scratch[..sep_len],
@@ -651,7 +681,12 @@ impl CompiledTree {
     /// Panics if `state` is not calibrated or `out` has the wrong length.
     pub fn marginal_into(&self, state: &PropagationState, var: VarId, out: &mut [f64]) {
         assert_calibrated(state);
-        state.clique_pot[self.tree.home_clique(var)].normalized_marginal_into(var, out);
+        let clique = self.tree.home_clique(var);
+        self.scope(clique).normalized_marginal_into(
+            &state.cliques[self.layout.clique(clique)],
+            var,
+            out,
+        );
     }
 
     /// The joint posterior over a variable set, provided some clique
@@ -661,7 +696,7 @@ impl CompiledTree {
     ///
     /// Panics if `state` is not calibrated.
     pub fn joint_marginal(&self, state: &PropagationState, vars: &[VarId]) -> Option<Factor> {
-        joint_marginal_impl(&self.tree, state, vars)
+        self.joint_marginal_impl(state, vars)
     }
 
     /// Plans the clique-path walk for the pair `(a, b)` once, so repeated
@@ -691,8 +726,7 @@ impl CompiledTree {
         pairwise::run(
             plan,
             &self.kernels,
-            &state.clique_pot,
-            &state.sep_pot,
+            (&self.layout, &state.cliques, &state.sepsets),
             &mut state.path_msg,
             &mut state.path_next,
         )
@@ -725,8 +759,7 @@ impl CompiledTree {
         let values = pairwise::run(
             &plan,
             &self.kernels,
-            &state.clique_pot,
-            &state.sep_pot,
+            (&self.layout, &state.cliques, &state.sepsets),
             &mut msg,
             &mut next,
         );
@@ -749,29 +782,60 @@ impl CompiledTree {
         a: VarId,
         b: VarId,
     ) -> Option<Factor> {
-        pairwise_marginal_impl(&self.tree, state, a, b)
+        self.pairwise_marginal_impl(state, a, b)
+    }
+
+    /// Clique `i`'s scope, for the in-place factor operations on its
+    /// slice of a state's buffer.
+    fn scope(&self, i: usize) -> Scope<'_> {
+        Scope::new(self.tree.clique(i), &self.layout.cards[i])
+    }
+
+    /// A copy of clique `i`'s potential in `state` as a factor, for the
+    /// factor-algebra reads (joint marginals and the reference walk).
+    fn clique_factor(&self, state: &PropagationState, i: usize) -> Factor {
+        Factor::new(
+            scope_of(&self.tree, self.tree.clique(i)),
+            state.cliques[self.layout.clique(i)].to_vec(),
+        )
+    }
+
+    /// A copy of sepset `edge`'s potential in `state` as a factor.
+    fn sepset_factor(&self, state: &PropagationState, edge: usize) -> Factor {
+        Factor::new(
+            scope_of(&self.tree, &self.tree.edge(edge).sepset),
+            state.sepsets[self.layout.sepset(edge)].to_vec(),
+        )
     }
 }
 
 /// The mutable half of HUGIN propagation: working potentials, evidence,
 /// and calibration flags for **one** request.
 ///
-/// Created by [`CompiledTree::new_state`] and only meaningful together
-/// with the tree that created it (using it with a different tree panics).
-/// States are designed for reuse, so pools can hand them out across
-/// requests without reallocating. Nothing is copied to reset one: each
-/// calibration marks every clique stale and resets the sepsets to ones,
-/// and a stale clique gets its initial values written from the tree's
-/// hosted CPTs the first time that calibration touches it — when it
-/// receives a message, sends one, takes evidence, or, failing all of
-/// those, just before the calibration finishes.
-#[derive(Debug, Clone)]
+/// Created by [`CompiledTree::new_state`] (or left unbound by `default()`)
+/// and only meaningful together with the tree it is bound to: using it
+/// with another tree panics until
+/// [`CompiledTree::bind_state`] rebinds it. Every clique potential sits in
+/// one flat buffer and every sepset potential in another, at offsets the
+/// tree computed once, so one state can serve tree after tree without
+/// reallocating once it has grown to the largest. Nothing is copied to
+/// reset one: each calibration marks every clique stale and resets the
+/// sepsets to ones, and a stale clique gets its initial values written
+/// from the tree's hosted CPTs the first time that calibration touches it
+/// — when it receives a message, sends one, takes evidence, or, failing
+/// all of those, just before the calibration finishes.
+#[derive(Debug, Clone, Default)]
 pub struct PropagationState {
-    clique_pot: Vec<Factor>,
+    /// The layout of the tree this state is bound to.
+    layout: Arc<StateLayout>,
+    /// Every clique's potential at its layout offset; may run past the
+    /// bound tree's entries after serving a larger tree.
+    cliques: Vec<f64>,
     /// Per clique: whether the current calibration has yet to write its
     /// initial values (see [`CompiledTree::calibrate`]).
     stale: Vec<bool>,
-    sep_pot: Vec<Factor>,
+    /// Every sepset's potential at its layout offset.
+    sepsets: Vec<f64>,
     /// Hard evidence per variable.
     evidence: Vec<Option<usize>>,
     /// Soft evidence: per variable an optional likelihood vector.
@@ -869,15 +933,72 @@ impl PropagationState {
         self.evidence_probability
     }
 
-    /// The calibrated (unnormalized) potential of clique `i`.
-    pub fn clique_potential(&self, i: usize) -> &Factor {
-        &self.clique_pot[i]
+    /// The calibrated (unnormalized) potential of clique `i`, in the
+    /// canonical layout of its scope
+    /// ([`JunctionTree::clique`]`(i)`).
+    pub fn clique_potential(&self, i: usize) -> &[f64] {
+        &self.cliques[self.layout.clique(i)]
     }
 
     /// The calibrated potential of sepset `edge`, numbered as in
     /// [`JunctionTree::sepsets`].
-    pub fn sepset_potential(&self, edge: usize) -> &Factor {
-        &self.sep_pot[edge]
+    pub fn sepset_potential(&self, edge: usize) -> &[f64] {
+        &self.sepsets[self.layout.sepset(edge)]
+    }
+}
+
+/// Where a tree's cliques and sepsets sit in a bound state's flat
+/// buffers, plus each clique's cardinalities: computed once per compiled
+/// tree and shared by every state bound to it.
+#[derive(Debug, Default)]
+pub(crate) struct StateLayout {
+    /// Clique `i` spans `cliques[i]..cliques[i + 1]`.
+    cliques: Vec<usize>,
+    /// Sepset `e` spans `sepsets[e]..sepsets[e + 1]`.
+    sepsets: Vec<usize>,
+    /// Per clique: cardinalities aligned with its variables.
+    cards: Vec<Vec<usize>>,
+}
+
+impl StateLayout {
+    fn new(tree: &JunctionTree) -> StateLayout {
+        fn offsets(lens: impl Iterator<Item = usize>) -> Vec<usize> {
+            std::iter::once(0)
+                .chain(lens.scan(0, |end, len| {
+                    *end += len;
+                    Some(*end)
+                }))
+                .collect()
+        }
+        let sepset_len = |e: usize| -> usize {
+            let sepset = &tree.edge(e).sepset;
+            sepset.iter().map(|&v| tree.card(v)).product()
+        };
+        StateLayout {
+            cliques: offsets((0..tree.num_cliques()).map(|i| tree.clique_len(i))),
+            sepsets: offsets((0..tree.num_edges()).map(sepset_len)),
+            cards: (0..tree.num_cliques())
+                .map(|i| tree.clique_cards(i))
+                .collect(),
+        }
+    }
+
+    /// Clique `i`'s range in the clique buffer.
+    pub(crate) fn clique(&self, i: usize) -> Range<usize> {
+        self.cliques[i]..self.cliques[i + 1]
+    }
+
+    /// Sepset `edge`'s range in the sepset buffer.
+    pub(crate) fn sepset(&self, edge: usize) -> Range<usize> {
+        self.sepsets[edge]..self.sepsets[edge + 1]
+    }
+
+    fn clique_entries(&self) -> usize {
+        self.cliques.last().copied().unwrap_or(0)
+    }
+
+    fn sepset_entries(&self) -> usize {
+        self.sepsets.last().copied().unwrap_or(0)
     }
 }
 
@@ -894,12 +1015,6 @@ fn validate_potentials(tree: &JunctionTree, potentials: &[Factor]) {
 
 fn scope_of(tree: &JunctionTree, vars: &[VarId]) -> Vec<(VarId, usize)> {
     vars.iter().map(|&v| (v, tree.card(v))).collect()
-}
-
-fn ones_sepsets(tree: &JunctionTree) -> Vec<Factor> {
-    (0..tree.num_edges())
-        .map(|e| Factor::ones(scope_of(tree, &tree.edge(e).sepset)))
-        .collect()
 }
 
 fn set_evidence_impl(
@@ -969,21 +1084,21 @@ impl CompiledTree {
     /// sepsets to ones.
     fn begin_calibration(&self, state: &mut PropagationState) {
         assert!(
-            state.evidence.len() == self.tree.num_vars()
-                && state.clique_pot.len() == self.tree.num_cliques(),
+            Arc::ptr_eq(&state.layout, &self.layout),
             "state belongs to a different compiled tree"
         );
         state.stale.fill(true);
-        for sep in &mut state.sep_pot {
-            sep.values_mut().fill(1.0);
-        }
+        state.sepsets[..self.layout.sepset_entries()].fill(1.0);
     }
 
     /// Writes clique `clique`'s initial potential into `state` from its
     /// hosted factors, unless this calibration already has.
     fn touch(&self, state: &mut PropagationState, clique: usize) {
         if std::mem::replace(&mut state.stale[clique], false) {
-            sparse::materialize(state.clique_pot[clique].values_mut(), &self.hosted[clique]);
+            sparse::materialize(
+                &mut state.cliques[self.layout.clique(clique)],
+                &self.hosted[clique],
+            );
         }
     }
 
@@ -995,7 +1110,11 @@ impl CompiledTree {
                 let var = VarId::from_index(raw);
                 let clique = self.tree.home_clique(var);
                 self.touch(state, clique);
-                state.clique_pot[clique].reduce(var, value);
+                self.scope(clique).reduce(
+                    &mut state.cliques[self.layout.clique(clique)],
+                    var,
+                    value,
+                );
             }
         }
         for raw in 0..state.likelihood.len() {
@@ -1005,14 +1124,21 @@ impl CompiledTree {
             let var = VarId::from_index(raw);
             let clique = self.tree.home_clique(var);
             self.touch(state, clique);
+            let (scope, values) = (
+                self.scope(clique),
+                &mut state.cliques[self.layout.clique(clique)],
+            );
             for (value, &w) in state.likelihood[raw].iter().flatten().enumerate() {
-                state.clique_pot[clique].scale_state(var, value, w);
+                scope.scale_state(values, var, value, w);
             }
         }
         for k in 0..state.soft_factors.len() {
             let host = state.soft_factors[k].0;
             self.touch(state, host);
-            state.clique_pot[host].mul_assign_sub(&state.soft_factors[k].1);
+            self.scope(host).mul_assign_sub(
+                &mut state.cliques[self.layout.clique(host)],
+                &state.soft_factors[k].1,
+            );
         }
     }
 
@@ -1026,7 +1152,7 @@ impl CompiledTree {
         // Probability of evidence: product over components of clique mass.
         let mut p = 1.0;
         for &root in self.tree.roots() {
-            p *= state.clique_pot[root].total();
+            p *= state.cliques[self.layout.clique(root)].iter().sum::<f64>();
         }
         state.evidence_probability = p;
         state.calibrated = true;
@@ -1050,11 +1176,11 @@ impl CompiledTree {
     fn absorb(&self, state: &mut PropagationState, from: usize, edge: usize, to: usize) {
         let (proj_from, proj_to) = self.sides(edge, from);
         self.touch(state, from);
-        let sep_len = state.sep_pot[edge].len();
+        let sep_len = self.layout.sepset(edge).len();
         state.scratch.resize(sep_len, 0.0);
         // (1) New sepset potential: marginalize the sender into scratch.
         marginalize_side(
-            state.clique_pot[from].values(),
+            &state.cliques[self.layout.clique(from)],
             self.kernels.support[from].as_deref(),
             proj_from,
             &mut state.scratch[..sep_len],
@@ -1077,7 +1203,7 @@ impl CompiledTree {
         cache: &MessageCache,
     ) -> bool {
         let (proj_from, proj_to) = self.sides(edge, from);
-        let sep_len = state.sep_pot[edge].len();
+        let sep_len = self.layout.sepset(edge).len();
         state.scratch.resize(sep_len, 0.0);
         // Cached-message lock poison recovery: slots hold plain owned data
         // that is consistent after any panic (key and values are written
@@ -1095,7 +1221,7 @@ impl CompiledTree {
         if !reused {
             self.touch(state, from);
             marginalize_side(
-                state.clique_pot[from].values(),
+                &state.cliques[self.layout.clique(from)],
                 self.kernels.support[from].as_deref(),
                 proj_from,
                 &mut state.scratch[..sep_len],
@@ -1132,12 +1258,15 @@ impl CompiledTree {
         to: usize,
         proj_to: &SideProj,
     ) {
-        store_message(state, edge);
+        let sep_len = self.layout.sepset(edge).len();
+        store_message(
+            &mut state.sepsets[self.layout.sepset(edge)],
+            &mut state.scratch[..sep_len],
+        );
         self.touch(state, to);
-        let sep_len = state.sep_pot[edge].len();
         // (3) Multiply the update into the receiver.
         multiply_side(
-            state.clique_pot[to].values_mut(),
+            &mut state.cliques[self.layout.clique(to)],
             self.kernels.support[to].as_deref(),
             proj_to,
             &state.scratch[..sep_len],
@@ -1201,17 +1330,12 @@ fn clique_evidence_hashes(home_vars: &[Vec<VarId>], state: &PropagationState) ->
     hashes
 }
 
-/// Step (2) of an absorption: store the message in scratch as the new
-/// sepset potential, turning scratch into the update ratio new/old with
+/// Step (2) of an absorption: store the message in `update` (scratch) as
+/// the new `sepset` potential, turning `update` into the ratio new/old with
 /// the HUGIN convention 0/0 = 0 (nonzero/0 would mean the sender gained
 /// mass the old sepset never saw — a propagation-order bug).
-fn store_message(state: &mut PropagationState, edge: usize) {
-    let sep_len = state.sep_pot[edge].len();
-    for (slot, msg) in state.sep_pot[edge]
-        .values_mut()
-        .iter_mut()
-        .zip(state.scratch[..sep_len].iter_mut())
-    {
+fn store_message(sepset: &mut [f64], update: &mut [f64]) {
+    for (slot, msg) in sepset.iter_mut().zip(update.iter_mut()) {
         let old = *slot;
         let new = *msg;
         *slot = new;
@@ -1228,58 +1352,63 @@ fn assert_calibrated(state: &PropagationState) {
     assert!(state.calibrated, "call calibrate() first");
 }
 
-fn joint_marginal_impl(
-    tree: &JunctionTree,
-    state: &PropagationState,
-    vars: &[VarId],
-) -> Option<Factor> {
-    assert_calibrated(state);
-    let clique = (0..tree.num_cliques())
-        .find(|&c| vars.iter().all(|v| tree.clique(c).binary_search(v).is_ok()))?;
-    let mut m = state.clique_pot[clique].marginalize_keep(vars);
-    m.normalize();
-    Some(m)
-}
+/// The factor-algebra reads over a calibrated state.
+impl CompiledTree {
+    fn joint_marginal_impl(&self, state: &PropagationState, vars: &[VarId]) -> Option<Factor> {
+        assert_calibrated(state);
+        let tree = &self.tree;
+        let clique = (0..tree.num_cliques())
+            .find(|&c| vars.iter().all(|v| tree.clique(c).binary_search(v).is_ok()))?;
+        let mut m = self.clique_factor(state, clique).marginalize_keep(vars);
+        m.normalize();
+        Some(m)
+    }
 
-fn pairwise_marginal_impl(
-    tree: &JunctionTree,
-    state: &PropagationState,
-    a: VarId,
-    b: VarId,
-) -> Option<Factor> {
-    assert_calibrated(state);
-    assert_ne!(a, b, "pairwise marginal needs two distinct variables");
-    if let Some(joint) = joint_marginal_impl(tree, state, &[a.min(b), a.max(b)]) {
-        return Some(joint);
-    }
-    let ca = tree.home_clique(a);
-    let cb = tree.home_clique(b);
-    let path = tree.clique_path(ca, cb)?;
-    // Walk the path keeping a factor over {a} ∪ current sepset: the
-    // calibrated joint factorizes as Π φ_C / Π φ_S along the path.
-    // Marginalizing *before* multiplying into the next clique keeps
-    // every intermediate at sepset-plus-one-variable size.
-    // An empty path means ca == cb, which joint_marginal_impl above would
-    // have handled; bail out rather than panic if that invariant slips.
-    let (first_edge, _) = *path.first()?;
-    let mut keep: Vec<VarId> = tree.edge(first_edge).sepset.clone();
-    keep.push(a);
-    let mut message = state.clique_pot[ca].marginalize_keep(&keep);
-    message.div_assign_sub(&state.sep_pot[first_edge]);
-    for window in path.windows(2) {
-        let (_, clique) = window[0];
-        let (next_edge, _) = window[1];
-        let mut keep: Vec<VarId> = tree.edge(next_edge).sepset.clone();
+    fn pairwise_marginal_impl(
+        &self,
+        state: &PropagationState,
+        a: VarId,
+        b: VarId,
+    ) -> Option<Factor> {
+        assert_calibrated(state);
+        assert_ne!(a, b, "pairwise marginal needs two distinct variables");
+        if let Some(joint) = self.joint_marginal_impl(state, &[a.min(b), a.max(b)]) {
+            return Some(joint);
+        }
+        let tree = &self.tree;
+        let ca = tree.home_clique(a);
+        let cb = tree.home_clique(b);
+        let path = tree.clique_path(ca, cb)?;
+        // Walk the path keeping a factor over {a} ∪ current sepset: the
+        // calibrated joint factorizes as Π φ_C / Π φ_S along the path.
+        // Marginalizing *before* multiplying into the next clique keeps
+        // every intermediate at sepset-plus-one-variable size.
+        // An empty path means ca == cb, which joint_marginal_impl above
+        // would have handled; bail out rather than panic if that invariant
+        // slips.
+        let (first_edge, _) = *path.first()?;
+        let mut keep: Vec<VarId> = tree.edge(first_edge).sepset.clone();
         keep.push(a);
-        let mut next_message = state.clique_pot[clique].product_marginalize(&message, &keep);
-        next_message.div_assign_sub(&state.sep_pot[next_edge]);
-        message = next_message;
+        let mut message = self.clique_factor(state, ca).marginalize_keep(&keep);
+        message.div_assign_sub(&self.sepset_factor(state, first_edge));
+        for window in path.windows(2) {
+            let (_, clique) = window[0];
+            let (next_edge, _) = window[1];
+            let mut keep: Vec<VarId> = tree.edge(next_edge).sepset.clone();
+            keep.push(a);
+            let mut next_message = self
+                .clique_factor(state, clique)
+                .product_marginalize(&message, &keep);
+            next_message.div_assign_sub(&self.sepset_factor(state, next_edge));
+            message = next_message;
+        }
+        let (_, last_clique) = *path.last()?;
+        let mut joint = self
+            .clique_factor(state, last_clique)
+            .product_marginalize(&message, &[a.min(b), a.max(b)]);
+        joint.normalize();
+        Some(joint)
     }
-    let (_, last_clique) = *path.last()?;
-    let mut joint =
-        state.clique_pot[last_clique].product_marginalize(&message, &[a.min(b), a.max(b)]);
-    joint.normalize();
-    Some(joint)
 }
 
 /// Computes the initial clique potentials of a network over a compiled
@@ -1720,10 +1849,10 @@ mod tests {
         let compiled = compile(&net);
         let bits = |state: &PropagationState| -> Vec<u64> {
             state
-                .clique_pot
+                .cliques
                 .iter()
-                .chain(&state.sep_pot)
-                .flat_map(|f| f.values().iter().map(|x| x.to_bits()))
+                .chain(&state.sepsets)
+                .map(|x| x.to_bits())
                 .chain([state.evidence_probability().to_bits()])
                 .collect()
         };
@@ -1756,6 +1885,48 @@ mod tests {
             }
             assert_eq!(bits(&fresh), bits(&reused));
         }
+    }
+
+    #[test]
+    fn rebound_state_matches_a_fresh_state_without_reallocating() {
+        let (first_net, [_, _, _, wet]) = deterministic_net();
+        let (net, [cloudy, _, rain, _]) = sprinkler();
+        let (first, small) = (compile(&first_net), compile(&net));
+        let mut state = first.new_state();
+        first.set_evidence(&mut state, wet, 1).unwrap();
+        first.calibrate(&mut state);
+        let (cliques, sepsets) = (state.cliques.as_ptr(), state.sepsets.as_ptr());
+        assert!(
+            first.state_space() >= small.state_space()
+                && first.sepset_space() >= small.sepset_space()
+        );
+        small.bind_state(&mut state);
+        assert!(!state.is_calibrated());
+        let mut fresh = small.new_state();
+        for s in [&mut state, &mut fresh] {
+            small.set_likelihood(s, rain, vec![0.3, 0.7]).unwrap();
+            small.calibrate(s);
+        }
+        assert_eq!(state.cliques.as_ptr(), cliques, "rebinding reallocated");
+        assert_eq!(state.sepsets.as_ptr(), sepsets, "rebinding reallocated");
+        for i in 0..small.tree().num_cliques() {
+            assert_eq!(state.clique_potential(i), fresh.clique_potential(i));
+        }
+        for e in 0..small.tree().num_edges() {
+            assert_eq!(state.sepset_potential(e), fresh.sepset_potential(e));
+        }
+        assert_eq!(
+            small.marginal(&state, cloudy),
+            small.marginal(&fresh, cloudy)
+        );
+        // Without a rebind, the other tree refuses the state.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            first.calibrate(&mut state);
+        }));
+        assert!(
+            result.is_err(),
+            "a state bound to one tree calibrated another"
+        );
     }
 
     #[test]

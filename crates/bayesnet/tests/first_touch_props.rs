@@ -169,8 +169,8 @@ fn enter(compiled: &CompiledTree, state: &mut PropagationState, set: &[Evidence]
     }
 }
 
-fn bits(factor: &Factor) -> Vec<u64> {
-    factor.values().iter().map(|x| x.to_bits()).collect()
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
 }
 
 /// Every clique, every sepset and the evidence probability of `state`
@@ -252,8 +252,8 @@ proptest! {
             for compiled in [hosting, explicit] {
                 for (i, init) in reference.iter().enumerate() {
                     prop_assert_eq!(
-                        bits(&compiled.first_touch_potential(i)),
-                        bits(init),
+                        bits(compiled.first_touch_potential(i).values()),
+                        bits(init.values()),
                         "first touch of clique {}",
                         i
                     );

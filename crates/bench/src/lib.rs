@@ -451,8 +451,8 @@ pub fn kernel_throughput(names: &[&str], reps: usize) -> Vec<KernelThroughputRow
                     let mut blocked = compiled.new_state();
                     compiled.calibrate(&mut blocked);
                     for clique in 0..compiled.tree().num_cliques() {
-                        let expect = reference.clique_potential(clique).values();
-                        let got = blocked.clique_potential(clique).values();
+                        let expect = reference.clique_potential(clique);
+                        let got = blocked.clique_potential(clique);
                         assert_eq!(expect.len(), got.len());
                         for (e, g) in expect.iter().zip(got) {
                             assert_eq!(

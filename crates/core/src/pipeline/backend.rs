@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::str::FromStr;
 
-use swact_bayesnet::VarId;
+use swact_bayesnet::{PropagationState, VarId};
 use swact_circuit::LineId;
 
 use crate::estimator::Options;
@@ -165,7 +165,9 @@ impl CompiledSegment {
         }
     }
 
-    /// Propagates root statistics through this segment.
+    /// Propagates root statistics through this segment. The junction-tree
+    /// backends calibrate in `state`, the estimate's arena slot for this
+    /// segment; the others leave it untouched.
     ///
     /// # Errors
     ///
@@ -174,12 +176,35 @@ impl CompiledSegment {
     pub(crate) fn propagate(
         &self,
         roots: &RootDists<'_>,
+        state: &mut PropagationState,
     ) -> Result<SegmentPosterior, EstimateError> {
         match &self.artifact {
-            SegmentArtifact::Jtree(art) => jtree::propagate(art, roots),
+            SegmentArtifact::Jtree(art) => jtree::propagate(art, roots, state),
             SegmentArtifact::Bdd(art) => Ok(bddexact::propagate(art, roots)),
             SegmentArtifact::Sampling(art) => Ok(sampling::propagate(art, roots)),
-            SegmentArtifact::TwoState(art) => twostate::propagate(art, roots),
+            SegmentArtifact::TwoState(art) => twostate::propagate(art, roots, state),
+        }
+    }
+
+    /// Clique plus sepset entries a propagation state bound to this
+    /// segment holds (8 bytes apiece); zero for the backends that
+    /// propagate without one.
+    pub(crate) fn state_entries(&self) -> usize {
+        let compiled = match &self.artifact {
+            SegmentArtifact::Jtree(art) => &art.compiled,
+            SegmentArtifact::TwoState(art) => &art.compiled,
+            SegmentArtifact::Bdd(_) | SegmentArtifact::Sampling(_) => return 0,
+        };
+        compiled.state_space() + compiled.sepset_space()
+    }
+
+    /// Entries this segment's collect-message cache holds once every
+    /// edge has cached a message (one sepset each); zero when the segment
+    /// bypasses the cache.
+    pub(crate) fn cached_message_entries(&self) -> usize {
+        match &self.artifact {
+            SegmentArtifact::Jtree(art) if art.cache_worthwhile => art.compiled.sepset_space(),
+            _ => 0,
         }
     }
 

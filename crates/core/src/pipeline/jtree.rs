@@ -1,8 +1,6 @@
 //! The junction-tree (HUGIN) inference backend — the paper's method and
 //! the default.
 
-use std::sync::Mutex;
-
 use swact_bayesnet::codec::{fnv128_u64, FNV128_OFFSET};
 use swact_bayesnet::{
     CompiledTree, Factor, JunctionTree, MessageCache, PairwisePlan, PropagationMode,
@@ -27,12 +25,6 @@ pub(crate) struct JtreeSegment {
     /// weights (mathematically identical, and the artifact stays
     /// independent of the input statistics).
     pub(crate) compiled: CompiledTree,
-    /// Reusable per-request propagation states. Each propagate call pops
-    /// one (or creates one on first use), propagates, and returns it, so
-    /// steady-state estimation allocates no fresh potentials — the piece
-    /// that makes concurrent batch estimation over one compile cheap. Each
-    /// holds the segment's full clique state space, 8 bytes per entry.
-    pub(crate) states: Mutex<Vec<PropagationState>>,
     /// Shared per-edge collect-message cache: concurrent and consecutive
     /// propagations over this compile reuse messages whose evidence
     /// dependencies are bit-identical. Lives (and is evicted) with the
@@ -171,7 +163,6 @@ pub(crate) fn compile(
     let cache_worthwhile = compiled.message_cache_worthwhile();
     let artifact = JtreeSegment {
         compiled,
-        states: Mutex::new(Vec::new()),
         msg_cache,
         incremental: options.incremental,
         cache_worthwhile,
@@ -185,24 +176,19 @@ pub(crate) fn compile(
 }
 
 /// Initializes, calibrates, and reads out one segment's Bayesian
-/// network. Pure with respect to the global state (reads the forwarded
-/// `roots`, returns its contributions), so segments within a wave can
-/// run on separate threads.
+/// network in `state`, the estimate's arena slot for this segment (bound
+/// here; whatever it held before is overwritten). Pure with respect to the
+/// global state (reads the forwarded `roots`, returns its contributions),
+/// so segments within a wave can run on separate threads, each on its own
+/// slot.
 pub(crate) fn propagate(
     art: &JtreeSegment,
     roots: &RootDists<'_>,
+    state: &mut PropagationState,
 ) -> Result<SegmentPosterior, EstimateError> {
     let spec = roots.spec;
     let compiled = &art.compiled;
-    // Reuse a pooled per-request state when one is available; its
-    // buffers survive across requests, so a warm pool propagates
-    // without allocating new potentials.
-    let mut state = {
-        let mut pool = art.states.lock().expect("state pool lock");
-        pool.pop()
-    }
-    .unwrap_or_else(|| compiled.new_state());
-    state.clear_evidence();
+    compiled.bind_state(state);
     // The cached potentials carry uniform (1/4) root priors; weighting
     // state s by 4*P(s) as likelihood evidence reproduces the exact
     // prior after normalization.
@@ -211,7 +197,7 @@ pub(crate) fn propagate(
             RootSource::PrimaryInput(pos) => spec.prior_row(pos),
             RootSource::Boundary => roots.dists[line.index()].as_array().to_vec(),
         };
-        compiled.set_likelihood(&mut state, var, prior.iter().map(|p| 4.0 * p).collect())?;
+        compiled.set_likelihood(state, var, prior.iter().map(|p| 4.0 * p).collect())?;
     }
     // Grouped primary inputs: inject 4*P(child | parent) from the
     // closed-form pair joint of the group model; explicitly paired
@@ -226,7 +212,7 @@ pub(crate) fn propagate(
         }
         debug_assert!(pair.parent_var < pair.var);
         compiled.insert_factor(
-            &mut state,
+            state,
             Factor::new(vec![(pair.parent_var, 4), (pair.var, 4)], values),
         )?;
     }
@@ -240,7 +226,7 @@ pub(crate) fn propagate(
         );
         let values: Vec<f64> = cond.iter().map(|&p| 4.0 * p).collect();
         compiled.insert_factor(
-            &mut state,
+            state,
             Factor::new(vec![(pair.parent_var, 4), (pair.var, 4)], values),
         )?;
     }
@@ -255,9 +241,9 @@ pub(crate) fn propagate(
         } else {
             PropagationMode::Cold
         });
-        compiled.calibrate_with_cache(&mut state, &art.msg_cache)
+        compiled.calibrate_with_cache(state, &art.msg_cache)
     } else {
-        compiled.calibrate(&mut state);
+        compiled.calibrate(state);
         (0, 0)
     };
     let gate_dists = art
@@ -265,7 +251,7 @@ pub(crate) fn propagate(
         .iter()
         .map(|&(line, var)| {
             let mut m = [0.0f64; 4];
-            compiled.marginal_into(&state, var, &mut m);
+            compiled.marginal_into(state, var, &mut m);
             (line, TransitionDist::new(m))
         })
         .collect();
@@ -276,7 +262,7 @@ pub(crate) fn propagate(
             continue;
         };
         let a_first = plan.vars()[0] == var_a;
-        let joint = compiled.pairwise_marginal_planned(&mut state, &plan);
+        let joint = compiled.pairwise_marginal_planned(state, &plan);
         let mut out = [[0.0f64; 4]; 4];
         for (a_state, row) in out.iter_mut().enumerate() {
             for (b_state, slot) in row.iter_mut().enumerate() {
@@ -294,7 +280,7 @@ pub(crate) fn propagate(
     let mut exports = Vec::with_capacity(art.exports.len());
     for export in &art.exports {
         let parent_first = export.plan.vars()[0] == export.parent;
-        let joint = compiled.pairwise_marginal_planned(&mut state, &export.plan);
+        let joint = compiled.pairwise_marginal_planned(state, &export.plan);
         let mut cond = [0.0f64; 16];
         for p in 0..4 {
             let mut row = [0.0f64; 4];
@@ -311,7 +297,6 @@ pub(crate) fn propagate(
         }
         exports.push((export.slot, cond));
     }
-    art.states.lock().expect("state pool lock").push(state);
     Ok(SegmentPosterior {
         gate_dists,
         exports,
@@ -373,39 +358,59 @@ pub(crate) fn root_signature(art: &JtreeSegment, roots: &RootDists<'_>) -> Optio
 
 #[cfg(test)]
 mod tests {
+    use swact_bayesnet::{Factor, PropagationState};
     use swact_circuit::catalog;
 
+    use super::JtreeSegment;
     use crate::pipeline::backend::SegmentArtifact;
-    use crate::{CompiledEstimator, InputSpec, Options};
+    use crate::{CompiledEstimator, Options};
 
     fn bits(values: &[f64]) -> Vec<u64> {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// After a real estimate, every segment's pooled state is calibrated
-    /// with that estimate's priors. Each export the estimator planned (c880
-    /// has none at default options), and a spread of in-segment joint
-    /// reads (planned per call, as `estimate_with_line_joints` does), must
-    /// equal the reference walk bit for bit.
+    /// A state of `art`'s tree calibrated under skewed evidence on every
+    /// root: a transition prior per solo root and a non-uniform
+    /// conditional per correlated boundary pair, as a propagation injects
+    /// them.
+    fn calibrated_state(art: &JtreeSegment) -> PropagationState {
+        let tree = &art.compiled;
+        let mut state = tree.new_state();
+        for (k, &(_, var, _)) in art.solo_roots.iter().enumerate() {
+            let p = 0.1 + 0.8 * ((k * 37) % 11) as f64 / 10.0;
+            let q = 1.0 - p;
+            let prior = [q * q, q * p, p * q, p * p];
+            tree.set_likelihood(&mut state, var, prior.iter().map(|x| 4.0 * x).collect())
+                .expect("four-state root");
+        }
+        for (k, pair) in art.pair_roots.iter().enumerate() {
+            let values = (0..16)
+                .map(|i| 4.0 * (1 + (i * 7 + k) % 5) as f64 / 15.0)
+                .collect();
+            tree.insert_factor(
+                &mut state,
+                Factor::new(vec![(pair.parent_var, 4), (pair.var, 4)], values),
+            )
+            .expect("pair roots share a clique");
+        }
+        tree.calibrate(&mut state);
+        state
+    }
+
+    /// Every export the estimator planned (c880 has none at default
+    /// options), and a spread of in-segment joint reads (planned per call,
+    /// as `estimate_with_line_joints` does), must equal the reference walk
+    /// bit for bit over each segment's calibrated state.
     fn assert_export_walks_match_the_reference(name: &str) {
         let circuit = catalog::benchmark(name).expect("known benchmark");
         let compiled = CompiledEstimator::compile(&circuit, &Options::default()).expect("compiles");
-        let spec = InputSpec::independent(
-            (0..circuit.num_inputs()).map(|i| 0.1 + 0.8 * ((i * 37) % 11) as f64 / 10.0),
-        );
-        compiled.estimate(&spec).expect("estimates");
         let mut walks = 0;
         for segment in &compiled.segments {
             let SegmentArtifact::Jtree(art) = &segment.artifact else {
                 continue;
             };
             let tree = &art.compiled;
-            let mut state = art
-                .states
-                .lock()
-                .expect("state pool lock")
-                .pop()
-                .expect("the estimate pooled a calibrated state");
+            let mut state = calibrated_state(art);
             for export in &art.exports {
                 let planned = bits(tree.pairwise_marginal_planned(&mut state, &export.plan));
                 let reference = tree
@@ -431,7 +436,6 @@ mod tests {
                     walks += 1;
                 }
             }
-            art.states.lock().expect("state pool lock").push(state);
         }
         assert!(walks > 0, "{name} walked no pair");
     }

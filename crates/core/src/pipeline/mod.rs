@@ -41,7 +41,7 @@ use std::collections::HashMap;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-use swact_bayesnet::{CompiledTree, PairwisePlan, VarId};
+use swact_bayesnet::{CompiledTree, PairwisePlan, PropagationState, VarId};
 use swact_circuit::{Circuit, LineId};
 
 use crate::budget::{DegradationCause, DegradationReport, Fallback};
@@ -103,6 +103,47 @@ pub struct CompiledEstimator {
     /// without re-propagating. Only primary-backend segments participate
     /// (degraded segments never memoize — see `propagate_segment`).
     memo: Vec<Mutex<Option<(u128, SegmentPosterior)>>>,
+    /// Idle propagation arenas. Each estimate takes one (or makes one when
+    /// concurrent estimates hold them all) and puts it back when done.
+    arenas: Mutex<Vec<Arena>>,
+}
+
+/// The propagation states of one estimate: one reusable state per wave
+/// slot. Slot `k` serves the `k`-th segment of every wave, so it grows to
+/// the largest such segment and no further, and the segments of one wave
+/// propagate on disjoint slots. Nothing carries over between estimates:
+/// each segment rebinds its slot and every calibration rewrites the
+/// cliques it reads, so an arena left mid-estimate by an error or a panic
+/// is as good as a fresh one.
+type Arena = Vec<PropagationState>;
+
+/// An arena taken from an estimator's pool for one estimate, put back on
+/// drop — also when the estimate returns an error or unwinds.
+struct ArenaLease<'a> {
+    pool: &'a Mutex<Vec<Arena>>,
+    arena: Arena,
+}
+
+impl<'a> ArenaLease<'a> {
+    /// Takes an idle arena from `pool`, or makes an empty one with
+    /// `slots` unbound states.
+    fn take(pool: &'a Mutex<Vec<Arena>>, slots: usize) -> ArenaLease<'a> {
+        let idle = pool.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        ArenaLease {
+            pool,
+            arena: idle.unwrap_or_else(|| vec![PropagationState::default(); slots]),
+        }
+    }
+}
+
+impl Drop for ArenaLease<'_> {
+    fn drop(&mut self) {
+        let arena = std::mem::take(&mut self.arena);
+        self.pool
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(arena);
+    }
 }
 
 impl std::fmt::Debug for CompiledEstimator {
@@ -180,9 +221,10 @@ impl CompiledEstimator {
         // Space budgets are hard admission checks on the planner's *soft*
         // target: the estimate is re-derived per segment and violations
         // walk the degradation ladder below instead of admitting a segment
-        // whose propagation states would be exponential. The byte cap
-        // counts that per-request state, not stored potentials (a
-        // compiled tree keeps only its CPTs).
+        // whose propagation state would be exponential. The byte cap
+        // counts dense clique entries, zeros included, as a propagation
+        // state allocates them — not stored potentials (a compiled tree
+        // keeps only its CPTs).
         let checks_space = budget.max_states.is_some() || budget.max_factor_bytes.is_some();
         let space_violation = |est: f64, resident: usize| -> Option<DegradationCause> {
             if let Some(max_states) = budget.max_states {
@@ -216,9 +258,10 @@ impl CompiledEstimator {
         let mut num_boundary_roots = 0usize;
         let mut model_time = Duration::ZERO;
         let mut compile_stage_time = Duration::ZERO;
-        // Bytes of per-request propagation state the segments compiled so
-        // far allocate (8 per nonzero clique entry). Compiled trees store
-        // no potential: each segment's pooled states hold its cliques.
+        // Dense clique bytes of the segments compiled so far (8 per entry,
+        // zeros included): what a state bound to each would hold. Compiled
+        // trees store no potential; an estimate's arena holds at most this
+        // sum, one wave slot per segment at a time.
         let mut resident_bytes = 0usize;
         // Where each gate line was produced: (segment index, var there).
         let mut produced_in: HashMap<LineId, (usize, VarId)> = HashMap::new();
@@ -483,7 +526,7 @@ impl CompiledEstimator {
                 }
                 total_states += compiled.stats.total_states;
                 max_clique_states = max_clique_states.max(compiled.stats.max_clique_states);
-                resident_bytes = resident_bytes.saturating_add(compiled.stats.nnz * 8);
+                resident_bytes = resident_bytes.saturating_add(compiled.stats.state_space * 8);
                 for (producer, export) in model.exports_by_producer {
                     exports[producer].push(export);
                 }
@@ -523,6 +566,7 @@ impl CompiledEstimator {
             max_clique_states,
             options: *options,
             memo,
+            arenas: Mutex::new(Vec::new()),
         })
     }
 
@@ -539,6 +583,7 @@ impl CompiledEstimator {
         &self,
         seg_idx: usize,
         roots: &RootDists<'_>,
+        state: &mut PropagationState,
     ) -> Result<(SegmentPosterior, bool), EstimateError> {
         let segment = &self.segments[seg_idx];
         let signature = if self.options.incremental && segment.backend() == self.options.backend {
@@ -556,7 +601,7 @@ impl CompiledEstimator {
                 }
             }
         }
-        let output = segment.propagate(roots)?;
+        let output = segment.propagate(roots, state)?;
         if let Some(sig) = signature {
             // The stored copy zeroes the message counters: a memo hit did
             // no message work, so a served posterior must not re-report
@@ -574,10 +619,11 @@ impl CompiledEstimator {
     /// Propagates `spec` through the compiled trees and collects per-line
     /// transition distributions.
     ///
-    /// Takes `&self`: the compiled trees are immutable and each
-    /// propagation works on its own pooled propagation state, so estimates
-    /// may run concurrently from multiple threads over one compiled
-    /// estimator (the `swact-engine` crate builds on exactly this).
+    /// Takes `&self`: the compiled trees are immutable and each estimate
+    /// propagates in its own arena of states taken from the estimator's
+    /// pool, so estimates may run concurrently from multiple threads over
+    /// one compiled estimator (the `swact-engine` crate builds on exactly
+    /// this).
     ///
     /// # Errors
     ///
@@ -662,6 +708,7 @@ impl CompiledEstimator {
         // Absolute instant the propagate-stage deadline elapses; anytime
         // (sampling) segments stop drawing batches once it passes.
         let sample_deadline = self.options.budget.deadline.map(|d| start + d);
+        let mut lease = ArenaLease::take(&self.arenas, self.arena_slots());
         for (wave_idx, wave) in self.schedule.waves().iter().enumerate() {
             faults::hit("pipeline:propagate:wave", Some(wave_idx));
             // Cooperative per-stage deadline: checked at wave boundaries,
@@ -685,7 +732,7 @@ impl CompiledEstimator {
                 }
             }
             let wave_start = Instant::now();
-            let run = |seg_idx: usize| {
+            let run = |seg_idx: usize, state: &mut PropagationState| {
                 let seg_start = Instant::now();
                 let result = self.propagate_segment(
                     seg_idx,
@@ -696,6 +743,7 @@ impl CompiledEstimator {
                         joint_requests: &joint_requests[seg_idx],
                         deadline: sample_deadline,
                     },
+                    state,
                 );
                 (seg_idx, seg_start.elapsed(), result)
             };
@@ -703,13 +751,15 @@ impl CompiledEstimator {
             // boundary lines between them) propagate concurrently — the
             // paper's §5 observation that junction-tree messages on
             // disjoint branches are independent, lifted to segment
-            // granularity.
-            let outputs = match wave.as_slice() {
-                &[seg_idx] => vec![run(seg_idx)],
-                _ => std::thread::scope(|scope| {
+            // granularity — each on its own arena slot.
+            let slots = &mut lease.arena[..wave.len()];
+            let outputs = match (wave.as_slice(), slots) {
+                (&[seg_idx], [state]) => vec![run(seg_idx, state)],
+                (_, slots) => std::thread::scope(|scope| {
                     let handles: Vec<_> = wave
                         .iter()
-                        .map(|&seg_idx| scope.spawn(move || run(seg_idx)))
+                        .zip(slots)
+                        .map(|(&seg_idx, state)| scope.spawn(move || run(seg_idx, state)))
                         .collect();
                     // A panicked segment worker becomes this segment's
                     // error instead of poisoning the whole estimate.
@@ -773,6 +823,44 @@ impl CompiledEstimator {
             accuracy,
         );
         Ok((estimate, joints))
+    }
+
+    /// Slots per propagation arena: the widest wave's segment count.
+    fn arena_slots(&self) -> usize {
+        self.schedule
+            .waves()
+            .iter()
+            .map(Vec::len)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Bytes one propagation arena of this estimator holds once grown:
+    /// per wave slot, the clique and sepset entries (8 bytes each) of the
+    /// largest segment that slot serves. Each concurrent estimate holds
+    /// one arena. For the memory tests only.
+    #[doc(hidden)]
+    pub fn arena_bytes(&self) -> usize {
+        let mut slots = vec![0usize; self.arena_slots()];
+        for wave in self.schedule.waves() {
+            for (slot, &seg_idx) in slots.iter_mut().zip(wave) {
+                *slot = (*slot).max(self.segments[seg_idx].state_entries());
+            }
+        }
+        8 * slots.iter().sum::<usize>()
+    }
+
+    /// Bytes the segments' collect-message caches hold once warm: one
+    /// message per junction-tree edge (8 bytes per sepset entry), filled
+    /// by the first estimate and kept for the estimator's life. For the
+    /// memory tests only.
+    #[doc(hidden)]
+    pub fn message_cache_bytes(&self) -> usize {
+        8 * self
+            .segments
+            .iter()
+            .map(CompiledSegment::cached_message_entries)
+            .sum::<usize>()
     }
 
     /// The working (fan-in-decomposed) circuit the estimator runs over.

@@ -12,9 +12,9 @@
 //! travels as its exact bit pattern via the [`swact_bayesnet::codec`]
 //! primitives.
 //!
-//! Per-process mutable state (propagation-state pools, message caches, the
-//! posterior memo, BDD apply caches) is deliberately *not* serialized; it
-//! is recreated empty at load and warms up per process.
+//! Per-process mutable state (the propagation-arena pool, message caches,
+//! the posterior memo, BDD apply caches) is deliberately *not* serialized;
+//! it is recreated empty at load and warms up per process.
 //!
 //! Decoding trusts its input only as far as not panicking: every length is
 //! bounds-checked and cross-references are validated, so corrupt bytes
@@ -550,7 +550,6 @@ fn read_jtree_segment(
     let cache_worthwhile = compiled.message_cache_worthwhile();
     Ok(JtreeSegment {
         compiled,
-        states: Mutex::new(Vec::new()),
         msg_cache,
         incremental: options.incremental,
         cache_worthwhile,
@@ -600,7 +599,6 @@ fn read_twostate_segment(
     }
     Ok(TwoStateSegment {
         compiled,
-        states: Mutex::new(Vec::new()),
         roots,
         gates,
     })
@@ -876,8 +874,9 @@ pub(crate) fn encode_pipeline(pipeline: &CompiledEstimator) -> Vec<u8> {
 }
 
 /// Reconstructs a compiled estimator from [`encode_pipeline`] bytes.
-/// Per-process state (state pools, message caches, the posterior memo) is
-/// created fresh; everything the numerics read is restored bit-for-bit.
+/// Per-process state (the arena pool, message caches, the posterior memo)
+/// is created fresh; everything the numerics read is restored
+/// bit-for-bit.
 pub(crate) fn decode_pipeline(bytes: &[u8]) -> Result<CompiledEstimator, CodecError> {
     let mut r = Reader::new(bytes);
     let working = read_circuit(&mut r)?;
@@ -1055,6 +1054,7 @@ pub(crate) fn decode_pipeline(bytes: &[u8]) -> Result<CompiledEstimator, CodecEr
         max_clique_states,
         options,
         memo,
+        arenas: Mutex::new(Vec::new()),
     })
 }
 

@@ -14,8 +14,6 @@
 //! exact; temporal correlation and whatever spatial correlation
 //! segmentation drops are sacrificed.
 
-use std::sync::Mutex;
-
 use swact_bayesnet::{BayesNet, CompiledTree, Cpt, JunctionTree, PropagationState, VarId};
 use swact_circuit::{GateKind, LineId};
 
@@ -64,7 +62,6 @@ fn gate_family_two_state(kind: GateKind, inputs: &[LineId]) -> (Vec<LineId>, Cpt
 /// with the `2p(1−p)` switching proxy.
 pub(crate) struct TwoStateSegment {
     pub(crate) compiled: CompiledTree,
-    pub(crate) states: Mutex<Vec<PropagationState>>,
     pub(crate) roots: Vec<(LineId, VarId, RootSource)>,
     pub(crate) gates: Vec<(LineId, VarId)>,
 }
@@ -123,26 +120,22 @@ pub(crate) fn compile(
     };
     let artifact = TwoStateSegment {
         compiled,
-        states: Mutex::new(Vec::new()),
         roots,
         gates,
     };
     Ok((SegmentArtifact::TwoState(artifact), stats))
 }
 
-/// Calibrates the 2-state tree under the roots' signal probabilities and
+/// Calibrates the 2-state tree under the roots' signal probabilities in
+/// `state`, the estimate's arena slot for this segment (bound here), and
 /// reads out every gate's `2p(1−p)` transition proxy.
 pub(crate) fn propagate(
     art: &TwoStateSegment,
     roots: &RootDists<'_>,
+    state: &mut PropagationState,
 ) -> Result<SegmentPosterior, EstimateError> {
     let compiled = &art.compiled;
-    let mut state = {
-        let mut pool = art.states.lock().expect("state pool lock");
-        pool.pop()
-    }
-    .unwrap_or_else(|| compiled.new_state());
-    state.clear_evidence();
+    compiled.bind_state(state);
     for &(line, var, source) in &art.roots {
         // Primary inputs keep their exact marginal; boundary lines use
         // the forwarded distribution's next-state marginal (for
@@ -151,15 +144,15 @@ pub(crate) fn propagate(
             RootSource::PrimaryInput(pos) => roots.spec.model(pos).p1(),
             RootSource::Boundary => roots.dists[line.index()].p_one_next(),
         };
-        compiled.set_likelihood(&mut state, var, vec![2.0 * (1.0 - p), 2.0 * p])?;
+        compiled.set_likelihood(state, var, vec![2.0 * (1.0 - p), 2.0 * p])?;
     }
-    compiled.calibrate(&mut state);
+    compiled.calibrate(state);
     let gate_dists = art
         .gates
         .iter()
         .map(|&(line, var)| {
             let mut m = [0.0f64; 2];
-            compiled.marginal_into(&state, var, &mut m);
+            compiled.marginal_into(state, var, &mut m);
             let p = m[1];
             let q = 1.0 - p;
             // Temporal-independence proxy: stationary product joint,
@@ -167,7 +160,6 @@ pub(crate) fn propagate(
             (line, TransitionDist::new([q * q, q * p, p * q, p * p]))
         })
         .collect();
-    art.states.lock().expect("state pool lock").push(state);
     Ok(SegmentPosterior::from_gate_dists(gate_dists))
 }
 

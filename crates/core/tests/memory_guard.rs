@@ -1,9 +1,11 @@
 //! Memory guard for compiled estimators, measured with a counting global
 //! allocator: a compiled tree stores no clique potential — each clique
 //! hosts its CPTs and a propagation writes the potential on first touch —
-//! so compiling c432 keeps far less than its state space resident, the
-//! first estimate adds the pooled per-segment propagation states (one
-//! state space), and a second estimate reuses them.
+//! so compiling c432 keeps far less than its state space resident. The
+//! first estimate adds one propagation arena (one state per wave slot,
+//! each as large as the largest segment it serves, far less than the
+//! state space on a many-wave circuit like c6288) plus the collect-message
+//! caches, and a second estimate reuses both.
 //!
 //! This binary holds a single test, so the live-byte counter sees no
 //! other test's allocations.
@@ -62,39 +64,92 @@ fn live() -> f64 {
     LIVE.load(Ordering::Relaxed) as f64
 }
 
-#[test]
-fn c432_keeps_no_potential_sized_table_resident() {
-    let circuit = catalog::benchmark("c432").expect("known benchmark");
+/// Live bytes that compiling `name`, its first estimate and its second
+/// estimate each add, against its arena and state-space bytes.
+struct Footprint {
+    compiled: f64,
+    first: f64,
+    second: f64,
+    arena: f64,
+    messages: f64,
+    state_space: f64,
+}
+
+fn footprint(name: &str) -> Footprint {
+    let circuit = catalog::benchmark(name).expect("known benchmark");
     let spec = InputSpec::uniform(circuit.num_inputs());
 
     let start = live();
     let compiled = CompiledEstimator::compile(&circuit, &Options::default()).expect("compiles");
     let compiled_bytes = live() - start;
-    // One f64 per clique entry: what a stored potential set, and each
-    // full set of propagation states, weighs.
-    let state_bytes = 8.0 * compiled.total_states();
-    assert!(
-        compiled_bytes < state_bytes / 4.0,
-        "compiled c432 keeps {compiled_bytes} bytes live, {state_bytes} per state space"
-    );
 
     let start = live();
     drop(compiled.estimate(&spec).expect("estimates"));
     let first = live() - start;
-    assert!(
-        (0.9 * state_bytes..1.5 * state_bytes).contains(&first),
-        "the first estimate keeps {first} bytes live for {state_bytes}-byte pooled states"
-    );
 
     let start = live();
     drop(compiled.estimate(&spec).expect("estimates"));
     let second = live() - start;
-    assert!(
-        second.abs() < state_bytes / 100.0,
-        "a second estimate keeps {second} more bytes live"
-    );
+    let footprint = Footprint {
+        compiled: compiled_bytes,
+        first,
+        second,
+        arena: compiled.arena_bytes() as f64,
+        messages: compiled.message_cache_bytes() as f64,
+        // One f64 per clique entry: what a stored potential set, and a
+        // state per segment, would weigh.
+        state_space: 8.0 * compiled.total_states(),
+    };
     eprintln!(
-        "c432: compiled {compiled_bytes} B, first estimate +{first} B, second +{second} B, \
-         state space {state_bytes} B"
+        "{name}: compiled {} B, first estimate +{} B, second +{} B, arena {} B, \
+         messages {} B, state space {} B",
+        footprint.compiled,
+        footprint.first,
+        footprint.second,
+        footprint.arena,
+        footprint.messages,
+        footprint.state_space
     );
+    footprint
+}
+
+#[test]
+fn estimates_keep_one_arena_resident() {
+    // c432: four waves with a two-segment wave. Compiling stores no
+    // potential, so the compile keeps far less than its state space.
+    let c432 = footprint("c432");
+    assert!(
+        c432.compiled < c432.state_space / 4.0,
+        "compiled c432 keeps {} bytes live, {} per state space",
+        c432.compiled,
+        c432.state_space
+    );
+    // c6288: dozens of waves, so one arena slot per wave position holds
+    // a small share of the whole state space.
+    let c6288 = footprint("c6288");
+    assert!(
+        c6288.arena < c6288.state_space / 4.0,
+        "c6288's arena holds {} bytes for a {}-byte state space",
+        c6288.arena,
+        c6288.state_space
+    );
+    for (name, f) in [("c432", &c432), ("c6288", &c6288)] {
+        // The first estimate grows one arena and fills the message
+        // caches (on c6288 the caches outweigh the arena); a second
+        // estimate reuses both.
+        let warm = f.arena + f.messages;
+        assert!(
+            (0.9 * warm..1.5 * warm).contains(&f.first),
+            "the first estimate of {name} keeps {} bytes live for a {}-byte arena and \
+             {} bytes of cached messages",
+            f.first,
+            f.arena,
+            f.messages
+        );
+        assert!(
+            f.second.abs() < f.arena / 100.0,
+            "a second estimate of {name} keeps {} more bytes live",
+            f.second
+        );
+    }
 }

@@ -1,8 +1,7 @@
 //! Compiled-model cache keyed by circuit structure, options, and input-spec
 //! signature, with LRU eviction weighted by the junction trees' nonzero
-//! potential entries (nnz) — the memory a compiled model actually retains
-//! and the work its propagations actually do once zero-compressed cliques
-//! skip structural zeros.
+//! potential entries (nnz) — the work a model's propagations actually do
+//! once zero-compressed cliques skip structural zeros.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,9 +25,11 @@ pub(crate) fn model_key(circuit: &Circuit, spec: &InputSpec, options: &Options) 
 struct Entry {
     model: Arc<CompiledEstimator>,
     /// Nonzero junction-tree clique entries — the model's cost proxy:
-    /// what each propagation works through, and a lower bound on the
-    /// per-segment propagation states the model pools once estimated
-    /// (the compiled model itself stores no clique potential, only CPTs).
+    /// what each propagation works through. It no longer bounds the
+    /// memory an estimated model holds: the model stores no clique
+    /// potential (only CPTs), and its propagation arenas hold, per wave
+    /// slot, the dense entries of the largest segment that slot serves —
+    /// far less than nnz on a many-wave circuit, more on a one-wave one.
     cost: f64,
     last_used: u64,
 }

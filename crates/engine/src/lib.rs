@@ -14,7 +14,8 @@
 //! 2. a **fixed worker pool** of plain `std::thread`s sharing each
 //!    `Arc<CompiledEstimator>` — the `&self` propagation API introduced
 //!    alongside this crate lets one compiled model serve all workers
-//!    concurrently, each borrowing pooled `PropagationState` scratch; and
+//!    concurrently, each estimate borrowing one propagation arena (a
+//!    reusable state per wave slot) from the model's pool; and
 //! 3. **observability counters** ([`MetricsSnapshot`]): cache hits/misses,
 //!    evictions, per-stage compile/propagate/queue-wait timings, and queue
 //!    depth.

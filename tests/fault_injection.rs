@@ -330,3 +330,42 @@ fn mixed_fault_batches_across_circuits_leave_the_engine_healthy() {
     assert_eq!(metrics.retries, 4);
     assert_eq!(metrics.requests_failed, 2);
 }
+
+#[test]
+fn estimate_after_a_panicked_estimate_matches_a_fresh_compile() {
+    let circuit = catalog::benchmark("c432").expect("known benchmark");
+    let specs = specs_for(&circuit, 2);
+    let options = Options::default();
+    let bits = |estimate: &swact::Estimate| -> Vec<u64> {
+        circuit
+            .line_ids()
+            .flat_map(|line| estimate.distribution(line).as_array())
+            .map(f64::to_bits)
+            .collect()
+    };
+    let (compiled, fresh) = {
+        let _quiet = quiesce();
+        let compiled = CompiledEstimator::compile(&circuit, &options).expect("compiles");
+        let fresh = CompiledEstimator::compile(&circuit, &options)
+            .expect("compiles")
+            .estimate(&specs[1])
+            .expect("estimates");
+        (compiled, fresh)
+    };
+    assert!(compiled.num_waves() > 1, "c432 propagates in several waves");
+    {
+        // Wave 0 propagates (writing its arena slots), then the estimate
+        // unwinds before wave 1, leaving the arena mid-estimate.
+        let _guard =
+            arm(FaultPlan::new().fault_at("pipeline:propagate:wave", 1, FaultAction::Panic));
+        let aborted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            compiled.estimate(&specs[0])
+        }));
+        assert!(aborted.is_err(), "the injected panic aborts the estimate");
+    }
+    let _quiet = quiesce();
+    let after = compiled
+        .estimate(&specs[1])
+        .expect("estimates after the panic");
+    assert_eq!(bits(&after), bits(&fresh));
+}

@@ -6,7 +6,10 @@
 //! degradations reported) or a typed error — never a panic or abort.
 
 use proptest::prelude::*;
-use swact::{estimate, Budget, CompiledEstimator, EstimateError, Fallback, InputSpec, Options};
+use swact::{
+    estimate, Budget, CompiledEstimator, DegradationCause, EstimateError, Fallback, InputSpec,
+    Options,
+};
 use swact_circuit::benchgen::{generate, GeneratorConfig};
 use swact_circuit::catalog;
 
@@ -265,4 +268,35 @@ proptest! {
             prop_assert!((-1e-9..=1.0 + 1e-9).contains(&sw), "switching {}", sw);
         }
     }
+}
+
+/// The factor-byte cap counts every clique entry a propagation state
+/// allocates, zeros included. c6288's deterministic CPTs zero out 41% of
+/// its clique entries, so a cap between its nonzero and its dense bytes
+/// must degrade the compile; counting nonzeros alone admitted it whole.
+#[test]
+fn factor_byte_cap_counts_dense_clique_entries_on_c6288() {
+    let circuit = catalog::benchmark("c6288").expect("known benchmark");
+    let plain = CompiledEstimator::compile(&circuit, &Options::default()).expect("compiles");
+    let (nonzero, dense) = (8 * plain.nnz(), (8.0 * plain.total_states()) as usize);
+    assert!(
+        nonzero < dense * 2 / 3,
+        "c6288 has {nonzero} nonzero bytes of {dense}"
+    );
+    let cap = (nonzero + dense) / 2;
+    let budgeted = CompiledEstimator::compile(
+        &circuit,
+        &Options::with_resource_budget(Budget {
+            max_factor_bytes: Some(cap),
+            ..Budget::UNLIMITED
+        }),
+    )
+    .expect("a byte cap degrades, never fails");
+    assert!(
+        budgeted
+            .degradations()
+            .iter()
+            .any(|r| matches!(r.cause, DegradationCause::FactorBytes { .. })),
+        "a {cap}-byte cap admitted all {dense} dense bytes of c6288"
+    );
 }
