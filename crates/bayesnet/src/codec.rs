@@ -3,8 +3,8 @@
 //! Serializes a [`CompiledTree`] — junction-tree structure, the factors
 //! each clique hosts (its CPTs) with their gather projections, message
 //! schedule, kernels (supports, and per edge side a blocked stride form
-//! or, for a zero-compressed clique, a support-aligned projection table),
-//! and home-variable dependency masks — field for field, so the decoder
+//! or, for a zero-compressed clique, a support-aligned projection
+//! table) — field for field, so the decoder
 //! reconstructs the exact struct the compiler produced without re-running
 //! triangulation, kernel construction, or any other derivation. No clique
 //! potential is stored: a propagation writes each one from its hosted
@@ -54,11 +54,10 @@ pub const FNV128_OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
 const FNV128_PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
 
 /// Folds `bytes` into the 128-bit FNV-1a state `h` (start from
-/// [`FNV128_OFFSET`]). The one hash behind artifact checksums, model keys,
-/// message-cache keys and root signatures; words are fed as their
-/// little-endian bytes. 128 bits keep accidental collisions — which would
-/// silently reuse a stale message or posterior — out of reach for any
-/// realistic sweep length.
+/// [`FNV128_OFFSET`]). The one hash behind artifact checksums, model keys
+/// and root signatures; words are fed as their little-endian bytes. 128
+/// bits keep accidental collisions — which would silently reuse a stale
+/// posterior — out of reach for any realistic sweep length.
 #[inline]
 pub fn fnv128(mut h: u128, bytes: &[u8]) -> u128 {
     for &byte in bytes {
@@ -582,17 +581,14 @@ fn read_side_proj(
     }
 }
 
-/// Encodes a [`CompiledTree`] — structure, hosted factors, schedule,
-/// kernels, and dependency masks — into `w`.
+/// Encodes a [`CompiledTree`] — structure, hosted factors, schedule and
+/// kernels — into `w`.
 pub fn write_compiled_tree(w: &mut Writer, compiled: &CompiledTree) {
     write_compiled_parts(w, compiled.codec_parts());
 }
 
 /// [`write_compiled_tree`] from the artifact's serialized fields.
-fn write_compiled_parts(
-    w: &mut Writer,
-    (tree, hosted, schedule, kernels, mode, home_vars): CodecParts<'_>,
-) {
+fn write_compiled_parts(w: &mut Writer, (tree, hosted, schedule, kernels, mode): CodecParts<'_>) {
     write_tree(w, tree);
     w.usize(hosted.len());
     for factors in hosted {
@@ -625,10 +621,6 @@ fn write_compiled_parts(
     }
     w.usize(kernels.nnz);
     w.u8(mode_tag(mode));
-    w.usize(home_vars.len());
-    for vars in home_vars {
-        write_var_list(w, vars);
-    }
 }
 
 /// Decodes a [`CompiledTree`] written by [`write_compiled_tree`]. The
@@ -744,20 +736,8 @@ pub fn read_compiled_tree(r: &mut Reader<'_>) -> Result<CompiledTree, CodecError
         nnz,
     };
     let mode = mode_from_tag(r.u8()?)?;
-    let home_len = r.len(8)?;
-    if home_len != tree.num_cliques() {
-        return Err(malformed("home-variable masks mismatch the cliques"));
-    }
-    let mut home_vars = Vec::with_capacity(home_len);
-    for _ in 0..home_len {
-        let vars = read_var_list(r)?;
-        if vars.iter().any(|v| v.index() >= tree.num_vars()) {
-            return Err(malformed("home-variable mask names a missing variable"));
-        }
-        home_vars.push(vars);
-    }
     Ok(CompiledTree::from_codec_parts(
-        tree, hosted, schedule, kernels, mode, home_vars,
+        tree, hosted, schedule, kernels, mode,
     ))
 }
 
@@ -944,7 +924,7 @@ mod tests {
     /// Re-encodes `compiled` after `edit` changed its decoded parts, and
     /// decodes the bytes again.
     fn decode_edited(compiled: &CompiledTree, edit: Edit) -> Result<CompiledTree, CodecError> {
-        let (tree, hosted, schedule, kernels, mode, home_vars) = compiled.codec_parts();
+        let (tree, hosted, schedule, kernels, mode) = compiled.codec_parts();
         let (cliques, edges, incident, roots, home, cpt, cards, fill, total) = tree.codec_parts();
         let (mut cliques, mut edges, mut home) = (cliques.to_vec(), edges.to_vec(), home.to_vec());
         let (mut hosted, mut kernels) = (hosted.to_vec(), kernels.clone());
@@ -967,10 +947,7 @@ mod tests {
             total,
         );
         let mut w = Writer::new();
-        write_compiled_parts(
-            &mut w,
-            (&tree, &hosted, schedule, &kernels, mode, home_vars),
-        );
+        write_compiled_parts(&mut w, (&tree, &hosted, schedule, &kernels, mode));
         read_compiled_tree(&mut Reader::new(&w.into_bytes()))
     }
 
@@ -1128,7 +1105,7 @@ mod tests {
     #[test]
     fn clique_sizes_are_range_checked() {
         let compiled = compile(SparseMode::Off);
-        let (tree, hosted, schedule, kernels, mode, home_vars) = compiled.codec_parts();
+        let (tree, hosted, schedule, kernels, mode) = compiled.codec_parts();
         let (cliques, edges, incident, roots, home, cpt, cards, fill, total) = tree.codec_parts();
         for card in [0, 1 << 33] {
             let mut cards = cards.to_vec();
@@ -1145,7 +1122,7 @@ mod tests {
                 total,
             );
             let mut w = Writer::new();
-            write_compiled_parts(&mut w, (&tree, hosted, schedule, kernels, mode, home_vars));
+            write_compiled_parts(&mut w, (&tree, hosted, schedule, kernels, mode));
             let decoded = read_compiled_tree(&mut Reader::new(&w.into_bytes()));
             assert!(
                 malformed_with(decoded, "no entries or too many"),

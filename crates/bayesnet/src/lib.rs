@@ -71,9 +71,7 @@ pub use factor::{Factor, VarId};
 pub use junction::JunctionTree;
 pub use network::{BayesNet, Cpt};
 pub use pairwise::PairwisePlan;
-pub use propagate::{
-    initial_potentials, CompiledTree, MessageCache, PropagationMode, PropagationState,
-};
+pub use propagate::{initial_potentials, CompiledTree, PropagationState};
 #[doc(hidden)]
 pub use sparse::projection_index_sequences;
 pub use sparse::{KernelMode, SparseMode, SPARSE_COST_PER_ENTRY};

@@ -1,7 +1,6 @@
 use std::ops::Range;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
-use crate::codec::{fnv128, fnv128_u64, FNV128_OFFSET};
 use crate::factor::Scope;
 use crate::junction::JunctionTree;
 use crate::pairwise::{self, PairwisePlan};
@@ -68,13 +67,6 @@ pub struct CompiledTree {
     kernels: PropagationKernels,
     /// The zero-compression policy the kernels were built with.
     mode: SparseMode,
-    /// Dependency mask: for each clique, the evidence variables whose
-    /// observations are entered *at* that clique (its home variables).
-    /// Evidence anywhere else reaches the clique only through messages, so
-    /// hashing these per clique and folding the hashes along the collect
-    /// schedule yields, per edge, a bit-exact key over every prior the
-    /// message can depend on.
-    home_vars: Vec<Vec<VarId>>,
     /// Where each clique and sepset sits in a bound state's flat buffers.
     /// Derived from the tree; never serialized. States bound to this tree
     /// share it.
@@ -82,14 +74,13 @@ pub struct CompiledTree {
 }
 
 /// The serialized fields of a [`CompiledTree`], borrowed: tree, hosted
-/// factors, schedule, kernels, sparse mode and home-variable masks.
+/// factors, schedule, kernels and sparse mode.
 pub(crate) type CodecParts<'a> = (
     &'a JunctionTree,
     &'a [Vec<HostedFactor>],
     &'a [(usize, usize, usize)],
     &'a PropagationKernels,
     SparseMode,
-    &'a [Vec<VarId>],
 );
 
 // The whole point of the split: compiled trees are shareable across
@@ -100,7 +91,6 @@ const _: fn() = || {
     fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<CompiledTree>();
     assert_send_sync::<PropagationState>();
-    assert_send_sync::<MessageCache>();
 };
 
 impl CompiledTree {
@@ -212,8 +202,8 @@ impl CompiledTree {
         CompiledTree::from_parts_with(tree, potentials, mode)
     }
 
-    /// The one path behind every constructor: schedule, kernels and
-    /// dependency masks for `tree` with `hosted` factors.
+    /// The one path behind every constructor: schedule and kernels for
+    /// `tree` with `hosted` factors.
     fn assemble(
         tree: JunctionTree,
         hosted: Vec<Vec<HostedFactor>>,
@@ -221,12 +211,7 @@ impl CompiledTree {
     ) -> CompiledTree {
         let schedule = build_schedule(&tree);
         let kernels = PropagationKernels::build(&tree, &hosted, mode);
-        let mut home_vars: Vec<Vec<VarId>> = vec![Vec::new(); tree.num_cliques()];
-        for raw in 0..tree.num_vars() {
-            let var = VarId::from_index(raw);
-            home_vars[tree.home_clique(var)].push(var);
-        }
-        CompiledTree::from_codec_parts(tree, hosted, schedule, kernels, mode, home_vars)
+        CompiledTree::from_codec_parts(tree, hosted, schedule, kernels, mode)
     }
 
     /// The compiled junction tree structure.
@@ -325,16 +310,11 @@ impl CompiledTree {
     /// c880 regression test that caught `Auto` losing to dense.
     pub fn kernel_cost(&self) -> usize {
         (0..self.tree.num_cliques())
-            .map(|i| self.clique_cost(i))
+            .map(|i| match &self.kernels.support[i] {
+                Some(s) => sparse::SPARSE_COST_PER_ENTRY * s.len(),
+                None => self.tree.clique_len(i),
+            })
             .sum()
-    }
-
-    /// [`kernel_cost`](CompiledTree::kernel_cost) of one clique.
-    fn clique_cost(&self, i: usize) -> usize {
-        match &self.kernels.support[i] {
-            Some(s) => sparse::SPARSE_COST_PER_ENTRY * s.len(),
-            None => self.tree.clique_len(i),
-        }
     }
 
     /// Every serialized field of the artifact, for the [`crate::codec`]
@@ -346,12 +326,11 @@ impl CompiledTree {
             &self.schedule,
             &self.kernels,
             self.mode,
-            &self.home_vars,
         )
     }
 
-    /// Rebuilds the artifact from decoded fields — schedule, kernels, and
-    /// home-variable masks included — without re-running
+    /// Rebuilds the artifact from decoded fields — schedule and kernels
+    /// included — without re-running
     /// [`from_parts_with`](CompiledTree::from_parts_with), so a loaded
     /// artifact is field-for-field (and therefore bit-for-bit) the struct
     /// the original compile produced. Only the [`crate::codec`] decoder
@@ -362,7 +341,6 @@ impl CompiledTree {
         schedule: Vec<(usize, usize, usize)>,
         kernels: PropagationKernels,
         mode: SparseMode,
-        home_vars: Vec<Vec<VarId>>,
     ) -> CompiledTree {
         let layout = Arc::new(StateLayout::new(&tree));
         CompiledTree {
@@ -371,27 +349,7 @@ impl CompiledTree {
             schedule,
             kernels,
             mode,
-            home_vars,
             layout,
-        }
-    }
-
-    /// The dependency mask of clique `i`: the variables whose evidence is
-    /// entered at that clique. Evidence on any other variable influences
-    /// the clique only through sepset messages.
-    pub fn clique_dependencies(&self, i: usize) -> &[VarId] {
-        &self.home_vars[i]
-    }
-
-    /// A message cache sized for this tree, for use with
-    /// [`calibrate_with_cache`](CompiledTree::calibrate_with_cache). One
-    /// slot per edge (its memory is bounded by the tree's sepset totals),
-    /// shareable across threads and across [`PropagationState`]s.
-    pub fn new_message_cache(&self) -> MessageCache {
-        MessageCache {
-            slots: (0..self.tree.num_edges())
-                .map(|_| Mutex::new(None))
-                .collect(),
         }
     }
 
@@ -408,8 +366,7 @@ impl CompiledTree {
     }
 
     /// Binds `state` to this tree, whatever tree (if any) it served
-    /// before: clears its evidence, resets its cache policy to
-    /// [`PropagationMode::Cold`], invalidates its calibration, and sizes
+    /// before: clears its evidence, invalidates its calibration, and sizes
     /// its flat clique and sepset buffers for this tree. The buffers only
     /// grow, so a state rebound across many trees reallocates only when a
     /// larger tree than any before comes along; nothing in them carries
@@ -435,7 +392,6 @@ impl CompiledTree {
         state.likelihood.resize(self.tree.num_vars(), None);
         state.soft_factors.clear();
         state.calibrated = false;
-        state.mode = PropagationMode::default();
     }
 
     /// Records hard evidence `var = value` in `state`. Overwrites previous
@@ -562,103 +518,6 @@ impl CompiledTree {
             &table_to,
             &state.scratch[..sep_len],
         );
-    }
-
-    /// [`calibrate`](CompiledTree::calibrate) with a per-edge collect
-    /// message cache: each collect message is keyed by a bit-exact
-    /// (`f64::to_bits`) hash of all evidence reachable from the sender's
-    /// subtree, and on a key match ([`PropagationMode::Warm`] states only)
-    /// the cached message is copied in verbatim instead of re-marginalizing
-    /// the sender — bit-identical by construction, because the key covers
-    /// every input the skipped marginalization could read. The sepset
-    /// update and receiver multiply always run, so every clique potential
-    /// evolves exactly as in a cold calibration.
-    ///
-    /// [`PropagationMode::Cold`] states never *read* the cache but still
-    /// refresh it, so a cold run warms the cache for subsequent sweeps.
-    ///
-    /// Returns `(reused, recomputed)` collect-message counts.
-    pub fn calibrate_with_cache(
-        &self,
-        state: &mut PropagationState,
-        cache: &MessageCache,
-    ) -> (u64, u64) {
-        assert_eq!(
-            cache.slots.len(),
-            self.tree.num_edges(),
-            "message cache belongs to a different compiled tree"
-        );
-        self.begin_calibration(state);
-        self.enter_evidence(state);
-        // Dependency keys, folded along the collect schedule: when edge
-        // (from → to) is processed, every child of `from` has already folded
-        // its subtree key into `acc[from]` (children precede parents), so
-        // `acc[from]` covers exactly the evidence the message depends on.
-        let mut acc = clique_evidence_hashes(&self.home_vars, state);
-        let mut edge_key = vec![0u128; self.tree.num_edges()];
-        for &(from, edge, to) in &self.schedule {
-            edge_key[edge] = acc[from];
-            acc[to] = fnv128(acc[to], &edge_key[edge].to_le_bytes());
-        }
-        // Collect, reusing cached messages where the key matches. A sender
-        // whose message is reused is not touched: a leaf without evidence
-        // stays stale until distribute reaches it.
-        let mut reused = 0u64;
-        let mut recomputed = 0u64;
-        for &(from, edge, to) in &self.schedule {
-            if self.absorb_cached(state, (from, edge, to), edge_key[edge], cache) {
-                reused += 1;
-            } else {
-                recomputed += 1;
-            }
-        }
-        // Distribute: a parent-to-child message depends on evidence in the
-        // *whole* tree minus the child's subtree — in a sweep that always
-        // includes the perturbed prior, so caching it could never hit.
-        // Whole-tree reuse is the segment memoization layer's job.
-        for &(from, edge, to) in self.schedule.iter().rev() {
-            self.absorb(state, to, edge, from);
-        }
-        self.finish_calibration(state);
-        (reused, recomputed)
-    }
-
-    /// Whether keying the message cache pays for itself on this tree.
-    ///
-    /// [`calibrate_with_cache`](CompiledTree::calibrate_with_cache) spends
-    /// a fixed overhead per sweep before it can match a single message:
-    /// one FNV-128 pass over every evidence word that could be entered
-    /// plus two 128-bit folds per edge. What a hit *saves* is the
-    /// sender-side marginalize of one collect message. On tiny trees the
-    /// hashing exceeds the marginalizing it could ever skip (the c17
-    /// sweep regression: reuse ratio 1.0 yet 0.88x throughput), so
-    /// callers that own the warm/cold policy should fall back to the
-    /// plain [`calibrate`](CompiledTree::calibrate) when this returns
-    /// `false` — results are bit-identical either way, only the
-    /// bookkeeping differs.
-    ///
-    /// The estimate is deterministic in the compiled fields alone
-    /// (schedule, kernels, cardinalities), so a codec-loaded artifact
-    /// decides exactly like the fresh compile it was written from.
-    pub fn message_cache_worthwhile(&self) -> bool {
-        // Worst-case words hashed per sweep: likelihood evidence on every
-        // variable (tag + var + one word per state), plus two 128-bit
-        // key folds (4 u64 words) per edge.
-        let evidence_words: usize = (0..self.tree.num_vars())
-            .map(|raw| 2 + self.tree.card(VarId::from_index(raw)))
-            .sum();
-        let hash_words = evidence_words + 4 * self.tree.num_edges();
-        // Byte-at-a-time FNV over a u64 word costs eight 128-bit
-        // multiplies — roughly 16 dense table entries' worth of streaming
-        // adds, measured on the kernel microbenchmarks.
-        let hash_cost = hash_words * 16;
-        // A full-reuse sweep skips every collect-side marginalize.
-        let collect_savings: usize = self
-            .schedule
-            .iter()
-            .map(|&(from, _, _)| self.clique_cost(from))
-            .sum();
-        collect_savings > hash_cost
     }
 
     /// The posterior marginal `P(var | evidence)` from a calibrated state.
@@ -843,7 +702,7 @@ pub struct PropagationState {
     /// Multi-variable soft evidence as `(host_clique, factor)`, multiplied
     /// into the host at calibration time. The host is resolved once at
     /// insertion (first containing clique) so the same scope always lands
-    /// in the same clique — message-cache keys depend on it.
+    /// in the same clique.
     soft_factors: Vec<(usize, Factor)>,
     /// Sepset-sized message buffer reused by every absorb, so calibration
     /// allocates nothing in steady state.
@@ -856,59 +715,9 @@ pub struct PropagationState {
     calibrated: bool,
     /// Probability of the inserted evidence, valid after calibration.
     evidence_probability: f64,
-    /// Whether [`CompiledTree::calibrate_with_cache`] may *read* cached
-    /// messages ([`Warm`](PropagationMode::Warm)) or only refresh them
-    /// ([`Cold`](PropagationMode::Cold), the default).
-    mode: PropagationMode,
-}
-
-/// Cache policy of a [`PropagationState`] under
-/// [`CompiledTree::calibrate_with_cache`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PropagationMode {
-    /// Never read cached messages; recompute everything (and refresh the
-    /// cache with the results). The verification baseline.
-    #[default]
-    Cold,
-    /// Reuse cached collect messages whose dependency key matches
-    /// bit-exactly; recompute the rest.
-    Warm,
-}
-
-/// Per-edge collect-message cache for
-/// [`CompiledTree::calibrate_with_cache`]: one slot per junction-tree
-/// edge, holding the latest message and its dependency key. Slots are
-/// individually locked, so concurrent propagations over one shared
-/// compiled tree stay safe (and correct, since any hit is bit-identical
-/// to recomputation by construction).
-///
-/// Memory is bounded by the tree's sepset totals; the cache lives and dies
-/// with the compiled artifact that owns it, so model-cache eviction (e.g.
-/// the engine's LRU) reclaims it automatically.
-#[derive(Debug, Default)]
-pub struct MessageCache {
-    slots: Vec<Mutex<Option<CachedMessage>>>,
-}
-
-#[derive(Debug)]
-struct CachedMessage {
-    key: u128,
-    values: Vec<f64>,
 }
 
 impl PropagationState {
-    /// The cache policy [`CompiledTree::calibrate_with_cache`] applies to
-    /// this state.
-    pub fn mode(&self) -> PropagationMode {
-        self.mode
-    }
-
-    /// Sets the cache policy. Does not invalidate the calibration: the
-    /// mode changes *how* messages are obtained, never their values.
-    pub fn set_mode(&mut self, mode: PropagationMode) {
-        self.mode = mode;
-    }
-
     /// Removes all evidence (hard and soft) and invalidates the
     /// calibration, making the state ready for the next request.
     pub fn clear_evidence(&mut self) {
@@ -1076,8 +885,8 @@ fn insert_factor_impl(
     Ok(())
 }
 
-/// The calibration steps shared by [`CompiledTree::calibrate`], its
-/// cached form and the two-pass reference.
+/// The calibration steps shared by [`CompiledTree::calibrate`] and the
+/// two-pass reference.
 impl CompiledTree {
     /// Calibration prologue: marks every clique stale, so this calibration
     /// writes each clique's initial values on first touch, and resets the
@@ -1185,80 +994,7 @@ impl CompiledTree {
             proj_from,
             &mut state.scratch[..sep_len],
         );
-        self.commit_message(state, edge, to, proj_to);
-    }
-
-    /// [`absorb`](CompiledTree::absorb) with a per-edge message cache: on
-    /// a dependency-key match ([`PropagationMode::Warm`] states) the cached
-    /// message is copied into scratch instead of re-marginalizing the
-    /// sender; otherwise the message is computed and the slot refreshed.
-    /// The sepset store and receiver multiply run either way, keeping the
-    /// state's evolution bit-identical to `absorb`. Returns whether the
-    /// message was reused.
-    fn absorb_cached(
-        &self,
-        state: &mut PropagationState,
-        (from, edge, to): (usize, usize, usize),
-        key: u128,
-        cache: &MessageCache,
-    ) -> bool {
-        let (proj_from, proj_to) = self.sides(edge, from);
-        let sep_len = self.layout.sepset(edge).len();
-        state.scratch.resize(sep_len, 0.0);
-        // Cached-message lock poison recovery: slots hold plain owned data
-        // that is consistent after any panic (key and values are written
-        // together under the lock), so the entry stays usable.
-        let mut reused = false;
-        if state.mode == PropagationMode::Warm {
-            let slot = cache.slots[edge]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            if let Some(cached) = slot.as_ref().filter(|c| c.key == key) {
-                state.scratch[..sep_len].copy_from_slice(&cached.values);
-                reused = true;
-            }
-        }
-        if !reused {
-            self.touch(state, from);
-            marginalize_side(
-                &state.cliques[self.layout.clique(from)],
-                self.kernels.support[from].as_deref(),
-                proj_from,
-                &mut state.scratch[..sep_len],
-            );
-            let mut slot = cache.slots[edge]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            match &mut *slot {
-                Some(cached) => {
-                    cached.key = key;
-                    cached.values.clear();
-                    cached.values.extend_from_slice(&state.scratch[..sep_len]);
-                }
-                None => {
-                    *slot = Some(CachedMessage {
-                        key,
-                        values: state.scratch[..sep_len].to_vec(),
-                    });
-                }
-            }
-        }
-        self.commit_message(state, edge, to, proj_to);
-        reused
-    }
-
-    /// Steps (2) and (3) of an absorption, shared by the cold and cached
-    /// paths: store the new sepset potential (turning scratch into the
-    /// update ratio) and multiply the update into the receiver, touching it
-    /// first.
-    fn commit_message(
-        &self,
-        state: &mut PropagationState,
-        edge: usize,
-        to: usize,
-        proj_to: &SideProj,
-    ) {
-        let sep_len = self.layout.sepset(edge).len();
+        // (2) Store it, turning scratch into the update ratio.
         store_message(
             &mut state.sepsets[self.layout.sepset(edge)],
             &mut state.scratch[..sep_len],
@@ -1288,46 +1024,6 @@ fn multiply_side(values: &mut [f64], support: Option<&[u32]>, side: &SideProj, u
         SideProj::Blocked(blocked) => sparse::multiply_blocked(values, blocked, update),
         SideProj::Support(table) => sparse::multiply_from(values, support, table, update),
     }
-}
-
-/// Per-clique hash of the evidence entered *at* each clique: hard
-/// evidence and likelihoods of the clique's home variables plus soft
-/// factors hosted there, all keyed by `f64::to_bits` so equality means
-/// bit-identical inputs.
-fn clique_evidence_hashes(home_vars: &[Vec<VarId>], state: &PropagationState) -> Vec<u128> {
-    let mut hashes: Vec<u128> = home_vars
-        .iter()
-        .map(|vars| {
-            let mut h = FNV128_OFFSET;
-            for &var in vars {
-                if let Some(value) = state.evidence[var.index()] {
-                    h = fnv128_u64(h, 1);
-                    h = fnv128_u64(h, var.index() as u64);
-                    h = fnv128_u64(h, value as u64);
-                }
-                if let Some(weights) = &state.likelihood[var.index()] {
-                    h = fnv128_u64(h, 2);
-                    h = fnv128_u64(h, var.index() as u64);
-                    for &w in weights {
-                        h = fnv128_u64(h, w.to_bits());
-                    }
-                }
-            }
-            h
-        })
-        .collect();
-    for (host, factor) in &state.soft_factors {
-        let mut h = hashes[*host];
-        h = fnv128_u64(h, 3);
-        for v in factor.vars() {
-            h = fnv128_u64(h, v.index() as u64);
-        }
-        for &x in factor.values() {
-            h = fnv128_u64(h, x.to_bits());
-        }
-        hashes[*host] = h;
-    }
-    hashes
 }
 
 /// Step (2) of an absorption: store the message in `update` (scratch) as
@@ -1856,15 +1552,8 @@ mod tests {
                 .chain([state.evidence_probability().to_bits()])
                 .collect()
         };
-        let cache = compiled.new_message_cache();
-        type Calibrate<'a> = &'a dyn Fn(&mut PropagationState);
-        let entry_points: [Calibrate; 3] = [
-            &|s| compiled.calibrate(s),
-            &|s| compiled.calibrate_two_pass(s),
-            &|s| {
-                compiled.calibrate_with_cache(s, &cache);
-            },
-        ];
+        let entry_points: [fn(&CompiledTree, &mut PropagationState); 2] =
+            [CompiledTree::calibrate, CompiledTree::calibrate_two_pass];
         for calibrate in entry_points {
             // The reused state first propagates other evidence, which
             // leaves every potential away from its initial value.
@@ -1873,7 +1562,7 @@ mod tests {
             compiled
                 .set_likelihood(&mut reused, cloudy, vec![0.2, 0.8])
                 .unwrap();
-            calibrate(&mut reused);
+            calibrate(&compiled, &mut reused);
             reused.clear_evidence();
             let mut fresh = compiled.new_state();
             for state in [&mut reused, &mut fresh] {
@@ -1881,7 +1570,7 @@ mod tests {
                 compiled
                     .set_likelihood(state, rain, vec![0.3, 0.7])
                     .unwrap();
-                calibrate(state);
+                calibrate(&compiled, state);
             }
             assert_eq!(bits(&fresh), bits(&reused));
         }
@@ -2032,157 +1721,6 @@ mod tests {
                 assert_eq!(s_off.evidence_probability(), s_on.evidence_probability());
             }
         }
-    }
-
-    #[test]
-    fn cached_calibration_is_bit_identical_and_reuses_clean_messages() {
-        let (net, [cloudy, _, rain, wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let compiled = CompiledTree::new(tree, &net).unwrap();
-        let cache = compiled.new_message_cache();
-
-        // Cold pass populates the cache without reading it.
-        let mut warm = compiled.new_state();
-        assert_eq!(warm.mode(), PropagationMode::Cold);
-        compiled
-            .set_likelihood(&mut warm, rain, vec![0.3, 0.7])
-            .unwrap();
-        let (reused, recomputed) = compiled.calibrate_with_cache(&mut warm, &cache);
-        assert_eq!(reused, 0);
-        assert_eq!(recomputed, compiled.message_schedule().len() as u64);
-
-        // Identical evidence, warm mode: every collect message reused, and
-        // every read is bit-identical to an uncached calibration.
-        warm.set_mode(PropagationMode::Warm);
-        warm.clear_evidence();
-        compiled
-            .set_likelihood(&mut warm, rain, vec![0.3, 0.7])
-            .unwrap();
-        let (reused, recomputed) = compiled.calibrate_with_cache(&mut warm, &cache);
-        assert_eq!(reused, compiled.message_schedule().len() as u64);
-        assert_eq!(recomputed, 0);
-        let mut cold = compiled.new_state();
-        compiled
-            .set_likelihood(&mut cold, rain, vec![0.3, 0.7])
-            .unwrap();
-        compiled.calibrate(&mut cold);
-        for var in [cloudy, rain, wet] {
-            let a = compiled.marginal(&warm, var);
-            let b = compiled.marginal(&cold, var);
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-        assert_eq!(
-            warm.evidence_probability().to_bits(),
-            cold.evidence_probability().to_bits()
-        );
-
-        // Perturbed evidence in *both* cliques (cloudy and wet never share
-        // one): whichever clique is the collect child is now dirty, so at
-        // least one message recomputes; results stay bit-identical to cold.
-        warm.clear_evidence();
-        compiled
-            .set_likelihood(&mut warm, cloudy, vec![0.4, 0.6])
-            .unwrap();
-        compiled
-            .set_likelihood(&mut warm, wet, vec![0.9, 0.1])
-            .unwrap();
-        let (_, recomputed) = compiled.calibrate_with_cache(&mut warm, &cache);
-        assert!(recomputed > 0, "dirty subtree must recompute");
-        let mut cold2 = compiled.new_state();
-        compiled
-            .set_likelihood(&mut cold2, cloudy, vec![0.4, 0.6])
-            .unwrap();
-        compiled
-            .set_likelihood(&mut cold2, wet, vec![0.9, 0.1])
-            .unwrap();
-        compiled.calibrate(&mut cold2);
-        for var in [cloudy, rain, wet] {
-            assert_eq!(
-                compiled.marginal(&warm, var),
-                compiled.marginal(&cold2, var)
-            );
-        }
-    }
-
-    #[test]
-    fn cached_calibration_distinguishes_evidence_kinds() {
-        // Hard evidence wet=1 and likelihood [0,1] on wet give the same
-        // posterior but must not share cache keys with *different*
-        // evidence; and a state carrying no evidence must not reuse
-        // messages computed under evidence.
-        let (net, [cloudy, .., wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let compiled = CompiledTree::new(tree, &net).unwrap();
-        let cache = compiled.new_message_cache();
-
-        let mut state = compiled.new_state();
-        state.set_mode(PropagationMode::Warm);
-        compiled.set_evidence(&mut state, wet, 1).unwrap();
-        compiled.calibrate_with_cache(&mut state, &cache);
-        let with_evidence = compiled.marginal(&state, cloudy);
-
-        state.clear_evidence();
-        let (reused, _) = compiled.calibrate_with_cache(&mut state, &cache);
-        assert_eq!(reused, 0, "no-evidence run must miss evidence-keyed slots");
-        let without = compiled.marginal(&state, cloudy);
-        assert_ne!(with_evidence, without);
-
-        let mut cold = compiled.new_state();
-        compiled.calibrate(&mut cold);
-        assert_eq!(without, compiled.marginal(&cold, cloudy));
-    }
-
-    #[test]
-    fn dependency_mask_covers_every_variable_once() {
-        let (net, _) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let compiled = CompiledTree::new(tree, &net).unwrap();
-        let mut seen = vec![0usize; compiled.tree().num_vars()];
-        for c in 0..compiled.tree().num_cliques() {
-            for &var in compiled.clique_dependencies(c) {
-                assert_eq!(compiled.tree().home_clique(var), c);
-                seen[var.index()] += 1;
-            }
-        }
-        assert!(seen.iter().all(|&n| n == 1), "each var has one home");
-    }
-
-    #[test]
-    fn message_cache_is_safe_under_concurrent_mixed_scenarios() {
-        // Two threads sweep different likelihoods through one shared
-        // cache; every result must equal its cold reference bit-for-bit
-        // even while the slots churn.
-        let (net, [_, _, rain, wet]) = sprinkler();
-        let tree = JunctionTree::compile(&net).unwrap();
-        let compiled = CompiledTree::new(tree, &net).unwrap();
-        let cache = compiled.new_message_cache();
-        std::thread::scope(|scope| {
-            for t in 0..2 {
-                let compiled = &compiled;
-                let cache = &cache;
-                scope.spawn(move || {
-                    let mut state = compiled.new_state();
-                    state.set_mode(PropagationMode::Warm);
-                    for k in 0..8 {
-                        let p = 0.1 + 0.1 * (t as f64) + 0.05 * (k as f64);
-                        state.clear_evidence();
-                        compiled
-                            .set_likelihood(&mut state, rain, vec![p, 1.0 - p])
-                            .unwrap();
-                        compiled.calibrate_with_cache(&mut state, cache);
-                        let got = compiled.marginal(&state, wet);
-                        let mut cold = compiled.new_state();
-                        compiled
-                            .set_likelihood(&mut cold, rain, vec![p, 1.0 - p])
-                            .unwrap();
-                        compiled.calibrate(&mut cold);
-                        assert_eq!(got, compiled.marginal(&cold, wet));
-                    }
-                });
-            }
-        });
     }
 
     #[test]

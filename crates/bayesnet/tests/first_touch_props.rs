@@ -8,14 +8,12 @@
 //! The nets have one to three components, so single-clique components
 //! (touched only by the final pass) occur, and mix deterministic with
 //! random CPTs. Evidence of every kind lands on leaf, interior and root
-//! cliques, one state is reused across evidence sets, and warm-cache runs
-//! reuse every collect message so that leaves without evidence stay
-//! untouched until distribute.
+//! cliques, and one state is reused across evidence sets.
 
 use proptest::prelude::*;
 use swact_bayesnet::{
-    initial_potentials, BayesNet, CompiledTree, Cpt, Factor, JunctionTree, PropagationMode,
-    PropagationState, SparseMode, VarId,
+    initial_potentials, BayesNet, CompiledTree, Cpt, Factor, JunctionTree, PropagationState,
+    SparseMode, VarId,
 };
 
 /// xorshift64 stream from a seed.
@@ -211,24 +209,13 @@ fn assert_matches_reference(
     );
 }
 
-/// Runs every evidence set through one reused state: plain calibration,
-/// a cold cached calibration that fills the message cache, and a warm one
-/// that reuses every collect message.
+/// Runs every evidence set through one reused state.
 fn check(compiled: &CompiledTree, sets: &[Vec<Evidence>]) {
     let mut state = compiled.new_state();
-    let cache = compiled.new_message_cache();
-    let steps = compiled.message_schedule().len() as u64;
     for set in sets {
         enter(compiled, &mut state, set);
         compiled.calibrate(&mut state);
         assert_matches_reference(compiled, &state, set, "calibrate");
-        state.set_mode(PropagationMode::Cold);
-        compiled.calibrate_with_cache(&mut state, &cache);
-        assert_matches_reference(compiled, &state, set, "cold cached");
-        state.set_mode(PropagationMode::Warm);
-        let (reused, _) = compiled.calibrate_with_cache(&mut state, &cache);
-        prop_assert_eq!(reused, steps, "the warm run reuses every collect message");
-        assert_matches_reference(compiled, &state, set, "warm cached");
     }
 }
 

@@ -138,24 +138,6 @@ pub fn build_switching_bdds(
     })
 }
 
-/// Applies one logic gate over already-built input functions: the BDD of
-/// `kind(inputs[0], …, inputs[n-1])`. This is the single-gate building
-/// block behind [`build_circuit_bdds`] / [`build_switching_bdds`], exposed
-/// for callers that assemble BDDs over their own variable layout (e.g. the
-/// per-segment switching backend in `swact`).
-///
-/// # Errors
-///
-/// Returns [`BddError::NodeLimit`] if the result would exceed the
-/// manager's node budget.
-pub fn apply_gate_nodes(
-    bdd: &mut Bdd,
-    kind: GateKind,
-    inputs: &[NodeId],
-) -> Result<NodeId, BddError> {
-    apply_gate(bdd, kind, |k| inputs[k], inputs.len())
-}
-
 fn apply_gate(
     bdd: &mut Bdd,
     kind: GateKind,

@@ -35,8 +35,6 @@ mod circuit;
 mod manager;
 mod prob;
 
-pub use circuit::{
-    apply_gate_nodes, build_circuit_bdds, build_switching_bdds, CircuitBdds, SwitchingBdds,
-};
+pub use circuit::{build_circuit_bdds, build_switching_bdds, CircuitBdds, SwitchingBdds};
 pub use manager::{Bdd, BddError, NodeId};
 pub use prob::PairDistribution;

@@ -15,14 +15,6 @@ impl NodeId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// The inverse of [`index`](NodeId::index), for rebuilding handles from
-    /// a serialized node table. The caller is responsible for only using
-    /// indices that are in bounds for the manager the handle is given to
-    /// (e.g. validated against [`Bdd::num_nodes`]).
-    pub fn from_index(index: usize) -> NodeId {
-        NodeId(index as u32)
-    }
 }
 
 impl fmt::Display for NodeId {
@@ -48,13 +40,6 @@ pub enum BddError {
         /// The declared variable count.
         num_vars: usize,
     },
-    /// A serialized node table handed to [`Bdd::from_table`] violates the
-    /// reduced-ordered invariants (bad level, forward/self reference, or a
-    /// redundant node).
-    InvalidTable {
-        /// What was wrong with the table.
-        reason: String,
-    },
 }
 
 impl fmt::Display for BddError {
@@ -65,9 +50,6 @@ impl fmt::Display for BddError {
             }
             BddError::VarOutOfRange { var, num_vars } => {
                 write!(f, "variable {var} out of range for {num_vars} variables")
-            }
-            BddError::InvalidTable { reason } => {
-                write!(f, "invalid bdd node table: {reason}")
             }
         }
     }
@@ -496,78 +478,6 @@ impl Bdd {
         self.node_limit
     }
 
-    /// Serializes the decision-node table (terminals excluded) as
-    /// `[level, lo, hi]` triples in dense index order. Together with
-    /// [`num_vars`](Bdd::num_vars) and [`node_limit`](Bdd::node_limit) this
-    /// is the manager's complete persistent state — the apply cache is a
-    /// pure memo and is deliberately dropped.
-    pub fn export_table(&self) -> Vec<[u32; 3]> {
-        self.nodes
-            .iter()
-            .skip(2)
-            .map(|n| [n.level, n.lo.0, n.hi.0])
-            .collect()
-    }
-
-    /// Rebuilds a manager from an [`export_table`](Bdd::export_table)
-    /// snapshot, re-deriving the hash-consing table. Node ids from the
-    /// exporting manager stay valid verbatim.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BddError::InvalidTable`] when the table violates the
-    /// reduced-ordered invariants: a level outside the variable order, a
-    /// branch referencing the node itself or a later node (BDDs are built
-    /// children-first, so references always point backwards), a redundant
-    /// node (`lo == hi`), or a duplicate of an earlier node.
-    pub fn from_table(
-        num_vars: usize,
-        node_limit: usize,
-        table: &[[u32; 3]],
-    ) -> Result<Bdd, BddError> {
-        let mut bdd = Bdd::with_node_limit(num_vars, node_limit.max(table.len() + 2));
-        for (i, &[level, lo, hi]) in table.iter().enumerate() {
-            let id = i + 2;
-            if level as usize >= num_vars {
-                return Err(BddError::InvalidTable {
-                    reason: format!("node @{id} has level {level} outside {num_vars} variables"),
-                });
-            }
-            if lo as usize >= id || hi as usize >= id {
-                return Err(BddError::InvalidTable {
-                    reason: format!("node @{id} references a node at or past itself"),
-                });
-            }
-            if lo == hi {
-                return Err(BddError::InvalidTable {
-                    reason: format!("node @{id} is redundant (lo == hi)"),
-                });
-            }
-            // The order must be strictly descending towards the terminals:
-            // a decision-node child sits at a deeper level than its parent.
-            for child in [lo, hi] {
-                if child >= 2 && table[child as usize - 2][0] <= level {
-                    return Err(BddError::InvalidTable {
-                        reason: format!("node @{id} branches to a node at or above its level"),
-                    });
-                }
-            }
-            let node = Node {
-                level,
-                lo: NodeId(lo),
-                hi: NodeId(hi),
-            };
-            if bdd.unique.contains_key(&node) {
-                return Err(BddError::InvalidTable {
-                    reason: format!("node @{id} duplicates an earlier node"),
-                });
-            }
-            bdd.nodes.push(node);
-            bdd.unique.insert(node, NodeId(id as u32));
-        }
-        Ok(bdd)
-    }
-
     pub(crate) fn node(&self, f: NodeId) -> (u32, NodeId, NodeId) {
         let n = self.nodes[f.index()];
         (n.level, n.lo, n.hi)
@@ -739,63 +649,6 @@ mod tests {
         assert_eq!(dot.matches("style=dashed").count(), bdd.size(f));
         assert!(dot.contains("label=\"x0\""));
         assert!(dot.contains("label=\"x1\""));
-    }
-
-    #[test]
-    fn export_import_round_trips_node_ids() {
-        let mut bdd = Bdd::new(4);
-        let a = bdd.var(0).unwrap();
-        let b = bdd.var(1).unwrap();
-        let c = bdd.var(2).unwrap();
-        let ab = bdd.and(a, b).unwrap();
-        let f = bdd.xor(ab, c).unwrap();
-        let table = bdd.export_table();
-        let mut restored = Bdd::from_table(bdd.num_vars(), bdd.node_limit(), &table).unwrap();
-        assert_eq!(restored.num_nodes(), bdd.num_nodes());
-        // Ids survive verbatim: the same handle evaluates identically.
-        for case in 0..16 {
-            let assignment = [case & 1 == 1, case & 2 == 2, case & 4 == 4, case & 8 == 8];
-            assert_eq!(restored.eval(f, &assignment), bdd.eval(f, &assignment));
-        }
-        assert_eq!(restored.sat_count(f), bdd.sat_count(f));
-        // The unique table was rebuilt: re-deriving the same function
-        // allocates nothing and lands on the same id.
-        let before = restored.num_nodes();
-        let a2 = restored.var(0).unwrap();
-        let b2 = restored.var(1).unwrap();
-        let c2 = restored.var(2).unwrap();
-        let ab2 = restored.and(a2, b2).unwrap();
-        assert_eq!(restored.xor(ab2, c2).unwrap(), f);
-        assert_eq!(restored.num_nodes(), before);
-    }
-
-    #[test]
-    fn from_table_rejects_malformed_tables() {
-        // Forward reference.
-        assert!(matches!(
-            Bdd::from_table(2, 16, &[[0, 5, 1]]),
-            Err(BddError::InvalidTable { .. })
-        ));
-        // Level outside the order.
-        assert!(matches!(
-            Bdd::from_table(2, 16, &[[7, 0, 1]]),
-            Err(BddError::InvalidTable { .. })
-        ));
-        // Redundant node.
-        assert!(matches!(
-            Bdd::from_table(2, 16, &[[0, 1, 1]]),
-            Err(BddError::InvalidTable { .. })
-        ));
-        // Duplicate node.
-        assert!(matches!(
-            Bdd::from_table(2, 16, &[[0, 0, 1], [0, 0, 1]]),
-            Err(BddError::InvalidTable { .. })
-        ));
-        // Child at the same level as its parent.
-        assert!(matches!(
-            Bdd::from_table(2, 16, &[[1, 0, 1], [1, 2, 1]]),
-            Err(BddError::InvalidTable { .. })
-        ));
     }
 
     #[test]

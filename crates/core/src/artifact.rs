@@ -77,8 +77,10 @@ pub const MAGIC: [u8; 8] = *b"SWACTBN1";
 /// cliques lost their per-entry projection tables and keep only the
 /// blocked stride form; version 8 stores no initial clique potential:
 /// each clique carries the factors it hosts (its CPTs) with their blocked
-/// gather projections instead.
-pub const FORMAT_VERSION: u32 = 8;
+/// gather projections instead; version 9 dropped the OBDD segment
+/// artifact with its backend tag (1) and the per-clique home-variable
+/// masks of every compiled tree.
+pub const FORMAT_VERSION: u32 = 9;
 
 /// Extension used by [`artifact_file_name`].
 pub const ARTIFACT_EXTENSION: &str = "swact";
@@ -406,7 +408,7 @@ mod tests {
         let key = model_key(&c17, None, &options);
         assert_eq!(key, model_key(&c17, None, &options), "must be pure");
         let other_backend = Options {
-            backend: Backend::Bdd,
+            backend: Backend::TwoState,
             ..options
         };
         assert_ne!(key, model_key(&c17, None, &other_backend));

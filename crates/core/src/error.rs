@@ -44,8 +44,8 @@ pub enum EstimateError {
         /// Human-readable name of the unsupported feature.
         feature: &'static str,
     },
-    /// A backend-internal failure (e.g. the OBDD node budget was
-    /// exhausted while compiling a segment).
+    /// A backend-internal failure (e.g. a segment export the junction
+    /// tree cannot plan).
     Backend {
         /// Backend name.
         backend: &'static str,
@@ -75,7 +75,7 @@ pub enum EstimateError {
         budget: f64,
         /// The ladder rung that actually exhausted the budget: the
         /// backend whose compile attempt could not fit (`"jtree"`,
-        /// `"bdd"`, `"sampling"`, `"twostate"` — or the primary backend's
+        /// `"sampling"`, `"twostate"` — or the primary backend's
         /// name when the ladder is disabled via `no_fallback`).
         rung: &'static str,
     },

@@ -63,8 +63,7 @@ pub struct Options {
     pub sparse: SparseMode,
     /// Which inference engine evaluates each segment's Bayesian network.
     /// The default [`Backend::Jtree`] is the paper's exact junction-tree
-    /// propagation; [`Backend::Bdd`] computes per-segment switching
-    /// exactly on OBDDs; [`Backend::Sampling`] is the anytime
+    /// propagation; [`Backend::Sampling`] is the anytime
     /// forward-sampling estimator with per-segment confidence intervals;
     /// [`Backend::TwoState`] is the classic signal-probability ablation
     /// with the `2p(1−p)` switching proxy.
@@ -95,10 +94,9 @@ pub struct Options {
     /// back to the `twostate` backend for the offending segment.
     pub no_fallback: bool,
     /// Reuse work across successive `estimate` calls on one compiled
-    /// estimator: collect messages whose source subtree saw no evidence
-    /// change are served from a per-edge cache, and whole segments whose
-    /// root statistics are unchanged are served from a memoized posterior.
-    /// Results are bit-identical (`f64::to_bits`) to cold propagation by
+    /// estimator: segments whose root statistics are unchanged are served
+    /// from a memoized posterior instead of re-propagating. Results are
+    /// bit-identical (`f64::to_bits`) to cold propagation by
     /// construction; disable only to measure the cold baseline.
     pub incremental: bool,
 }

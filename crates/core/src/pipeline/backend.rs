@@ -16,7 +16,6 @@ use swact_bayesnet::{PropagationState, VarId};
 use swact_circuit::LineId;
 
 use crate::estimator::Options;
-use crate::pipeline::bddexact::{self, BddSegment};
 use crate::pipeline::jtree::{self, JtreeSegment};
 use crate::pipeline::model::{Export, SegmentModel};
 use crate::pipeline::sampling::{self, SamplingSegment};
@@ -32,11 +31,6 @@ pub enum Backend {
     /// explicit pairwise joints, and boundary-correlation forwarding.
     #[default]
     Jtree,
-    /// Exact switching probabilities from per-segment OBDDs over
-    /// interleaved (previous, next) input variables. Within a segment the
-    /// result is exact; across segments only boundary *marginals* are
-    /// forwarded (boundary-correlation export is a junction-tree notion).
-    Bdd,
     /// Anytime forward sampling over the 4-state LIDAG with a
     /// deterministic seeded stream and the Burch/Najm stopping rule:
     /// batches run until the confidence half-width target
@@ -51,11 +45,10 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Stable lower-case name (`jtree`, `bdd`, `sampling`, `twostate`).
+    /// Stable lower-case name (`jtree`, `sampling`, `twostate`).
     pub fn name(&self) -> &'static str {
         match self {
             Backend::Jtree => "jtree",
-            Backend::Bdd => "bdd",
             Backend::Sampling => "sampling",
             Backend::TwoState => "twostate",
         }
@@ -74,19 +67,18 @@ impl FromStr for Backend {
     fn from_str(s: &str) -> Result<Backend, String> {
         match s.to_ascii_lowercase().as_str() {
             "jtree" | "junction-tree" | "hugin" => Ok(Backend::Jtree),
-            "bdd" | "obdd" => Ok(Backend::Bdd),
             "sampling" | "sample" | "anytime" => Ok(Backend::Sampling),
             "twostate" | "two-state" | "2state" => Ok(Backend::TwoState),
             other => Err(format!(
-                "unknown backend '{other}' (expected jtree, bdd, sampling, or twostate)"
+                "unknown backend '{other}' (expected jtree, sampling, or twostate)"
             )),
         }
     }
 }
 
 /// Size statistics of one compiled segment, in backend-native units
-/// (junction-tree states and nonzeros for `jtree`, BDD nodes for `bdd`,
-/// 2-state tree sizes for `twostate`).
+/// (junction-tree states and nonzeros for `jtree`, 2-state tree sizes for
+/// `twostate`).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct SegmentStats {
     /// Total state count of the propagation artifact.
@@ -110,7 +102,6 @@ pub(crate) struct SegmentStats {
 /// it.
 pub(crate) enum SegmentArtifact {
     Jtree(JtreeSegment),
-    Bdd(BddSegment),
     Sampling(SamplingSegment),
     TwoState(TwoStateSegment),
 }
@@ -144,7 +135,6 @@ impl CompiledSegment {
     ) -> Result<CompiledSegment, EstimateError> {
         let (artifact, stats) = match backend {
             Backend::Jtree => jtree::compile(model, options)?,
-            Backend::Bdd => bddexact::compile(model)?,
             Backend::Sampling => sampling::compile(model, options)?,
             Backend::TwoState => twostate::compile(model, options)?,
         };
@@ -159,7 +149,6 @@ impl CompiledSegment {
     pub(crate) fn backend(&self) -> Backend {
         match self.artifact {
             SegmentArtifact::Jtree(_) => Backend::Jtree,
-            SegmentArtifact::Bdd(_) => Backend::Bdd,
             SegmentArtifact::Sampling(_) => Backend::Sampling,
             SegmentArtifact::TwoState(_) => Backend::TwoState,
         }
@@ -180,7 +169,6 @@ impl CompiledSegment {
     ) -> Result<SegmentPosterior, EstimateError> {
         match &self.artifact {
             SegmentArtifact::Jtree(art) => jtree::propagate(art, roots, state),
-            SegmentArtifact::Bdd(art) => Ok(bddexact::propagate(art, roots)),
             SegmentArtifact::Sampling(art) => Ok(sampling::propagate(art, roots)),
             SegmentArtifact::TwoState(art) => twostate::propagate(art, roots, state),
         }
@@ -193,19 +181,9 @@ impl CompiledSegment {
         let compiled = match &self.artifact {
             SegmentArtifact::Jtree(art) => &art.compiled,
             SegmentArtifact::TwoState(art) => &art.compiled,
-            SegmentArtifact::Bdd(_) | SegmentArtifact::Sampling(_) => return 0,
+            SegmentArtifact::Sampling(_) => return 0,
         };
         compiled.state_space() + compiled.sepset_space()
-    }
-
-    /// Entries this segment's collect-message cache holds once every
-    /// edge has cached a message (one sepset each); zero when the segment
-    /// bypasses the cache.
-    pub(crate) fn cached_message_entries(&self) -> usize {
-        match &self.artifact {
-            SegmentArtifact::Jtree(art) if art.cache_worthwhile => art.compiled.sepset_space(),
-            _ => 0,
-        }
     }
 
     /// A bit-exact (`f64::to_bits`) fingerprint of everything `propagate`
@@ -284,11 +262,6 @@ pub(crate) struct SegmentPosterior {
     pub(crate) exports: Vec<(usize, [f64; 16])>,
     /// `(request index, 4×4 joint)` answers to in-segment joint requests.
     pub(crate) joints: Vec<(usize, [[f64; 4]; 4])>,
-    /// Collect messages served from the backend's message cache.
-    pub(crate) messages_reused: u64,
-    /// Collect messages recomputed (zero when the whole segment was
-    /// served from the posterior memo).
-    pub(crate) messages_recomputed: u64,
     /// Confidence-interval report for approximate (sampled) posteriors;
     /// `None` for exact backends.
     pub(crate) accuracy: Option<AccuracyReport>,
@@ -312,13 +285,13 @@ mod tests {
     #[test]
     fn backend_parses_and_prints() {
         assert_eq!("jtree".parse::<Backend>().unwrap(), Backend::Jtree);
-        assert_eq!("BDD".parse::<Backend>().unwrap(), Backend::Bdd);
+        assert!("bdd".parse::<Backend>().is_err());
         assert_eq!("two-state".parse::<Backend>().unwrap(), Backend::TwoState);
         assert_eq!("sampling".parse::<Backend>().unwrap(), Backend::Sampling);
         assert_eq!("anytime".parse::<Backend>().unwrap(), Backend::Sampling);
         assert!("gibbs".parse::<Backend>().is_err());
         assert_eq!(Backend::default(), Backend::Jtree);
-        assert_eq!(Backend::Bdd.to_string(), "bdd");
+        assert_eq!(Backend::TwoState.to_string(), "twostate");
         assert_eq!(Backend::Sampling.to_string(), "sampling");
     }
 }

@@ -2,10 +2,7 @@
 //! the default.
 
 use swact_bayesnet::codec::{fnv128_u64, FNV128_OFFSET};
-use swact_bayesnet::{
-    CompiledTree, Factor, JunctionTree, MessageCache, PairwisePlan, PropagationMode,
-    PropagationState, VarId,
-};
+use swact_bayesnet::{CompiledTree, Factor, JunctionTree, PairwisePlan, PropagationState, VarId};
 use swact_circuit::LineId;
 
 use crate::estimator::Options;
@@ -25,23 +22,6 @@ pub(crate) struct JtreeSegment {
     /// weights (mathematically identical, and the artifact stays
     /// independent of the input statistics).
     pub(crate) compiled: CompiledTree,
-    /// Shared per-edge collect-message cache: concurrent and consecutive
-    /// propagations over this compile reuse messages whose evidence
-    /// dependencies are bit-identical. Lives (and is evicted) with the
-    /// compiled artifact.
-    pub(crate) msg_cache: MessageCache,
-    /// Whether propagations may *read* the message cache (baked in from
-    /// [`Options::incremental`] at compile time, since `propagate` has no
-    /// options parameter).
-    pub(crate) incremental: bool,
-    /// Whether this segment touches the message cache *at all*. Tiny
-    /// single-clique segments (c17-scale) spend more on hashing evidence
-    /// signatures per edge than a full recompute costs, so when the
-    /// compiled tree's own cost model says hashing cannot pay for itself
-    /// the segment propagates with plain [`CompiledTree::calibrate`] —
-    /// bit-identical to the cached path by construction, warm ≡ cold
-    /// trivially.
-    pub(crate) cache_worthwhile: bool,
     pub(crate) solo_roots: Vec<(LineId, VarId, RootSource)>,
     pub(crate) pair_roots: Vec<PairRoot>,
     pub(crate) input_pairs: Vec<InputPair>,
@@ -159,13 +139,8 @@ pub(crate) fn compile(
         compressed_cliques: compiled.compressed_cliques(),
         kernel_cost: compiled.kernel_cost(),
     };
-    let msg_cache = compiled.new_message_cache();
-    let cache_worthwhile = compiled.message_cache_worthwhile();
     let artifact = JtreeSegment {
         compiled,
-        msg_cache,
-        incremental: options.incremental,
-        cache_worthwhile,
         solo_roots: model.solo_roots.clone(),
         pair_roots: model.pair_roots.clone(),
         input_pairs: model.input_pairs.clone(),
@@ -230,22 +205,7 @@ pub(crate) fn propagate(
             Factor::new(vec![(pair.parent_var, 4), (pair.var, 4)], values),
         )?;
     }
-    // Warm states may reuse cached collect messages (bit-identical by
-    // construction); with incremental propagation off the state runs
-    // cold but still refreshes the cache. Segments whose compiled cost
-    // model says evidence-signature hashing outweighs the recompute it
-    // saves bypass the cache machinery entirely.
-    let (messages_reused, messages_recomputed) = if art.cache_worthwhile {
-        state.set_mode(if art.incremental {
-            PropagationMode::Warm
-        } else {
-            PropagationMode::Cold
-        });
-        compiled.calibrate_with_cache(state, &art.msg_cache)
-    } else {
-        compiled.calibrate(state);
-        (0, 0)
-    };
+    compiled.calibrate(state);
     let gate_dists = art
         .gates
         .iter()
@@ -301,8 +261,6 @@ pub(crate) fn propagate(
         gate_dists,
         exports,
         joints,
-        messages_reused,
-        messages_recomputed,
         accuracy: None,
     })
 }

@@ -1,7 +1,7 @@
 //! The staged estimation pipeline.
 //!
 //! The paper's workflow is an explicit pipeline; this module makes each
-//! stage a typed artifact, with one of four inference backends between the
+//! stage a typed artifact, with one of three inference backends between the
 //! last two:
 //!
 //! 1. **Plan** ([`PlannedCircuit`]) — fan-in decomposition and
@@ -9,8 +9,8 @@
 //! 2. **Model** ([`SegmentModel`]) — per-segment LIDAG/CPT construction,
 //!    including boundary-correlation parent selection.
 //! 3. **Compile** — the selected [`Backend`] turns each model into its
-//!    propagation artifact (junction tree, OBDDs, sampling plan, or a
-//!    two-state network).
+//!    propagation artifact (junction tree, sampling plan, or a two-state
+//!    network).
 //! 4. **Schedule** ([`WaveSchedule`]) — segments are grouped into
 //!    dependency waves for topologically ordered propagation.
 //! 5. **Propagate + forward** — per estimate, the backend propagates each
@@ -21,7 +21,6 @@
 //! the compiled result and runs the last stage per estimate.
 
 mod backend;
-mod bddexact;
 mod jtree;
 mod model;
 pub(crate) mod persist;
@@ -603,15 +602,9 @@ impl CompiledEstimator {
         }
         let output = segment.propagate(roots, state)?;
         if let Some(sig) = signature {
-            // The stored copy zeroes the message counters: a memo hit did
-            // no message work, so a served posterior must not re-report
-            // the original run's counts.
-            let mut stored = output.clone();
-            stored.messages_reused = 0;
-            stored.messages_recomputed = 0;
             *self.memo[seg_idx]
                 .lock()
-                .unwrap_or_else(PoisonError::into_inner) = Some((sig, stored));
+                .unwrap_or_else(PoisonError::into_inner) = Some((sig, output.clone()));
         }
         Ok((output, false))
     }
@@ -701,8 +694,6 @@ impl CompiledEstimator {
         }
         let mut propagate_wall = Duration::ZERO;
         let mut seg_propagate: Vec<Duration> = vec![Duration::ZERO; self.segments.len()];
-        let mut messages_reused = 0u64;
-        let mut messages_recomputed = 0u64;
         let mut segments_skipped = 0u64;
         let mut accuracy: Option<AccuracyReport> = None;
         // Absolute instant the propagate-stage deadline elapses; anytime
@@ -782,8 +773,6 @@ impl CompiledEstimator {
             for (seg_idx, elapsed, output) in outputs {
                 seg_propagate[seg_idx] = elapsed;
                 let (output, skipped) = output?;
-                messages_reused += output.messages_reused;
-                messages_recomputed += output.messages_recomputed;
                 segments_skipped += u64::from(skipped);
                 merge_accuracy(&mut accuracy, output.accuracy.as_ref());
                 apply_segment_output(
@@ -816,9 +805,8 @@ impl CompiledEstimator {
             per_segment,
             self.degradations.clone(),
             crate::report::ReuseStats {
-                messages_reused,
-                messages_recomputed,
                 segments_skipped,
+                ..crate::report::ReuseStats::default()
             },
             accuracy,
         );
@@ -848,19 +836,6 @@ impl CompiledEstimator {
             }
         }
         8 * slots.iter().sum::<usize>()
-    }
-
-    /// Bytes the segments' collect-message caches hold once warm: one
-    /// message per junction-tree edge (8 bytes per sepset entry), filled
-    /// by the first estimate and kept for the estimator's life. For the
-    /// memory tests only.
-    #[doc(hidden)]
-    pub fn message_cache_bytes(&self) -> usize {
-        8 * self
-            .segments
-            .iter()
-            .map(CompiledSegment::cached_message_entries)
-            .sum::<usize>()
     }
 
     /// The working (fan-in-decomposed) circuit the estimator runs over.

@@ -3,7 +3,7 @@
 //! A [`SegmentModel`] is the backend-independent description of one
 //! segment's Bayesian network: the 4-state LIDAG with CPTs (consumed by
 //! the junction-tree backend), plus the raw root/gate structure other
-//! backends (OBDD, two-state) compile from directly.
+//! backends (sampling, two-state) compile from directly.
 
 use std::collections::{HashMap, HashSet};
 

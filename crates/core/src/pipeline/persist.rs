@@ -8,13 +8,13 @@
 //! routing, and the wave schedule. Loading therefore needs nothing but the
 //! bytes — no original netlist, no recompilation — and produces an
 //! estimator whose estimates are bit-identical (`f64::to_bits`) to the one
-//! that was persisted, because every potential, projection, and BDD node
+//! that was persisted, because every CPT, projection, and probability
 //! travels as its exact bit pattern via the [`swact_bayesnet::codec`]
 //! primitives.
 //!
-//! Per-process mutable state (the propagation-arena pool, message caches,
-//! the posterior memo, BDD apply caches) is deliberately *not* serialized;
-//! it is recreated empty at load and warms up per process.
+//! Per-process mutable state (the propagation-arena pool and the posterior
+//! memo) is deliberately *not* serialized; it is recreated empty at load
+//! and warms up per process.
 //!
 //! Decoding trusts its input only as far as not panicking: every length is
 //! bounds-checked and cross-references are validated, so corrupt bytes
@@ -27,13 +27,11 @@ use std::time::Duration;
 
 use swact_bayesnet::codec::{read_compiled_tree, write_compiled_tree, CodecError, Reader, Writer};
 use swact_bayesnet::{Heuristic, SparseMode, VarId};
-use swact_bdd::{Bdd, NodeId};
 use swact_circuit::{Circuit, CircuitBuilder, Driver, GateKind, LineId};
 
 use crate::budget::{Budget, DegradationCause, DegradationReport, Fallback};
 use crate::estimator::Options;
 use crate::pipeline::backend::{Backend, CompiledSegment, SegmentArtifact, SegmentStats};
-use crate::pipeline::bddexact::{BddSegment, GateNodes};
 use crate::pipeline::jtree::JtreeSegment;
 use crate::pipeline::model::{Export, InputPair, PairRoot};
 use crate::pipeline::plan::PlannedCircuit;
@@ -122,7 +120,6 @@ struct InputStructure {
 fn backend_tag(backend: Backend) -> u8 {
     match backend {
         Backend::Jtree => 0,
-        Backend::Bdd => 1,
         Backend::TwoState => 2,
         Backend::Sampling => 3,
     }
@@ -131,7 +128,7 @@ fn backend_tag(backend: Backend) -> u8 {
 fn backend_from_tag(tag: u8) -> Result<Backend, CodecError> {
     match tag {
         0 => Ok(Backend::Jtree),
-        1 => Ok(Backend::Bdd),
+        // Tag 1 was the OBDD backend, removed in format 9.
         2 => Ok(Backend::TwoState),
         3 => Ok(Backend::Sampling),
         other => Err(malformed(format!("unknown backend tag {other}"))),
@@ -452,7 +449,6 @@ fn read_jtree_segment(
     r: &mut Reader<'_>,
     num_lines: usize,
     inputs: &InputStructure,
-    options: &Options,
 ) -> Result<JtreeSegment, CodecError> {
     let compiled = read_compiled_tree(r)?;
     // Every variable the segment names must belong to its own tree, and a
@@ -543,16 +539,8 @@ fn read_jtree_segment(
         let var = tree_var(r)?;
         gates.push((line, var));
     }
-    let msg_cache = compiled.new_message_cache();
-    // Re-derived, not persisted: the decision is a pure function of the
-    // decoded compiled tree, so a loaded artifact decides identically to
-    // the original compile.
-    let cache_worthwhile = compiled.message_cache_worthwhile();
     Ok(JtreeSegment {
         compiled,
-        msg_cache,
-        incremental: options.incremental,
-        cache_worthwhile,
         solo_roots,
         pair_roots,
         input_pairs,
@@ -602,65 +590,6 @@ fn read_twostate_segment(
         roots,
         gates,
     })
-}
-
-fn write_bdd_segment(w: &mut Writer, seg: &BddSegment) {
-    w.usize(seg.bdd.num_vars());
-    w.usize(seg.bdd.node_limit());
-    let table = seg.bdd.export_table();
-    w.usize(table.len());
-    for [level, lo, hi] in table {
-        w.u32(level);
-        w.u32(lo);
-        w.u32(hi);
-    }
-    w.usize(seg.roots.len());
-    for &line in &seg.roots {
-        write_line(w, line);
-    }
-    w.usize(seg.gates.len());
-    for gate in &seg.gates {
-        write_line(w, gate.line);
-        w.u32(gate.p01.index() as u32);
-        w.u32(gate.p10.index() as u32);
-        w.u32(gate.p11.index() as u32);
-    }
-}
-
-fn read_bdd_segment(r: &mut Reader<'_>, num_lines: usize) -> Result<BddSegment, CodecError> {
-    let num_vars = r.usize()?;
-    let node_limit = r.usize()?;
-    let n_nodes = r.len(12)?;
-    let mut table = Vec::with_capacity(n_nodes);
-    for _ in 0..n_nodes {
-        table.push([r.u32()?, r.u32()?, r.u32()?]);
-    }
-    let bdd =
-        Bdd::from_table(num_vars, node_limit, &table).map_err(|e| malformed(e.to_string()))?;
-    let n_roots = r.len(4)?;
-    let mut roots = Vec::with_capacity(n_roots);
-    for _ in 0..n_roots {
-        roots.push(read_line(r, num_lines)?);
-    }
-    let n_gates = r.len(16)?;
-    let mut gates = Vec::with_capacity(n_gates);
-    let node = |r: &mut Reader<'_>| -> Result<NodeId, CodecError> {
-        let idx = r.u32()? as usize;
-        if idx >= bdd.num_nodes() {
-            return Err(malformed("gate node references a missing bdd node"));
-        }
-        Ok(NodeId::from_index(idx))
-    };
-    for _ in 0..n_gates {
-        let line = read_line(r, num_lines)?;
-        gates.push(GateNodes {
-            line,
-            p01: node(r)?,
-            p10: node(r)?,
-            p11: node(r)?,
-        });
-    }
-    Ok(BddSegment { bdd, roots, gates })
 }
 
 fn write_sampling_segment(w: &mut Writer, seg: &SamplingSegment) {
@@ -752,7 +681,6 @@ fn write_segment(w: &mut Writer, segment: &CompiledSegment) {
     w.u8(backend_tag(segment.backend()));
     match &segment.artifact {
         SegmentArtifact::Jtree(seg) => write_jtree_segment(w, seg),
-        SegmentArtifact::Bdd(seg) => write_bdd_segment(w, seg),
         SegmentArtifact::Sampling(seg) => write_sampling_segment(w, seg),
         SegmentArtifact::TwoState(seg) => write_twostate_segment(w, seg),
     }
@@ -762,7 +690,6 @@ fn read_segment(
     r: &mut Reader<'_>,
     num_lines: usize,
     inputs: &InputStructure,
-    options: &Options,
 ) -> Result<CompiledSegment, CodecError> {
     let stats = SegmentStats {
         total_states: r.f64_bits()?,
@@ -781,10 +708,7 @@ fn read_segment(
     }
     let num_inputs = inputs.num_inputs;
     let artifact = match backend_from_tag(r.u8()?)? {
-        Backend::Jtree => {
-            SegmentArtifact::Jtree(read_jtree_segment(r, num_lines, inputs, options)?)
-        }
-        Backend::Bdd => SegmentArtifact::Bdd(read_bdd_segment(r, num_lines)?),
+        Backend::Jtree => SegmentArtifact::Jtree(read_jtree_segment(r, num_lines, inputs)?),
         Backend::Sampling => {
             SegmentArtifact::Sampling(read_sampling_segment(r, num_lines, num_inputs)?)
         }
@@ -874,8 +798,8 @@ pub(crate) fn encode_pipeline(pipeline: &CompiledEstimator) -> Vec<u8> {
 }
 
 /// Reconstructs a compiled estimator from [`encode_pipeline`] bytes.
-/// Per-process state (the arena pool, message caches, the posterior memo)
-/// is created fresh; everything the numerics read is restored
+/// Per-process state (the arena pool and the posterior memo) is created
+/// fresh; everything the numerics read is restored
 /// bit-for-bit.
 pub(crate) fn decode_pipeline(bytes: &[u8]) -> Result<CompiledEstimator, CodecError> {
     let mut r = Reader::new(bytes);
@@ -968,7 +892,7 @@ pub(crate) fn decode_pipeline(bytes: &[u8]) -> Result<CompiledEstimator, CodecEr
     };
     let mut segments = Vec::with_capacity(n_segments);
     for &kind in &seg_kinds {
-        let segment = read_segment(&mut r, num_lines, &inputs, &options)?;
+        let segment = read_segment(&mut r, num_lines, &inputs)?;
         if segment.backend() != kind {
             return Err(malformed("segment kind list disagrees with segment tags"));
         }
@@ -1085,12 +1009,7 @@ mod tests {
 
     #[test]
     fn pipeline_round_trips_bit_identically_per_backend() {
-        for backend in [
-            Backend::Jtree,
-            Backend::Bdd,
-            Backend::TwoState,
-            Backend::Sampling,
-        ] {
+        for backend in [Backend::Jtree, Backend::TwoState, Backend::Sampling] {
             round_trip(&Options {
                 backend,
                 ..Options::default()
@@ -1160,7 +1079,6 @@ mod tests {
             vary("boundary_correlation", |o| o.boundary_correlation = false),
             vary("sparse on", |o| o.sparse = SparseMode::On),
             vary("sparse off", |o| o.sparse = SparseMode::Off),
-            vary("backend bdd", |o| o.backend = Backend::Bdd),
             vary("backend sampling", |o| o.backend = Backend::Sampling),
             vary("backend twostate", |o| o.backend = Backend::TwoState),
             vary("seed", |o| o.seed = u64::MAX - 1),
@@ -1207,19 +1125,14 @@ mod tests {
     fn payload_encoding_is_pinned() {
         assert_eq!(
             crate::artifact::FORMAT_VERSION,
-            8,
+            9,
             "a new format version needs new payload pins"
         );
         let pins = [
             (
                 Backend::Jtree,
-                6993,
-                0xe305_5f41_392b_9cca_0ab8_0b60_a5fa_6475,
-            ),
-            (
-                Backend::Bdd,
-                2958,
-                0x2c35_f553_f0b0_ecf6_2173_8ff7_eae2_9d0c,
+                6869,
+                0x69c2_4789_11ed_8ac3_7937_5ab9_0193_b2fc,
             ),
             (
                 Backend::Sampling,
@@ -1228,8 +1141,8 @@ mod tests {
             ),
             (
                 Backend::TwoState,
-                3817,
-                0x9b29_89be_aa09_ded4_a577_550a_1dbb_4b9c,
+                3693,
+                0x69bf_ac91_7c37_3bfc_7680_6a5c_5628_2645,
             ),
         ];
         for (backend, len, hash) in pins {
@@ -1247,7 +1160,7 @@ mod tests {
         );
         assert_eq!(
             payload_pin(&compiled),
-            (50243, 0xd926_d175_442b_432d_75e4_dc68_f00a_bb35)
+            (49571, 0x4529_2b88_4ba0_b129_9c82_4b63_a5b3_cbcb)
         );
     }
 
@@ -1292,9 +1205,39 @@ mod tests {
         }
     }
 
+    /// Tag 1 named the OBDD backend until format 9. Wherever a backend
+    /// tag travels (the options, the kind list, each segment) it is now a
+    /// typed decode error.
+    #[test]
+    fn the_removed_bdd_tag_is_a_typed_error() {
+        assert!(matches!(backend_from_tag(1), Err(CodecError::Malformed(_))));
+        let compiled = compiled_c17(&Options::default());
+        let mut w = Writer::new();
+        write_planned(&mut w, &compiled.planned);
+        let planned_len = w.len();
+        let options_bytes = |backend| {
+            let mut w = Writer::new();
+            write_options(&mut w, &Options::with_backend(backend));
+            w.into_bytes()
+        };
+        let (jtree, twostate) = (
+            options_bytes(Backend::Jtree),
+            options_bytes(Backend::TwoState),
+        );
+        let at = planned_len
+            + (0..jtree.len())
+                .find(|&i| jtree[i] != twostate[i])
+                .expect("the backend tag differs");
+        let loaded = load_edited(&compiled, |p| {
+            assert_eq!(p[at], 0, "the jtree tag");
+            p[at] = 1;
+        });
+        assert!(is_corrupt(loaded), "options backend tag 1");
+    }
+
     #[test]
     fn segments_must_run_the_primary_backend_or_a_rung() {
-        for backend in [Backend::Bdd, Backend::Sampling, Backend::TwoState] {
+        for backend in [Backend::Sampling, Backend::TwoState] {
             let mut compiled = compiled_c17(&Options::default());
             compiled.options.backend = backend;
             assert!(is_corrupt(load_edited(&compiled, |_| {})), "{backend}");
@@ -1302,7 +1245,7 @@ mod tests {
         // Sampling and twostate are the degradation rungs under any
         // primary backend.
         let mut compiled = compiled_c17(&Options::with_backend(Backend::TwoState));
-        compiled.options.backend = Backend::Bdd;
+        compiled.options.backend = Backend::Sampling;
         let loaded = load_edited(&compiled, |_| {}).expect("a rung segment loads");
         loaded
             .estimate(&InputSpec::uniform(5))
@@ -1483,7 +1426,6 @@ mod tests {
                 SegmentArtifact::Jtree(seg) => &mut seg.solo_roots[0].2,
                 SegmentArtifact::TwoState(seg) => &mut seg.roots[0].2,
                 SegmentArtifact::Sampling(seg) => &mut seg.roots[0].1,
-                SegmentArtifact::Bdd(_) => unreachable!("no bdd segment compiled"),
             };
             assert!(matches!(source, RootSource::PrimaryInput(_)));
             *source = RootSource::PrimaryInput(5);

@@ -18,7 +18,7 @@ pub struct StageTimings {
     /// parent selection).
     pub model: Duration,
     /// Backend compilation of every segment model into its propagation
-    /// artifact (junction tree + potentials, OBDDs, …).
+    /// artifact (junction tree, sampling plan, two-state network).
     pub compile: Duration,
     /// Evidence injection, calibration, and marginal readout across all
     /// dependency waves.

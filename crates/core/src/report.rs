@@ -11,28 +11,14 @@ use crate::TransitionDist;
 /// mode is off or on the first (cold) estimate over a compiled estimator.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReuseStats {
-    /// Collect messages served verbatim from the per-edge message cache.
+    /// Always 0: every calibration recomputes all its messages. Kept
+    /// only until the profile harness stops reading it.
     pub messages_reused: u64,
-    /// Collect messages recomputed because evidence in their source
-    /// subtree changed (or the cache was cold).
+    /// Always 0, like [`messages_reused`](ReuseStats::messages_reused).
     pub messages_recomputed: u64,
     /// Segments whose whole posterior was served from the
     /// boundary-marginal memo without touching the junction tree.
     pub segments_skipped: u64,
-}
-
-impl ReuseStats {
-    /// Fraction of collect messages served from the cache
-    /// (`reused / (reused + recomputed)`); `0.0` when no messages were
-    /// processed. Messages of memo-skipped segments count as neither.
-    pub fn message_reuse_ratio(&self) -> f64 {
-        let total = self.messages_reused + self.messages_recomputed;
-        if total == 0 {
-            0.0
-        } else {
-            self.messages_reused as f64 / total as f64
-        }
-    }
 }
 
 /// Confidence-interval report from the anytime sampling backend
@@ -214,8 +200,8 @@ impl Estimate {
         !self.degradations.is_empty()
     }
 
-    /// Work-reuse counters from this propagation pass (message-cache hits
-    /// and memo-skipped segments); all zero on cold runs.
+    /// Work-reuse counters from this propagation pass (memo-skipped
+    /// segments); all zero on cold runs.
     pub fn reuse_stats(&self) -> ReuseStats {
         self.reuse
     }

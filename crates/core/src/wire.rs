@@ -61,13 +61,9 @@ fn array(elems: impl IntoIterator<Item = String>) -> String {
     out
 }
 
-/// Encodes [`ReuseStats`] as
-/// `{"messages_reused":N,"messages_recomputed":N,"segments_skipped":N}`.
+/// Encodes [`ReuseStats`] as `{"segments_skipped":N}`.
 pub fn reuse_stats_json(reuse: &ReuseStats) -> String {
-    format!(
-        "{{\"messages_reused\":{},\"messages_recomputed\":{},\"segments_skipped\":{}}}",
-        reuse.messages_reused, reuse.messages_recomputed, reuse.segments_skipped
-    )
+    format!("{{\"segments_skipped\":{}}}", reuse.segments_skipped)
 }
 
 /// Encodes a [`DegradationReport`] with its structured cause/fallback plus
@@ -207,14 +203,10 @@ mod tests {
     #[test]
     fn reuse_and_degradation_encodings() {
         let r = ReuseStats {
-            messages_reused: 3,
-            messages_recomputed: 4,
             segments_skipped: 1,
+            ..ReuseStats::default()
         };
-        assert_eq!(
-            reuse_stats_json(&r),
-            "{\"messages_reused\":3,\"messages_recomputed\":4,\"segments_skipped\":1}"
-        );
+        assert_eq!(reuse_stats_json(&r), "{\"segments_skipped\":1}");
         let d = DegradationReport {
             segment: 2,
             cause: DegradationCause::StateBudget {

@@ -1,7 +1,7 @@
 //! Property tests for the on-disk artifact layer: a compiled pipeline
 //! survives `compile → persist → load → propagate` with bit-identical
-//! (`f64::to_bits`) results on c17 and c432 across sparse modes and the
-//! jtree/bdd backends, and no mutilated byte stream — corrupted,
+//! (`f64::to_bits`) results on c17 and c432 across sparse modes of the
+//! jtree backend, and no mutilated byte stream — corrupted,
 //! truncated, or version-bumped — ever panics or decodes.
 
 use std::sync::OnceLock;
@@ -22,8 +22,7 @@ struct Combo {
 
 /// Every (circuit × backend/sparse) combination under test, compiled and
 /// round-tripped once — the properties then drive both estimators through
-/// arbitrary input specs. Sparse mode only matters to the jtree backend,
-/// so bdd is compiled once per circuit.
+/// arbitrary input specs.
 fn combos() -> &'static [Combo] {
     static CELL: OnceLock<Vec<Combo>> = OnceLock::new();
     CELL.get_or_init(|| {
@@ -32,7 +31,6 @@ fn combos() -> &'static [Combo] {
             let variants = [
                 (Backend::Jtree, SparseMode::On),
                 (Backend::Jtree, SparseMode::Off),
-                (Backend::Bdd, SparseMode::Auto),
             ];
             for (backend, sparse) in variants {
                 let circuit = catalog::benchmark(name).unwrap();
@@ -81,7 +79,7 @@ proptest! {
     /// model was compiled for (probabilities are not part of the model).
     #[test]
     fn round_trip_propagates_bit_identically(
-        combo_idx in 0usize..6,
+        combo_idx in 0usize..4,
         p1s in proptest::collection::vec(0.05f64..0.95, 36),
     ) {
         let combo = &combos()[combo_idx];
@@ -163,14 +161,15 @@ proptest! {
 
 /// Format 6 dropped the kernel option byte and the kernel byte of every
 /// compiled tree, format 7 dropped the per-entry projection tables of
-/// dense cliques, and format 8 replaced the stored clique potentials with
-/// hosted CPTs, so format-5, -6 and -7 files must never reach the payload
-/// decoder.
+/// dense cliques, format 8 replaced the stored clique potentials with
+/// hosted CPTs, and format 9 dropped the OBDD segment kind and the
+/// home-variable masks, so format-5 to -8 files must never reach the
+/// payload decoder.
 #[test]
 fn older_format_artifacts_are_rejected() {
-    assert_eq!(artifact::FORMAT_VERSION, 8);
+    assert_eq!(artifact::FORMAT_VERSION, 9);
     let (key, bytes) = c17_artifact();
-    for version in [5u32, 6, 7] {
+    for version in [5u32, 6, 7, 8] {
         let mut old = bytes.clone();
         old[8..12].copy_from_slice(&version.to_le_bytes());
         assert!(matches!(

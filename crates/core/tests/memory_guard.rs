@@ -4,8 +4,8 @@
 //! so compiling c432 keeps far less than its state space resident. The
 //! first estimate adds one propagation arena (one state per wave slot,
 //! each as large as the largest segment it serves, far less than the
-//! state space on a many-wave circuit like c6288) plus the collect-message
-//! caches, and a second estimate reuses both.
+//! state space on a many-wave circuit like c6288), and a second estimate
+//! reuses it.
 //!
 //! This binary holds a single test, so the live-byte counter sees no
 //! other test's allocations.
@@ -71,7 +71,6 @@ struct Footprint {
     first: f64,
     second: f64,
     arena: f64,
-    messages: f64,
     state_space: f64,
 }
 
@@ -95,19 +94,17 @@ fn footprint(name: &str) -> Footprint {
         first,
         second,
         arena: compiled.arena_bytes() as f64,
-        messages: compiled.message_cache_bytes() as f64,
         // One f64 per clique entry: what a stored potential set, and a
         // state per segment, would weigh.
         state_space: 8.0 * compiled.total_states(),
     };
     eprintln!(
         "{name}: compiled {} B, first estimate +{} B, second +{} B, arena {} B, \
-         messages {} B, state space {} B",
+         state space {} B",
         footprint.compiled,
         footprint.first,
         footprint.second,
         footprint.arena,
-        footprint.messages,
         footprint.state_space
     );
     footprint
@@ -134,17 +131,13 @@ fn estimates_keep_one_arena_resident() {
         c6288.state_space
     );
     for (name, f) in [("c432", &c432), ("c6288", &c6288)] {
-        // The first estimate grows one arena and fills the message
-        // caches (on c6288 the caches outweigh the arena); a second
-        // estimate reuses both.
-        let warm = f.arena + f.messages;
+        // The first estimate grows one arena and nothing else of its
+        // size; a second estimate reuses it.
         assert!(
-            (0.9 * warm..1.5 * warm).contains(&f.first),
-            "the first estimate of {name} keeps {} bytes live for a {}-byte arena and \
-             {} bytes of cached messages",
+            (0.9 * f.arena..1.5 * f.arena).contains(&f.first),
+            "the first estimate of {name} keeps {} bytes live for a {}-byte arena",
             f.first,
-            f.arena,
-            f.messages
+            f.arena
         );
         assert!(
             f.second.abs() < f.arena / 100.0,

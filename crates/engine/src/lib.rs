@@ -430,16 +430,8 @@ impl Engine {
                             &metrics.forward_nanos,
                             estimate.stage_timings().forward,
                         );
-                        let reuse = estimate.reuse_stats();
-                        metrics
-                            .messages_reused
-                            .fetch_add(reuse.messages_reused, std::sync::atomic::Ordering::Relaxed);
-                        metrics.messages_recomputed.fetch_add(
-                            reuse.messages_recomputed,
-                            std::sync::atomic::Ordering::Relaxed,
-                        );
                         metrics.segments_skipped.fetch_add(
-                            reuse.segments_skipped,
+                            estimate.reuse_stats().segments_skipped,
                             std::sync::atomic::Ordering::Relaxed,
                         );
                         if let Some(accuracy) = estimate.accuracy() {
@@ -1135,23 +1127,19 @@ mod tests {
         let jtree = engine
             .estimate_batch(&circuit, &specs, &Options::default())
             .unwrap();
-        let bdd = engine
+        let twostate = engine
             .estimate_batch(
                 &circuit,
                 &specs,
-                &Options::with_backend(swact::Backend::Bdd),
+                &Options::with_backend(swact::Backend::TwoState),
             )
             .unwrap();
-        assert!(jtree.all_ok() && bdd.all_ok());
-        assert!(!bdd.cache_hit, "bdd batch must not reuse the jtree model");
+        assert!(jtree.all_ok() && twostate.all_ok());
+        assert!(
+            !twostate.cache_hit,
+            "twostate batch must not reuse the jtree model"
+        );
         assert_eq!(engine.cached_models(), 2);
-
-        // Both exact backends agree on the estimates themselves.
-        for (a, b) in jtree.estimates().zip(bdd.estimates()) {
-            for (x, y) in a.switching_all().iter().zip(b.switching_all().iter()) {
-                assert!((x - y).abs() < 1e-12);
-            }
-        }
     }
 
     #[test]
@@ -1209,12 +1197,6 @@ mod tests {
         assert!(report.all_ok());
         let metrics = engine.metrics();
         assert_eq!(metrics.segments_skipped, 0);
-        assert_eq!(metrics.messages_reused, 0);
-        // c17 sits below the message cache's break-even point, so the
-        // segment bypasses the cache entirely: nothing is recomputed
-        // *through the cache* either — both counters pin at zero.
-        assert_eq!(metrics.messages_recomputed, 0);
-        assert_eq!(metrics.message_reuse_ratio(), 0.0);
     }
 
     /// Regression for the batch-throughput finding that oversubscribing

@@ -30,8 +30,6 @@ pub(crate) struct EngineMetrics {
     pub(crate) jobs_cancelled: AtomicU64,
     pub(crate) retries: AtomicU64,
     pub(crate) degraded_segments: AtomicU64,
-    pub(crate) messages_reused: AtomicU64,
-    pub(crate) messages_recomputed: AtomicU64,
     pub(crate) segments_skipped: AtomicU64,
     pub(crate) compiled_max_clique_states: AtomicU64,
     pub(crate) sampled_segments: AtomicU64,
@@ -78,8 +76,6 @@ impl EngineMetrics {
             jobs_cancelled: self.jobs_cancelled.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
             degraded_segments: self.degraded_segments.load(Ordering::Relaxed),
-            messages_reused: self.messages_reused.load(Ordering::Relaxed),
-            messages_recomputed: self.messages_recomputed.load(Ordering::Relaxed),
             segments_skipped: self.segments_skipped.load(Ordering::Relaxed),
             compiled_max_clique_states: self.compiled_max_clique_states.load(Ordering::Relaxed),
             sampled_segments: self.sampled_segments.load(Ordering::Relaxed),
@@ -158,12 +154,6 @@ pub struct MetricsSnapshot {
     /// Segments degraded by the compile-time budget ladder, summed over
     /// cache-miss compiles.
     pub degraded_segments: u64,
-    /// Collect messages served verbatim from per-edge message caches,
-    /// summed over requests.
-    pub messages_reused: u64,
-    /// Collect messages recomputed (dirty subtree or cold cache), summed
-    /// over requests.
-    pub messages_recomputed: u64,
     /// Segments served whole from the boundary-marginal posterior memo,
     /// summed over requests.
     pub segments_skipped: u64,
@@ -191,17 +181,6 @@ impl MetricsSnapshot {
             return 0.0;
         }
         1.0 - self.compiled_nnz as f64 / self.compiled_states as f64
-    }
-
-    /// Fraction of collect messages served from cache
-    /// (`reused / (reused + recomputed)`); `0.0` before any propagation.
-    pub fn message_reuse_ratio(&self) -> f64 {
-        let total = self.messages_reused + self.messages_recomputed;
-        if total == 0 {
-            0.0
-        } else {
-            self.messages_reused as f64 / total as f64
-        }
     }
 
     /// Every counter as a `(name, value)` pair in a stable order, with
@@ -232,8 +211,6 @@ impl MetricsSnapshot {
             ("jobs_cancelled", self.jobs_cancelled as f64),
             ("retries", self.retries as f64),
             ("degraded_segments", self.degraded_segments as f64),
-            ("messages_reused", self.messages_reused as f64),
-            ("messages_recomputed", self.messages_recomputed as f64),
             ("segments_skipped", self.segments_skipped as f64),
             (
                 "compiled_max_clique_states",

@@ -733,8 +733,8 @@ fn serve_inference(
 }
 
 /// Streams a sweep: scenarios run one at a time (sharing the engine's
-/// compiled-model cache and the model's incremental message caches, so
-/// later scenarios reuse earlier propagation work), each emitted as one
+/// compiled-model cache and the model's segment memos, so later
+/// scenarios reuse earlier propagation work), each emitted as one
 /// JSON line in its own chunk the moment it completes.
 fn serve_sweep(
     inner: &Inner,

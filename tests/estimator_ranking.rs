@@ -39,6 +39,43 @@ fn bn_matches_bdd_exact_on_single_bn_circuits() {
     }
 }
 
+/// Single-BN junction-tree switching against the global-BDD oracle, to
+/// 1e-12 on every line, under uniform inputs and under inputs that hold
+/// their value 90% of the time.
+fn assert_jtree_matches_bdd_exact(circuit: &swact_circuit::Circuit) {
+    let n = circuit.num_inputs();
+    let specs = [
+        InputSpec::uniform(n),
+        InputSpec::from_models(vec![InputModel::new(0.5, 0.1).unwrap(); n]),
+    ];
+    for spec in &specs {
+        let bn = estimate(circuit, spec, &Options::single_bn()).unwrap();
+        let bdd = BddExact::default().estimate(circuit, spec).unwrap();
+        for line in circuit.line_ids() {
+            assert!(
+                (bn.switching(line) - bdd[line.index()]).abs() < 1e-12,
+                "{} line {}: jtree {} vs bdd {}",
+                circuit.name(),
+                circuit.line_name(line),
+                bn.switching(line),
+                bdd[line.index()]
+            );
+        }
+    }
+}
+
+#[test]
+fn jtree_matches_bdd_exact_on_c17() {
+    assert_jtree_matches_bdd_exact(&catalog::c17());
+}
+
+#[test]
+fn jtree_matches_bdd_exact_on_reconvergent_netlist() {
+    // Reconvergent fanout is exactly where approximate methods diverge;
+    // both exact engines must still match.
+    assert_jtree_matches_bdd_exact(&swact_circuit::benchgen::reconvergent("rc", 4, 3, 11));
+}
+
 #[test]
 fn estimator_ranking_on_benchmarks() {
     // BN ≤ pairwise ≤ independence in mean error against simulation —
