@@ -45,7 +45,7 @@ fn planner_segment_graph(name: &str) -> (UndirectedGraph, Vec<usize>) {
         &working,
         4,
         options.segment_budget,
-        options.check_interval,
+        SegmentationPlan::CHECK_INTERVAL,
         Heuristic::MinFill,
     );
     let segment = &plan.segments()[0];

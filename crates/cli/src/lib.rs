@@ -24,10 +24,7 @@ use std::time::Duration;
 
 use swact::pipeline::PlannedCircuit;
 use swact::sequential::{estimate_sequential, SequentialOptions};
-use swact::{
-    estimate, Backend, EstimateError, InputModel, InputSpec, Options, PowerModel,
-    SegmentationStrategy,
-};
+use swact::{estimate, Backend, EstimateError, InputModel, InputSpec, Options, PowerModel};
 use swact_baselines::{Independence, PairwiseCorrelation, SwitchingEstimator, TransitionDensity};
 use swact_circuit::sequential::parse_bench_sequential;
 use swact_circuit::{catalog, parse::parse_bench, write, Circuit};
@@ -92,8 +89,6 @@ MODEL OPTIONS (estimate, plan and batch; each parses identically on all three):
   --no-fallback    fail with a typed error instead of degrading when a
                    segment exceeds --budget-states
   --single-bn      force one exact Bayesian network (may be infeasible)
-  --seg-search     balanced-cut segmentation search: backtrack each budget
-                   trip to the checkpoint with the smallest boundary cut
   --sparse <MODE>  zero-compress clique potentials: auto, on, or off
                    (default auto; results are bit-identical across modes)
   --backend <B>    inference backend: jtree (exact junction trees, default),
@@ -250,7 +245,6 @@ fn model_flag(
         }
         "--no-fallback" => options.no_fallback = true,
         "--single-bn" => options.single_bn = true,
-        "--seg-search" => options.segmentation = SegmentationStrategy::BalancedCut,
         "--sparse" => options.sparse = parse_value(flag, value()?)?,
         "--backend" => options.backend = parse_value(flag, value()?)?,
         "--seed" => options.seed = parse_value(flag, value()?)?,
@@ -488,8 +482,8 @@ fn with_cache_dir(engine: Engine, cache_dir: Option<&str>) -> Engine {
 }
 
 /// `swact plan`: run only the planning stage (fan-in decomposition +
-/// segmentation) and print what the estimator would compile — the cheap
-/// way to compare structure strategies before paying for a compile.
+/// segmentation) and print what the estimator would compile, without
+/// paying for a compile.
 fn cmd_plan(rest: &[&String]) -> Result<String, CliError> {
     let (path, options) = parse_command_line(rest, |_, _| Ok(false))?;
     let circuit = load_circuit(&path)?;
@@ -499,12 +493,11 @@ fn cmd_plan(rest: &[&String]) -> Result<String, CliError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{}: {} inputs, {} gates ({} after fan-in decomposition); segmentation {}; budget {}",
+        "{}: {} inputs, {} gates ({} after fan-in decomposition); budget {}",
         circuit.name(),
         circuit.num_inputs(),
         circuit.num_gates(),
         working.num_gates(),
-        options.segmentation,
         options.segment_budget,
     );
     let _ = writeln!(
@@ -1297,15 +1290,20 @@ mod tests {
 
     #[test]
     fn segmentation_flag_and_removed_mode_flags() {
-        let search = run_strs(&["estimate", "c17", "--seg-search"]).unwrap();
-        assert!(search.contains("mean switching activity"));
-
-        // FORCE orderings and the kernel-mode choice are gone: their
-        // flags are unknown options.
-        for (flag, value) in [("--ordering", "force"), ("--kernel", "scalar")] {
+        // FORCE orderings, the kernel-mode choice and the balanced-cut
+        // segmentation search are gone: their flags are unknown options.
+        let removed: [&[&str]; 3] = [
+            &["--ordering", "force"],
+            &["--kernel", "scalar"],
+            &["--seg-search"],
+        ];
+        for flag_args in removed {
+            let flag = flag_args[0];
             for cmd in ["estimate", "batch", "plan"] {
-                let err = run_strs(&[cmd, "c17", flag, value]).unwrap_err();
-                assert_eq!(err.exit_code, 2);
+                let mut args = vec![cmd, "c17"];
+                args.extend(flag_args);
+                let err = run_strs(&args).unwrap_err();
+                assert_eq!(err.exit_code, 2, "{cmd} {flag}");
                 assert!(err.message.contains(&format!("unknown option `{flag}`")));
             }
         }
@@ -1313,12 +1311,10 @@ mod tests {
 
     #[test]
     fn plan_subcommand_prints_segmentation() {
-        let topo = run_strs(&["plan", "c432"]).unwrap();
-        assert!(topo.contains("segmentation topo-cover"));
-        assert!(topo.contains("segment(s)"));
-        assert!(topo.contains("boundary root(s)"));
-        let cut = run_strs(&["plan", "c432", "--seg-search", "--budget", "1024"]).unwrap();
-        assert!(cut.contains("segmentation balanced-cut"));
+        let plan = run_strs(&["plan", "c432"]).unwrap();
+        assert!(plan.contains("budget 131072"));
+        assert!(plan.contains("segment(s)"));
+        assert!(plan.contains("boundary root(s)"));
         assert!(run_strs(&["plan"]).is_err());
     }
 
@@ -1395,7 +1391,6 @@ mod tests {
             ("--deadline-ms", &["60000"], &["-1", "soon"]),
             ("--no-fallback", &[], &[]),
             ("--single-bn", &[], &[]),
-            ("--seg-search", &[], &[]),
             ("--sparse", &["on", "OFF"], &["sometimes"]),
             ("--backend", &["twostate", "sampling"], &["bdd", "quantum"]),
             ("--seed", &["7"], &["-1", "entropy"]),

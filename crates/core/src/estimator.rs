@@ -11,7 +11,6 @@ use swact_circuit::Circuit;
 use crate::budget::Budget;
 use crate::pipeline::{Backend, CompiledEstimator};
 use crate::report::Estimate;
-use crate::strategy::SegmentationStrategy;
 use crate::{EstimateError, InputSpec};
 
 /// Configuration of the estimator.
@@ -25,20 +24,11 @@ use crate::{EstimateError, InputSpec};
 pub struct Options {
     /// Triangulation heuristic for junction-tree compilation.
     pub heuristic: Heuristic,
-    /// How segment boundaries are placed. The default
-    /// [`SegmentationStrategy::TopoCover`] is the paper's budget-driven
-    /// cover; balanced-cut search is opt-in. The strategy is hashed into
-    /// the [`model_key`](crate::model_key), so artifacts and cache entries
-    /// compiled under different strategies never mix.
-    pub segmentation: SegmentationStrategy,
     /// Gates wider than this are decomposed into two-input trees first.
     pub max_fanin: usize,
     /// Per-segment junction-tree state budget; lower values mean more,
     /// smaller Bayesian networks (faster, slightly less exact).
     pub segment_budget: usize,
-    /// Gates between segmentation cost checks (the budget may overshoot by
-    /// up to this many gates' growth).
-    pub check_interval: usize,
     /// Force a single Bayesian network over the whole circuit. Errors with
     /// [`EstimateError::TooLarge`] if `segment_budget` would be exceeded.
     pub single_bn: bool,
@@ -105,10 +95,8 @@ impl Default for Options {
     fn default() -> Options {
         Options {
             heuristic: Heuristic::MinFill,
-            segmentation: SegmentationStrategy::TopoCover,
             max_fanin: 4,
             segment_budget: 1 << 17,
-            check_interval: 4,
             single_bn: false,
             boundary_correlation: true,
             sparse: SparseMode::Auto,
@@ -155,14 +143,6 @@ impl Options {
     pub fn with_resource_budget(budget: Budget) -> Options {
         Options {
             budget,
-            ..Options::default()
-        }
-    }
-
-    /// Options with an explicit [`SegmentationStrategy`].
-    pub fn with_segmentation(segmentation: SegmentationStrategy) -> Options {
-        Options {
-            segmentation,
             ..Options::default()
         }
     }

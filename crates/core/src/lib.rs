@@ -58,7 +58,6 @@ mod power;
 mod report;
 mod segment;
 pub mod sequential;
-mod strategy;
 mod transition;
 pub mod wire;
 
@@ -72,6 +71,5 @@ pub use pipeline::{Backend, CompiledEstimator, SegmentTimings, StageTimings};
 pub use power::{PowerModel, PowerReport};
 pub use report::{AccuracyReport, ErrorStats, Estimate, ReuseStats};
 pub use segment::{RootSource, Segment, SegmentationPlan};
-pub use strategy::SegmentationStrategy;
 pub use swact_bayesnet::SparseMode;
 pub use transition::{Transition, TransitionDist};

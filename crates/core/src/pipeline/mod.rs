@@ -326,7 +326,6 @@ impl CompiledEstimator {
                             4,
                             planned_seg,
                             tighter,
-                            1,
                             options.heuristic,
                         );
                         let could_split = subs.len() > 1;

@@ -39,7 +39,6 @@ use crate::pipeline::sampling::SamplingSegment;
 use crate::pipeline::twostate::TwoStateSegment;
 use crate::pipeline::{CompiledEstimator, StageTimings, WaveSchedule};
 use crate::segment::{RootSource, SegmentationPlan};
-use crate::strategy::SegmentationStrategy;
 use crate::SegmentTimings;
 
 fn malformed(message: impl Into<String>) -> CodecError {
@@ -243,7 +242,6 @@ pub(crate) fn write_options(w: &mut Writer, options: &Options) {
     });
     w.usize(options.max_fanin);
     w.usize(options.segment_budget);
-    w.usize(options.check_interval);
     w.bool(options.single_bn);
     w.bool(options.boundary_correlation);
     w.u8(match options.sparse {
@@ -275,10 +273,6 @@ pub(crate) fn write_options(w: &mut Writer, options: &Options) {
     }
     w.bool(options.no_fallback);
     w.bool(options.incremental);
-    w.u8(match options.segmentation {
-        SegmentationStrategy::TopoCover => 0,
-        SegmentationStrategy::BalancedCut => 1,
-    });
     w.u64(options.seed);
     w.f64_bits(options.ci_half_width);
     w.f64_bits(options.ci_z);
@@ -292,7 +286,6 @@ fn read_options(r: &mut Reader<'_>) -> Result<Options, CodecError> {
     };
     let max_fanin = r.usize()?;
     let segment_budget = r.usize()?;
-    let check_interval = r.usize()?;
     let single_bn = r.bool()?;
     let boundary_correlation = r.bool()?;
     let sparse = match r.u8()? {
@@ -319,11 +312,6 @@ fn read_options(r: &mut Reader<'_>) -> Result<Options, CodecError> {
     };
     let no_fallback = r.bool()?;
     let incremental = r.bool()?;
-    let segmentation = match r.u8()? {
-        0 => SegmentationStrategy::TopoCover,
-        1 => SegmentationStrategy::BalancedCut,
-        other => return Err(malformed(format!("unknown segmentation tag {other}"))),
-    };
     let seed = r.u64()?;
     let ci_half_width = r.f64_bits()?;
     let ci_z = r.f64_bits()?;
@@ -331,7 +319,6 @@ fn read_options(r: &mut Reader<'_>) -> Result<Options, CodecError> {
         heuristic,
         max_fanin,
         segment_budget,
-        check_interval,
         single_bn,
         boundary_correlation,
         sparse,
@@ -343,7 +330,6 @@ fn read_options(r: &mut Reader<'_>) -> Result<Options, CodecError> {
         },
         no_fallback,
         incremental,
-        segmentation,
         seed,
         ci_half_width,
         ci_z,
@@ -1041,10 +1027,8 @@ mod tests {
         // until it gets a row below (and a place in the codec).
         let Options {
             heuristic: _,
-            segmentation: _,
             max_fanin: _,
             segment_budget: _,
-            check_interval: _,
             single_bn: _,
             boundary_correlation: _,
             sparse: _,
@@ -1069,12 +1053,8 @@ mod tests {
         };
         let variants = [
             vary("heuristic", |o| o.heuristic = Heuristic::MinDegree),
-            vary("segmentation", |o| {
-                o.segmentation = SegmentationStrategy::BalancedCut
-            }),
             vary("max_fanin", |o| o.max_fanin = 2),
             vary("segment_budget", |o| o.segment_budget = 1 << 10),
-            vary("check_interval", |o| o.check_interval = 1),
             vary("single_bn", |o| o.single_bn = true),
             vary("boundary_correlation", |o| o.boundary_correlation = false),
             vary("sparse on", |o| o.sparse = SparseMode::On),
@@ -1125,24 +1105,24 @@ mod tests {
     fn payload_encoding_is_pinned() {
         assert_eq!(
             crate::artifact::FORMAT_VERSION,
-            9,
+            10,
             "a new format version needs new payload pins"
         );
         let pins = [
             (
                 Backend::Jtree,
-                6869,
-                0x69c2_4789_11ed_8ac3_7937_5ab9_0193_b2fc,
+                6860,
+                0x47bc_5fdb_03a5_0ca4_1622_b286_7303_ec56,
             ),
             (
                 Backend::Sampling,
-                905,
-                0x6d2b_56fa_975d_b4e6_8182_9c7d_3555_3f61,
+                896,
+                0x77d3_5bbe_b31e_0d7a_e82d_e3cb_4997_eaf5,
             ),
             (
                 Backend::TwoState,
-                3693,
-                0x69bf_ac91_7c37_3bfc_7680_6a5c_5628_2645,
+                3684,
+                0x0a45_8003_a13a_bc11_0d23_5158_ca09_7d53,
             ),
         ];
         for (backend, len, hash) in pins {
@@ -1160,7 +1140,7 @@ mod tests {
         );
         assert_eq!(
             payload_pin(&compiled),
-            (49571, 0x4529_2b88_4ba0_b129_9c82_4b63_a5b3_cbcb)
+            (49562, 0x191e_4571_222d_906a_caa6_c900_3035_e96d)
         );
     }
 

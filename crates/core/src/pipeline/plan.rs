@@ -84,18 +84,17 @@ impl PlannedCircuit {
     ) -> Result<PlannedCircuit, EstimateError> {
         let working = decompose_fanin(circuit, options.max_fanin.max(2))?;
         let plan = if options.single_bn {
-            // One segment regardless of strategy: with an unbounded budget
-            // the balanced-cut search never trips, so TopoCover is both
-            // equivalent and cheaper.
-            SegmentationPlan::plan(&working, 4, usize::MAX, usize::MAX - 1, options.heuristic)
+            // One segment: the cover never reaches a budget check, so
+            // nothing is triangulated here; the compiled tree is held to
+            // `segment_budget` instead (`EstimateError::TooLarge`).
+            SegmentationPlan::plan(&working, 4, usize::MAX, usize::MAX, options.heuristic)
         } else {
-            SegmentationPlan::plan_with(
+            SegmentationPlan::plan(
                 &working,
                 4,
                 options.segment_budget,
-                options.check_interval,
+                SegmentationPlan::CHECK_INTERVAL,
                 options.heuristic,
-                options.segmentation,
             )
         };
         let line_map = (0..circuit.num_lines())

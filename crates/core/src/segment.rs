@@ -16,13 +16,11 @@
 //! triangulation under the configured heuristic) exceeds the configured
 //! budget.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use swact_bayesnet::graph::UndirectedGraph;
 use swact_bayesnet::triangulate::{Eliminator, Heuristic};
 use swact_circuit::{Circuit, LineId};
-
-use crate::strategy::SegmentationStrategy;
 
 /// Where a segment's root variable comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +52,13 @@ pub struct Segment {
 /// use swact_circuit::catalog;
 ///
 /// let c432 = catalog::benchmark("c432").unwrap();
-/// let plan = SegmentationPlan::plan(&c432, 4, 1 << 14, 4, Heuristic::MinDegree);
+/// let plan = SegmentationPlan::plan(
+///     &c432,
+///     4,
+///     1 << 14,
+///     SegmentationPlan::CHECK_INTERVAL,
+///     Heuristic::MinDegree,
+/// );
 /// assert!(plan.segments().len() > 1, "c432 does not fit one tiny BN");
 /// // Every gate appears in exactly one segment.
 /// let total: usize = plan.segments().iter().map(|s| s.gates.len()).sum();
@@ -67,10 +71,16 @@ pub struct SegmentationPlan {
 }
 
 impl SegmentationPlan {
+    /// Gates between budget checks in every plan the pipeline builds. A
+    /// segment may overshoot its budget by up to three gates' growth;
+    /// checking every gate would triangulate four times as often.
+    pub const CHECK_INTERVAL: usize = 4;
+
     /// Plans segments for `circuit` (already fan-in decomposed):
     /// variables have `card` states (4 for transition variables), segments
     /// close when the estimated junction-tree state count exceeds
-    /// `budget`, checked every `check_interval` gates with `heuristic`.
+    /// `budget`, checked every `check_interval` gates with `heuristic`
+    /// (the pipeline passes [`CHECK_INTERVAL`](Self::CHECK_INTERVAL)).
     ///
     /// The budget is soft: a segment may overshoot by up to
     /// `check_interval − 1` gates' worth of growth, and a single gate's
@@ -79,6 +89,19 @@ impl SegmentationPlan {
     /// # Panics
     ///
     /// Panics if `check_interval` is zero.
+    pub fn plan(
+        circuit: &Circuit,
+        card: usize,
+        budget: usize,
+        check_interval: usize,
+        heuristic: Heuristic,
+    ) -> SegmentationPlan {
+        let budget = budget as f64;
+        let order = cone_order(circuit);
+        let segments = cover(circuit, card, &order, budget, check_interval, heuristic);
+        SegmentationPlan { segments, budget }
+    }
+
     /// A plan with no segments, used when reconstructing a compiled
     /// pipeline from a persisted artifact — the final (post-degradation)
     /// segment list is stored separately, so the original plan is not
@@ -88,81 +111,6 @@ impl SegmentationPlan {
             segments: Vec::new(),
             budget,
         }
-    }
-
-    pub fn plan(
-        circuit: &Circuit,
-        card: usize,
-        budget: usize,
-        check_interval: usize,
-        heuristic: Heuristic,
-    ) -> SegmentationPlan {
-        SegmentationPlan::plan_with(
-            circuit,
-            card,
-            budget,
-            check_interval,
-            heuristic,
-            SegmentationStrategy::TopoCover,
-        )
-    }
-
-    /// Plans segments under an explicit [`SegmentationStrategy`].
-    ///
-    /// [`TopoCover`](SegmentationStrategy::TopoCover) is [`plan`]'s
-    /// behavior verbatim. [`BalancedCut`](SegmentationStrategy::BalancedCut)
-    /// records a checkpoint (estimated cost, boundary-cut size) at every
-    /// budget check of the same walk and, when the budget finally trips,
-    /// backtracks to the qualifying checkpoint with the smallest cut —
-    /// trading a little state-space balance for fewer boundary roots, each
-    /// of which is a dropped cross-segment correlation. A checkpoint
-    /// qualifies when its estimated cost is at least a quarter of the
-    /// budget, so the search cannot degenerate into many tiny segments.
-    ///
-    /// [`plan`]: SegmentationPlan::plan
-    ///
-    /// # Panics
-    ///
-    /// Panics if `check_interval` is zero.
-    pub fn plan_with(
-        circuit: &Circuit,
-        card: usize,
-        budget: usize,
-        check_interval: usize,
-        heuristic: Heuristic,
-        strategy: SegmentationStrategy,
-    ) -> SegmentationPlan {
-        assert!(check_interval > 0, "check interval must be positive");
-        let budget = budget as f64;
-        let order = cone_order(circuit);
-        let segments = match strategy {
-            SegmentationStrategy::TopoCover => {
-                let mut segments: Vec<Segment> = Vec::new();
-                let mut builder = SegmentBuilder::new(circuit, card);
-                let mut eliminator = Eliminator::default();
-                let mut since_check = 0usize;
-                for &gate in &order {
-                    builder.push_gate(gate);
-                    since_check += 1;
-                    if since_check >= check_interval {
-                        since_check = 0;
-                        let cost = builder.estimated_cost(heuristic, &mut eliminator);
-                        if cost > budget && builder.gates.len() > 1 {
-                            segments.push(builder.finish());
-                            builder = SegmentBuilder::new(circuit, card);
-                        }
-                    }
-                }
-                if !builder.gates.is_empty() {
-                    segments.push(builder.finish());
-                }
-                segments
-            }
-            SegmentationStrategy::BalancedCut => {
-                balanced_cut_segments(circuit, card, budget, check_interval, heuristic, &order)
-            }
-        };
-        SegmentationPlan { segments, budget }
     }
 
     /// The planned segments, in topological order.
@@ -224,13 +172,28 @@ pub(crate) fn estimate_segment_cost(
 
 /// Replans a single over-budget segment under a tighter state budget,
 /// splitting its gates (kept in their existing topological order) into
-/// sub-segments exactly as [`SegmentationPlan::plan`] would. Sub-segment
-/// roots are recomputed from scratch, so lines produced by an earlier
-/// sub-segment become ordinary boundary roots of later ones.
+/// sub-segments by the same cover as [`SegmentationPlan::plan`], checked
+/// at every gate. Sub-segment roots are recomputed from scratch, so lines
+/// produced by an earlier sub-segment become ordinary boundary roots of
+/// later ones.
 pub(crate) fn replan_segment(
     circuit: &Circuit,
     card: usize,
     seg: &Segment,
+    budget: f64,
+    heuristic: Heuristic,
+) -> Vec<Segment> {
+    cover(circuit, card, &seg.gates, budget, 1, heuristic)
+}
+
+/// The paper's budget-driven cover: pushes `gates` in order into a growing
+/// segment and, every `check_interval` gates, closes it once its estimated
+/// junction-tree state count exceeds `budget` (a one-gate segment is never
+/// closed, however large).
+fn cover(
+    circuit: &Circuit,
+    card: usize,
+    gates: &[LineId],
     budget: f64,
     check_interval: usize,
     heuristic: Heuristic,
@@ -240,7 +203,7 @@ pub(crate) fn replan_segment(
     let mut builder = SegmentBuilder::new(circuit, card);
     let mut eliminator = Eliminator::default();
     let mut since_check = 0usize;
-    for &gate in &seg.gates {
+    for &gate in gates {
         builder.push_gate(gate);
         since_check += 1;
         if since_check >= check_interval {
@@ -250,104 +213,6 @@ pub(crate) fn replan_segment(
                 segments.push(builder.finish());
                 builder = SegmentBuilder::new(circuit, card);
             }
-        }
-    }
-    if !builder.gates.is_empty() {
-        segments.push(builder.finish());
-    }
-    segments
-}
-
-/// One recorded budget-check state of the balanced-cut walk.
-struct Checkpoint {
-    /// Number of gates in the segment at this checkpoint.
-    len: usize,
-    /// Estimated junction-tree state count of the segment's LIDAG here.
-    cost: f64,
-    /// Lines driven by the segment so far that a later gate consumes —
-    /// the boundary roots this cut would force onto later segments.
-    cut: usize,
-}
-
-/// The balanced-cut segmentation search (see
-/// [`SegmentationPlan::plan_with`]). Gates stay in the given cone order —
-/// only where segments *close* differs from the topological cover: when
-/// the budget trips, the walk backtracks to the recorded checkpoint with
-/// the smallest boundary cut whose cost is at least `budget / 4`, and the
-/// gates after it are replayed into the next segment. Fully deterministic.
-fn balanced_cut_segments(
-    circuit: &Circuit,
-    card: usize,
-    budget: f64,
-    check_interval: usize,
-    heuristic: Heuristic,
-    order: &[LineId],
-) -> Vec<Segment> {
-    // Global position of each gate in the walk, and the last position at
-    // which each line is consumed by a gate. A line whose last consumer
-    // lies beyond a candidate boundary becomes a boundary root there.
-    let mut pos_of: HashMap<LineId, usize> = HashMap::with_capacity(order.len());
-    let mut last_use: HashMap<LineId, usize> = HashMap::new();
-    for (p, &gate) in order.iter().enumerate() {
-        pos_of.insert(gate, p);
-        for &input in &circuit.gate(gate).expect("gate-driven line").inputs {
-            last_use.insert(input, p);
-        }
-    }
-    let cut_at = |gates: &[LineId], p: usize| -> usize {
-        gates
-            .iter()
-            .filter(|g| last_use.get(g).is_some_and(|&u| u > p))
-            .count()
-    };
-
-    let mut segments: Vec<Segment> = Vec::new();
-    let mut queue: VecDeque<LineId> = order.iter().copied().collect();
-    let mut builder = SegmentBuilder::new(circuit, card);
-    let mut eliminator = Eliminator::default();
-    let mut checkpoints: Vec<Checkpoint> = Vec::new();
-    let mut since_check = 0usize;
-    while let Some(gate) = queue.pop_front() {
-        builder.push_gate(gate);
-        since_check += 1;
-        if since_check < check_interval {
-            continue;
-        }
-        since_check = 0;
-        let cost = builder.estimated_cost(heuristic, &mut eliminator);
-        let here = pos_of[&gate];
-        if cost > budget && builder.gates.len() > 1 {
-            // Backtrack: among checkpoints heavy enough to be worth a
-            // segment (cost ≥ budget/4), take the smallest cut; ties go to
-            // the latest checkpoint (largest prefix). Without a qualifying
-            // checkpoint, close here exactly as the topological cover does.
-            let best_len = checkpoints
-                .iter()
-                .filter(|c| c.cost * 4.0 >= budget)
-                .min_by(|a, b| a.cut.cmp(&b.cut).then(b.len.cmp(&a.len)))
-                .map(|c| c.len);
-            match best_len {
-                Some(keep) if keep < builder.gates.len() => {
-                    let tail: Vec<LineId> = builder.gates[keep..].to_vec();
-                    let mut head = SegmentBuilder::new(circuit, card);
-                    for &g in &builder.gates[..keep] {
-                        head.push_gate(g);
-                    }
-                    segments.push(head.finish());
-                    for &g in tail.iter().rev() {
-                        queue.push_front(g);
-                    }
-                }
-                _ => segments.push(builder.finish()),
-            }
-            builder = SegmentBuilder::new(circuit, card);
-            checkpoints.clear();
-        } else {
-            checkpoints.push(Checkpoint {
-                len: builder.gates.len(),
-                cost,
-                cut: cut_at(&builder.gates, here),
-            });
         }
     }
     if !builder.gates.is_empty() {
@@ -528,115 +393,6 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), c.num_gates());
-    }
-
-    fn assert_valid_plan(c: &Circuit, plan: &SegmentationPlan) {
-        let mut seen = std::collections::HashSet::new();
-        let mut done = std::collections::HashSet::new();
-        for seg in plan.segments() {
-            for (line, source) in &seg.roots {
-                match source {
-                    RootSource::PrimaryInput(pos) => assert_eq!(c.inputs()[*pos], *line),
-                    RootSource::Boundary => assert!(
-                        done.contains(line),
-                        "boundary root must come from an earlier segment"
-                    ),
-                }
-            }
-            for &g in &seg.gates {
-                assert!(seen.insert(g), "gate planned twice");
-                done.insert(g);
-            }
-        }
-        assert_eq!(seen.len(), c.num_gates());
-    }
-
-    #[test]
-    fn balanced_cut_covers_every_gate_topologically() {
-        for name in ["count", "pcler8", "c432"] {
-            let c = catalog::benchmark(name).unwrap();
-            let plan = SegmentationPlan::plan_with(
-                &c,
-                4,
-                1 << 10,
-                2,
-                Heuristic::MinDegree,
-                SegmentationStrategy::BalancedCut,
-            );
-            assert_valid_plan(&c, &plan);
-        }
-    }
-
-    #[test]
-    fn topo_cover_is_plan_verbatim() {
-        let c = catalog::benchmark("count").unwrap();
-        let legacy = SegmentationPlan::plan(&c, 4, 1 << 10, 2, Heuristic::MinDegree);
-        let explicit = SegmentationPlan::plan_with(
-            &c,
-            4,
-            1 << 10,
-            2,
-            Heuristic::MinDegree,
-            SegmentationStrategy::TopoCover,
-        );
-        assert_eq!(legacy.segments().len(), explicit.segments().len());
-        for (a, b) in legacy.segments().iter().zip(explicit.segments()) {
-            assert_eq!(a.gates, b.gates);
-            assert_eq!(a.roots, b.roots);
-        }
-    }
-
-    #[test]
-    fn balanced_cut_narrows_boundary_where_search_has_room() {
-        // Not a guarantee on every circuit, but where the checkpoint
-        // search has room to move a boundary it exists to win: fewer
-        // boundary roots than the plain topological cover at the same
-        // budget.
-        for (name, shift) in [("pcler8", 10), ("count", 14)] {
-            let c = catalog::benchmark(name).unwrap();
-            let topo = SegmentationPlan::plan(&c, 4, 1 << shift, 2, Heuristic::MinDegree);
-            let cut = SegmentationPlan::plan_with(
-                &c,
-                4,
-                1 << shift,
-                2,
-                Heuristic::MinDegree,
-                SegmentationStrategy::BalancedCut,
-            );
-            assert_valid_plan(&c, &cut);
-            assert!(
-                cut.boundary_roots() < topo.boundary_roots(),
-                "{name}: balanced cut should narrow the boundary: {} vs {}",
-                cut.boundary_roots(),
-                topo.boundary_roots()
-            );
-        }
-    }
-
-    #[test]
-    fn balanced_cut_is_deterministic() {
-        let c = catalog::benchmark("c432").unwrap();
-        let a = SegmentationPlan::plan_with(
-            &c,
-            4,
-            1 << 10,
-            2,
-            Heuristic::MinDegree,
-            SegmentationStrategy::BalancedCut,
-        );
-        let b = SegmentationPlan::plan_with(
-            &c,
-            4,
-            1 << 10,
-            2,
-            Heuristic::MinDegree,
-            SegmentationStrategy::BalancedCut,
-        );
-        assert_eq!(a.segments().len(), b.segments().len());
-        for (x, y) in a.segments().iter().zip(b.segments()) {
-            assert_eq!(x.gates, y.gates);
-            assert_eq!(x.roots, y.roots);
-        }
     }
 
     #[test]

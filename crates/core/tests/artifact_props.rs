@@ -162,14 +162,15 @@ proptest! {
 /// Format 6 dropped the kernel option byte and the kernel byte of every
 /// compiled tree, format 7 dropped the per-entry projection tables of
 /// dense cliques, format 8 replaced the stored clique potentials with
-/// hosted CPTs, and format 9 dropped the OBDD segment kind and the
-/// home-variable masks, so format-5 to -8 files must never reach the
-/// payload decoder.
+/// hosted CPTs, format 9 dropped the OBDD segment kind and the
+/// home-variable masks, and format 10 dropped the segmentation-strategy
+/// tag and the check-interval word from the options, so format-5 to -9
+/// files must never reach the payload decoder.
 #[test]
 fn older_format_artifacts_are_rejected() {
-    assert_eq!(artifact::FORMAT_VERSION, 9);
+    assert_eq!(artifact::FORMAT_VERSION, 10);
     let (key, bytes) = c17_artifact();
-    for version in [5u32, 6, 7, 8] {
+    for version in [5u32, 6, 7, 8, 9] {
         let mut old = bytes.clone();
         old[8..12].copy_from_slice(&version.to_le_bytes());
         assert!(matches!(
@@ -177,4 +178,36 @@ fn older_format_artifacts_are_rejected() {
             Err(ArtifactError::UnsupportedVersion { found }) if found == version
         ));
     }
+}
+
+/// A segmented c432 artifact written to disk under its model key and read
+/// back warm-loads bit-identically to the estimator that wrote it.
+#[test]
+fn persisted_segmented_artifact_warm_loads_bit_identically() {
+    let c432 = catalog::benchmark("c432").unwrap();
+    let spec = InputSpec::uniform(c432.num_inputs());
+    let options = Options::with_budget(1 << 12);
+    let compiled = CompiledEstimator::compile_for(&c432, &spec, &options).unwrap();
+    assert!(
+        compiled.num_segments() > 1,
+        "the artifact must be segmented"
+    );
+    let fresh = compiled.estimate(&spec).unwrap();
+
+    let dir = std::env::temp_dir().join(format!("swact-artifact-props-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let key = artifact::model_key(&c432, Some(&spec), &options);
+    let path = artifact::write_artifact(&dir, key, &compiled).unwrap();
+    assert_eq!(path, dir.join(artifact::artifact_file_name(key)));
+    let (_, loaded) = artifact::read_artifact(&path, Some(key)).unwrap();
+    let warm = loaded.estimate(&spec).unwrap();
+    for line in c432.line_ids() {
+        assert_eq!(
+            fresh.switching(line).to_bits(),
+            warm.switching(line).to_bits(),
+            "line {}",
+            c432.line_name(line)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

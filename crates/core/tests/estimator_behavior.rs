@@ -137,7 +137,6 @@ fn segmentation_error_is_small() {
             &spec,
             &Options {
                 segment_budget: budget,
-                check_interval: 1,
                 ..Options::default()
             },
         )

@@ -135,60 +135,53 @@ fn plan_fingerprint(plan: &SegmentationPlan) -> u64 {
     fnv64(words)
 }
 
-/// Default-option plans of all 19 Table 1 circuits under both strategies,
-/// pinned segment by segment: a planner change (a faster triangulation, a
-/// cached moral graph) must leave every segment's gates and roots exactly
-/// where they were. Columns: circuit, TopoCover, BalancedCut.
+/// Default-option plans of all 19 Table 1 circuits, pinned segment by
+/// segment: a planner change (a faster triangulation, a cached moral
+/// graph) must leave every segment's gates and roots exactly where they
+/// were.
 #[test]
 fn default_plans_of_table1_circuits_are_pinned() {
-    use swact::{Options, SegmentationStrategy};
+    use swact::Options;
     use swact_circuit::catalog;
 
-    const PINS: [(&str, u64, u64); 19] = [
-        ("c17", 0xdf8d368590bd0151, 0xdf8d368590bd0151),
-        ("c432", 0xc6613b01f3d54f1d, 0x83f2c3981895c3d5),
-        ("c499", 0x5ad1742cc3c98d19, 0x9639ac788ad0fac3),
-        ("c880", 0x6d6f6c73542eba2c, 0x3d5f5c10fe1133f6),
-        ("c1355", 0x11484bf5a09fb1a1, 0x32e1b47fcec45788),
-        ("c1908", 0x6aa1be31c18273a6, 0x5b2f86b3515d922d),
-        ("c2670", 0x0301c69ab5919df1, 0x1cebcffe26ce92e3),
-        ("c3540", 0xc8d986e880bb8310, 0xeb8ae6d1756afe68),
-        ("c5315", 0xa6596354898c6544, 0x5131883aee495465),
-        ("c6288", 0xc44b97750385b838, 0x5ac6ab3b55a38387),
-        ("c7552", 0x68884dc5e573ae83, 0x3299e221bb7cd31e),
-        ("alu2", 0x698bf92440ef0fdc, 0xd016e8647045f9dd),
-        ("malu4", 0xe86572d02520e7c5, 0x2a5f0b944e03072f),
-        ("max_flat", 0xa2f65cdc4fe6fa85, 0xbcc93cb274b51a2f),
-        ("voter", 0x914ce5d3b23e17df, 0xe242b5c4714725ab),
-        ("b9", 0xdfc7b17af33c0a1b, 0x765f0dd579e19848),
-        ("count", 0xa76ac03e0d3a0715, 0x7390504d65c578e3),
-        ("comp", 0x9fdf406e214e9cd5, 0x28fc16a6aaa7d4b8),
-        ("pcler8", 0x0b4c465ab7b8b016, 0x408384b20f97fec2),
+    const PINS: [(&str, u64); 19] = [
+        ("c17", 0xdf8d368590bd0151),
+        ("c432", 0xc6613b01f3d54f1d),
+        ("c499", 0x5ad1742cc3c98d19),
+        ("c880", 0x6d6f6c73542eba2c),
+        ("c1355", 0x11484bf5a09fb1a1),
+        ("c1908", 0x6aa1be31c18273a6),
+        ("c2670", 0x0301c69ab5919df1),
+        ("c3540", 0xc8d986e880bb8310),
+        ("c5315", 0xa6596354898c6544),
+        ("c6288", 0xc44b97750385b838),
+        ("c7552", 0x68884dc5e573ae83),
+        ("alu2", 0x698bf92440ef0fdc),
+        ("malu4", 0xe86572d02520e7c5),
+        ("max_flat", 0xa2f65cdc4fe6fa85),
+        ("voter", 0x914ce5d3b23e17df),
+        ("b9", 0xdfc7b17af33c0a1b),
+        ("count", 0xa76ac03e0d3a0715),
+        ("comp", 0x9fdf406e214e9cd5),
+        ("pcler8", 0x0b4c465ab7b8b016),
     ];
     let options = Options::default();
     let mut got = Vec::new();
     for info in catalog::BENCHMARKS {
         let circuit = catalog::benchmark(info.name).unwrap();
         let working = decompose_fanin(&circuit, options.max_fanin.max(2)).unwrap();
-        let [topo, cut] = [
-            SegmentationStrategy::TopoCover,
-            SegmentationStrategy::BalancedCut,
-        ]
-        .map(|strategy| {
-            plan_fingerprint(&SegmentationPlan::plan_with(
-                &working,
-                4,
-                options.segment_budget,
-                options.check_interval,
-                options.heuristic,
-                strategy,
-            ))
-        });
-        got.push((info.name, topo, cut));
+        let plan = SegmentationPlan::plan(
+            &working,
+            4,
+            options.segment_budget,
+            SegmentationPlan::CHECK_INTERVAL,
+            options.heuristic,
+        );
+        got.push((info.name, plan_fingerprint(&plan)));
     }
     let table: String = got
         .iter()
-        .map(|(name, topo, cut)| format!("        (\"{name}\", {topo:#018x}, {cut:#018x}),\n"))
+        .map(|(name, pin)| format!("        (\"{name}\", {pin:#018x}),\n"))
         .collect();
     assert_eq!(got, PINS, "plans moved; new table:\n{table}");
 }

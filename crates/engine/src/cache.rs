@@ -211,23 +211,6 @@ mod tests {
             model_key(&c1, &spec, &options),
             model_key(&c1, &spec, &deadlined)
         );
-
-        // Each segmentation strategy is its own model: the cache may never
-        // serve a topo-cover artifact to a balanced-cut request (or vice
-        // versa) — their segments differ.
-        assert_ne!(
-            model_key(
-                &c1,
-                &spec,
-                &Options::with_segmentation(swact::SegmentationStrategy::TopoCover)
-            ),
-            model_key(
-                &c1,
-                &spec,
-                &Options::with_segmentation(swact::SegmentationStrategy::BalancedCut)
-            ),
-            "segmentation strategies must not share a cache entry"
-        );
     }
 
     #[test]

@@ -1019,31 +1019,6 @@ mod tests {
     }
 
     #[test]
-    fn segmentation_strategies_never_share_a_cache_entry() {
-        let _serial = serial();
-        let circuit = catalog::c17();
-        let specs = specs_for(&circuit, 2);
-        let engine = Engine::with_jobs(2);
-
-        engine
-            .estimate_batch(&circuit, &specs, &Options::default())
-            .unwrap();
-        engine
-            .estimate_batch(
-                &circuit,
-                &specs,
-                &Options::with_segmentation(swact::SegmentationStrategy::BalancedCut),
-            )
-            .unwrap();
-
-        // The balanced-cut request must compile its own model, never be
-        // served the topo-cover artifact from the cache.
-        assert_eq!(engine.cached_models(), 2);
-        assert_eq!(engine.metrics().compile_misses, 2);
-        assert_eq!(engine.metrics().compile_hits, 0);
-    }
-
-    #[test]
     fn tiny_cache_budget_evicts_older_models() {
         let _serial = serial();
         let circuit = catalog::c17();

@@ -121,7 +121,6 @@ proptest! {
         let spec = InputSpec::uniform(8);
         let options = Options {
             segment_budget: 1usize << budget_exp,
-            check_interval: 1,
             ..Options::default()
         };
         let est = estimate(&circuit, &spec, &options).expect("compiles");
