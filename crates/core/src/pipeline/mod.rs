@@ -37,7 +37,7 @@ pub use schedule::WaveSchedule;
 pub use timing::{SegmentTimings, StageTimings};
 
 use std::collections::HashMap;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use swact_bayesnet::{CompiledTree, PairwisePlan, PropagationState, VarId};
@@ -102,9 +102,10 @@ pub struct CompiledEstimator {
     /// without re-propagating. Only primary-backend segments participate
     /// (degraded segments never memoize — see `propagate_segment`).
     memo: Vec<Mutex<Option<(u128, SegmentPosterior)>>>,
-    /// Idle propagation arenas. Each estimate takes one (or makes one when
-    /// concurrent estimates hold them all) and puts it back when done.
-    arenas: Mutex<Vec<Arena>>,
+    /// Propagation arenas. Each estimate takes an idle one and puts it
+    /// back when done; see [`WhenBusy`] for what it does when there is
+    /// none.
+    arenas: ArenaPool,
 }
 
 /// The propagation states of one estimate: one reusable state per wave
@@ -116,22 +117,61 @@ pub struct CompiledEstimator {
 /// is as good as a fresh one.
 type Arena = Vec<PropagationState>;
 
+/// An estimator's propagation arenas: the idle ones, and how many exist
+/// in all, idle or leased.
+#[derive(Default)]
+struct ArenaPool {
+    arenas: Mutex<Arenas>,
+    /// Signalled whenever an arena comes back.
+    returned: Condvar,
+}
+
+#[derive(Default)]
+struct Arenas {
+    idle: Vec<Arena>,
+    made: usize,
+}
+
+/// What an estimate does when concurrent estimates hold every arena of
+/// the pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum WhenBusy {
+    /// Make another arena, which then stays in the pool for the
+    /// estimator's life.
+    Grow,
+    /// Wait for an arena to come back.
+    Wait,
+}
+
 /// An arena taken from an estimator's pool for one estimate, put back on
 /// drop — also when the estimate returns an error or unwinds.
 struct ArenaLease<'a> {
-    pool: &'a Mutex<Vec<Arena>>,
+    pool: &'a ArenaPool,
     arena: Arena,
 }
 
 impl<'a> ArenaLease<'a> {
-    /// Takes an idle arena from `pool`, or makes an empty one with
-    /// `slots` unbound states.
-    fn take(pool: &'a Mutex<Vec<Arena>>, slots: usize) -> ArenaLease<'a> {
-        let idle = pool.lock().unwrap_or_else(PoisonError::into_inner).pop();
-        ArenaLease {
-            pool,
-            arena: idle.unwrap_or_else(|| vec![PropagationState::default(); slots]),
+    /// Takes an idle arena from `pool`; when there is none, makes an empty
+    /// one with `slots` unbound states, or under [`WhenBusy::Wait`] waits
+    /// for a leased one unless the pool has none yet.
+    fn take(pool: &'a ArenaPool, slots: usize, when_busy: WhenBusy) -> ArenaLease<'a> {
+        let mut arenas = pool.arenas.lock().unwrap_or_else(PoisonError::into_inner);
+        if when_busy == WhenBusy::Wait {
+            while arenas.idle.is_empty() && arenas.made > 0 {
+                arenas = pool
+                    .returned
+                    .wait(arenas)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
         }
+        let arena = match arenas.idle.pop() {
+            Some(arena) => arena,
+            None => {
+                arenas.made += 1;
+                vec![PropagationState::default(); slots]
+            }
+        };
+        ArenaLease { pool, arena }
     }
 }
 
@@ -139,9 +179,12 @@ impl Drop for ArenaLease<'_> {
     fn drop(&mut self) {
         let arena = std::mem::take(&mut self.arena);
         self.pool
+            .arenas
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+            .idle
             .push(arena);
+        self.pool.returned.notify_one();
     }
 }
 
@@ -564,7 +607,7 @@ impl CompiledEstimator {
             max_clique_states,
             options: *options,
             memo,
-            arenas: Mutex::new(Vec::new()),
+            arenas: ArenaPool::default(),
         })
     }
 
@@ -615,13 +658,28 @@ impl CompiledEstimator {
     /// propagates in its own arena of states taken from the estimator's
     /// pool, so estimates may run concurrently from multiple threads over
     /// one compiled estimator (the `swact-engine` crate builds on exactly
-    /// this).
+    /// this). An estimate that finds every arena leased makes another,
+    /// which the pool then keeps.
     ///
     /// # Errors
     ///
     /// Returns [`EstimateError::InputCountMismatch`] for a wrong-size spec.
     pub fn estimate(&self, spec: &InputSpec) -> Result<Estimate, EstimateError> {
-        Ok(self.estimate_with_line_joints(spec, &[])?.0)
+        Ok(self.run(spec, &[], WhenBusy::Grow)?.0)
+    }
+
+    /// Like [`estimate`](CompiledEstimator::estimate), but an estimate
+    /// that finds every arena leased waits for one to come back instead
+    /// of making another. Concurrent calls on one estimator take turns on
+    /// its arena, so the memory it holds does not depend on how the calls
+    /// happen to overlap. The `swact-engine` crate runs single-scenario
+    /// batches (one `swact serve` request each) this way.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`estimate`](CompiledEstimator::estimate).
+    pub fn estimate_queued(&self, spec: &InputSpec) -> Result<Estimate, EstimateError> {
+        Ok(self.run(spec, &[], WhenBusy::Wait)?.0)
     }
 
     /// Like [`estimate`](CompiledEstimator::estimate), but additionally
@@ -644,6 +702,17 @@ impl CompiledEstimator {
         &self,
         spec: &InputSpec,
         line_pairs: &[(LineId, LineId)],
+    ) -> Result<(Estimate, Vec<Option<[[f64; 4]; 4]>>), EstimateError> {
+        self.run(spec, line_pairs, WhenBusy::Grow)
+    }
+
+    /// One estimate, leasing its arena under `when_busy`.
+    #[allow(clippy::type_complexity)]
+    fn run(
+        &self,
+        spec: &InputSpec,
+        line_pairs: &[(LineId, LineId)],
+        when_busy: WhenBusy,
     ) -> Result<(Estimate, Vec<Option<[[f64; 4]; 4]>>), EstimateError> {
         let working = &self.planned.working;
         if spec.len() != working.num_inputs() {
@@ -698,7 +767,7 @@ impl CompiledEstimator {
         // Absolute instant the propagate-stage deadline elapses; anytime
         // (sampling) segments stop drawing batches once it passes.
         let sample_deadline = self.options.budget.deadline.map(|d| start + d);
-        let mut lease = ArenaLease::take(&self.arenas, self.arena_slots());
+        let mut lease = ArenaLease::take(&self.arenas, self.arena_slots(), when_busy);
         for (wave_idx, wave) in self.schedule.waves().iter().enumerate() {
             faults::hit("pipeline:propagate:wave", Some(wave_idx));
             // Cooperative per-stage deadline: checked at wave boundaries,
@@ -835,6 +904,17 @@ impl CompiledEstimator {
             }
         }
         8 * slots.iter().sum::<usize>()
+    }
+
+    /// Propagation arenas this estimator has made so far, leased or
+    /// idle. For the memory tests only.
+    #[doc(hidden)]
+    pub fn arenas_made(&self) -> usize {
+        self.arenas
+            .arenas
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .made
     }
 
     /// The working (fan-in-decomposed) circuit the estimator runs over.

@@ -37,7 +37,7 @@ use crate::pipeline::model::{Export, InputPair, PairRoot};
 use crate::pipeline::plan::PlannedCircuit;
 use crate::pipeline::sampling::SamplingSegment;
 use crate::pipeline::twostate::TwoStateSegment;
-use crate::pipeline::{CompiledEstimator, StageTimings, WaveSchedule};
+use crate::pipeline::{ArenaPool, CompiledEstimator, StageTimings, WaveSchedule};
 use crate::segment::{RootSource, SegmentationPlan};
 use crate::SegmentTimings;
 
@@ -964,7 +964,7 @@ pub(crate) fn decode_pipeline(bytes: &[u8]) -> Result<CompiledEstimator, CodecEr
         max_clique_states,
         options,
         memo,
-        arenas: Mutex::new(Vec::new()),
+        arenas: ArenaPool::default(),
     })
 }
 

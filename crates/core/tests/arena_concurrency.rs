@@ -4,7 +4,8 @@
 //! backends. Both circuits have a wave of two or more segments, so each
 //! estimate also propagates segments on its own threads, on disjoint arena
 //! slots. Every result must equal, bit for bit, a sequential estimate by
-//! an estimator compiled with incremental reuse off.
+//! an estimator compiled with incremental reuse off. Queued estimates
+//! take turns on one arena instead.
 
 use std::sync::Barrier;
 
@@ -105,4 +106,51 @@ fn concurrent_estimates_match_sequential_cold_estimates() {
             }
         });
     }
+}
+
+#[test]
+fn queued_estimates_take_turns_on_one_arena() {
+    let circuit = catalog::benchmark("c432").expect("known benchmark");
+    let options = Options::default();
+    let cold = Options {
+        incremental: false,
+        ..options
+    };
+    let reference: Vec<Vec<u64>> = {
+        let compiled = CompiledEstimator::compile(&circuit, &cold).expect("compiles");
+        (0..THREADS + SPECS_PER_THREAD)
+            .map(|k| {
+                let estimate = compiled
+                    .estimate(&spec(circuit.num_inputs(), k))
+                    .expect("estimates");
+                bits(&estimate, &circuit)
+            })
+            .collect()
+    };
+    let shared = CompiledEstimator::compile(&circuit, &options).expect("compiles");
+    let start = Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (circuit, shared, reference, start) = (&circuit, &shared, &reference, &start);
+            scope.spawn(move || {
+                start.wait();
+                for k in 0..SPECS_PER_THREAD {
+                    let s = (t + k) % THREADS + k;
+                    let estimate = shared
+                        .estimate_queued(&spec(circuit.num_inputs(), s))
+                        .expect("estimates");
+                    assert_eq!(
+                        bits(&estimate, circuit),
+                        reference[s],
+                        "thread {t}, scenario {s}"
+                    );
+                }
+            });
+        }
+    });
+    assert_eq!(
+        shared.arenas_made(),
+        1,
+        "queued estimates must wait for the arena, not make another"
+    );
 }

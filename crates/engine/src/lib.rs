@@ -340,6 +340,13 @@ impl Engine {
     /// differs fail individually with
     /// [`EstimateError::GroupStructureMismatch`] in their [`BatchItem`].
     ///
+    /// The scenarios of one batch propagate side by side, each in its own
+    /// arena of the model's pool. A one-scenario batch (one `swact serve`
+    /// request) instead waits for the model's arena when a concurrent
+    /// batch holds it ([`CompiledEstimator::estimate_queued`]), so
+    /// requests that happen to overlap on one model do not grow the
+    /// memory it holds.
+    ///
     /// # Errors
     ///
     /// Returns an error only if *compilation* fails (e.g.
@@ -373,6 +380,7 @@ impl Engine {
             model.stage_timings()
         };
 
+        let queued = specs.len() == 1;
         // One slot per scenario, filled by workers in arbitrary order and
         // read back by index — submission order survives any scheduling.
         let slots: Arc<Vec<Mutex<Option<BatchItem>>>> =
@@ -420,7 +428,8 @@ impl Engine {
                     metrics.dequeue();
 
                     let run_start = Instant::now();
-                    let result = run_scenario(&model, &spec, index, &opts, queue_wait, &metrics);
+                    let result =
+                        run_scenario(&model, &spec, queued, index, &opts, queue_wait, &metrics);
                     let run_time = run_start.elapsed();
 
                     EngineMetrics::add_nanos(&metrics.queue_wait_nanos, queue_wait);
@@ -631,10 +640,12 @@ const MAX_RETRIES: u32 = 2;
 /// Runs one scenario with the engine's fault envelope: a per-job queue
 /// deadline, panic containment at the job boundary, and bounded
 /// retry-with-backoff for errors classified retryable
-/// ([`EstimateError::retryable`]).
+/// ([`EstimateError::retryable`]). A `queued` scenario waits for the
+/// model's arena instead of growing its pool.
 fn run_scenario(
     model: &CompiledEstimator,
     spec: &InputSpec,
+    queued: bool,
     index: usize,
     options: &Options,
     queue_wait: Duration,
@@ -655,7 +666,11 @@ fn run_scenario(
     let attempt = || {
         catch_unwind(AssertUnwindSafe(|| {
             swact::faults::hit("engine:job", Some(index));
-            model.estimate(spec)
+            if queued {
+                model.estimate_queued(spec)
+            } else {
+                model.estimate(spec)
+            }
         }))
         .unwrap_or_else(|payload| {
             metrics.jobs_panicked.fetch_add(1, Ordering::Relaxed);
@@ -1016,6 +1031,40 @@ mod tests {
 
         assert_eq!(engine.cached_models(), 2);
         assert_eq!(engine.metrics().compile_misses, 2);
+    }
+
+    #[test]
+    fn overlapping_single_scenario_batches_share_one_arena() {
+        let _serial = serial();
+        let circuit = catalog::benchmark("c432").unwrap();
+        let options = Options::default();
+        let engine = Engine::with_jobs_forced(2);
+        let specs = specs_for(&circuit, 6);
+        engine
+            .estimate_batch(&circuit, &specs[..1], &options)
+            .unwrap();
+        // Two callers send one-scenario batches at once, as two
+        // `swact serve` handlers do.
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for half in specs.chunks(3) {
+                let (engine, circuit, start) = (&engine, &circuit, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for spec in half {
+                        let report = engine
+                            .estimate_batch(circuit, std::slice::from_ref(spec), &options)
+                            .unwrap();
+                        assert!(report.all_ok());
+                    }
+                });
+            }
+        });
+        let (model, cache_hit, _) = engine
+            .compiled_model(&circuit, &specs[0], &options)
+            .unwrap();
+        assert!(cache_hit);
+        assert_eq!(model.arenas_made(), 1);
     }
 
     #[test]
