@@ -502,9 +502,10 @@ fn cmd_plan(rest: &[&String]) -> Result<String, CliError> {
     );
     let _ = writeln!(
         out,
-        "{} segment(s), {} boundary root(s)",
+        "{} segment(s), {} boundary root(s), {} budget check(s)",
         plan.segments().len(),
-        plan.boundary_roots()
+        plan.boundary_roots(),
+        plan.budget_checks()
     );
     // With a --budget-states cap the plan also predicts which rung of the
     // degradation ladder each segment would land on: segments within
@@ -1315,6 +1316,7 @@ mod tests {
         assert!(plan.contains("budget 131072"));
         assert!(plan.contains("segment(s)"));
         assert!(plan.contains("boundary root(s)"));
+        assert!(plan.contains("budget check(s)"));
         assert!(run_strs(&["plan"]).is_err());
     }
 

@@ -11,12 +11,20 @@
 //! encountered in larger circuits are contributed by the loss of some
 //! correlations in the network boundaries").
 //!
-//! The planner walks gates in topological order and closes a segment when
-//! the junction-tree state count of its LIDAG (estimated by a quick
-//! triangulation under the configured heuristic) exceeds the configured
-//! budget.
-
-use std::collections::HashMap;
+//! The planner walks gates in topological order and closes a segment at
+//! the first *checkpoint* (every [`SegmentationPlan::CHECK_INTERVAL`] gates,
+//! counted from the segment's start) where the junction-tree state count
+//! of its LIDAG, estimated by a quick triangulation, exceeds the budget.
+//! It finds that checkpoint by exponential search instead of checking each
+//! one in turn: the first probe is the previous segment's length, probes
+//! then step away from it by 1, 2, 4, … checkpoints until the budget
+//! verdict flips, and a bisection between the last checkpoint under budget
+//! and the first one over it picks the cut. That takes O(log n)
+//! triangulations per segment instead of n / 4. Where the estimated cost
+//! rises with segment length (it almost always does: a longer segment's
+//! moral graph contains the shorter one's) the cut is exactly the first
+//! over-budget checkpoint; where it does not, the search may skip a
+//! checkpoint that trips on its own between two that do not.
 
 use swact_bayesnet::graph::UndirectedGraph;
 use swact_bayesnet::triangulate::{Eliminator, Heuristic};
@@ -63,24 +71,35 @@ pub struct Segment {
 /// // Every gate appears in exactly one segment.
 /// let total: usize = plan.segments().iter().map(|s| s.gates.len()).sum();
 /// assert_eq!(total, c432.num_gates());
+/// assert!(plan.budget_checks() > 0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SegmentationPlan {
     segments: Vec<Segment>,
     budget: f64,
+    budget_checks: usize,
 }
 
 impl SegmentationPlan {
-    /// Gates between budget checks in every plan the pipeline builds. A
-    /// segment may overshoot its budget by up to three gates' growth;
-    /// checking every gate would triangulate four times as often.
+    /// Checkpoint spacing, in gates, of every plan the pipeline builds: a
+    /// segment can only close after a multiple of this many gates, so it
+    /// may overshoot its budget by up to three gates' growth. A finer grid
+    /// would cut closer to the budget at the price of more probes per cut.
     pub const CHECK_INTERVAL: usize = 4;
 
     /// Plans segments for `circuit` (already fan-in decomposed):
-    /// variables have `card` states (4 for transition variables), segments
-    /// close when the estimated junction-tree state count exceeds
-    /// `budget`, checked every `check_interval` gates with `heuristic`
-    /// (the pipeline passes [`CHECK_INTERVAL`](Self::CHECK_INTERVAL)).
+    /// variables have `card` states (4 for transition variables), and a
+    /// segment closes at the first checkpoint, every `check_interval`
+    /// gates from its start, whose estimated junction-tree state count
+    /// under `heuristic` exceeds `budget` (the pipeline passes
+    /// [`CHECK_INTERVAL`](Self::CHECK_INTERVAL)). Gates after the last
+    /// full checkpoint join the final segment.
+    ///
+    /// Checkpoints are found by exponential search from the previous
+    /// segment's length (see the module documentation), so the cut is the
+    /// first over-budget checkpoint whenever the estimated cost is
+    /// monotone in segment length; otherwise it is an over-budget
+    /// checkpoint whose predecessor is within budget.
     ///
     /// The budget is soft: a segment may overshoot by up to
     /// `check_interval − 1` gates' worth of growth, and a single gate's
@@ -98,8 +117,13 @@ impl SegmentationPlan {
     ) -> SegmentationPlan {
         let budget = budget as f64;
         let order = cone_order(circuit);
-        let segments = cover(circuit, card, &order, budget, check_interval, heuristic);
-        SegmentationPlan { segments, budget }
+        let (segments, budget_checks) =
+            cover(circuit, card, &order, budget, check_interval, heuristic);
+        SegmentationPlan {
+            segments,
+            budget,
+            budget_checks,
+        }
     }
 
     /// A plan with no segments, used when reconstructing a compiled
@@ -110,6 +134,7 @@ impl SegmentationPlan {
         SegmentationPlan {
             segments: Vec::new(),
             budget,
+            budget_checks: 0,
         }
     }
 
@@ -121,6 +146,12 @@ impl SegmentationPlan {
     /// The state budget the plan was built for.
     pub fn budget(&self) -> f64 {
         self.budget
+    }
+
+    /// How many budget checks (quick triangulations) planning ran — what
+    /// the search costs, printed by `swact plan`.
+    pub fn budget_checks(&self) -> usize {
+        self.budget_checks
     }
 
     /// The planner's estimated junction-tree state count for each segment
@@ -172,10 +203,10 @@ pub(crate) fn estimate_segment_cost(
 
 /// Replans a single over-budget segment under a tighter state budget,
 /// splitting its gates (kept in their existing topological order) into
-/// sub-segments by the same cover as [`SegmentationPlan::plan`], checked
-/// at every gate. Sub-segment roots are recomputed from scratch, so lines
-/// produced by an earlier sub-segment become ordinary boundary roots of
-/// later ones.
+/// sub-segments by the same search as [`SegmentationPlan::plan`] on a
+/// one-gate checkpoint grid (a one-gate sub-segment never closes).
+/// Sub-segment roots are recomputed from scratch, so lines produced by an
+/// earlier sub-segment become ordinary boundary roots of later ones.
 pub(crate) fn replan_segment(
     circuit: &Circuit,
     card: usize,
@@ -183,13 +214,15 @@ pub(crate) fn replan_segment(
     budget: f64,
     heuristic: Heuristic,
 ) -> Vec<Segment> {
-    cover(circuit, card, &seg.gates, budget, 1, heuristic)
+    cover(circuit, card, &seg.gates, budget, 1, heuristic).0
 }
 
-/// The paper's budget-driven cover: pushes `gates` in order into a growing
-/// segment and, every `check_interval` gates, closes it once its estimated
-/// junction-tree state count exceeds `budget` (a one-gate segment is never
-/// closed, however large).
+/// The paper's budget-driven cover: splits `gates`, in order, into
+/// segments that each close at an over-budget checkpoint (every
+/// `check_interval` gates from the segment's start) found by
+/// [`Walk::cut`]; the gates after the last checkpoint under budget form
+/// the final segment. Returns the segments and the number of budget
+/// checks run.
 fn cover(
     circuit: &Circuit,
     card: usize,
@@ -197,28 +230,112 @@ fn cover(
     budget: f64,
     check_interval: usize,
     heuristic: Heuristic,
-) -> Vec<Segment> {
+) -> (Vec<Segment>, usize) {
     assert!(check_interval > 0, "check interval must be positive");
-    let mut segments: Vec<Segment> = Vec::new();
-    let mut builder = SegmentBuilder::new(circuit, card);
-    let mut eliminator = Eliminator::default();
-    let mut since_check = 0usize;
-    for &gate in gates {
-        builder.push_gate(gate);
-        since_check += 1;
-        if since_check >= check_interval {
-            since_check = 0;
-            let cost = builder.estimated_cost(heuristic, &mut eliminator);
-            if cost > budget && builder.gates.len() > 1 {
-                segments.push(builder.finish());
-                builder = SegmentBuilder::new(circuit, card);
+    let mut walk = Walk {
+        builder: SegmentBuilder::new(circuit, card),
+        eliminator: Eliminator::default(),
+        budget,
+        check_interval,
+        heuristic,
+        checks: 0,
+    };
+    let mut segments = Vec::new();
+    let mut rest = gates;
+    let mut guess = 1;
+    while !rest.is_empty() {
+        let checkpoints = rest.len() / check_interval;
+        let len = match walk.cut(rest, checkpoints, guess.min(checkpoints)) {
+            Some(cut) => {
+                guess = cut;
+                cut * check_interval
+            }
+            None => rest.len(),
+        };
+        walk.builder.resize(&rest[..len]);
+        segments.push(walk.builder.take());
+        rest = &rest[len..];
+    }
+    (segments, walk.checks)
+}
+
+/// One planning walk: the segment builder and the elimination buffers
+/// that every budget check of the walk reuses.
+struct Walk<'c> {
+    builder: SegmentBuilder<'c>,
+    eliminator: Eliminator,
+    budget: f64,
+    check_interval: usize,
+    heuristic: Heuristic,
+    /// Budget checks run so far.
+    checks: usize,
+}
+
+impl Walk<'_> {
+    /// Whether the first `checkpoint` checkpoints of `rest` trip the
+    /// budget. A one-gate prefix never does and is not triangulated.
+    fn trips(&mut self, rest: &[LineId], checkpoint: usize) -> bool {
+        let len = checkpoint * self.check_interval;
+        if len <= 1 {
+            return false;
+        }
+        self.builder.resize(&rest[..len]);
+        self.checks += 1;
+        self.builder
+            .estimated_cost(self.heuristic, &mut self.eliminator)
+            > self.budget
+    }
+
+    /// The checkpoint at which the segment starting at `rest` closes, out
+    /// of its `checkpoints` full ones, or `None` when even the last one is
+    /// within budget. Searches exponentially outward from `guess` (≥ 1
+    /// unless there is no checkpoint) for a checkpoint within budget and
+    /// one over it, then bisects between them; the answer trips while the
+    /// checkpoint before it (the empty prefix, for the first) does not.
+    fn cut(&mut self, rest: &[LineId], checkpoints: usize, guess: usize) -> Option<usize> {
+        if checkpoints == 0 {
+            return None;
+        }
+        // Checkpoint `lo` is within budget (0, the empty prefix, always
+        // is) and `hi` is over it.
+        let mut step = 1;
+        let (mut lo, mut hi) = if self.trips(rest, guess) {
+            let mut hi = guess;
+            loop {
+                if hi == 1 {
+                    break (0, 1);
+                }
+                let probe = guess.saturating_sub(step).max(1);
+                if !self.trips(rest, probe) {
+                    break (probe, hi);
+                }
+                hi = probe;
+                step *= 2;
+            }
+        } else {
+            let mut lo = guess;
+            loop {
+                if lo == checkpoints {
+                    return None;
+                }
+                let probe = (guess + step).min(checkpoints);
+                if self.trips(rest, probe) {
+                    break (lo, probe);
+                }
+                lo = probe;
+                step *= 2;
+            }
+        };
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if self.trips(rest, mid) {
+                hi = mid;
+            } else {
+                lo = mid;
             }
         }
+        Some(hi)
     }
-    if !builder.gates.is_empty() {
-        segments.push(builder.finish());
-    }
-    segments
 }
 
 /// Gate lines in a *cone-clustered* topological order: a depth-first
@@ -265,67 +382,82 @@ fn cone_order(circuit: &Circuit) -> Vec<LineId> {
 struct SegmentBuilder<'c> {
     circuit: &'c Circuit,
     card: usize,
-    /// Local index per line in this segment.
-    local: HashMap<LineId, usize>,
+    /// Position in the circuit's input list of each primary-input line.
+    input_pos: Vec<Option<usize>>,
+    /// Local index of each line in this segment.
+    local: Vec<Option<usize>>,
     roots: Vec<(LineId, RootSource)>,
     gates: Vec<LineId>,
     /// Moral graph of the segment's LIDAG over local indices, grown as
     /// gates are pushed: each gate family is a clique.
     moral: UndirectedGraph,
-    /// Lines driven by a gate *inside* this segment.
-    driven_here: std::collections::HashSet<LineId>,
 }
 
 impl<'c> SegmentBuilder<'c> {
     fn new(circuit: &'c Circuit, card: usize) -> SegmentBuilder<'c> {
+        let mut input_pos = vec![None; circuit.num_lines()];
+        for (pos, &pi) in circuit.inputs().iter().enumerate() {
+            input_pos[pi.index()] = Some(pos);
+        }
         SegmentBuilder {
             circuit,
             card,
-            local: HashMap::new(),
+            input_pos,
+            local: vec![None; circuit.num_lines()],
             roots: Vec::new(),
             gates: Vec::new(),
             moral: UndirectedGraph::new(0),
-            driven_here: std::collections::HashSet::new(),
         }
     }
 
     fn local_index(&mut self, line: LineId) -> usize {
-        if let Some(&i) = self.local.get(&line) {
+        if let Some(i) = self.local[line.index()] {
             return i;
         }
         let i = self.moral.add_node();
-        self.local.insert(line, i);
+        self.local[line.index()] = Some(i);
         i
     }
 
     fn push_gate(&mut self, gate_line: LineId) {
-        let gate = self
-            .circuit
+        let circuit = self.circuit;
+        let inputs = &circuit
             .gate(gate_line)
             .expect("segment gates are gate-driven lines")
-            .clone();
-        // Inputs not driven inside this segment become roots. Register the
-        // local index immediately so a line repeated in one gate's input
-        // list is only rooted once.
-        for &input in &gate.inputs {
-            if !self.driven_here.contains(&input) && !self.local.contains_key(&input) {
-                let source = match self.circuit.inputs().iter().position(|&pi| pi == input) {
+            .inputs;
+        // Inputs without a local index are not driven inside this segment
+        // and become roots; indexing one at once roots a line repeated in
+        // one gate's input list only once.
+        let mut family = Vec::with_capacity(inputs.len() + 1);
+        for &input in inputs {
+            if self.local[input.index()].is_none() {
+                let source = match self.input_pos[input.index()] {
                     Some(pos) => RootSource::PrimaryInput(pos),
                     None => RootSource::Boundary,
                 };
                 self.roots.push((input, source));
-                self.local_index(input);
             }
+            family.push(self.local_index(input));
         }
-        let mut family: Vec<usize> = gate.inputs.iter().map(|&l| self.local_index(l)).collect();
         family.push(self.local_index(gate_line));
         for (i, &a) in family.iter().enumerate() {
             for &b in &family[i + 1..] {
                 self.moral.add_edge(a, b);
             }
         }
-        self.driven_here.insert(gate_line);
         self.gates.push(gate_line);
+    }
+
+    /// Makes the segment exactly `gates`, which must start with the
+    /// current segment's gates or be a prefix of them: grows the segment
+    /// in place in the first case and rebuilds it in the second.
+    fn resize(&mut self, gates: &[LineId]) {
+        if self.gates.len() > gates.len() {
+            self.take();
+        }
+        for &gate in &gates[self.gates.len()..] {
+            self.push_gate(gate);
+        }
     }
 
     /// The quick-triangulation state estimate of the segment so far, on
@@ -336,10 +468,19 @@ impl<'c> SegmentBuilder<'c> {
         eliminator.estimate_cost(&self.moral, &vec![self.card; n], heuristic)
     }
 
-    fn finish(self) -> Segment {
+    /// The segment built so far; the builder is left empty, with only the
+    /// lines the segment indexed reset.
+    fn take(&mut self) -> Segment {
+        for &(line, _) in &self.roots {
+            self.local[line.index()] = None;
+        }
+        for &line in &self.gates {
+            self.local[line.index()] = None;
+        }
+        self.moral = UndirectedGraph::new(0);
         Segment {
-            roots: self.roots,
-            gates: self.gates,
+            roots: std::mem::take(&mut self.roots),
+            gates: std::mem::take(&mut self.gates),
         }
     }
 }

@@ -1,16 +1,56 @@
 //! Property tests for [`SegmentationPlan`] over randomly generated
 //! netlists: whatever the budget, the plan must cover every gate exactly
-//! once, give every root a valid provenance, and order segments (and
-//! gates within them) topologically. The default plans of the Table 1
-//! circuits and one budget replan are pinned by fingerprint.
+//! once, give every root a valid provenance, order segments (and gates
+//! within them) topologically, and cut each segment at an over-budget
+//! checkpoint whose predecessor is within budget. The default plans of
+//! the Table 1 circuits and one budget replan are pinned by fingerprint.
 
 use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 use swact::{RootSource, SegmentationPlan};
+use swact_bayesnet::graph::UndirectedGraph;
+use swact_bayesnet::triangulate::estimate_cost;
 use swact_bayesnet::Heuristic;
 use swact_circuit::benchgen::{generate, GeneratorConfig};
 use swact_circuit::decompose::decompose_fanin;
+use swact_circuit::{Circuit, LineId};
+
+/// A random netlist, fan-in decomposed exactly as the pipeline prepares
+/// the circuit it plans.
+fn working_circuit(inputs: usize, gates: usize, seed: u64, locality: f64) -> Circuit {
+    let circuit = generate(&GeneratorConfig {
+        name: "prop",
+        inputs,
+        outputs: 1 + gates % 3,
+        gates,
+        seed,
+        locality,
+        max_fanin: 4,
+    });
+    decompose_fanin(&circuit, 4).unwrap()
+}
+
+/// The planner's budget-check figure for a segment of exactly `gates`:
+/// the min-fill state estimate (card 4) of its LIDAG's moral graph, with
+/// local indices in first-use order as the planner numbers them.
+fn segment_cost(circuit: &Circuit, gates: &[LineId]) -> f64 {
+    let mut local: HashMap<LineId, usize> = HashMap::new();
+    let mut moral = UndirectedGraph::new(0);
+    for &gate in gates {
+        let mut family = Vec::new();
+        for &line in circuit.gate(gate).unwrap().inputs.iter().chain([&gate]) {
+            let index = *local.entry(line).or_insert_with(|| moral.add_node());
+            family.push(index);
+        }
+        for (i, &a) in family.iter().enumerate() {
+            for &b in &family[i + 1..] {
+                moral.add_edge(a, b);
+            }
+        }
+    }
+    estimate_cost(&moral, &vec![4; moral.num_nodes()], Heuristic::MinFill)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -24,18 +64,7 @@ proptest! {
         budget_bits in 6u32..16,
         check_interval in 1usize..6,
     ) {
-        let circuit = generate(&GeneratorConfig {
-            name: "prop",
-            inputs,
-            outputs: 1 + gates % 3,
-            gates,
-            seed,
-            locality,
-            max_fanin: 4,
-        });
-        // The planner operates on the fan-in-decomposed working circuit,
-        // exactly as the pipeline prepares it.
-        let working = decompose_fanin(&circuit, 4).unwrap();
+        let working = working_circuit(inputs, gates, seed, locality);
         let plan = SegmentationPlan::plan(
             &working,
             4,
@@ -103,6 +132,56 @@ proptest! {
             .count();
         prop_assert_eq!(plan.boundary_roots(), boundary);
     }
+
+    #[test]
+    fn every_cut_is_a_first_budget_trip(
+        inputs in 3usize..9,
+        gates in 8usize..80,
+        seed in 0u64..1_000_000,
+        locality in 0.3f64..1.0,
+        budget_bits in 6u32..16,
+        check_interval in 1usize..=6,
+    ) {
+        let working = working_circuit(inputs, gates, seed, locality);
+        let budget = 1usize << budget_bits;
+        let plan = SegmentationPlan::plan(
+            &working,
+            4,
+            budget,
+            check_interval,
+            Heuristic::MinFill,
+        );
+        // A segment trips the budget when its estimate is over it; a
+        // one-gate segment never closes.
+        let trips = |gates: &[LineId]| {
+            gates.len() > 1 && segment_cost(&working, gates) > budget as f64
+        };
+        let costs = plan.estimated_costs(&working, 4, Heuristic::MinFill);
+        let last = plan.segments().len() - 1;
+        for (idx, seg) in plan.segments().iter().enumerate() {
+            let len = seg.gates.len();
+            prop_assert_eq!(
+                segment_cost(&working, &seg.gates).to_bits(),
+                costs[idx].to_bits(),
+                "segment {} cost disagrees with the planner's", idx
+            );
+            // A cut segment ends on a checkpoint that trips while the
+            // checkpoint before it (if any) does not.
+            let cut = len % check_interval == 0
+                && trips(&seg.gates)
+                && (len == check_interval || !trips(&seg.gates[..len - check_interval]));
+            if idx < last {
+                prop_assert!(cut, "segment {} ({} gates) is not cut at a first trip", idx, len);
+            } else if !cut {
+                // The final segment's last full checkpoint is within budget.
+                let full = len - len % check_interval;
+                prop_assert!(
+                    full == 0 || !trips(&seg.gates[..full]),
+                    "final segment ({} gates) trips at its checkpoint {}", len, full
+                );
+            }
+        }
+    }
 }
 
 /// FNV-1a over `words`.
@@ -139,6 +218,18 @@ fn plan_fingerprint(plan: &SegmentationPlan) -> u64 {
 /// segment: a planner change (a faster triangulation, a cached moral
 /// graph) must leave every segment's gates and roots exactly where they
 /// were.
+///
+/// c3540 moved once, when each cut came to be found by exponential search
+/// instead of checking every checkpoint in turn, because its estimated
+/// cost is not monotone in segment length there. Its segment 18 (counted
+/// from 0, after the 18 segments both planners share) costs 111 008
+/// states at checkpoint 15, 132 640 at checkpoint 16, then 120 800 and
+/// 121 440 at checkpoints 17 and 18 and 133 920 at 19, against the
+/// 131 072-state budget. Checking every checkpoint cut at the lone trip at
+/// checkpoint 16 (64 gates). The search starts at checkpoint 18, where
+/// segment 17 was cut, finds it within budget and 19 over, and cuts at 19
+/// (76 gates) without probing 16. The later segments then start elsewhere, and the plan has
+/// 27 segments instead of 28.
 #[test]
 fn default_plans_of_table1_circuits_are_pinned() {
     use swact::Options;
@@ -152,7 +243,7 @@ fn default_plans_of_table1_circuits_are_pinned() {
         ("c1355", 0x11484bf5a09fb1a1),
         ("c1908", 0x6aa1be31c18273a6),
         ("c2670", 0x0301c69ab5919df1),
-        ("c3540", 0xc8d986e880bb8310),
+        ("c3540", 0x45f01d93d6ef0401),
         ("c5315", 0xa6596354898c6544),
         ("c6288", 0xc44b97750385b838),
         ("c7552", 0x68884dc5e573ae83),
