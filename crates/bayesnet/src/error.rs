@@ -76,6 +76,16 @@ pub enum BayesError {
         /// The nonzero numerator.
         value: f64,
     },
+    /// A junction tree compiled under a state bound
+    /// ([`JunctionTree::compile_within`](crate::JunctionTree::compile_within))
+    /// would exceed it.
+    StatesOverBound {
+        /// The state total of the cliques found before the triangulation
+        /// stopped (more than `bound`).
+        states: f64,
+        /// The bound.
+        bound: f64,
+    },
 }
 
 impl fmt::Display for BayesError {
@@ -118,6 +128,10 @@ impl fmt::Display for BayesError {
             BayesError::FactorDivisionByZero { value } => {
                 write!(f, "division of nonzero {value} by zero sepset entry")
             }
+            BayesError::StatesOverBound { states, bound } => write!(
+                f,
+                "junction tree passes its bound of {bound} states ({states} found before stopping)"
+            ),
         }
     }
 }

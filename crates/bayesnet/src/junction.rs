@@ -1,12 +1,21 @@
 use std::cmp::Reverse;
 
 use crate::graph::moral_graph;
-use crate::triangulate::{triangulate, Heuristic, Triangulation};
+use crate::triangulate::{Eliminator, Heuristic};
 use crate::{BayesError, BayesNet, VarId};
 
 /// A compiled junction tree (actually a forest when the moral graph is
 /// disconnected): maximal cliques of the triangulated moral graph connected
 /// by maximal-weight sepsets, plus the CPT-to-clique assignment.
+///
+/// The tree is the maximum spanning forest of the clique graph under one
+/// strict edge order (sepset size descending, sepset states ascending,
+/// then the clique pair), so it is unique. Every clique tree's sepsets are
+/// the triangulation's minimal separators, so Kruskal only looks at the
+/// pairs joining the lowest clique that holds a separator to the other
+/// cliques holding it: that subgraph holds the unique forest, and Kruskal
+/// over it returns the same edges in the same order (see
+/// `spanning_forest`).
 ///
 /// Compilation is the expensive, one-off half of inference; evidence
 /// propagation over the compiled structure (see
@@ -76,19 +85,46 @@ impl JunctionTree {
     ///
     /// Returns [`BayesError::Empty`] for an empty network.
     pub fn compile_with(net: &BayesNet, heuristic: Heuristic) -> Result<JunctionTree, BayesError> {
+        JunctionTree::compile_within(net, heuristic, f64::INFINITY)
+    }
+
+    /// [`compile_with`](JunctionTree::compile_with), unless the tree's
+    /// [`total_states`](JunctionTree::total_states) would exceed
+    /// `max_states`. Then the triangulation stops as soon as the cliques it
+    /// has found pass the bound, and no tree is assembled. The verdict is
+    /// exactly `compile_with(..)?.total_states() > max_states`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BayesError::Empty`] for an empty network and
+    /// [`BayesError::StatesOverBound`] past the bound.
+    pub fn compile_within(
+        net: &BayesNet,
+        heuristic: Heuristic,
+        max_states: f64,
+    ) -> Result<JunctionTree, BayesError> {
         if net.num_vars() == 0 {
             return Err(BayesError::Empty);
         }
         let cards = net.cards();
         let moral = moral_graph(net);
-        let tri: Triangulation = triangulate(&moral, &cards, heuristic);
-        let cliques: Vec<Vec<VarId>> = tri
-            .cliques
+        let mut eliminator = Eliminator::default();
+        let (maximal, total_states) = eliminator
+            .eliminate_within(&moral, &cards, heuristic, max_states)
+            .map_err(|states| BayesError::StatesOverBound {
+                states,
+                bound: max_states,
+            })?;
+        let cliques: Vec<Vec<VarId>> = maximal
             .iter()
-            .map(|c| c.iter().map(|&i| VarId::from_index(i)).collect())
+            .map(|&step| {
+                let clique = eliminator.clique(step).iter();
+                clique.map(|&v| VarId::from_index(v)).collect()
+            })
             .collect();
-        let holders = clique_index(&cliques, cards.len());
-        let (edges, incident, roots) = spanning_forest(&cliques, &holders, &cards);
+        let holders = Holders::new(&cliques, cards.len());
+        let (edges, incident, roots) =
+            spanning_forest(&cliques, &holders, eliminator.separators(), &cards);
         let home_clique = home_cliques(&cliques, &holders, &cards);
 
         // CPT assignment: each variable's family {v} ∪ parents is a clique
@@ -113,8 +149,8 @@ impl JunctionTree {
             home_clique,
             cpt_clique,
             cards,
-            fill_edges: tri.fill.len(),
-            total_states: tri.total_states,
+            fill_edges: eliminator.fill_count(),
+            total_states,
         })
     }
 
@@ -384,65 +420,127 @@ impl JunctionTree {
     }
 }
 
-/// Per variable: the cliques containing it, ascending.
-fn clique_index(cliques: &[Vec<VarId>], num_vars: usize) -> Vec<Vec<usize>> {
-    let mut holders = vec![Vec::new(); num_vars];
-    for (ci, clique) in cliques.iter().enumerate() {
-        for v in clique {
-            holders[v.index()].push(ci);
-        }
-    }
-    holders
+/// Per variable: the cliques containing it, ascending (`holders[v]`), back
+/// to back in one buffer.
+struct Holders {
+    /// Variable `v`'s cliques are `cliques[starts[v]..starts[v + 1]]`.
+    starts: Vec<usize>,
+    cliques: Vec<usize>,
 }
 
-/// The maximal-weight spanning forest over the clique pairs with a
-/// nonempty intersection (weight = |sepset|, tiebreak towards the smaller
-/// sepset state space, then the lower pair — both standard for junction
-/// trees), by Kruskal: tree edges with their sepsets, per-clique incident
-/// edges, and one root clique (the lowest-numbered) per component.
+impl Holders {
+    fn new(cliques: &[Vec<VarId>], num_vars: usize) -> Holders {
+        let mut starts = vec![0; num_vars + 1];
+        for v in cliques.iter().flatten() {
+            starts[v.index() + 1] += 1;
+        }
+        for v in 0..num_vars {
+            starts[v + 1] += starts[v];
+        }
+        let mut next = starts.clone();
+        let mut list = vec![0; starts[num_vars]];
+        for (ci, clique) in cliques.iter().enumerate() {
+            for v in clique {
+                list[next[v.index()]] = ci;
+                next[v.index()] += 1;
+            }
+        }
+        Holders {
+            starts,
+            cliques: list,
+        }
+    }
+
+    /// Number of variables.
+    fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+}
+
+impl std::ops::Index<usize> for Holders {
+    type Output = [usize];
+
+    fn index(&self, v: usize) -> &[usize] {
+        &self.cliques[self.starts[v]..self.starts[v + 1]]
+    }
+}
+
+/// The maximal-weight spanning forest of the clique graph (weight =
+/// |sepset|, tiebreak towards the smaller sepset state space, then the
+/// lower pair — both standard for junction trees), by Kruskal: tree edges
+/// with their sepsets, per-clique incident edges, and one root clique (the
+/// lowest-numbered) per component.
 ///
-/// The pairs come from `holders` rather than from testing every pair:
-/// clique `i` meets exactly the later cliques sharing one of its
-/// variables. Walking its variables in ascending order gives each pair's
-/// sepset size and state product in the same order a sorted intersection
-/// would, so the figures — and the forest — are bit-identical to the
-/// all-pairs build. A sepset is materialized only for accepted edges.
+/// Kruskal only sees, for each of the triangulation's minimal
+/// `separators`, the pairs joining the lowest-numbered clique that holds
+/// it to each other clique holding it (the holders are found by filtering
+/// the shortest of its members' `holders` lists). That gives the forest
+/// all intersecting pairs would:
+///
+/// - The order above is strict, so the maximum spanning forest `T` of the
+///   clique graph `G` is unique, and Kruskal over `G` returns it. `T` has
+///   maximum total sepset size, so it is a clique tree (Jensen & Jensen,
+///   UAI 1994), and every clique tree's sepsets are the minimal
+///   separators.
+/// - Let `T` have an edge `(a, b)` with sepset `S`, let `H` be the
+///   cliques holding `S` and `h` the lowest of them. Every pair `(h, j)`
+///   with `j` in `H` weighs at least as much as `S`, so once Kruskal has
+///   passed the pairs `(h, ·)` of `S`'s weight, `h` is joined to all of
+///   `H`. Pairs of one weight are taken in `(i, j)` order, and `(a, b)`
+///   lies inside `H` with `S`'s weight, so it is accepted only if `a = h`.
+///   The candidate subgraph `G'` therefore holds `T`, and it lies in `G`.
+/// - `T` spans `G'`'s components, and an edge of `G'` outside `T` closes
+///   a cycle in `T` on which it is the least edge, in `G` and so in `G'`.
+///   `T` is therefore `G'`'s maximum spanning forest too, and Kruskal over
+///   `G'` accepts exactly `T`'s edges, in their order in the shared edge
+///   order, so the incident lists and roots match as well.
+///
+/// Each candidate's sepset size and state product are taken over the
+/// pair's whole intersection in ascending variable order, as the
+/// all-pairs build does, so the figures are bit-identical. A sepset is
+/// materialized only for accepted edges.
+///
+/// Each separator comes as an elimination clique and the node whose
+/// removal leaves it (see `Eliminator::separators`).
 #[allow(clippy::type_complexity)]
-fn spanning_forest(
+fn spanning_forest<'a>(
     cliques: &[Vec<VarId>],
-    holders: &[Vec<usize>],
+    holders: &Holders,
+    separators: impl Iterator<Item = (&'a [usize], usize)>,
     cards: &[usize],
 ) -> (Vec<TreeEdge>, Vec<Vec<usize>>, Vec<usize>) {
     let n = cliques.len();
     // (|sepset|, sepset states, i, j)
     let mut candidates: Vec<(usize, f64, usize, usize)> = Vec::new();
-    let mut shared: Vec<(usize, f64)> = vec![(0, 1.0); n];
-    let mut met: Vec<usize> = Vec::new();
-    for (i, clique) in cliques.iter().enumerate() {
-        for v in clique {
-            let card = cards[v.index()] as f64;
-            let list = &holders[v.index()];
-            let later = list.partition_point(|&c| c <= i);
-            for &j in &list[later..] {
-                if shared[j].0 == 0 {
-                    met.push(j);
-                }
-                shared[j].0 += 1;
-                shared[j].1 *= card;
-            }
+    // `mark[v] == k + 1` while separator `k`'s holders are collected.
+    let mut mark = vec![0; holders.len()];
+    for (k, (clique, node)) in separators.enumerate() {
+        let separator = || clique.iter().copied().filter(move |&v| v != node);
+        for v in separator() {
+            mark[v] = k + 1;
         }
-        met.sort_unstable();
-        for &j in &met {
-            let (size, states) = std::mem::replace(&mut shared[j], (0, 1.0));
-            candidates.push((size, states, i, j));
+        let rarest = separator()
+            .min_by_key(|&v| holders[v].len())
+            .expect("a separator is nonempty");
+        let mut holding = holders[rarest].iter().copied().filter(|&c| {
+            let held = cliques[c].iter().filter(|v| mark[v.index()] == k + 1);
+            held.count() == clique.len() - 1
+        });
+        let Some(first) = holding.next() else {
+            continue;
+        };
+        for j in holding {
+            let (size, states) = shared_states(&cliques[first], &cliques[j], cards);
+            candidates.push((size, states, first, j));
         }
-        met.clear();
     }
-    // The pairs were generated in ascending (i, j) order, so a stable sort
-    // on (size descending, states ascending) yields the full order. State
-    // counts are products of positive cardinalities, never NaN or
-    // negative, so their bit patterns order as the values do.
-    candidates.sort_by_key(|&(size, states, _, _)| (Reverse(size), states.to_bits()));
+    // State counts are products of positive cardinalities, never NaN or
+    // negative, so their bit patterns order as the values do. A separator
+    // listed twice, or two with the same lowest holder, can propose one
+    // pair twice.
+    candidates
+        .sort_unstable_by_key(|&(size, states, i, j)| (Reverse(size), states.to_bits(), i, j));
+    candidates.dedup_by_key(|&mut (_, _, i, j)| (i, j));
     let mut parent_of: Vec<usize> = (0..n).collect();
     fn find(parent_of: &mut [usize], mut x: usize) -> usize {
         while parent_of[x] != x {
@@ -477,16 +575,15 @@ fn spanning_forest(
 
 /// Per variable: the smallest clique (in states) containing it, the
 /// lowest-numbered among equals.
-fn home_cliques(cliques: &[Vec<VarId>], holders: &[Vec<usize>], cards: &[usize]) -> Vec<usize> {
+fn home_cliques(cliques: &[Vec<VarId>], holders: &Holders, cards: &[usize]) -> Vec<usize> {
     let states: Vec<f64> = cliques
         .iter()
         .map(|c| c.iter().map(|v| cards[v.index()] as f64).product())
         .collect();
-    holders
-        .iter()
-        .map(|list| {
+    (0..holders.len())
+        .map(|v| {
             let mut home = usize::MAX;
-            for &c in list {
+            for &c in &holders[v] {
                 if home == usize::MAX || states[c] < states[home] {
                     home = c;
                 }
@@ -494,6 +591,26 @@ fn home_cliques(cliques: &[Vec<VarId>], holders: &[Vec<usize>], cards: &[usize])
             home
         })
         .collect()
+}
+
+/// The size and state product of two sorted cliques' intersection, the
+/// product taken in ascending variable order.
+fn shared_states(a: &[VarId], b: &[VarId], cards: &[usize]) -> (usize, f64) {
+    let (mut size, mut states) = (0, 1.0);
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                size += 1;
+                states *= cards[a[i].index()] as f64;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    (size, states)
 }
 
 fn sorted_intersection(a: &[VarId], b: &[VarId]) -> Vec<VarId> {
@@ -517,6 +634,7 @@ fn sorted_intersection(a: &[VarId], b: &[VarId]) -> Vec<VarId> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use crate::triangulate::triangulate;
     use crate::{Cpt, Heuristic};
 
     fn chain(n: usize) -> BayesNet {
@@ -781,12 +899,101 @@ mod tests {
         net
     }
 
+    /// A segment-shaped LIDAG: `roots` 4-state roots, every third one
+    /// (when `pairs`) the child of the root before it, like a correlated
+    /// boundary or input pair; then `gates` 4-state gates, each over 1–3
+    /// distinct parents drawn mostly from the 12 latest lines of its own
+    /// one of `components` groups, so cones reconverge and, all cards being
+    /// 4, many sepsets tie on size and states.
+    fn segment_net(
+        roots: usize,
+        gates: usize,
+        components: usize,
+        pairs: bool,
+        seed: u64,
+    ) -> BayesNet {
+        let mut state = seed;
+        let mut net = BayesNet::new();
+        let mut lines: Vec<Vec<VarId>> = vec![Vec::new(); components];
+        for r in 0..roots {
+            let group = &mut lines[r % components];
+            let parents: Vec<VarId> = match group.last() {
+                Some(&p) if pairs && r % 3 == 2 => vec![p],
+                _ => Vec::new(),
+            };
+            let cpt = Cpt::deterministic(if parents.is_empty() { 1 } else { 4 }, 4, |row| row);
+            group.push(net.add_var(format!("r{r}"), 4, &parents, cpt).unwrap());
+        }
+        for g in 0..gates {
+            let group = &mut lines[g % components];
+            if group.is_empty() {
+                continue;
+            }
+            let fan_in = (1 + splitmix(&mut state) % 3) as usize;
+            let mut parents: Vec<VarId> = Vec::new();
+            for _ in 0..fan_in * 2 {
+                let window = if splitmix(&mut state).is_multiple_of(16) {
+                    group.len()
+                } else {
+                    group.len().min(12)
+                };
+                let p = group[group.len() - 1 - (splitmix(&mut state) % window as u64) as usize];
+                if parents.len() < fan_in && !parents.contains(&p) {
+                    parents.push(p);
+                }
+            }
+            let rows = 4usize.pow(parents.len() as u32);
+            let cpt = Cpt::deterministic(rows, 4, |row| row % 4);
+            group.push(net.add_var(format!("g{g}"), 4, &parents, cpt).unwrap());
+        }
+        net
+    }
+
+    /// Asserts that `compile_with` builds the all-pairs tree exactly: the
+    /// same cliques, edges (endpoints, sepsets, order), incident lists,
+    /// roots, home cliques and CPT cliques; and that `compile_within`
+    /// refuses it exactly past its total, with a partial total over the
+    /// bound, and otherwise returns the same tree.
+    fn assert_matches_all_pairs(net: &BayesNet) {
+        for h in [Heuristic::MinFill, Heuristic::MinDegree] {
+            let fast = JunctionTree::compile_with(net, h).unwrap();
+            let slow = compile_all_pairs(net, h);
+            assert_eq!(fast.cliques(), slow.cliques());
+            assert_eq!(fast.sepsets(), slow.sepsets());
+            assert_eq!(fast.incident, slow.incident);
+            assert_eq!(fast.roots(), slow.roots());
+            assert_eq!(fast.home_clique, slow.home_clique);
+            assert_eq!(fast.cpt_clique, slow.cpt_clique);
+            assert_eq!(fast.fill_edges(), slow.fill_edges());
+            assert_eq!(fast.total_states().to_bits(), slow.total_states().to_bits());
+            assert!(fast.satisfies_running_intersection());
+            let total = fast.total_states();
+            for bound in [total / 2.0, total - 1.0, total, total + 1.0, 2.0 * total] {
+                match JunctionTree::compile_within(net, h, bound) {
+                    Ok(tree) => {
+                        assert!(total <= bound, "{total} kept under {bound}");
+                        assert_eq!(tree.cliques(), fast.cliques());
+                        assert_eq!(tree.sepsets(), fast.sepsets());
+                        assert_eq!(tree.incident, fast.incident);
+                        assert_eq!(tree.roots(), fast.roots());
+                    }
+                    Err(BayesError::StatesOverBound { states, bound: b }) => {
+                        assert!(total > bound, "{total} refused at {bound}");
+                        assert_eq!(b.to_bits(), bound.to_bits());
+                        assert!(states > bound && states <= total, "{states}");
+                    }
+                    Err(e) => panic!("unexpected {e}"),
+                }
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
 
-        /// The indexed assembly builds the all-pairs tree exactly: the
-        /// same edges (endpoints, sepsets, order), incident lists, roots,
-        /// home cliques and CPT cliques, on connected and disconnected nets.
+        /// The separator-indexed assembly builds the all-pairs tree
+        /// exactly, and the bounded compile refuses it exactly past its
+        /// total, on connected and disconnected nets.
         #[test]
         fn indexed_assembly_matches_all_pairs(
             n in 1usize..60,
@@ -794,20 +1001,20 @@ mod tests {
             max_parents in 0usize..5,
             seed in 0u64..u64::MAX,
         ) {
-            let net = random_net(n, components, max_parents, seed);
-            for h in [Heuristic::MinFill, Heuristic::MinDegree] {
-                let fast = JunctionTree::compile_with(&net, h).unwrap();
-                let slow = compile_all_pairs(&net, h);
-                assert_eq!(fast.cliques(), slow.cliques());
-                assert_eq!(fast.sepsets(), slow.sepsets());
-                assert_eq!(fast.incident, slow.incident);
-                assert_eq!(fast.roots(), slow.roots());
-                assert_eq!(fast.home_clique, slow.home_clique);
-                assert_eq!(fast.cpt_clique, slow.cpt_clique);
-                assert_eq!(fast.fill_edges(), slow.fill_edges());
-                assert_eq!(fast.total_states().to_bits(), slow.total_states().to_bits());
-                assert!(fast.satisfies_running_intersection());
-            }
+            assert_matches_all_pairs(&random_net(n, components, max_parents, seed));
+        }
+
+        /// The same on segment-shaped 4-state LIDAGs with pair-root edges
+        /// and several components, whose sepsets tie often.
+        #[test]
+        fn indexed_assembly_matches_all_pairs_on_segment_nets(
+            roots in 1usize..24,
+            gates in 0usize..90,
+            components in 1usize..4,
+            pairs in 0usize..2,
+            seed in 0u64..u64::MAX,
+        ) {
+            assert_matches_all_pairs(&segment_net(roots, gates, components, pairs == 1, seed));
         }
     }
 }

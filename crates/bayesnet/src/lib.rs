@@ -10,8 +10,13 @@
 //! 2. [`compile`](JunctionTree::compile) it: **moralize** (marry parents,
 //!    drop directions), **triangulate** (eliminate with the
 //!    min-fill/min-degree heuristics in [`triangulate`]), harvest maximal
-//!    cliques, and connect them into a **junction tree** with maximal
-//!    sepset weight (which guarantees the running-intersection property);
+//!    cliques and minimal separators in the same pass, and connect the
+//!    cliques into a **junction tree** with maximal sepset weight (which
+//!    guarantees the running-intersection property). The tree's sepsets
+//!    are exactly the minimal separators, so the spanning-tree search only
+//!    considers pairs of cliques that hold one, and a compile under a state
+//!    bound ([`JunctionTree::compile_within`]) stops its elimination once
+//!    the cliques found pass the bound;
 //! 3. run the **HUGIN two-phase propagation** ([`CompiledTree`] plus one
 //!    [`PropagationState`] per request): collect evidence towards a root,
 //!    distribute back, read calibrated marginals off any clique.

@@ -15,6 +15,15 @@
 //! to rescanning every node at every step. An [`Eliminator`] keeps every
 //! buffer between runs, so a caller that triangulates many graphs (the
 //! segmentation planner) allocates once.
+//!
+//! Whether an elimination clique is maximal is decided the moment its node
+//! is eliminated (see `Eliminator::settle`), so the state total builds up
+//! during the elimination. A caller that only asks whether that total
+//! passes a bound ([`Eliminator::exceeds`],
+//! [`JunctionTree::compile_within`](crate::JunctionTree::compile_within))
+//! stops as soon as it does. The same pass records the sepsets of the
+//! elimination's own clique tree, the chordal graph's minimal separators,
+//! which the junction tree uses to choose its candidate edges.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -93,14 +102,15 @@ pub fn triangulate(
     heuristic: Heuristic,
 ) -> Triangulation {
     let mut eliminator = Eliminator::default();
-    eliminator.run(graph, weights, heuristic);
-    let maximal = eliminator.maximal_sorted();
-    let cliques: Vec<Vec<usize>> = maximal
+    let (maximal, total_states) = eliminator
+        .eliminate_within(graph, weights, heuristic, f64::INFINITY)
+        .expect("no state total exceeds an infinite bound");
+    let cliques = maximal
         .iter()
         .map(|&step| eliminator.clique(step).to_vec())
         .collect();
     Triangulation {
-        total_states: eliminator.states_of(&maximal, weights),
+        total_states,
         order: std::mem::take(&mut eliminator.order),
         fill: std::mem::take(&mut eliminator.fill),
         cliques,
@@ -113,6 +123,12 @@ pub fn triangulate(
 pub fn estimate_cost(graph: &UndirectedGraph, weights: &[usize], heuristic: Heuristic) -> f64 {
     Eliminator::default().estimate_cost(graph, weights, heuristic)
 }
+
+/// Sums of positive integers below this are exact in `f64`.
+const EXACT_SUMS: f64 = (1u64 << 53) as f64;
+
+/// No pending entry: the end of a node's pending list.
+const NONE: usize = usize::MAX;
 
 /// The buffers of one greedy elimination, kept between runs so that
 /// repeated triangulations (the planner's budget checks) reuse them.
@@ -151,9 +167,24 @@ pub struct Eliminator {
     /// its own neighbors this step, and the nodes with a nonzero count.
     lost_fill: Vec<usize>,
     touched: Vec<usize>,
-    /// Per node: the largest elimination clique whose first eliminated
-    /// neighbor it is (see [`Eliminator::maximal_sorted`]).
-    absorbs: Vec<usize>,
+    /// Per live node: the eliminated steps that have it as a neighbor and
+    /// whose first eliminated neighbor is not known yet, as a list linked
+    /// through `pending` (`(step, next entry)`, [`NONE`] ends it).
+    pending_head: Vec<usize>,
+    pending: Vec<(usize, usize)>,
+    /// Per step: whether its first eliminated neighbor is known.
+    placed: Vec<bool>,
+    /// The steps the node being eliminated is the first eliminated
+    /// neighbor of.
+    claimed: Vec<usize>,
+    /// The steps whose elimination clique is maximal, in elimination order.
+    maximal: Vec<usize>,
+    /// The steps whose neighborhood is a sepset of the elimination's
+    /// clique tree, in elimination order of the clique they join.
+    separators: Vec<usize>,
+    /// Σ of the maximal cliques' state counts found so far, in elimination
+    /// order.
+    states: f64,
 }
 
 impl Eliminator {
@@ -164,9 +195,78 @@ impl Eliminator {
         weights: &[usize],
         heuristic: Heuristic,
     ) -> f64 {
-        self.run(graph, weights, heuristic);
-        let maximal = self.maximal_sorted();
-        self.states_of(&maximal, weights)
+        let (maximal, total) = self
+            .eliminate_within(graph, weights, heuristic, f64::INFINITY)
+            .expect("no state total exceeds an infinite bound");
+        self.maximal = maximal;
+        total
+    }
+
+    /// Eliminates `graph` unless its state total exceeds `bound`: the
+    /// maximal steps, ordered by their cliques ascending, and their state
+    /// total summed in that order; or, past `bound`, the state total found
+    /// before stopping (`> bound`, with [`Eliminator::exceeds`]'s verdict).
+    pub(crate) fn eliminate_within(
+        &mut self,
+        graph: &UndirectedGraph,
+        weights: &[usize],
+        heuristic: Heuristic,
+        bound: f64,
+    ) -> Result<(Vec<usize>, f64), f64> {
+        if !self.run(graph, weights, heuristic, bound) {
+            return Err(self.states);
+        }
+        let mut maximal = std::mem::take(&mut self.maximal);
+        maximal.sort_unstable_by(|&x, &y| self.clique(x).cmp(self.clique(y)));
+        let total = self.states_of(&maximal, weights);
+        if total > bound {
+            return Err(total);
+        }
+        Ok((maximal, total))
+    }
+
+    /// The fill edges the last run added.
+    pub(crate) fn fill_count(&self) -> usize {
+        self.fill.len()
+    }
+
+    /// The last full run's minimal separators, with multiplicity, each as
+    /// an elimination clique and the node whose removal leaves the
+    /// separator (see [`Eliminator::settle`]).
+    pub(crate) fn separators(&self) -> impl Iterator<Item = (&[usize], usize)> + '_ {
+        self.separators
+            .iter()
+            .map(|&step| (self.clique(step), self.order[step]))
+    }
+
+    /// Whether `estimate_cost(graph, weights, heuristic) > bound`, stopping
+    /// the elimination as soon as the maximal cliques found so far pass
+    /// `bound`. The verdict is the same bit for bit:
+    ///
+    /// - Every clique's state count is a product of positive integers, so
+    ///   it is an integer in `f64` (rounded, when it is 2⁵³ or more, the
+    ///   same way here as in the full estimate, which multiplies in the
+    ///   same member order). A sum of such integers that stays at or below
+    ///   a `bound` under 2⁵³ is exact, whatever the order of its terms.
+    /// - If the running sum never passes `bound`, it is the exact total,
+    ///   which the full estimate's sum (in another order) reproduces.
+    /// - If it passes, the terms seen so far already sum, exactly, to more
+    ///   than `bound`; so does the full total. The full estimate's sum is
+    ///   then exact, or else it reached 2⁵³ and rounding cannot take a
+    ///   growing sum of non-negative terms back below 2⁵³ > `bound`.
+    ///
+    /// A `bound` of 2⁵³ or more (or NaN) runs the full estimate.
+    pub fn exceeds(
+        &mut self,
+        graph: &UndirectedGraph,
+        weights: &[usize],
+        heuristic: Heuristic,
+        bound: f64,
+    ) -> bool {
+        if bound < EXACT_SUMS {
+            return !self.run(graph, weights, heuristic, bound) || self.states > bound;
+        }
+        self.estimate_cost(graph, weights, heuristic) > bound
     }
 
     /// A fresh mark value.
@@ -176,7 +276,7 @@ impl Eliminator {
     }
 
     /// The elimination clique recorded at `step`, sorted.
-    fn clique(&self, step: usize) -> &[usize] {
+    pub(crate) fn clique(&self, step: usize) -> &[usize] {
         let end = self
             .starts
             .get(step + 1)
@@ -240,7 +340,23 @@ impl Eliminator {
     ///
     /// The next node is the minimum key `(score, clique_states, node)` —
     /// the same tie-break as rescanning every node at every step.
-    fn run(&mut self, graph: &UndirectedGraph, weights: &[usize], heuristic: Heuristic) {
+    ///
+    /// Each step settles its clique ([`Eliminator::settle`]). With a
+    /// `bound` under 2⁵³ the run stops, returning `false`, once the
+    /// maximal cliques' running state sum passes it; the buffers stay fit
+    /// for the next run.
+    fn run(
+        &mut self,
+        graph: &UndirectedGraph,
+        weights: &[usize],
+        heuristic: Heuristic,
+        bound: f64,
+    ) -> bool {
+        let stop_at = if bound < EXACT_SUMS {
+            bound
+        } else {
+            f64::INFINITY
+        };
         let n = graph.num_nodes();
         assert_eq!(weights.len(), n, "one weight per node");
         assert!(weights.iter().all(|&w| w > 0), "weights must be positive");
@@ -272,6 +388,14 @@ impl Eliminator {
         self.fill.clear();
         self.members.clear();
         self.starts.clear();
+        self.pending_head.clear();
+        self.pending_head.resize(n, NONE);
+        self.pending.clear();
+        self.placed.clear();
+        self.placed.resize(n, false);
+        self.maximal.clear();
+        self.separators.clear();
+        self.states = 0.0;
 
         while let Some(Reverse(entry)) = self.queue.pop() {
             let node = entry.2;
@@ -316,6 +440,15 @@ impl Eliminator {
             self.members.extend_from_slice(&neighbors[..at]);
             self.members.push(node);
             self.members.extend_from_slice(&neighbors[at..]);
+            if self.settle(node, weights) > stop_at {
+                self.adjacency[node] = neighbors;
+                return false;
+            }
+            let step = self.step_of[node];
+            for &a in &neighbors {
+                self.pending.push((step, self.pending_head[a]));
+                self.pending_head[a] = self.pending.len() - 1;
+            }
 
             match heuristic {
                 Heuristic::MinFill => self.rescore_min_fill(&neighbors, fill_start, weights),
@@ -330,6 +463,7 @@ impl Eliminator {
             self.adjacency[node] = neighbors;
             self.adjacency[node].clear();
         }
+        true
     }
 
     /// Updates the min-fill scores after a node with the sorted
@@ -429,8 +563,10 @@ impl Eliminator {
         }
     }
 
-    /// The steps whose elimination clique is maximal, ordered by their
-    /// cliques ascending.
+    /// Settles the clique of `node`, just eliminated with its clique
+    /// recorded: whether it is maximal, and which earlier cliques it
+    /// joins in the elimination's clique tree. Returns the running state
+    /// sum of the maximal cliques.
     ///
     /// Let `f(u)` be the first of `u`'s elimination neighbors `N_u` to be
     /// eliminated. `N_u` is a clique until then, so `N_u \ {f(u)} ⊆ N_f(u)`.
@@ -440,28 +576,44 @@ impl Eliminator {
     /// `C_v ⊆ C_u`; were `w = f(u) ≠ v`, then `C_v ⊆ N_u \ {w} ⊆ C_w` with
     /// `w` later than `u`. And for `f(u) = v`, `N_u \ {v} ⊆ N_v` makes
     /// `C_v ⊆ C_u` equivalent to `|C_u| = |C_v| + 1`. So `C_v` is maximal
-    /// iff no clique absorbed by `v` is one larger — one pass over the
-    /// members, no subset tests.
-    fn maximal_sorted(&mut self) -> Vec<usize> {
-        let n = self.order.len();
-        self.absorbs.clear();
-        self.absorbs.resize(n, 0);
-        for step in 0..n {
-            let first = self
-                .clique(step)
-                .iter()
-                .filter(|&&x| x != self.order[step])
-                .min_by_key(|&&x| self.step_of[x]);
-            if let Some(&first) = first {
-                let size = self.clique(step).len();
-                self.absorbs[first] = self.absorbs[first].max(size);
+    /// iff no clique it claims (`f(u) = v`) is one larger. Every such `u`
+    /// was eliminated before `v` and had `v` as a neighbor, so `v`'s
+    /// pending list holds it: the verdict is final now, at one visit per
+    /// clique member over the whole run.
+    ///
+    /// Linking every `C_u` to `C_f(u)` gives a clique tree of the
+    /// elimination cliques whose sepsets are the `N_u`. Merging each
+    /// non-maximal `C_v` into one clique it lies in (the first claimed one
+    /// size larger) contracts that edge and leaves a clique tree of the
+    /// maximal cliques; the sepsets of the other edges are kept in
+    /// `separators`. They are the chordal graph's minimal separators, with
+    /// multiplicity.
+    fn settle(&mut self, node: usize, weights: &[usize]) -> f64 {
+        let step = self.step_of[node];
+        self.claimed.clear();
+        let mut entry = self.pending_head[node];
+        while entry != NONE {
+            let (u, next) = self.pending[entry];
+            if !std::mem::replace(&mut self.placed[u], true) {
+                self.claimed.push(u);
+            }
+            entry = next;
+        }
+        let size = self.clique(step).len();
+        let absorber = self
+            .claimed
+            .iter()
+            .position(|&u| self.clique(u).len() == size + 1);
+        for (k, &u) in self.claimed.iter().enumerate() {
+            if Some(k) != absorber {
+                self.separators.push(u);
             }
         }
-        let mut maximal: Vec<usize> = (0..n)
-            .filter(|&step| self.absorbs[self.order[step]] <= self.clique(step).len())
-            .collect();
-        maximal.sort_unstable_by(|&x, &y| self.clique(x).cmp(self.clique(y)));
-        maximal
+        if absorber.is_none() {
+            self.maximal.push(step);
+            self.states += self.states_of(&[step], weights);
+        }
+        self.states
     }
 
     /// Σ over the given cliques, in the given order, of the product of
@@ -586,6 +738,41 @@ mod reference {
         }
     }
 
+    /// The sepsets, sorted, of a maximum-|sepset| spanning forest of the
+    /// cliques, by Kruskal over every intersecting pair. Every clique tree
+    /// has this multiset of sepsets, whatever the ties chose.
+    pub(super) fn spanning_sepsets(cliques: &[Vec<usize>]) -> Vec<Vec<usize>> {
+        let mut pairs: Vec<(Vec<usize>, usize, usize)> = Vec::new();
+        for i in 0..cliques.len() {
+            for j in i + 1..cliques.len() {
+                let shared: Vec<usize> = cliques[i]
+                    .iter()
+                    .copied()
+                    .filter(|v| cliques[j].contains(v))
+                    .collect();
+                if !shared.is_empty() {
+                    pairs.push((shared, i, j));
+                }
+            }
+        }
+        pairs.sort_by_key(|p| std::cmp::Reverse(p.0.len()));
+        let mut component: Vec<usize> = (0..cliques.len()).collect();
+        let mut sepsets = Vec::new();
+        for (shared, i, j) in pairs {
+            let (ci, cj) = (component[i], component[j]);
+            if ci != cj {
+                for c in component.iter_mut() {
+                    if *c == cj {
+                        *c = ci;
+                    }
+                }
+                sepsets.push(shared);
+            }
+        }
+        sepsets.sort();
+        sepsets
+    }
+
     fn select_node(
         work: &UndirectedGraph,
         weights: &[usize],
@@ -655,7 +842,7 @@ mod reference {
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
-    use super::reference::triangulate_reference;
+    use super::reference::{spanning_sepsets, triangulate_reference};
     use super::*;
     use proptest::prelude::*;
 
@@ -898,6 +1085,12 @@ mod tests {
                 eliminator.estimate_cost(g, weights, heuristic).to_bits(),
                 slow.total_states.to_bits()
             );
+            let mut separators: Vec<Vec<usize>> = eliminator
+                .separators()
+                .map(|(clique, node)| clique.iter().copied().filter(|&v| v != node).collect())
+                .collect();
+            separators.sort();
+            assert_eq!(separators, spanning_sepsets(&slow.cliques));
         }
     }
 
@@ -942,6 +1135,113 @@ mod tests {
             assert_matches_reference(&g, &weights, &mut eliminator);
             let (g, weights) = random_graph(dense_n, 0, density, seed ^ 1);
             assert_matches_reference(&g, &weights, &mut eliminator);
+        }
+    }
+
+    /// Bounds around a graph's exact state total: half, just under, equal,
+    /// just over and twice, plus the extremes.
+    fn bounds_around(total: f64) -> [f64; 10] {
+        [
+            total / 2.0,
+            total - 1.0,
+            total.next_down(),
+            total,
+            total.next_up(),
+            total + 1.0,
+            2.0 * total,
+            0.0,
+            -1.0,
+            f64::INFINITY,
+        ]
+    }
+
+    /// Asserts that the bounded queries on `g` give the full estimate's
+    /// verdict at every bound around its total, through `eliminator`, and
+    /// that `eliminator` then triangulates `next` exactly as a fresh one
+    /// would (whether or not the bounded run stopped early).
+    fn assert_bounded_verdicts(
+        g: &UndirectedGraph,
+        weights: &[usize],
+        next: (&UndirectedGraph, &[usize]),
+        eliminator: &mut Eliminator,
+    ) {
+        for heuristic in [Heuristic::MinFill, Heuristic::MinDegree] {
+            let full = triangulate(g, weights, heuristic);
+            let total = full.total_states;
+            let next_full = triangulate(next.0, next.1, heuristic);
+            for bound in bounds_around(total) {
+                let over = total > bound;
+                assert_eq!(
+                    eliminator.exceeds(g, weights, heuristic, bound),
+                    over,
+                    "{heuristic:?}: total {total} against {bound}"
+                );
+                assert_eq!(
+                    eliminator
+                        .estimate_cost(next.0, next.1, heuristic)
+                        .to_bits(),
+                    next_full.total_states.to_bits()
+                );
+                assert_eq!(eliminator.order, next_full.order);
+                assert_eq!(eliminator.fill, next_full.fill);
+                let mut fresh = Eliminator::default();
+                match fresh.eliminate_within(g, weights, heuristic, bound) {
+                    Ok((maximal, states)) => {
+                        assert!(!over, "{heuristic:?}: {total} kept under {bound}");
+                        assert_eq!(fresh.order, full.order);
+                        let cliques: Vec<Vec<usize>> =
+                            maximal.iter().map(|&s| fresh.clique(s).to_vec()).collect();
+                        assert_eq!(cliques, full.cliques);
+                        assert_eq!(states.to_bits(), total.to_bits());
+                    }
+                    Err(states) => {
+                        assert!(over, "{heuristic:?}: {total} refused at {bound}");
+                        assert!(states > bound, "{states}");
+                        assert!(total >= EXACT_SUMS || states <= total, "{states}");
+                    }
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The bounded verdict (which stops the elimination once the
+        /// maximal cliques pass the bound) equals the full estimate's
+        /// `total > bound` at bounds around the total, on every graph
+        /// shape and on planner graphs; an eliminator stopped early serves
+        /// the next graph bit for bit.
+        #[test]
+        fn bounded_verdict_matches_the_full_estimate(
+            n in 0usize..41,
+            shape in 0usize..5,
+            density in 0.0f64..1.0,
+            planner_n in 20usize..121,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut eliminator = Eliminator::default();
+            let (g, weights) = random_graph(n, shape, density, seed);
+            let (planner, planner_weights) = planner_graph(planner_n, seed ^ 1);
+            assert_bounded_verdicts(&g, &weights, (&planner, &planner_weights), &mut eliminator);
+            assert_bounded_verdicts(&planner, &planner_weights, (&g, &weights), &mut eliminator);
+        }
+    }
+
+    /// Totals of 2⁵³ and more are rounded sums; the bounded query then
+    /// runs the full estimate, so the verdict still matches.
+    #[test]
+    fn bounded_verdict_past_exact_sums() {
+        let g = cycle(40);
+        let weights: Vec<usize> = (0..40).map(|v| 1 << (20 + v % 7)).collect();
+        let mut eliminator = Eliminator::default();
+        let total = estimate_cost(&g, &weights, Heuristic::MinFill);
+        assert!(total > EXACT_SUMS);
+        for bound in bounds_around(total) {
+            assert_eq!(
+                eliminator.exceeds(&g, &weights, Heuristic::MinFill, bound),
+                total > bound
+            );
         }
     }
 

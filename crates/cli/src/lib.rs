@@ -819,6 +819,19 @@ fn cmd_batch(rest: &[&String]) -> Result<String, CliError> {
             "stages: plan {:?}; model {:?}; compile {:?}; propagate {:?}; forward {:?}",
             stages.plan, stages.model, stages.compile, stages.propagate, stages.forward
         );
+        // The propagate stage split, summed over every segment of every
+        // successful scenario.
+        let (mut calibrate, mut readout, mut export) =
+            (Duration::ZERO, Duration::ZERO, Duration::ZERO);
+        for timing in report.estimates().flat_map(|e| e.segment_timings()) {
+            calibrate += timing.calibrate;
+            readout += timing.readout;
+            export += timing.export;
+        }
+        let _ = writeln!(
+            out,
+            "propagate split: calibrate {calibrate:?}; readout {readout:?}; export {export:?}"
+        );
     }
     Ok(out)
 }
@@ -1613,6 +1626,7 @@ mod tests {
         assert!(out.contains("requests 3 (0 failed)"));
         assert!(out.contains("stages: plan"));
         assert!(out.contains("forward"));
+        assert!(out.contains("propagate split: calibrate"));
         assert!(out.contains("reuse:"));
         assert!(out.contains("memo-skipped"));
     }

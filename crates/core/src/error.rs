@@ -58,7 +58,8 @@ pub enum EstimateError {
     /// segment with plain marginal forwarding, so no public API returns
     /// it.
     CorrelationBlowup {
-        /// Junction-tree state count with correlation parents.
+        /// States found before the triangulation of the tree with
+        /// correlation parents stopped (more than 4× the budget).
         states: f64,
         /// The configured per-segment budget.
         budget: f64,

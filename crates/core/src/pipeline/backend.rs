@@ -21,6 +21,7 @@ use crate::pipeline::model::{Export, SegmentModel};
 use crate::pipeline::sampling::{self, SamplingSegment};
 use crate::pipeline::twostate::{self, TwoStateSegment};
 use crate::report::AccuracyReport;
+use crate::SegmentTimings;
 use crate::{EstimateError, InputSpec, TransitionDist};
 
 /// Which inference engine evaluates each segment's Bayesian network.
@@ -265,6 +266,9 @@ pub(crate) struct SegmentPosterior {
     /// Confidence-interval report for approximate (sampled) posteriors;
     /// `None` for exact backends.
     pub(crate) accuracy: Option<AccuracyReport>,
+    /// The calibrate, readout and export time of the propagation that
+    /// produced this posterior (the other fields stay zero).
+    pub(crate) timings: SegmentTimings,
 }
 
 impl SegmentPosterior {

@@ -1,15 +1,19 @@
 //! The junction-tree (HUGIN) inference backend — the paper's method and
 //! the default.
 
+use std::time::Instant;
+
 use swact_bayesnet::codec::{fnv128_u64, FNV128_OFFSET};
-use swact_bayesnet::{CompiledTree, Factor, JunctionTree, PairwisePlan, PropagationState, VarId};
+use swact_bayesnet::{
+    BayesError, CompiledTree, Factor, JunctionTree, PairwisePlan, PropagationState, VarId,
+};
 use swact_circuit::LineId;
 
 use crate::estimator::Options;
 use crate::pipeline::backend::{RootDists, SegmentArtifact, SegmentPosterior, SegmentStats};
 use crate::pipeline::model::{Export, InputPair, PairRoot, SegmentModel};
 use crate::segment::RootSource;
-use crate::{EstimateError, InputSpec, TransitionDist};
+use crate::{EstimateError, InputSpec, SegmentTimings, TransitionDist};
 
 /// The junction-tree propagation artifact of one segment: exact
 /// propagation over the 4-state LIDAG, with input groups, explicit
@@ -108,24 +112,28 @@ pub(crate) fn compile(
     model: &SegmentModel,
     options: &Options,
 ) -> Result<(SegmentArtifact, SegmentStats), EstimateError> {
-    let tree = JunctionTree::compile_with(&model.net, options.heuristic)?;
-    // Boundary-correlation edges can widen the tree; report a severe
-    // blowup so the pipeline can fall back to plain marginal forwarding
-    // for this segment (keeping the planned budget meaningful) —
-    // crucially *before* building kernels over the oversized cliques.
-    if !model.pair_roots.is_empty()
-        && !options.single_bn
-        && tree.total_states() > 4.0 * options.segment_budget as f64
-    {
-        return Err(EstimateError::CorrelationBlowup {
-            states: tree.total_states(),
-            budget: options.segment_budget as f64,
-        });
-    }
-    if options.single_bn && tree.total_states() > options.segment_budget as f64 {
+    let budget = options.segment_budget as f64;
+    let tree = if !model.pair_roots.is_empty() && !options.single_bn {
+        // Boundary-correlation edges can widen the tree; report a severe
+        // blowup so the pipeline can fall back to plain marginal
+        // forwarding for this segment (keeping the planned budget
+        // meaningful). The triangulation stops once it passes the
+        // tolerated 4× the budget, before any tree or kernel is built.
+        JunctionTree::compile_within(&model.net, options.heuristic, 4.0 * budget).map_err(|e| {
+            match e {
+                BayesError::StatesOverBound { states, .. } => {
+                    EstimateError::CorrelationBlowup { states, budget }
+                }
+                e => e.into(),
+            }
+        })?
+    } else {
+        JunctionTree::compile_with(&model.net, options.heuristic)?
+    };
+    if options.single_bn && tree.total_states() > budget {
         return Err(EstimateError::TooLarge {
             states: tree.total_states(),
-            budget: options.segment_budget as f64,
+            budget,
         });
     }
     let total_states = tree.total_states();
@@ -205,7 +213,10 @@ pub(crate) fn propagate(
             Factor::new(vec![(pair.parent_var, 4), (pair.var, 4)], values),
         )?;
     }
+    let start = Instant::now();
     compiled.calibrate(state);
+    let calibrate = start.elapsed();
+    let start = Instant::now();
     let gate_dists = art
         .gates
         .iter()
@@ -236,7 +247,9 @@ pub(crate) fn propagate(
         }
         joints.push((idx, out));
     }
+    let readout = start.elapsed();
     // Export pairwise joints for later segments.
+    let start = Instant::now();
     let mut exports = Vec::with_capacity(art.exports.len());
     for export in &art.exports {
         let parent_first = export.plan.vars()[0] == export.parent;
@@ -262,6 +275,12 @@ pub(crate) fn propagate(
         exports,
         joints,
         accuracy: None,
+        timings: SegmentTimings {
+            calibrate,
+            readout,
+            export: start.elapsed(),
+            ..SegmentTimings::default()
+        },
     })
 }
 

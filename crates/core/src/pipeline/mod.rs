@@ -553,7 +553,7 @@ impl CompiledEstimator {
                 seg_timings.push(SegmentTimings {
                     model: seg_model_time,
                     compile: seg_compile_time,
-                    propagate: Duration::ZERO,
+                    ..SegmentTimings::default()
                 });
                 num_slots += model.pair_roots.len();
                 num_boundary_roots += model.pair_roots.len()
@@ -638,7 +638,11 @@ impl CompiledEstimator {
                 .unwrap_or_else(PoisonError::into_inner);
             if let Some((stored_sig, posterior)) = slot.as_ref() {
                 if *stored_sig == sig {
-                    return Ok((posterior.clone(), true));
+                    let posterior = SegmentPosterior {
+                        timings: SegmentTimings::default(),
+                        ..posterior.clone()
+                    };
+                    return Ok((posterior, true));
                 }
             }
         }
@@ -761,7 +765,7 @@ impl CompiledEstimator {
             }
         }
         let mut propagate_wall = Duration::ZERO;
-        let mut seg_propagate: Vec<Duration> = vec![Duration::ZERO; self.segments.len()];
+        let mut seg_propagate = vec![SegmentTimings::default(); self.segments.len()];
         let mut segments_skipped = 0u64;
         let mut accuracy: Option<AccuracyReport> = None;
         // Absolute instant the propagate-stage deadline elapses; anytime
@@ -839,8 +843,11 @@ impl CompiledEstimator {
             };
             propagate_wall += wave_start.elapsed();
             for (seg_idx, elapsed, output) in outputs {
-                seg_propagate[seg_idx] = elapsed;
                 let (output, skipped) = output?;
+                seg_propagate[seg_idx] = SegmentTimings {
+                    propagate: elapsed,
+                    ..output.timings
+                };
                 segments_skipped += u64::from(skipped);
                 merge_accuracy(&mut accuracy, output.accuracy.as_ref());
                 apply_segment_output(
@@ -858,8 +865,12 @@ impl CompiledEstimator {
         stages.propagate = propagate_wall;
         stages.forward = propagate_time.saturating_sub(propagate_wall);
         let mut per_segment = self.seg_timings.clone();
-        for (timing, elapsed) in per_segment.iter_mut().zip(&seg_propagate) {
-            timing.propagate = *elapsed;
+        for (timing, run) in per_segment.iter_mut().zip(&seg_propagate) {
+            *timing = SegmentTimings {
+                model: timing.model,
+                compile: timing.compile,
+                ..*run
+            };
         }
         let estimate = Estimate::new(
             dists,

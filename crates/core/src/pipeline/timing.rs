@@ -52,14 +52,26 @@ impl AddAssign for StageTimings {
 
 /// Per-segment stage breakdown: how long one segment's Bayesian network
 /// took to model, compile, and (in the most recent estimate) propagate.
+///
+/// `calibrate`, `readout` and `export` split `propagate` for the backends
+/// that calibrate a tree (junction tree, two-state); they are zero for the
+/// sampler and for a segment whose posterior was served from the memo.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SegmentTimings {
     /// LIDAG/CPT construction for this segment.
     pub model: Duration,
     /// Backend compilation of this segment.
     pub compile: Duration,
-    /// Evidence injection + calibration + readout for this segment.
+    /// Evidence injection + calibration + readout + export for this
+    /// segment.
     pub propagate: Duration,
+    /// Calibration: the collect and distribute passes over the tree.
+    pub calibrate: Duration,
+    /// Readout: every gate's marginal and the in-segment joint requests.
+    pub readout: Duration,
+    /// Export: the pairwise joints later segments read across the
+    /// boundary.
+    pub export: Duration,
 }
 
 #[cfg(test)]

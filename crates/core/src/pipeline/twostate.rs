@@ -14,6 +14,8 @@
 //! exact; temporal correlation and whatever spatial correlation
 //! segmentation drops are sacrificed.
 
+use std::time::Instant;
+
 use swact_bayesnet::{BayesNet, CompiledTree, Cpt, JunctionTree, PropagationState, VarId};
 use swact_circuit::{GateKind, LineId};
 
@@ -21,7 +23,7 @@ use crate::estimator::Options;
 use crate::pipeline::backend::{RootDists, SegmentArtifact, SegmentPosterior, SegmentStats};
 use crate::pipeline::model::SegmentModel;
 use crate::segment::RootSource;
-use crate::{EstimateError, TransitionDist};
+use crate::{EstimateError, SegmentTimings, TransitionDist};
 
 /// The deterministic two-state CPT of a gate (plain truth table).
 fn gate_cpt_two_state(kind: GateKind, fanin: usize) -> Cpt {
@@ -146,7 +148,10 @@ pub(crate) fn propagate(
         };
         compiled.set_likelihood(state, var, vec![2.0 * (1.0 - p), 2.0 * p])?;
     }
+    let start = Instant::now();
     compiled.calibrate(state);
+    let calibrate = start.elapsed();
+    let start = Instant::now();
     let gate_dists = art
         .gates
         .iter()
@@ -160,7 +165,14 @@ pub(crate) fn propagate(
             (line, TransitionDist::new([q * q, q * p, p * q, p * p]))
         })
         .collect();
-    Ok(SegmentPosterior::from_gate_dists(gate_dists))
+    Ok(SegmentPosterior {
+        timings: SegmentTimings {
+            calibrate,
+            readout: start.elapsed(),
+            ..SegmentTimings::default()
+        },
+        ..SegmentPosterior::from_gate_dists(gate_dists)
+    })
 }
 
 #[cfg(test)]

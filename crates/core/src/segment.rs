@@ -27,7 +27,7 @@
 //! checkpoint that trips on its own between two that do not.
 
 use swact_bayesnet::graph::UndirectedGraph;
-use swact_bayesnet::triangulate::{Eliminator, Heuristic};
+use swact_bayesnet::triangulate::{estimate_cost, Eliminator, Heuristic};
 use swact_circuit::{Circuit, LineId};
 
 /// Where a segment's root variable comes from.
@@ -198,7 +198,7 @@ pub(crate) fn estimate_segment_cost(
     for &gate in &seg.gates {
         builder.push_gate(gate);
     }
-    builder.estimated_cost(heuristic, &mut Eliminator::default())
+    builder.estimated_cost(heuristic)
 }
 
 /// Replans a single over-budget segment under a tighter state budget,
@@ -273,7 +273,9 @@ struct Walk<'c> {
 
 impl Walk<'_> {
     /// Whether the first `checkpoint` checkpoints of `rest` trip the
-    /// budget. A one-gate prefix never does and is not triangulated.
+    /// budget: the elimination stops as soon as its cliques pass it, with
+    /// the verdict of the full estimate ([`Eliminator::exceeds`]). A
+    /// one-gate prefix never trips and is not triangulated.
     fn trips(&mut self, rest: &[LineId], checkpoint: usize) -> bool {
         let len = checkpoint * self.check_interval;
         if len <= 1 {
@@ -282,8 +284,7 @@ impl Walk<'_> {
         self.builder.resize(&rest[..len]);
         self.checks += 1;
         self.builder
-            .estimated_cost(self.heuristic, &mut self.eliminator)
-            > self.budget
+            .exceeds(self.budget, self.heuristic, &mut self.eliminator)
     }
 
     /// The checkpoint at which the segment starting at `rest` closes, out
@@ -460,12 +461,18 @@ impl<'c> SegmentBuilder<'c> {
         }
     }
 
-    /// The quick-triangulation state estimate of the segment so far, on
-    /// `eliminator`'s buffers (one per planning walk, reused by every
-    /// check).
-    fn estimated_cost(&self, heuristic: Heuristic, eliminator: &mut Eliminator) -> f64 {
+    /// The quick-triangulation state estimate of the segment so far.
+    fn estimated_cost(&self, heuristic: Heuristic) -> f64 {
         let n = self.moral.num_nodes();
-        eliminator.estimate_cost(&self.moral, &vec![self.card; n], heuristic)
+        estimate_cost(&self.moral, &vec![self.card; n], heuristic)
+    }
+
+    /// Whether [`estimated_cost`](SegmentBuilder::estimated_cost) exceeds
+    /// `budget`, on `eliminator`'s buffers (one per planning walk, reused
+    /// by every check).
+    fn exceeds(&self, budget: f64, heuristic: Heuristic, eliminator: &mut Eliminator) -> bool {
+        let n = self.moral.num_nodes();
+        eliminator.exceeds(&self.moral, &vec![self.card; n], heuristic, budget)
     }
 
     /// The segment built so far; the builder is left empty, with only the

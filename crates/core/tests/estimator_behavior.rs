@@ -199,6 +199,33 @@ fn single_bn_too_large_is_reported() {
     assert!(matches!(result, Err(EstimateError::TooLarge { .. })));
 }
 
+/// Single-BN admission compares the whole compiled tree against the
+/// budget, so `TooLarge` names the tree's exact state total, one state
+/// over the budget being enough to refuse it.
+#[test]
+fn single_bn_too_large_reports_the_exact_total() {
+    for name in ["c17", "count"] {
+        let c = catalog::benchmark(name).unwrap();
+        let single_bn = |segment_budget| Options {
+            single_bn: true,
+            segment_budget,
+            ..Options::default()
+        };
+        let total = CompiledEstimator::compile(&c, &single_bn(usize::MAX))
+            .unwrap()
+            .total_states();
+        let budget = total as usize - 1;
+        match CompiledEstimator::compile(&c, &single_bn(budget)) {
+            Err(EstimateError::TooLarge { states, budget: b }) => {
+                assert_eq!(states.to_bits(), total.to_bits(), "{name}");
+                assert_eq!(b, budget as f64, "{name}");
+            }
+            other => panic!("{name}: expected TooLarge, got {:?}", other.err()),
+        }
+        assert!(CompiledEstimator::compile(&c, &single_bn(total as usize)).is_ok());
+    }
+}
+
 #[test]
 fn spec_size_checked() {
     let c17 = catalog::c17();
@@ -286,6 +313,12 @@ fn stage_timings_cover_all_stages() {
         .segment_timings()
         .iter()
         .all(|t| t.compile > std::time::Duration::ZERO));
+    // The propagate split: every junction-tree segment calibrates, and the
+    // three parts fit inside the segment's propagate time.
+    for t in est.segment_timings() {
+        assert!(t.calibrate > std::time::Duration::ZERO);
+        assert!(t.calibrate + t.readout + t.export <= t.propagate);
+    }
     // The compiled estimator exposes the compile-side breakdown directly.
     assert_eq!(
         compiled.stage_timings().propagate,
