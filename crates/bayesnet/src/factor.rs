@@ -544,6 +544,24 @@ impl Factor {
     }
 }
 
+/// The normalized marginal of `var` by the readout a calibrated clique
+/// answers [`CompiledTree::marginal`](crate::CompiledTree::marginal) with.
+/// For the kernel property tests; not part of the supported API.
+///
+/// # Panics
+///
+/// Panics if `var` is outside the factor's scope.
+#[doc(hidden)]
+pub fn normalized_marginal(factor: &Factor, var: VarId) -> Vec<f64> {
+    let scope = Scope::new(&factor.vars, &factor.cards);
+    let pos = scope
+        .position(var)
+        .expect("marginal of a variable in scope");
+    let mut out = vec![0.0; factor.cards[pos]];
+    scope.normalized_marginal_into(&factor.values, var, &mut out);
+    out
+}
+
 /// A factor scope borrowed apart from its values: the in-place operations
 /// of [`Factor`], run over any table in its canonical layout. A
 /// propagation state keeps every clique's values in one flat buffer and
@@ -606,9 +624,21 @@ impl<'a> Scope<'a> {
     /// Adds the marginal over scope position `pos` of `values` into `out`
     /// (one slot per state): outer block × card × stride. Each state's sum
     /// takes its entries in ascending source order, exactly as the odometer
-    /// of [`Factor::marginalize_keep`] adds them.
+    /// of [`Factor::marginalize_keep`] adds them. An innermost four-state
+    /// variable gets a fixed-width arm: four register lanes, each still
+    /// adding its state's entries in order.
     fn fold_onto(&self, values: &[f64], pos: usize, out: &mut [f64]) {
         let stride = self.stride_at(pos);
+        if let ([o0, o1, o2, o3], 1) = (&mut *out, stride) {
+            let mut acc = [*o0, *o1, *o2, *o3];
+            for quad in values.chunks_exact(4) {
+                for (a, &v) in acc.iter_mut().zip(quad) {
+                    *a += v;
+                }
+            }
+            [*o0, *o1, *o2, *o3] = acc;
+            return;
+        }
         for block in values.chunks_exact(self.cards[pos] * stride) {
             for (slot, run) in out.iter_mut().zip(block.chunks_exact(stride)) {
                 let mut acc = *slot;

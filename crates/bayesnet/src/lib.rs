@@ -72,12 +72,14 @@ mod sparse;
 pub mod triangulate;
 
 pub use error::BayesError;
+#[doc(hidden)]
+pub use factor::normalized_marginal;
 pub use factor::{Factor, VarId};
 pub use junction::JunctionTree;
 pub use network::{BayesNet, Cpt};
 pub use pairwise::PairwisePlan;
 pub use propagate::{initial_potentials, CompiledTree, PropagationState};
 #[doc(hidden)]
-pub use sparse::projection_index_sequences;
+pub use sparse::{blocked_kernel_check, projection_index_sequences, BlockedArm, KernelCheck};
 pub use sparse::{KernelMode, SparseMode, SPARSE_COST_PER_ENTRY};
 pub use triangulate::Heuristic;

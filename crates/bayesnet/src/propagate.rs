@@ -371,7 +371,7 @@ impl CompiledTree {
     /// grow, so a state rebound across many trees reallocates only when a
     /// larger tree than any before comes along; nothing in them carries
     /// over, since every calibration rewrites each clique from the hosted
-    /// CPTs and resets the sepsets.
+    /// CPTs and each sepset in its collect pass before reading it.
     pub fn bind_state(&self, state: &mut PropagationState) {
         fn grow(buf: &mut Vec<f64>, len: usize) {
             if buf.len() < len {
@@ -452,11 +452,11 @@ impl CompiledTree {
         self.enter_evidence(state);
         // Collect: leaves towards roots.
         for &(from, edge, to) in &self.schedule {
-            self.absorb(state, from, edge, to);
+            self.collect(state, from, edge, to);
         }
         // Distribute: roots towards leaves.
         for &(from, edge, to) in self.schedule.iter().rev() {
-            self.absorb(state, to, edge, from);
+            self.distribute(state, to, edge, from);
         }
         self.finish_calibration(state);
     }
@@ -471,6 +471,7 @@ impl CompiledTree {
     #[doc(hidden)]
     pub fn calibrate_two_pass(&self, state: &mut PropagationState) {
         self.begin_calibration(state);
+        state.sepsets[..self.layout.sepset_entries()].fill(1.0);
         for (i, init) in self.reference_potentials().iter().enumerate() {
             state.cliques[self.layout.clique(i)].copy_from_slice(init.values());
         }
@@ -487,7 +488,8 @@ impl CompiledTree {
 
     /// One absorption of [`calibrate_two_pass`](CompiledTree::calibrate_two_pass):
     /// scatter-add marginalize and gather multiply, one table index per
-    /// iterated entry.
+    /// iterated entry, with the HUGIN ratio against the old sepset in both
+    /// passes.
     fn absorb_two_pass(&self, state: &mut PropagationState, from: usize, edge: usize, to: usize) {
         let e = self.tree.edge(edge);
         let proj = &self.kernels.edge_proj[edge];
@@ -678,11 +680,12 @@ impl CompiledTree {
 /// one flat buffer and every sepset potential in another, at offsets the
 /// tree computed once, so one state can serve tree after tree without
 /// reallocating once it has grown to the largest. Nothing is copied to
-/// reset one: each calibration marks every clique stale and resets the
-/// sepsets to ones, and a stale clique gets its initial values written
-/// from the tree's hosted CPTs the first time that calibration touches it
-/// — when it receives a message, sends one, takes evidence, or, failing
-/// all of those, just before the calibration finishes.
+/// reset one: each calibration marks every clique stale, and a stale
+/// clique gets its initial values written from the tree's hosted CPTs the
+/// first time that calibration touches it — when it receives a message,
+/// sends one, takes evidence, or, failing all of those, just before the
+/// calibration finishes. Sepsets need no reset either: the collect pass
+/// writes each one before anything reads it.
 #[derive(Debug, Clone, Default)]
 pub struct PropagationState {
     /// The layout of the tree this state is bound to.
@@ -889,15 +892,15 @@ fn insert_factor_impl(
 /// two-pass reference.
 impl CompiledTree {
     /// Calibration prologue: marks every clique stale, so this calibration
-    /// writes each clique's initial values on first touch, and resets the
-    /// sepsets to ones.
+    /// writes each clique's initial values on first touch. The sepsets keep
+    /// whatever they held: [`collect`](CompiledTree::collect) overwrites
+    /// each before anything reads it.
     fn begin_calibration(&self, state: &mut PropagationState) {
         assert!(
             Arc::ptr_eq(&state.layout, &self.layout),
             "state belongs to a different compiled tree"
         );
         state.stale.fill(true);
-        state.sepsets[..self.layout.sepset_entries()].fill(1.0);
     }
 
     /// Writes clique `clique`'s initial potential into `state` from its
@@ -978,11 +981,36 @@ impl CompiledTree {
         }
     }
 
-    /// One HUGIN absorption: `to` absorbs from `from` across `edge`,
-    /// entirely through the compile-time projections — no scope merges, no
-    /// odometer walks, no allocation (the message lives in
-    /// `state.scratch`).
-    fn absorb(&self, state: &mut PropagationState, from: usize, edge: usize, to: usize) {
+    /// One collect-pass absorption: `to` absorbs from `from` across `edge`.
+    /// The schedule names each edge once, so the edge's old sepset would be
+    /// the all-ones start of HUGIN's scheme, and `x / 1.0 == x` makes the
+    /// message its own update: the sender marginalizes straight into the
+    /// sepset and the receiver multiplies by it. This is the sepset's first
+    /// write of the calibration; no division, no scratch.
+    fn collect(&self, state: &mut PropagationState, from: usize, edge: usize, to: usize) {
+        let (proj_from, proj_to) = self.sides(edge, from);
+        self.touch(state, from);
+        let sepset = &mut state.sepsets[self.layout.sepset(edge)];
+        marginalize_side(
+            &state.cliques[self.layout.clique(from)],
+            self.kernels.support[from].as_deref(),
+            proj_from,
+            sepset,
+        );
+        self.touch(state, to);
+        multiply_side(
+            &mut state.cliques[self.layout.clique(to)],
+            self.kernels.support[to].as_deref(),
+            proj_to,
+            &state.sepsets[self.layout.sepset(edge)],
+        );
+    }
+
+    /// One distribute-pass HUGIN absorption: `to` absorbs from `from`
+    /// across `edge`, entirely through the compile-time projections — no
+    /// scope merges, no odometer walks, no allocation (the message lives
+    /// in `state.scratch`).
+    fn distribute(&self, state: &mut PropagationState, from: usize, edge: usize, to: usize) {
         let (proj_from, proj_to) = self.sides(edge, from);
         self.touch(state, from);
         let sep_len = self.layout.sepset(edge).len();
@@ -1026,22 +1054,27 @@ fn multiply_side(values: &mut [f64], support: Option<&[u32]>, side: &SideProj, u
     }
 }
 
-/// Step (2) of an absorption: store the message in `update` (scratch) as
-/// the new `sepset` potential, turning `update` into the ratio new/old with
-/// the HUGIN convention 0/0 = 0 (nonzero/0 would mean the sender gained
-/// mass the old sepset never saw — a propagation-order bug).
+/// Step (2) of a distribute absorption: store the message in `update`
+/// (scratch) as the new `sepset` potential, turning `update` into the
+/// ratio new/old with the HUGIN convention 0/0 = 0 (nonzero/0 would mean
+/// the sender gained mass the old sepset never saw — a propagation-order
+/// bug). The ratio is a select, not a branch, and the nonzero/0 check is
+/// one flag asserted after the loop.
 fn store_message(sepset: &mut [f64], update: &mut [f64]) {
+    let mut orphan = false;
     for (slot, msg) in sepset.iter_mut().zip(update.iter_mut()) {
-        let old = *slot;
-        let new = *msg;
+        let (old, new) = (*slot, *msg);
         *slot = new;
-        *msg = if old == 0.0 {
-            assert!(new == 0.0, "division of nonzero {new} by zero sepset entry");
-            0.0
-        } else {
-            new / old
-        };
+        // `&`, not `&&`: a short circuit is a branch, and it keeps the
+        // loop from vectorizing (2.0 vs 0.6 ns per entry).
+        orphan |= (old == 0.0) & (new != 0.0);
+        let ratio = new / old;
+        *msg = if old == 0.0 { 0.0 } else { ratio };
     }
+    assert!(
+        !orphan,
+        "division of nonzero message entry by zero sepset entry"
+    );
 }
 
 fn assert_calibrated(state: &PropagationState) {
@@ -1163,6 +1196,7 @@ fn build_schedule(tree: &JunctionTree) -> Vec<(usize, usize, usize)> {
             }
         }
     }
+    debug_assert_eq!(schedule.len(), tree.num_edges(), "one message per edge");
     schedule
 }
 
@@ -1615,6 +1649,29 @@ mod tests {
         assert!(
             result.is_err(),
             "a state bound to one tree calibrated another"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "division of nonzero")]
+    fn store_message_rejects_nonzero_over_zero() {
+        let mut sepset = [0.5, 0.0, 2.0];
+        let mut update = [0.25, 0.125, 1.0];
+        store_message(&mut sepset, &mut update);
+    }
+
+    #[test]
+    fn store_message_takes_zero_over_zero_as_zero() {
+        let mut sepset = [0.5, 0.0, 2.0, 0.0];
+        let mut update = [0.25, 0.0, 1.0, -0.0];
+        store_message(&mut sepset, &mut update);
+        assert_eq!(
+            sepset.map(f64::to_bits),
+            [0.25, 0.0, 1.0, -0.0].map(f64::to_bits)
+        );
+        assert_eq!(
+            update.map(f64::to_bits),
+            [0.5, 0.0, 0.5, 0.0].map(f64::to_bits)
         );
     }
 

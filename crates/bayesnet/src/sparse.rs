@@ -16,7 +16,10 @@
 //! 1. **Blocked stride form** for a dense clique: the row-major table
 //!    factors into `base.len() × sum_reps × copy_len` entries (see
 //!    [`BlockedProj`]), so marginalize and multiply stream contiguous runs
-//!    and store one offset per block, not one index per entry.
+//!    and store one offset per block, not one index per entry. The two
+//!    shapes four-state variables make most often (one summed out into
+//!    each slot, or one kept innermost) run fixed-width arms that add in
+//!    the same order, so they unroll without moving a bit.
 //! 2. **Support-aligned table** for a zero-compressed clique (HUGIN's
 //!    classic optimization, Jensen & Andersen 1990): one `u32` sepset index
 //!    per nonzero entry, walked beside the clique's support list so
@@ -154,6 +157,18 @@ pub const SPARSE_COST_PER_ENTRY: usize = 5;
 /// every target slot receives its contributions in exactly the order of
 /// the per-entry reference loop — the blocked sum (and the elementwise
 /// multiply) is bit-identical by construction, not merely close.
+///
+/// The kernels dispatch on the shape ([`BlockedArm`]). The paper's
+/// four-state transition variables make two shapes common, and each gets
+/// a fixed-width arm the compiler unrolls: `copy_len == 1, sum_reps == 4`
+/// (one four-state variable summed out per target slot, added as
+/// `(((t + v0) + v1) + v2) + v3`) and `copy_len == 4` (a kept four-state
+/// run, one `[f64; 4]` accumulator per block). Both still add each slot's
+/// contributions in ascending source order, so they keep the identity; a
+/// run-time-length inner loop of 4 never unrolls and cost twice as much
+/// per entry. `copy_len == 1` implies `sum_reps ≥ 2` except for a
+/// one-entry table (see [`blocked_projection`]), so there is no `(1, 1)`
+/// arm.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct BlockedProj {
     /// Contiguous run length copied/added per step (≥ 1).
@@ -163,6 +178,33 @@ pub(crate) struct BlockedProj {
     /// Target offset of each `sum_reps × copy_len` source block, in
     /// ascending source order.
     pub(crate) base: Vec<u32>,
+}
+
+/// The loop a blocked kernel runs for a [`BlockedProj`] shape. Exposed only
+/// for the kernel property tests; not part of the supported API.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum BlockedArm {
+    /// `copy_len == 1, sum_reps == 4`: four entries fold into one slot.
+    FoldFour,
+    /// `copy_len == 1`, any other `sum_reps`: a block folds into one slot.
+    Fold,
+    /// `copy_len == 4`: four-lane runs, `sum_reps` per block.
+    CopyFour,
+    /// Any other `copy_len`: contiguous runs of run-time length.
+    Copy,
+}
+
+impl BlockedProj {
+    /// The kernel arm for this shape.
+    fn arm(&self) -> BlockedArm {
+        match (self.copy_len, self.sum_reps) {
+            (1, 4) => BlockedArm::FoldFour,
+            (1, _) => BlockedArm::Fold,
+            (4, _) => BlockedArm::CopyFour,
+            _ => BlockedArm::Copy,
+        }
+    }
 }
 
 /// One clique's side of an edge projection, in the single form that
@@ -372,20 +414,27 @@ fn sepset_strides(vars: &[VarId], cards: &[usize], sepset: &[VarId]) -> Vec<usiz
 fn blocked_projection(vars: &[VarId], cards: &[usize], sepset: &[VarId]) -> BlockedProj {
     let strides = sepset_strides(vars, cards, sepset);
     let mut j = cards.len();
+    // A one-state dimension has a single digit, so it is at once kept and
+    // summed out: both runs absorb it.
     // Copy run: innermost kept dimensions laid out contiguously in the
     // target, i.e. each dimension's target stride equals the run length
     // accumulated so far.
     let mut copy_len = 1usize;
-    while j > 0 && strides[j - 1] == copy_len && strides[j - 1] != 0 {
+    while j > 0 && (cards[j - 1] == 1 || (strides[j - 1] == copy_len && strides[j - 1] != 0)) {
         copy_len *= cards[j - 1];
         j -= 1;
     }
     // Fold run: summed-out dimensions directly above the copy run.
     let mut sum_reps = 1usize;
-    while j > 0 && strides[j - 1] == 0 {
+    while j > 0 && (cards[j - 1] == 1 || strides[j - 1] == 0) {
         sum_reps *= cards[j - 1];
         j -= 1;
     }
+    // The copy run stops at a dimension with two or more states. With
+    // `copy_len == 1` that dimension is summed out (a kept one would have
+    // stride 1 and join the run), so it folds: no `(1, 1)` shape reaches
+    // the kernels except the one-entry table.
+    debug_assert!(copy_len > 1 || sum_reps > 1 || j == 0);
     let blocks: usize = cards[..j].iter().product();
     let mut base = Vec::with_capacity(blocks);
     let mut digits = vec![0usize; j];
@@ -459,6 +508,52 @@ pub fn projection_index_sequences(clique: &Factor, sepset: &[VarId]) -> (Vec<u32
     (expanded, clique_to_sepset(vars, cards, sepset))
 }
 
+/// A dense clique's blocked marginalize and multiply kernels run beside
+/// the per-entry ones, for the kernel property tests; not part of the
+/// supported API. See [`blocked_kernel_check`].
+#[doc(hidden)]
+#[derive(Debug, Clone)]
+pub struct KernelCheck {
+    /// The arm both blocked kernels took.
+    pub arm: BlockedArm,
+    /// The sepset marginal: blocked, then per-entry.
+    pub marginal: [Vec<f64>; 2],
+    /// The clique times the sepset-sized update: blocked, then per-entry.
+    pub product: [Vec<f64>; 2],
+}
+
+/// Marginalizes `clique` onto `sepset` and multiplies `update` back in,
+/// through the blocked kernels and through the per-entry
+/// [`marginalize_into`]/[`multiply_from`] over [`clique_to_sepset`].
+///
+/// # Panics
+///
+/// Panics if `sepset` is not an ascending subset of the clique's scope or
+/// `update` is shorter than the sepset table.
+#[doc(hidden)]
+pub fn blocked_kernel_check(clique: &Factor, sepset: &[VarId], update: &[f64]) -> KernelCheck {
+    let (vars, cards) = (clique.vars(), clique.cards());
+    let blocked = blocked_projection(vars, cards, sepset);
+    let per_entry = clique_to_sepset(vars, cards, sepset);
+    let sep_len: usize = sepset
+        .iter()
+        .map(|v| cards[vars.binary_search(v).expect("sepset in scope")])
+        .product();
+    let update = &update[..sep_len];
+    // NaN starts: each kernel must initialize its target itself.
+    let mut marginal = [vec![f64::NAN; sep_len], vec![f64::NAN; sep_len]];
+    marginalize_blocked(clique.values(), &blocked, &mut marginal[0]);
+    marginalize_into(clique.values(), None, &per_entry, &mut marginal[1]);
+    let mut product = [clique.values().to_vec(), clique.values().to_vec()];
+    multiply_blocked(&mut product[0], &blocked, update);
+    multiply_from(&mut product[1], None, &per_entry, update);
+    KernelCheck {
+        arm: blocked.arm(),
+        marginal,
+        product,
+    }
+}
+
 /// Marginalizes a clique table into `target` (a sepset-sized buffer)
 /// through a per-entry projection by scatter-add. `target` is
 /// (re)initialized here.
@@ -520,30 +615,52 @@ pub(crate) fn multiply_from(
 pub(crate) fn marginalize_blocked(values: &[f64], blocked: &BlockedProj, target: &mut [f64]) {
     let l = blocked.copy_len as usize;
     let s = blocked.sum_reps as usize;
-    let mut off = 0usize;
     target.fill(0.0);
-    if l == 1 {
-        // Whole blocks fold into single target slots: keep the reduction
-        // in a register instead of bouncing through memory per entry.
-        for &b in &blocked.base {
-            let mut acc = target[b as usize];
-            for &v in &values[off..off + s] {
-                acc += v;
+    match blocked.arm() {
+        BlockedArm::FoldFour => {
+            // One four-state variable summed out: a fixed-width fold the
+            // compiler unrolls, still adding left to right.
+            for (&b, quad) in blocked.base.iter().zip(values.chunks_exact(4)) {
+                let t = &mut target[b as usize];
+                *t = (((*t + quad[0]) + quad[1]) + quad[2]) + quad[3];
             }
-            target[b as usize] = acc;
-            off += s;
         }
-    } else {
-        // Contiguous lane-parallel adds: independent slots, so the
-        // autovectorizer chunks these without any reassociation.
-        for &b in &blocked.base {
-            let b = b as usize;
-            for _ in 0..s {
-                let dst = &mut target[b..b + l];
-                for (t, &v) in dst.iter_mut().zip(&values[off..off + l]) {
-                    *t += v;
+        BlockedArm::Fold => {
+            // Whole blocks fold into single target slots: keep the
+            // reduction in a register instead of bouncing through memory
+            // per entry.
+            for (&b, block) in blocked.base.iter().zip(values.chunks_exact(s)) {
+                let mut acc = target[b as usize];
+                for &v in block {
+                    acc += v;
                 }
-                off += l;
+                target[b as usize] = acc;
+            }
+        }
+        BlockedArm::CopyFour => {
+            // One kept four-state run: four register lanes per block, each
+            // adding its column's reps in ascending order.
+            for (&b, block) in blocked.base.iter().zip(values.chunks_exact(4 * s)) {
+                let dst = &mut target[b as usize..b as usize + 4];
+                let mut acc = [dst[0], dst[1], dst[2], dst[3]];
+                for run in block.chunks_exact(4) {
+                    for (a, &v) in acc.iter_mut().zip(run) {
+                        *a += v;
+                    }
+                }
+                dst.copy_from_slice(&acc);
+            }
+        }
+        BlockedArm::Copy => {
+            // Contiguous lane-parallel adds: independent slots, so the
+            // autovectorizer chunks these without any reassociation.
+            for (&b, block) in blocked.base.iter().zip(values.chunks_exact(s * l)) {
+                let dst = &mut target[b as usize..b as usize + l];
+                for run in block.chunks_exact(l) {
+                    for (t, &v) in dst.iter_mut().zip(run) {
+                        *t += v;
+                    }
+                }
             }
         }
     }
@@ -579,23 +696,42 @@ fn gather_blocked(values: &mut [f64], blocked: &BlockedProj, src: &[f64]) {
 pub(crate) fn multiply_blocked(values: &mut [f64], blocked: &BlockedProj, update: &[f64]) {
     let l = blocked.copy_len as usize;
     let s = blocked.sum_reps as usize;
-    let mut off = 0usize;
-    if l == 1 {
-        for &b in &blocked.base {
-            let u = update[b as usize];
-            for v in &mut values[off..off + s] {
-                *v *= u;
-            }
-            off += s;
-        }
-    } else {
-        for &b in &blocked.base {
-            let upd = &update[b as usize..b as usize + l];
-            for _ in 0..s {
-                for (v, &u) in values[off..off + l].iter_mut().zip(upd) {
+    match blocked.arm() {
+        BlockedArm::FoldFour => {
+            for (&b, quad) in blocked.base.iter().zip(values.chunks_exact_mut(4)) {
+                let u = update[b as usize];
+                for v in quad {
                     *v *= u;
                 }
-                off += l;
+            }
+        }
+        BlockedArm::Fold => {
+            for (&b, block) in blocked.base.iter().zip(values.chunks_exact_mut(s)) {
+                let u = update[b as usize];
+                for v in block {
+                    *v *= u;
+                }
+            }
+        }
+        BlockedArm::CopyFour => {
+            for (&b, block) in blocked.base.iter().zip(values.chunks_exact_mut(4 * s)) {
+                let upd = &update[b as usize..b as usize + 4];
+                let u = [upd[0], upd[1], upd[2], upd[3]];
+                for run in block.chunks_exact_mut(4) {
+                    for (v, &u) in run.iter_mut().zip(&u) {
+                        *v *= u;
+                    }
+                }
+            }
+        }
+        BlockedArm::Copy => {
+            for (&b, block) in blocked.base.iter().zip(values.chunks_exact_mut(s * l)) {
+                let upd = &update[b as usize..b as usize + l];
+                for run in block.chunks_exact_mut(l) {
+                    for (v, &u) in run.iter_mut().zip(upd) {
+                        *v *= u;
+                    }
+                }
             }
         }
     }

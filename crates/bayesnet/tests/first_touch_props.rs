@@ -8,7 +8,9 @@
 //! The nets have one to three components, so single-clique components
 //! (touched only by the final pass) occur, and mix deterministic with
 //! random CPTs. Evidence of every kind lands on leaf, interior and root
-//! cliques, and one state is reused across evidence sets.
+//! cliques, and one state is reused across evidence sets, and across
+//! trees: the collect pass overwrites each sepset before reading it, so
+//! what a larger tree left in the buffer must not show.
 
 use proptest::prelude::*;
 use swact_bayesnet::{
@@ -246,6 +248,57 @@ proptest! {
                     );
                 }
                 check(&compiled, &sets);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A state last calibrated on a larger tree keeps that tree's values
+    /// in its sepset buffer when rebound (the buffer only grows). The
+    /// smaller multi-component net's calibration on it must still equal
+    /// the two-pass reference on a fresh state, bit for bit.
+    #[test]
+    fn calibration_never_reads_a_sepset_before_writing_it(
+        sizes in proptest::collection::vec(2usize..7, 2..=3),
+        det_pct in 0u64..=100,
+        seed in any::<u64>(),
+    ) {
+        let mut next = rng(seed);
+        let net = build_net(&sizes, det_pct, &mut next);
+        let larger_sizes: Vec<usize> = sizes.iter().map(|s| s + 3).chain([8]).collect();
+        let larger_net = build_net(&larger_sizes, det_pct, &mut next);
+        let tree = JunctionTree::compile(&net).expect("compiles");
+        let larger_tree = JunctionTree::compile(&larger_net).expect("compiles");
+        let sets: Vec<Vec<Evidence>> = (0..2).map(|_| evidence_set(&net, &tree, &mut next)).collect();
+        let larger_set = evidence_set(&larger_net, &larger_tree, &mut next);
+        for mode in SparseMode::ALL {
+            let compiled = CompiledTree::new_with(tree.clone(), &net, mode).expect("non-empty");
+            let larger = CompiledTree::new_with(larger_tree.clone(), &larger_net, mode)
+                .expect("non-empty");
+            prop_assume!(larger.sepset_space() >= compiled.sepset_space());
+            prop_assume!(compiled.tree().num_edges() > 0);
+            let mut state = larger.new_state();
+            enter(&larger, &mut state, &larger_set);
+            larger.calibrate(&mut state);
+            let buffer = state.sepset_potential(0).as_ptr();
+            for set in &sets {
+                compiled.bind_state(&mut state);
+                enter(&compiled, &mut state, set);
+                compiled.calibrate(&mut state);
+                prop_assert_eq!(
+                    state.sepset_potential(0).as_ptr(),
+                    buffer,
+                    "rebinding reallocated the sepset buffer"
+                );
+                assert_matches_reference(&compiled, &state, set, "rebound");
+                // Calibrate the larger tree again, so the next set also
+                // starts from its leftovers.
+                larger.bind_state(&mut state);
+                enter(&larger, &mut state, &larger_set);
+                larger.calibrate(&mut state);
             }
         }
     }

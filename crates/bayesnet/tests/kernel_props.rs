@@ -8,10 +8,12 @@
 //! strides at call time — real code rather than a frozen snapshot, and
 //! independent of the blocked forms it checks.
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
 use swact_bayesnet::{
-    initial_potentials, projection_index_sequences, BayesNet, CompiledTree, Cpt, Factor,
-    JunctionTree, SparseMode, VarId,
+    blocked_kernel_check, initial_potentials, normalized_marginal, projection_index_sequences,
+    BayesNet, BlockedArm, CompiledTree, Cpt, Factor, JunctionTree, SparseMode, VarId,
 };
 
 /// A random discrete Bayesian network mixing deterministic (one-hot) and
@@ -177,5 +179,122 @@ proptest! {
         let (blocked, per_entry) = projection_index_sequences(&clique, &sepset);
         prop_assert_eq!(per_entry.len(), clique.len());
         prop_assert_eq!(blocked, per_entry);
+    }
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+/// A clique over variables `0..cards.len()` with entries in (0, 1] whose
+/// low bits differ, so any change in summation order shows in the bits.
+fn shape_clique(cards: &[usize]) -> Factor {
+    let len: usize = cards.iter().product();
+    let values = (0..len as u64)
+        .map(|i| {
+            let x = (i + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 11;
+            (x as f64 + 1.0) / (1u64 << 53) as f64
+        })
+        .collect();
+    Factor::new(
+        cards
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| (VarId::from_index(i), c))
+            .collect(),
+        values,
+    )
+}
+
+/// The clique shapes of the fixed-width arms: all-four-state cliques of
+/// 2–6 variables, and mixed cardinalities whose innermost run is four
+/// entries (a four-state variable, two binary ones, or a four-state one
+/// behind a one-state one).
+fn kernel_shapes() -> Vec<Vec<usize>> {
+    let mut shapes: Vec<Vec<usize>> = (2..=6).map(|n| vec![4; n]).collect();
+    shapes.extend([
+        vec![2, 4],
+        vec![3, 4],
+        vec![2, 3, 4],
+        vec![3, 2, 4],
+        vec![4, 2, 4],
+        vec![3, 2, 2],
+        vec![4, 2, 2],
+        vec![2, 4, 3, 4],
+        vec![3, 4, 2, 2],
+        vec![2, 2, 2, 4],
+        vec![4, 1, 4],
+        vec![2, 4, 1],
+        vec![1, 4, 4],
+    ]);
+    shapes
+}
+
+/// Every sepset mask of every shape: the blocked marginalize and multiply
+/// are bit-identical to the per-entry `marginalize_into`/`multiply_from`,
+/// and every arm, the two fixed-width ones included, runs at least once.
+#[test]
+fn blocked_kernels_match_per_entry_on_every_four_state_shape() {
+    let mut arms = HashSet::new();
+    for cards in kernel_shapes() {
+        let clique = shape_clique(&cards);
+        for mask in 0..1usize << cards.len() {
+            let kept: Vec<usize> = (0..cards.len()).filter(|i| mask & (1 << i) != 0).collect();
+            let sepset: Vec<VarId> = kept.iter().map(|&i| VarId::from_index(i)).collect();
+            let sep_len: usize = kept.iter().map(|&i| cards[i]).product();
+            let update: Vec<f64> = (0..sep_len).map(|k| 0.75 + k as f64 / 3.0).collect();
+            let check = blocked_kernel_check(&clique, &sepset, &update);
+            assert_eq!(
+                bits(&check.marginal[0]),
+                bits(&check.marginal[1]),
+                "marginalize, cards {cards:?}, sepset mask {mask:#b} ({:?} arm)",
+                check.arm
+            );
+            assert_eq!(
+                bits(&check.product[0]),
+                bits(&check.product[1]),
+                "multiply, cards {cards:?}, sepset mask {mask:#b} ({:?} arm)",
+                check.arm
+            );
+            arms.insert(check.arm);
+        }
+    }
+    for arm in [
+        BlockedArm::FoldFour,
+        BlockedArm::Fold,
+        BlockedArm::CopyFour,
+        BlockedArm::Copy,
+    ] {
+        assert!(arms.contains(&arm), "no shape reached the {arm:?} arm");
+    }
+}
+
+/// The gate readout at every scope position of every shape equals
+/// `marginalize_keep` + `normalize` bit for bit, and both equal a
+/// per-entry sum in ascending source order followed by the same division.
+#[test]
+fn normalized_marginal_matches_marginalize_keep_at_every_position() {
+    for cards in kernel_shapes() {
+        let clique = shape_clique(&cards);
+        for (pos, &var) in clique.vars().iter().enumerate() {
+            let got = normalized_marginal(&clique, var);
+            let mut keep = clique.marginalize_keep(&[var]);
+            keep.normalize();
+            assert_eq!(
+                bits(&got),
+                bits(keep.values()),
+                "cards {cards:?}, position {pos}"
+            );
+            let stride: usize = cards[pos + 1..].iter().product();
+            let mut naive = vec![0.0; cards[pos]];
+            for (i, &v) in clique.values().iter().enumerate() {
+                naive[i / stride % cards[pos]] += v;
+            }
+            let total: f64 = naive.iter().sum();
+            for v in &mut naive {
+                *v /= total;
+            }
+            assert_eq!(bits(&got), bits(&naive), "cards {cards:?}, position {pos}");
+        }
     }
 }

@@ -9,7 +9,9 @@ use swact_circuit::catalog;
 fn bench_propagate(c: &mut Criterion) {
     let mut group = c.benchmark_group("propagate");
     group.sample_size(10);
-    for name in ["c17", "c432", "c880", "alu2"] {
+    // c7552 is most of the profile's `update` op; c6288 is the other
+    // large ISCAS circuit.
+    for name in ["c17", "c432", "c880", "alu2", "c6288", "c7552"] {
         let circuit = catalog::benchmark(name).expect("known benchmark");
         let compiled = CompiledEstimator::compile(&circuit, &Options::default()).expect("compiles");
         let specs: Vec<InputSpec> = (0..4)
