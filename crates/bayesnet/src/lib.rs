@@ -78,6 +78,8 @@ pub use factor::{Factor, VarId};
 pub use junction::JunctionTree;
 pub use network::{BayesNet, Cpt};
 pub use pairwise::PairwisePlan;
+#[doc(hidden)]
+pub use pairwise::WalkArm;
 pub use propagate::{initial_potentials, CompiledTree, PropagationState};
 #[doc(hidden)]
 pub use sparse::{blocked_kernel_check, projection_index_sequences, BlockedArm, KernelCheck};

@@ -21,9 +21,17 @@
 //! folds both into one source and one target stride per clique dimension
 //! and merges adjacent dimensions whose strides continue each other, so a
 //! dense clique is walked by an odometer over a few merged dimensions with
-//! a tight innermost loop — two additions per entry, no division and no
-//! index load. Innermost dimensions with target stride 0 fold into one
-//! target group kept in registers.
+//! no division and no index load. A step with one or four lanes and a kept
+//! dimension (one whose digit moves the target) of a multiple of four
+//! states walks by register tiles ([`walk_tiled`]): four target cells stay
+//! in registers while all of their entries stream past. Other steps walk
+//! one innermost run at a time.
+//!
+//! Walks run together ([`CompiledTree::pairwise_marginals_planned`](crate::CompiledTree::pairwise_marginals_planned))
+//! share their common first steps: exports from one variable leave its
+//! home clique down common paths, and equal steps over one calibrated
+//! state leave equal messages, so a walk starts from the message the
+//! previous one left after their common steps.
 //!
 //! # Bit identity with the factor-algebra walk
 //!
@@ -34,12 +42,16 @@
 //! ascending clique order, so a single ascending pass over the clique that
 //! updates `card(a)` lanes per entry adds the same products in the same
 //! order. Each product keeps the operand order `clique × message`, and
-//! every sum starts from `0.0`, so each cell is bit-identical. The message
-//! layout is free: a sepset state `s` and lane `k` sit at `s·lanes + k`
-//! here and at their sorted-scope position in the reference, but the
-//! sepset division is elementwise, so layout does not change a bit. Only
-//! the final joint is put back in sorted-scope order before it is
-//! normalized, because normalization sums the whole table.
+//! every sum starts from `0.0`, so each cell is bit-identical. The
+//! register tiles reorder work only between distinct target cells: a
+//! cell's entries are those sharing its kept digits, and the tiles add
+//! them in ascending order of their summed digits, which is ascending
+//! clique order. The message layout is free: a sepset state `s` and lane
+//! `k` sit at `s·lanes + k` here and at their sorted-scope position in
+//! the reference, but the sepset division is elementwise, so layout does
+//! not change a bit. Only the final joint is put back in sorted-scope
+//! order before it is normalized, because normalization sums the whole
+//! table.
 //!
 //! Per step the walk carries `a` one of two ways. While `a ∉ C` the
 //! message is over `S_prev × {a}` and `a` travels in the lanes. When
@@ -57,7 +69,7 @@ use crate::sparse::{PropagationKernels, SideProj};
 use crate::VarId;
 
 /// A clique variable whose digit lands in a step's target index.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Digit {
     /// Row-major stride of the variable in the clique table.
     stride: usize,
@@ -68,7 +80,7 @@ struct Digit {
 
 /// One merged clique dimension of a dense step's odometer: how far the
 /// source and target indices move per unit of the dimension.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Dim {
     card: usize,
     src: usize,
@@ -84,7 +96,7 @@ const MAX_DIMS: usize = 32;
 type Side = (usize, bool);
 
 /// One clique of a planned walk.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct WalkStep {
     clique: usize,
     /// Projection onto the incoming message's sepset; `None` on the first
@@ -104,6 +116,9 @@ struct WalkStep {
     digits: Vec<Digit>,
     /// The dense odometer, outermost dimension first; never empty.
     dims: Vec<Dim>,
+    /// The same dimensions regrouped for [`walk_tiled`], when the step
+    /// tiles.
+    tiling: Option<Tiling>,
     out_len: usize,
 }
 
@@ -134,6 +149,43 @@ impl PairwisePlan {
     /// read returns (first variable slowest).
     pub fn vars(&self) -> [VarId; 2] {
         [self.scope[0].0, self.scope[1].0]
+    }
+
+    /// How many leading steps this walk shares with `other`, short of
+    /// either's last: equal steps over the same evidence leave equal
+    /// messages, so a walk may start from the message `other` left there.
+    /// Public for the property tests only.
+    #[doc(hidden)]
+    pub fn shared_steps(&self, other: &PairwisePlan) -> usize {
+        let most = self.steps.len().min(other.steps.len()) - 1;
+        self.steps
+            .iter()
+            .zip(&other.steps)
+            .take(most)
+            .take_while(|(a, b)| a == b)
+            .count()
+    }
+
+    /// The lane-entries one run touches: each path clique's states times
+    /// the message lanes its step carries. A zero-compressed clique walks
+    /// only its support, so over one this counts its dense table.
+    pub fn entries(&self) -> usize {
+        self.entries_from(0)
+    }
+
+    /// [`entries`](PairwisePlan::entries) of the steps from `first` on.
+    pub(crate) fn entries_from(&self, first: usize) -> usize {
+        self.steps[first..]
+            .iter()
+            .map(|step| step.dims.iter().map(|d| d.card).product::<usize>() * step.lanes)
+            .sum()
+    }
+
+    /// The arm each step takes over a dense clique, in path order. For
+    /// the property tests only.
+    #[doc(hidden)]
+    pub fn walk_arms(&self) -> Vec<WalkArm> {
+        self.steps.iter().map(WalkArm::of).collect()
     }
 }
 
@@ -244,6 +296,7 @@ fn step(
         lanes,
         out_lanes,
         digits,
+        tiling: Tiling::of(&dims, lanes),
         dims,
         out_len,
     })
@@ -334,6 +387,16 @@ pub(crate) fn plan(tree: &JunctionTree, a: VarId, b: VarId) -> Option<PairwisePl
     })
 }
 
+/// The messages a run shares with the walks before and after it:
+/// `messages[d]` is the message `d + 1` steps of a walk leave. The run
+/// starts from `messages[resume − 1]` instead of its first `resume` steps,
+/// and stores the messages of the steps it runs below `keep`.
+pub(crate) struct Prefix<'m> {
+    pub(crate) messages: &'m mut Vec<Vec<f64>>,
+    pub(crate) resume: usize,
+    pub(crate) keep: usize,
+}
+
 /// Runs `plan` over calibrated potentials, ping-ponging messages between
 /// `msg` and `next`, and returns the normalized joint over
 /// [`PairwisePlan::vars`] (first variable slowest) — bit-identical to the
@@ -347,11 +410,14 @@ pub(crate) fn run<'s>(
     plan: &PairwisePlan,
     kernels: &PropagationKernels,
     (layout, cliques, sepsets): (&StateLayout, &[f64], &[f64]),
-    msg: &'s mut Vec<f64>,
-    next: &'s mut Vec<f64>,
+    (msg, next): (&'s mut Vec<f64>, &'s mut Vec<f64>),
+    prefix: Prefix<'_>,
 ) -> &'s [f64] {
     const UNIT: [f64; 1] = [1.0];
     msg.clear();
+    if prefix.resume > 0 {
+        msg.extend_from_slice(&prefix.messages[prefix.resume - 1]);
+    }
     msg.reserve(plan.scratch);
     next.reserve(plan.scratch);
     // A zero-compressed clique's sides are support-aligned tables.
@@ -366,18 +432,20 @@ pub(crate) fn run<'s>(
             }
         })
     };
-    for step in &plan.steps {
-        next.clear();
-        next.resize(step.out_len, 0.0);
+    for (i, step) in plan.steps.iter().enumerate().skip(prefix.resume) {
         let pot = &cliques[layout.clique(step.clique)];
         let incoming: &[f64] = if step.src.is_some() { msg } else { &UNIT };
+        next.clear();
+        next.resize(step.out_len, 0.0);
         match kernels.support[step.clique].as_deref() {
-            None => match step.lanes {
-                1 => walk_dense::<1>(&step.dims, pot, incoming, next),
-                2 => walk_dense::<2>(&step.dims, pot, incoming, next),
-                3 => walk_dense::<3>(&step.dims, pot, incoming, next),
-                4 => walk_dense::<4>(&step.dims, pot, incoming, next),
-                lanes => walk_dense_wide(&step.dims, pot, incoming, next, lanes),
+            None => match (&step.tiling, step.lanes) {
+                (Some(tiling), 1) => walk_tiled::<1>(tiling, pot, incoming, next),
+                (Some(tiling), _) => walk_tiled::<4>(tiling, pot, incoming, next),
+                (None, 1) => walk_runs::<1>(&step.dims, pot, incoming, next),
+                (None, 2) => walk_runs::<2>(&step.dims, pot, incoming, next),
+                (None, 3) => walk_runs::<3>(&step.dims, pot, incoming, next),
+                (None, 4) => walk_runs::<4>(&step.dims, pot, incoming, next),
+                (None, lanes) => walk_runs_wide(&step.dims, pot, incoming, next, lanes),
             },
             Some(support) => walk_support(
                 step,
@@ -393,6 +461,12 @@ pub(crate) fn run<'s>(
             divide_by_sepset(next, &sepsets[layout.sepset(edge)], step.out_lanes);
         }
         std::mem::swap(msg, next);
+        if i < prefix.keep {
+            if prefix.messages.len() <= i {
+                prefix.messages.resize_with(i + 1, Vec::new);
+            }
+            prefix.messages[i].clone_from(msg);
+        }
     }
     if plan.transpose {
         // The last step left `[b][a]`; the sorted scope is `[a][b]`.
@@ -412,70 +486,261 @@ pub(crate) fn run<'s>(
     msg
 }
 
-/// Calls `run(c, t, s)` at the start of every innermost run of a dense
-/// step, in ascending clique order: `c` is the clique entry, `t` and `s`
-/// its target and source offsets. The odometer advances by additions
-/// only; the innermost dimension is left to `run`.
+/// Calls `visit(c, t, s)` at the start of every block of `block` clique
+/// entries, in ascending clique order: `c` is the block's first clique
+/// entry, `t` and `s` its target and source offsets. `outer` is the
+/// odometer over the dimensions outside the block, outermost first; it
+/// advances by additions only, once per block.
 #[inline(always)]
-fn for_each_run(dims: &[Dim], mut run: impl FnMut(usize, usize, usize)) {
-    let Some((inner, outer)) = dims.split_last() else {
-        return;
-    };
+fn for_each_block(outer: &[Dim], block: usize, visit: impl FnMut(usize, usize, usize)) {
+    let mut axes = [Axis::default(); MAX_DIMS];
+    let axes = &mut axes[..outer.len()];
+    for (axis, dim) in axes.iter_mut().zip(axes_of(outer, block)) {
+        *axis = dim;
+    }
+    for_each_offset(axes, visit);
+}
+
+/// How a step over a dense clique walks it. Doc-hidden: exposed only so
+/// the property tests can check which arms ran
+/// ([`PairwisePlan::walk_arms`]).
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum WalkArm {
+    /// Register tiles ([`walk_tiled`]) with `lanes` lanes. `kept` tells
+    /// whether the innermost and the next merged dimension keep their
+    /// digit in the target (a missing dimension counts as summed).
+    Tiled { lanes: usize, kept: [bool; 2] },
+    /// One innermost run at a time ([`walk_runs`]).
+    Runs,
+}
+
+impl WalkArm {
+    fn of(step: &WalkStep) -> WalkArm {
+        if step.tiling.is_none() {
+            return WalkArm::Runs;
+        }
+        let kept =
+            |back: usize| step.dims.len() > back && step.dims[step.dims.len() - 1 - back].dst != 0;
+        WalkArm::Tiled {
+            lanes: step.lanes,
+            kept: [kept(0), kept(1)],
+        }
+    }
+}
+
+/// One merged clique dimension as the walk kernels step it: its card and
+/// how far the clique, source and target indices move per unit.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Axis {
+    card: usize,
+    clique: usize,
+    src: usize,
+    dst: usize,
+}
+
+/// `dims` (outermost first) as axes, in the same order: the innermost
+/// moves the clique index by `inner`, each other by `inner` times the
+/// cards inside it.
+fn axes_of(dims: &[Dim], inner: usize) -> impl Iterator<Item = Axis> + '_ {
+    let mut clique = inner * dims.iter().map(|d| d.card).product::<usize>();
+    dims.iter().map(move |d| {
+        clique /= d.card;
+        Axis {
+            card: d.card,
+            clique,
+            src: d.src,
+            dst: d.dst,
+        }
+    })
+}
+
+/// A dense step regrouped for [`walk_tiled`]: the tile dimension, the
+/// other kept dimensions and the summed ones, each outermost first.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Tiling {
+    tile: Axis,
+    kept: Vec<Axis>,
+    summed: Vec<Axis>,
+}
+
+impl Tiling {
+    /// A step tiles when it has one or four lanes and a kept dimension
+    /// (one whose digit moves the target, `dst ≠ 0`) of a multiple of
+    /// four states; the tile is the innermost such.
+    fn of(dims: &[Dim], lanes: usize) -> Option<Tiling> {
+        if !matches!(lanes, 1 | 4) {
+            return None;
+        }
+        let mut axes: Vec<Axis> = axes_of(dims, 1).collect();
+        let at = axes.iter().rposition(|a| a.dst != 0 && a.card % 4 == 0)?;
+        let tile = axes.remove(at);
+        let (kept, summed) = axes.into_iter().partition(|a| a.dst != 0);
+        Some(Tiling { tile, kept, summed })
+    }
+}
+
+/// The `L`-lane group of `values` at `at`.
+#[inline(always)]
+fn group<const L: usize>(values: &[f64], at: usize) -> &[f64; L] {
+    values[at..at + L]
+        .try_into()
+        .expect("a range of L entries is an L-lane group")
+}
+
+#[inline(always)]
+fn group_mut<const L: usize>(values: &mut [f64], at: usize) -> &mut [f64; L] {
+    (&mut values[at..at + L])
+        .try_into()
+        .expect("a range of L entries is an L-lane group")
+}
+
+/// [`group`] without the bounds check.
+///
+/// # Safety
+///
+/// `at + L ≤ values.len()`.
+#[inline(always)]
+unsafe fn group_unchecked<const L: usize>(values: &[f64], at: usize) -> &[f64; L] {
+    // SAFETY: the caller guarantees `at..at + L` is in bounds.
+    unsafe { &*values.as_ptr().add(at).cast::<[f64; L]>() }
+}
+
+/// `acc[k] + v · msg[k]` for every lane: the product keeps the operand
+/// order `clique × message`. By value, so the lanes vectorize.
+#[inline(always)]
+fn mul_add<const L: usize>(mut acc: [f64; L], v: f64, msg: &[f64; L]) -> [f64; L] {
+    for (a, &m) in acc.iter_mut().zip(msg) {
+        *a += v * m;
+    }
+    acc
+}
+
+/// Calls `visit(c, t, s)` once per digit combination of `axes`
+/// (outermost first), in ascending order, with the clique, target and
+/// source offsets of that combination. Additions only.
+#[inline(always)]
+fn for_each_offset(axes: &[Axis], mut visit: impl FnMut(usize, usize, usize)) {
     let mut count = [0usize; MAX_DIMS];
     let (mut c, mut t, mut s) = (0usize, 0usize, 0usize);
     loop {
-        run(c, t, s);
-        c += inner.card;
-        let mut pos = outer.len();
+        visit(c, t, s);
+        let mut pos = axes.len();
         loop {
             if pos == 0 {
                 return;
             }
             pos -= 1;
-            let d = &outer[pos];
+            let a = &axes[pos];
             count[pos] += 1;
-            if count[pos] < d.card {
-                t += d.dst;
-                s += d.src;
+            if count[pos] < a.card {
+                c += a.clique;
+                t += a.dst;
+                s += a.src;
                 break;
             }
             count[pos] = 0;
-            t -= d.dst * (d.card - 1);
-            s -= d.src * (d.card - 1);
+            c -= a.clique * (a.card - 1);
+            t -= a.dst * (a.card - 1);
+            s -= a.src * (a.card - 1);
         }
     }
 }
 
-/// A dense step with `L` lanes:
+/// A dense step with `L` lanes by register tiles:
+/// `out[t(c) + k] += pot[c] · msg[s(c) + k]` for every clique entry `c`,
+/// each target cell receiving its products in ascending clique order
+/// from the value already in `out`, as one ascending pass would.
+///
+/// A cell's entries are the clique entries that share its kept digits,
+/// and ascending clique order among them is ascending order of their
+/// summed digits. So the kept dimensions move outermost: for each
+/// combination of the other kept digits, four cells of the tile dimension
+/// load into registers, every summed digit combination adds its four
+/// products in ascending order, and the cells are stored once. Distinct
+/// kept digits name distinct cells, so no cell is split across tiles.
+fn walk_tiled<const L: usize>(tiling: &Tiling, pot: &[f64], msg: &[f64], out: &mut [f64]) {
+    let Tiling { tile, kept, summed } = tiling;
+    // Every offset below is `Σ digit · stride` over one digit combination,
+    // so it is at most the sum of `(card − 1) · stride` over all axes.
+    let axes = || std::iter::once(tile).chain(kept).chain(summed);
+    let reach =
+        |stride: fn(&Axis) -> usize| -> usize { axes().map(|a| (a.card - 1) * stride(a)).sum() };
+    assert!(
+        reach(|a| a.clique) < pot.len() && reach(|a| a.src) + L <= msg.len(),
+        "a walk step's strides stay inside its tables"
+    );
+    let (inner, outer) = match summed.split_last() {
+        Some((inner, outer)) => (*inner, outer),
+        None => (
+            Axis {
+                card: 1,
+                ..Axis::default()
+            },
+            &[][..],
+        ),
+    };
+    for_each_offset(kept, |c, t, s| {
+        for q in (0..tile.card).step_by(4) {
+            let (c, t, s) = (c + q * tile.clique, t + q * tile.dst, s + q * tile.src);
+            let mut acc: [[f64; L]; 4] =
+                std::array::from_fn(|j| *group::<L>(out, t + j * tile.dst));
+            for_each_offset(outer, |dc, _, ds| {
+                let (mut c, mut s) = (c + dc, s + ds);
+                for _ in 0..inner.card {
+                    for (j, acc) in acc.iter_mut().enumerate() {
+                        // SAFETY: `c + j·tile.clique` and `s + j·tile.src`
+                        // are the clique and source offsets of one digit
+                        // combination, within the reach asserted above.
+                        let (v, m) = unsafe {
+                            (
+                                *pot.get_unchecked(c + j * tile.clique),
+                                group_unchecked::<L>(msg, s + j * tile.src),
+                            )
+                        };
+                        *acc = mul_add(*acc, v, m);
+                    }
+                    c += inner.clique;
+                    s += inner.src;
+                }
+            });
+            for (j, acc) in acc.iter().enumerate() {
+                *group_mut::<L>(out, t + j * tile.dst) = *acc;
+            }
+        }
+    });
+}
+
+/// A dense step with `L` lanes that does not tile:
 /// `out[t(c) + k] += pot[c] · msg[s(c) + k]` for every clique entry `c` in
-/// ascending order. An innermost run with target stride 0 folds into one
-/// lane group kept in registers; the sums are the same either way.
-fn walk_dense<const L: usize>(dims: &[Dim], pot: &[f64], msg: &[f64], out: &mut [f64]) {
-    let Some(&Dim {
-        card: n,
-        src: ds,
-        dst: dt,
-    }) = dims.last()
+/// ascending order, one innermost run per odometer step. An innermost run
+/// with target stride 0 folds into one lane group kept in registers; the
+/// sums are the same either way.
+fn walk_runs<const L: usize>(dims: &[Dim], pot: &[f64], msg: &[f64], out: &mut [f64]) {
+    let Some((
+        &Dim {
+            card: n,
+            src: ds,
+            dst: dt,
+        },
+        outer,
+    )) = dims.split_last()
     else {
         return;
     };
-    for_each_run(dims, |c, t, mut s| {
+    for_each_block(outer, n, |c, t, mut s| {
         if dt == 0 {
-            let mut acc = [0.0f64; L];
-            acc.copy_from_slice(&out[t..t + L]);
+            let mut acc = *group::<L>(out, t);
             for &v in &pot[c..c + n] {
-                for (a, &m) in acc.iter_mut().zip(&msg[s..s + L]) {
-                    *a += v * m;
-                }
+                acc = mul_add(acc, v, group::<L>(msg, s));
                 s += ds;
             }
-            out[t..t + L].copy_from_slice(&acc);
+            *group_mut::<L>(out, t) = acc;
         } else {
             let mut t = t;
             for &v in &pot[c..c + n] {
-                for (o, &m) in out[t..t + L].iter_mut().zip(&msg[s..s + L]) {
-                    *o += v * m;
-                }
+                let cell = group_mut::<L>(out, t);
+                *cell = mul_add(*cell, v, group::<L>(msg, s));
                 t += dt;
                 s += ds;
             }
@@ -483,18 +748,21 @@ fn walk_dense<const L: usize>(dims: &[Dim], pot: &[f64], msg: &[f64], out: &mut 
     });
 }
 
-/// [`walk_dense`] for lane counts above four (variables with more than
+/// [`walk_runs`] for lane counts above four (variables with more than
 /// four states).
-fn walk_dense_wide(dims: &[Dim], pot: &[f64], msg: &[f64], out: &mut [f64], lanes: usize) {
-    let Some(&Dim {
-        card: n,
-        src: ds,
-        dst: dt,
-    }) = dims.last()
+fn walk_runs_wide(dims: &[Dim], pot: &[f64], msg: &[f64], out: &mut [f64], lanes: usize) {
+    let Some((
+        &Dim {
+            card: n,
+            src: ds,
+            dst: dt,
+        },
+        outer,
+    )) = dims.split_last()
     else {
         return;
     };
-    for_each_run(dims, |c, mut t, mut s| {
+    for_each_block(outer, n, |c, mut t, mut s| {
         for &v in &pot[c..c + n] {
             accumulate(&mut out[t..t + lanes], &msg[s..s + lanes], &[v]);
             t += dt;
@@ -541,18 +809,51 @@ fn accumulate(out: &mut [f64], msg: &[f64], values: &[f64]) {
 }
 
 /// Divides each `lanes`-wide group of `values` by its sepset entry, with
-/// the HUGIN convention `0 / 0 = 0`.
+/// the HUGIN convention `0 / 0 = 0`. The quotient is a select, not a
+/// branch, and the nonzero/0 check is one flag asserted after the loop,
+/// as in the distribute pass's message store; one and four lanes get
+/// fixed-width groups, so the loop vectorizes.
+///
+/// # Panics
+///
+/// Panics on `x / 0` with `x ≠ 0` (a propagation bug).
 fn divide_by_sepset(values: &mut [f64], sep: &[f64], lanes: usize) {
-    for (group, &d) in values.chunks_exact_mut(lanes).zip(sep) {
-        for v in group {
-            if d == 0.0 {
-                assert!(*v == 0.0, "division of nonzero {v} by zero entry");
-                *v = 0.0;
-            } else {
-                *v /= d;
-            }
-        }
+    let orphan = match lanes {
+        1 => divide_groups::<1>(values, sep),
+        4 => divide_groups::<4>(values, sep),
+        _ => values
+            .chunks_exact_mut(lanes)
+            .zip(sep)
+            .fold(false, |orphan, (group, &d)| divide(group, d) | orphan),
+    };
+    assert!(
+        !orphan,
+        "division of nonzero message entry by zero sepset entry"
+    );
+}
+
+/// [`divide_by_sepset`] over `L`-lane groups; true on a nonzero over 0.
+fn divide_groups<const L: usize>(values: &mut [f64], sep: &[f64]) -> bool {
+    let mut orphan = false;
+    for (group, &d) in values.chunks_exact_mut(L).zip(sep) {
+        orphan |= divide(group, d);
     }
+    orphan
+}
+
+/// Divides `group` by `d` (`0 / 0 = 0`); true if it held a nonzero entry
+/// over `d = 0`.
+#[inline(always)]
+fn divide(group: &mut [f64], d: f64) -> bool {
+    let mut orphan = false;
+    for v in group {
+        // `&`, not `&&`: a short circuit is a branch, and it keeps the
+        // loop scalar.
+        orphan |= (d == 0.0) & (*v != 0.0);
+        let quotient = *v / d;
+        *v = if d == 0.0 { 0.0 } else { quotient };
+    }
+    orphan
 }
 
 #[cfg(test)]
@@ -608,9 +909,9 @@ mod tests {
                 dst: stride(&dst_vars, i) * out_lanes + weight(i),
             }))
             .unwrap();
-            let inner = *dims.last().unwrap();
+            let (inner, outer) = dims.split_last().unwrap();
             let mut got = Vec::new();
-            for_each_run(&dims, |c, t, s| {
+            for_each_block(outer, inner.card, |c, t, s| {
                 for j in 0..inner.card {
                     got.push((c + j, t + j * inner.dst, s + j * inner.src));
                 }
@@ -629,6 +930,50 @@ mod tests {
                 })
                 .collect();
             prop_assert_eq!(got, expect);
+        }
+    }
+
+    /// Three sepset groups of `lanes` entries over sepset `[0.5, 0, 2]`,
+    /// the middle group holding `nonzero` in its last lane and signed
+    /// zeros elsewhere.
+    fn over_zero_sepset(lanes: usize, nonzero: f64) -> Vec<f64> {
+        (0..3 * lanes)
+            .map(|i| match (i / lanes, i % lanes) {
+                (1, k) if k == lanes - 1 => nonzero,
+                (1, k) if k % 2 == 1 => -0.0,
+                (1, _) => 0.0,
+                _ => 1.0 + i as f64,
+            })
+            .collect()
+    }
+
+    #[test]
+    #[should_panic(expected = "division of nonzero")]
+    fn sepset_division_rejects_nonzero_over_zero_on_one_lane() {
+        divide_by_sepset(&mut over_zero_sepset(1, 0.25), &[0.5, 0.0, 2.0], 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "division of nonzero")]
+    fn sepset_division_rejects_nonzero_over_zero_on_four_lanes() {
+        divide_by_sepset(&mut over_zero_sepset(4, 0.25), &[0.5, 0.0, 2.0], 4);
+    }
+
+    #[test]
+    fn sepset_division_takes_zero_over_zero_as_zero() {
+        for lanes in [1, 2, 4, 5] {
+            let mut values = over_zero_sepset(lanes, -0.0);
+            divide_by_sepset(&mut values, &[0.5, 0.0, 2.0], lanes);
+            let expect: Vec<u64> = (0..3 * lanes)
+                .map(|i| match i / lanes {
+                    0 => (1.0 + i as f64) / 0.5,
+                    1 => 0.0,
+                    _ => (1.0 + i as f64) / 2.0,
+                })
+                .map(f64::to_bits)
+                .collect();
+            let got: Vec<u64> = values.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, expect, "{lanes} lanes");
         }
     }
 }

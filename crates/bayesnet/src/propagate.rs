@@ -3,7 +3,7 @@ use std::sync::Arc;
 
 use crate::factor::Scope;
 use crate::junction::JunctionTree;
-use crate::pairwise::{self, PairwisePlan};
+use crate::pairwise::{self, PairwisePlan, Prefix};
 use crate::sparse::{self, HostedFactor, PropagationKernels, SideProj};
 use crate::{BayesError, BayesNet, Factor, KernelMode, SparseMode, VarId};
 
@@ -588,9 +588,58 @@ impl CompiledTree {
             plan,
             &self.kernels,
             (&self.layout, &state.cliques, &state.sepsets),
-            &mut state.path_msg,
-            &mut state.path_next,
+            (&mut state.path_msg, &mut state.path_next),
+            Prefix {
+                messages: &mut state.path_prefix,
+                resume: 0,
+                keep: 0,
+            },
         )
+    }
+
+    /// Runs several plans from [`plan_pairwise`](CompiledTree::plan_pairwise)
+    /// over one calibrated state, in order, handing each joint to
+    /// `read(i, joint)` as [`pairwise_marginal_planned`](CompiledTree::pairwise_marginal_planned)
+    /// would return it. A plan whose first steps equal the previous plan's
+    /// (walks from one variable down one path) starts from the message
+    /// those steps left, so they run once; the joints are bit-identical.
+    /// Returns the lane-entries walked ([`PairwisePlan::entries`], shared
+    /// steps counted once).
+    ///
+    /// # Panics
+    ///
+    /// Same as [`pairwise_marginal_planned`](CompiledTree::pairwise_marginal_planned).
+    pub fn pairwise_marginals_planned(
+        &self,
+        state: &mut PropagationState,
+        plans: &[&PairwisePlan],
+        mut read: impl FnMut(usize, &[f64]),
+    ) -> usize {
+        assert_calibrated(state);
+        let (mut entries, mut resume) = (0, 0);
+        for (i, plan) in plans.iter().enumerate() {
+            let keep = plans.get(i + 1).map_or(0, |next| next.shared_steps(plan));
+            entries += plan.entries_from(resume);
+            let joint = pairwise::run(
+                plan,
+                &self.kernels,
+                (&self.layout, &state.cliques, &state.sepsets),
+                (&mut state.path_msg, &mut state.path_next),
+                Prefix {
+                    messages: &mut state.path_prefix,
+                    resume,
+                    keep,
+                },
+            );
+            read(i, joint);
+            resume = keep;
+        }
+        // Kept messages are dropped, not cached: every arena state
+        // holding its largest prefix cost about 0.8 MiB of peak RSS on
+        // the profile's `update` workload, and reallocating them per
+        // pass costs no measurable time.
+        state.path_prefix.clear();
+        entries
     }
 
     /// The exact posterior joint `P(a, b | evidence)` for *any* two
@@ -621,8 +670,12 @@ impl CompiledTree {
             &plan,
             &self.kernels,
             (&self.layout, &state.cliques, &state.sepsets),
-            &mut msg,
-            &mut next,
+            (&mut msg, &mut next),
+            Prefix {
+                messages: &mut Vec::new(),
+                resume: 0,
+                keep: 0,
+            },
         );
         let [lo, hi] = plan.vars();
         Some(Factor::new(
@@ -715,6 +768,10 @@ pub struct PropagationState {
     /// reads allocate nothing in steady state.
     path_msg: Vec<f64>,
     path_next: Vec<f64>,
+    /// The messages a walk leaves for the next one over the same path
+    /// prefix ([`CompiledTree::pairwise_marginals_planned`]); empty
+    /// between passes.
+    path_prefix: Vec<Vec<f64>>,
     calibrated: bool,
     /// Probability of the inserted evidence, valid after calibration.
     evidence_probability: f64,

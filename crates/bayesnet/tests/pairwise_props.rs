@@ -4,7 +4,8 @@
 //! pairs one clique holds and `None` across components.
 
 use proptest::prelude::*;
-use swact_bayesnet::{BayesNet, CompiledTree, Cpt, JunctionTree, SparseMode, VarId};
+use std::collections::HashSet;
+use swact_bayesnet::{BayesNet, CompiledTree, Cpt, JunctionTree, SparseMode, VarId, WalkArm};
 
 /// Xorshift stream, so shrinking the seed stays meaningful.
 fn stream(seed: u64) -> impl FnMut() -> u64 {
@@ -220,4 +221,127 @@ fn wide_lanes_match_the_reference_walk() {
             assert_eq!(bits(expect.values()), bits(got.values()), "{a} {b}");
         }
     }
+}
+
+/// A dense network of `n` four-state variables, each with up to three
+/// earlier parents, so every merged walk dimension is a run of four-state
+/// entries and the walks take the register tiles.
+fn four_state_net(n: usize, seed: u64) -> BayesNet {
+    let mut next = stream(seed);
+    let mut net = BayesNet::new();
+    for i in 0..n {
+        let mut parents: Vec<VarId> = Vec::new();
+        if i > 0 {
+            for _ in 0..1 + next() % 3 {
+                let p = VarId::from_index((next() % i as u64) as usize);
+                if !parents.contains(&p) {
+                    parents.push(p);
+                }
+            }
+        }
+        let rows: usize = parents.iter().map(|&p| net.card(p)).product();
+        let cpt = (0..rows)
+            .map(|_| {
+                let raw: Vec<f64> = (0..4).map(|_| 1.0 + (next() % 1000) as f64).collect();
+                let total: f64 = raw.iter().sum();
+                raw.into_iter().map(|x| x / total).collect()
+            })
+            .collect();
+        net.add_var(format!("v{i}"), 4, &parents, Cpt::rows(cpt))
+            .expect("generated net is valid");
+    }
+    net
+}
+
+/// On all-four-state networks every planned walk equals the reference
+/// walk bit for bit, and the walks reach every register-tile arm: each
+/// kept/summed combination of the two innermost dimensions, at one lane
+/// and at four.
+#[test]
+fn four_state_walks_match_the_reference_walk_on_every_tile_arm() {
+    let mut arms = HashSet::new();
+    for seed in 1..=24u64 {
+        let net = four_state_net(4 + (seed % 6) as usize, seed);
+        let tree = JunctionTree::compile(&net).expect("compiles");
+        let compiled = CompiledTree::from_parts_with(
+            tree.clone(),
+            swact_bayesnet::initial_potentials(&tree, &net),
+            SparseMode::Off,
+        );
+        let mut next = stream(seed ^ 0x9e37);
+        let mut state = compiled.new_state();
+        for var in net.var_ids() {
+            if next().is_multiple_of(3) {
+                let weights = (0..4).map(|_| 0.25 + (next() % 4) as f64).collect();
+                compiled
+                    .set_likelihood(&mut state, var, weights)
+                    .expect("in range");
+            }
+        }
+        compiled.calibrate(&mut state);
+        for a in net.var_ids() {
+            for b in net.var_ids().filter(|&b| b != a) {
+                let reference = compiled
+                    .pairwise_marginal_reference(&state, a, b)
+                    .expect("one component");
+                let plan = compiled.plan_pairwise(a, b).expect("one component");
+                arms.extend(plan.walk_arms());
+                let planned = bits(compiled.pairwise_marginal_planned(&mut state, &plan));
+                assert_eq!(bits(reference.values()), planned, "seed {seed}: {a} {b}");
+            }
+        }
+    }
+    for lanes in [1, 4] {
+        for kept in [[false, false], [false, true], [true, false], [true, true]] {
+            let arm = WalkArm::Tiled { lanes, kept };
+            assert!(arms.contains(&arm), "no walk reached {arm:?}");
+        }
+    }
+}
+
+/// Walks run together share their common first steps: for each `a`, the
+/// walks to every `b` in one batch (consecutive plans leave `home(a)` down
+/// common paths, so later walks resume from earlier messages) must equal
+/// the reference walk bit for bit, on mixed-card and all-four-state nets.
+#[test]
+fn shared_prefix_walks_match_the_reference_walk() {
+    let mut shared = 0;
+    for seed in 1..=16u64 {
+        let n = 5 + (seed % 6) as usize;
+        let net = if seed % 2 == 0 {
+            four_state_net(n, seed)
+        } else {
+            random_net_with(n, seed, false, true)
+        };
+        let tree = JunctionTree::compile(&net).expect("compiles");
+        let compiled = CompiledTree::from_parts_with(
+            tree.clone(),
+            swact_bayesnet::initial_potentials(&tree, &net),
+            SparseMode::Off,
+        );
+        let mut state = compiled.new_state();
+        compiled.calibrate(&mut state);
+        for a in net.var_ids() {
+            let mut expect = Vec::new();
+            let mut plans = Vec::new();
+            for b in net.var_ids().filter(|&b| b != a) {
+                if let Some(reference) = compiled.pairwise_marginal_reference(&state, a, b) {
+                    expect.push(bits(reference.values()));
+                    plans.push(compiled.plan_pairwise(a, b).expect("one component"));
+                }
+            }
+            let plans: Vec<_> = plans.iter().collect();
+            shared += plans
+                .windows(2)
+                .map(|w| w[1].shared_steps(w[0]))
+                .sum::<usize>();
+            let mut got = Vec::new();
+            compiled.pairwise_marginals_planned(&mut state, &plans, |i, joint| {
+                assert_eq!(i, got.len());
+                got.push(bits(joint));
+            });
+            assert_eq!(got, expect, "seed {seed}: walks from {a}");
+        }
+    }
+    assert!(shared > 0, "no batch shared a step");
 }

@@ -74,5 +74,45 @@ fn bench_export_walks(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_propagate, bench_export_walks);
+/// Every export walk of one c7552 estimate, as production runs them: each
+/// exporting segment's walks over the state a real estimate under skewed
+/// input statistics calibrated.
+fn bench_export_walks_all(c: &mut Criterion) {
+    let circuit = catalog::benchmark("c7552").expect("known benchmark");
+    let compiled = CompiledEstimator::compile(&circuit, &Options::default()).expect("compiles");
+    let spec =
+        InputSpec::independent((0..circuit.num_inputs()).map(|i| 0.2 + 0.15 * (i % 5) as f64));
+    let mut walks = compiled.export_walks_after(&spec).expect("matches");
+    let mut group = c.benchmark_group("export_walks");
+    group.sample_size(20);
+    group.bench_function("c7552_all", |b| {
+        b.iter(|| {
+            let mut total = 0.0;
+            for (tree, state, exports) in &mut walks {
+                let plans: Vec<_> = exports.iter().map(|&(_, _, plan)| plan).collect();
+                tree.pairwise_marginals_planned(state, &plans, |_, joint| total += joint[0]);
+            }
+            total
+        })
+    });
+    group.bench_function("c7552_all_unshared", |b| {
+        b.iter(|| {
+            let mut total = 0.0;
+            for (tree, state, exports) in &mut walks {
+                for &(_, _, plan) in exports.iter() {
+                    total += tree.pairwise_marginal_planned(state, plan)[0];
+                }
+            }
+            total
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_propagate,
+    bench_export_walks,
+    bench_export_walks_all
+);
 criterion_main!(benches);

@@ -823,14 +823,18 @@ fn cmd_batch(rest: &[&String]) -> Result<String, CliError> {
         // successful scenario.
         let (mut calibrate, mut readout, mut export) =
             (Duration::ZERO, Duration::ZERO, Duration::ZERO);
+        let (mut walks, mut entries) = (0usize, 0usize);
         for timing in report.estimates().flat_map(|e| e.segment_timings()) {
             calibrate += timing.calibrate;
             readout += timing.readout;
             export += timing.export;
+            walks += timing.export_walks;
+            entries += timing.export_entries;
         }
         let _ = writeln!(
             out,
-            "propagate split: calibrate {calibrate:?}; readout {readout:?}; export {export:?}"
+            "propagate split: calibrate {calibrate:?}; readout {readout:?}; \
+             export {export:?} ({walks} walk(s), {entries} entries)"
         );
     }
     Ok(out)
@@ -1627,8 +1631,22 @@ mod tests {
         assert!(out.contains("stages: plan"));
         assert!(out.contains("forward"));
         assert!(out.contains("propagate split: calibrate"));
+        // c17 is one segment: nothing to export.
+        assert!(out.contains("(0 walk(s), 0 entries)"));
         assert!(out.contains("reuse:"));
         assert!(out.contains("memo-skipped"));
+        // c432's boundaries export pairwise joints: the export figure
+        // carries the walks run and the lane-entries they touched.
+        let out = run_strs(&["batch", "c432", "--sweep", "2", "--stats"]).unwrap();
+        let split = out
+            .lines()
+            .find(|l| l.starts_with("propagate split:"))
+            .unwrap();
+        let counts = split.rsplit_once(" (").unwrap().1;
+        let (walks, entries) = counts.split_once(" walk(s), ").unwrap();
+        let entries = entries.strip_suffix(" entries)").unwrap();
+        assert!(walks.parse::<usize>().unwrap() > 0, "{split}");
+        assert!(entries.parse::<usize>().unwrap() > 0, "{split}");
     }
 
     #[test]

@@ -248,12 +248,14 @@ pub(crate) fn propagate(
         joints.push((idx, out));
     }
     let readout = start.elapsed();
-    // Export pairwise joints for later segments.
+    // Export pairwise joints for later segments. Exports from one parent
+    // down one path share their first steps.
     let start = Instant::now();
     let mut exports = Vec::with_capacity(art.exports.len());
-    for export in &art.exports {
+    let plans: Vec<&PairwisePlan> = art.exports.iter().map(|e| &e.plan).collect();
+    let entries = compiled.pairwise_marginals_planned(state, &plans, |i, joint| {
+        let export = &art.exports[i];
         let parent_first = export.plan.vars()[0] == export.parent;
-        let joint = compiled.pairwise_marginal_planned(state, &export.plan);
         let mut cond = [0.0f64; 16];
         for p in 0..4 {
             let mut row = [0.0f64; 4];
@@ -269,7 +271,7 @@ pub(crate) fn propagate(
             }
         }
         exports.push((export.slot, cond));
-    }
+    });
     Ok(SegmentPosterior {
         gate_dists,
         exports,
@@ -279,6 +281,8 @@ pub(crate) fn propagate(
             calibrate,
             readout,
             export: start.elapsed(),
+            export_walks: art.exports.len(),
+            export_entries: entries,
             ..SegmentTimings::default()
         },
     })
@@ -388,14 +392,23 @@ mod tests {
             };
             let tree = &art.compiled;
             let mut state = calibrated_state(art);
+            let mut expect = Vec::new();
             for export in &art.exports {
                 let planned = bits(tree.pairwise_marginal_planned(&mut state, &export.plan));
                 let reference = tree
                     .pairwise_marginal_reference(&state, export.parent, export.child)
                     .expect("exports share a component");
                 assert_eq!(planned, bits(reference.values()), "{name} export");
+                expect.push(planned);
                 walks += 1;
             }
+            // The export pass itself, which shares walk prefixes.
+            let plans: Vec<_> = art.exports.iter().map(|e| &e.plan).collect();
+            let mut shared = Vec::new();
+            tree.pairwise_marginals_planned(&mut state, &plans, |_, joint| {
+                shared.push(bits(joint));
+            });
+            assert_eq!(shared, expect, "{name} shared export walks");
             let gates: Vec<_> = art.gates.iter().map(|&(_, var)| var).collect();
             let step = (gates.len() / 4).max(1);
             for &a in gates.iter().step_by(step) {

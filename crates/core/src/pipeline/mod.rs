@@ -669,7 +669,7 @@ impl CompiledEstimator {
     ///
     /// Returns [`EstimateError::InputCountMismatch`] for a wrong-size spec.
     pub fn estimate(&self, spec: &InputSpec) -> Result<Estimate, EstimateError> {
-        Ok(self.run(spec, &[], WhenBusy::Grow)?.0)
+        Ok(self.run(spec, &[], WhenBusy::Grow, None)?.0)
     }
 
     /// Like [`estimate`](CompiledEstimator::estimate), but an estimate
@@ -683,7 +683,7 @@ impl CompiledEstimator {
     ///
     /// Same as [`estimate`](CompiledEstimator::estimate).
     pub fn estimate_queued(&self, spec: &InputSpec) -> Result<Estimate, EstimateError> {
-        Ok(self.run(spec, &[], WhenBusy::Wait)?.0)
+        Ok(self.run(spec, &[], WhenBusy::Wait, None)?.0)
     }
 
     /// Like [`estimate`](CompiledEstimator::estimate), but additionally
@@ -707,16 +707,19 @@ impl CompiledEstimator {
         spec: &InputSpec,
         line_pairs: &[(LineId, LineId)],
     ) -> Result<(Estimate, Vec<Option<[[f64; 4]; 4]>>), EstimateError> {
-        self.run(spec, line_pairs, WhenBusy::Grow)
+        self.run(spec, line_pairs, WhenBusy::Grow, None)
     }
 
-    /// One estimate, leasing its arena under `when_busy`.
+    /// One estimate, leasing its arena under `when_busy`. With `states`,
+    /// every segment that propagates (is not served from the memo) also
+    /// pushes its index and a clone of the state it left.
     #[allow(clippy::type_complexity)]
     fn run(
         &self,
         spec: &InputSpec,
         line_pairs: &[(LineId, LineId)],
         when_busy: WhenBusy,
+        mut states: Option<&mut Vec<(usize, PropagationState)>>,
     ) -> Result<(Estimate, Vec<Option<[[f64; 4]; 4]>>), EstimateError> {
         let working = &self.planned.working;
         if spec.len() != working.num_inputs() {
@@ -842,8 +845,11 @@ impl CompiledEstimator {
                 }),
             };
             propagate_wall += wave_start.elapsed();
-            for (seg_idx, elapsed, output) in outputs {
+            for (slot, (seg_idx, elapsed, output)) in outputs.into_iter().enumerate() {
                 let (output, skipped) = output?;
+                if let Some(states) = states.as_deref_mut().filter(|_| !skipped) {
+                    states.push((seg_idx, lease.arena[slot].clone()));
+                }
                 seg_propagate[seg_idx] = SegmentTimings {
                     propagate: elapsed,
                     ..output.timings
@@ -1049,19 +1055,61 @@ impl CompiledEstimator {
     #[doc(hidden)]
     #[allow(clippy::type_complexity)]
     pub fn export_walks(&self) -> Vec<(&CompiledTree, Vec<(VarId, VarId, &PairwisePlan)>)> {
-        self.segments
-            .iter()
-            .filter_map(|segment| match &segment.artifact {
-                SegmentArtifact::Jtree(art) if !art.exports.is_empty() => Some((
-                    &art.compiled,
-                    art.exports
-                        .iter()
-                        .map(|export| (export.parent, export.child, &export.plan))
-                        .collect(),
-                )),
-                _ => None,
-            })
+        (0..self.segments.len())
+            .filter_map(|seg_idx| self.segment_exports(seg_idx))
             .collect()
+    }
+
+    /// [`export_walks`](CompiledEstimator::export_walks), each with the
+    /// calibrated state an estimate of `spec` leaves its segment in. A
+    /// segment the posterior memo serves keeps no state and is left out,
+    /// so call this on an estimator that has not yet estimated `spec`.
+    /// For the export-walk benchmark only.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`estimate`](CompiledEstimator::estimate).
+    #[doc(hidden)]
+    #[allow(clippy::type_complexity)]
+    pub fn export_walks_after(
+        &self,
+        spec: &InputSpec,
+    ) -> Result<
+        Vec<(
+            &CompiledTree,
+            PropagationState,
+            Vec<(VarId, VarId, &PairwisePlan)>,
+        )>,
+        EstimateError,
+    > {
+        let mut states = Vec::new();
+        self.run(spec, &[], WhenBusy::Grow, Some(&mut states))?;
+        Ok(states
+            .into_iter()
+            .filter_map(|(seg_idx, state)| {
+                let (tree, exports) = self.segment_exports(seg_idx)?;
+                Some((tree, state, exports))
+            })
+            .collect())
+    }
+
+    /// Segment `seg_idx`'s tree and exports, if it is a junction-tree
+    /// segment with any.
+    #[allow(clippy::type_complexity)]
+    fn segment_exports(
+        &self,
+        seg_idx: usize,
+    ) -> Option<(&CompiledTree, Vec<(VarId, VarId, &PairwisePlan)>)> {
+        match &self.segments[seg_idx].artifact {
+            SegmentArtifact::Jtree(art) if !art.exports.is_empty() => Some((
+                &art.compiled,
+                art.exports
+                    .iter()
+                    .map(|export| (export.parent, export.child, &export.plan))
+                    .collect(),
+            )),
+            _ => None,
+        }
     }
 }
 

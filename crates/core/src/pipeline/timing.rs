@@ -72,6 +72,13 @@ pub struct SegmentTimings {
     /// Export: the pairwise joints later segments read across the
     /// boundary.
     pub export: Duration,
+    /// The clique-path walks `export` ran.
+    pub export_walks: usize,
+    /// The lane-entries those walks touched
+    /// ([`PairwisePlan::entries`](swact_bayesnet::PairwisePlan::entries),
+    /// steps shared between walks counted once), so `export` per entry
+    /// can be checked against the walk cost.
+    pub export_entries: usize,
 }
 
 #[cfg(test)]
