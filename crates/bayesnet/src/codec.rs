@@ -1,17 +1,19 @@
 //! Little-endian binary codec for compiled propagation artifacts.
 //!
 //! Serializes a [`CompiledTree`] — junction-tree structure, the factors
-//! each clique hosts (its CPTs) with their gather projections, message
-//! schedule, kernels (supports, and per edge side a blocked stride form
-//! or, for a zero-compressed clique, a support-aligned projection
-//! table) — field for field, so the decoder
-//! reconstructs the exact struct the compiler produced without re-running
-//! triangulation, kernel construction, or any other derivation. No clique
-//! potential is stored: a propagation writes each one from its hosted
-//! factors. Every `f64` travels as its IEEE 754 bit pattern
-//! ([`f64::to_bits`], little-endian), which makes a loaded artifact
-//! *bit-identical* to the fresh compile: identical factors, identical
-//! iteration orders, identical propagation results.
+//! each clique hosts (its CPTs), message schedule and the zero-compression
+//! supports — field for field, so the decoder reconstructs the struct the
+//! compiler produced without re-running triangulation or re-materializing
+//! any potential. No projection is stored: each hosted factor's gather
+//! projection and each edge side's clique→sepset projection (the blocked
+//! stride odometer of a dense clique, the support-aligned table of a
+//! zero-compressed one) follow from the tree and the supports, and the
+//! decoder derives them with the functions compile uses, as it derives the
+//! state layout. No clique potential is stored either: a propagation
+//! writes each one from its hosted factors. Every `f64` travels as its
+//! IEEE 754 bit pattern ([`f64::to_bits`], little-endian), which makes a
+//! loaded artifact *bit-identical* to the fresh compile: identical
+//! factors, identical iteration orders, identical propagation results.
 //!
 //! The primitives ([`Writer`], [`Reader`]) are public so higher layers
 //! (the `swact` artifact format) can frame this payload with their own
@@ -25,7 +27,7 @@ use std::fmt;
 
 use crate::junction::{JunctionTree, TreeEdge};
 use crate::propagate::CodecParts;
-use crate::sparse::{BlockedProj, EdgeProj, HostedFactor, PropagationKernels, SideProj};
+use crate::sparse::{HostedFactor, PropagationKernels};
 use crate::{CompiledTree, Factor, SparseMode, VarId};
 
 /// Why a byte stream could not be decoded.
@@ -491,96 +493,6 @@ fn mode_from_tag(tag: u8) -> Result<SparseMode, CodecError> {
     }
 }
 
-fn write_blocked(w: &mut Writer, blocked: &BlockedProj) {
-    w.u32(blocked.copy_len);
-    w.u32(blocked.sum_reps);
-    write_u32_list(w, &blocked.base);
-}
-
-/// Reads one blocked clique→`target` projection and checks that it covers
-/// exactly the clique's `clique_len` entries and that no run overruns the
-/// `target_len`-entry target, so the blocked kernels' unchecked-by-design
-/// indexing stays in bounds.
-fn read_blocked(
-    r: &mut Reader<'_>,
-    clique_len: usize,
-    target_len: usize,
-    target: &str,
-) -> Result<BlockedProj, CodecError> {
-    let copy_len = r.u32()?;
-    let sum_reps = r.u32()?;
-    let base = read_u32_list(r)?;
-    let total = base.len() as u128 * u128::from(sum_reps) * u128::from(copy_len);
-    if total != clique_len as u128 {
-        return Err(malformed(format!(
-            "blocked projection covers {total} entries for a {clique_len}-entry clique"
-        )));
-    }
-    let copy = copy_len as usize;
-    if base.iter().any(|&b| b as usize + copy > target_len) {
-        return Err(malformed(format!(
-            "blocked run overruns the {target_len}-entry {target}"
-        )));
-    }
-    Ok(BlockedProj {
-        copy_len,
-        sum_reps,
-        base,
-    })
-}
-
-fn write_side_proj(w: &mut Writer, side: &SideProj) {
-    match side {
-        SideProj::Support(table) => {
-            w.u8(0);
-            write_u32_list(w, table);
-        }
-        SideProj::Blocked(blocked) => {
-            w.u8(1);
-            write_blocked(w, blocked);
-        }
-    }
-}
-
-/// Reads one clique→sepset projection and checks it against its clique
-/// and the sepset's state count, so the kernels' unchecked-by-design
-/// indexing stays in bounds. A zero-compressed clique (`support` given)
-/// needs a support-aligned table of in-range indices; a dense clique of
-/// `clique_len` entries needs a blocked form covering exactly those
-/// entries with no run overrunning the sepset.
-fn read_side_proj(
-    r: &mut Reader<'_>,
-    support: Option<&[u32]>,
-    clique_len: usize,
-    sep_states: usize,
-) -> Result<SideProj, CodecError> {
-    match (r.u8()?, support) {
-        (0, Some(support)) => {
-            let table = read_u32_list(r)?;
-            if table.len() != support.len() {
-                return Err(malformed(format!(
-                    "projection has {} entries for {} support entries",
-                    table.len(),
-                    support.len()
-                )));
-            }
-            if table.iter().any(|&t| t as usize >= sep_states) {
-                return Err(malformed(format!(
-                    "projection entry outside the {sep_states}-state sepset"
-                )));
-            }
-            Ok(SideProj::Support(table))
-        }
-        (1, None) => Ok(SideProj::Blocked(read_blocked(
-            r, clique_len, sep_states, "sepset",
-        )?)),
-        (tag @ (0 | 1), _) => Err(malformed(format!(
-            "projection form {tag} disagrees with the clique's compression"
-        ))),
-        (other, _) => Err(malformed(format!("bad projection tag {other}"))),
-    }
-}
-
 /// Encodes a [`CompiledTree`] — structure, hosted factors, schedule and
 /// kernels — into `w`.
 pub fn write_compiled_tree(w: &mut Writer, compiled: &CompiledTree) {
@@ -595,7 +507,6 @@ fn write_compiled_parts(w: &mut Writer, (tree, hosted, schedule, kernels, mode):
         w.usize(factors.len());
         for h in factors {
             write_factor(w, &h.factor);
-            write_blocked(w, &h.proj);
         }
     }
     w.usize(schedule.len());
@@ -614,25 +525,23 @@ fn write_compiled_parts(w: &mut Writer, (tree, hosted, schedule, kernels, mode):
             }
         }
     }
-    w.usize(kernels.edge_proj.len());
-    for proj in &kernels.edge_proj {
-        write_side_proj(w, &proj.a);
-        write_side_proj(w, &proj.b);
-    }
     w.usize(kernels.nnz);
     w.u8(mode_tag(mode));
 }
 
 /// Decodes a [`CompiledTree`] written by [`write_compiled_tree`]. The
-/// result is field-for-field identical to the encoded artifact; nothing is
-/// re-derived, so propagation over the decoded tree is bit-identical to
+/// stored fields come back as encoded, and the projections are derived
+/// from them by the functions compile uses, so the result is the struct
+/// the compiler produced and propagation over it is bit-identical to
 /// propagation over the original.
 ///
-/// Every table is range-checked against the tree it belongs to — clique
-/// and sepset variables, clique sizes, hosted-factor scopes and values,
-/// schedule edges, support lists, support-aligned projection entries and
-/// blocked runs — so a corrupt payload is [`CodecError::Malformed`] rather
-/// than an out-of-bounds panic in a later propagation.
+/// Every table is range-checked against the tree it belongs to before
+/// anything is derived from it — clique and sepset variables (each sepset
+/// inside both its cliques), clique sizes, hosted-factor scopes (inside
+/// their clique, with its cards) and values, schedule edges and support
+/// lists — so a corrupt payload is [`CodecError::Malformed`] rather than
+/// a panic while deriving or an out-of-bounds index in a later
+/// propagation.
 pub fn read_compiled_tree(r: &mut Reader<'_>) -> Result<CompiledTree, CodecError> {
     let tree = read_tree(r)?;
     // No potential is stored, so clique sizes come from the cardinalities;
@@ -651,7 +560,7 @@ pub fn read_compiled_tree(r: &mut Reader<'_>) -> Result<CompiledTree, CodecError
         return Err(malformed("hosted-factor table mismatches the cliques"));
     }
     let mut hosted = Vec::with_capacity(num_hosts);
-    for (clique, &clique_len) in clique_lens.iter().enumerate() {
+    for clique in 0..num_hosts {
         let count = r.len(16)?;
         let mut factors = Vec::with_capacity(count);
         for _ in 0..count {
@@ -664,11 +573,11 @@ pub fn read_compiled_tree(r: &mut Reader<'_>) -> Result<CompiledTree, CodecError
                 .any(|(v, &c)| vars.binary_search(v).is_err() || c != tree.card(*v))
             {
                 return Err(malformed(format!(
-                    "hosted factor scope is not an ascending subset of clique {clique}"
+                    "hosted factor scope is not an ascending subset of clique {clique} \
+                     with its cards"
                 )));
             }
-            let proj = read_blocked(r, clique_len, factor.len(), "hosted factor")?;
-            factors.push(HostedFactor { factor, proj });
+            factors.push(HostedFactor::new(vars, &tree.clique_cards(clique), factor));
         }
         hosted.push(factors);
     }
@@ -709,32 +618,8 @@ pub fn read_compiled_tree(r: &mut Reader<'_>) -> Result<CompiledTree, CodecError
             other => return Err(malformed(format!("bad support tag {other}"))),
         });
     }
-    let proj_len = r.len(16)?;
-    if proj_len != tree.num_edges() {
-        return Err(malformed("projection table mismatches the edges"));
-    }
-    let mut edge_proj = Vec::with_capacity(proj_len);
-    for e in 0..proj_len {
-        let edge = tree.edge(e);
-        let sep_states: usize = edge.sepset.iter().map(|&v| tree.card(v)).product();
-        let mut side = |clique: usize| {
-            read_side_proj(
-                r,
-                support[clique].as_deref(),
-                clique_lens[clique],
-                sep_states,
-            )
-        };
-        let a = side(edge.a)?;
-        let b = side(edge.b)?;
-        edge_proj.push(EdgeProj { a, b });
-    }
     let nnz = r.usize()?;
-    let kernels = PropagationKernels {
-        support,
-        edge_proj,
-        nnz,
-    };
+    let kernels = PropagationKernels::with_supports(&tree, support, nnz);
     let mode = mode_from_tag(r.u8()?)?;
     Ok(CompiledTree::from_codec_parts(
         tree, hosted, schedule, kernels, mode,
@@ -857,6 +742,9 @@ mod tests {
                 "mode {mode:?}"
             );
             assert_eq!(decoded.tree().num_cliques(), compiled.tree().num_cliques());
+            // The decoder derives every projection as compile does.
+            let kernels = |c: &CompiledTree| format!("{:?}", c.codec_parts().3);
+            assert_eq!(kernels(&decoded), kernels(&compiled), "mode {mode:?}");
             for clique in 0..compiled.tree().num_cliques() {
                 let (a, b) = (
                     decoded.hosted_factors(clique),
@@ -955,34 +843,23 @@ mod tests {
         matches!(result, Err(CodecError::Malformed(m)) if m.contains(needle))
     }
 
-    /// Each table the kernels index without checks is range-checked
-    /// against its own tree at decode. The chain `a → b → c` compiles to
-    /// cliques `{a, b}` and `{b, c}` joined by the sepset `{b}`; built from
-    /// explicit potentials, each clique hosts one full-scope factor.
+    /// Each table the projections are derived from, and the kernels index
+    /// without checks, is range-checked against its own tree at decode.
+    /// The chain `a → b → c` compiles to cliques `{a, b}` and `{b, c}`
+    /// joined by the sepset `{b}`; built from explicit potentials, each
+    /// clique hosts one full-scope factor.
     #[test]
     fn decoded_tables_are_range_checked() {
-        fn blocked(side: &mut SideProj) -> &mut BlockedProj {
-            match side {
-                SideProj::Blocked(blocked) => blocked,
-                SideProj::Support(_) => panic!("dense cliques keep the blocked form"),
-            }
-        }
-        fn table(side: &mut SideProj) -> &mut Vec<u32> {
-            match side {
-                SideProj::Support(table) => table,
-                SideProj::Blocked(_) => panic!("compressed cliques keep a support table"),
-            }
-        }
         let dense = compile(SparseMode::Off);
         assert!(decode_edited(&dense, |_, _, _, _, _| {}).is_ok());
-        let cases: [(&str, &str, Edit); 9] = [
+        let cases: [(&str, &str, Edit); 6] = [
             (
                 "clique var out of range",
                 "clique variables",
                 |cl, _, _, _, _| cl[0].push(VarId::from_index(3)),
             ),
             (
-                "sepset outside a clique",
+                "sepset outside its first clique",
                 "sepset is not a subset",
                 |cl, ed, _, _, _| {
                     let outside = if cl[ed[0].a].contains(&VarId::from_index(0)) {
@@ -991,6 +868,14 @@ mod tests {
                         0
                     };
                     ed[0].sepset = vec![VarId::from_index(outside)];
+                },
+            ),
+            (
+                "sepset outside its second clique",
+                "sepset is not a subset",
+                |cl, ed, _, _, _| {
+                    let (a, b) = (&cl[ed[0].a], &cl[ed[0].b]);
+                    ed[0].sepset = vec![*a.iter().find(|v| !b.contains(v)).unwrap()];
                 },
             ),
             (
@@ -1008,39 +893,19 @@ mod tests {
                 "not an ascending subset",
                 |_, _, _, hosted, _| hosted.swap(0, 1),
             ),
-            (
-                "hosted coverage",
-                "blocked projection covers",
-                |_, _, _, hosted, _| hosted[0][0].proj.sum_reps += 1,
-            ),
-            (
-                "hosted overrun",
-                "overruns the 4-entry hosted factor",
-                |_, _, _, hosted, _| {
-                    let h = hosted.iter_mut().flatten().find(|h| h.factor.len() == 4);
-                    h.unwrap().proj.base[0] = 1;
-                },
-            ),
-            (
-                "blocked overrun",
-                "blocked run overruns",
-                |_, _, _, _, k| blocked(&mut k.edge_proj[0].a).base[0] = 2,
-            ),
-            (
-                "blocked coverage",
-                "blocked projection covers",
-                |_, _, _, _, k| {
-                    blocked(&mut k.edge_proj[0].b).sum_reps += 1;
-                },
-            ),
-            (
-                "dense side with a table",
-                "disagrees with the clique's compression",
-                |_, _, _, hosted, k| {
-                    let len = hosted[0][0].factor.len();
-                    k.edge_proj[0].a = SideProj::Support(vec![0; len]);
-                },
-            ),
+            ("hosted cards", "with its cards", |_, _, _, hosted, _| {
+                let h = &mut hosted[0][0];
+                let scope: Vec<(VarId, usize)> = h
+                    .factor
+                    .vars()
+                    .iter()
+                    .zip(h.factor.cards())
+                    .enumerate()
+                    .map(|(i, (&v, &c))| (v, if i == 0 { c + 1 } else { c }))
+                    .collect();
+                let len = scope.iter().map(|&(_, c)| c).product();
+                h.factor = Factor::new(scope, vec![0.25; len]);
+            }),
         ];
         for (what, needle, edit) in cases {
             assert!(
@@ -1051,28 +916,7 @@ mod tests {
         let sparse = compile(SparseMode::On);
         assert_eq!(sparse.compressed_cliques(), 2);
         assert!(decode_edited(&sparse, |_, _, _, _, _| {}).is_ok());
-        let cases: [(&str, &str, Edit); 5] = [
-            (
-                "projection entry",
-                "projection entry outside",
-                |_, _, _, _, k| {
-                    table(&mut k.edge_proj[0].a)[0] = 2;
-                },
-            ),
-            ("projection length", "projection has", |_, _, _, _, k| {
-                table(&mut k.edge_proj[0].b).push(0);
-            }),
-            (
-                "compressed side with a blocked form",
-                "disagrees with the clique's compression",
-                |_, _, _, _, k| {
-                    k.edge_proj[0].a = SideProj::Blocked(BlockedProj {
-                        copy_len: 1,
-                        sum_reps: 1,
-                        base: vec![0],
-                    });
-                },
-            ),
+        let cases: [(&str, &str, Edit); 2] = [
             ("support order", "not ascending", |_, _, _, _, k| {
                 let list = k
                     .support

@@ -66,6 +66,7 @@ mod factor;
 pub mod graph;
 mod junction;
 mod network;
+mod odometer;
 mod pairwise;
 mod propagate;
 mod sparse;

@@ -21,11 +21,12 @@
 //! folds both into one source and one target stride per clique dimension
 //! and merges adjacent dimensions whose strides continue each other, so a
 //! dense clique is walked by an odometer over a few merged dimensions with
-//! no division and no index load. A step with one or four lanes and a kept
-//! dimension (one whose digit moves the target) of a multiple of four
-//! states walks by register tiles ([`walk_tiled`]): four target cells stay
-//! in registers while all of their entries stream past. Other steps walk
-//! one innermost run at a time.
+//! no division and no index load: the `odometer` module's, which the
+//! blocked clique→sepset projections walk too. A step with one or four
+//! lanes and a kept dimension (one whose digit moves the target) of a
+//! multiple of four states walks by register tiles ([`walk_tiled`]): four
+//! target cells stay in registers while all of their entries stream past.
+//! Other steps walk one innermost run at a time.
 //!
 //! Walks run together ([`CompiledTree::pairwise_marginals_planned`](crate::CompiledTree::pairwise_marginals_planned))
 //! share their common first steps: exports from one variable leave its
@@ -64,6 +65,7 @@
 //! `0.0 · m` to a non-negative sum changes nothing.
 
 use crate::junction::JunctionTree;
+use crate::odometer::{axes_of, for_each_block, for_each_offset, merge, Axis, Dim};
 use crate::propagate::StateLayout;
 use crate::sparse::{PropagationKernels, SideProj};
 use crate::VarId;
@@ -77,19 +79,6 @@ struct Digit {
     /// Target-index weight of one unit of the digit.
     weight: usize,
 }
-
-/// One merged clique dimension of a dense step's odometer: how far the
-/// source and target indices move per unit of the dimension.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Dim {
-    card: usize,
-    src: usize,
-    dst: usize,
-}
-
-/// Merged dimensions are non-trivial (`card ≥ 2`) and their product is a
-/// clique's state count, which fits in `u32`, so there are at most 32.
-const MAX_DIMS: usize = 32;
 
 /// One edge projection a step reads: the edge and whether the step's
 /// clique is that edge's `a` endpoint.
@@ -223,38 +212,6 @@ fn stride_in(tree: &JunctionTree, vars: &[VarId], v: VarId) -> usize {
         .map_or(0, |pos| states_of(tree, &vars[pos + 1..]))
 }
 
-/// Merges a clique's dimensions, given innermost first, into a dense
-/// odometer, outermost first: one-state dimensions drop out, and a
-/// dimension whose strides continue the one inside it (stride = inner
-/// stride × inner card, on both sides) merges into it. `None` past
-/// [`MAX_DIMS`] (no table that large can be compiled).
-fn odometer(inner_first: impl IntoIterator<Item = Dim>) -> Option<Vec<Dim>> {
-    let mut dims: Vec<Dim> = Vec::new();
-    for dim in inner_first {
-        match dims.last_mut() {
-            _ if dim.card == 1 => {}
-            Some(inner)
-                if dim.src == inner.src * inner.card && dim.dst == inner.dst * inner.card =>
-            {
-                inner.card *= dim.card;
-            }
-            _ => dims.push(dim),
-        }
-    }
-    if dims.len() > MAX_DIMS {
-        return None;
-    }
-    if dims.is_empty() {
-        dims.push(Dim {
-            card: 1,
-            src: 0,
-            dst: 0,
-        });
-    }
-    dims.reverse();
-    Some(dims)
-}
-
 /// Builds a step over `clique`: digits are `(var, weight)` pairs. `None`
 /// when the clique has more dimensions than the odometer holds.
 #[allow(clippy::too_many_arguments)]
@@ -276,7 +233,7 @@ fn step(
             .find(|&&(d, _)| d == v)
             .map_or(0, |&(_, w)| w)
     };
-    let dims = odometer(vars.iter().rev().map(|&v| Dim {
+    let dims = merge(vars.iter().rev().map(|&v| Dim {
         card: tree.card(v),
         src: stride_in(tree, src_vars, v) * lanes,
         dst: stride_in(tree, dst_vars, v) * out_lanes + weight(v),
@@ -486,21 +443,6 @@ pub(crate) fn run<'s>(
     msg
 }
 
-/// Calls `visit(c, t, s)` at the start of every block of `block` clique
-/// entries, in ascending clique order: `c` is the block's first clique
-/// entry, `t` and `s` its target and source offsets. `outer` is the
-/// odometer over the dimensions outside the block, outermost first; it
-/// advances by additions only, once per block.
-#[inline(always)]
-fn for_each_block(outer: &[Dim], block: usize, visit: impl FnMut(usize, usize, usize)) {
-    let mut axes = [Axis::default(); MAX_DIMS];
-    let axes = &mut axes[..outer.len()];
-    for (axis, dim) in axes.iter_mut().zip(axes_of(outer, block)) {
-        *axis = dim;
-    }
-    for_each_offset(axes, visit);
-}
-
 /// How a step over a dense clique walks it. Doc-hidden: exposed only so
 /// the property tests can check which arms ran
 /// ([`PairwisePlan::walk_arms`]).
@@ -527,32 +469,6 @@ impl WalkArm {
             kept: [kept(0), kept(1)],
         }
     }
-}
-
-/// One merged clique dimension as the walk kernels step it: its card and
-/// how far the clique, source and target indices move per unit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct Axis {
-    card: usize,
-    clique: usize,
-    src: usize,
-    dst: usize,
-}
-
-/// `dims` (outermost first) as axes, in the same order: the innermost
-/// moves the clique index by `inner`, each other by `inner` times the
-/// cards inside it.
-fn axes_of(dims: &[Dim], inner: usize) -> impl Iterator<Item = Axis> + '_ {
-    let mut clique = inner * dims.iter().map(|d| d.card).product::<usize>();
-    dims.iter().map(move |d| {
-        clique /= d.card;
-        Axis {
-            card: d.card,
-            clique,
-            src: d.src,
-            dst: d.dst,
-        }
-    })
 }
 
 /// A dense step regrouped for [`walk_tiled`]: the tile dimension, the
@@ -614,37 +530,6 @@ fn mul_add<const L: usize>(mut acc: [f64; L], v: f64, msg: &[f64; L]) -> [f64; L
         *a += v * m;
     }
     acc
-}
-
-/// Calls `visit(c, t, s)` once per digit combination of `axes`
-/// (outermost first), in ascending order, with the clique, target and
-/// source offsets of that combination. Additions only.
-#[inline(always)]
-fn for_each_offset(axes: &[Axis], mut visit: impl FnMut(usize, usize, usize)) {
-    let mut count = [0usize; MAX_DIMS];
-    let (mut c, mut t, mut s) = (0usize, 0usize, 0usize);
-    loop {
-        visit(c, t, s);
-        let mut pos = axes.len();
-        loop {
-            if pos == 0 {
-                return;
-            }
-            pos -= 1;
-            let a = &axes[pos];
-            count[pos] += 1;
-            if count[pos] < a.card {
-                c += a.clique;
-                t += a.dst;
-                s += a.src;
-                break;
-            }
-            count[pos] = 0;
-            c -= a.clique * (a.card - 1);
-            t -= a.dst * (a.card - 1);
-            s -= a.src * (a.card - 1);
-        }
-    }
 }
 
 /// A dense step with `L` lanes by register tiles:
@@ -903,7 +788,7 @@ mod tests {
                     0
                 }
             };
-            let dims = odometer((0..n).rev().map(|i| Dim {
+            let dims = merge((0..n).rev().map(|i| Dim {
                 card: cards[i],
                 src: stride(&src_vars, i) * lanes,
                 dst: stride(&dst_vars, i) * out_lanes + weight(i),

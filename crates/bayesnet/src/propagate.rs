@@ -329,12 +329,13 @@ impl CompiledTree {
         )
     }
 
-    /// Rebuilds the artifact from decoded fields — schedule and kernels
+    /// Rebuilds the artifact from its fields — schedule and kernels
     /// included — without re-running
-    /// [`from_parts_with`](CompiledTree::from_parts_with), so a loaded
-    /// artifact is field-for-field (and therefore bit-for-bit) the struct
-    /// the original compile produced. Only the [`crate::codec`] decoder
-    /// calls this, after checksum verification.
+    /// [`from_parts_with`](CompiledTree::from_parts_with). The
+    /// [`crate::codec`] decoder derives the kernels from the decoded
+    /// supports as compile does, so a loaded artifact is field-for-field
+    /// (and therefore bit-for-bit) the struct the original compile
+    /// produced.
     pub(crate) fn from_codec_parts(
         tree: JunctionTree,
         hosted: Vec<Vec<HostedFactor>>,

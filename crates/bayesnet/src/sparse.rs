@@ -14,12 +14,14 @@
 //! [`CompiledTree`](crate::CompiledTree) and reused by every propagation:
 //!
 //! 1. **Blocked stride form** for a dense clique: the row-major table
-//!    factors into `base.len() × sum_reps × copy_len` entries (see
+//!    factors into `blocks × sum_reps × copy_len` entries (see
 //!    [`BlockedProj`]), so marginalize and multiply stream contiguous runs
-//!    and store one offset per block, not one index per entry. The two
-//!    shapes four-state variables make most often (one summed out into
-//!    each slot, or one kept innermost) run fixed-width arms that add in
-//!    the same order, so they unroll without moving a bit.
+//!    and store no index at all: each block's target offset is stepped by
+//!    the additions-only odometer (`odometer`) over a few merged prefix
+//!    dimensions. The two shapes four-state variables make most often
+//!    (one summed out into each slot, or one kept innermost) run
+//!    fixed-width arms that add in the same order, so they unroll without
+//!    moving a bit.
 //! 2. **Support-aligned table** for a zero-compressed clique (HUGIN's
 //!    classic optimization, Jensen & Andersen 1990): one `u32` sepset index
 //!    per nonzero entry, walked beside the clique's support list so
@@ -29,7 +31,9 @@
 //! the clique digits (the sepset strides), so the two-pass reference
 //! (`CompiledTree::calibrate_two_pass`) derives it at call time with
 //! [`clique_to_sepset`], and the pairwise walk (`pairwise`) reads it
-//! through a plan-time stride odometer.
+//! through a plan-time stride odometer. Every projection is a function
+//! of the tree and the supports, so the artifact decoder derives them
+//! here as compile does ([`PropagationKernels::with_supports`]).
 //!
 //! No initial potential is stored either. Each clique *hosts* the factors
 //! whose product is its initial potential ([`HostedFactor`]: its CPTs, or
@@ -47,6 +51,7 @@
 //! path, not merely close.
 
 use crate::junction::JunctionTree;
+use crate::odometer::{self, axes_of, for_each_offset, Axis, Dim};
 use crate::{Factor, VarId};
 
 /// Zero-compression policy for compiled junction trees.
@@ -135,19 +140,21 @@ pub const SPARSE_COST_PER_ENTRY: usize = 5;
 /// projection.
 ///
 /// The clique table in canonical row-major layout factors into
-/// `base.len() × sum_reps × copy_len` entries: walking dimensions from the
+/// `blocks × sum_reps × copy_len` entries: walking dimensions from the
 /// innermost outward, `copy_len` is the size of the maximal suffix of
 /// *kept* dimensions whose sepset strides are natural (contiguous — the
 /// suffix maps onto a contiguous target run), `sum_reps` the size of the
-/// run of *summed-out* dimensions immediately above it, and `base` the
-/// per-block target offsets enumerated over the remaining prefix
-/// dimensions in ascending source order.
+/// run of *summed-out* dimensions immediately above it, and the remaining
+/// prefix dimensions enumerate the blocks. The prefix is stored as its
+/// merged `(card, target stride)` dimensions ([`odometer::merge`]), so a
+/// block's target offset is never tabulated: the kernels step it with the
+/// additions-only odometer the pairwise walks use.
 ///
 /// The blocked kernels then walk `values` in one sequential sweep:
 ///
 /// ```text
-/// for (block, base) { for rep in 0..sum_reps {
-///     target[base..base+copy_len] += values[next copy_len entries]
+/// for block (target offset b, by the odometer) { for rep in 0..sum_reps {
+///     target[b..b+copy_len] += values[next copy_len entries]
 /// } }
 /// ```
 ///
@@ -175,9 +182,11 @@ pub(crate) struct BlockedProj {
     pub(crate) copy_len: u32,
     /// Consecutive source runs folded into the same target run (≥ 1).
     pub(crate) sum_reps: u32,
-    /// Target offset of each `sum_reps × copy_len` source block, in
-    /// ascending source order.
-    pub(crate) base: Vec<u32>,
+    /// The prefix dimensions above the block, merged where target strides
+    /// continue, as odometer axes outermost first (clique strides in
+    /// entries, no source). Never empty: a single block is one one-state
+    /// dimension.
+    prefix: Box<[Axis]>,
 }
 
 /// The loop a blocked kernel runs for a [`BlockedProj`] shape. Exposed only
@@ -204,6 +213,26 @@ impl BlockedProj {
             (4, _) => BlockedArm::CopyFour,
             _ => BlockedArm::Copy,
         }
+    }
+
+    /// Calls `visit(c, b)` for every `sum_reps × copy_len` block in
+    /// ascending source order: `c` is the block's first clique entry, `b`
+    /// its target offset. The outer prefix dimensions run on the shared
+    /// odometer; the innermost one is a plain loop.
+    #[inline(always)]
+    fn for_each_block(&self, mut visit: impl FnMut(usize, usize)) {
+        let (inner, outer) = self
+            .prefix
+            .split_last()
+            .expect("a blocked projection has an innermost prefix dimension");
+        for_each_offset(outer, |c, b, _| {
+            let (mut c, mut b) = (c, b);
+            for _ in 0..inner.card {
+                visit(c, b);
+                c += inner.clique;
+                b += inner.dst;
+            }
+        });
     }
 }
 
@@ -313,6 +342,23 @@ impl PropagationKernels {
                 compress(mode, nonzero, len).then(|| support_of(&scratch))
             })
             .collect();
+        PropagationKernels::with_supports(tree, support, nnz)
+    }
+
+    /// The kernels of `tree` whose cliques have the given supports (`None`
+    /// for a dense clique) and `nnz` nonzero entries in all: every edge
+    /// side's projection follows from the tree and its clique's support.
+    /// Compile and the artifact decoder both derive them here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sepset is not a subset of both its cliques, or a support
+    /// entry lies outside its clique; the decoder checks both first.
+    pub(crate) fn with_supports(
+        tree: &JunctionTree,
+        support: Vec<Option<Vec<u32>>>,
+        nnz: usize,
+    ) -> PropagationKernels {
         let edge_proj = (0..tree.num_edges())
             .map(|e| {
                 let edge = tree.edge(e);
@@ -407,10 +453,12 @@ fn sepset_strides(vars: &[VarId], cards: &[usize], sepset: &[VarId]) -> Vec<usiz
 /// Dimensions are classified from the innermost outward: the maximal
 /// suffix of kept dimensions with natural (contiguous) target strides
 /// becomes the copy run, the run of summed-out dimensions directly above
-/// it becomes the fold count, and the remaining prefix is enumerated once
-/// here into per-block target offsets. The degenerate decomposition
-/// (`copy_len == 1`, `sum_reps == 1`, one base per entry) is exactly the
-/// per-entry table, so correctness never depends on a favourable layout.
+/// it becomes the fold count, and the remaining prefix becomes the merged
+/// odometer dimensions the blocks are stepped by. The degenerate
+/// decomposition (`copy_len == 1`, `sum_reps == 1`, one block per entry)
+/// is exactly the per-entry map, so correctness never depends on a
+/// favourable layout. Compile and the artifact decoder both derive every
+/// projection here.
 fn blocked_projection(vars: &[VarId], cards: &[usize], sepset: &[VarId]) -> BlockedProj {
     let strides = sepset_strides(vars, cards, sepset);
     let mut j = cards.len();
@@ -435,30 +483,18 @@ fn blocked_projection(vars: &[VarId], cards: &[usize], sepset: &[VarId]) -> Bloc
     // stride 1 and join the run), so it folds: no `(1, 1)` shape reaches
     // the kernels except the one-entry table.
     debug_assert!(copy_len > 1 || sum_reps > 1 || j == 0);
-    let blocks: usize = cards[..j].iter().product();
-    let mut base = Vec::with_capacity(blocks);
-    let mut digits = vec![0usize; j];
-    let mut target = 0usize;
-    for _ in 0..blocks {
-        base.push(target as u32);
-        for pos in (0..j).rev() {
-            digits[pos] += 1;
-            target += strides[pos];
-            if digits[pos] < cards[pos] {
-                break;
-            }
-            digits[pos] = 0;
-            target -= strides[pos] * cards[pos];
-        }
-    }
-    debug_assert_eq!(
-        base.len() * sum_reps * copy_len,
-        cards.iter().product::<usize>()
-    );
+    // The prefix has no source table: its dimensions merge on target
+    // strides alone.
+    let dims = odometer::merge((0..j).rev().map(|i| Dim {
+        card: cards[i],
+        src: 0,
+        dst: strides[i],
+    }))
+    .expect("a clique of at most u32::MAX entries has at most 32 merged dimensions");
     BlockedProj {
         copy_len: copy_len as u32,
         sum_reps: sum_reps as u32,
-        base,
+        prefix: axes_of(&dims, copy_len * sum_reps).collect(),
     }
 }
 
@@ -488,8 +524,9 @@ pub(crate) fn clique_to_sepset(vars: &[VarId], cards: &[usize], sepset: &[VarId]
 }
 
 /// A dense clique's clique→sepset index of every entry, read two
-/// independent ways: expanded from the blocked form the kernels walk, and
-/// from the per-entry odometer of the two-pass reference. For the
+/// independent ways: expanded from the blocked form through the shared
+/// odometer the kernels walk, and from the per-entry odometer of the
+/// two-pass reference. For the
 /// index-sequence property tests; not part of the supported API.
 ///
 /// # Panics
@@ -499,12 +536,14 @@ pub(crate) fn clique_to_sepset(vars: &[VarId], cards: &[usize], sepset: &[VarId]
 pub fn projection_index_sequences(clique: &Factor, sepset: &[VarId]) -> (Vec<u32>, Vec<u32>) {
     let (vars, cards) = (clique.vars(), clique.cards());
     let blocked = blocked_projection(vars, cards, sepset);
+    let (copy_len, sum_reps) = (blocked.copy_len as usize, blocked.sum_reps as usize);
     let mut expanded = Vec::with_capacity(clique.len());
-    for &base in &blocked.base {
-        for _ in 0..blocked.sum_reps {
-            expanded.extend(base..base + blocked.copy_len);
+    blocked.for_each_block(|c, b| {
+        assert_eq!(c, expanded.len(), "blocks start where the last one ended");
+        for _ in 0..sum_reps {
+            expanded.extend((b..b + copy_len).map(|t| t as u32));
         }
-    }
+    });
     (expanded, clique_to_sepset(vars, cards, sepset))
 }
 
@@ -620,48 +659,49 @@ pub(crate) fn marginalize_blocked(values: &[f64], blocked: &BlockedProj, target:
         BlockedArm::FoldFour => {
             // One four-state variable summed out: a fixed-width fold the
             // compiler unrolls, still adding left to right.
-            for (&b, quad) in blocked.base.iter().zip(values.chunks_exact(4)) {
-                let t = &mut target[b as usize];
+            blocked.for_each_block(|c, b| {
+                let quad = &values[c..c + 4];
+                let t = &mut target[b];
                 *t = (((*t + quad[0]) + quad[1]) + quad[2]) + quad[3];
-            }
+            });
         }
         BlockedArm::Fold => {
             // Whole blocks fold into single target slots: keep the
             // reduction in a register instead of bouncing through memory
             // per entry.
-            for (&b, block) in blocked.base.iter().zip(values.chunks_exact(s)) {
-                let mut acc = target[b as usize];
-                for &v in block {
+            blocked.for_each_block(|c, b| {
+                let mut acc = target[b];
+                for &v in &values[c..c + s] {
                     acc += v;
                 }
-                target[b as usize] = acc;
-            }
+                target[b] = acc;
+            });
         }
         BlockedArm::CopyFour => {
             // One kept four-state run: four register lanes per block, each
             // adding its column's reps in ascending order.
-            for (&b, block) in blocked.base.iter().zip(values.chunks_exact(4 * s)) {
-                let dst = &mut target[b as usize..b as usize + 4];
+            blocked.for_each_block(|c, b| {
+                let dst = &mut target[b..b + 4];
                 let mut acc = [dst[0], dst[1], dst[2], dst[3]];
-                for run in block.chunks_exact(4) {
+                for run in values[c..c + 4 * s].chunks_exact(4) {
                     for (a, &v) in acc.iter_mut().zip(run) {
                         *a += v;
                     }
                 }
                 dst.copy_from_slice(&acc);
-            }
+            });
         }
         BlockedArm::Copy => {
             // Contiguous lane-parallel adds: independent slots, so the
             // autovectorizer chunks these without any reassociation.
-            for (&b, block) in blocked.base.iter().zip(values.chunks_exact(s * l)) {
-                let dst = &mut target[b as usize..b as usize + l];
-                for run in block.chunks_exact(l) {
+            blocked.for_each_block(|c, b| {
+                let dst = &mut target[b..b + l];
+                for run in values[c..c + s * l].chunks_exact(l) {
                     for (t, &v) in dst.iter_mut().zip(run) {
                         *t += v;
                     }
                 }
-            }
+            });
         }
     }
 }
@@ -672,20 +712,15 @@ pub(crate) fn marginalize_blocked(values: &[f64], blocked: &BlockedProj, target:
 fn gather_blocked(values: &mut [f64], blocked: &BlockedProj, src: &[f64]) {
     let l = blocked.copy_len as usize;
     let s = blocked.sum_reps as usize;
-    let mut off = 0usize;
     if l == 1 {
-        for &b in &blocked.base {
-            values[off..off + s].fill(src[b as usize]);
-            off += s;
-        }
+        blocked.for_each_block(|c, b| values[c..c + s].fill(src[b]));
     } else {
-        for &b in &blocked.base {
-            let run = &src[b as usize..b as usize + l];
-            for _ in 0..s {
-                values[off..off + l].copy_from_slice(run);
-                off += l;
+        blocked.for_each_block(|c, b| {
+            let run = &src[b..b + l];
+            for dst in values[c..c + s * l].chunks_exact_mut(l) {
+                dst.copy_from_slice(run);
             }
-        }
+        });
     }
 }
 
@@ -698,41 +733,41 @@ pub(crate) fn multiply_blocked(values: &mut [f64], blocked: &BlockedProj, update
     let s = blocked.sum_reps as usize;
     match blocked.arm() {
         BlockedArm::FoldFour => {
-            for (&b, quad) in blocked.base.iter().zip(values.chunks_exact_mut(4)) {
-                let u = update[b as usize];
-                for v in quad {
+            blocked.for_each_block(|c, b| {
+                let u = update[b];
+                for v in &mut values[c..c + 4] {
                     *v *= u;
                 }
-            }
+            });
         }
         BlockedArm::Fold => {
-            for (&b, block) in blocked.base.iter().zip(values.chunks_exact_mut(s)) {
-                let u = update[b as usize];
-                for v in block {
+            blocked.for_each_block(|c, b| {
+                let u = update[b];
+                for v in &mut values[c..c + s] {
                     *v *= u;
                 }
-            }
+            });
         }
         BlockedArm::CopyFour => {
-            for (&b, block) in blocked.base.iter().zip(values.chunks_exact_mut(4 * s)) {
-                let upd = &update[b as usize..b as usize + 4];
+            blocked.for_each_block(|c, b| {
+                let upd = &update[b..b + 4];
                 let u = [upd[0], upd[1], upd[2], upd[3]];
-                for run in block.chunks_exact_mut(4) {
+                for run in values[c..c + 4 * s].chunks_exact_mut(4) {
                     for (v, &u) in run.iter_mut().zip(&u) {
                         *v *= u;
                     }
                 }
-            }
+            });
         }
         BlockedArm::Copy => {
-            for (&b, block) in blocked.base.iter().zip(values.chunks_exact_mut(s * l)) {
-                let upd = &update[b as usize..b as usize + l];
-                for run in block.chunks_exact_mut(l) {
+            blocked.for_each_block(|c, b| {
+                let upd = &update[b..b + l];
+                for run in values[c..c + s * l].chunks_exact_mut(l) {
                     for (v, &u) in run.iter_mut().zip(upd) {
                         *v *= u;
                     }
                 }
-            }
+            });
         }
     }
 }
@@ -765,6 +800,12 @@ mod tests {
         )
     }
 
+    /// A blocked form's merged prefix as `(card, target stride)` pairs,
+    /// outermost first.
+    fn prefix(bp: &BlockedProj) -> Vec<(usize, usize)> {
+        bp.prefix.iter().map(|a| (a.card, a.dst)).collect()
+    }
+
     #[test]
     fn blocked_projection_decomposes_known_shapes() {
         // dims (a:2, b:3, c:4); keep the {b, c} suffix → one 12-entry copy
@@ -772,29 +813,37 @@ mod tests {
         let f = mixed_factor(&[2, 3, 4], (0..24).map(|x| x as f64).collect());
         let bp = blocked_projection(f.vars(), f.cards(), &[v(1), v(2)]);
         assert_eq!((bp.copy_len, bp.sum_reps), (12, 2));
-        assert_eq!(bp.base, vec![0]);
+        assert_eq!(prefix(&bp), vec![(1, 0)]);
         // Keep only the innermost var → copy run c, fold run absorbs both
         // summed-out dims b and a.
         let bp = blocked_projection(f.vars(), f.cards(), &[v(2)]);
         assert_eq!((bp.copy_len, bp.sum_reps), (4, 6));
-        assert_eq!(bp.base, vec![0]);
+        assert_eq!(prefix(&bp), vec![(1, 0)]);
         // Keep {a, c} → copy run c, fold run b, blocks over kept a (target
         // stride 4).
         let bp = blocked_projection(f.vars(), f.cards(), &[v(0), v(2)]);
         assert_eq!((bp.copy_len, bp.sum_reps), (4, 3));
-        assert_eq!(bp.base, vec![0, 4]);
-        // Keep only the middle var → copy run degenerates to 1 entry.
+        assert_eq!(prefix(&bp), vec![(2, 4)]);
+        // Keep only the middle var → copy run degenerates to 1 entry; the
+        // summed `a` above the kept `b` does not continue its stride.
         let bp = blocked_projection(f.vars(), f.cards(), &[v(1)]);
         assert_eq!((bp.copy_len, bp.sum_reps), (1, 4));
-        assert_eq!(bp.base, vec![0, 1, 2, 0, 1, 2]);
+        assert_eq!(prefix(&bp), vec![(2, 0), (3, 1)]);
         // Empty sepset → everything folds into one slot.
         let bp = blocked_projection(f.vars(), f.cards(), &[]);
         assert_eq!((bp.copy_len, bp.sum_reps), (1, 24));
-        assert_eq!(bp.base, vec![0]);
+        assert_eq!(prefix(&bp), vec![(1, 0)]);
         // Full sepset → one pure copy run.
         let bp = blocked_projection(f.vars(), f.cards(), &[v(0), v(1), v(2)]);
         assert_eq!((bp.copy_len, bp.sum_reps), (24, 1));
-        assert_eq!(bp.base, vec![0]);
+        assert_eq!(prefix(&bp), vec![(1, 0)]);
+        // dims (a:2, x:1, b:3, c:4, d:2); keep {a, x, b, d} → copy run d,
+        // fold run c, and the kept `a` continues `b`'s stride across the
+        // one-state `x`, so the prefix merges into one six-block dimension.
+        let f = mixed_factor(&[2, 1, 3, 4, 2], (0..48).map(|x| x as f64).collect());
+        let bp = blocked_projection(f.vars(), f.cards(), &[v(0), v(1), v(2), v(4)]);
+        assert_eq!((bp.copy_len, bp.sum_reps), (2, 4));
+        assert_eq!(prefix(&bp), vec![(6, 2)]);
     }
 
     proptest! {

@@ -168,10 +168,14 @@ fn arb_scope_and_sepset() -> impl Strategy<Value = (Factor, Vec<VarId>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Expanding a dense clique's blocked form (`base × sum_reps ×
-    /// copy_len`, in source order) gives exactly the per-entry odometer's
-    /// clique→sepset indices, so the blocked kernels visit every entry the
-    /// two-pass reference does, in its order.
+    /// Expanding a dense clique's blocked form (each block's target offset
+    /// stepped by the shared odometer over the merged prefix dimensions,
+    /// then `sum_reps × copy_len` entries, in source order) gives exactly
+    /// the per-entry odometer's clique→sepset indices, so the blocked
+    /// kernels visit every entry the two-pass reference does, in its
+    /// order. Cards 1–4 put one-state dimensions between kept and summed
+    /// ones, where both runs absorb them and prefix merging skips them; an
+    /// empty or full sepset leaves an empty prefix (a single block).
     #[test]
     fn blocked_index_sequence_matches_the_per_entry_odometer(
         (clique, sepset) in arb_scope_and_sepset(),
@@ -226,13 +230,17 @@ fn kernel_shapes() -> Vec<Vec<usize>> {
         vec![4, 1, 4],
         vec![2, 4, 1],
         vec![1, 4, 4],
+        vec![2, 1, 3, 4, 2],
+        vec![1, 2, 1, 2, 1],
     ]);
     shapes
 }
 
-/// Every sepset mask of every shape: the blocked marginalize and multiply
-/// are bit-identical to the per-entry `marginalize_into`/`multiply_from`,
-/// and every arm, the two fixed-width ones included, runs at least once.
+/// Every sepset mask of every shape: the blocked form expands through the
+/// shared odometer to the per-entry indices, the blocked marginalize and
+/// multiply are bit-identical to the per-entry
+/// `marginalize_into`/`multiply_from`, and every arm, the two fixed-width
+/// ones included, runs at least once.
 #[test]
 fn blocked_kernels_match_per_entry_on_every_four_state_shape() {
     let mut arms = HashSet::new();
@@ -241,6 +249,18 @@ fn blocked_kernels_match_per_entry_on_every_four_state_shape() {
         for mask in 0..1usize << cards.len() {
             let kept: Vec<usize> = (0..cards.len()).filter(|i| mask & (1 << i) != 0).collect();
             let sepset: Vec<VarId> = kept.iter().map(|&i| VarId::from_index(i)).collect();
+            let (blocked, per_entry) = projection_index_sequences(&clique, &sepset);
+            assert_eq!(
+                blocked, per_entry,
+                "index sequence, cards {cards:?}, sepset mask {mask:#b}"
+            );
+            // The empty and the full sepset are one block each: every entry
+            // folds into slot 0, or one copy run names every slot in turn.
+            if kept.is_empty() {
+                assert!(blocked.iter().all(|&t| t == 0), "cards {cards:?}");
+            } else if kept.len() == cards.len() {
+                assert!(blocked.iter().copied().eq(0..clique.len() as u32));
+            }
             let sep_len: usize = kept.iter().map(|&i| cards[i]).product();
             let update: Vec<f64> = (0..sep_len).map(|k| 0.75 + k as f64 / 3.0).collect();
             let check = blocked_kernel_check(&clique, &sepset, &update);

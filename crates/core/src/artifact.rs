@@ -80,8 +80,11 @@ pub const MAGIC: [u8; 8] = *b"SWACTBN1";
 /// gather projections instead; version 9 dropped the OBDD segment
 /// artifact with its backend tag (1) and the per-clique home-variable
 /// masks of every compiled tree; version 10 dropped the segmentation
-/// strategy tag and the check-interval word from the options codec.
-pub const FORMAT_VERSION: u32 = 10;
+/// strategy tag and the check-interval word from the options codec;
+/// version 11 stores no projection in a compiled tree: the gather
+/// projections of hosted factors and both edge sides' projections are
+/// derived at load from the tree and the supports.
+pub const FORMAT_VERSION: u32 = 11;
 
 /// Extension used by [`artifact_file_name`].
 pub const ARTIFACT_EXTENSION: &str = "swact";

@@ -1105,14 +1105,14 @@ mod tests {
     fn payload_encoding_is_pinned() {
         assert_eq!(
             crate::artifact::FORMAT_VERSION,
-            10,
+            11,
             "a new format version needs new payload pins"
         );
         let pins = [
             (
                 Backend::Jtree,
-                6860,
-                0x47bc_5fdb_03a5_0ca4_1622_b286_7303_ec56,
+                5792,
+                0x60cc_1e69_332f_20b9_2fd9_cae5_a186_c9ad,
             ),
             (
                 Backend::Sampling,
@@ -1121,8 +1121,8 @@ mod tests {
             ),
             (
                 Backend::TwoState,
-                3684,
-                0x0a45_8003_a13a_bc11_0d23_5158_ca09_7d53,
+                3008,
+                0x9424_a021_9ff8_92ba_1afb_7839_919d_6161,
             ),
         ];
         for (backend, len, hash) in pins {
@@ -1140,7 +1140,7 @@ mod tests {
         );
         assert_eq!(
             payload_pin(&compiled),
-            (49562, 0x191e_4571_222d_906a_caa6_c900_3035_e96d)
+            (46314, 0x84d2_a7b7_0d6e_ed7a_f120_654a_d9c1_8ee5)
         );
     }
 

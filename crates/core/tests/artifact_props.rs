@@ -163,14 +163,15 @@ proptest! {
 /// compiled tree, format 7 dropped the per-entry projection tables of
 /// dense cliques, format 8 replaced the stored clique potentials with
 /// hosted CPTs, format 9 dropped the OBDD segment kind and the
-/// home-variable masks, and format 10 dropped the segmentation-strategy
-/// tag and the check-interval word from the options, so format-5 to -9
-/// files must never reach the payload decoder.
+/// home-variable masks, format 10 dropped the segmentation-strategy
+/// tag and the check-interval word from the options, and format 11
+/// dropped every stored projection, so format-5 to -10 files must never
+/// reach the payload decoder.
 #[test]
 fn older_format_artifacts_are_rejected() {
-    assert_eq!(artifact::FORMAT_VERSION, 10);
+    assert_eq!(artifact::FORMAT_VERSION, 11);
     let (key, bytes) = c17_artifact();
-    for version in [5u32, 6, 7, 8, 9] {
+    for version in [5u32, 6, 7, 8, 9, 10] {
         let mut old = bytes.clone();
         old[8..12].copy_from_slice(&version.to_le_bytes());
         assert!(matches!(
